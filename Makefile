@@ -1,7 +1,7 @@
 # CI entry points for the qwm repository. `make ci` is the gate a change
 # must pass: vet, build, the targeted observability race suite, the full
 # test suite under the race detector, the trace-export and ops-server
-# lifecycle smokes, the HTTP service smoke (200 + schema-valid response,
+# lifecycle smokes, a short fuzz pass over every wire-format parser, the HTTP service smoke (200 + schema-valid response,
 # 429 backpressure under a flooded queue), the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
@@ -17,9 +17,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-obs trace-smoke trace-smoke-distributed leak-check service-smoke bench bench-full bench-json bench-compare verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
+.PHONY: ci vet build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full bench-json bench-compare verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
 
-ci: vet build race-obs race trace-smoke trace-smoke-distributed leak-check service-smoke remote-smoke bench bench-json verify chaos eco service-verify remote-chaos
+ci: vet build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench bench-json verify chaos eco service-verify remote-chaos
 
 vet:
 	$(GO) vet ./...
@@ -43,12 +43,15 @@ race:
 race-obs:
 	$(GO) test -race ./internal/sta/... ./internal/obs/... ./internal/faultinject/...
 
-# Trace-export smoke: record a full decoder analysis, validate the exported
-# Chrome trace (balanced spans, one eval span per work item, args intact)
-# and assert the deterministic rendering is byte-identical at Workers 1
-# and 8.
+# Trace-export smoke: trace a full decoder analysis through the request-trace
+# bridge, validate the exported Chrome trace (balanced spans nested in the
+# analysis, one eval span per work item with cache, tier and solver args,
+# more than one worker lane) and assert the deterministic rendering is
+# byte-identical at Workers 1 and 8; plus the bridge's own wall-clock,
+# schedule-independence and mid-analysis export tests.
 trace-smoke:
 	$(GO) test -run 'TestTraceDecoderSmoke|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
+	$(GO) test -run 'TestTraceBridge|TestTraceDeterministicByteIdentical|TestTraceIncompleteAnalysis' -count=1 ./internal/obs/
 
 # Distributed-tracing smoke: replica A answers warm off replica B's cache
 # plane and the flight-recorded trace must contain spans from BOTH
@@ -61,6 +64,17 @@ trace-smoke-distributed:
 # serve goroutine and leak nothing.
 leak-check:
 	$(GO) test -run 'TestServerStartShutdownNoLeak' -count=1 ./internal/obs/
+
+# Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
+# trace headers a client or peer sends (traceparent, Qwm-Span) and the
+# netlist deck and value parsers — starting from the checked-in corpora under
+# each package's testdata/fuzz/. A crasher is written there and fails the
+# target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePeerSpan$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),

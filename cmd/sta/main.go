@@ -41,21 +41,17 @@
 // run that used any fallback tier prints a DEGRADED line with the
 // per-direction tier inventory.
 //
-// Ops surface: -trace FILE records the analysis as Chrome trace-event JSON
-// (load it in Perfetto; -trace-deterministic writes the schedule-independent
-// variant instead). -serve ADDR keeps the process alive after the analysis
-// and serves /metrics (Prometheus), /healthz (503 while the last run is
-// degraded or the analysis queue is saturated), /trace, /debug/vars and
-// /debug/pprof/ until SIGINT/SIGTERM — plus the analysis front door itself:
-// POST /analyze (single requests and batches in the versioned v1 wire
-// schema, see internal/api/v1) and GET /result/{id} for async batches.
-// -cache-dir DIR adds the persistent content-addressed delay-cache tier
-// below the served analyzers' in-memory caches, so a restarted process
-// answers warm. -metrics-json output is the versioned v1 metrics envelope.
-// For a serve-only daemon without the one-shot deck analysis, see cmd/stad.
+// -trace FILE records the analysis as Chrome trace-event JSON through the
+// same request-trace path the service uses: one analyze span, one span per
+// level and one per work item with its cache outcome, tier and solver
+// statistics, each eval on its worker's lane (load it in Perfetto).
+// -trace-deterministic writes the schedule-independent variant instead,
+// byte-identical at any -workers. Under -eco both passes land in the one
+// trace. -metrics-json output is the versioned v1 metrics envelope. To serve
+// analyses over HTTP — POST /analyze, /metrics, /healthz, /trace — run
+// cmd/stad.
 //
 //	sta -deck decoder.sp -outputs y0,y1 -trace run.trace.json
-//	sta -deck decoder.sp -outputs y0,y1 -serve :8080 -cache-dir /var/tmp/qwm
 package main
 
 import (
@@ -63,12 +59,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"qwm/internal/api/v1"
@@ -77,7 +70,6 @@ import (
 	"qwm/internal/netlist"
 	"qwm/internal/obs"
 	"qwm/internal/reduce"
-	"qwm/internal/service"
 	"qwm/internal/sta"
 )
 
@@ -98,17 +90,12 @@ func main() {
 		eco      = flag.Bool("eco", false, "run through the incremental (ECO) scheduler and demonstrate a no-op re-run: the second pass diffs per-stage content digests against the first and replays everything clean")
 		trace    = flag.String("trace", "", "write the analysis as Chrome trace-event JSON to this file")
 		traceDet = flag.Bool("trace-deterministic", false, "write the deterministic trace variant (synthetic clock, schedule-independent; byte-identical at any -workers)")
-		serve    = flag.String("serve", "", "after the analysis, serve the ops endpoints (/metrics /healthz /trace /debug/vars /debug/pprof/) plus the analysis front door (POST /analyze, GET /result/) on this address until SIGINT/SIGTERM")
-		cacheDir = flag.String("cache-dir", "", "with -serve, root directory for the persistent delay-cache tier (empty = memory only)")
 	)
 	flag.Parse()
 	budget := sta.EvalBudget{NRIters: *nrBudget, Wall: *wallB}
 	opts := opsOptions{
 		stats: *stats, metricsJSON: *metrics,
-		tracePath: *trace, traceDet: *traceDet, serveAddr: *serve, cacheDir: *cacheDir,
-	}
-	if *cacheDir != "" && *serve == "" {
-		fmt.Fprintln(os.Stderr, "sta: -cache-dir has no effect without -serve")
+		tracePath: *trace, traceDet: *traceDet,
 	}
 	if *interp && !*memo {
 		fmt.Fprintln(os.Stderr, "sta: -interp has no effect without -memo")
@@ -125,8 +112,6 @@ type opsOptions struct {
 	stats, metricsJSON bool
 	tracePath          string
 	traceDet           bool
-	serveAddr          string
-	cacheDir           string
 }
 
 // hotPathFlags bundles the accelerator knobs (-reduce/-memo/-interp/-eco).
@@ -181,23 +166,29 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 	if feat.memo {
 		cfg.Memo = sta.MemoConfig{Enabled: true, Interp: feat.interp}
 	}
-	if ops.metricsJSON || ops.stats || ops.serveAddr != "" {
+	if ops.metricsJSON || ops.stats {
 		cfg.Metrics = obs.NewRegistry()
-		if !cfg.Metrics.Publish("sta") {
-			fmt.Fprintln(os.Stderr, `sta: expvar name "sta" already taken; /debug/vars will not show this registry`)
-		}
 	}
 	a := sta.New(tech, lib, cfg)
-	var recorder *obs.TraceRecorder
 	req := sta.Request{
 		Netlist: deck.Netlist, Primary: primary, Outputs: outs, Budget: budget,
 		Incremental: feat.eco,
 	}
-	if ops.tracePath != "" || ops.serveAddr != "" {
-		recorder = obs.NewTraceRecorder()
-		req.Observer = recorder
+	// With -trace every pass runs under its own reference into one request
+	// trace (distinct parents and items, so the -eco re-run's span IDs never
+	// collide with the first pass's); the engine bridges its span stream in.
+	var trace *obs.ActiveTrace
+	if ops.tracePath != "" {
+		trace = obs.NewActiveTrace("")
 	}
-	res, err := a.AnalyzeContext(context.Background(), req)
+	analyze := func(pass int) (*sta.Result, error) {
+		ctx := context.Background()
+		if trace != nil {
+			ctx = obs.ContextWithTrace(ctx, obs.TraceRef{T: trace, Parent: fmt.Sprintf("sta.r%d", pass), Item: pass})
+		}
+		return a.AnalyzeContext(ctx, req)
+	}
+	res, err := analyze(0)
 	if err != nil {
 		return err
 	}
@@ -216,7 +207,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 		// The first incremental call has no baseline, so everything above is
 		// dirty; the re-run shows the ECO payoff on an unedited deck — every
 		// stage replays from the memo with zero solver work.
-		rerun, err := a.AnalyzeContext(context.Background(), req)
+		rerun, err := analyze(1)
 		if err != nil {
 			return fmt.Errorf("eco re-run: %w", err)
 		}
@@ -255,12 +246,9 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 			fmt.Printf("  %-10s rise %.4g  fall %.4g\n", n, ar.Rise, ar.Fall)
 		}
 	}
-	if ops.tracePath != "" {
-		t := recorder.Trace()
-		if ops.traceDet {
-			t = t.Deterministic()
-		}
-		b, err := t.JSON()
+	if trace != nil {
+		// Status 0 is the CLI's exit status; the service records HTTP codes.
+		b, err := trace.Finish("sta", 0, time.Since(trace.Start)).ChromeJSON(ops.traceDet)
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
@@ -268,9 +256,6 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "sta: trace written to %s\n", ops.tracePath)
-	}
-	if ops.serveAddr != "" {
-		return serveOps(ops, tech, lib, workers, a.Metrics, recorder, res)
 	}
 	return nil
 }
@@ -294,62 +279,4 @@ func printQuantiles(snap obs.Snapshot) {
 			h.Quantile(0.50), row.unit, h.Quantile(0.95), row.unit,
 			h.Quantile(0.99), row.unit, h.Count)
 	}
-}
-
-// serveOps blocks serving the ops endpoints plus the analysis front door
-// until SIGINT/SIGTERM, then shuts both down gracefully. Health reflects the
-// completed one-shot analysis AND the serving queue: 503 while the run's
-// diagnostics report degradation or the work queue is saturated.
-func serveOps(ops opsOptions, tech *mos.Tech, lib *devmodel.Library, workers int, reg *obs.Registry, recorder *obs.TraceRecorder, res *sta.Result) error {
-	build := obs.RegisterBuildInfo(reg)
-	flight := obs.NewFlightRecorder()
-	svc := service.New(tech, lib, service.Options{
-		CacheDir:        ops.cacheDir,
-		AnalyzerWorkers: workers,
-		Metrics:         reg,
-		Flight:          flight,
-	})
-	svcHandler := svc.Handler()
-	srv := &obs.Server{
-		Registry: reg,
-		Trace:    recorder,
-		Flight:   flight,
-		Health: func() (bool, string) {
-			if ok, detail := svc.Healthy(); !ok {
-				return false, detail
-			}
-			if res.Diagnostics.Healthy() {
-				return true, "ok"
-			}
-			return false, res.Diagnostics.String()
-		},
-		HealthDetail: func() map[string]any {
-			d := svc.HealthInfo()
-			d["build"] = build
-			return d
-		},
-		Extra: map[string]http.Handler{
-			"/analyze": svcHandler,
-			"/result/": svcHandler,
-		},
-	}
-	bound, err := srv.Start(ops.serveAddr)
-	if err != nil {
-		svc.Close()
-		flight.Close()
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sta: serving on http://%s (POST /analyze, GET /result/, /metrics /healthz /trace /debug/vars /debug/pprof/); ctrl-c to stop\n", bound)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	signal.Stop(sig)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err = srv.Shutdown(ctx)
-	if cerr := svc.Close(); err == nil {
-		err = cerr
-	}
-	flight.Close()
-	return err
 }

@@ -1,7 +1,6 @@
-// Command stad is the timing-analysis daemon: the serving-only counterpart
-// of cmd/sta -serve. It runs no one-shot analysis — it binds an address and
-// serves the versioned v1 wire API (internal/api/v1) over the STA engine
-// until SIGINT/SIGTERM:
+// Command stad is the timing-analysis daemon, the serving counterpart of the
+// one-shot cmd/sta. It binds an address and serves the versioned v1 wire API
+// (internal/api/v1) over the STA engine until SIGINT/SIGTERM:
 //
 //	POST /analyze      one AnalyzeRequest, or a BatchRequest ("requests"
 //	                   key); sync by default, async batches return 202 + id
@@ -10,6 +9,9 @@
 //	                   counters)
 //	GET  /healthz      200 while accepting work, 503 while the queue is
 //	                   saturated (use it for load-balancer draining)
+//	GET  /trace        the newest request's trace as Chrome trace-event JSON
+//	                   (?deterministic=1 for the byte-stable rendering)
+//	GET  /debug/requests, /trace/request/{id}  the flight-recorded traces
 //	     /debug/vars, /debug/pprof/  expvar and pprof
 //
 // Analyzers are pooled by request signature (features + budget); with
@@ -26,8 +28,7 @@
 // A fleet of daemons can share one warm delay cache: -cache-listen ADDR
 // additionally serves this replica's per-signature caches over the tier API
 // (GET/PUT /tier/{signature}/{key}), and -remote-cache URL makes every
-// pooled analyzer read through memory → remote → disk against a peer's
-// endpoint. The remote client sits behind per-op deadlines, bounded retries
+// pooled analyzer read through remote → disk against a peer's endpoint. The remote client sits behind per-op deadlines, bounded retries
 // and a circuit breaker: a dead or flaky peer degrades to cache misses, and
 // /healthz reports (but never 503s on) an open breaker.
 package main
@@ -58,7 +59,7 @@ func main() {
 		workers     = flag.Int("workers", 2, "queue-draining workers (concurrent analyses)")
 		analyzerW   = flag.Int("analyzer-workers", 0, "per-analysis stage-evaluation workers (0 = GOMAXPROCS)")
 		cacheListen = flag.String("cache-listen", "", "additionally serve this replica's delay cache to the fleet on this address (GET/PUT /tier/)")
-		remoteCache = flag.String("remote-cache", "", "base URL of a peer's -cache-listen endpoint to read through (memory → remote → disk)")
+		remoteCache = flag.String("remote-cache", "", "base URL of a peer's -cache-listen endpoint to read through (remote → disk)")
 		replica     = flag.String("replica", "", "replica name stamped on cache-plane trace spans (defaults to the listen address)")
 	)
 	flag.Parse()
@@ -135,7 +136,7 @@ func run(addr, cacheDir string, cacheBytes int64, queueLen, workers, analyzerWor
 	if remoteCache != "" {
 		cache += "; remote tier at " + remoteCache
 	}
-	fmt.Fprintf(os.Stderr, "stad: serving on http://%s (POST /analyze, GET /result/, /metrics /healthz); %s; ctrl-c to stop\n", bound, cache)
+	fmt.Fprintf(os.Stderr, "stad: serving on http://%s (POST /analyze, GET /result/, /metrics /healthz /trace); %s; ctrl-c to stop\n", bound, cache)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("6-NMOS carry-chain stack: %d regions, %d Newton iterations\n",
-		res.Regions, res.NRIterations)
+		res.Stats.Regions, res.Stats.NRIters)
 	fmt.Println("critical points (ps):")
 	for i, t := range res.CriticalTimes {
 		fmt.Printf("  τ%-2d = %7.2f\n", i, t*1e12)

@@ -71,7 +71,7 @@ func (h *Harness) RunQWM(w *stages.Workload, opts qwm.Options) (*EngineRun, erro
 	slew, _ := wave.Slew(foldedCrosser{res}, h.Tech.VDD, false)
 	return &EngineRun{
 		Delay: d, Slew: slew, Runtime: elapsed,
-		Output: res.Output, Steps: res.Regions, NRIters: res.NRIterations,
+		Output: res.Output, Steps: res.Stats.Regions, NRIters: res.Stats.NRIters,
 	}, nil
 }
 
@@ -97,7 +97,7 @@ func (h *Harness) RunQWMAnalytic(w *stages.Workload, opts qwm.Options) (*EngineR
 		return nil, err
 	}
 	return &EngineRun{Delay: d, Runtime: elapsed, Output: res.Output,
-		Steps: res.Regions, NRIters: res.NRIterations}, nil
+		Steps: res.Stats.Regions, NRIters: res.Stats.NRIters}, nil
 }
 
 // foldedCrosser adapts a QWM result's folded output for falling-direction

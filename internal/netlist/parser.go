@@ -22,6 +22,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"qwm/internal/circuit"
 	"qwm/internal/wave"
@@ -116,7 +117,9 @@ func (d *Deck) card(line string, no int) error {
 }
 
 // splitCard tokenizes a card, keeping parenthesized groups (PWL lists)
-// together as single tokens with inner spaces normalized.
+// together as single tokens with inner spaces normalized. Any Unicode space
+// separates tokens — the same set CanonName trims — so no token can
+// canonicalize to an empty node name.
 func splitCard(line string) []string {
 	var out []string
 	depth := 0
@@ -135,7 +138,7 @@ func splitCard(line string) []string {
 		case r == ')':
 			depth--
 			cur.WriteRune(r)
-		case (r == ' ' || r == '\t' || r == ',') && depth == 0:
+		case (unicode.IsSpace(r) || r == ',') && depth == 0:
 			flush()
 		default:
 			cur.WriteRune(r)

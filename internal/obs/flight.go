@@ -23,8 +23,8 @@ import (
 // same lifecycle idiom as the remote-cache write-behind queue.
 //
 // Mount the HTTP surface via obs.Server.Flight: /debug/requests lists
-// retained traces (HTML, or JSON with ?format=json) and
-// /trace/request/{id} exports one as Chrome trace-event JSON
+// retained traces (HTML, or JSON with ?format=json), /trace/request/{id}
+// exports one as Chrome trace-event JSON and /trace exports the newest
 // (?deterministic=1 for the byte-stable rendering).
 type FlightRecorder struct {
 	shards  [flightShards]flightShard
@@ -310,20 +310,37 @@ func (f *FlightRecorder) handleRequests(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleRequestTrace serves /trace/request/{id}: one retained trace as
-// Chrome trace-event JSON (?deterministic=1 for the byte-stable form).
+// Chrome trace-event JSON.
 func (f *FlightRecorder) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/trace/request/")
 	if id == "" || strings.Contains(id, "/") {
 		http.Error(w, "flight: expected /trace/request/{trace-id}", http.StatusBadRequest)
 		return
 	}
+	f.serveTrace(w, r, id)
+}
+
+// handleLatestTrace serves /trace: the newest retained trace, through the
+// same export path as /trace/request/{id}.
+func (f *FlightRecorder) handleLatestTrace(w http.ResponseWriter, r *http.Request) {
+	list := f.List()
+	if len(list) == 0 {
+		http.Error(w, "flight: no trace recorded yet", http.StatusNotFound)
+		return
+	}
+	f.serveTrace(w, r, list[0].TraceID)
+}
+
+// serveTrace writes one retained trace as Chrome trace-event JSON;
+// ?deterministic=1 (or =true) selects the byte-stable rendering.
+func (f *FlightRecorder) serveTrace(w http.ResponseWriter, r *http.Request, id string) {
 	t := f.Get(id)
 	if t == nil {
 		http.Error(w, "flight: no retained trace with that id", http.StatusNotFound)
 		return
 	}
-	det := r.URL.Query().Get("deterministic") == "1"
-	b, err := t.ChromeJSON(det)
+	det := r.URL.Query().Get("deterministic")
+	b, err := t.ChromeJSON(det == "1" || det == "true")
 	if err != nil {
 		http.Error(w, "flight: "+err.Error(), http.StatusInternalServerError)
 		return

@@ -62,6 +62,11 @@ type ReqSpan struct {
 	// Start and Dur are wall-clock; the deterministic export strips both.
 	Start time.Time     `json:"start"`
 	Dur   time.Duration `json:"dur"`
+	// Thread is the span's lane within its process in the wall-clock
+	// export: 0 for plumbing, analyze and level spans, worker slot + 1 for
+	// eval spans, so a parallel run renders one Perfetto track per worker.
+	// Schedule-dependent; the deterministic export puts every span on 0.
+	Thread int `json:"thread,omitempty"`
 	// Attrs carries ONLY schedule-independent attributes (cache outcomes,
 	// tier names, counts). Durations, worker ids and queue depths must never
 	// appear here — the deterministic export serializes Attrs verbatim.
@@ -212,15 +217,36 @@ func EncodePeerSpan(ps PeerSpan) string {
 	return base64.RawURLEncoding.EncodeToString(b)
 }
 
-// DecodePeerSpan parses a Qwm-Span header value.
+// Caps on a Qwm-Span header value. A peer controls the header and its span
+// is merged into our own trace, so input past any cap is rejected whole,
+// never truncated. A genuine cache-plane span is well under all three.
+const (
+	MaxPeerSpanBytes  = 2048 // encoded header value
+	MaxPeerSpanAttrs  = 8    // entries in Attrs
+	MaxPeerSpanString = 256  // Name, Process, and each attr key and value
+)
+
+// DecodePeerSpan parses a Qwm-Span header value. It fails closed: anything
+// malformed, over a MaxPeerSpan* cap, nameless or with a negative duration
+// is rejected.
 func DecodePeerSpan(s string) (PeerSpan, bool) {
+	if len(s) > MaxPeerSpanBytes {
+		return PeerSpan{}, false
+	}
 	b, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
 		return PeerSpan{}, false
 	}
 	var ps PeerSpan
-	if err := json.Unmarshal(b, &ps); err != nil || ps.Name == "" {
+	if err := json.Unmarshal(b, &ps); err != nil || ps.Name == "" || ps.DurUS < 0 ||
+		len(ps.Name) > MaxPeerSpanString || len(ps.Process) > MaxPeerSpanString ||
+		len(ps.Attrs) > MaxPeerSpanAttrs {
 		return PeerSpan{}, false
+	}
+	for k, v := range ps.Attrs {
+		if len(k) > MaxPeerSpanString || len(v) > MaxPeerSpanString {
+			return PeerSpan{}, false
+		}
 	}
 	return ps, true
 }
@@ -236,7 +262,9 @@ func KeyHash32(key string) uint32 {
 
 // TraceBridge adapts the engine's Observer span stream into request-trace
 // spans: one analyze span, one span per dependency level, one per StageEval.
-// It is constructed per-Analyze from the context's TraceRef and composed
+// It is the only path from the engine into a trace — the service front door
+// and cmd/sta -trace both reach it by putting a TraceRef on the Analyze
+// context. It is constructed per-Analyze from that TraceRef and composed
 // with any user observer via Multi. StageEval events may arrive concurrently
 // (Workers > 1); level bookkeeping is mutex-guarded and StageEval touches
 // only the ActiveTrace, which serializes internally.
@@ -302,8 +330,15 @@ func (b *TraceBridge) StageEval(info StageEvalInfo) {
 	if info.CacheHit {
 		cache = "hit"
 	}
+	// The solver statistics belong to the cache entry (a hit carries the
+	// stats of the evaluation that produced it, persisted in tier records),
+	// so they are schedule-independent like the cache outcome and tier.
 	attrs := map[string]any{
 		"output": info.Output, "dir": info.Direction, "cache": cache,
+		"nr_iters":        info.QWM.NRIters,
+		"regions":         info.QWM.Regions,
+		"dense_fallbacks": info.QWM.DenseFallbacks,
+		"cap_resolves":    info.QWM.CapResolves,
 	}
 	if info.Tier != "" {
 		attrs["tier"] = info.Tier
@@ -318,7 +353,8 @@ func (b *TraceBridge) StageEval(info StageEvalInfo) {
 		Name:   info.Output + "~" + info.Direction,
 		Level:  info.Level, Item: info.Item,
 		Start: end.Add(-info.Duration), Dur: info.Duration,
-		Attrs: attrs,
+		Thread: info.Worker + 1,
+		Attrs:  attrs,
 	})
 }
 
@@ -340,6 +376,8 @@ func (b *TraceBridge) AnalyzeEnd(info AnalyzeEndInfo) {
 		"cache_hits":       info.CacheHits,
 		"cache_misses":     info.CacheMisses,
 		"stages_evaluated": info.StagesEvaluated,
+		"eval_errors":      info.EvalErrors,
+		"slew_fallbacks":   info.SlewFallbacks,
 	}
 	if info.Cancelled {
 		attrs["cancelled"] = true
@@ -406,14 +444,15 @@ func processPids(spans []ReqSpan) (map[string]int, []string) {
 }
 
 // ChromeJSON serializes the trace in the Chrome trace-event object format
-// (the PR 5 serialization path — Perfetto loads it directly). Deterministic
-// mode orders spans by (Level, Item, ID), replaces wall-clock timestamps
-// with rank ticks and unit durations, and redacts the random trace ID, so
-// two identically-seeded runs at any Workers setting serialize to
-// byte-identical JSON.
+// (Perfetto loads it directly). Wall-clock mode keeps real timestamps and
+// one lane per worker slot. Deterministic mode orders spans by (Level, Item,
+// ID), replaces wall-clock timestamps with rank ticks and unit durations,
+// puts every span on lane 0 and redacts the random trace ID, so two
+// identically-seeded runs at any Workers setting serialize to byte-identical
+// JSON.
 func (rt *RequestTrace) ChromeJSON(deterministic bool) ([]byte, error) {
 	md := map[string]any{
-		"recorder": "qwm/internal/obs.FlightRecorder",
+		"recorder": "qwm/internal/obs.RequestTrace",
 		"route":    rt.Route,
 		"status":   rt.Status,
 	}
@@ -447,6 +486,9 @@ func (rt *RequestTrace) events(deterministic bool) []TraceEvent {
 	for _, r := range remotes {
 		events = append(events, name(pids[r], "replica "+r))
 	}
+	if !deterministic {
+		events = append(events, workerLanes(spans, pids)...)
+	}
 	for rank, s := range spans {
 		args := map[string]any{"id": s.ID}
 		if s.Parent != "" {
@@ -457,16 +499,44 @@ func (rt *RequestTrace) events(deterministic bool) []TraceEvent {
 		}
 		ev := TraceEvent{
 			Name: s.Name, Cat: "request", Ph: "X",
-			Pid: pids[s.Process], Tid: 0, Args: args,
+			Pid: pids[s.Process], Args: args,
 		}
 		if deterministic {
 			ev.TS = float64(rank)
 			ev.Dur = durp(1)
 		} else {
+			ev.Tid = s.Thread
 			ev.TS = s.Start.Sub(rt.Start).Seconds() * 1e6
 			ev.Dur = durp(s.Dur.Seconds() * 1e6)
 		}
 		events = append(events, ev)
 	}
 	return events
+}
+
+// workerLanes names the wall-clock export's worker lanes: one thread_name
+// event per (process, Thread > 0) pair, in (pid, tid) order.
+func workerLanes(spans []ReqSpan, pids map[string]int) []TraceEvent {
+	type lane struct{ pid, tid int }
+	seen := map[lane]bool{}
+	var lanes []lane
+	for _, s := range spans {
+		l := lane{pids[s.Process], s.Thread}
+		if l.tid > 0 && !seen[l] {
+			seen[l] = true
+			lanes = append(lanes, l)
+		}
+	}
+	sort.Slice(lanes, func(i, j int) bool {
+		if lanes[i].pid != lanes[j].pid {
+			return lanes[i].pid < lanes[j].pid
+		}
+		return lanes[i].tid < lanes[j].tid
+	})
+	out := make([]TraceEvent, len(lanes))
+	for i, l := range lanes {
+		out[i] = TraceEvent{Name: "thread_name", Ph: "M", Pid: l.pid, Tid: l.tid,
+			Args: map[string]any{"name": fmt.Sprintf("worker %d", l.tid-1)}}
+	}
+	return out
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,10 +32,10 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"junk",
-		valid[:54],                    // truncated
-		valid + "0",                   // too long
-		"01" + valid[2:],              // wrong version
-		strings.ToUpper(valid),        // uppercase hex is invalid per W3C
+		valid[:54],             // truncated
+		valid + "0",            // too long
+		"01" + valid[2:],       // wrong version
+		strings.ToUpper(valid), // uppercase hex is invalid per W3C
 		"00-" + strings.Repeat("0", 32) + valid[35:], // all-zero trace id
 		strings.Replace(valid, "-", "_", 1),
 	}
@@ -64,6 +66,48 @@ func TestPeerSpanCodec(t *testing.T) {
 	for _, junk := range []string{"", "!!!not-base64!!!", "bm90IGpzb24", EncodePeerSpan(PeerSpan{})} {
 		if _, ok := DecodePeerSpan(junk); ok {
 			t.Errorf("DecodePeerSpan(%q) accepted junk", junk)
+		}
+	}
+}
+
+// TestDecodePeerSpanCaps pins the fail-closed caps on the peer-controlled
+// Qwm-Span header: input at each cap decodes, one past it is rejected.
+func TestDecodePeerSpanCaps(t *testing.T) {
+	long := strings.Repeat("x", MaxPeerSpanString)
+	attrs := func(n int) map[string]string {
+		m := map[string]string{}
+		for i := 0; i < n; i++ {
+			m[fmt.Sprintf("k%d", i)] = "v"
+		}
+		return m
+	}
+	// padded is a valid span whose encoding is exactly n JSON bytes long,
+	// grown through a field the decoder ignores.
+	padded := func(n int) string {
+		const head, tail = `{"name":"get","pad":"`, `"}`
+		js := head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+		return base64.RawURLEncoding.EncodeToString([]byte(js))
+	}
+	enc := func(ps PeerSpan) string { return EncodePeerSpan(ps) }
+	cases := []struct {
+		name string
+		in   string
+		ok   bool
+	}{
+		{"encoding at byte cap", padded(MaxPeerSpanBytes / 4 * 3), true},
+		{"encoding over byte cap", padded(MaxPeerSpanBytes/4*3 + 1), false},
+		{"attrs at count cap", enc(PeerSpan{Name: "get", Attrs: attrs(MaxPeerSpanAttrs)}), true},
+		{"attrs over count cap", enc(PeerSpan{Name: "get", Attrs: attrs(MaxPeerSpanAttrs + 1)}), false},
+		{"attr value at length cap", enc(PeerSpan{Name: "get", Attrs: map[string]string{"op": long}}), true},
+		{"attr value over length cap", enc(PeerSpan{Name: "get", Attrs: map[string]string{"op": long + "x"}}), false},
+		{"attr key over length cap", enc(PeerSpan{Name: "get", Attrs: map[string]string{long + "x": "get"}}), false},
+		{"name over length cap", enc(PeerSpan{Name: long + "x"}), false},
+		{"process over length cap", enc(PeerSpan{Name: "get", Process: long + "x"}), false},
+		{"negative duration", enc(PeerSpan{Name: "get", DurUS: -1}), false},
+	}
+	for _, c := range cases {
+		if _, ok := DecodePeerSpan(c.in); ok != c.ok {
+			t.Errorf("%s: DecodePeerSpan ok=%v, want %v (len %d)", c.name, ok, c.ok, len(c.in))
 		}
 	}
 }
@@ -191,8 +235,9 @@ func TestTraceBridgeSpans(t *testing.T) {
 	b.StageEval(StageEvalInfo{Level: 0, Item: 0, Output: "y0", Direction: "rise", CacheHit: false, Duration: time.Millisecond})
 	b.StageEval(StageEvalInfo{Level: 0, Item: 1, Output: "y0", Direction: "fall", CacheHit: true})
 	b.LevelStart(LevelStartInfo{Level: 1, Levels: 2, Stages: 1, Items: 1})
-	b.StageEval(StageEvalInfo{Level: 1, Item: 0, Output: "y1", Direction: "rise", Tier: "qwm"})
-	b.AnalyzeEnd(AnalyzeEndInfo{CacheHits: 1, CacheMisses: 2, StagesEvaluated: 2})
+	b.StageEval(StageEvalInfo{Level: 1, Item: 0, Output: "y1", Direction: "rise", Tier: "qwm", Worker: 5,
+		QWM: QWMStats{Regions: 6, NRIters: 44, DenseFallbacks: 1, CapResolves: 3}})
+	b.AnalyzeEnd(AnalyzeEndInfo{CacheHits: 1, CacheMisses: 2, StagesEvaluated: 2, EvalErrors: 1, SlewFallbacks: 2})
 
 	rt := at.Finish("analyze", 200, time.Millisecond)
 	byID := map[string]ReqSpan{}
@@ -225,6 +270,19 @@ func TestTraceBridgeSpans(t *testing.T) {
 	}
 	if s := byID["req.j0.analyze.L1.e0"]; s.Attrs["tier"] != "qwm" {
 		t.Errorf("eval span tier attr = %v", s.Attrs["tier"])
+	}
+	if an.Attrs["eval_errors"] != 1 || an.Attrs["slew_fallbacks"] != 2 {
+		t.Errorf("analyze span error counts = %v / %v", an.Attrs["eval_errors"], an.Attrs["slew_fallbacks"])
+	}
+	e := byID["req.j0.analyze.L1.e0"]
+	for k, want := range map[string]int{"regions": 6, "nr_iters": 44, "dense_fallbacks": 1, "cap_resolves": 3} {
+		if e.Attrs[k] != want {
+			t.Errorf("eval span %s = %v, want %d", k, e.Attrs[k], want)
+		}
+	}
+	if e.Thread != 6 || an.Thread != 0 || byID["req.j0.analyze.L1"].Thread != 0 {
+		t.Errorf("threads: eval %d (want worker 5 + 1), analyze %d, level %d",
+			e.Thread, an.Thread, byID["req.j0.analyze.L1"].Thread)
 	}
 }
 

@@ -13,17 +13,15 @@ import (
 )
 
 // Server is the engine's ops/debug HTTP surface: Prometheus metrics, expvar,
-// pprof, a health probe and the last recorded Chrome trace, all served from
-// one mux. The zero value is usable (every endpoint degrades gracefully when
-// its backing component is nil); populate the fields, then either mount
+// pprof, a health probe and the flight-recorded request traces, all served
+// from one mux. The zero value is usable (every endpoint degrades gracefully
+// when its backing component is nil); populate the fields, then either mount
 // Handler on an existing server or call Start/Shutdown for a managed
 // listener with graceful shutdown.
 //
 //	/            endpoint index (text)
 //	/metrics     Prometheus text exposition of Registry.Snapshot()
 //	/healthz     200 "ok" when Health() is clean, 503 + detail when degraded
-//	/trace       the recorder's trace as Chrome trace-event JSON (download);
-//	             ?deterministic=1 serves the schedule-independent variant
 //	/debug/vars  expvar (live snapshots for every Publish'd registry)
 //	/debug/pprof/{,cmdline,profile,symbol,trace}  net/http/pprof
 type Server struct {
@@ -32,12 +30,10 @@ type Server struct {
 	// Health reports process health for /healthz: ok and a human-readable
 	// detail line. Nil means unconditionally healthy.
 	Health func() (ok bool, detail string)
-	// Trace backs /trace. Nil (or an empty recorder) responds 404 until an
-	// analysis has been recorded.
-	Trace *TraceRecorder
 	// Flight backs the request-trace surface: /debug/requests (retained
-	// request listing) and /trace/request/{id} (per-request Chrome trace).
-	// Nil leaves both routes unmounted.
+	// request listing), /trace/request/{id} (per-request Chrome trace) and
+	// /trace (the newest retained request; 404 until one is recorded).
+	// Nil leaves all three routes unmounted.
 	Flight *FlightRecorder
 	// HealthDetail, when set, switches /healthz to a JSON body: the returned
 	// map (queue depth, worker count, open breakers, build info — whatever
@@ -64,9 +60,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/trace", s.handleTrace)
 	if s.Flight != nil {
 		mux.HandleFunc("/debug/requests", s.Flight.handleRequests)
+		mux.HandleFunc("/trace", s.Flight.handleLatestTrace)
 		mux.HandleFunc("/trace/request/", s.Flight.handleRequestTrace)
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -91,12 +87,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 /metrics        Prometheus text exposition
 /healthz        health probe (503 when the last analysis degraded)
-/trace          Chrome trace-event JSON of the recorded analyses
 /debug/vars     expvar
 /debug/pprof/   pprof profiles
 `)
 	if s.Flight != nil {
 		fmt.Fprint(w, `/debug/requests       flight-recorded request traces (HTML; ?format=json)
+/trace                the newest request as Chrome trace-event JSON (?deterministic=1)
 /trace/request/{id}   one request as Chrome trace-event JSON (?deterministic=1)
 `)
 	}
@@ -146,27 +142,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, "%s\n", detail)
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.Trace == nil || s.Trace.Empty() {
-		http.Error(w, "no trace recorded", http.StatusNotFound)
-		return
-	}
-	t := s.Trace.Trace()
-	name := "sta-trace.json"
-	if v := r.URL.Query().Get("deterministic"); v == "1" || v == "true" {
-		t = t.Deterministic()
-		name = "sta-trace-deterministic.json"
-	}
-	b, err := t.JSON()
-	if err != nil {
-		http.Error(w, "trace serialization: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+name+`"`)
-	_, _ = w.Write(b)
 }
 
 // Start listens on addr ("host:port"; ":0" picks a free port) and serves the

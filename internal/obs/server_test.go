@@ -12,12 +12,11 @@ import (
 	"time"
 )
 
-func opsServer() (*Server, *Registry, *TraceRecorder) {
+func opsServer() (*Server, *Registry) {
 	r := NewRegistry()
 	r.Counter("sta/analyzes").Inc()
 	r.Histogram("sta/nr_iters_per_eval", []float64{1, 10}).Observe(4)
-	tr := NewTraceRecorder()
-	return &Server{Registry: r, Trace: tr}, r, tr
+	return &Server{Registry: r}, r
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -29,7 +28,13 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	srv, _, tr := opsServer()
+	srv, _ := opsServer()
+	if rw := get(t, srv.Handler(), "/trace"); rw.Code != 404 {
+		t.Fatalf("trace without a flight recorder: code %d, want 404", rw.Code)
+	}
+	fl := NewFlightRecorder()
+	defer fl.Close()
+	srv.Flight = fl
 	h := srv.Handler()
 
 	if rw := get(t, h, "/"); rw.Code != 200 || !strings.Contains(rw.Body.String(), "/metrics") {
@@ -47,22 +52,29 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("metrics body missing counter:\n%s", rw.Body.String())
 	}
 
-	// Trace: 404 while empty, 200 with a Chrome trace once recorded.
+	// Trace: 404 until the flight recorder holds a request, then the newest
+	// retained one as a Chrome trace, in both renderings.
 	if rw := get(t, h, "/trace"); rw.Code != 404 {
 		t.Fatalf("empty trace: code %d, want 404", rw.Code)
 	}
-	tr.AnalyzeStart(AnalyzeStartInfo{Stages: 1, Levels: 1, Items: 1, Workers: 1})
-	tr.AnalyzeEnd(AnalyzeEndInfo{})
+	base := time.Now()
+	fl.Record(fakeTrace("old", "analyze", 200, time.Millisecond, base))
+	fl.Record(fakeTrace("new", "analyze", 200, time.Millisecond, base.Add(time.Second)))
+	fl.Flush()
 	rw = get(t, h, "/trace")
-	if rw.Code != 200 || !strings.Contains(rw.Body.String(), `"traceEvents"`) {
+	if rw.Code != 200 || !strings.Contains(rw.Body.String(), `"traceEvents"`) ||
+		!strings.Contains(rw.Body.String(), `"trace_id": "new"`) {
 		t.Fatalf("trace: code %d body %q", rw.Code, rw.Body.String())
 	}
-	det := get(t, h, "/trace?deterministic=1")
-	if det.Code != 200 || !strings.Contains(det.Body.String(), `"deterministic": true`) {
-		t.Fatalf("deterministic trace: code %d", det.Code)
+	if cd := rw.Header().Get("Content-Disposition"); !strings.Contains(cd, "request-new.trace.json") {
+		t.Fatalf("trace filename: %q", cd)
 	}
-	if !strings.Contains(det.Header().Get("Content-Disposition"), "deterministic") {
-		t.Fatalf("deterministic trace filename: %q", det.Header().Get("Content-Disposition"))
+	for _, q := range []string{"1", "true"} {
+		det := get(t, h, "/trace?deterministic="+q)
+		if det.Code != 200 || !strings.Contains(det.Body.String(), `"deterministic": true`) ||
+			strings.Contains(det.Body.String(), `"trace_id"`) {
+			t.Fatalf("deterministic=%s trace: code %d body %q", q, det.Code, det.Body.String())
+		}
 	}
 
 	if rw := get(t, h, "/debug/vars"); rw.Code != 200 || !strings.HasPrefix(rw.Body.String(), "{") {
@@ -77,7 +89,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerHealthz(t *testing.T) {
-	srv, _, _ := opsServer()
+	srv, _ := opsServer()
 	h := srv.Handler()
 	if rw := get(t, h, "/healthz"); rw.Code != 200 || !strings.Contains(rw.Body.String(), "ok") {
 		t.Fatalf("nil Health: code %d body %q", rw.Code, rw.Body.String())
@@ -109,7 +121,7 @@ func TestServerStartShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	for cycle := 0; cycle < 3; cycle++ {
-		srv, _, _ := opsServer()
+		srv, _ := opsServer()
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +173,7 @@ func TestServerStartShutdownNoLeak(t *testing.T) {
 }
 
 func TestServerRestart(t *testing.T) {
-	srv, reg, _ := opsServer()
+	srv, reg := opsServer()
 	for i := 0; i < 2; i++ {
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {

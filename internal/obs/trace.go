@@ -1,170 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
-
-// TraceRecorder is an Observer that assembles the span stream of an Analyze
-// (AnalyzeStart / LevelStart / StageEval / AnalyzeEnd) into a span tree and
-// serializes it as Chrome trace-event JSON — the format Perfetto and
-// chrome://tracing load directly. Each recorded Analyze becomes one trace
-// "process"; the scheduler (analyze + level spans) is thread 0 and every
-// worker-pool slot is its own thread, so a parallel run renders as the
-// familiar per-worker timeline with cache hits, eval tiers and Newton
-// iteration counts attached as span args.
-//
-// Concurrency: StageEval events may arrive concurrently (Workers > 1); the
-// recorder serializes them with a mutex. One recorder must observe at most
-// one Analyze at a time — interleave two concurrent Analyzes on a single
-// recorder and their spans end up in one tree. Sequential Analyzes are fine
-// and each appends a new process; the ring keeps the most recent Limit of
-// them (default 32).
-//
-// Export is two-mode (see Trace): the wall-clock trace for humans, and
-// Deterministic() — ordered by (Level, Item) with every schedule-dependent
-// field (timestamps, durations, worker ids, the Workers setting) stripped —
-// whose JSON is byte-identical for serial and parallel runs of the same
-// request, the property the engine's determinism gate asserts.
-type TraceRecorder struct {
-	// Limit caps the number of retained analyses; the oldest is dropped
-	// when a new AnalyzeStart would exceed it. 0 means the default of 32.
-	Limit int
-
-	mu       sync.Mutex
-	analyses []*traceAnalysis
-	cur      *traceAnalysis
-	dropped  int
-}
-
-// traceAnalysis is the raw record of one observed Analyze.
-type traceAnalysis struct {
-	start  time.Time
-	info   AnalyzeStartInfo
-	levels []levelRec
-	evals  []evalRec
-	end    AnalyzeEndInfo
-	endAt  time.Time
-	done   bool
-}
-
-type levelRec struct {
-	at   time.Time
-	info LevelStartInfo
-}
-
-type evalRec struct {
-	endAt time.Time
-	info  StageEvalInfo
-}
-
-// NewTraceRecorder returns an empty recorder with the default retention.
-func NewTraceRecorder() *TraceRecorder { return &TraceRecorder{} }
-
-// AnalyzeStart begins a new analysis record.
-func (tr *TraceRecorder) AnalyzeStart(info AnalyzeStartInfo) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	limit := tr.Limit
-	if limit <= 0 {
-		limit = 32
-	}
-	if len(tr.analyses) >= limit {
-		drop := len(tr.analyses) - limit + 1
-		tr.analyses = append(tr.analyses[:0], tr.analyses[drop:]...)
-		tr.dropped += drop
-	}
-	tr.cur = &traceAnalysis{start: time.Now(), info: info}
-	tr.analyses = append(tr.analyses, tr.cur)
-}
-
-// LevelStart records one level boundary.
-func (tr *TraceRecorder) LevelStart(info LevelStartInfo) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.cur == nil {
-		return // event outside an AnalyzeStart/AnalyzeEnd bracket: dropped
-	}
-	tr.cur.levels = append(tr.cur.levels, levelRec{at: time.Now(), info: info})
-}
-
-// StageEval records one work-item span. The event arrives at the item's
-// completion; its start is reconstructed as now − info.Duration.
-func (tr *TraceRecorder) StageEval(info StageEvalInfo) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.cur == nil {
-		return
-	}
-	tr.cur.evals = append(tr.cur.evals, evalRec{endAt: time.Now(), info: info})
-}
-
-// AnalyzeEnd closes the current analysis record.
-func (tr *TraceRecorder) AnalyzeEnd(info AnalyzeEndInfo) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.cur == nil {
-		return
-	}
-	tr.cur.end = info
-	tr.cur.endAt = time.Now()
-	tr.cur.done = true
-	tr.cur = nil
-}
-
-// Empty reports whether the recorder holds no analyses.
-func (tr *TraceRecorder) Empty() bool {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.analyses) == 0
-}
-
-// Reset discards every recorded analysis (including one in flight).
-func (tr *TraceRecorder) Reset() {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.analyses, tr.cur, tr.dropped = nil, nil, 0
-}
-
-// Trace freezes the recorder's current state into an exportable Trace. An
-// analysis still in flight is included and marked incomplete.
-func (tr *TraceRecorder) Trace() Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	t := Trace{analyses: make([]*traceAnalysis, len(tr.analyses)), dropped: tr.dropped}
-	for i, a := range tr.analyses {
-		cp := *a
-		cp.levels = append([]levelRec(nil), a.levels...)
-		cp.evals = append([]evalRec(nil), a.evals...)
-		t.analyses[i] = &cp
-	}
-	return t
-}
-
-// Trace is a frozen span tree ready for serialization. The zero value is an
-// empty trace.
-type Trace struct {
-	analyses      []*traceAnalysis
-	dropped       int
-	deterministic bool
-}
-
-// Deterministic returns a view of the trace that orders every analysis's
-// spans by (Level, Item) and strips all wall-clock and schedule-dependent
-// content: timestamps become synthetic ticks (one per work item), durations
-// become unit ticks, worker ids collapse to thread 0, and the Workers
-// setting, span durations and hit ratio denominators are the only args
-// retained that could differ — none do, because the engine's single-flight
-// cache makes hit/miss patterns, tiers and solver stats schedule-independent.
-// Two runs of the same request at Workers 1 and 8 therefore serialize to
-// byte-identical JSON.
-func (t Trace) Deterministic() Trace {
-	t.deterministic = true
-	return t
-}
+import "encoding/json"
 
 // TraceEvent is one Chrome trace-event object (the JSON array format).
 // Ph "X" is a complete (self-balanced) duration event; "M" is metadata.
@@ -187,255 +23,11 @@ type chromeTrace struct {
 }
 
 // ChromeTraceJSON serializes a prebuilt event list in the Chrome trace
-// object format. Exposed so other subsystems (e.g. the forensic bundle's
-// QWM region trace) can emit Perfetto-loadable artifacts through one code
-// path.
+// object format — the one serializer behind every trace this module writes
+// (request traces, see RequestTrace.ChromeJSON, and the forensic bundle's
+// QWM region trace), so all of them load in Perfetto and chrome://tracing.
 func ChromeTraceJSON(events []TraceEvent, metadata map[string]any) ([]byte, error) {
 	return json.MarshalIndent(chromeTrace{TraceEvents: events, Metadata: metadata}, "", " ")
 }
 
-// JSON serializes the trace as Chrome trace-event JSON.
-func (t Trace) JSON() ([]byte, error) {
-	return ChromeTraceJSON(t.Events(), t.metadata())
-}
-
-func (t Trace) metadata() map[string]any {
-	md := map[string]any{"recorder": "qwm/internal/obs.TraceRecorder"}
-	if t.deterministic {
-		md["deterministic"] = true
-	}
-	if t.dropped > 0 && !t.deterministic {
-		md["dropped_analyses"] = t.dropped
-	}
-	return md
-}
-
-// Events builds the flat trace-event list. Exposed for tests and for
-// callers that post-process events before serialization.
-func (t Trace) Events() []TraceEvent {
-	var out []TraceEvent
-	var base time.Time
-	for _, a := range t.analyses {
-		if base.IsZero() || a.start.Before(base) {
-			base = a.start
-		}
-	}
-	for ai, a := range t.analyses {
-		if t.deterministic {
-			out = append(out, t.deterministicEvents(ai, a)...)
-		} else {
-			out = append(out, t.wallClockEvents(ai, a, base)...)
-		}
-	}
-	return out
-}
-
 func durp(d float64) *float64 { return &d }
-
-// wallClockEvents renders one analysis with real timestamps: pid = ordinal,
-// tid 0 = the scheduler (analyze + level spans), tid w+1 = worker w.
-func (t Trace) wallClockEvents(ai int, a *traceAnalysis, base time.Time) []TraceEvent {
-	pid := ai + 1
-	us := func(at time.Time) float64 { return at.Sub(base).Seconds() * 1e6 }
-
-	// End of the analysis: AnalyzeEnd when complete, else the last event seen.
-	endAt := a.endAt
-	if !a.done {
-		endAt = a.start
-		for _, l := range a.levels {
-			if l.at.After(endAt) {
-				endAt = l.at
-			}
-		}
-		for _, e := range a.evals {
-			if e.endAt.After(endAt) {
-				endAt = e.endAt
-			}
-		}
-	}
-
-	events := []TraceEvent{
-		{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": fmt.Sprintf("sta analyze #%d", pid)}},
-		{Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": "scheduler"}},
-	}
-	workers := map[int]bool{}
-	for _, e := range a.evals {
-		if !workers[e.info.Worker] {
-			workers[e.info.Worker] = true
-			events = append(events, TraceEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: e.info.Worker + 1,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", e.info.Worker)},
-			})
-		}
-	}
-
-	args := analyzeArgs(a, true)
-	events = append(events, TraceEvent{
-		Name: "analyze", Cat: "sta", Ph: "X", Pid: pid, Tid: 0,
-		TS: us(a.start), Dur: durp(us(endAt) - us(a.start)), Args: args,
-	})
-
-	for li, l := range a.levels {
-		lend := endAt
-		if li+1 < len(a.levels) {
-			lend = a.levels[li+1].at
-		}
-		events = append(events, TraceEvent{
-			Name: fmt.Sprintf("level %d", l.info.Level), Cat: "sta", Ph: "X",
-			Pid: pid, Tid: 0, TS: us(l.at), Dur: durp(us(lend) - us(l.at)),
-			Args: map[string]any{"level": l.info.Level, "stages": l.info.Stages, "items": l.info.Items},
-		})
-	}
-
-	levelStart := func(level int) (time.Time, bool) {
-		for _, l := range a.levels {
-			if l.info.Level == level {
-				return l.at, true
-			}
-		}
-		return time.Time{}, false
-	}
-	for _, e := range a.evals {
-		startAt := e.endAt.Add(-e.info.Duration)
-		// Clamp into the enclosing level span: the start is reconstructed
-		// from two clock reads, so nanosecond skew could otherwise let an
-		// eval leak a hair before its LevelStart.
-		if ls, ok := levelStart(e.info.Level); ok && startAt.Before(ls) {
-			startAt = ls
-		}
-		events = append(events, TraceEvent{
-			Name: e.info.Output + "~" + e.info.Direction, Cat: "eval", Ph: "X",
-			Pid: pid, Tid: e.info.Worker + 1,
-			TS: us(startAt), Dur: durp(us(e.endAt) - us(startAt)),
-			Args: evalArgs(e.info, true),
-		})
-	}
-	return events
-}
-
-// deterministicEvents renders one analysis on a synthetic tick clock: the
-// analyze span opens at tick 0, each level span covers one tick for itself
-// plus one tick per work item, and every StageEval — sorted by (Level,
-// Item), the Observer contract's deterministic identity — occupies exactly
-// one tick on thread 0.
-func (t Trace) deterministicEvents(ai int, a *traceAnalysis) []TraceEvent {
-	pid := ai + 1
-	evals := append([]evalRec(nil), a.evals...)
-	sort.Slice(evals, func(i, j int) bool {
-		if evals[i].info.Level != evals[j].info.Level {
-			return evals[i].info.Level < evals[j].info.Level
-		}
-		return evals[i].info.Item < evals[j].info.Item
-	})
-	levels := append([]levelRec(nil), a.levels...)
-	sort.Slice(levels, func(i, j int) bool { return levels[i].info.Level < levels[j].info.Level })
-
-	events := []TraceEvent{
-		{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": fmt.Sprintf("sta analyze #%d (deterministic)", pid)}},
-	}
-
-	tick := 0.0
-	analyzeIdx := len(events)
-	events = append(events, TraceEvent{
-		Name: "analyze", Cat: "sta", Ph: "X", Pid: pid, Tid: 0,
-		TS: tick, Args: analyzeArgs(a, false),
-	})
-	tick++
-
-	ei := 0
-	for _, l := range levels {
-		lstart := tick
-		tick++
-		lidx := len(events)
-		events = append(events, TraceEvent{
-			Name: fmt.Sprintf("level %d", l.info.Level), Cat: "sta", Ph: "X",
-			Pid: pid, Tid: 0, TS: lstart,
-			Args: map[string]any{"level": l.info.Level, "stages": l.info.Stages, "items": l.info.Items},
-		})
-		for ; ei < len(evals) && evals[ei].info.Level == l.info.Level; ei++ {
-			e := evals[ei]
-			events = append(events, TraceEvent{
-				Name: e.info.Output + "~" + e.info.Direction, Cat: "eval", Ph: "X",
-				Pid: pid, Tid: 0, TS: tick, Dur: durp(1),
-				Args: evalArgs(e.info, false),
-			})
-			tick++
-		}
-		events[lidx].Dur = durp(tick - lstart)
-	}
-	// Evals whose level had no LevelStart record (should not happen under
-	// the Observer contract; kept for robustness on truncated streams).
-	for ; ei < len(evals); ei++ {
-		e := evals[ei]
-		events = append(events, TraceEvent{
-			Name: e.info.Output + "~" + e.info.Direction, Cat: "eval", Ph: "X",
-			Pid: pid, Tid: 0, TS: tick, Dur: durp(1),
-			Args: evalArgs(e.info, false),
-		})
-		tick++
-	}
-	events[analyzeIdx].Dur = durp(tick)
-	return events
-}
-
-// analyzeArgs assembles the analyze span's args. Wall-clock-only fields
-// (duration, the Workers setting — a run parameter, not a result) are
-// included only when wall is set.
-func analyzeArgs(a *traceAnalysis, wall bool) map[string]any {
-	args := map[string]any{
-		"stages":  a.info.Stages,
-		"levels":  a.info.Levels,
-		"items":   a.info.Items,
-		"outputs": a.info.Outputs,
-	}
-	if wall {
-		args["workers"] = a.info.Workers
-	}
-	if !a.done {
-		args["incomplete"] = true
-		return args
-	}
-	args["cache_hits"] = a.end.CacheHits
-	args["cache_misses"] = a.end.CacheMisses
-	args["stages_evaluated"] = a.end.StagesEvaluated
-	args["eval_errors"] = a.end.EvalErrors
-	args["slew_fallbacks"] = a.end.SlewFallbacks
-	if a.end.Cancelled {
-		args["cancelled"] = true
-	}
-	if a.end.Err != nil {
-		args["err"] = a.end.Err.Error()
-	}
-	return args
-}
-
-// evalArgs assembles one StageEval span's args: cache outcome, ladder tier,
-// solver statistics and (wall mode only) the worker slot that ran it.
-func evalArgs(info StageEvalInfo, wall bool) map[string]any {
-	cache := "miss"
-	if info.CacheHit {
-		cache = "hit"
-	}
-	args := map[string]any{
-		"level":           info.Level,
-		"item":            info.Item,
-		"cache":           cache,
-		"nr_iters":        info.QWM.NRIters,
-		"regions":         info.QWM.Regions,
-		"dense_fallbacks": info.QWM.DenseFallbacks,
-		"cap_resolves":    info.QWM.CapResolves,
-	}
-	if info.Tier != "" {
-		args["tier"] = info.Tier
-	}
-	if info.Err != "" {
-		args["err"] = info.Err
-	}
-	if wall {
-		args["worker"] = info.Worker
-	}
-	return args
-}

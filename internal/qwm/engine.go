@@ -128,16 +128,8 @@ type Result struct {
 	// CriticalTimes are the region boundaries (the τ values of paper Fig. 9).
 	CriticalTimes []float64
 	// Stats is the solver accounting for this evaluation.
-	Stats Stats
-	// Regions mirrors Stats.Regions.
-	//
-	// Deprecated: read Stats.Regions.
-	Regions int
-	// NRIterations mirrors Stats.NRIters.
-	//
-	// Deprecated: read Stats.NRIters.
-	NRIterations int
-	DeviceEvals  int
+	Stats       Stats
+	DeviceEvals int
 	// TailTruncated reports that a deep-tail final region (below 0.35·VDD)
 	// failed to converge and the waveform was truncated there; the 50 %
 	// delay point is unaffected.
@@ -372,10 +364,7 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 
-	// Assemble result. The deprecated mirror fields keep older callers
-	// (bench tables, examples) compiling against Stats-era results.
-	e.res.Regions = e.res.Stats.Regions
-	e.res.NRIterations = e.res.Stats.NRIters
+	// Assemble result.
 	e.res.Folded = e.segs
 	e.res.Nodes = make([]*wave.PWQ, m)
 	for i, p := range e.segs {

@@ -90,8 +90,8 @@ func TestEvaluateStackBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Regions < 3 {
-		t.Errorf("expected at least K regions, got %d", res.Regions)
+	if res.Stats.Regions < 3 {
+		t.Errorf("expected at least K regions, got %d", res.Stats.Regions)
 	}
 	// Output monotone non-increasing at sampled points (discharge).
 	prev := math.Inf(1)
@@ -408,10 +408,10 @@ func TestPrintfSinkFormats(t *testing.T) {
 	PrintfSink{}.Region(Event{}) // nil Printf: drop, don't panic
 }
 
-// TestEvaluateStats checks the Stats accounting: the legacy mirror fields
-// agree with Stats, Newton iterations are non-zero, the default
-// (secant-capacitance) mode records its re-solves, FreezeCaps records none,
-// and the dense-LU ablation routes every iteration through the dense path.
+// TestEvaluateStats checks the Stats accounting: Newton iterations are
+// non-zero, the default (secant-capacitance) mode records its re-solves,
+// FreezeCaps records none, and the dense-LU ablation routes every iteration
+// through the dense path.
 func TestEvaluateStats(t *testing.T) {
 	ch := fixedStack(t, 3, 1e-6, 6e-15, 0)
 	res, err := Evaluate(ch, Options{})
@@ -421,10 +421,6 @@ func TestEvaluateStats(t *testing.T) {
 	st := res.Stats
 	if st.Regions == 0 || st.NRIters == 0 {
 		t.Fatalf("stats not counted: %+v", st)
-	}
-	if res.Regions != st.Regions || res.NRIterations != st.NRIters {
-		t.Errorf("legacy mirrors diverge: Regions %d/%d, NRIterations %d/%d",
-			res.Regions, st.Regions, res.NRIterations, st.NRIters)
 	}
 	if st.CapResolves == 0 {
 		t.Error("default mode performed no secant-capacitance re-solves")
@@ -457,8 +453,8 @@ func TestEvaluateNoSubdivisionStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Regions >= refined.Regions {
-		t.Errorf("plain scheme should use fewer regions: %d vs %d", plain.Regions, refined.Regions)
+	if plain.Stats.Regions >= refined.Stats.Regions {
+		t.Errorf("plain scheme should use fewer regions: %d vs %d", plain.Stats.Regions, refined.Stats.Regions)
 	}
 	dp, _ := plain.Delay50(0, tech.VDD)
 	dr, _ := refined.Delay50(0, tech.VDD)

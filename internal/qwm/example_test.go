@@ -44,7 +44,7 @@ func ExampleEvaluate() {
 		return
 	}
 	fmt.Printf("transistors: %d\n", ch.Transistors())
-	fmt.Printf("turn-ons resolved: %v\n", res.Regions >= 3)
+	fmt.Printf("turn-ons resolved: %v\n", res.Stats.Regions >= 3)
 	fmt.Printf("delay in the plausible band: %v\n", delay > 20e-12 && delay < 500e-12)
 	fmt.Printf("output starts at VDD: %v\n", res.Output.Eval(0) == tech.VDD)
 	// Output:

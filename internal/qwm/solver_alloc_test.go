@@ -141,7 +141,7 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters := res.NRIterations
+	iters := res.Stats.NRIters
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Evaluate(ch, Options{}); err != nil {
 			t.Error(err)

@@ -24,9 +24,9 @@ import (
 
 // pool keys shared analyzers by their result signature. Each pooled
 // analyzer owns one in-memory delay cache and a tier chain composed from
-// what the deployment configured: a bounded memory tier shielding a remote
-// (replica-shared) cache client, backed by a disk-tier namespace directory
-// named by the FNV-64a hex of the signature — the full signature is
+// what the deployment configured: a remote (replica-shared) cache client,
+// backed by a disk-tier namespace directory named by the FNV-64a hex of the
+// signature — the full signature is
 // persisted inside by diskcache.Open, so hash collisions are detected, not
 // silently merged. The per-signature stores live on the pool itself, shared
 // between analyzer wiring and the tier-serving endpoint (TierStoreFor):
@@ -42,8 +42,8 @@ type pool struct {
 
 	mu        sync.Mutex
 	analyzers map[string]*pooledAnalyzer
-	stores    map[string]*diskcache.Store   // per-signature disk namespaces
-	memories  map[string]*sta.MemoryTier    // serving stores when no cache dir
+	stores    map[string]*diskcache.Store    // per-signature disk namespaces
+	memories  map[string]*sta.MemoryTier     // serving stores when no cache dir
 	remotes   map[string]*remotecache.Client // per-signature remote clients
 }
 
@@ -81,11 +81,11 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 	if pa, ok := p.analyzers[sig]; ok {
 		return pa, nil
 	}
-	// Compose the tier chain, fastest first: memory → remote → disk. The
-	// memory tier exists to shield the remote client — a flapping peer is
-	// consulted at most once per key per process; without a remote there is
-	// nothing to shield (the analyzer's own delay cache sits above every
-	// tier) and the chain is just the disk store.
+	// Compose the tier chain, fastest first: remote → disk. No memory tier
+	// heads it: the analyzer's single-flight delay cache sits above every
+	// tier under the same keys, never evicts and lives exactly as long as
+	// this chain, so the chain is probed at most once per key and a memory
+	// tier there could never hit.
 	var tiers []sta.TierStore
 	if p.remoteURL != "" {
 		rc := remotecache.New(p.remoteURL, sig, remotecache.Options{Metrics: p.metrics})
@@ -93,7 +93,7 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 			p.remotes = map[string]*remotecache.Client{}
 		}
 		p.remotes[sig] = rc
-		tiers = append(tiers, sta.NewMemoryTier(0), rc)
+		tiers = append(tiers, rc)
 	}
 	if p.cacheDir != "" {
 		store, err := p.storeLocked(sig)

@@ -57,7 +57,7 @@ type Options struct {
 	CacheBytes int64
 	// RemoteCache, when set, is the base URL of a replica-shared remote
 	// delay-cache tier (a peer's stad -cache-listen endpoint). Every pooled
-	// analyzer then reads through memory → remote → disk; the remote client
+	// analyzer then reads through remote → disk; the remote client
 	// degrades every network failure to a cache miss behind timeouts,
 	// bounded retries and a circuit breaker, so a dead peer never fails or
 	// stalls an analysis. "" disables.

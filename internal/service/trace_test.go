@@ -150,6 +150,20 @@ func TestDistributedTraceMergesPeerSpan(t *testing.T) {
 		t.Fatalf("merged trace incomplete: %d peer spans, %d attempts, %d remote probes (of %d spans)",
 			peers, attempts, remoteProbes, len(rt.Spans))
 	}
+	// Solver statistics travel with the tier record: evals answered off the
+	// peer still report the Newton work that produced their entry.
+	qwmEvals := 0
+	for _, s := range rt.Spans {
+		if s.Attrs["tier"] == "qwm" && s.Attrs["cache"] != nil {
+			qwmEvals++
+			if n, _ := s.Attrs["nr_iters"].(int); n <= 0 {
+				t.Errorf("warm-off-peer eval %s reports nr_iters %v", s.ID, s.Attrs["nr_iters"])
+			}
+		}
+	}
+	if qwmEvals == 0 {
+		t.Error("trace has no qwm-tier eval spans")
+	}
 	// The deterministic export must attribute the peer's spans to its own
 	// process lane.
 	det, err := rt.ChromeJSON(true)

@@ -1,7 +1,7 @@
 // Package diskcache is the persistent tier below the engine's in-memory
 // delay cache: a content-addressed store of direction timings (sta.TierEntry
 // values keyed by the engine's cache keys) that survives process restarts,
-// so a service replica restarting over a warm directory re-serves previously
+// so a service replica restarting over a warm directory serves previously
 // analyzed netlists without re-running the solver.
 //
 // Design constraints, in order:

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,31 +15,33 @@ import (
 	"qwm/internal/obs"
 )
 
-// runTraced runs the decoder fixture on a fresh analyzer with a fresh trace
-// recorder and metrics registry attached, returning all three plus the
+// runTraced runs the decoder fixture on a fresh analyzer with a metrics
+// registry attached and a request trace on the context — the path every
+// engine trace takes — returning the analyzer, the finished trace and the
 // result.
-func runTraced(t *testing.T, workers int) (*Analyzer, *obs.TraceRecorder, *Result) {
+func runTraced(t *testing.T, workers int) (*Analyzer, *obs.RequestTrace, *Result) {
 	t.Helper()
 	a := New(tech, lib)
 	a.Workers = workers
 	a.Metrics = obs.NewRegistry()
-	tr := obs.NewTraceRecorder()
-	req := decoderRequest(t)
-	req.Observer = tr
-	res, err := a.AnalyzeContext(context.Background(), req)
+	at := obs.NewActiveTrace("")
+	ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{T: at, Parent: "sta"})
+	res, err := a.AnalyzeContext(ctx, decoderRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, tr, res
+	return a, at.Finish("sta", 0, time.Since(at.Start)), res
 }
 
 // TestTraceDecoderSmoke records a full decoder analysis and validates the
 // exported Chrome trace end to end: valid JSON in the object format, one
-// analyze span, one span per level, one eval span per work item, balanced
-// (non-negative, bounded) durations, and evals nested inside the analysis.
+// analyze span, one span per level, one eval span per work item carrying
+// the cache outcome, tier and solver statistics, balanced (non-negative,
+// bounded) durations, evals nested inside the analysis, and one eval lane
+// per worker slot.
 func TestTraceDecoderSmoke(t *testing.T) {
-	_, tr, _ := runTraced(t, 4)
-	b, err := tr.Trace().JSON()
+	_, rt, _ := runTraced(t, 4)
+	b, err := rt.ChromeJSON(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +58,7 @@ func TestTraceDecoderSmoke(t *testing.T) {
 
 	var analyze, level, eval, meta int
 	var aStart, aEnd float64
+	evalTids := map[int]bool{}
 	for _, ev := range parsed.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -71,21 +75,27 @@ func TestTraceDecoderSmoke(t *testing.T) {
 		case ev.Name == "analyze":
 			analyze++
 			aStart, aEnd = ev.TS, ev.TS+*ev.Dur
-		case ev.Cat == "sta":
+		case strings.HasPrefix(ev.Name, "level "):
 			level++
-		case ev.Cat == "eval":
+		default:
 			eval++
+			evalTids[ev.Tid] = true
 		}
 	}
 	// Decoder fixture: 19 stages / 38 items over 3 levels.
 	if analyze != 1 || level != 3 || eval != 38 {
 		t.Fatalf("span counts analyze=%d level=%d eval=%d, want 1/3/38", analyze, level, eval)
 	}
-	if meta < 3 {
-		t.Fatalf("metadata events = %d, want >= 3", meta)
+	if meta < 2 { // process_name + >=1 worker lane
+		t.Fatalf("metadata events = %d, want >= 2", meta)
+	}
+	// Lanes are a scheduling outcome: with one P a single worker goroutine
+	// may drain a whole level before the others run.
+	if runtime.GOMAXPROCS(0) > 1 && len(evalTids) < 2 {
+		t.Errorf("eval spans on tids %v, want more than one worker lane at Workers 4", evalTids)
 	}
 	for _, ev := range parsed.TraceEvents {
-		if ev.Ph != "X" || ev.Cat != "eval" {
+		if ev.Ph != "X" || ev.Tid == 0 {
 			continue
 		}
 		if ev.TS < aStart-1e-6 || ev.TS+*ev.Dur > aEnd+1e-6 {
@@ -97,6 +107,11 @@ func TestTraceDecoderSmoke(t *testing.T) {
 		if c := ev.Args["cache"]; c != "hit" && c != "miss" {
 			t.Errorf("eval %q cache arg = %v", ev.Name, c)
 		}
+		for _, k := range []string{"nr_iters", "regions", "dense_fallbacks", "cap_resolves"} {
+			if _, ok := ev.Args[k].(float64); !ok {
+				t.Errorf("eval %q missing solver arg %s: %v", ev.Name, k, ev.Args)
+			}
+		}
 	}
 }
 
@@ -104,13 +119,13 @@ func TestTraceDecoderSmoke(t *testing.T) {
 // the deterministic trace of the same request is byte-identical at Workers 1
 // and Workers 8.
 func TestTraceDeterministicWorkersByteIdentical(t *testing.T) {
-	_, tr1, _ := runTraced(t, 1)
-	_, tr8, _ := runTraced(t, 8)
-	b1, err := tr1.Trace().Deterministic().JSON()
+	_, rt1, _ := runTraced(t, 1)
+	_, rt8, _ := runTraced(t, 8)
+	b1, err := rt1.ChromeJSON(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b8, err := tr8.Trace().Deterministic().JSON()
+	b8, err := rt8.ChromeJSON(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +135,8 @@ func TestTraceDeterministicWorkersByteIdentical(t *testing.T) {
 	}
 	// Sanity: the wall-clock variants are allowed to differ, but both must
 	// stay valid JSON.
-	for _, tr := range []*obs.TraceRecorder{tr1, tr8} {
-		b, err := tr.Trace().JSON()
+	for _, rt := range []*obs.RequestTrace{rt1, rt8} {
+		b, err := rt.ChromeJSON(false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,14 +159,18 @@ func firstDiffLine(a, b []byte) (string, string) {
 
 // TestOpsServerIntegration exercises the full ops surface over real HTTP
 // against a live analyzer: Prometheus metrics with engine counters, the
-// recorded trace, pprof, expvar-free health — and the healthz flip to 503
-// when the analysis degraded under injected faults.
+// flight-recorded trace, pprof, expvar-free health — and the healthz flip to
+// 503 when the analysis degraded under injected faults.
 func TestOpsServerIntegration(t *testing.T) {
-	a, tr, res := runTraced(t, 2)
+	a, rt, res := runTraced(t, 2)
+	fl := obs.NewFlightRecorder()
+	defer fl.Close()
+	fl.Record(rt)
+	fl.Flush()
 
 	srv := &obs.Server{
 		Registry: a.Metrics,
-		Trace:    tr,
+		Flight:   fl,
 		Health: func() (bool, string) {
 			if res.Diagnostics.Healthy() {
 				return true, "ok"
@@ -189,7 +208,8 @@ func TestOpsServerIntegration(t *testing.T) {
 	if code, body := fetch("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
-	if code, body := fetch("/trace"); code != 200 || !strings.Contains(body, `"traceEvents"`) {
+	if code, body := fetch("/trace"); code != 200 || !strings.Contains(body, `"traceEvents"`) ||
+		!strings.Contains(body, rt.TraceID) {
 		t.Fatalf("/trace: %d", code)
 	}
 	if code, _ := fetch("/debug/pprof/"); code != 200 {

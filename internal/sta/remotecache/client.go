@@ -25,7 +25,7 @@
 //     miss, never wrong data.
 //
 // Failure of any kind degrades to a miss; the engine re-evaluates. The tier
-// can therefore be composed under sta.TierChain (memory → remote → disk)
+// can therefore be composed under sta.TierChain (remote → disk)
 // without weakening any of the engine's determinism guarantees.
 package remotecache
 

@@ -7,16 +7,14 @@ import (
 
 // TierChain composes an ordered list of TierStores into one read-through /
 // write-back-all store, replacing ad-hoc single-store wiring of the
-// Config.Tier slot. The canonical fleet arrangement is
+// Config.Tier slot. The service's fleet arrangement is
 //
-//	memory → remote → disk
+//	remote → disk
 //
 // fastest first: Get probes tiers in order and, on a hit at tier i, writes
 // the entry back into every EARLIER tier (promotion), so the next probe for
 // the same key stops sooner — a disk hit on a warm replica is how the shared
-// remote tier gets populated lazily, and a remote hit lands in the local
-// memory tier so a flapping network is consulted once per key, not once per
-// analysis. Put fans out to every tier (write-back-all); each tier keeps its
+// remote tier gets populated lazily. Put fans out to every tier (write-back-all); each tier keeps its
 // own lossy/write-behind discipline, so a slow or dead member never blocks
 // the caller beyond that member's own Put contract.
 //
@@ -70,13 +68,12 @@ func (c *TierChain) Put(key string, e TierEntry) {
 	}
 }
 
-// MemoryTier is a bounded in-process TierStore: a FIFO-evicting map used as
-// the fastest member of a TierChain, capturing remote and disk hits so the
-// slower tiers are consulted at most once per key per process. It is NOT the
-// engine's single-flight delay cache — that sits above every tier and holds
-// hydrated timings per analyzer; the MemoryTier is shared plumbing below it,
-// useful exactly when entries flow in from elsewhere (a remote peer, a warm
-// disk) and when the remote tier is flapping behind an open breaker.
+// MemoryTier is a bounded in-process TierStore: a FIFO-evicting map. It is
+// NOT the engine's single-flight delay cache — that sits above every tier
+// and holds hydrated timings per analyzer, under the same keys, so a
+// MemoryTier at the head of one analyzer's chain would never hit. Its use is
+// as a SERVED store: what a replica's tier endpoint shares with the fleet
+// when the deployment has no cache directory (see remotecache.MemoryStores).
 type MemoryTier struct {
 	capN int
 
