@@ -1,7 +1,9 @@
 # CI entry points for the qwm repository. `make ci` is the gate a change
-# must pass: vet, build, the targeted observability race suite, the full
-# test suite under the race detector, the trace-export and ops-server
-# lifecycle smokes, a short fuzz pass over every wire-format parser, the HTTP service smoke (200 + schema-valid response,
+# must pass: vet, build, vet and tests of the benchmark harness (perfbench,
+# which compiles against the engine API), the targeted observability race
+# suite, the full test suite under the race detector, the trace-export and
+# ops-server lifecycle smokes, a short fuzz pass over every wire-format
+# parser, the HTTP service smoke (200 + schema-valid response,
 # 429 backpressure under a flooded queue), the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
@@ -17,15 +19,22 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full bench-json bench-compare verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
+.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full bench-json bench-compare verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
 
-ci: vet build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench bench-json verify chaos eco service-verify remote-chaos
+ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench bench-json verify chaos eco service-verify remote-chaos
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness (perfbench/, its own module) compiles against the
+# engine's API; vet and test it so an API change breaks CI, not the next
+# benchmark run.
+bench-build:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...
@@ -66,8 +75,9 @@ leak-check:
 	$(GO) test -run 'TestServerStartShutdownNoLeak' -count=1 ./internal/obs/
 
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
-# trace headers a client or peer sends (traceparent, Qwm-Span) and the
-# netlist deck and value parsers — starting from the checked-in corpora under
+# trace headers a client or peer sends (traceparent, Qwm-Span), the netlist
+# deck and value parsers, and the disk/remote-tier entry and record codecs —
+# starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
 # target.
 fuzz-smoke:
@@ -75,6 +85,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),

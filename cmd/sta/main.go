@@ -159,7 +159,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 
 	tech := mos.CMOSP35()
 	lib := devmodel.NewLibrary(tech)
-	cfg := sta.Config{Workers: workers}
+	cfg := sta.Config{Workers: workers, Budget: budget}
 	if feat.reduceTol > 0 {
 		cfg.Reduction = reduce.Config{Enabled: true, TolPct: feat.reduceTol}
 	}
@@ -171,7 +171,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 	}
 	a := sta.New(tech, lib, cfg)
 	req := sta.Request{
-		Netlist: deck.Netlist, Primary: primary, Outputs: outs, Budget: budget,
+		Netlist: deck.Netlist, Primary: primary, Outputs: outs,
 		Incremental: feat.eco,
 	}
 	// With -trace every pass runs under its own reference into one request
@@ -225,10 +225,10 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 			fmt.Printf("memoization: %d classes, %d class hits\n", res.ClassCount, res.ClassHits)
 		}
 		fmt.Printf("diagnostics: %s\n", res.Diagnostics)
-		printQuantiles(a.Metrics.Snapshot())
+		printQuantiles(cfg.Metrics.Snapshot())
 	}
 	if ops.metricsJSON {
-		js, jerr := json.MarshalIndent(v1.NewMetricsEnvelope(a.Metrics.Snapshot()), "", "  ")
+		js, jerr := json.MarshalIndent(v1.NewMetricsEnvelope(cfg.Metrics.Snapshot()), "", "  ")
 		if jerr != nil {
 			return jerr
 		}

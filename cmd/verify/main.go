@@ -1,7 +1,7 @@
 // Command verify runs the differential-verification harness: seeded random
 // stage netlists are cross-checked three ways — QWM against the in-repo
 // SPICE-class transient baseline (per-stage delay and slew), cached against
-// uncached full sta.Analyze runs, and serial against parallel runs —
+// uncached full sta.AnalyzeContext runs, and serial against parallel runs —
 // including shared-identity/different-load sibling pairs shaped to trip
 // delay-cache aliasing bugs, plus hot-path feature differentials on wide
 // netlists (RC-reduction and class-memoization off ⇒ bit-identical, on ⇒
@@ -50,55 +50,89 @@ func main() {
 		remoteRate = flag.Float64("remote-rate", 0.2, "per-class network fault rate in (0,1] for the remote sweep")
 	)
 	flag.Parse()
-	if *remote {
-		if err := runRemote(*seed, *workers, *remoteRate, *outPath, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *svc {
-		if err := runService(*seed, *workers, *outPath, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaos {
-		if err := runChaos(*seed, *chaosN, *chaosRate, *workers, *outPath, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *eco {
-		if err := runECO(*seed, *ecoEdits, *workers, *outPath, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*seed, *n, *tol, *workers, *outPath, *dumpDir, *verbose, *metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "verify:", err)
-		os.Exit(1)
-	}
-}
 
-// runChaos executes the seeded fault-injection sweep and gates on its three
-// invariants: completeness, same-seed determinism at any worker count, and
-// conservative (never-optimistic) degraded delays.
-func runChaos(seed int64, n int, rate float64, workers int, outPath string, verbose bool) error {
-	cfg := verify.ChaosConfig{Seed: seed, N: n, Rate: rate, Workers: workers}
-	if verbose {
-		cfg.Progress = func(format string, args ...any) {
+	var progress func(format string, args ...any)
+	if *verbose {
+		progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	rep, err := verify.RunChaos(cfg)
+	// The gate table: the first selected mode runs (the default sweep is
+	// always selected, so it runs when no mode flag is set).
+	gates := []struct {
+		on   bool
+		mode string // the selecting flag's name; "" for the default sweep
+		run  func() (outcome, error)
+	}{
+		{*remote, "remote", func() (outcome, error) {
+			rep, err := verify.RunRemote(verify.RemoteConfig{Seed: *seed, Workers: *workers, Rate: *remoteRate, Progress: progress})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{rep, fmt.Sprintf("%d cells, %d failures, remote hit rate %.3f",
+				len(rep.Cells), rep.Failures, rep.RemoteHitRate), rep.Pass}, nil
+		}},
+		{*svc, "service", func() (outcome, error) {
+			rep, err := verify.RunService(verify.ServiceConfig{Seed: *seed, Workers: *workers, Progress: progress})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{rep, fmt.Sprintf("%d cells, %d failures, disk hit rate %.3f",
+				len(rep.Cells), rep.Failures, rep.DiskHitRate), rep.Pass}, nil
+		}},
+		{*chaos, "chaos", func() (outcome, error) {
+			rep, err := verify.RunChaos(verify.ChaosConfig{Seed: *seed, N: *chaosN, Rate: *chaosRate, Workers: *workers, Progress: progress})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{rep, fmt.Sprintf("%d cells (%d cases x %d fault classes), %d failures",
+				len(rep.Cells), *chaosN, len(rep.Cells)/max(*chaosN, 1), rep.Failures), rep.Pass}, nil
+		}},
+		{*eco, "eco", func() (outcome, error) {
+			rep, err := verify.RunECO(verify.ECOConfig{Seed: *seed, Edits: *ecoEdits, Workers: *workers, Progress: progress})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{rep, fmt.Sprintf("%d sequences (%d edits each), %d failures",
+				len(rep.Sequences), *ecoEdits, rep.Failures), rep.Pass}, nil
+		}},
+		{true, "", func() (outcome, error) {
+			return runSweep(verify.Config{Seed: *seed, N: *n, TolPct: *tol, Workers: *workers, Progress: progress}, *dumpDir, *metrics)
+		}},
+	}
+	for _, g := range gates {
+		if !g.on {
+			continue
+		}
+		if err := emit(g.mode, g.run, *outPath); err != nil {
+			fmt.Fprintln(os.Stderr, "verify:", err)
+			os.Exit(1)
+		}
+		return
+	}
+}
+
+// outcome is one finished sweep: its JSON report, the one-line summary for
+// stderr, and whether every gate held.
+type outcome struct {
+	report  interface{ JSON() ([]byte, error) }
+	summary string
+	pass    bool
+}
+
+// emit runs one gate and reports it the same way for every mode: the JSON
+// report to outPath (stdout when empty), the summary and PASS lines to
+// stderr, and an error when a gate failed.
+func emit(mode string, run func() (outcome, error), outPath string) error {
+	label, what := "verify", "verification"
+	if mode != "" {
+		label, what = "verify -"+mode, mode
+	}
+	o, err := run()
 	if err != nil {
 		return err
 	}
-	b, err := rep.JSON()
+	b, err := o.report.JSON()
 	if err != nil {
 		return err
 	}
@@ -109,132 +143,17 @@ func runChaos(seed int64, n int, rate float64, workers int, outPath string, verb
 	} else {
 		fmt.Println(string(b))
 	}
-	fmt.Fprintf(os.Stderr, "verify -chaos: %d cells (%d cases x %d fault classes), %d failures\n",
-		len(rep.Cells), n, len(rep.Cells)/max(n, 1), rep.Failures)
-	if !rep.Pass {
-		return fmt.Errorf("chaos gates failed")
+	fmt.Fprintf(os.Stderr, "%s: %s\n", label, o.summary)
+	if !o.pass {
+		return fmt.Errorf("%s gates failed", what)
 	}
-	fmt.Fprintln(os.Stderr, "verify -chaos: PASS")
+	fmt.Fprintf(os.Stderr, "%s: PASS\n", label)
 	return nil
 }
 
-// runECO executes the randomized edit-sequence differential and gates on the
-// incremental engine's invariants: bit-for-bit equality with the from-scratch
-// schedule (at workers 1 and N, across the plain/memo/interp/reduce/chaos
-// matrix), dirty counts bounded by the edit's structural fanout closure, and
-// zero re-evaluation on no-op reruns.
-func runECO(seed int64, edits, workers int, outPath string, verbose bool) error {
-	cfg := verify.ECOConfig{Seed: seed, Edits: edits, Workers: workers}
-	if verbose {
-		cfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	rep, err := verify.RunECO(cfg)
-	if err != nil {
-		return err
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	} else {
-		fmt.Println(string(b))
-	}
-	fmt.Fprintf(os.Stderr, "verify -eco: %d sequences (%d edits each), %d failures\n",
-		len(rep.Sequences), edits, rep.Failures)
-	if !rep.Pass {
-		return fmt.Errorf("eco gates failed")
-	}
-	fmt.Fprintln(os.Stderr, "verify -eco: PASS")
-	return nil
-}
-
-// runService executes the service-path differential and gates on its wire
-// invariants: the HTTP/JSON front door must be bit-transparent relative to
-// the in-process engine, a restarted replica over a warm cache directory
-// must answer identically with a >=90 % disk hit rate, and chaos requests
-// must stay deterministic, conservative, and isolated from the pool.
-func runService(seed int64, workers int, outPath string, verbose bool) error {
-	cfg := verify.ServiceConfig{Seed: seed, Workers: workers}
-	if verbose {
-		cfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	rep, err := verify.RunService(cfg)
-	if err != nil {
-		return err
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	} else {
-		fmt.Println(string(b))
-	}
-	fmt.Fprintf(os.Stderr, "verify -service: %d cells, %d failures, disk hit rate %.3f\n",
-		len(rep.Cells), rep.Failures, rep.DiskHitRate)
-	if !rep.Pass {
-		return fmt.Errorf("service gates failed")
-	}
-	fmt.Fprintln(os.Stderr, "verify -service: PASS")
-	return nil
-}
-
-// runRemote executes the remote-cache differential and gates on the
-// fault-tolerance envelope's invariants: network chaos (latency, errors,
-// corruption) must never move a single result bit relative to a
-// remote-disabled baseline, the circuit breaker must walk a deterministic
-// state trajectory against a dead peer, a fresh replica must answer warm
-// (>=90 % remote hits, zero evaluations) off a shared tier, and a dead peer
-// must cost at most the breaker threshold plus one probe per window.
-func runRemote(seed int64, workers int, rate float64, outPath string, verbose bool) error {
-	cfg := verify.RemoteConfig{Seed: seed, Workers: workers, Rate: rate}
-	if verbose {
-		cfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	rep, err := verify.RunRemote(cfg)
-	if err != nil {
-		return err
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	} else {
-		fmt.Println(string(b))
-	}
-	fmt.Fprintf(os.Stderr, "verify -remote: %d cells, %d failures, remote hit rate %.3f\n",
-		len(rep.Cells), rep.Failures, rep.RemoteHitRate)
-	if !rep.Pass {
-		return fmt.Errorf("remote gates failed")
-	}
-	fmt.Fprintln(os.Stderr, "verify -remote: PASS")
-	return nil
-}
-
-func run(seed int64, n int, tol float64, workers int, outPath, dumpDir string, verbose, metrics bool) error {
-	cfg := verify.Config{Seed: seed, N: n, TolPct: tol, Workers: workers}
-	if verbose {
-		cfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
+// runSweep is the default differential sweep, plus the optional forensic
+// dump of its worst case.
+func runSweep(cfg verify.Config, dumpDir string, metrics bool) (outcome, error) {
 	// -dump-worst implies metrics collection: the forensic bundle is
 	// supposed to be self-contained (waveforms + trace + metrics), so the
 	// sweep's engine-metrics snapshot must exist for DumpWorst to embed.
@@ -243,20 +162,8 @@ func run(seed int64, n int, tol float64, workers int, outPath, dumpDir string, v
 	}
 	rep, err := verify.Run(cfg)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	} else {
-		fmt.Println(string(b))
-	}
-
 	// The forensic dump runs before the gate check on purpose: a failing
 	// sweep is exactly when the worst-case bundle is wanted.
 	if dumpDir != "" {
@@ -268,18 +175,12 @@ func run(seed int64, n int, tol float64, workers int, outPath, dumpDir string, v
 				bundle.Case.Name, bundle.Case.DelayErrPct, dumpDir, len(bundle.Files))
 		}
 	}
-
 	s := rep.Summary
-	fmt.Fprintf(os.Stderr,
-		"verify: %d stage cases (median accuracy %.2f%%, p95 err %.2f%%, %d over %.3g%% tol, %d engine errors); "+
+	return outcome{rep, fmt.Sprintf(
+		"%d stage cases (median accuracy %.2f%%, p95 err %.2f%%, %d over %.3g%% tol, %d engine errors); "+
 			"%d analyze cases (%d mismatches); %d sibling pairs (%d mismatches); "+
-			"%d hot-path cases (%d mismatches, max err %.2f%%)\n",
+			"%d hot-path cases (%d mismatches, max err %.2f%%)",
 		s.StageCases, s.MedianAccuracyPct, s.P95DelayErrPct, s.StageFailures, rep.TolPct, s.StageErrors,
 		s.AnalyzeCases, s.AnalyzeMismatches, s.SiblingPairs, s.SiblingMismatches,
-		s.HotPathCases, s.HotPathMismatches, s.MaxHotPathErrPct)
-	if !s.Pass {
-		return fmt.Errorf("verification gates failed")
-	}
-	fmt.Fprintln(os.Stderr, "verify: PASS")
-	return nil
+		s.HotPathCases, s.HotPathMismatches, s.MaxHotPathErrPct), s.Pass}, nil
 }

@@ -40,7 +40,8 @@ func Validate(version string) error {
 }
 
 // Arrival is a rise/fall arrival-time pair in seconds with the transition
-// times of the arriving edges — the wire form of sta.Arrival.
+// times of the arriving edges — the wire form of sta.Arrival. A negative
+// slew or one above sta.MaxInputSlew is rejected with invalid_request.
 type Arrival struct {
 	Rise     float64 `json:"rise"`
 	Fall     float64 `json:"fall"`

@@ -257,8 +257,11 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 	})
 	if err != nil {
 		code := v1.CodeAnalysisFailed
-		if errors.Is(err, sta.ErrInvalidNetlist) {
+		switch {
+		case errors.Is(err, sta.ErrInvalidNetlist):
 			code = v1.CodeInvalidNetlist
+		case errors.Is(err, sta.ErrInvalidInput):
+			code = v1.CodeInvalidRequest
 		}
 		return v1.ErrorResponse(req.ID, code, err.Error())
 	}

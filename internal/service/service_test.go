@@ -116,8 +116,22 @@ func TestAnalyzeSingle(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	deck, _, outs := decoderDeck(t)
+	deck, ins, outs := decoderDeck(t)
 	_, hs := newTestServer(t, Options{})
+	// withSlew is the decoder request with every primary input at one slew:
+	// out of range, it must be refused at pre-flight, not stretch the spice
+	// rescue tier's simulation window and pin a worker.
+	withSlew := func(field string, v float64) string {
+		inputs := map[string]map[string]float64{}
+		for _, in := range ins {
+			inputs[in] = map[string]float64{field: v}
+		}
+		b, err := json.Marshal(map[string]any{"netlist": deck, "inputs": inputs, "outputs": outs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 
 	cases := []struct {
 		name   string
@@ -136,9 +150,12 @@ func TestAnalyzeErrors(t *testing.T) {
 			http.StatusUnprocessableEntity, v1.CodeInvalidNetlist},
 		{"undriven output", fmt.Sprintf(`{"netlist":%q,"outputs":["nosuchnet"]}`, deck),
 			http.StatusInternalServerError, v1.CodeAnalysisFailed},
+		{"slew over limit", withSlew("rise_slew", 1e-5), http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"negative slew", withSlew("fall_slew", -1e-12), http.StatusBadRequest, v1.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			hr, err := http.Post(hs.URL+"/analyze", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
@@ -146,6 +163,9 @@ func TestAnalyzeErrors(t *testing.T) {
 			var buf bytes.Buffer
 			buf.ReadFrom(hr.Body)
 			hr.Body.Close()
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("error answer took %v", d)
+			}
 			if hr.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d (body %s)", hr.StatusCode, tc.status, buf.String())
 			}

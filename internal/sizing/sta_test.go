@@ -38,8 +38,7 @@ func newDecoderEval(t *testing.T, full bool) (*STAEvaluator, []float64) {
 			t.Fatalf("device %q not found", name)
 		}
 	}
-	a := sta.New(tech, devmodel.NewLibrary(tech))
-	a.Workers = 1
+	a := sta.New(tech, devmodel.NewLibrary(tech), sta.Config{Workers: 1})
 	init := make([]float64, len(devs))
 	for i, d := range devs {
 		init[i] = d.W

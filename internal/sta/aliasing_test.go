@@ -31,11 +31,11 @@ func TestCacheKeyIncludesLoad(t *testing.T) {
 	outs := []string{"out"}
 
 	shared := New(tech, lib)
-	light, err := shared.Analyze(loadedInverter(1e-15), primary, outs)
+	light, err := shared.AnalyzeContext(nil, Request{Netlist: loadedInverter(1e-15), Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := shared.Analyze(loadedInverter(50e-15), primary, outs)
+	heavy, err := shared.AnalyzeContext(nil, Request{Netlist: loadedInverter(50e-15), Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,8 @@ func TestCacheKeyIncludesLoad(t *testing.T) {
 		{"1fF", 1e-15, light},
 		{"50fF", 50e-15, heavy},
 	} {
-		fresh := New(tech, lib)
-		fresh.Workers = 1
-		ref, err := fresh.Analyze(loadedInverter(tc.cl), primary, outs)
+		fresh := New(tech, lib, Config{Workers: 1})
+		ref, err := fresh.AnalyzeContext(nil, Request{Netlist: loadedInverter(tc.cl), Primary: primary, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,9 +75,8 @@ func TestCacheKeyIncludesLoad(t *testing.T) {
 			t.Errorf("%s: critical path %v != uncached %v", tc.name, tc.cached.CriticalPath, ref.CriticalPath)
 		}
 
-		par := New(tech, lib)
-		par.Workers = 4
-		pref, err := par.Analyze(loadedInverter(tc.cl), primary, outs)
+		par := New(tech, lib, Config{Workers: 4})
+		pref, err := par.AnalyzeContext(nil, Request{Netlist: loadedInverter(tc.cl), Primary: primary, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +107,8 @@ func TestSharedIdentityFanoutSiblings(t *testing.T) {
 	primary := map[string]Arrival{"in": {}}
 	outs := []string{"o1", "o2"}
 
-	serial := New(tech, lib)
-	serial.Workers = 1
-	ref, err := serial.Analyze(build(), primary, outs)
+	serial := New(tech, lib, Config{Workers: 1})
+	ref, err := serial.AnalyzeContext(nil, Request{Netlist: build(), Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +120,8 @@ func TestSharedIdentityFanoutSiblings(t *testing.T) {
 			ref.Arrivals["o2"].Fall, ref.Arrivals["o1"].Fall)
 	}
 	for _, workers := range []int{2, 8} {
-		par := New(tech, lib)
-		par.Workers = workers
-		got, err := par.Analyze(build(), primary, outs)
+		par := New(tech, lib, Config{Workers: workers})
+		got, err := par.AnalyzeContext(nil, Request{Netlist: build(), Primary: primary, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}

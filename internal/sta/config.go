@@ -9,44 +9,52 @@ import (
 	"qwm/internal/reduce"
 )
 
-// Config is the consolidated analyzer configuration: every knob that used to
-// be set by poking exported Analyzer fields after New, gathered into one
-// value that can be passed to New, compared, and — for the subset that
-// affects results — canonically fingerprinted with Signature. The zero
-// Config is the exact baseline engine: serial-equivalent parallelism at
-// GOMAXPROCS, no reduction, no memoization, unlimited budget, no
-// observability.
-//
-// The exported Analyzer fields (Workers, Reduction, Memo, Metrics, …) remain
-// writable as thin deprecated shims so existing construct-then-assign callers
-// keep compiling; new code should pass a Config to New so the analyzer's
-// identity is fixed at construction. The service layer depends on that:
-// analyzers are pooled by Signature, and mutating a pooled analyzer's
-// configuration after construction would silently mix cache namespaces.
+// Config is an analyzer's whole configuration, passed to New and fixed there
+// for the analyzer's lifetime; the subset that affects results is
+// canonically fingerprinted by Signature. The zero Config is the exact
+// baseline engine: serial-equivalent parallelism at GOMAXPROCS, no
+// reduction, no memoization, unlimited budget, no observability. The
+// service layer pools analyzers by Signature, which is sound because no
+// setting can change after New.
 type Config struct {
 	// Workers caps concurrent stage-direction evaluations per level.
-	// 0 means runtime.GOMAXPROCS(0). Results are identical at any setting,
-	// which is why Workers is NOT part of Signature.
+	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial in-line path (no
+	// goroutines). Results are identical at any setting, which is why
+	// Workers is NOT part of Signature.
 	Workers int
-	// Reduction configures the RC-chain model-order-reduction pre-pass.
+	// Reduction configures the RC-chain model-order-reduction pre-pass
+	// (internal/reduce): long series wire runs on each evaluated path are
+	// collapsed into moment-matched equivalents before the solver runs. The
+	// zero value disables it; its signature suffixes every cache key, so
+	// reduced and unreduced entries never alias.
 	Reduction reduce.Config
-	// Memo configures equivalence-class stage memoization.
+	// Memo configures equivalence-class stage memoization: structurally
+	// identical stages (node names canonicalized away) share delay-cache
+	// entries, evaluated once per (class, direction, slew bucket). The zero
+	// value disables it, preserving raw per-name keys bit for bit.
 	Memo MemoConfig
-	// Budget is the default per-evaluation budget for requests that do not
-	// carry their own (Request.Budget takes precedence when non-zero).
+	// Budget bounds each stage-direction evaluation (Newton iterations
+	// and/or wall clock). Exhausting it aborts the running solver tier with
+	// ErrBudgetExceeded and escalates the degradation ladder; it never fails
+	// the Analyze. The zero value is unlimited.
 	Budget EvalBudget
-	// FaultPlan, when non-nil, arms deterministic fault injection on every
-	// request that does not carry its own injector — a chaos-rig default.
-	// Production configs leave it nil.
+	// FaultPlan, when non-nil, arms the deterministic fault-injection hooks
+	// (chaos mode — see internal/faultinject). Every injection decision is a
+	// pure hash of (seed, class, site key), so two runs at the same seed
+	// inject identical faults at any Workers setting. Production configs
+	// leave it nil, which costs one predictable branch per site.
 	FaultPlan *faultinject.Injector
-	// Observer receives span events for requests that do not carry their
-	// own (Request.Observer takes precedence).
-	Observer obs.Observer
-	// Metrics, when set, receives per-Analyze aggregates.
+	// Metrics, when set, receives per-Analyze aggregates: cache hit/miss
+	// counters, eval/level/analyze latency histograms (names under
+	// "sta/time/"), and the deterministic NR-iteration and region-count
+	// histograms. Nil disables metric recording — the engine then never
+	// reads the clock on the evaluation path.
 	Metrics *obs.Registry
 	// Tier, when set, is the persistent delay-cache tier below the in-memory
-	// cache: misses consult it before evaluating, and fresh evaluations are
-	// written back. See TierStore.
+	// cache: single-flight leaders consult it before evaluating and write
+	// fresh evaluations back. Entries loaded from the tier count as cache
+	// activity but not as evaluations, so a warm-tier Analyze reports
+	// StagesEvaluated = 0 exactly like a warm-memory one. See TierStore.
 	Tier TierStore
 }
 
@@ -58,33 +66,13 @@ type Config struct {
 // the data so a namespace can never be re-opened under a different config.
 //
 // Deliberately excluded: Workers (determinism at any width is the engine's
-// core guarantee), Metrics/Observer (observability never changes results),
-// FaultPlan (chaos runs must use dedicated analyzers anyway — see
-// Request.Fault), and Tier itself (a cache tier stores results, it does not
-// define them).
+// core guarantee), Metrics (observability never changes results), FaultPlan
+// (chaos runs use dedicated analyzers that are never pooled), and Tier
+// itself (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
 	return fmt.Sprintf("qwm1|red:%s|memo:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
-
-// Config returns the analyzer's current configuration. Together with
-// Signature it lets pooling layers verify an analyzer still matches the
-// config it was pooled under.
-func (a *Analyzer) Config() Config {
-	return Config{
-		Workers:   a.Workers,
-		Reduction: a.Reduction,
-		Memo:      a.Memo,
-		Budget:    a.Budget,
-		FaultPlan: a.Fault,
-		Observer:  a.Observer,
-		Metrics:   a.Metrics,
-		Tier:      a.Tier,
-	}
-}
-
-// Signature is shorthand for a.Config().Signature().
-func (a *Analyzer) Signature() string { return a.Config().Signature() }
 
 // TierEntry is the portable form of one cached direction timing — the value
 // a TierStore persists. Every field of the internal dirTiming is represented

@@ -32,23 +32,6 @@ func TestConfigSignature(t *testing.T) {
 	}
 }
 
-func TestNewWithConfigRoundTrips(t *testing.T) {
-	cfg := Config{
-		Workers:   3,
-		Reduction: reduce.Config{TolPct: 1, MinRun: 4},
-		Memo:      MemoConfig{Enabled: true},
-		Budget:    EvalBudget{NRIters: 1000},
-	}
-	a := New(tech, lib, cfg)
-	got := a.Config()
-	if !reflect.DeepEqual(got, cfg) {
-		t.Fatalf("Config() = %+v, want %+v", got, cfg)
-	}
-	if a.Signature() != cfg.Signature() {
-		t.Fatalf("analyzer signature %q != config signature %q", a.Signature(), cfg.Signature())
-	}
-}
-
 // mapTierStore is the reference TierStore: a plain locked map. The disk
 // implementation lives in sta/diskcache; this in-memory one pins down the
 // engine-side contract independent of any file format.

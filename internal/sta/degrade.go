@@ -8,7 +8,6 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/faultinject"
-	"qwm/internal/obs"
 	"qwm/internal/qwm"
 	"qwm/internal/reduce"
 	"qwm/internal/spice"
@@ -89,30 +88,18 @@ type EvalBudget struct {
 	Wall time.Duration
 }
 
-// evalEnv carries the per-request evaluation configuration (budget, fault
-// injector and — for traced requests — the trace reference) from
-// AnalyzeContext into the worker-side ladder. One env is shared read-only by
-// every worker of an Analyze.
-type evalEnv struct {
-	budget EvalBudget
-	fault  *faultinject.Injector
-	// trace is the request's trace handle; trace.T == nil (the untraced
-	// default) keeps every tracing branch off the hot path.
-	trace obs.TraceRef
-}
-
 // qwmOpts assembles the solver options for one QWM tier attempt: the
-// Analyzer's tuning plus the request's budget and fault plumbing. faultKey
+// analyzer's budget and fault plumbing over the solver defaults. faultKey
 // already carries the tier suffix, so the injector can distinguish the
 // Newton and bisection attempts of one direction.
-func (a *Analyzer) qwmOpts(env *evalEnv, faultKey string, forceBisect bool) qwm.Options {
-	o := a.Opts
-	o.ForceBisection = forceBisect
-	o.NRBudget = env.budget.NRIters
-	o.WallBudget = env.budget.Wall
-	o.Fault = env.fault
-	o.FaultKey = faultKey
-	return o
+func (a *Analyzer) qwmOpts(faultKey string, forceBisect bool) qwm.Options {
+	return qwm.Options{
+		ForceBisection: forceBisect,
+		NRBudget:       a.cfg.Budget.NRIters,
+		WallBudget:     a.cfg.Budget.Wall,
+		Fault:          a.cfg.FaultPlan,
+		FaultKey:       faultKey,
+	}
 }
 
 // evalLadder resolves one stage-direction timing through the degradation
@@ -126,7 +113,7 @@ func (a *Analyzer) qwmOpts(env *evalEnv, faultKey string, forceBisect bool) qwm.
 // faultKey is the direction's cache key: deterministic, schedule- and
 // worker-independent, which is what makes seeded fault injection
 // reproducible at any Workers setting.
-func (a *Analyzer) evalLadder(env *evalEnv, st *circuit.Stage, out, rail string, loads map[string]float64, inSlew float64, faultKey string) dirTiming {
+func (a *Analyzer) evalLadder(st *circuit.Stage, out, rail string, loads map[string]float64, inSlew float64, faultKey string) dirTiming {
 	path, err := circuit.LongestPath(st, out, rail)
 	if err != nil {
 		// Structural: the stage genuinely has no path to this rail (e.g. a
@@ -142,14 +129,14 @@ func (a *Analyzer) evalLadder(env *evalEnv, st *circuit.Stage, out, rail string,
 	// carries Reduction.Signature(), so reduced entries can never alias
 	// unreduced ones, and the rewrite itself is a pure function of
 	// (stage, path, loads, config).
-	if a.Reduction.Enabled {
-		rp, rl, rst := reduce.Path(st, path, loads, a.Reduction)
+	if a.cfg.Reduction.Enabled {
+		rp, rl, rst := reduce.Path(st, path, loads, a.cfg.Reduction)
 		path, loads = rp, rl
 		t.reduced = rst.NodesRemoved
 	}
 	var errs strings.Builder
 	for tier := TierQWM; tier < NumTiers; tier++ {
-		r, err := a.runTier(env, tier, st, out, rail, path, loads, inSlew, faultKey, &t)
+		r, err := a.runTier(tier, st, out, rail, path, loads, inSlew, faultKey, &t)
 		addStats(&t.stats, r.stats)
 		if err == nil {
 			t.delay, t.slew = r.delay, r.slew
@@ -172,7 +159,7 @@ func (a *Analyzer) evalLadder(env *evalEnv, st *circuit.Stage, out, rail string,
 // converted to an ErrPanicRecovered-wrapped error at this boundary, so the
 // worker goroutine survives, the single-flight cache entry completes, and
 // the ladder escalates exactly as for an ordinary tier failure.
-func (a *Analyzer) runTier(env *evalEnv, tier Tier, st *circuit.Stage, out, rail string, path *circuit.Path, loads map[string]float64, inSlew float64, faultKey string, t *dirTiming) (res dirResult, err error) {
+func (a *Analyzer) runTier(tier Tier, st *circuit.Stage, out, rail string, path *circuit.Path, loads map[string]float64, inSlew float64, faultKey string, t *dirTiming) (res dirResult, err error) {
 	key := fmt.Sprintf("%s|tier%d", faultKey, tier)
 	defer func() {
 		if p := recover(); p != nil {
@@ -184,22 +171,22 @@ func (a *Analyzer) runTier(env *evalEnv, tier Tier, st *circuit.Stage, out, rail
 	// Fault site: a synthetic panic inside the tier evaluation. Armed for
 	// the numerical tiers only — TierBound is the ladder's floor and must
 	// stay unconditionally reliable, injected chaos included.
-	if tier < TierBound && env.fault.Fire(faultinject.Panic, key) {
+	if tier < TierBound && a.cfg.FaultPlan.Fire(faultinject.Panic, key) {
 		panic(fmt.Sprintf("faultinject: synthetic panic in %s evaluation", tier))
 	}
 
 	switch tier {
 	case TierQWM:
 		// Fault site: an injected budget exhaustion, as a too-small
-		// Request.Budget would produce. Tier 0 only: the cheap rescue
+		// Config.Budget would produce. Tier 0 only: the cheap rescue
 		// (bisection) is exactly what a budget-driven abort should
 		// escalate to.
-		if env.fault.Fire(faultinject.BudgetExhaustion, key) {
+		if a.cfg.FaultPlan.Fire(faultinject.BudgetExhaustion, key) {
 			return dirResult{}, fmt.Errorf("%w: injected budget exhaustion (faultinject)", ErrBudgetExceeded)
 		}
-		return a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(env, key, false))
+		return a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(key, false))
 	case TierBisect:
-		r, err := a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(env, key, true))
+		r, err := a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(key, true))
 		if err != nil {
 			return r, err
 		}
@@ -343,7 +330,7 @@ func spiceRename(path *circuit.Path, loads map[string]float64) (ren map[string]s
 // a pure function of the path/load structure — two stages with equal
 // fingerprints evaluate bit-identically no matter what their nets are called.
 func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64) (dirResult, error) {
-	vdd := a.Tech.VDD
+	vdd := a.tech.VDD
 	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)
 	rising := rail == circuit.SupplyNode
 	// Initial condition: the path nodes start at the opposite rail
@@ -434,9 +421,9 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		if onPath[e] || e.Kind == circuit.KindWire {
 			continue
 		}
-		p := &a.Tech.N
+		p := &a.tech.N
 		if e.Kind == circuit.KindPMOS {
-			p = &a.Tech.P
+			p = &a.tech.P
 		}
 		for _, nd := range [2]string{e.Src, e.Snk} {
 			if !inNet[nd] || nd == circuit.GroundNode || nd == circuit.SupplyNode {
@@ -450,7 +437,7 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		}
 	}
 
-	sim, err := spice.New(n, a.Tech, false)
+	sim, err := spice.New(n, a.tech, false)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: spice tier: %w", err)
 	}
@@ -498,7 +485,7 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 // cannot meaningfully outlast the RC bound that produced it.
 func (a *Analyzer) evalBoundPath(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, inSlew float64) (dirResult, error) {
 	w := &stages.Workload{Stage: st, Path: path, Output: out, Loads: loads}
-	d, err := switchlevel.PathBound(w, a.Tech)
+	d, err := switchlevel.PathBound(w, a.tech)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: bound tier: %w", err)
 	}

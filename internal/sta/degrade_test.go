@@ -16,14 +16,11 @@ import (
 // the given injector and worker count.
 func analyzeFaulted(t *testing.T, inj *faultinject.Injector, workers int, budget EvalBudget) *Result {
 	t.Helper()
-	a := New(tech, lib)
-	a.Workers = workers
+	a := New(tech, lib, Config{Workers: workers, Budget: budget, FaultPlan: inj})
 	res, err := a.AnalyzeContext(nil, Request{
 		Netlist: inverterChain(3, 1e-6, 2e-6),
 		Primary: map[string]Arrival{"in0": {}},
 		Outputs: []string{"out"},
-		Budget:  budget,
-		Fault:   inj,
 	})
 	if err != nil {
 		t.Fatalf("degraded analyze must still complete, got: %v", err)
@@ -163,7 +160,7 @@ func TestLadderDeterministicAcrossWorkers(t *testing.T) {
 func TestLadderStructuralFailureDoesNotEscalate(t *testing.T) {
 	a := New(tech, lib)
 	nl := pulldownOnly()
-	res, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -660,12 +660,19 @@ func encodeEntry(e sta.TierEntry) []byte {
 	return b
 }
 
+// decodeEntry parses an encodeEntry value. It accepts exactly the byte
+// strings encodeEntry produces, so whatever decodes re-encodes to the same
+// bytes.
 func decodeEntry(b []byte) (sta.TierEntry, error) {
 	if len(b) < 46 {
 		return sta.TierEntry{}, errors.New("diskcache: short entry")
 	}
 	if b[0] != entryVer {
 		return sta.TierEntry{}, fmt.Errorf("diskcache: unknown entry version %d", b[0])
+	}
+	if b[1]&^(flagOK|flagFell) != 0 || b[3] != 0 {
+		// Bits the encoder never sets: the entry is not one of ours.
+		return sta.TierEntry{}, errors.New("diskcache: unknown entry flags")
 	}
 	errLen := int(binary.LittleEndian.Uint16(b[44:46]))
 	if len(b) != 46+errLen {

@@ -178,7 +178,7 @@ func (e *ecoRun) arrivalEq(a, b Arrival) bool {
 // edited stage forever.
 func (e *ecoRun) filterLevel(a *Analyzer, s *analyzeScratch, level []*circuit.Stage, loads *loadIndex, res *Result, redSig string) []*circuit.Stage {
 	dirty := e.dirtyBuf[:0]
-	memoSig := a.Memo.Signature()
+	memoSig := a.cfg.Memo.Signature()
 	for _, st := range level {
 		id := stageIdentity(st)
 		db := append(e.digestBuf[:0], memoSig...)

@@ -103,25 +103,19 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			t.Run(v.name, func(t *testing.T) {
 				nl, primary, outs := decoderFixture(t)
-				inc := New(tech, lib)
-				inc.Workers = workers
-				inc.Reduction, inc.Memo = v.red, v.memo
-				scratch := New(tech, lib)
-				scratch.Workers = 1
-				scratch.Reduction, scratch.Memo = v.red, v.memo
+				inc := New(tech, lib, Config{Workers: workers, Reduction: v.red, Memo: v.memo})
+				scratch := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
 
 				step := func(label string) {
-					ref, err := scratch.Analyze(nl, primary, outs)
+					ref, err := scratch.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 					if err != nil {
 						t.Fatal(err)
 					}
 					got := ecoRunOnce(t, inc, nl, primary, outs, 0)
 					requireSameTiming(t, label, ref, got)
 					if v.memo.Enabled {
-						cold := New(tech, lib)
-						cold.Workers = 1
-						cold.Reduction, cold.Memo = v.red, v.memo
-						cref, err := cold.Analyze(nl, primary, outs)
+						cold := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
+						cref, err := cold.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -224,9 +218,7 @@ func TestIncrementalEpsilonEarlyStop(t *testing.T) {
 func TestIncrementalFPInvalidation(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 	reg := obs.NewRegistry()
-	a := New(tech, lib)
-	a.Memo = MemoConfig{Enabled: true}
-	a.Metrics = reg
+	a := New(tech, lib, Config{Memo: MemoConfig{Enabled: true}, Metrics: reg})
 	ecoRunOnce(t, a, nl, primary, outs, 0)
 
 	evictions := func() int64 {
@@ -298,12 +290,11 @@ func singleInverter(in, out string) *circuit.Netlist {
 // the two boundary evals interpolation needs.
 func TestInterpBoundarySharesSnapNamespace(t *testing.T) {
 	run := func(memo MemoConfig, slew float64) *Result {
-		a := New(tech, lib)
-		a.Memo = memo
+		a := New(tech, lib, Config{Memo: memo})
 		nl := singleInverter("in", "out")
-		res, err := a.Analyze(nl, map[string]Arrival{
+		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{
 			"in": {RiseSlew: slew, FallSlew: slew},
-		}, []string{"out"})
+		}, Outputs: []string{"out"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,13 +354,12 @@ func spiceSiblingPair(swap bool) (*circuit.Netlist, map[string]Arrival, []string
 func TestSpiceCrossMemberBitIdentity(t *testing.T) {
 	analyzeOrder := func(swap bool) *Result {
 		nl, primary, outs := spiceSiblingPair(swap)
-		a := New(tech, lib)
-		a.Workers = 1
-		a.Memo = MemoConfig{Enabled: true}
-		res, err := a.AnalyzeContext(nil, Request{
-			Netlist: nl, Primary: primary, Outputs: outs,
-			Fault: faultinject.New(3).Enable(faultinject.NRDivergence, 1),
+		a := New(tech, lib, Config{
+			Workers:   1,
+			Memo:      MemoConfig{Enabled: true},
+			FaultPlan: faultinject.New(3).Enable(faultinject.NRDivergence, 1),
 		})
+		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,9 +449,8 @@ func BenchmarkAnalyzeIncremental(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			toggle(i)
-			a := New(tech, lib)
-			a.Workers = 1
-			if _, err := a.Analyze(nl, primary, outs); err != nil {
+			a := New(tech, lib, Config{Workers: 1})
+			if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -469,8 +458,7 @@ func BenchmarkAnalyzeIncremental(b *testing.B) {
 	})
 
 	b.Run("eco", func(b *testing.B) {
-		a := New(tech, lib)
-		a.Workers = 1
+		a := New(tech, lib, Config{Workers: 1})
 		// Warm both toggle variants so the steady state is a pure dirty-cone
 		// walk (the delay cache already holds both geometries).
 		for i := 0; i < 2; i++ {

@@ -189,7 +189,7 @@ func TestEvalErrorsSurfaceOnEveryAnalyze(t *testing.T) {
 
 	a := New(tech, lib)
 	for run := 0; run < 2; run++ {
-		res, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestEvalErrorsSurfaceOnEveryAnalyze(t *testing.T) {
 	}
 
 	// A healthy inverter reports zero eval errors.
-	healthy, err := New(tech, lib).Analyze(inverterChain(1, 1e-6, 2e-6), map[string]Arrival{"in0": {}}, []string{"out"})
+	healthy, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: inverterChain(1, 1e-6, 2e-6), Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

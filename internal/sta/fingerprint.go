@@ -142,8 +142,8 @@ func (a *Analyzer) invalidateFP(contentKeys []string) {
 		}
 	}
 	if n > 0 {
-		if ms := a.metricSet(); ms != nil {
-			ms.fpEvictions.Add(int64(n))
+		if a.ms != nil {
+			a.ms.fpEvictions.Add(int64(n))
 		}
 	}
 }
@@ -163,9 +163,9 @@ func (a *Analyzer) classBase(raw string, st *circuit.Stage, out, rail string, lo
 	if ok {
 		canon = "C|" + redSig + "|" + fp + "|" + rail
 	}
-	if evicted := a.fp.store(raw, canon, a.Memo.fpCap()); evicted > 0 {
-		if ms := a.metricSet(); ms != nil {
-			ms.fpEvictions.Add(int64(evicted))
+	if evicted := a.fp.store(raw, canon, a.cfg.Memo.fpCap()); evicted > 0 {
+		if a.ms != nil {
+			a.ms.fpEvictions.Add(int64(evicted))
 		}
 	}
 	return canon
@@ -185,7 +185,7 @@ func (a *Analyzer) resolveBases(s *analyzeScratch, ev *outEval, st *circuit.Stag
 		kb = append(kb, rail...)
 		s.keyBuf = kb
 		base, memo := "", false
-		if a.Memo.Enabled {
+		if a.cfg.Memo.Enabled {
 			canon, ok := a.fp.lookupB(kb)
 			if !ok {
 				canon = a.classBase(a.keys.intern(kb), st, out, rail, ev.loads, redSig)

@@ -83,7 +83,7 @@ func TestGatherInputs(t *testing.T) {
 func TestUnconstrainedTraceTerminates(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(3, 1e-6, 2e-6)
-	res, err := a.Analyze(nl, map[string]Arrival{}, []string{"out"})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,15 +27,12 @@ func wideFixture(t *testing.T, fan, segs, workers int, red reduce.Config, memo M
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(tech, lib)
-	a.Workers = workers
-	a.Reduction = red
-	a.Memo = memo
+	a := New(tech, lib, Config{Workers: workers, Reduction: red, Memo: memo})
 	primary := map[string]Arrival{}
 	for _, in := range ins {
 		primary[in] = Arrival{}
 	}
-	res, err := a.Analyze(nl, primary, outs)
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,18 +187,17 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(tech, lib)
-	a.Workers = 1
+	a := New(tech, lib, Config{Workers: 1})
 	primary := map[string]Arrival{}
 	for _, in := range ins {
 		primary[in] = Arrival{}
 	}
-	if _, err := a.Analyze(nl, primary, outs); err != nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 		t.Fatal(err)
 	}
 	const budget = 700 // issue target: >= 40% under the 1185 baseline
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := a.Analyze(nl, primary, outs); err != nil {
+		if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,20 +18,19 @@ func BenchmarkWarmCacheLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := New(tech, lib)
-	a.Workers = 1
+	a := New(tech, lib, Config{Workers: 1})
 	primary := map[string]Arrival{}
 	for _, in := range ins {
 		primary[in] = Arrival{}
 	}
-	if _, err := a.Analyze(nl, primary, outs); err != nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 		b.Fatal(err)
 	}
 	warm := a.CacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Analyze(nl, primary, outs); err != nil {
+		if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,8 +68,8 @@ var (
 )
 
 // metricSet caches the instrument handles for one registry so the hot path
-// never does a name lookup. Built once per Analyzer (lazily, guarded by the
-// Analyzer's cache init) and shared by every Analyze.
+// never does a name lookup. Built once per Analyzer, in New, and shared by
+// every Analyze.
 type metricSet struct {
 	analyzes, cancels        *obs.Counter
 	cacheHits, cacheMisses   *obs.Counter
@@ -146,20 +146,10 @@ type recorder struct {
 // newRecorder returns the observation context for one Analyze, or nil when
 // neither an observer nor a metrics registry is attached.
 func (a *Analyzer) newRecorder(o obs.Observer) *recorder {
-	ms := a.metricSet()
-	if o == nil && ms == nil {
+	if o == nil && a.ms == nil {
 		return nil
 	}
-	return &recorder{o: o, ms: ms, start: time.Now()}
-}
-
-// metricSet lazily builds (and memoizes) the Analyzer's instrument handles.
-func (a *Analyzer) metricSet() *metricSet {
-	if a.Metrics == nil {
-		return nil
-	}
-	a.msOnce.Do(func() { a.ms = newMetricSet(a.Metrics) })
-	return a.ms
+	return &recorder{o: o, ms: a.ms, start: time.Now()}
 }
 
 func (r *recorder) now() time.Time                  { return time.Now() }

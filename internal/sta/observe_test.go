@@ -90,8 +90,7 @@ func decoderRequest(t testing.TB) Request {
 // stats) to the serial run's.
 func TestObserverEventOrdering(t *testing.T) {
 	run := func(workers int) *collectObserver {
-		a := New(tech, lib)
-		a.Workers = workers
+		a := New(tech, lib, Config{Workers: workers})
 		c := &collectObserver{}
 		req := decoderRequest(t)
 		req.Observer = c
@@ -176,13 +175,12 @@ func TestObserverEventOrdering(t *testing.T) {
 // identical between Workers = 1 and Workers = 8 on the same input.
 func TestMetricsDeterminism(t *testing.T) {
 	snap := func(workers int) []byte {
-		a := New(tech, lib)
-		a.Workers = workers
-		a.Metrics = obs.NewRegistry()
+		reg := obs.NewRegistry()
+		a := New(tech, lib, Config{Workers: workers, Metrics: reg})
 		if _, err := a.AnalyzeContext(context.Background(), decoderRequest(t)); err != nil {
 			t.Fatal(err)
 		}
-		js, err := a.Metrics.Snapshot().Deterministic().JSON()
+		js, err := reg.Snapshot().Deterministic().JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,12 +194,12 @@ func TestMetricsDeterminism(t *testing.T) {
 	// Sanity: the deterministic snapshot actually carries the solver
 	// histograms, and no timing series leaked through the filter.
 	full := func() obs.Snapshot {
-		a := New(tech, lib)
-		a.Metrics = obs.NewRegistry()
+		reg := obs.NewRegistry()
+		a := New(tech, lib, Config{Metrics: reg})
 		if _, err := a.AnalyzeContext(context.Background(), decoderRequest(t)); err != nil {
 			t.Fatal(err)
 		}
-		return a.Metrics.Snapshot()
+		return reg.Snapshot()
 	}()
 	det := full.Deterministic()
 	for _, h := range []string{hNRItersPerEval, hRegionsPerEval} {
@@ -229,8 +227,7 @@ func TestMetricsDeterminism(t *testing.T) {
 // later Analyze on the same Analyzer must succeed (re-evaluating, not
 // deadlocking on a never-closed ready channel).
 func TestCancelledContextLeavesCacheUsable(t *testing.T) {
-	a := New(tech, lib)
-	a.Workers = 4
+	a := New(tech, lib, Config{Workers: 4})
 	req := decoderRequest(t)
 
 	// Already-cancelled context: no cache activity at all.
@@ -288,8 +285,7 @@ func TestCancelledContextLeavesCacheUsable(t *testing.T) {
 func TestCancelMidAnalyzeNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		a := New(tech, lib)
-		a.Workers = 8
+		a := New(tech, lib, Config{Workers: 8})
 		req := decoderRequest(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		req.Observer = obs.Funcs{OnLevelStart: func(info obs.LevelStartInfo) {
@@ -379,8 +375,7 @@ func TestDiagnosticsString(t *testing.T) {
 // metrics registry attached.
 func BenchmarkAnalyzeObserved(b *testing.B) {
 	bench := func(b *testing.B, observer obs.Observer, metrics *obs.Registry) {
-		a := New(tech, lib)
-		a.Metrics = metrics
+		a := New(tech, lib, Config{Metrics: metrics})
 		req := decoderRequest(b)
 		req.Observer = observer
 		ctx := context.Background()

@@ -17,20 +17,19 @@ import (
 
 // runTraced runs the decoder fixture on a fresh analyzer with a metrics
 // registry attached and a request trace on the context — the path every
-// engine trace takes — returning the analyzer, the finished trace and the
-// result.
-func runTraced(t *testing.T, workers int) (*Analyzer, *obs.RequestTrace, *Result) {
+// engine trace takes — returning the metrics registry, the finished trace
+// and the result.
+func runTraced(t *testing.T, workers int) (*obs.Registry, *obs.RequestTrace, *Result) {
 	t.Helper()
-	a := New(tech, lib)
-	a.Workers = workers
-	a.Metrics = obs.NewRegistry()
+	reg := obs.NewRegistry()
+	a := New(tech, lib, Config{Workers: workers, Metrics: reg})
 	at := obs.NewActiveTrace("")
 	ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{T: at, Parent: "sta"})
 	res, err := a.AnalyzeContext(ctx, decoderRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, at.Finish("sta", 0, time.Since(at.Start)), res
+	return reg, at.Finish("sta", 0, time.Since(at.Start)), res
 }
 
 // TestTraceDecoderSmoke records a full decoder analysis and validates the
@@ -162,14 +161,14 @@ func firstDiffLine(a, b []byte) (string, string) {
 // flight-recorded trace, pprof, expvar-free health — and the healthz flip to
 // 503 when the analysis degraded under injected faults.
 func TestOpsServerIntegration(t *testing.T) {
-	a, rt, res := runTraced(t, 2)
+	reg, rt, res := runTraced(t, 2)
 	fl := obs.NewFlightRecorder()
 	defer fl.Close()
 	fl.Record(rt)
 	fl.Flush()
 
 	srv := &obs.Server{
-		Registry: a.Metrics,
+		Registry: reg,
 		Flight:   fl,
 		Health: func() (bool, string) {
 			if res.Diagnostics.Healthy() {
@@ -219,10 +218,8 @@ func TestOpsServerIntegration(t *testing.T) {
 	// Degrade: kill every QWM Newton solve so the ladder escalates and the
 	// diagnostics report degradation; health must flip to 503 with detail.
 	inj := faultinject.New(3).Enable(faultinject.NRDivergence, 1)
-	fa := New(tech, lib)
-	freq := decoderRequest(t)
-	freq.Fault = inj
-	fres, err := fa.AnalyzeContext(context.Background(), freq)
+	fa := New(tech, lib, Config{FaultPlan: inj})
+	fres, err := fa.AnalyzeContext(context.Background(), decoderRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}

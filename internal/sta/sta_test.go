@@ -41,7 +41,7 @@ func inverterChain(n int, wn, wp float64) *circuit.Netlist {
 func TestAnalyzeInverterChain(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(4, 1e-6, 2e-6)
-	res, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestAnalyzeInverterChain(t *testing.T) {
 func TestAnalyzePrimaryArrivalShifts(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(2, 1e-6, 2e-6)
-	base, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	base, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted, err := a.Analyze(nl, map[string]Arrival{"in0": {Rise: 100e-12, Fall: 100e-12}}, []string{"out"})
+	shifted, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {Rise: 100e-12, Fall: 100e-12}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAnalyzePrimaryArrivalShifts(t *testing.T) {
 func TestIncrementalReanalysis(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(5, 1e-6, 2e-6)
-	first, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	first, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIncrementalReanalysis(t *testing.T) {
 	// stages re-evaluate only if their input-slew bucket shifted — never the
 	// whole chain.
 	nl.Transistors[4].W *= 2 // mn2
-	second, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	second, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestIncrementalReanalysis(t *testing.T) {
 	// old load-blind cache asserted the arrival *decreased* — an artifact of
 	// reusing the stale delay of the widened gate's driver; in truth the
 	// extra gate load outweighs the drive improvement here.)
-	cold, err := New(tech, lib).Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	cold, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,10 @@ func TestAnalyzeNANDIntoInverter(t *testing.T) {
 
 	a := New(tech, lib)
 	// Input b arrives late: it must dominate the worst path.
-	res, err := a.Analyze(nl, map[string]Arrival{
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{
 		"a": {},
 		"b": {Rise: 200e-12, Fall: 200e-12},
-	}, []string{"out"})
+	}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +170,18 @@ func TestAnalyzeCombinationalLoopRejected(t *testing.T) {
 	nl.AddTransistor(&circuit.Transistor{Name: "mn2", Kind: circuit.KindNMOS, Drain: "a", Gate: "b", Source: "0", Body: "0", W: 1e-6, L: tech.LMin})
 	nl.AddTransistor(&circuit.Transistor{Name: "mp2", Kind: circuit.KindPMOS, Drain: "a", Gate: "b", Source: "vdd", Body: "vdd", W: 2e-6, L: tech.LMin})
 	a := New(tech, lib)
-	if _, err := a.Analyze(nl, map[string]Arrival{}, []string{"a"}); err == nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{}, Outputs: []string{"a"}}); err == nil {
 		t.Fatal("combinational loop accepted")
 	}
 }
 
 func TestAnalyzeErrors(t *testing.T) {
 	a := New(tech, lib)
-	if _, err := a.Analyze(&circuit.Netlist{}, nil, []string{"out"}); err == nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: &circuit.Netlist{}, Outputs: []string{"out"}}); err == nil {
 		t.Error("empty netlist accepted")
 	}
 	nl := inverterChain(1, 1e-6, 2e-6)
-	if _, err := a.Analyze(nl, nil, []string{"nonexistent"}); err == nil {
+	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: []string{"nonexistent"}}); err == nil {
 		t.Error("unknown output accepted")
 	}
 }
@@ -192,13 +192,13 @@ func TestAnalyzeErrors(t *testing.T) {
 func TestSlewPropagation(t *testing.T) {
 	a := New(tech, lib)
 	nl := inverterChain(3, 1e-6, 2e-6)
-	sharp, err := a.Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	sharp, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := a.Analyze(nl, map[string]Arrival{
+	slow, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{
 		"in0": {RiseSlew: 200e-12, FallSlew: 200e-12},
-	}, []string{"out"})
+	}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the engine side of the distributed-tracing layer: when a
-// request carries a trace reference (env.trace.T != nil), the single-flight
+// request carries a trace reference (trace.T != nil), the single-flight
 // leader's persistent-tier consultation is unrolled into per-member probe
 // spans — one per TierChain store, in probe order — and context-aware
 // members (the remote-cache client) receive a child trace reference so their
@@ -49,22 +49,22 @@ func tierName(s TierStore, pos int) string {
 // tierMembers returns the probe-ordered member list: the chain's stores, or
 // the single store itself.
 func (a *Analyzer) tierMembers() []TierStore {
-	if c, ok := a.Tier.(*TierChain); ok {
+	if c, ok := a.cfg.Tier.(*TierChain); ok {
 		return c.Stores()
 	}
-	return []TierStore{a.Tier}
+	return []TierStore{a.cfg.Tier}
 }
 
 // tierGet is the leader's persistent-tier read. Untraced it is exactly
-// a.Tier.Get; traced it probes the members itself (replicating the chain's
-// promotion discipline) so each probe becomes one span. Span IDs embed a
+// Config.Tier.Get; traced it probes the members itself (replicating the
+// chain's promotion discipline) so each probe becomes one span. Span IDs embed a
 // short content hash of the key: one eval may perform two lookups
 // (slew-bucket interpolation), and sibling probe groups must not collide.
-func (a *Analyzer) tierGet(env *evalEnv, it *workItem, key string) (TierEntry, bool) {
-	if env.trace.T == nil {
-		return a.Tier.Get(key)
+func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierEntry, bool) {
+	if trace.T == nil {
+		return a.cfg.Tier.Get(key)
 	}
-	evalID := fmt.Sprintf("%s.L%d.e%d", env.trace.Parent, it.level, it.idx)
+	evalID := fmt.Sprintf("%s.L%d.e%d", trace.Parent, it.level, it.idx)
 	groupID := fmt.Sprintf("%s.k%08x", evalID, obs.KeyHash32(key))
 	members := a.tierMembers()
 	for j, st := range members {
@@ -77,14 +77,14 @@ func (a *Analyzer) tierGet(env *evalEnv, it *workItem, key string) (TierEntry, b
 		)
 		if g, traced := st.(TierGetter); traced {
 			ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{
-				T: env.trace.T, Parent: probeID, Level: it.level, Item: it.idx,
+				T: trace.T, Parent: probeID, Level: it.level, Item: it.idx,
 			})
 			e, ok = g.GetCtx(ctx, key)
 		} else {
 			e, ok = st.Get(key)
 		}
 		hit := ok && e.Valid()
-		env.trace.T.Add(obs.ReqSpan{
+		trace.T.Add(obs.ReqSpan{
 			ID: probeID, Parent: evalID, Name: "tier " + name,
 			Level: it.level, Item: it.idx,
 			Start: start, Dur: time.Since(start),
@@ -100,17 +100,17 @@ func (a *Analyzer) tierGet(env *evalEnv, it *workItem, key string) (TierEntry, b
 	return TierEntry{}, false
 }
 
-// tierPut is the leader's write-behind. Untraced it is exactly a.Tier.Put;
+// tierPut is the leader's write-behind. Untraced it is exactly Config.Tier.Put;
 // traced it fans out itself so context-aware members see the trace context.
-func (a *Analyzer) tierPut(env *evalEnv, it *workItem, key string, e TierEntry) {
-	if env.trace.T == nil {
-		a.Tier.Put(key, e)
+func (a *Analyzer) tierPut(trace *obs.TraceRef, it *workItem, key string, e TierEntry) {
+	if trace.T == nil {
+		a.cfg.Tier.Put(key, e)
 		return
 	}
-	evalID := fmt.Sprintf("%s.L%d.e%d", env.trace.Parent, it.level, it.idx)
+	evalID := fmt.Sprintf("%s.L%d.e%d", trace.Parent, it.level, it.idx)
 	putID := fmt.Sprintf("%s.k%08x.put", evalID, obs.KeyHash32(key))
 	ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{
-		T: env.trace.T, Parent: putID, Level: it.level, Item: it.idx,
+		T: trace.T, Parent: putID, Level: it.level, Item: it.idx,
 	})
 	for _, st := range a.tierMembers() {
 		if p, traced := st.(TierPutter); traced {

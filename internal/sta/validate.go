@@ -7,19 +7,30 @@ import (
 	"qwm/internal/circuit"
 )
 
-// preflight is the STA engine's input gate: every check a malformed netlist
-// can fail before any solver work starts, each wrapped in ErrInvalidNetlist
-// so callers classify the whole family with one errors.Is. It layers on top
-// of circuit.Netlist.Validate (device-local sanity) the cross-device checks
+// MaxInputSlew is the largest primary-input transition time (10–90 %, in
+// seconds) an analysis accepts. The spice rescue tier simulates for
+// 1.25·slew + 2 ns at a 5 ps step, so its cost grows linearly with the slew;
+// a microsecond-scale edge already takes tens of seconds, and an unbounded
+// one pins a worker indefinitely. 100 ns is far slower than any on-chip edge.
+const MaxInputSlew = 100e-9
+
+// preflight is the STA engine's input gate: every check a malformed request
+// can fail before any solver work starts. Netlist defects are wrapped in
+// ErrInvalidNetlist and out-of-range primary inputs in ErrInvalidInput, so
+// callers classify each family with one errors.Is. It layers on top of
+// circuit.Netlist.Validate (device-local sanity) the cross-device checks
 // only an analysis-level view can make: duplicate device names, non-finite
 // parameters, and floating capacitor terminals. Combinational cycles are
-// detected later by levelization and wrapped with the same sentinel.
-func preflight(n *circuit.Netlist) error {
+// detected later by levelization and wrapped with ErrInvalidNetlist.
+func preflight(n *circuit.Netlist, primary map[string]Arrival) error {
 	if n == nil {
 		return fmt.Errorf("%w: nil netlist", ErrInvalidNetlist)
 	}
 	if err := n.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidNetlist, err)
+	}
+	if err := checkPrimary(primary); err != nil {
+		return err
 	}
 
 	// Duplicate device names (across all device kinds): a name collision
@@ -104,4 +115,43 @@ func preflight(n *circuit.Netlist) error {
 		}
 	}
 	return nil
+}
+
+// checkPrimary rejects primary-input arrivals the engine cannot time:
+// non-finite times or slews, negative slews, and slews above MaxInputSlew.
+// Negative arrival times are legal (an input may switch before t = 0). With
+// several bad inputs the error names the lexically first, so the message is
+// independent of map order.
+func checkPrimary(primary map[string]Arrival) error {
+	bad, why := "", ""
+	for net, ar := range primary {
+		if bad != "" && net >= bad {
+			continue
+		}
+		if w := arrivalDefect(ar); w != "" {
+			bad, why = net, w
+		}
+	}
+	if bad == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: input %q %s", ErrInvalidInput, bad, why)
+}
+
+// arrivalDefect describes what is out of range in one arrival, or "".
+func arrivalDefect(ar Arrival) string {
+	for _, v := range [...]float64{ar.Rise, ar.Fall, ar.RiseSlew, ar.FallSlew} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Sprintf("has a non-finite arrival or slew %v", v)
+		}
+	}
+	for _, s := range [...]float64{ar.RiseSlew, ar.FallSlew} {
+		if s < 0 {
+			return fmt.Sprintf("has a negative slew %g s", s)
+		}
+		if s > MaxInputSlew {
+			return fmt.Sprintf("has a slew of %g s, above the %g s limit", s, MaxInputSlew)
+		}
+	}
+	return ""
 }

@@ -13,7 +13,7 @@ import (
 // rejection: the error must wrap ErrInvalidNetlist and mention `frag`.
 func analyzeExpectInvalid(t *testing.T, nl *circuit.Netlist, frag string) {
 	t.Helper()
-	_, err := New(tech, lib).Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"})
+	_, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err == nil {
 		t.Fatalf("malformed netlist (%s) accepted", frag)
 	}
@@ -83,7 +83,7 @@ func TestPreflightRailCapsAllowed(t *testing.T) {
 	// Decoupling caps to the rails are legitimate and must pass.
 	nl := inverterChain(1, 1e-6, 2e-6)
 	nl.AddCapacitor("cdec", "vdd", "0", 1e-12)
-	if _, err := New(tech, lib).Analyze(nl, map[string]Arrival{"in0": {}}, []string{"out"}); err != nil {
+	if _, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}}); err != nil {
 		t.Fatalf("rail decoupling cap rejected: %v", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestCombinationalLoopIsInvalidNetlist(t *testing.T) {
 	mk(0, "a", "b")
 	mk(1, "b", "a")
 	nl.AddCapacitor("cl", "b", "0", 5e-15)
-	_, err := New(tech, lib).Analyze(nl, nil, []string{"b"})
+	_, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: nl, Outputs: []string{"b"}})
 	if err == nil {
 		t.Fatal("combinational loop accepted")
 	}
@@ -112,7 +112,68 @@ func TestCombinationalLoopIsInvalidNetlist(t *testing.T) {
 }
 
 func TestPreflightAcceptsHealthyNetlist(t *testing.T) {
-	if err := preflight(inverterChain(4, 1e-6, 2e-6)); err != nil {
+	if err := preflight(inverterChain(4, 1e-6, 2e-6), nil); err != nil {
 		t.Fatalf("healthy netlist rejected: %v", err)
+	}
+}
+
+// TestPreflightPrimaryInputs pins the primary-input gate: non-finite times
+// or slews, negative slews and slews above MaxInputSlew are rejected with
+// ErrInvalidInput before any solver work (an unbounded slew would stretch
+// the spice rescue tier's simulation window without limit); negative
+// arrival times and slews up to the limit are legal.
+func TestPreflightPrimaryInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		ar   Arrival
+		frag string // "" = accepted
+	}{
+		{"ideal step", Arrival{}, ""},
+		{"negative arrival time", Arrival{Rise: -1e-9, Fall: -2e-9, RiseSlew: 50e-12, FallSlew: 50e-12}, ""},
+		{"slew at limit", Arrival{RiseSlew: MaxInputSlew, FallSlew: MaxInputSlew}, ""},
+		{"NaN rise", Arrival{Rise: nan}, "non-finite"},
+		{"Inf fall", Arrival{Fall: -inf}, "non-finite"},
+		{"NaN slew", Arrival{FallSlew: nan}, "non-finite"},
+		{"Inf slew", Arrival{RiseSlew: inf}, "non-finite"},
+		{"negative slew", Arrival{RiseSlew: -1e-9}, "negative slew"},
+		{"slew over limit", Arrival{FallSlew: 1e-5}, "above"},
+		{"huge slew", Arrival{RiseSlew: 1e300}, "above"},
+	}
+	nl := inverterChain(1, 1e-6, 2e-6)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			primary := map[string]Arrival{"in0": c.ar}
+			if c.frag == "" {
+				if err := preflight(nl, primary); err != nil {
+					t.Fatalf("arrival %+v rejected: %v", c.ar, err)
+				}
+				return
+			}
+			a := New(tech, lib)
+			_, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: []string{"out"}})
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("arrival %+v: error %v, want ErrInvalidInput", c.ar, err)
+			}
+			if !strings.Contains(err.Error(), c.frag) || !strings.Contains(err.Error(), `"in0"`) {
+				t.Errorf("error %q does not name the input and mention %q", err, c.frag)
+			}
+			if st := a.CacheStats(); st.Misses != 0 || st.Entries != 0 {
+				t.Errorf("rejected request touched the delay cache: %+v", st)
+			}
+		})
+	}
+	// Several bad inputs: the error names the lexically first, whatever the
+	// map order.
+	bad := map[string]Arrival{"b": {RiseSlew: -1}, "a": {FallSlew: nan}, "c": {}}
+	for i := 0; i < 8; i++ {
+		if err := checkPrimary(bad); err == nil || !strings.Contains(err.Error(), `"a"`) {
+			t.Fatalf("error %v does not name input \"a\"", err)
+		}
+	}
+	// A negative arrival time runs end to end.
+	if _, err := New(tech, lib).AnalyzeContext(nil, Request{Netlist: nl,
+		Primary: map[string]Arrival{"in0": {Rise: -1e-9, Fall: -1e-9}}, Outputs: []string{"out"}}); err != nil {
+		t.Fatalf("negative arrival time rejected: %v", err)
 	}
 }

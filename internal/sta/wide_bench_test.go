@@ -24,11 +24,8 @@ func benchWide(b *testing.B, red reduce.Config, memo MemoConfig) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := New(tech, lib)
-		a.Workers = 1
-		a.Reduction = red
-		a.Memo = memo
-		if _, err := a.Analyze(nl, primary, outs); err != nil {
+		a := New(tech, lib, Config{Workers: 1, Reduction: red, Memo: memo})
+		if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
 			b.Fatal(err)
 		}
 	}

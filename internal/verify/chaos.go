@@ -88,9 +88,9 @@ const conservativeEps = 1e-12
 // returns the result plus the injector (for fire counts). The analyzer is
 // fresh per run so faulted cache entries never leak between experiments.
 func chaosRun(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int, inj *faultinject.Injector) (*sta.Result, *faultinject.Injector, error) {
-	a := sta.New(tech, lib, sta.Config{Workers: workers})
+	a := sta.New(tech, lib, sta.Config{Workers: workers, FaultPlan: inj})
 	res, err := a.AnalyzeContext(nil, sta.Request{
-		Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs, Fault: inj,
+		Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs,
 	})
 	return res, inj, err
 }

@@ -233,13 +233,14 @@ func coneBound(nl *circuit.Netlist, outs []string, seeds []string) int {
 	return n
 }
 
-// ecoAnalyzer builds one persistent analyzer for a variant.
-func ecoAnalyzer(tech *mos.Tech, lib *devmodel.Library, v ecoVariant, workers int) *sta.Analyzer {
-	a := sta.New(tech, lib)
-	a.Workers = workers
-	a.Reduction = v.red
-	a.Memo = v.memo
-	return a
+// ecoAnalyzer builds one persistent analyzer for a variant; chaos variants
+// arm a rate-1 NR-divergence injector seeded with seed.
+func ecoAnalyzer(tech *mos.Tech, lib *devmodel.Library, v ecoVariant, workers int, seed int64) *sta.Analyzer {
+	cfg := sta.Config{Workers: workers, Reduction: v.red, Memo: v.memo}
+	if v.chaos {
+		cfg.FaultPlan = faultinject.New(seed).Enable(faultinject.NRDivergence, 1)
+	}
+	return sta.New(tech, lib, cfg)
 }
 
 // runECOSequence drives one (workload, variant) edit sequence.
@@ -252,20 +253,14 @@ func runECOSequence(tech *mos.Tech, lib *devmodel.Library, workload string, v ec
 	}
 	r := rand.New(rand.NewSource(cfg.Seed + int64(len(workload))*7919))
 
-	incSerial := ecoAnalyzer(tech, lib, v, 1)
-	incParallel := ecoAnalyzer(tech, lib, v, cfg.Workers)
-	scratch := ecoAnalyzer(tech, lib, v, 1)
+	incSerial := ecoAnalyzer(tech, lib, v, 1, cfg.Seed)
+	incParallel := ecoAnalyzer(tech, lib, v, cfg.Workers, cfg.Seed)
+	scratch := ecoAnalyzer(tech, lib, v, 1, cfg.Seed)
 
-	inj := func() *faultinject.Injector {
-		if !v.chaos {
-			return nil
-		}
-		return faultinject.New(cfg.Seed).Enable(faultinject.NRDivergence, 1)
-	}
 	analyze := func(a *sta.Analyzer, incremental bool) (*sta.Result, error) {
 		return a.AnalyzeContext(nil, sta.Request{
 			Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs,
-			Fault: inj(), Incremental: incremental,
+			Incremental: incremental,
 		})
 	}
 
@@ -287,7 +282,7 @@ func runECOSequence(tech *mos.Tech, lib *devmodel.Library, workload string, v ec
 		}
 		seq.Problems = sameResult(label+": incremental vs scratch", ref, s, seq.Problems)
 		if v.memo.Enabled {
-			cold, err := analyze(ecoAnalyzer(tech, lib, v, 1), false)
+			cold, err := analyze(ecoAnalyzer(tech, lib, v, 1, cfg.Seed), false)
 			if err != nil {
 				seq.Problems = append(seq.Problems, label+": cold scratch run failed: "+err.Error())
 				return false

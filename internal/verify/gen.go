@@ -2,11 +2,11 @@
 // seed-reproducible random stage netlists and cross-checks the QWM timing
 // engine three ways — per-stage delay/slew against the in-repo SPICE-class
 // transient baseline (the paper's own validation methodology), cached
-// against uncached full sta.Analyze runs, and serial against parallel runs.
-// The generated shapes include shared-identity/different-load instances
-// specifically built to trip cache-aliasing bugs: a cache key that omits
-// any timing-relevant input (as the load map once was) fails the harness
-// immediately instead of silently corrupting downstream arrivals.
+// against uncached full sta.AnalyzeContext runs, and serial against
+// parallel runs. The generated shapes include shared-identity/different-load
+// instances specifically built to trip cache-aliasing bugs: a cache key that
+// omits any timing-relevant input (as the load map once was) fails the
+// harness immediately instead of silently corrupting downstream arrivals.
 package verify
 
 import (
