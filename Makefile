@@ -7,21 +7,26 @@
 # 429 backpressure under a flooded queue), the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
-# observed-analyze, hot-path wide, incremental-reanalysis and
-# warm-disk-service benchmarks (plus the dated JSON snapshot), a
-# small-budget differential-verification sweep, a small fault-injection
-# (chaos) sweep over every fault class, the incremental (ECO) edit-sequence
-# differential, the service-path differential (wire bit-transparency,
-# warm-disk restart, chaos through POST /analyze, trace determinism), and
-# the remote-cache gates: the two-replica shared-tier smoke plus the
-# kill/restart race tests — untraced and traced — (remote-smoke) and the
-# network-chaos differential (remote-chaos).
+# observed-analyze, warm-cache, hot-path wide, incremental-reanalysis and
+# warm-disk-service benchmarks, a small-budget differential-verification
+# sweep, a small fault-injection (chaos) sweep over every fault class, the
+# incremental (ECO) edit-sequence differential, the service-path
+# differential (wire bit-transparency, warm-disk restart, chaos through
+# POST /analyze, trace determinism), and the remote-cache gates: the
+# two-replica shared-tier smoke plus the kill/restart race tests — untraced
+# and traced — (remote-smoke) and the network-chaos differential
+# (remote-chaos).
+#
+# The benchmark smoke only checks that the go-test benchmarks run.
+# Performance is recorded and compared in one place: the perfbench harness
+# declared by BENCHMARK.json (`bash perfbench/run.sh`, compared with
+# `perfbench/steady.py --compare`).
 
 GO ?= go
 
-.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full bench-json bench-compare verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
+.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
 
-ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench bench-json verify chaos eco service-verify remote-chaos
+ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify chaos eco service-verify remote-chaos
 
 vet:
 	$(GO) vet ./...
@@ -94,43 +99,20 @@ fuzz-smoke:
 service-smoke:
 	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429' -count=1 ./internal/service/
 
-# One-iteration smoke of the perf-critical benchmarks: the parallel STA
+# One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the
-# observability-overhead comparison (bare vs observer vs metrics), and the
-# hot-path wide-netlist benchmark (reduction+memo off vs on).
+# observability-overhead comparison (bare vs observer vs metrics), the
+# warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
+# vs on), incremental re-analysis and the warm-disk service path. It checks
+# that they run; performance is measured by perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
+	$(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/
 
 # Full benchmark sweep (regenerates every table/figure; slow).
 bench-full:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Machine-readable benchmark snapshot: run the engine-level benchmarks
-# (parallel STA, warm-cache lookup, observability overhead, and the
-# hot-path wide-netlist off/on comparison) and convert the text stream into
-# benchstat-compatible JSON at the repo root, stamped with today's date.
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'STAParallel' -benchtime 1x -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'WarmCacheLookup|AnalyzeObserved|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/ ; \
-	  $(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/ ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%F).json
-
-# Advisory benchmark regression report between the two most recent dated
-# snapshots (benchjson -compare). Never fails the build: the shared CI box
-# makes wall-clock deltas indicative, not contractual. Usage with explicit
-# files: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-bench-compare:
-	@old="$(OLD)"; new="$(NEW)"; \
-	if [ -z "$$old" ] || [ -z "$$new" ]; then \
-	  set -- $$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -2); \
-	  old=$$1; new=$$2; \
-	fi; \
-	if [ -z "$$old" ] || [ -z "$$new" ] || [ "$$old" = "$$new" ]; then \
-	  echo "bench-compare: need two BENCH_*.json snapshots (have: $$old $$new)"; \
-	else \
-	  $(GO) run ./cmd/benchjson -compare -threshold 5 "$$old" "$$new" || true; \
-	fi
 
 # Small-budget differential verification: 25 seeded stage netlists checked
 # QWM-vs-SPICE, plus cached/uncached and serial/parallel equivalence (and

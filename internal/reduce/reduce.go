@@ -1,13 +1,11 @@
 // Package reduce is the model-order-reduction pre-pass of the hot-path
 // layer: before a stage path is handed to the QWM solver (or any lower
 // degradation tier), long series RC wire runs on the path are collapsed into
-// moment-matched equivalent short ladders, and — optionally — off-path
-// wire-only leaf subtrees are lumped into a single capacitance at their
-// attach node. The collapse preserves each run's total resistance, total
-// capacitance and exit Elmore delay exactly (under any external load) and
-// bounds the relative second-moment mismatch by the configured tolerance,
-// following the long-chain equivalence scheme of arXiv 2508.13159 on top of
-// the moment machinery in internal/awe.
+// moment-matched equivalent short ladders. The collapse preserves each
+// run's total resistance, total capacitance and exit Elmore delay exactly
+// (under any external load) and bounds the relative second-moment mismatch
+// by the configured tolerance, following the long-chain equivalence scheme
+// of arXiv 2508.13159 on top of the moment machinery in internal/awe.
 //
 // The pre-pass runs inside the delay-cache compute, downstream of the cache
 // key: the key is always derived from the UNREDUCED stage content plus
@@ -31,22 +29,15 @@ type Config struct {
 	// (|m2' − m2| / m1² × 100 — a fractional waveform-distortion proxy).
 	// 0 means the 1 % default.
 	TolPct float64
-	// MinRun is the shortest series wire run (in segments) worth collapsing.
-	// 0 means the default of 4; runs below it pass through unchanged.
-	MinRun int
-	// LumpLeaves additionally lumps off-path wire-only leaf subtrees into a
-	// total capacitance at their on-path attach node. This is pessimistic
-	// (QWM then sees capacitance the chain model previously ignored), so it
-	// is a separate opt-in.
-	LumpLeaves bool
 }
+
+// minRun is the shortest series wire run (in segments) worth collapsing;
+// shorter runs pass through unchanged.
+const minRun = 4
 
 func (c Config) withDefaults() Config {
 	if c.TolPct <= 0 {
 		c.TolPct = 1
-	}
-	if c.MinRun <= 0 {
-		c.MinRun = 4
 	}
 	return c
 }
@@ -61,22 +52,15 @@ func (c Config) Signature() string {
 		return ""
 	}
 	c = c.withDefaults()
-	s := "|red:" + strconv.FormatFloat(c.TolPct, 'g', -1, 64) + ":" + strconv.Itoa(c.MinRun)
-	if c.LumpLeaves {
-		s += ":ll"
-	}
-	return s
+	return "|red:" + strconv.FormatFloat(c.TolPct, 'g', -1, 64) + ":" + strconv.Itoa(minRun)
 }
 
 // Stats reports what one Path call removed.
 type Stats struct {
-	// NodesRemoved counts circuit nodes eliminated (collapsed run interiors
-	// plus lumped leaf-subtree nodes).
+	// NodesRemoved counts circuit nodes eliminated (collapsed run interiors).
 	NodesRemoved int
 	// RunsCollapsed counts series wire runs actually replaced.
 	RunsCollapsed int
-	// LeavesLumped counts off-path subtree nodes folded into attach caps.
-	LeavesLumped int
 	// ErrMax is the largest reported second-moment mismatch estimate across
 	// the collapsed runs (≤ TolPct/100 by construction).
 	ErrMax float64
@@ -144,30 +128,18 @@ func Path(st *circuit.Stage, p *circuit.Path, loads map[string]float64, cfg Conf
 		for j < len(elems) && elems[j].Edge.Kind == circuit.KindWire && collapsible(elems[j-1].Upper) {
 			j++
 		}
-		if j-i >= cfg.MinRun {
+		if j-i >= minRun {
 			runs = append(runs, run{i, j})
 		}
 		i = j
 	}
-	if len(runs) == 0 && !cfg.LumpLeaves {
+	if len(runs) == 0 {
 		return p, loads, stats
 	}
 
-	// Copy-on-write load map: copied only once an actual rewrite happens.
-	// cow returns the writable map, copying the caller's on first use.
-	newLoads, copied := loads, false
-	cow := func() map[string]float64 {
-		if !copied {
-			m := make(map[string]float64, len(loads)+4)
-			for k, v := range loads {
-				m[k] = v
-			}
-			newLoads, copied = m, true
-		}
-		return newLoads
-	}
-
-	// Pass 2: rebuild the element list, replacing each collapsed run.
+	// Pass 2: rebuild the element list, replacing each collapsed run. The
+	// load map is copy-on-write: copied only once an actual rewrite happens.
+	newLoads := loads
 	newElems := make([]circuit.PathElem, 0, len(elems))
 	changed := false
 	next := 0
@@ -189,7 +161,13 @@ func Path(st *circuit.Stage, p *circuit.Path, loads map[string]float64, cfg Conf
 				k = j
 				continue
 			}
-			cow()
+			if !changed {
+				newLoads = make(map[string]float64, len(loads)+4)
+				for n, c := range loads {
+					newLoads[n] = c
+				}
+				changed = true
+			}
 			for q := i; q < j-1; q++ {
 				delete(newLoads, elems[q].Upper)
 			}
@@ -211,7 +189,6 @@ func Path(st *circuit.Stage, p *circuit.Path, loads map[string]float64, cfg Conf
 			if errEst > stats.ErrMax {
 				stats.ErrMax = errEst
 			}
-			changed = true
 			k = j
 			continue
 		}
@@ -219,112 +196,8 @@ func Path(st *circuit.Stage, p *circuit.Path, loads map[string]float64, cfg Conf
 		k++
 	}
 
-	if cfg.LumpLeaves {
-		changed = lumpLeaves(st, p, newElems, cow, devTouch, protected, &stats) || changed
-	}
 	if !changed {
 		return p, loads, stats
 	}
 	return &circuit.Path{Rail: p.Rail, Output: p.Output, Elems: newElems}, newLoads, stats
-}
-
-// lumpLeaves folds every off-path, wire-only leaf subtree into a single
-// capacitance at its on-path attach node: the subtree's total load moves to
-// the attach point (pessimistic — all its capacitance now charges through
-// the full upstream path) and the subtree's own load entries are dropped.
-// Subtrees that touch a device, a protected net or a second non-lumpable
-// node are left alone. Returns whether anything changed.
-func lumpLeaves(st *circuit.Stage, p *circuit.Path, pathElems []circuit.PathElem, cow func() map[string]float64, devTouch, protected map[string]bool, stats *Stats) bool {
-	onPath := map[string]bool{}
-	if len(pathElems) > 0 {
-		onPath[pathElems[0].Lower] = true
-	}
-	for _, pe := range pathElems {
-		onPath[pe.Upper] = true
-	}
-	pathEdges := map[*circuit.StageEdge]bool{}
-	for _, pe := range p.Elems {
-		pathEdges[pe.Edge] = true
-	}
-	// Adjacency over off-path wire edges, in st.Edges order so traversal —
-	// and therefore the float summation order of the lumped caps — is
-	// positionally deterministic across structurally identical stages.
-	adj := map[string][]*circuit.StageEdge{}
-	for _, e := range st.Edges {
-		if e.Kind != circuit.KindWire || pathEdges[e] {
-			continue
-		}
-		adj[e.Src] = append(adj[e.Src], e)
-		adj[e.Snk] = append(adj[e.Snk], e)
-	}
-	lumpable := func(n string) bool {
-		return !devTouch[n] && !protected[n] && !onPath[n]
-	}
-
-	changed := false
-	visited := map[string]bool{}
-	// Walk attach candidates in path order for determinism.
-	attachOrder := make([]string, 0, len(pathElems)+1)
-	if len(pathElems) > 0 {
-		attachOrder = append(attachOrder, pathElems[0].Lower)
-	}
-	for _, pe := range pathElems {
-		attachOrder = append(attachOrder, pe.Upper)
-	}
-	for _, a := range attachOrder {
-		for _, e := range adj[a] {
-			start := e.Src
-			if start == a {
-				start = e.Snk
-			}
-			if visited[start] || !lumpable(start) {
-				continue
-			}
-			// BFS the component; bail if it reconnects anywhere non-lumpable
-			// other than the attach node.
-			comp := []string{start}
-			visited[start] = true
-			ok := true
-			for qi := 0; qi < len(comp); qi++ {
-				for _, ee := range adj[comp[qi]] {
-					for _, nb := range [2]string{ee.Src, ee.Snk} {
-						if nb == comp[qi] || nb == a {
-							continue
-						}
-						if !lumpable(nb) {
-							ok = false
-							continue
-						}
-						if !visited[nb] {
-							visited[nb] = true
-							comp = append(comp, nb)
-						}
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			loads := cow()
-			sum := 0.0
-			any := false
-			for _, n := range comp {
-				if c, has := loads[n]; has {
-					sum += c
-					any = true
-				}
-			}
-			if !any {
-				continue
-			}
-			for _, n := range comp {
-				delete(loads, n)
-			}
-			loads[a] += sum
-			stats.LeavesLumped += len(comp)
-			stats.NodesRemoved += len(comp)
-			changed = true
-		}
-	}
-	return changed
 }

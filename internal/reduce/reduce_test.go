@@ -118,7 +118,7 @@ func TestPathDisabledAndShortRunsPassThrough(t *testing.T) {
 	p3, _ := circuit.LongestPath(st3, "out", "0")
 	rp, rl, _ := Path(st3, p3, loads3, Config{Enabled: true})
 	if rp != p3 {
-		t.Fatalf("run shorter than MinRun must pass through, got %d elems", len(rp.Elems))
+		t.Fatalf("run shorter than minRun must pass through, got %d elems", len(rp.Elems))
 	}
 	for k, v := range loads3 {
 		if rl[k] != v {
@@ -137,56 +137,22 @@ func TestPathTighterTolKeepsMoreSegments(t *testing.T) {
 	}
 }
 
+// TestSignature pins the literal cache-key suffixes: they name delay-cache
+// entries and disk namespaces, so they must never move.
 func TestSignature(t *testing.T) {
-	sigs := map[string]bool{}
-	for _, c := range []Config{
-		{},
-		{Enabled: true},
-		{Enabled: true, TolPct: 5},
-		{Enabled: true, TolPct: 5, MinRun: 8},
-		{Enabled: true, TolPct: 5, MinRun: 8, LumpLeaves: true},
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, ""},
+		{Config{TolPct: 5}, ""},
+		{Config{Enabled: true}, "|red:1:4"},
+		{Config{Enabled: true, TolPct: 1}, "|red:1:4"},
+		{Config{Enabled: true, TolPct: 5}, "|red:5:4"},
+		{Config{Enabled: true, TolPct: 0.5}, "|red:0.5:4"},
 	} {
-		s := c.Signature()
-		if c.Enabled == (s == "") {
-			t.Fatalf("signature %q inconsistent with Enabled=%v", s, c.Enabled)
+		if got := tc.cfg.Signature(); got != tc.want {
+			t.Errorf("%+v.Signature() = %q, want %q", tc.cfg, got, tc.want)
 		}
-		if s != "" && sigs[s] {
-			t.Fatalf("duplicate signature %q", s)
-		}
-		sigs[s] = true
-	}
-	if (Config{Enabled: true}).Signature() != (Config{Enabled: true, TolPct: 1, MinRun: 4}).Signature() {
-		t.Fatal("defaulted config must share the explicit-default signature")
-	}
-}
-
-func TestLumpLeaves(t *testing.T) {
-	st, loads := chainStage(12)
-	// Hang a two-node wire stub off an interior node; that node gains wire
-	// degree 3, so it splits the run and anchors the stub.
-	st.Edges = append(st.Edges,
-		&circuit.StageEdge{Kind: circuit.KindWire, Src: "wd", Snk: "s1", R: 100},
-		&circuit.StageEdge{Kind: circuit.KindWire, Src: "s1", Snk: "s2", R: 100},
-	)
-	st.Nodes = append(st.Nodes, "s1", "s2")
-	loads["s1"], loads["s2"] = 3e-15, 4e-15
-	p, err := circuit.LongestPath(st, "out", "0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rl, stats := Path(st, p, loads, Config{Enabled: true, LumpLeaves: true})
-	if stats.LeavesLumped != 2 {
-		t.Fatalf("LeavesLumped = %d, want 2", stats.LeavesLumped)
-	}
-	if _, ok := rl["s1"]; ok {
-		t.Fatal("stub load entry survived lumping")
-	}
-	if got := rl["wd"]; math.Abs(got-(loads["wd"]+7e-15)) > 1e-21 {
-		t.Fatalf("attach load = %g, want stub total folded in", got)
-	}
-	// Without LumpLeaves the stub must be left alone.
-	_, rl2, stats2 := Path(st, p, loads, Config{Enabled: true})
-	if stats2.LeavesLumped != 0 || rl2["s1"] != 3e-15 {
-		t.Fatal("leaf lumped without opt-in")
 	}
 }

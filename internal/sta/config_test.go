@@ -16,7 +16,7 @@ func TestConfigSignature(t *testing.T) {
 	}
 	distinct := map[string]Config{
 		"base":   base,
-		"reduce": {Reduction: reduce.Config{Enabled: true, TolPct: 2, MinRun: 3}},
+		"reduce": {Reduction: reduce.Config{Enabled: true, TolPct: 2}},
 		"memo":   {Memo: MemoConfig{Enabled: true}},
 		"interp": {Memo: MemoConfig{Enabled: true, Interp: true}},
 		"budget": {Budget: EvalBudget{NRIters: 100}},

@@ -256,16 +256,6 @@ func TestFPTableCap(t *testing.T) {
 	if _, ok := tab.lookup("a"); ok {
 		t.Fatal("flushed entry survived")
 	}
-	// Cap resolution: 0 → default, negative → unbounded.
-	if c := (MemoConfig{}).fpCap(); c != defaultFPCap {
-		t.Fatalf("default cap %d", c)
-	}
-	if c := (MemoConfig{FPCap: -1}).fpCap(); c != 0 {
-		t.Fatalf("negative cap %d", c)
-	}
-	if c := (MemoConfig{FPCap: 7}).fpCap(); c != 7 {
-		t.Fatalf("explicit cap %d", c)
-	}
 }
 
 // singleInverter builds one inverter in → out with a load cap.

@@ -30,32 +30,17 @@ type MemoConfig struct {
 	// share the snap-mode ("|b") key namespace, so a slew sitting exactly on
 	// a bucket floor is bit-identical to snap mode and costs one eval.
 	Interp bool
-	// FPCap bounds the raw-key → class-key memo (fpTable): when an insert
-	// would grow the table past the cap, the table is flushed and the
-	// flushed entries are counted on the "sta/class/fp_evictions" metric.
-	// Resolutions are cheap to recompute, so a rare full flush beats LRU
-	// bookkeeping on the gather-phase hot path. 0 means the default
-	// (65536 entries); negative means unbounded. FPCap does not affect
-	// cache-key namespaces (it is absent from Signature).
-	FPCap int
 }
 
-// defaultFPCap bounds fpTable when MemoConfig.FPCap is 0. At two entries per
-// (stage, output) — one per rail — 65536 covers ~32k live stage outputs,
-// far beyond the workloads here, while capping worst-case churn memory.
+// defaultFPCap bounds the raw-key → class-key memo (fpTable): when an insert
+// would grow the table past it, the table is flushed and the flushed entries
+// are counted on the "sta/class/fp_evictions" metric. Resolutions are cheap
+// to recompute, so a rare full flush beats LRU bookkeeping on the
+// gather-phase hot path. At two entries per (stage, output) — one per rail —
+// 65536 covers ~32k live stage outputs, far beyond the workloads here, while
+// capping worst-case churn memory. The bound is absent from Signature: it
+// never changes a cache key.
 const defaultFPCap = 65536
-
-// fpCap resolves the effective fpTable bound: cap <= 0 with FPCap < 0 means
-// unlimited.
-func (m MemoConfig) fpCap() int {
-	switch {
-	case m.FPCap > 0:
-		return m.FPCap
-	case m.FPCap < 0:
-		return 0
-	}
-	return defaultFPCap
-}
 
 // Signature distinguishes memoized key namespaces; class keys additionally
 // carry the "C|" prefix so they can never collide with raw keys.
@@ -96,16 +81,15 @@ func (t *fpTable) lookupB(raw []byte) (string, bool) {
 }
 
 // store inserts one resolution, flushing the whole table first when the
-// insert would exceed cap (cap <= 0 means unbounded). It returns the number
-// of entries evicted by that flush so the caller can feed the eviction
-// metric without holding the lock.
+// insert would exceed cap. It returns the number of entries evicted by that
+// flush so the caller can feed the eviction metric without holding the lock.
 func (t *fpTable) store(raw, canon string, cap int) int {
 	t.mu.Lock()
 	if t.m == nil {
 		t.m = map[string]string{}
 	}
 	evicted := 0
-	if _, exists := t.m[raw]; !exists && cap > 0 && len(t.m) >= cap {
+	if _, exists := t.m[raw]; !exists && len(t.m) >= cap {
 		evicted = len(t.m)
 		t.m = make(map[string]string, cap/4)
 	}
@@ -163,7 +147,7 @@ func (a *Analyzer) classBase(raw string, st *circuit.Stage, out, rail string, lo
 	if ok {
 		canon = "C|" + redSig + "|" + fp + "|" + rail
 	}
-	if evicted := a.fp.store(raw, canon, a.cfg.Memo.fpCap()); evicted > 0 {
+	if evicted := a.fp.store(raw, canon, defaultFPCap); evicted > 0 {
 		if a.ms != nil {
 			a.ms.fpEvictions.Add(int64(evicted))
 		}

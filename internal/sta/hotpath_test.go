@@ -131,7 +131,7 @@ func TestMemoInterpTightensSnapping(t *testing.T) {
 // 8-worker run produce bit-identical arrivals, critical path, evaluation
 // counts and class accounting.
 func TestFeaturesOnWorkersIdentical(t *testing.T) {
-	red := reduce.Config{Enabled: true, LumpLeaves: true}
+	red := reduce.Config{Enabled: true}
 	memo := MemoConfig{Enabled: true, Interp: true}
 	serial := wideFixture(t, 8, 24, 1, red, memo)
 	parallel := wideFixture(t, 8, 24, 8, red, memo)

@@ -36,8 +36,8 @@ func runTraced(t *testing.T, workers int) (*obs.Registry, *obs.RequestTrace, *Re
 // exported Chrome trace end to end: valid JSON in the object format, one
 // analyze span, one span per level, one eval span per work item carrying
 // the cache outcome, tier and solver statistics, balanced (non-negative,
-// bounded) durations, evals nested inside the analysis, and one eval lane
-// per worker slot.
+// bounded) durations, evals nested inside the analysis, and evals spread
+// over more than one worker lane.
 func TestTraceDecoderSmoke(t *testing.T) {
 	_, rt, _ := runTraced(t, 4)
 	b, err := rt.ChromeJSON(false)
@@ -57,7 +57,6 @@ func TestTraceDecoderSmoke(t *testing.T) {
 
 	var analyze, level, eval, meta int
 	var aStart, aEnd float64
-	evalTids := map[int]bool{}
 	for _, ev := range parsed.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -78,7 +77,6 @@ func TestTraceDecoderSmoke(t *testing.T) {
 			level++
 		default:
 			eval++
-			evalTids[ev.Tid] = true
 		}
 	}
 	// Decoder fixture: 19 stages / 38 items over 3 levels.
@@ -89,9 +87,18 @@ func TestTraceDecoderSmoke(t *testing.T) {
 		t.Fatalf("metadata events = %d, want >= 2", meta)
 	}
 	// Lanes are a scheduling outcome: with one P a single worker goroutine
-	// may drain a whole level before the others run.
-	if runtime.GOMAXPROCS(0) > 1 && len(evalTids) < 2 {
-		t.Errorf("eval spans on tids %v, want more than one worker lane at Workers 4", evalTids)
+	// may drain a whole level before the others run, and on a loaded machine
+	// so may one of several. The check therefore asks that one of a bounded
+	// number of fresh traced analyses spreads its evals over two lanes.
+	if runtime.GOMAXPROCS(0) > 1 {
+		tids := evalLanes(t, rt)
+		for try := 1; len(tids) < 2 && try < 20; try++ {
+			_, rt, _ := runTraced(t, 4)
+			tids = evalLanes(t, rt)
+		}
+		if len(tids) < 2 {
+			t.Errorf("eval spans on tids %v in 20 analyses, want more than one worker lane at Workers 4", tids)
+		}
 	}
 	for _, ev := range parsed.TraceEvents {
 		if ev.Ph != "X" || ev.Tid == 0 {
@@ -112,6 +119,28 @@ func TestTraceDecoderSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalLanes returns the thread IDs that a trace's eval spans sit on.
+func evalLanes(t *testing.T, rt *obs.RequestTrace) map[int]bool {
+	t.Helper()
+	b, err := rt.ChromeJSON(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []obs.TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	tids := map[int]bool{}
+	for _, ev := range parsed.TraceEvents {
+		if ev.Ph == "X" && ev.Name != "analyze" && !strings.HasPrefix(ev.Name, "level ") {
+			tids[ev.Tid] = true
+		}
+	}
+	return tids
 }
 
 // TestTraceDeterministicWorkersByteIdentical pins the acceptance criterion:
