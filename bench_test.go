@@ -393,13 +393,6 @@ func BenchmarkSolverKernels(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = float64(i + 1)
 	}
-	b.Run("shermanMorrison", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tri.SolveRankOne(u, v, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("shermanMorrisonInto", func(b *testing.B) {
 		x := make([]float64, n)
 		y := make([]float64, n)

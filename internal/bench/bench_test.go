@@ -31,18 +31,9 @@ func getHarness(t testing.TB) *Harness {
 // (the paper reports ~1.1 % average on gates, 3.66 % worst on stacks).
 func TestAccuracyGates(t *testing.T) {
 	h := getHarness(t)
-	gates := []*stages.Workload{}
-	inv, err := stages.Inverter(h.Tech, 0.8e-6, 1.6e-6, 15e-15, 0)
+	gates, err := stages.TableI(h.Tech)
 	if err != nil {
 		t.Fatal(err)
-	}
-	gates = append(gates, inv)
-	for _, n := range []int{2, 3, 4} {
-		g, err := stages.NAND(h.Tech, n, 0.8e-6, 1.6e-6, 15e-15, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gates = append(gates, g)
 	}
 	sum := 0.0
 	for _, w := range gates {

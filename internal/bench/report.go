@@ -17,46 +17,31 @@ import (
 // minimum-size logic gates (inv, nand2, nand3, nand4) at 1 ps and 10 ps
 // steps.
 func (h *Harness) Table1() ([]*Row, error) {
-	var rows []*Row
-	inv, err := stages.Inverter(h.Tech, 0.8e-6, 1.6e-6, 15e-15, 0)
+	ws, err := stages.TableI(h.Tech)
 	if err != nil {
 		return nil, err
 	}
-	ws := []*stages.Workload{inv}
-	for _, n := range []int{2, 3, 4} {
-		g, err := stages.NAND(h.Tech, n, 0.8e-6, 1.6e-6, 15e-15, 0)
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, g)
+	return h.compareRows(ws)
+}
+
+// Table2 regenerates the paper's Table II: randomly sized NMOS stacks of
+// length 5–10, three width configurations each.
+func (h *Harness) Table2() ([]*Row, error) {
+	ws, err := stages.TableII(h.Tech)
+	if err != nil {
+		return nil, err
 	}
+	return h.compareRows(ws)
+}
+
+func (h *Harness) compareRows(ws []*stages.Workload) ([]*Row, error) {
+	rows := make([]*Row, 0, len(ws))
 	for _, w := range ws {
 		row, err := h.CompareRow(w, qwm.Options{})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Table2 regenerates the paper's Table II: randomly sized NMOS stacks of
-// length 5–10, three width configurations each.
-func (h *Harness) Table2() ([]*Row, error) {
-	var rows []*Row
-	for k := 5; k <= 10; k++ {
-		for cfg := 0; cfg < 3; cfg++ {
-			w, err := stages.RandomStack(h.Tech, k, int64(k*10+cfg))
-			if err != nil {
-				return nil, err
-			}
-			w.Name = fmt.Sprintf("%d/ckt%d", k, cfg+1)
-			row, err := h.CompareRow(w, qwm.Options{})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
 	}
 	return rows, nil
 }

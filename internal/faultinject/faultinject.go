@@ -24,9 +24,13 @@ import (
 //
 //   - NRDivergence fails a QWM region solve outright, as a Newton
 //     non-convergence near a flat region would (site: qwm.solveRegion).
-//   - PivotBreakdown forces the tridiagonal Thomas sweep's near-zero-pivot
-//     error path, exercising the in-scratch dense-LU recovery (site:
-//     qwm regionSys.newton).
+//   - PivotBreakdown forces the tridiagonal Thomas sweep's breakdown error
+//     path, exercising the in-scratch dense-LU recovery (site: qwm
+//     regionSys.newton). The recovered Newton step is the same step solved
+//     by a different elimination, so it differs from the Thomas step in the
+//     last bits: results must match the clean run within PivotRecoveryTol
+//     with identical tiers, critical path and worst output, and nothing may
+//     degrade.
 //   - Panic raises a synthetic panic inside a worker-side tier evaluation,
 //     exercising the recover() isolation that converts panics into typed
 //     ErrPanicRecovered evaluation errors (site: sta degradation ladder).
@@ -50,6 +54,12 @@ import (
 // so the injected network weather is schedule-independent: the same keys
 // suffer the same faults no matter how workers interleave their requests.
 type Class uint8
+
+// PivotRecoveryTol is the relative bound within which every arrival, slew
+// and the worst arrival of a PivotBreakdown-faulted analysis must match the
+// clean one. The dense-LU recovery rounds differently from the Thomas +
+// Sherman–Morrison step it replaces; measured differences stay below 3e-13.
+const PivotRecoveryTol = 1e-10
 
 const (
 	NRDivergence Class = iota

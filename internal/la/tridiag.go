@@ -74,35 +74,26 @@ func (t *Tridiag) MulVec(x []float64) []float64 {
 	return y
 }
 
-// Solve solves T·x = b with the Thomas algorithm in O(n). It returns
-// ErrSingular when a pivot underflows; callers should then fall back to the
-// dense LU path (the Thomas algorithm does not pivot).
-func (t *Tridiag) Solve(b []float64) ([]float64, error) {
-	n := t.N()
-	if len(b) != n {
-		panic("la: Tridiag.Solve dimension mismatch")
-	}
-	x := make([]float64, n)
-	cp := make([]float64, n-1) // modified superdiagonal
-	if err := t.SolveInto(b, x, cp); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto is the allocation-free Thomas solve: x receives the solution and
-// cp is caller-provided scratch of length ≥ n−1 (the modified
-// superdiagonal). b and x may alias — the forward sweep reads b[i] before
-// writing x[i]. This is the QWM Newton hot path's kernel; it performs zero
-// heap allocations.
+// SolveInto solves T·x = b with the Thomas algorithm in O(n), without
+// allocating: x receives the solution and cp is caller-provided scratch of
+// length ≥ n−1 (the modified superdiagonal). b and x may alias — the
+// forward sweep reads b[i] before writing x[i]. This is the QWM Newton hot
+// path's kernel.
+//
+// The Thomas algorithm does not pivot, so it returns ErrSingular when a
+// pivot vanishes; callers then fall back to the dense LU path. The
+// breakdown test is scale-free: each pivot is compared only with the terms
+// of its own row that formed it, never with entries of other rows. The QWM
+// Jacobian's rows are in different units (a node row near 1e-12, the event
+// row near 1e11), so a test against the whole matrix's largest entry would
+// flag healthy pivots in the small rows.
 func (t *Tridiag) SolveInto(b, x, cp []float64) error {
 	n := t.N()
 	if len(b) != n || len(x) != n || len(cp) < n-1 {
 		panic("la: Tridiag.SolveInto dimension mismatch")
 	}
-	tiny := 1e-14 * t.scale()
 	d0 := t.Diag[0]
-	if math.Abs(d0) <= tiny {
+	if d0 == 0 {
 		return ErrSingular
 	}
 	if n > 1 {
@@ -110,8 +101,10 @@ func (t *Tridiag) SolveInto(b, x, cp []float64) error {
 	}
 	x[0] = b[0] / d0
 	for i := 1; i < n; i++ {
-		den := t.Diag[i] - t.Sub[i-1]*cp[i-1]
-		if math.Abs(den) <= tiny {
+		elim := t.Sub[i-1] * cp[i-1]
+		den := t.Diag[i] - elim
+		// Cancellation: the pivot is lost in the rounding of its own terms.
+		if math.Abs(den) <= 1e-14*(math.Abs(t.Diag[i])+math.Abs(elim)) {
 			return ErrSingular
 		}
 		if i < n-1 {
@@ -125,53 +118,16 @@ func (t *Tridiag) SolveInto(b, x, cp []float64) error {
 	return nil
 }
 
-// scale returns the largest element magnitude, used to flag pivots that are
-// zero or negligibly small, where elimination without pivoting would blow
-// up.
-func (t *Tridiag) scale() float64 {
-	scale := 0.0
-	for _, v := range t.Diag {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	for _, v := range t.Sub {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	for _, v := range t.Sup {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	return scale
-}
-
-// SolveRankOne solves (T + u·vᵀ)·x = b via the Sherman–Morrison formula
+// SolveRankOneInto solves (T + u·vᵀ)·x = b via the Sherman–Morrison formula
 // (paper §IV-B, after Numerical Recipes): two Thomas solves,
 //
 //	T·y = b,  T·z = u,  x = y − v·y / (1 + v·z) · z.
 //
 // This is how QWM handles the Jacobian's dense last column while keeping the
-// O(n) tridiagonal solve. Returns ErrSingular if T is singular to the Thomas
-// algorithm or if 1 + vᵀz vanishes.
-func (t *Tridiag) SolveRankOne(u, v, b []float64) ([]float64, error) {
-	n := t.N()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	cp := make([]float64, n-1)
-	if err := t.SolveRankOneInto(u, v, b, x, y, z, cp); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveRankOneInto is the allocation-free Sherman–Morrison solve:
-// (T + u·vᵀ)·x = b with the solution written into x. y, z and cp are
-// caller-provided scratch of lengths n, n and ≥ n−1: y and z receive the two
-// intermediate Thomas solves T·y = b and T·z = u. x must not alias y or z.
+// O(n) tridiagonal solve. The solution is written into x; y, z and cp are
+// caller-provided scratch of lengths n, n and ≥ n−1 (y and z receive the two
+// intermediate solves), and x must not alias y or z. Returns ErrSingular if
+// T is singular to the Thomas algorithm or if 1 + vᵀz vanishes.
 func (t *Tridiag) SolveRankOneInto(u, v, b, x, y, z, cp []float64) error {
 	n := t.N()
 	if len(u) != n || len(v) != n || len(b) != n || len(x) != n || len(y) != n || len(z) != n || len(cp) < n-1 {

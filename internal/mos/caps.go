@@ -24,45 +24,44 @@ func (p *Params) DefaultJunction(w float64) Junction {
 // smoothly). This is the voltage-dependent parasitic the paper's Definition 2
 // exposes through srcCap/snkCap.
 func (p *Params) JunctionCap(j Junction, vr float64) float64 {
-	// Clamp the bias so the (1 + V/PB) factor stays positive: below
-	// −0.5·PB the depletion approximation has no meaning anyway.
-	if vr < -0.5*p.PB {
-		vr = -0.5 * p.PB
-	}
-	f := 1 + vr/p.PB
-	return p.CJ*j.Area/math.Pow(f, p.MJ) + p.CJSW*j.Perim/math.Pow(f, p.MJSW)
+	c, _ := p.JunctionCQ(j, vr)
+	return c
 }
 
 // JunctionCharge returns the depletion charge stored on a diffusion junction
 // at reverse bias vr, i.e. the integral of JunctionCap from 0 to vr. The
 // SPICE substrate integrates charge rather than capacitance so that its
-// nonlinear parasitics conserve charge exactly. Below the −0.5·PB clamp the
-// charge continues linearly with the clamped capacitance.
+// nonlinear parasitics conserve charge exactly.
 func (p *Params) JunctionCharge(j Junction, vr float64) float64 {
-	clamp := -0.5 * p.PB
-	lin := 0.0
-	if vr < clamp {
-		lin = (vr - clamp) * p.JunctionCap(j, clamp)
-		vr = clamp
-	}
-	area := p.CJ * j.Area * p.PB / (1 - p.MJ) * (1 - math.Pow(1+vr/p.PB, 1-p.MJ))
-	side := p.CJSW * j.Perim * p.PB / (1 - p.MJSW) * (1 - math.Pow(1+vr/p.PB, 1-p.MJSW))
-	// Charge of a reverse-biased junction decreases with vr in this sign
-	// convention (capacitor discharges as depletion widens); return the
-	// stored charge as the integral ∫C dv, which is positive for vr > 0.
-	return -(area + side) + lin
+	_, q := p.JunctionCQ(j, vr)
+	return q
 }
 
-// JunctionCapAtNode converts a node voltage into the reverse bias seen by a
-// diffusion tied to that node: for NMOS the junction is diffusion-to-ground
-// (reverse bias = v), for PMOS diffusion-to-nwell at VDD (reverse bias =
-// vdd − v).
-func (p *Params) JunctionCapAtNode(j Junction, v, vdd float64) float64 {
-	vr := v
-	if p.Pol == PMOS {
-		vr = vdd - v
+// JunctionCQ returns a junction's capacitance and charge at reverse bias vr
+// together, from one logarithm and two exponentials: with f = 1 + vr/PB,
+//
+//	C = CJ·A·f^(−MJ) + CJSW·P·f^(−MJSW)
+//	Q = ∫₀^vr C dv = CJ·A·PB/(1−MJ)·(f^(1−MJ) − 1) + (same for the sidewall)
+//
+// where f^(1−m) = f·f^(−m) reuses the capacitance's power. Q is positive for
+// vr > 0. The bias is clamped at −0.5·PB, where the (1 + V/PB) factor would
+// approach zero and the depletion approximation has no meaning; below the
+// clamp C stays at its clamped value and Q continues linearly with it.
+func (p *Params) JunctionCQ(j Junction, vr float64) (c, q float64) {
+	lin := 0.0
+	if clamp := -0.5 * p.PB; vr < clamp {
+		lin = vr - clamp
+		vr = clamp
 	}
-	return p.JunctionCap(j, vr)
+	f := 1 + vr/p.PB
+	lnf := math.Log(f)
+	fa := math.Exp(-p.MJ * lnf)   // f^(−MJ)
+	fs := math.Exp(-p.MJSW * lnf) // f^(−MJSW)
+	ca := p.CJ * j.Area
+	cs := p.CJSW * j.Perim
+	c = ca*fa + cs*fs
+	q = ca*p.PB/(1-p.MJ)*(f*fa-1) + cs*p.PB/(1-p.MJSW)*(f*fs-1) + lin*c
+	return c, q
 }
 
 // GateCap returns the total gate input capacitance of a device: intrinsic

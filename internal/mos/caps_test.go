@@ -1,6 +1,7 @@
 package mos
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -38,22 +39,6 @@ func TestJunctionCapForwardBiasClamped(t *testing.T) {
 	climit := tech.N.JunctionCap(j, -0.5*tech.N.PB)
 	if c != climit {
 		t.Errorf("deep forward bias should clamp: %g vs %g", c, climit)
-	}
-}
-
-func TestJunctionCapAtNodePolarity(t *testing.T) {
-	j := tech.N.DefaultJunction(1e-6)
-	// NMOS diffusion at a high node is strongly reverse biased -> small cap.
-	nHigh := tech.N.JunctionCapAtNode(j, 3.3, 3.3)
-	nLow := tech.N.JunctionCapAtNode(j, 0, 3.3)
-	if nHigh >= nLow {
-		t.Errorf("NMOS junction cap should be smaller at high node: %g vs %g", nHigh, nLow)
-	}
-	jp := tech.P.DefaultJunction(1e-6)
-	pHigh := tech.P.JunctionCapAtNode(jp, 3.3, 3.3)
-	pLow := tech.P.JunctionCapAtNode(jp, 0, 3.3)
-	if pLow >= pHigh {
-		t.Errorf("PMOS junction cap should be smaller at low node: %g vs %g", pLow, pHigh)
 	}
 }
 
@@ -116,5 +101,48 @@ func TestJunctionCapMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// JunctionCQ shares one logarithm between C and Q; it must agree with the
+// textbook closed forms (two math.Pow per term) to rounding, through the
+// forward-bias clamp and its linear charge continuation, for both
+// polarities' parameter sets.
+func TestJunctionCQMatchesClosedForms(t *testing.T) {
+	closed := func(p *Params, j Junction, vr float64) (c, q float64) {
+		clamp := -0.5 * p.PB
+		lin := 0.0
+		if vr < clamp {
+			lin = vr - clamp
+			vr = clamp
+		}
+		f := 1 + vr/p.PB
+		c = p.CJ*j.Area/math.Pow(f, p.MJ) + p.CJSW*j.Perim/math.Pow(f, p.MJSW)
+		q = p.CJ*j.Area*p.PB/(1-p.MJ)*(math.Pow(f, 1-p.MJ)-1) +
+			p.CJSW*j.Perim*p.PB/(1-p.MJSW)*(math.Pow(f, 1-p.MJSW)-1) + lin*c
+		return c, q
+	}
+	rel := func(got, want float64) float64 {
+		if want == 0 {
+			return math.Abs(got)
+		}
+		return math.Abs(got-want) / math.Abs(want)
+	}
+	for _, p := range []*Params{&tech.N, &tech.P} {
+		j := p.DefaultJunction(1.3e-6)
+		for i := 0; i <= 110; i++ {
+			vr := -1 + 0.05*float64(i) // −1 … 4.5 V, clamp at −0.4 V
+			c, q := p.JunctionCQ(j, vr)
+			wc, wq := closed(p, j, vr)
+			if e := rel(c, wc); e > 1e-13 {
+				t.Errorf("pol %v vr %.2f: C = %.17g, closed form %.17g (rel %.2g)", p.Pol, vr, c, wc, e)
+			}
+			if e := rel(q, wq); e > 1e-13 {
+				t.Errorf("pol %v vr %.2f: Q = %.17g, closed form %.17g (rel %.2g)", p.Pol, vr, q, wq, e)
+			}
+			if c != p.JunctionCap(j, vr) || q != p.JunctionCharge(j, vr) {
+				t.Errorf("pol %v vr %.2f: JunctionCap/JunctionCharge differ from JunctionCQ", p.Pol, vr)
+			}
+		}
 	}
 }

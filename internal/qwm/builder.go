@@ -117,7 +117,7 @@ func Build(bi BuildInput) (*Chain, error) {
 			if junc == (mos.Junction{}) {
 				junc = tp.DefaultJunction(edge.W)
 			}
-			nc.Junctions = append(nc.Junctions, JunctionAt{P: tp, J: junc})
+			nc.addJunction(tp, junc)
 			srcHalf, _ := tp.ChannelCapSplit(edge.W, edge.L)
 			nc.Fixed += tp.OverlapCap(edge.W) + srcHalf
 		}

@@ -1,6 +1,7 @@
 package qwm
 
 import (
+	"math"
 	"testing"
 
 	"qwm/internal/circuit"
@@ -33,12 +34,26 @@ func TestBuildFromNANDStage(t *testing.T) {
 	if outCap.Fixed < 10e-15 {
 		t.Errorf("output fixed cap %g misses the explicit load", outCap.Fixed)
 	}
-	if len(outCap.Junctions) < 4 { // top NMOS + 3 PMOS junctions
-		t.Errorf("output has %d junction contributions, want ≥ 4", len(outCap.Junctions))
+	// Junctions sharing device parameters are merged into one entry: the
+	// top NMOS and the three PMOS drains give one NMOS and one PMOS entry.
+	if len(outCap.Junctions) != 2 {
+		t.Fatalf("output has %d junction entries, want 2", len(outCap.Junctions))
 	}
-	// Internal nodes carry two junctions each (devices above and below).
-	if len(ch.Caps[0].Junctions) != 2 {
-		t.Errorf("internal node junctions = %d, want 2", len(ch.Caps[0].Junctions))
+	if outCap.Junctions[0].P != &tech.N || outCap.Junctions[1].P != &tech.P {
+		t.Errorf("output junction entries are not (NMOS, PMOS)")
+	}
+	if got, want := outCap.Junctions[1].J.Area, 3*tech.P.DefaultJunction(2e-6).Area; math.Abs(got-want) > 1e-12*want {
+		t.Errorf("output PMOS junction area = %g, want %g (three drains)", got, want)
+	}
+	// An internal node's two NMOS junctions (devices above and below) merge
+	// into one entry carrying both areas and perimeters.
+	in := ch.Caps[0].Junctions
+	if len(in) != 1 {
+		t.Fatalf("internal node junction entries = %d, want 1", len(in))
+	}
+	one := tech.N.DefaultJunction(1e-6)
+	if in[0].P != &tech.N || in[0].J.Area != 2*one.Area || in[0].J.Perim != 2*one.Perim {
+		t.Errorf("internal node junction = %+v, want NMOS with twice %+v", in[0].J, one)
 	}
 	res, err := Evaluate(ch, Options{})
 	if err != nil {
@@ -143,5 +158,36 @@ func TestBuildPMOSPullUpPath(t *testing.T) {
 	_, t1 := res.Output.Span()
 	if v := res.Output.Eval(t1); v < 0.9*tech.VDD {
 		t.Errorf("pull-up output final = %g, want near VDD", v)
+	}
+}
+
+// The Thomas breakdown test is scale-free, so the paper's own circuits
+// never leave the O(K) Thomas + Sherman–Morrison path: no Table I or
+// Table II stage records a dense-LU fallback without an injected fault.
+func TestPaperTablesStayOnThomasPath(t *testing.T) {
+	t1, err := stages.TableI(tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := stages.TableII(tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range append(t1, t2...) {
+		ch, err := Build(BuildInput{
+			Tech: tech, Lib: testLib,
+			Stage: w.Stage, Path: w.Path,
+			Inputs: w.Inputs, Loads: w.Loads, V0: w.IC,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		res, err := Evaluate(ch, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if res.Stats.NRIters == 0 || res.Stats.DenseFallbacks != 0 {
+			t.Errorf("%s: %d dense-LU fallbacks in %d NR iterations, want 0", w.Name, res.Stats.DenseFallbacks, res.Stats.NRIters)
+		}
 	}
 }

@@ -38,7 +38,8 @@ type Elem struct {
 func (e *Elem) IsWire() bool { return e.Model == nil }
 
 // JunctionAt is a voltage-dependent junction capacitance contribution to a
-// chain node from some device (on-path or off-path).
+// chain node from the devices (on-path or off-path) that share one set of
+// parameters: J is their summed geometry.
 type JunctionAt struct {
 	P *mos.Params
 	J mos.Junction
@@ -53,36 +54,57 @@ type NodeCap struct {
 	Junctions []JunctionAt
 }
 
+// addJunction adds a junction to the node, folding it into an existing
+// entry with the same device parameters. Junction capacitance and charge
+// are linear in Area and Perim, so summing the geometry is exact, and each
+// distinct parameter set costs one evaluation per node and bias.
+func (nc *NodeCap) addJunction(p *mos.Params, j mos.Junction) {
+	for i := range nc.Junctions {
+		if ja := &nc.Junctions[i]; ja.P == p {
+			ja.J.Area += j.Area
+			ja.J.Perim += j.Perim
+			return
+		}
+	}
+	nc.Junctions = append(nc.Junctions, JunctionAt{P: p, J: j})
+}
+
 // At evaluates the node capacitance at a folded node voltage. vdd and the
 // chain polarity convert the folded voltage to each junction's reverse bias.
 func (nc *NodeCap) At(vFolded, vdd float64, chainPol mos.Polarity) float64 {
-	c := nc.Fixed
-	for _, ja := range nc.Junctions {
-		c += ja.P.JunctionCapAtNode(ja.J, unfold(vFolded, vdd, chainPol), vdd)
-	}
+	c, _ := nc.CQ(vFolded, vdd, chainPol)
 	return c
 }
 
-// Secant evaluates the effective (charge-based) capacitance over a folded
-// voltage excursion [v1, v2]: ΔQ/ΔV for each junction, which makes the
-// endpoint of a constant-capacitance region exact even though the junction
-// capacitance varies across the region.
-func (nc *NodeCap) Secant(v1, v2, vdd float64, chainPol mos.Polarity) float64 {
-	if math.Abs(v2-v1) < 1e-6 {
-		return nc.At(v1, vdd, chainPol)
-	}
-	c := nc.Fixed
+// CQ evaluates the node capacitance and its oriented junction charge at a
+// folded node voltage. The charge is q = Σ ±Q_j, each junction's sign chosen
+// so that dq/dv (folded) is that junction's capacitance: + when its reverse
+// bias rises with the folded voltage (its polarity matches the chain's),
+// − otherwise. Q is a state function, so Secant can take any two values of q
+// as the charge moved over an excursion.
+func (nc *NodeCap) CQ(vFolded, vdd float64, chainPol mos.Polarity) (c, q float64) {
+	c = nc.Fixed
 	for _, ja := range nc.Junctions {
-		r1 := reverseBias(ja.P, unfold(v1, vdd, chainPol), vdd)
-		r2 := reverseBias(ja.P, unfold(v2, vdd, chainPol), vdd)
-		if math.Abs(r2-r1) < 1e-9 {
-			c += ja.P.JunctionCapAtNode(ja.J, unfold(v1, vdd, chainPol), vdd)
-			continue
+		vr := reverseBias(ja.P, unfold(vFolded, vdd, chainPol), vdd)
+		cj, qj := ja.P.JunctionCQ(ja.J, vr)
+		c += cj
+		if ja.P.Pol == chainPol {
+			q += qj
+		} else {
+			q -= qj
 		}
-		dq := ja.P.JunctionCharge(ja.J, r2) - ja.P.JunctionCharge(ja.J, r1)
-		c += math.Abs(dq / (r2 - r1))
 	}
-	return c
+	return c, q
+}
+
+// Secant evaluates the effective (charge-based) capacitance ΔQ/ΔV over a
+// folded voltage excursion from v1, where the oriented charge is q1 (from
+// CQ), to v2 ≠ v1. It makes the endpoint of a constant-capacitance region
+// exact even though the junction capacitance varies across the region, and
+// costs one junction evaluation, at v2.
+func (nc *NodeCap) Secant(v1, q1, v2, vdd float64, chainPol mos.Polarity) float64 {
+	_, q2 := nc.CQ(v2, vdd, chainPol)
+	return nc.Fixed + math.Abs((q2-q1)/(v2-v1))
 }
 
 func unfold(vFolded, vdd float64, chainPol mos.Polarity) float64 {

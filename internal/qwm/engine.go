@@ -2,6 +2,7 @@ package qwm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qwm/internal/faultinject"
@@ -98,7 +99,7 @@ func (o *Options) withDefaults(k int) Options {
 // Stats is the per-evaluation solver accounting: how many regions the
 // transient decomposed into, the total Newton iterations across every
 // region solve (joint and inner), how often the tridiagonal Thomas sweep
-// hit a near-zero pivot and recovered through the dense-LU workspace, and
+// broke down on a vanishing pivot and recovered through the dense-LU workspace, and
 // how many secant-capacitance re-solves ran. All four are counted in the
 // engine's pooled state, so instrumenting an evaluation allocates nothing.
 type Stats struct {
@@ -159,6 +160,7 @@ type engine struct {
 	v       []float64 // folded node voltages, index 0..m (v[0] = rail = 0)
 	cur     []float64 // node currents C·dV/dt, index 1..m (cur[0] unused)
 	capn    []float64 // frozen node capacitances for the current region, 1..m
+	qn      []float64 // oriented junction charges at the region start, 1..m
 	segs    []*wave.PWQ
 	front   int // index of the first off transistor element; m when all on
 	prevDur float64
@@ -225,14 +227,15 @@ func newEngine(ch *Chain, opts Options) (*engine, error) {
 		v:    scr.v[:m+1],
 		cur:  scr.cur[:m+1],
 		capn: scr.capn[:m+1],
+		qn:   scr.qn[:m+1],
 		segs: make([]*wave.PWQ, m),
 		res:  &Result{},
 		scr:  scr,
 	}
-	e.v[0], e.cur[0], e.capn[0] = 0, 0, 0
+	e.v[0], e.cur[0], e.capn[0], e.qn[0] = 0, 0, 0, 0
 	for k := 1; k <= m; k++ {
 		e.v[k] = ch.V0[k-1]
-		e.cur[k], e.capn[k] = 0, 0
+		e.cur[k], e.capn[k], e.qn[k] = 0, 0, 0
 		e.segs[k-1] = &wave.PWQ{}
 	}
 	if o.WallBudget > 0 {
@@ -412,10 +415,11 @@ func (e *engine) advanceFront() {
 }
 
 // refreshCaps freezes the node capacitances at the current voltages — the
-// constant-parasitic-per-region assumption of §III-C.
+// constant-parasitic-per-region assumption of §III-C — and keeps the
+// region-start charges for the secant pass.
 func (e *engine) refreshCaps() {
 	for k := 1; k <= e.m; k++ {
-		e.capn[k] = e.ch.Caps[k-1].At(e.v[k], e.ch.VDD, e.ch.Pol)
+		e.capn[k], e.qn[k] = e.ch.Caps[k-1].CQ(e.v[k], e.ch.VDD, e.ch.Pol)
 	}
 }
 
@@ -514,12 +518,7 @@ func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, 
 	}
 	if !e.o.FreezeCaps {
 		// Secant-capacitance second pass, as in solveRegionSecant.
-		e.res.Stats.CapResolves++
-		saved := e.scr.capSaved[:len(e.capn)]
-		copy(saved, e.capn)
-		for k := 1; k <= L; k++ {
-			e.capn[k] = e.ch.Caps[k-1].Secant(e.v[k], e.endVoltage(k, alpha[k-1], durCap), e.ch.VDD, e.ch.Pol)
-		}
+		saved := e.secantCaps(L, alpha, durCap)
 		alpha2 := e.scr.nextAlpha(L)
 		for i := range alpha2 {
 			alpha2[i] = 0
@@ -552,6 +551,24 @@ func (e *engine) endVoltage(k int, x, delta float64) float64 {
 	return e.v[k] + (e.cur[k]*delta+0.5*x*delta*delta)/e.capn[k]
 }
 
+// secantCaps starts a secant-capacitance second pass: it replaces the
+// frozen capacitances of nodes 1..L with their charge-based values over the
+// excursion a first-pass solution α predicts after delta, and returns the
+// region-start capacitances for the caller to restore if the second pass
+// fails. A node that barely moves keeps its region-start capacitance.
+func (e *engine) secantCaps(L int, alpha []float64, delta float64) (saved []float64) {
+	e.res.Stats.CapResolves++
+	saved = e.scr.capSaved[:len(e.capn)]
+	copy(saved, e.capn)
+	for k := 1; k <= L; k++ {
+		v1, v2 := e.v[k], e.endVoltage(k, alpha[k-1], delta)
+		if math.Abs(v2-v1) >= 1e-6 {
+			e.capn[k] = e.ch.Caps[k-1].Secant(v1, e.qn[k], v2, e.ch.VDD, e.ch.Pol)
+		}
+	}
+	return saved
+}
+
 // durCap returns the geometric duration cap for the next region.
 func (e *engine) durCap() float64 {
 	d := 1.6 * e.prevDur
@@ -570,13 +587,7 @@ func (e *engine) solveRegionSecant(L int, ev event) (float64, []float64, error) 
 	if err != nil || e.o.FreezeCaps {
 		return tauP, alpha, err
 	}
-	e.res.Stats.CapResolves++
-	delta := tauP - e.t
-	saved := e.scr.capSaved[:len(e.capn)]
-	copy(saved, e.capn)
-	for k := 1; k <= L; k++ {
-		e.capn[k] = e.ch.Caps[k-1].Secant(e.v[k], e.endVoltage(k, alpha[k-1], delta), e.ch.VDD, e.ch.Pol)
-	}
+	saved := e.secantCaps(L, alpha, tauP-e.t)
 	tauP2, alpha2, err2 := e.solveRegion(L, ev)
 	if err2 != nil {
 		copy(e.capn, saved)

@@ -333,18 +333,65 @@ func TestEvaluateInputNeverRises(t *testing.T) {
 
 func TestNodeCapSecantMatchesConstant(t *testing.T) {
 	nc := NodeCap{Fixed: 7e-15}
-	if !feq(nc.Secant(3.3, 1.0, 3.3, mos.NMOS), 7e-15, 1e-12) {
+	_, q1 := nc.CQ(3.3, 3.3, mos.NMOS)
+	if !feq(nc.Secant(3.3, q1, 1.0, 3.3, mos.NMOS), 7e-15, 1e-12) {
 		t.Error("secant of a fixed cap should be the fixed cap")
 	}
 	// With a junction, the secant between two voltages lies between the
 	// endpoint small-signal capacitances.
 	j := tech.N.DefaultJunction(2e-6)
 	ncj := NodeCap{Junctions: []JunctionAt{{P: &tech.N, J: j}}}
-	cHi := ncj.At(3.3, 3.3, mos.NMOS)
+	cHi, qHi := ncj.CQ(3.3, 3.3, mos.NMOS)
 	cLo := ncj.At(0.5, 3.3, mos.NMOS)
-	sec := ncj.Secant(3.3, 0.5, 3.3, mos.NMOS)
+	sec := ncj.Secant(3.3, qHi, 0.5, 3.3, mos.NMOS)
 	if !(sec > cHi && sec < cLo) {
 		t.Errorf("secant %g should lie between %g and %g", sec, cHi, cLo)
+	}
+}
+
+// A junction's reverse bias follows its own polarity, not the chain's: an
+// NMOS diffusion (to ground) is small at a high node, a PMOS diffusion (to
+// the VDD well) is small at a low node, whichever polarity the chain folds.
+func TestNodeCapJunctionPolarity(t *testing.T) {
+	const vdd = 3.3
+	n := NodeCap{Junctions: []JunctionAt{{P: &tech.N, J: tech.N.DefaultJunction(1e-6)}}}
+	p := NodeCap{Junctions: []JunctionAt{{P: &tech.P, J: tech.P.DefaultJunction(1e-6)}}}
+	for _, pol := range []mos.Polarity{mos.NMOS, mos.PMOS} {
+		// Folded voltages of the unfolded node levels 3.3 V and 0 V.
+		hi, lo := unfold(vdd, vdd, pol), unfold(0, vdd, pol)
+		if nHi, nLo := n.At(hi, vdd, pol), n.At(lo, vdd, pol); nHi >= nLo {
+			t.Errorf("chain %v: NMOS junction C(3.3 V) = %g not below C(0 V) = %g", pol, nHi, nLo)
+		}
+		if pHi, pLo := p.At(hi, vdd, pol), p.At(lo, vdd, pol); pLo >= pHi {
+			t.Errorf("chain %v: PMOS junction C(0 V) = %g not below C(3.3 V) = %g", pol, pLo, pHi)
+		}
+	}
+}
+
+// The oriented node charge must make the one-difference secant equal the
+// per-junction sum Σ|ΔQ_j/Δvr_j| for junctions of both polarities on
+// chains of both polarities (each junction's reverse bias moves with or
+// against the folded voltage).
+func TestNodeCapSecantOrientedCharge(t *testing.T) {
+	const vdd = 3.3
+	nc := NodeCap{Fixed: 2e-15, Junctions: []JunctionAt{
+		{P: &tech.N, J: tech.N.DefaultJunction(1e-6)},
+		{P: &tech.P, J: tech.P.DefaultJunction(3e-6)},
+	}}
+	for _, pol := range []mos.Polarity{mos.NMOS, mos.PMOS} {
+		for _, ex := range [][2]float64{{3.3, 2.1}, {1.7, 0.2}, {0.4, 1.9}, {3.3, -0.6}} {
+			v1, v2 := ex[0], ex[1]
+			want := nc.Fixed
+			for _, ja := range nc.Junctions {
+				r1 := reverseBias(ja.P, unfold(v1, vdd, pol), vdd)
+				r2 := reverseBias(ja.P, unfold(v2, vdd, pol), vdd)
+				want += math.Abs((ja.P.JunctionCharge(ja.J, r2) - ja.P.JunctionCharge(ja.J, r1)) / (r2 - r1))
+			}
+			_, q1 := nc.CQ(v1, vdd, pol)
+			if got := nc.Secant(v1, q1, v2, vdd, pol); math.Abs(got-want) > 1e-12*want {
+				t.Errorf("pol %v %g→%g V: secant %.17g, per-junction sum %.17g", pol, v1, v2, got, want)
+			}
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ type solverScratch struct {
 	n int // current capacity (system order)
 
 	// Engine chain state (index 0..m).
-	v, cur, capn, capSaved []float64
+	v, cur, capn, qn, capSaved []float64
 
 	// Region-system state.
 	rsV, rsVdot, rsJ, rsDLow, rsDUp []float64
@@ -49,8 +49,8 @@ type solverScratch struct {
 	alphaA, alphaB, alphaBis, alphaTrial []float64
 	flip                                 bool
 
-	// Dense fallback workspace: when the Thomas sweep meets a near-zero
-	// pivot, the Jacobian is expanded into dm and solved by LU factoring in
+	// Dense fallback workspace: when the Thomas sweep breaks down on a
+	// vanishing pivot, the Jacobian is expanded into dm and solved by LU factoring in
 	// place into luM. Both are n×n headers over reusable backing stores.
 	dmBuf, luBuf []float64
 	piv          []int
@@ -64,7 +64,7 @@ func (s *solverScratch) ensure(n int) {
 	}
 	s.n = n
 	grow := func() []float64 { return make([]float64, n) }
-	s.v, s.cur, s.capn, s.capSaved = grow(), grow(), grow(), grow()
+	s.v, s.cur, s.capn, s.qn, s.capSaved = grow(), grow(), grow(), grow(), grow()
 	s.rsV, s.rsVdot, s.rsJ, s.rsDLow, s.rsDUp = grow(), grow(), grow(), grow(), grow()
 	s.F, s.neg, s.trial, s.Ftrial, s.dx, s.x = grow(), grow(), grow(), grow(), grow(), grow()
 	s.u, s.vcol = grow(), grow()

@@ -11,7 +11,7 @@ import (
 
 // errInjectedPivot is the synthetic linear-solve failure raised by the
 // faultinject.PivotBreakdown site; it drives the solver down the same
-// dense-LU recovery path a real near-zero Thomas pivot does.
+// dense-LU recovery path a real Thomas pivot breakdown does.
 var errInjectedPivot = errors.New("faultinject: injected Thomas pivot breakdown")
 
 // event closes a region's algebraic system: the turn-on condition of the
@@ -385,10 +385,11 @@ func (rs *regionSys) newton(x []float64, maxIter int, dense bool) bool {
 			e.res.Stats.DenseFallbacks++
 			err = la.SolveDenseInto(dm, neg, dx, s.luN(L+1), s.piv[:L+1])
 		} else {
-			// Fault site: a synthetic near-zero Thomas pivot exercises the
+			// Fault site: a synthetic Thomas pivot breakdown exercises the
 			// same in-scratch dense-LU recovery a real breakdown does; the
-			// iteration then proceeds normally, so this fault must never
-			// change results — only the DenseFallbacks counter.
+			// iteration then proceeds normally, so this fault moves results
+			// only by LU's different rounding (within
+			// faultinject.PivotRecoveryTol) and bumps DenseFallbacks.
 			if e.o.Fault.Fire(faultinject.PivotBreakdown, e.o.FaultKey) {
 				err = errInjectedPivot
 			} else {

@@ -151,6 +151,8 @@ func Evaluate(ch *qwm.Chain, o Options) (*Result, error) {
 	tri := chord()
 	F := make([]float64, m)
 	x := make([]float64, m)
+	dx := make([]float64, m)
+	cp := make([]float64, m)
 
 	for s := 1; s <= steps; s++ {
 		t := float64(s) * h
@@ -180,8 +182,7 @@ func Evaluate(ch *qwm.Chain, o Options) (*Result, error) {
 				converged = true
 				break
 			}
-			dx, err := tri.Solve(F)
-			if err != nil || hasNaN(dx) {
+			if err := tri.SolveInto(F, dx, cp); err != nil || hasNaN(dx) {
 				break
 			}
 			for k := 0; k < m; k++ {

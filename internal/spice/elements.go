@@ -151,11 +151,13 @@ func linearQ(capacitance float64) func(float64) (float64, float64) {
 func junctionQ(p *mos.Params, j mos.Junction) func(float64) (float64, float64) {
 	if p.Pol == mos.PMOS {
 		return func(v float64) (float64, float64) {
-			return -p.JunctionCharge(j, -v), p.JunctionCap(j, -v)
+			c, q := p.JunctionCQ(j, -v)
+			return -q, c
 		}
 	}
 	return func(v float64) (float64, float64) {
-		return p.JunctionCharge(j, v), p.JunctionCap(j, v)
+		c, q := p.JunctionCQ(j, v)
+		return q, c
 	}
 }
 

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +30,19 @@ func TestConfigSignature(t *testing.T) {
 			t.Errorf("configs %q and %q collide on signature %q", label, prev, sig)
 		}
 		seen[sig] = label
+	}
+}
+
+// The engine tag leads every signature. It changes whenever the solver's
+// results move, even in the last bits, so a disk or remote-tier namespace
+// written by an older engine is never re-opened: qwm2 is the scale-free
+// Thomas breakdown test and the merged, one-evaluation junction model.
+func TestConfigSignatureEngineTag(t *testing.T) {
+	if got, want := (Config{}).Signature(), "qwm2|red:|memo:|nr:0|wallns:0"; got != want {
+		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
+	}
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm2|") {
+		t.Errorf("signature %q lacks the qwm2 engine tag", sig)
 	}
 }
 

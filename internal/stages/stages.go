@@ -263,6 +263,41 @@ func RandomStack(tech *mos.Tech, k int, seed int64) (*Workload, error) {
 	return w, nil
 }
 
+// TableI builds the paper's Table I circuits: the minimum-size inverter and
+// 2-, 3- and 4-input NANDs (0.8 µm NMOS, 1.6 µm PMOS, 15 fF load).
+func TableI(tech *mos.Tech) ([]*Workload, error) {
+	inv, err := Inverter(tech, 0.8e-6, 1.6e-6, 15e-15, 0)
+	if err != nil {
+		return nil, err
+	}
+	ws := []*Workload{inv}
+	for _, n := range []int{2, 3, 4} {
+		g, err := NAND(tech, n, 0.8e-6, 1.6e-6, 15e-15, 0)
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, g)
+	}
+	return ws, nil
+}
+
+// TableII builds the paper's Table II circuits: random stacks of length
+// 5–10, three width configurations each, named "K/cktN".
+func TableII(tech *mos.Tech) ([]*Workload, error) {
+	var ws []*Workload
+	for k := 5; k <= 10; k++ {
+		for cfg := 0; cfg < 3; cfg++ {
+			w, err := RandomStack(tech, k, int64(k*10+cfg))
+			if err != nil {
+				return nil, err
+			}
+			w.Name = fmt.Sprintf("%d/ckt%d", k, cfg+1)
+			ws = append(ws, w)
+		}
+	}
+	return ws, nil
+}
+
 // CarryChainStack builds the 6-NMOS stack of the Manchester carry chain's
 // longest path (paper Figs. 7 and 9): uniform 2 µm devices with a modest
 // output load, all nodes precharged by the chain's φ precharge devices.

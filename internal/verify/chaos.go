@@ -99,7 +99,13 @@ func chaosRun(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int
 // the determinism invariant requires to be bit-for-bit identical, including
 // the degradation diagnostics (same faults => same tiers).
 func sameResult(label string, ref, got *sta.Result, problems []string) []string {
-	problems = diffResults(label, ref, got, problems)
+	return sameResultTol(label, ref, got, 0, problems)
+}
+
+// sameResultTol is sameResult with arrivals, slews and the worst arrival
+// compared within relative tolerance rel; every other field stays exact.
+func sameResultTol(label string, ref, got *sta.Result, rel float64, problems []string) []string {
+	problems = diffResultsTol(label, ref, got, rel, problems)
 	if ref.TierCounts != got.TierCounts {
 		problems = append(problems, fmt.Sprintf("%s: tier counts %v, want %v", label, got.TierCounts, ref.TierCounts))
 	}
@@ -159,7 +165,7 @@ func runChaosCell(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, class f
 
 	// Completeness: every net the clean run timed is timed by the faulted
 	// run too (the ladder never drops a direction the clean solver handled).
-	for net := range clean.Arrivals {
+	for _, net := range sortedNets(clean.Arrivals) {
 		if _, ok := s1.Arrivals[net]; !ok {
 			cell.Problems = append(cell.Problems, fmt.Sprintf("completeness: net %s missing from faulted arrivals", net))
 		}
@@ -173,16 +179,23 @@ func runChaosCell(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, class f
 
 	switch class {
 	case faultinject.PivotBreakdown, faultinject.CacheStall:
-		// Recovered-in-place faults: results must be bit-for-bit identical
-		// to the clean run and nothing may degrade.
-		cell.Problems = sameResult("faulted vs clean (recoverable class)", clean, s1, cell.Problems)
+		// Recovered-in-place faults: nothing may degrade, and results match
+		// the clean run — bit for bit for a stall, within PivotRecoveryTol
+		// for a dense-LU-recovered pivot (a different elimination rounds
+		// differently); tiers, critical path and worst output stay exact.
+		tol := 0.0
+		if class == faultinject.PivotBreakdown {
+			tol = faultinject.PivotRecoveryTol
+		}
+		cell.Problems = sameResultTol("faulted vs clean (recoverable class)", clean, s1, tol, cell.Problems)
 		if s1.Degraded != 0 {
 			cell.Problems = append(cell.Problems, fmt.Sprintf("recoverable class degraded %d directions", s1.Degraded))
 		}
 	default:
 		// Degrading faults: every arrival must be conservative — no net may
 		// arrive earlier than in the clean analysis.
-		for net, ref := range clean.Arrivals {
+		for _, net := range sortedNets(clean.Arrivals) {
+			ref := clean.Arrivals[net]
 			got, ok := s1.Arrivals[net]
 			if !ok {
 				continue // already reported as a completeness problem

@@ -2,7 +2,9 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 
 	"qwm/internal/bench"
 	"qwm/internal/devmodel"
@@ -113,19 +115,26 @@ func analyze(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int,
 // ref. Arrival comparison is exact (bit-for-bit float equality), as the
 // engine's determinism guarantee promises.
 func diffResults(label string, ref, got *sta.Result, out []string) []string {
-	if !reflect.DeepEqual(got.Arrivals, ref.Arrivals) {
-		for net, r := range ref.Arrivals {
-			if g, ok := got.Arrivals[net]; !ok || g != r {
-				out = append(out, fmt.Sprintf("%s: arrival[%s] = %+v, want %+v", label, net, got.Arrivals[net], r))
-			}
-		}
-		for net := range got.Arrivals {
-			if _, ok := ref.Arrivals[net]; !ok {
-				out = append(out, fmt.Sprintf("%s: extra arrival[%s]", label, net))
-			}
+	return diffResultsTol(label, ref, got, 0, out)
+}
+
+// diffResultsTol is diffResults with arrivals, slews and the worst arrival
+// compared within relative tolerance rel (0 demands bit-for-bit equality);
+// the worst output and the critical path are always compared exactly. Nets
+// are visited in sorted order, so a report is reproducible from its seed.
+func diffResultsTol(label string, ref, got *sta.Result, rel float64, out []string) []string {
+	for _, net := range sortedNets(ref.Arrivals) {
+		r := ref.Arrivals[net]
+		if g, ok := got.Arrivals[net]; !ok || !arrivalWithin(g, r, rel) {
+			out = append(out, fmt.Sprintf("%s: arrival[%s] = %+v, want %+v", label, net, got.Arrivals[net], r))
 		}
 	}
-	if got.WorstArrival != ref.WorstArrival || got.WorstOutput != ref.WorstOutput {
+	for _, net := range sortedNets(got.Arrivals) {
+		if _, ok := ref.Arrivals[net]; !ok {
+			out = append(out, fmt.Sprintf("%s: extra arrival[%s]", label, net))
+		}
+	}
+	if !within(got.WorstArrival, ref.WorstArrival, rel) || got.WorstOutput != ref.WorstOutput {
 		out = append(out, fmt.Sprintf("%s: worst %g@%s, want %g@%s", label,
 			got.WorstArrival, got.WorstOutput, ref.WorstArrival, ref.WorstOutput))
 	}
@@ -133,6 +142,28 @@ func diffResults(label string, ref, got *sta.Result, out []string) []string {
 		out = append(out, fmt.Sprintf("%s: critical path %v, want %v", label, got.CriticalPath, ref.CriticalPath))
 	}
 	return out
+}
+
+// sortedNets returns a result's net names in sorted order; every verify
+// check that reports per-net problems walks nets this way.
+func sortedNets[A any](arr map[string]A) []string {
+	nets := make([]string, 0, len(arr))
+	for net := range arr {
+		nets = append(nets, net)
+	}
+	sort.Strings(nets)
+	return nets
+}
+
+// within reports whether a and b agree within relative tolerance rel; with
+// rel = 0 only equal values agree.
+func within(a, b, rel float64) bool {
+	return a == b || math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
+}
+
+func arrivalWithin(a, b sta.Arrival, rel float64) bool {
+	return within(a.Rise, b.Rise, rel) && within(a.Fall, b.Fall, rel) &&
+		within(a.RiseSlew, b.RiseSlew, rel) && within(a.FallSlew, b.FallSlew, rel)
 }
 
 // RunAnalyzeDiff checks one generated tree across three variants against

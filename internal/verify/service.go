@@ -117,7 +117,8 @@ func sameArrivals(label string, ref, got map[string]v1.Arrival, problems []strin
 	if len(ref) != len(got) {
 		problems = append(problems, fmt.Sprintf("%s: %d nets, want %d", label, len(got), len(ref)))
 	}
-	for net, ra := range ref {
+	for _, net := range sortedNets(ref) {
+		ra := ref[net]
 		ga, ok := got[net]
 		if !ok {
 			problems = append(problems, fmt.Sprintf("%s: net %s missing", label, net))
@@ -398,7 +399,8 @@ func runServiceChaosCell(name string, req v1.AnalyzeRequest, cfg ServiceConfig, 
 		if faulted.Diagnostics.Healthy {
 			cell.Problems = append(cell.Problems, "degrading class at rate 1 reported healthy")
 		}
-		for net, ref := range clean.Arrivals {
+		for _, net := range sortedNets(clean.Arrivals) {
+			ref := clean.Arrivals[net]
 			got, ok := faulted.Arrivals[net]
 			if !ok {
 				cell.Problems = append(cell.Problems, fmt.Sprintf("completeness: net %s missing from faulted arrivals", net))

@@ -3,10 +3,13 @@ package verify
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"qwm/internal/bench"
 	"qwm/internal/mos"
+	"qwm/internal/sta"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -102,6 +105,30 @@ func TestGeneratorDeterminism(t *testing.T) {
 		ta, tb := a.W.Netlist.Transistors[i], b.W.Netlist.Transistors[i]
 		if ta.W != tb.W || ta.L != tb.L {
 			t.Errorf("device %d geometry differs: %g/%g vs %g/%g", i, ta.W, ta.L, tb.W, tb.L)
+		}
+	}
+}
+
+// A failing report must be reproducible from its seed, so diffResults lists
+// its problems in sorted net order, never in map iteration order.
+func TestDiffResultsDeterministicOrder(t *testing.T) {
+	ref := &sta.Result{Arrivals: map[string]sta.Arrival{}}
+	got := &sta.Result{Arrivals: map[string]sta.Arrival{}}
+	for i, net := range []string{"n7", "out", "a", "n10", "z9", "m"} {
+		ref.Arrivals[net] = sta.Arrival{Rise: float64(i) * 1e-11}
+		got.Arrivals[net] = sta.Arrival{Rise: float64(i)*1e-11 + 1e-13} // all differ
+	}
+	got.Arrivals["extra1"], got.Arrivals["extra0"] = sta.Arrival{}, sta.Arrival{}
+	first := diffResults("t", ref, got, nil)
+	if len(first) != 8 {
+		t.Fatalf("%d problems, want 8 (six mismatches, two extra nets): %q", len(first), first)
+	}
+	if !strings.HasPrefix(first[0], "t: arrival[a]") || !strings.HasPrefix(first[6], "t: extra arrival[extra0]") {
+		t.Errorf("problems not in sorted net order: %q", first)
+	}
+	for i := 0; i < 20; i++ {
+		if again := diffResults("t", ref, got, nil); !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d listed problems as %q, first call %q", i, again, first)
 		}
 	}
 }
