@@ -44,8 +44,8 @@ bench-build:
 test:
 	$(GO) test ./...
 
-# The race detector covers the concurrent layers (sta worker pool, mc
-# samplers, qwm scratch pool) along with everything else.
+# The race detector covers the concurrent layers (sta worker pool, qwm
+# scratch pool, the tiers' write-behind queues) along with everything else.
 race:
 	$(GO) test -race ./...
 
@@ -81,7 +81,8 @@ leak-check:
 
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
 # trace headers a client or peer sends (traceparent, Qwm-Span), the netlist
-# deck and value parsers, and the disk/remote-tier entry and record codecs —
+# deck and value parsers, the disk/remote-tier entry and record codecs, and
+# the remote tier endpoint (any method, path and body) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
 # target.
@@ -92,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),
@@ -159,8 +161,8 @@ service-verify:
 
 # Remote-cache smoke, under the race detector: two in-process replicas share
 # one tier server (the fresh one must answer warm: zero evaluations, >=90%
-# remote hits, bit-identical results), and concurrent analyses through a
-# full memory→remote→disk chain survive the remote server being killed and
+# remote hits, bit-identical results), and concurrent analyses through the
+# service's remote → disk tiers survive the remote server being killed and
 # restarted mid-run without leaking a goroutine or moving a bit.
 remote-smoke:
 	$(GO) test -race -run 'TestTwoReplicasShareTier|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/

@@ -10,7 +10,7 @@ import (
 // the chain's maximum system order (m+1 unknowns: one α per node plus τ′).
 // One scratch serves one engine at a time; Evaluate borrows it from a
 // process-wide sync.Pool and returns it when the evaluation finishes, so
-// steady-state evaluation — the STA worker pool, Monte Carlo sampling —
+// steady-state evaluation — the STA worker pool, repeated Evaluate calls —
 // performs zero heap allocations in the Newton inner loop and only O(result)
 // allocations per chain.
 //
@@ -115,7 +115,7 @@ func (s *solverScratch) nextAlpha(L int) []float64 {
 }
 
 // scratchPool shares solver scratch across goroutines: the STA level
-// scheduler, the Monte Carlo workers and plain Evaluate callers all draw
-// from it, so concurrent evaluation reaches a steady state where no solver
-// buffer is ever re-allocated.
+// scheduler and plain Evaluate callers both draw from it, so concurrent
+// evaluation reaches a steady state where no solver buffer is ever
+// re-allocated.
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}

@@ -23,9 +23,9 @@ import (
 )
 
 // pool keys shared analyzers by their result signature. Each pooled
-// analyzer owns one in-memory delay cache and a tier chain composed from
-// what the deployment configured: a remote (replica-shared) cache client,
-// backed by a disk-tier namespace directory named by the FNV-64a hex of the
+// analyzer owns one in-memory delay cache and the tiers (sta.Config.Tiers)
+// the deployment configured: a remote (replica-shared) cache client, then a
+// disk-tier namespace directory named by the FNV-64a hex of the
 // signature — the full signature is
 // persisted inside by diskcache.Open, so hash collisions are detected, not
 // silently merged. The per-signature stores live on the pool itself, shared
@@ -72,8 +72,8 @@ func (p *pool) storeLocked(sig string) (*diskcache.Store, error) {
 	return store, nil
 }
 
-// get returns the pooled analyzer for cfg, creating it (and its tier chain)
-// on first use. cfg must not carry a Tier — the pool owns tier wiring.
+// get returns the pooled analyzer for cfg, creating it (and its tiers) on
+// first use. cfg must not carry Tiers — the pool owns tier wiring.
 func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 	sig := cfg.Signature()
 	p.mu.Lock()
@@ -81,11 +81,11 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 	if pa, ok := p.analyzers[sig]; ok {
 		return pa, nil
 	}
-	// Compose the tier chain, fastest first: remote → disk. No memory tier
-	// heads it: the analyzer's single-flight delay cache sits above every
-	// tier under the same keys, never evicts and lives exactly as long as
-	// this chain, so the chain is probed at most once per key and a memory
-	// tier there could never hit.
+	// The tiers, fastest first: remote → disk. No memory tier heads them:
+	// the analyzer's single-flight delay cache sits above every tier under
+	// the same keys, never evicts and lives exactly as long as the analyzer,
+	// so the tiers are probed at most once per key and a memory tier there
+	// could never hit.
 	var tiers []sta.TierStore
 	if p.remoteURL != "" {
 		rc := remotecache.New(p.remoteURL, sig, remotecache.Options{Metrics: p.metrics})
@@ -102,7 +102,7 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 		}
 		tiers = append(tiers, store)
 	}
-	cfg.Tier = sta.NewTierChain(tiers...)
+	cfg.Tiers = tiers
 	cfg.Metrics = p.metrics
 	pa := &pooledAnalyzer{a: sta.New(p.tech, p.lib, cfg)}
 	p.analyzers[sig] = pa

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -50,12 +51,15 @@ type Config struct {
 	// histograms. Nil disables metric recording — the engine then never
 	// reads the clock on the evaluation path.
 	Metrics *obs.Registry
-	// Tier, when set, is the persistent delay-cache tier below the in-memory
-	// cache: single-flight leaders consult it before evaluating and write
-	// fresh evaluations back. Entries loaded from the tier count as cache
-	// activity but not as evaluations, so a warm-tier Analyze reports
-	// StagesEvaluated = 0 exactly like a warm-memory one. See TierStore.
-	Tier TierStore
+	// Tiers are the persistent delay-cache tiers below the in-memory cache,
+	// in probe order, fastest first (the service uses remote → disk). A
+	// single-flight leader probes them before evaluating, skips entries
+	// failing Valid and promotes a hit into every earlier tier; every fresh
+	// evaluation is written to all of them. Entries loaded from a tier count
+	// as cache activity but not as evaluations, so a warm-tier Analyze
+	// reports StagesEvaluated = 0 exactly like a warm-memory one. See
+	// TierStore.
+	Tiers []TierStore
 }
 
 // Signature canonically encodes the result-affecting subset of the
@@ -67,8 +71,8 @@ type Config struct {
 //
 // Deliberately excluded: Workers (determinism at any width is the engine's
 // core guarantee), Metrics (observability never changes results), FaultPlan
-// (chaos runs use dedicated analyzers that are never pooled), and Tier
-// itself (a cache tier stores results, it does not define them).
+// (chaos runs use dedicated analyzers that are never pooled), and Tiers
+// (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
 	return fmt.Sprintf("qwm2|red:%s|memo:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
@@ -116,9 +120,15 @@ func (e TierEntry) Valid() bool {
 // cache keys (stage content + load digest + reduction signature + rail +
 // slew bucket), so a store namespace must only ever be shared between
 // analyzers with equal Signatures.
+//
+// Name labels the store's "tier <name>" trace spans ("remote", "disk",
+// "memory"). The context carries the request's trace reference when the
+// Analyze is traced (see obs.TraceFrom), so a store can record child spans
+// or stamp outbound requests; stores without a use for it ignore it.
 type TierStore interface {
-	Get(key string) (TierEntry, bool)
-	Put(key string, e TierEntry)
+	Name() string
+	Get(ctx context.Context, key string) (TierEntry, bool)
+	Put(ctx context.Context, key string, e TierEntry)
 }
 
 // tierEntryOf converts a computed timing to its portable form.

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -59,7 +60,9 @@ type mapTierStore struct {
 
 func newMapTierStore() *mapTierStore { return &mapTierStore{m: map[string]TierEntry{}} }
 
-func (s *mapTierStore) Get(key string) (TierEntry, bool) {
+func (s *mapTierStore) Name() string { return "map" }
+
+func (s *mapTierStore) Get(_ context.Context, key string) (TierEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gets++
@@ -70,7 +73,7 @@ func (s *mapTierStore) Get(key string) (TierEntry, bool) {
 	return e, ok
 }
 
-func (s *mapTierStore) Put(key string, e TierEntry) {
+func (s *mapTierStore) Put(_ context.Context, key string, e TierEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
@@ -85,7 +88,7 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 
 	store := newMapTierStore()
-	cold := New(tech, lib, Config{Workers: 1, Tier: store})
+	cold := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{store}})
 	ref, err := cold.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +100,7 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 
 	// Same Signature, fresh memory cache, same store: everything must come
 	// from the tier with zero evaluations.
-	warm := New(tech, lib, Config{Workers: 4, Tier: store})
+	warm := New(tech, lib, Config{Workers: 4, Tiers: []TierStore{store}})
 	res, err := warm.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
@@ -135,22 +138,28 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 }
 
 // TestTierStoreInvalidEntryIsMiss: a store handing back a nonsensical entry
-// (wrong engine version, corrupt tier byte) must be treated as a miss.
+// (wrong engine version, corrupt tier byte) must be treated as a miss — and
+// an invalid entry in an early store must not shadow a valid later one.
 func TestTierStoreInvalidEntryIsMiss(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
+	req := Request{Netlist: nl, Primary: primary, Outputs: outs}
 
-	store := newMapTierStore()
-	cold := New(tech, lib, Config{Workers: 1, Tier: store})
-	ref, err := cold.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
+	valid := newMapTierStore()
+	cold := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{valid}})
+	ref, err := cold.AnalyzeContext(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, e := range store.m {
+	invalid, shadow, good := newMapTierStore(), newMapTierStore(), newMapTierStore()
+	for k, e := range valid.m {
+		good.m[k] = e
 		e.Tier = uint8(NumTiers) + 3
-		store.m[k] = e
+		invalid.m[k] = e
+		shadow.m[k] = e
 	}
-	warm := New(tech, lib, Config{Workers: 1, Tier: store})
-	res, err := warm.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
+
+	// Alone, the invalid store hydrates nothing.
+	res, err := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{invalid}}).AnalyzeContext(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +169,79 @@ func TestTierStoreInvalidEntryIsMiss(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
 		t.Error("re-evaluation after invalid entries diverged from reference")
+	}
+
+	// In front of a valid store, every lookup falls through to it, and the
+	// promotion overwrites the invalid entries.
+	res, err = New(tech, lib, Config{Workers: 1, Tiers: []TierStore{shadow, good}}).AnalyzeContext(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StagesEvaluated != 0 {
+		t.Errorf("invalid early entries shadowed valid later ones: evaluated %d stages, want 0", res.StagesEvaluated)
+	}
+	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
+		t.Error("fall-through past invalid entries diverged from reference")
+	}
+	if !reflect.DeepEqual(shadow.m, valid.m) {
+		t.Error("the valid entries were not promoted over the invalid ones")
+	}
+}
+
+// TestTiersPromotionAndWriteBackAll pins the analyzer's tier policy: every
+// fresh evaluation is written to every store; a lookup probes the stores in
+// order and promotes a hit into every earlier store; and a promoted key
+// stops at the first store.
+func TestTiersPromotionAndWriteBackAll(t *testing.T) {
+	nl, primary, outs := decoderFixture(t)
+	req := Request{Netlist: nl, Primary: primary, Outputs: outs}
+	analyze := func(tiers ...TierStore) *Result {
+		t.Helper()
+		res, err := New(tech, lib, Config{Workers: 4, Tiers: tiers}).AnalyzeContext(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	first, middle, last := newMapTierStore(), newMapTierStore(), newMapTierStore()
+	ref := analyze(first, middle, last)
+	n := ref.StagesEvaluated
+	if n == 0 {
+		t.Fatal("cold run evaluated nothing")
+	}
+	for name, s := range map[string]*mapTierStore{"first": first, "middle": middle, "last": last} {
+		if s.puts != n || len(s.m) != n {
+			t.Errorf("cold run: %s store got %d puts of %d keys, want every one of the %d evaluations",
+				name, s.puts, len(s.m), n)
+		}
+	}
+
+	// Only the last store is warm: each key misses the first two stores in
+	// turn, hits the last and is promoted into both earlier ones.
+	first, middle = newMapTierStore(), newMapTierStore()
+	lastGets := last.gets
+	res := analyze(first, middle, last)
+	if res.StagesEvaluated != 0 || !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
+		t.Fatalf("warm-from-last run evaluated %d stages or diverged", res.StagesEvaluated)
+	}
+	if first.gets != n || first.hits != 0 || middle.gets != n || middle.hits != 0 || last.gets-lastGets != n {
+		t.Errorf("probe counts first %d/%d, middle %d/%d, last %d (gets/hits); want %d misses in each earlier store, then %d reads of the last",
+			first.gets, first.hits, middle.gets, middle.hits, last.gets-lastGets, n, n)
+	}
+	if !reflect.DeepEqual(first.m, last.m) || !reflect.DeepEqual(middle.m, last.m) {
+		t.Error("a hit in the last store was not promoted into every earlier store")
+	}
+
+	// Promoted keys stop at the first store.
+	middleGets, lastGets := middle.gets, last.gets
+	res = analyze(first, middle, last)
+	if res.StagesEvaluated != 0 || !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
+		t.Fatalf("warm-from-first run evaluated %d stages or diverged", res.StagesEvaluated)
+	}
+	if first.hits != n || middle.gets != middleGets || last.gets != lastGets {
+		t.Errorf("promoted keys: %d first-store hits, %d middle and %d last reads; want %d, 0, 0",
+			first.hits, middle.gets-middleGets, last.gets-lastGets, n)
 	}
 }
 

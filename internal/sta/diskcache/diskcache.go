@@ -12,8 +12,8 @@
 //     engine re-evaluates and overwrites. Torn tails from a crash mid-write
 //     are truncated away at open.
 //  2. Lossy is fine, slow is not. Puts are write-behind through a bounded
-//     channel drained by one writer goroutine; when the channel is full the
-//     put is dropped (and counted). Gets are a ReadAt against the segment
+//     WriteQueue drained by one goroutine; when the queue is full or closed
+//     the put is dropped (and counted). Gets are a ReadAt against the segment
 //     file under an RLock — no serialization with the writer beyond index
 //     access.
 //  3. Bounded size. Records append to numbered segment files; when a segment
@@ -30,6 +30,7 @@
 package diskcache
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -131,10 +132,6 @@ type segment struct {
 type putReq struct {
 	key string
 	val []byte
-	// ack, when non-nil, marks a Flush barrier: the writer closes it once
-	// every request enqueued before it has been processed. Barrier requests
-	// carry no data.
-	ack chan struct{}
 }
 
 // Store is a persistent TierStore over one directory. It satisfies
@@ -148,10 +145,7 @@ type Store struct {
 	segs   []*segment // ascending id order; last is active
 	closed bool
 
-	queue      chan putReq
-	done       chan struct{}
-	writerDone chan struct{}
-	closeO     sync.Once
+	queue *WriteQueue[putReq]
 
 	hits, misses, puts, dropped, corrupt, evictions *obs.Counter
 	bytes                                           *obs.Gauge
@@ -179,12 +173,9 @@ func Open(dir, signature string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:        dir,
-		opts:       opts,
-		index:      map[string]indexEntry{},
-		queue:      make(chan putReq, opts.QueueLen),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
+		dir:   dir,
+		opts:  opts,
+		index: map[string]indexEntry{},
 	}
 	r := opts.Metrics
 	s.hits = r.Counter("sta/disk/hits")
@@ -199,7 +190,7 @@ func Open(dir, signature string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.bytes.Set(s.totalBytes())
-	go s.writer()
+	s.queue = NewWriteQueue(opts.QueueLen, s.append)
 	return s, nil
 }
 
@@ -354,12 +345,12 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 	return &segment{id: id, f: f, size: good}, nil
 }
 
-// TierName implements the optional naming interface traced tier probes use.
-func (s *Store) TierName() string { return "disk" }
+// Name implements sta.TierStore.
+func (s *Store) Name() string { return "disk" }
 
 // Get implements sta.TierStore: a read-through probe. Any failure — missing
 // key, short read, CRC mismatch, undecodable or invalid entry — is a miss.
-func (s *Store) Get(key string) (sta.TierEntry, bool) {
+func (s *Store) Get(_ context.Context, key string) (sta.TierEntry, bool) {
 	if s == nil {
 		return sta.TierEntry{}, false
 	}
@@ -409,51 +400,19 @@ func (s *Store) Get(key string) (sta.TierEntry, bool) {
 // Put implements sta.TierStore: write-behind, lossy under pressure. The
 // value is encoded on the caller's goroutine (cheap, allocation-bounded) so
 // a dropped put costs no disk work at all.
-func (s *Store) Put(key string, e sta.TierEntry) {
+func (s *Store) Put(_ context.Context, key string, e sta.TierEntry) {
 	if s == nil {
 		return
 	}
-	select {
-	case s.queue <- putReq{key: key, val: encodeEntry(e)}:
-	case <-s.done:
-		s.statDropped.add(1, s.dropped)
-	default:
+	if !s.queue.Enqueue(putReq{key: key, val: encodeEntry(e)}) {
 		s.statDropped.add(1, s.dropped)
 	}
 }
 
-// writer is the single write-behind goroutine: it drains the queue,
-// appending records and running GC at segment boundaries, until Close.
-func (s *Store) writer() {
-	defer close(s.writerDone)
-	handle := func(req putReq) {
-		if req.ack != nil {
-			close(req.ack)
-			return
-		}
-		s.append(req)
-	}
-	for {
-		select {
-		case req := <-s.queue:
-			handle(req)
-		case <-s.done:
-			// Drain what's already queued, then exit.
-			for {
-				select {
-				case req := <-s.queue:
-					handle(req)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// append writes one record to the active segment, sealing and collecting
-// when size thresholds trip. Write errors (disk full, EIO) drop the record:
-// the store is a cache, and the next Get simply misses.
+// append is the write-behind sink: it writes one record to the active
+// segment, sealing and collecting when size thresholds trip. Write errors
+// (disk full, EIO) drop the record: the store is a cache, and the next Get
+// simply misses.
 func (s *Store) append(req putReq) {
 	rec := encodeRecord(req.key, req.val)
 
@@ -537,28 +496,17 @@ func (s *Store) Flush() {
 	if s == nil {
 		return
 	}
-	// The queue is FIFO and drained by one goroutine: once our barrier is
-	// acknowledged, everything enqueued before it has been appended.
-	ack := make(chan struct{})
-	select {
-	case s.queue <- putReq{ack: ack}:
-	case <-s.done:
-		return
-	}
-	select {
-	case <-ack:
-	case <-s.writerDone:
-	}
+	s.queue.Flush()
 }
 
 // Close drains the write-behind queue, fsyncs and closes every segment.
-// The store is unusable afterwards (Gets miss, Puts drop).
+// The store is unusable afterwards (Gets miss, Puts drop and are counted).
+// Safe to call more than once.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.closeO.Do(func() { close(s.done) })
-	<-s.writerDone
+	s.queue.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true

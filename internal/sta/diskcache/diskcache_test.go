@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,11 +42,11 @@ func TestPutGetRestart(t *testing.T) {
 	s := mustOpen(t, dir, "sigA", Options{})
 	const n = 100
 	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("key-%03d", i), testEntry(i))
+		s.Put(context.Background(), fmt.Sprintf("key-%03d", i), testEntry(i))
 	}
 	s.Flush()
 	for i := 0; i < n; i++ {
-		e, ok := s.Get(fmt.Sprintf("key-%03d", i))
+		e, ok := s.Get(context.Background(), fmt.Sprintf("key-%03d", i))
 		if !ok {
 			t.Fatalf("key-%03d missing before restart", i)
 		}
@@ -60,7 +61,7 @@ func TestPutGetRestart(t *testing.T) {
 	// Restart: a fresh Store over the same directory serves every entry.
 	s2 := mustOpen(t, dir, "sigA", Options{})
 	for i := 0; i < n; i++ {
-		e, ok := s2.Get(fmt.Sprintf("key-%03d", i))
+		e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%03d", i))
 		if !ok {
 			t.Fatalf("key-%03d lost across restart", i)
 		}
@@ -77,15 +78,15 @@ func TestPutGetRestart(t *testing.T) {
 func TestLatestWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "s", Options{})
-	s.Put("k", testEntry(1))
-	s.Put("k", testEntry(2))
+	s.Put(context.Background(), "k", testEntry(1))
+	s.Put(context.Background(), "k", testEntry(2))
 	s.Flush()
-	if e, _ := s.Get("k"); e != testEntry(2) {
+	if e, _ := s.Get(context.Background(), "k"); e != testEntry(2) {
 		t.Fatalf("live store served %+v, want the later write", e)
 	}
 	s.Close()
 	s2 := mustOpen(t, dir, "s", Options{})
-	if e, ok := s2.Get("k"); !ok || e != testEntry(2) {
+	if e, ok := s2.Get(context.Background(), "k"); !ok || e != testEntry(2) {
 		t.Fatalf("reopened store served %+v (ok=%v), want the later write", e, ok)
 	}
 }
@@ -110,7 +111,7 @@ func TestKillMidWrite(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, "s", Options{})
 			for i := 0; i < 10; i++ {
-				s.Put(fmt.Sprintf("key-%d", i), testEntry(i))
+				s.Put(context.Background(), fmt.Sprintf("key-%d", i), testEntry(i))
 			}
 			s.Flush()
 			s.Close()
@@ -130,20 +131,20 @@ func TestKillMidWrite(t *testing.T) {
 			}
 
 			s2 := mustOpen(t, dir, "s", Options{})
-			if _, ok := s2.Get("torn-key"); ok {
+			if _, ok := s2.Get(context.Background(), "torn-key"); ok {
 				t.Fatal("torn record must not be served")
 			}
 			for i := 0; i < 10; i++ {
-				if e, ok := s2.Get(fmt.Sprintf("key-%d", i)); !ok || e != testEntry(i) {
+				if e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%d", i)); !ok || e != testEntry(i) {
 					t.Fatalf("key-%d lost or changed after torn-tail recovery (ok=%v)", i, ok)
 				}
 			}
 			// The tail was truncated: appends after recovery must land cleanly.
-			s2.Put("after", testEntry(50))
+			s2.Put(context.Background(), "after", testEntry(50))
 			s2.Flush()
 			s2.Close()
 			s3 := mustOpen(t, dir, "s", Options{})
-			if e, ok := s3.Get("after"); !ok || e != testEntry(50) {
+			if e, ok := s3.Get(context.Background(), "after"); !ok || e != testEntry(50) {
 				t.Fatal("append after recovery did not survive a second restart")
 			}
 		})
@@ -156,8 +157,8 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	s := mustOpen(t, dir, "s", Options{Metrics: reg})
-	s.Put("victim", testEntry(3))
-	s.Put("bystander", testEntry(4))
+	s.Put(context.Background(), "victim", testEntry(3))
+	s.Put(context.Background(), "bystander", testEntry(4))
 	s.Flush()
 	s.Close()
 
@@ -182,7 +183,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	defer s2.Close()
 	// Open-time scan stops at the corrupt record: the victim is unindexed
 	// (miss) and the corruption is counted.
-	if _, ok := s2.Get("victim"); ok {
+	if _, ok := s2.Get(context.Background(), "victim"); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
 	if got := reg2.Snapshot().Counters["sta/disk/corrupt"]; got == 0 {
@@ -199,9 +200,9 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "s", Options{})
-	s.Put("k", testEntry(7))
+	s.Put(context.Background(), "k", testEntry(7))
 	s.Flush()
-	if _, ok := s.Get("k"); !ok {
+	if _, ok := s.Get(context.Background(), "k"); !ok {
 		t.Fatal("sanity: entry must hit before corruption")
 	}
 	// Rot the value in place while the store is live and the index warm.
@@ -221,7 +222,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	}
 	f.Close()
 
-	if _, ok := s.Get("k"); ok {
+	if _, ok := s.Get(context.Background(), "k"); ok {
 		t.Fatal("re-verification missed in-place corruption")
 	}
 	if s.Stats().Corrupt == 0 {
@@ -253,7 +254,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("key-%04d", i)
-				if e, ok := s.Get(key); ok && e != testEntry(i) {
+				if e, ok := s.Get(context.Background(), key); ok && e != testEntry(i) {
 					t.Errorf("reader %d: %s returned %+v, want %+v", r, key, e, testEntry(i))
 					return
 				}
@@ -261,7 +262,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 		}(r)
 	}
 	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("key-%04d", i), testEntry(i))
+		s.Put(context.Background(), fmt.Sprintf("key-%04d", i), testEntry(i))
 	}
 	s.Flush()
 	close(stop)
@@ -277,7 +278,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Recent keys must still be present; evicted old keys must miss cleanly.
 	hits := 0
 	for i := 0; i < n; i++ {
-		if e, ok := s.Get(fmt.Sprintf("key-%04d", i)); ok {
+		if e, ok := s.Get(context.Background(), fmt.Sprintf("key-%04d", i)); ok {
 			hits++
 			if e != testEntry(i) {
 				t.Fatalf("key-%04d corrupted by GC", i)
@@ -293,7 +294,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Restart over the GC'd directory: still consistent.
 	s2 := mustOpen(t, dir, "s", Options{})
 	for i := n - 50; i < n; i++ {
-		if e, ok := s2.Get(fmt.Sprintf("key-%04d", i)); ok && e != testEntry(i) {
+		if e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%04d", i)); ok && e != testEntry(i) {
 			t.Fatalf("key-%04d corrupted after GC+restart", i)
 		}
 	}
@@ -304,7 +305,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	s := mustOpen(t, dir, "s", Options{QueueLen: 4})
 	// Far more puts than the queue holds; Put must never block.
 	for i := 0; i < 10000; i++ {
-		s.Put(fmt.Sprintf("k%d", i), testEntry(i))
+		s.Put(context.Background(), fmt.Sprintf("k%d", i), testEntry(i))
 	}
 	s.Flush()
 	st := s.Stats()
@@ -313,12 +314,28 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	}
 }
 
+// TestPutAfterCloseIsCountedDrop: a put that arrives after Close is never
+// written, so it must be counted as a drop — every one of them.
+func TestPutAfterCloseIsCountedDrop(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), "s", Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Dropped
+	for i := 0; i < 100; i++ {
+		s.Put(context.Background(), fmt.Sprintf("k%d", i), testEntry(i))
+	}
+	if got := s.Stats().Dropped - before; got != 100 {
+		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
+	}
+}
+
 func TestNilStoreIsNoop(t *testing.T) {
 	var s *Store
-	if _, ok := s.Get("k"); ok {
+	if _, ok := s.Get(context.Background(), "k"); ok {
 		t.Fatal("nil store hit")
 	}
-	s.Put("k", testEntry(1))
+	s.Put(context.Background(), "k", testEntry(1))
 	s.Flush()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -352,7 +369,7 @@ func TestWarmDiskMatchesWarmMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Tier = s1
+	cfg.Tiers = []sta.TierStore{s1}
 	cold := sta.New(tech, lib, cfg)
 	ref, err := cold.AnalyzeContext(nil, req)
 	if err != nil {
@@ -377,7 +394,7 @@ func TestWarmDiskMatchesWarmMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	cfg.Tier = s2
+	cfg.Tiers = []sta.TierStore{s2}
 	fresh := sta.New(tech, lib, cfg)
 	warmDisk, err := fresh.AnalyzeContext(nil, req)
 	if err != nil {

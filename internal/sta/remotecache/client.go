@@ -17,15 +17,15 @@
 //     threshold → half-open probe): once a peer is declared dead, further
 //     Gets cost one atomic load and are counted misses; a deterministic
 //     probe schedule rediscovers recovery. See breaker.go.
-//   - Write-behind Puts through a bounded queue with drop-on-full,
-//     mirroring diskcache: the engine never waits on the network to store.
+//   - Write-behind Puts through diskcache's bounded WriteQueue with
+//     drop-on-full: the engine never waits on the network to store.
 //   - End-to-end CRC: responses carry the same CRC32-Castagnoli-framed
 //     records diskcache appends to disk, re-verified (checksum, embedded
 //     key, entry validity) on every Get — wire corruption is a counted
 //     miss, never wrong data.
 //
 // Failure of any kind degrades to a miss; the engine re-evaluates. The tier
-// can therefore be composed under sta.TierChain (remote → disk)
+// can therefore sit in an analyzer's sta.Config.Tiers (remote → disk)
 // without weakening any of the engine's determinism guarantees.
 package remotecache
 
@@ -157,8 +157,7 @@ func (p *cpair) value() int64                { return p.c.Value() }
 type putReq struct {
 	key string
 	rec []byte
-	tp  string        // traceparent header for the async PUT ("" untraced)
-	ack chan struct{} // Flush barrier when non-nil; carries no data
+	tp  string // traceparent header for the async PUT ("" untraced)
 }
 
 // Trace propagation headers: the client stamps outbound requests with the
@@ -180,10 +179,7 @@ type Client struct {
 	http *http.Client
 	br   *breaker
 
-	queue      chan putReq
-	done       chan struct{}
-	writerDone chan struct{}
-	closed     chan struct{}
+	queue *diskcache.WriteQueue[putReq]
 
 	hits, misses, puts, dropped, retriesC, timeouts, corrupt, fastfails cpair
 	mHits, mMisses, mPuts, mDropped, mRetries, mTimeouts, mCorrupt,
@@ -197,16 +193,12 @@ type Client struct {
 func New(baseURL, signature string, opts Options) *Client {
 	opts = opts.withDefaults()
 	c := &Client{
-		base:       strings.TrimRight(baseURL, "/"),
-		sig:        signature,
-		path:       tierPathPrefix + base64.RawURLEncoding.EncodeToString([]byte(signature)) + "/",
-		opts:       opts,
-		http:       opts.HTTPClient,
-		br:         newBreaker(opts.BreakerThreshold, opts.BreakerProbeEvery, opts.BreakerCooldown, opts.Metrics),
-		queue:      make(chan putReq, opts.QueueLen),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-		closed:     make(chan struct{}),
+		base: strings.TrimRight(baseURL, "/"),
+		sig:  signature,
+		path: tierPathPrefix + base64.RawURLEncoding.EncodeToString([]byte(signature)) + "/",
+		opts: opts,
+		http: opts.HTTPClient,
+		br:   newBreaker(opts.BreakerThreshold, opts.BreakerProbeEvery, opts.BreakerCooldown, opts.Metrics),
 	}
 	r := opts.Metrics
 	c.mHits = r.Counter("sta/remote/hits")
@@ -217,7 +209,7 @@ func New(baseURL, signature string, opts Options) *Client {
 	c.mTimeouts = r.Counter("sta/remote/timeouts")
 	c.mCorrupt = r.Counter("sta/remote/corrupt")
 	c.mFastfails = r.Counter("sta/remote/fastfails")
-	go c.writer()
+	c.queue = diskcache.NewWriteQueue(opts.QueueLen, c.send)
 	return c
 }
 
@@ -253,30 +245,21 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// TierName implements the optional naming interface traced tier probes use.
-func (c *Client) TierName() string { return "remote" }
+// Name implements sta.TierStore.
+func (c *Client) Name() string { return "remote" }
 
 // Get implements sta.TierStore: a read-through probe whose every failure
 // mode — suppressed by the breaker, timed out, transport error, corrupt
-// frame — is a miss, never an error.
-func (c *Client) Get(key string) (sta.TierEntry, bool) {
-	return c.getTraced(key, obs.TraceRef{})
-}
-
-// GetCtx is the context-aware Get traced tier probes prefer: when the context
-// carries a trace reference, every network attempt becomes a child span, the
-// outbound request is stamped with the traceparent header, and a peer-recorded
-// span returned in the response header is merged into the same trace.
-// Fault-tolerance behaviour is identical to Get.
-func (c *Client) GetCtx(ctx context.Context, key string) (sta.TierEntry, bool) {
-	ref, _ := obs.TraceFrom(ctx)
-	return c.getTraced(key, ref)
-}
-
-func (c *Client) getTraced(key string, ref obs.TraceRef) (sta.TierEntry, bool) {
+// frame — is a miss, never an error. When ctx carries a trace reference,
+// every network attempt becomes a child span, the outbound request is
+// stamped with the traceparent header, and a peer-recorded span returned in
+// the response header is merged into the same trace. ctx supplies only the
+// trace: each attempt runs under the client's own deadline.
+func (c *Client) Get(ctx context.Context, key string) (sta.TierEntry, bool) {
 	if c == nil {
 		return sta.TierEntry{}, false
 	}
+	ref, _ := obs.TraceFrom(ctx)
 	proceed, probe := c.br.allow()
 	if !proceed {
 		c.fastfails.add(1, c.mFastfails)
@@ -487,23 +470,10 @@ func (c *Client) roundTrip(key, traceparent string) (_ sta.TierEntry, _ bool, pe
 // Put implements sta.TierStore: write-behind, lossy under pressure and
 // while the breaker is open. The frame is encoded on the caller's goroutine
 // (cheap and allocation-bounded) so a dropped put costs no network work.
-func (c *Client) Put(key string, e sta.TierEntry) {
-	c.putTraced(key, e, "")
-}
-
-// PutCtx is the context-aware Put: when the context carries a trace
-// reference, the traceparent for the caller's put span is captured into the
-// queued request and stamped on the asynchronous PUT — the peer can correlate
-// the write, but (the put being write-behind) no span is merged back.
-func (c *Client) PutCtx(ctx context.Context, key string, e sta.TierEntry) {
-	tp := ""
-	if ref, ok := obs.TraceFrom(ctx); ok {
-		tp = obs.FormatTraceparent(ref.T.TraceID, ref.Parent)
-	}
-	c.putTraced(key, e, tp)
-}
-
-func (c *Client) putTraced(key string, e sta.TierEntry, tp string) {
+// When ctx carries a trace reference, the traceparent for the caller's put
+// span is stamped on the asynchronous PUT — the peer can correlate the
+// write, but (the put being write-behind) no span is merged back.
+func (c *Client) Put(ctx context.Context, key string, e sta.TierEntry) {
 	if c == nil {
 		return
 	}
@@ -514,47 +484,18 @@ func (c *Client) putTraced(key string, e sta.TierEntry, tp string) {
 		c.dropped.add(1, c.mDropped)
 		return
 	}
-	rec := diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))
-	select {
-	case c.queue <- putReq{key: key, rec: rec, tp: tp}:
-	case <-c.done:
-		c.dropped.add(1, c.mDropped)
-	default:
+	req := putReq{key: key, rec: diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))}
+	if ref, ok := obs.TraceFrom(ctx); ok {
+		req.tp = obs.FormatTraceparent(ref.T.TraceID, ref.Parent)
+	}
+	if !c.queue.Enqueue(req) {
 		c.dropped.add(1, c.mDropped)
 	}
 }
 
-// writer is the single write-behind goroutine, mirroring diskcache: drain
-// the queue until Close, then drain what's already queued and exit.
-func (c *Client) writer() {
-	defer close(c.writerDone)
-	handle := func(req putReq) {
-		if req.ack != nil {
-			close(req.ack)
-			return
-		}
-		c.send(req)
-	}
-	for {
-		select {
-		case req := <-c.queue:
-			handle(req)
-		case <-c.done:
-			for {
-				select {
-				case req := <-c.queue:
-					handle(req)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// send performs one PUT. Failures drop the record (counted) and feed the
-// breaker; there are no retries — the store is lossy by contract and the
-// next analysis simply re-puts.
+// send is the write-behind sink: it performs one PUT. Failures drop the
+// record (counted) and feed the breaker; there are no retries — the store is
+// lossy by contract and the next analysis simply re-puts.
 func (c *Client) send(req putReq) {
 	proceed, probe := c.br.allow()
 	if !proceed {
@@ -613,31 +554,16 @@ func (c *Client) Flush() {
 	if c == nil {
 		return
 	}
-	ack := make(chan struct{})
-	select {
-	case c.queue <- putReq{ack: ack}:
-	case <-c.done:
-		return
-	}
-	select {
-	case <-ack:
-	case <-c.writerDone:
-	}
+	c.queue.Flush()
 }
 
-// Close drains the write-behind queue and stops the writer goroutine. The
-// client is unusable afterwards (Gets still work — they are stateless — but
-// Puts drop). Safe to call more than once.
+// Close drains the write-behind queue and stops its goroutine. The client is
+// unusable afterwards (Gets still work — they are stateless — but Puts drop
+// and are counted). Safe to call more than once, concurrently.
 func (c *Client) Close() error {
 	if c == nil {
 		return nil
 	}
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
-		close(c.done)
-	}
-	<-c.writerDone
+	c.queue.Close()
 	return nil
 }

@@ -2,8 +2,10 @@ package remotecache_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -81,30 +83,30 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 
 	// Cold server: a definitive miss, and a completed round trip (no breaker
 	// damage).
-	if _, ok := clean.Get("k1"); ok {
+	if _, ok := clean.Get(context.Background(), "k1"); ok {
 		t.Fatal("cold Get hit")
 	}
 
-	clean.Put("k1", e)
+	clean.Put(context.Background(), "k1", e)
 	clean.Flush()
 	if got := srv.Stats(); got.Stored != 1 {
 		t.Fatalf("server stored %d records, want 1 (stats %+v)", got.Stored, got)
 	}
 
-	got, ok := clean.Get("k1")
+	got, ok := clean.Get(context.Background(), "k1")
 	if !ok || got != e {
 		t.Fatalf("round trip = %+v, %v; want the stored entry back bit-for-bit", got, ok)
 	}
 
 	// Namespace isolation: same key, different signature, must miss.
-	if _, ok := other.Get("k1"); ok {
+	if _, ok := other.Get(context.Background(), "k1"); ok {
 		t.Fatal("signature namespaces alias each other")
 	}
 
 	// Wire corruption at rate 1: every GET response has a byte flipped, the
 	// CRC catches it, and the client serves a counted miss — never a wrong
 	// entry.
-	if _, ok := corrupting.Get("k1"); ok {
+	if _, ok := corrupting.Get(context.Background(), "k1"); ok {
 		t.Fatal("corrupt frame served as a hit")
 	}
 	cs := corrupting.Stats()
@@ -163,7 +165,7 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	c := remotecache.New("http://dead.invalid", "sig", opts)
 	defer c.Close()
 
-	get := func() { c.Get("k") }
+	get := func() { c.Get(context.Background(), "k") }
 
 	// Gets 1..3 reach the transport and fail; the 3rd opens the breaker.
 	for i := 0; i < 3; i++ {
@@ -222,6 +224,42 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	}
 }
 
+// TestPutAfterCloseIsCountedDrop: a put that arrives after Close is never
+// sent, so it must be counted as a drop — every one of them.
+func TestPutAfterCloseIsCountedDrop(t *testing.T) {
+	base, _ := startTier(t)
+	c := remotecache.New(base, "sig", quick())
+	c.Close()
+	e := sta.TierEntry{Delay: 1e-10, OK: true, Tier: uint8(sta.TierQWM)}
+	before := c.Stats().Dropped
+	for i := 0; i < 100; i++ {
+		c.Put(context.Background(), fmt.Sprintf("k%d", i), e)
+	}
+	if got := c.Stats().Dropped - before; got != 100 {
+		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
+	}
+}
+
+// TestConcurrentClose: Close is safe to call from many goroutines at once;
+// every call returns after the write-behind goroutine has exited.
+func TestConcurrentClose(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		c := remotecache.New("http://dead.invalid", "sig", quick())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
 // TestTwoReplicasShareTier is the remote-smoke gate: replica A analyzes
 // cold and publishes its delay cache to the shared tier; a second, fresh
 // replica B then analyzes the same workload entirely off remote hits —
@@ -233,7 +271,7 @@ func TestTwoReplicasShareTier(t *testing.T) {
 
 	cfgA := sta.Config{Workers: 2}
 	ca := remotecache.New(base, cfgA.Signature(), quick())
-	cfgA.Tier = ca
+	cfgA.Tiers = []sta.TierStore{ca}
 	a := sta.New(tech, lib, cfgA)
 	ref, err := a.AnalyzeContext(nil, req)
 	if err != nil {
@@ -251,7 +289,7 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	cfgB := sta.Config{Workers: 4}
 	cb := remotecache.New(base, cfgB.Signature(), quick())
 	defer cb.Close()
-	cfgB.Tier = cb
+	cfgB.Tiers = []sta.TierStore{cb}
 	b := sta.New(tech, lib, cfgB)
 	res, err := b.AnalyzeContext(nil, req)
 	if err != nil {
@@ -268,8 +306,8 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	}
 }
 
-// TestChainKillRestartRace drives concurrent analyses through a full
-// memory→remote→disk TierChain while the remote server is killed and
+// TestChainKillRestartRace drives concurrent analyses through the service's
+// tier arrangement, remote → disk, while the remote server is killed and
 // restarted mid-run. Every result must stay bit-identical to the no-tier
 // baseline, and the whole rig must unwind without leaking goroutines.
 // Runs under -race in CI (make remote-smoke).
@@ -312,7 +350,7 @@ func TestChainKillRestartRace(t *testing.T) {
 		opts.Timeout = 500 * time.Millisecond
 		opts.HTTPClient = &http.Client{Transport: &http.Transport{}}
 		rc := remotecache.New("http://"+addr, cfg.Signature(), opts)
-		cfg.Tier = sta.NewTierChain(sta.NewMemoryTier(0), rc, disk)
+		cfg.Tiers = []sta.TierStore{rc, disk}
 		a := sta.New(tech, lib, cfg)
 
 		const runs = 8

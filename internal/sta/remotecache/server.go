@@ -43,8 +43,8 @@ type ServerStats struct {
 
 // Server exposes TierStores over HTTP so a fleet of replicas can share one
 // warm delay cache. It holds no storage of its own: StoreFor maps a result
-// signature to the backing TierStore (a diskcache namespace, a MemoryTier, a
-// chain — anything honouring the TierStore contract). Mount Handler() under
+// signature to the backing TierStore (a diskcache namespace, a MemoryTier —
+// anything honouring the TierStore contract). Mount Handler() under
 // obs.Server.Extra or any mux.
 type Server struct {
 	// StoreFor resolves the backing store for one result signature,
@@ -135,7 +135,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		s.handleGet(w, store, key, traced)
+		s.handleGet(w, r, store, key, traced)
 	case http.MethodPut:
 		s.handlePut(w, r, store, key, traced)
 	default:
@@ -163,7 +163,7 @@ func (s *Server) setPeerSpan(w http.ResponseWriter, name string, dur time.Durati
 	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, store sta.TierStore, key string, traced bool) {
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, store sta.TierStore, key string, traced bool) {
 	s.gets.add(1, s.mGets)
 	start := time.Now()
 	var (
@@ -171,7 +171,7 @@ func (s *Server) handleGet(w http.ResponseWriter, store sta.TierStore, key strin
 		ok bool
 	)
 	if store != nil {
-		e, ok = store.Get(key)
+		e, ok = store.Get(r.Context(), key)
 	}
 	hit := ok && e.Valid()
 	if traced {
@@ -222,7 +222,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, store sta.Tie
 	}
 	outcome := "dropped"
 	if store != nil {
-		store.Put(key, e)
+		store.Put(r.Context(), key, e)
 		s.stored.add(1, s.mStored)
 		outcome = "stored"
 	}

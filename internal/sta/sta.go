@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,6 +96,7 @@ func New(tech *mos.Tech, lib *devmodel.Library, cfg ...Config) *Analyzer {
 	case 0:
 	case 1:
 		a.cfg = cfg[0]
+		a.cfg.Tiers = slices.Clone(a.cfg.Tiers) // the caller's slice stays theirs
 	default:
 		panic("sta: New accepts at most one Config")
 	}
@@ -485,11 +487,11 @@ func (a *Analyzer) lookupOrEval(key []byte, it *workItem, trace *obs.TraceRef, i
 	}
 	ks := string(key)
 	// Persistent tier read-through: the single-flight leader consults the
-	// tier below before paying an evaluation. A hit hydrates the in-memory
+	// tiers below before paying an evaluation. A hit hydrates the in-memory
 	// entry — every close(e.ready) path below runs exactly once, so a
 	// cancelled or corrupt store can never strand followers.
-	if a.cfg.Tier != nil {
-		if te, ok := a.tierGet(trace, it, ks); ok && te.Valid() {
+	if len(a.cfg.Tiers) > 0 {
+		if te, ok := a.tierGet(trace, it, ks); ok {
 			e.val = te.timing()
 			close(e.ready)
 			return e.val, false
@@ -507,7 +509,7 @@ func (a *Analyzer) lookupOrEval(key []byte, it *workItem, trace *obs.TraceRef, i
 	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, inSlew, ks)
 	close(e.ready)
 	// Write-behind AFTER ready is closed: followers never wait on the store.
-	if a.cfg.Tier != nil {
+	if len(a.cfg.Tiers) > 0 {
 		a.tierPut(trace, it, ks, tierEntryOf(e.val))
 	}
 	return e.val, true

@@ -1,89 +1,25 @@
 package sta
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
 
-func TestNewTierChainUnwraps(t *testing.T) {
-	if got := NewTierChain(); got != nil {
-		t.Errorf("empty chain = %v, want nil", got)
-	}
-	if got := NewTierChain(nil, nil); got != nil {
-		t.Errorf("all-nil chain = %v, want nil", got)
-	}
-	single := newMapTierStore()
-	if got := NewTierChain(nil, single, nil); got != TierStore(single) {
-		t.Errorf("one-store chain = %v, want the store unwrapped", got)
-	}
-	chain := NewTierChain(newMapTierStore(), newMapTierStore())
-	tc, ok := chain.(*TierChain)
-	if !ok || len(tc.Stores()) != 2 {
-		t.Fatalf("two-store chain = %T %v, want *TierChain of 2", chain, chain)
-	}
-}
-
-func TestTierChainPromotionAndWriteBackAll(t *testing.T) {
-	mem := newMapTierStore()
-	remote := newMapTierStore()
-	disk := newMapTierStore()
-	chain := NewTierChain(mem, remote, disk)
-
-	e := TierEntry{Delay: 1e-10, Slew: 2e-11, OK: true, Tier: uint8(TierQWM)}
-	disk.Put("k", e)
-
-	got, ok := chain.Get("k")
-	if !ok || got != e {
-		t.Fatalf("chain.Get = %+v, %v; want the disk entry", got, ok)
-	}
-	// Promotion: the hit must have been written back into BOTH earlier tiers.
-	if me, ok := mem.m["k"]; !ok || me != e {
-		t.Errorf("memory tier not promoted: %+v, %v", me, ok)
-	}
-	if re, ok := remote.m["k"]; !ok || re != e {
-		t.Errorf("remote tier not promoted: %+v, %v", re, ok)
-	}
-	// The next Get stops at the first tier: no further disk reads.
-	diskGets := disk.gets
-	if _, ok := chain.Get("k"); !ok {
-		t.Fatal("promoted key missed")
-	}
-	if disk.gets != diskGets {
-		t.Errorf("promoted Get still reached the last tier (%d extra reads)", disk.gets-diskGets)
-	}
-
-	// Write-back-all: a fresh Put lands in every tier.
-	e2 := TierEntry{Delay: 5e-10, OK: true, Tier: uint8(TierQWM)}
-	chain.Put("k2", e2)
-	for name, s := range map[string]*mapTierStore{"mem": mem, "remote": remote, "disk": disk} {
-		if se, ok := s.m["k2"]; !ok || se != e2 {
-			t.Errorf("%s tier missing written-back entry: %+v, %v", name, se, ok)
-		}
-	}
-
-	// An invalid entry in an early tier must not shadow a valid later one.
-	bad := e
-	bad.Tier = uint8(NumTiers) + 1
-	mem.Put("k3", bad)
-	disk.Put("k3", e)
-	if got, ok := chain.Get("k3"); !ok || got != e {
-		t.Errorf("invalid early entry shadowed the valid one: %+v, %v", got, ok)
-	}
-}
-
 func TestMemoryTierFIFOEviction(t *testing.T) {
+	ctx := context.Background()
 	mt := NewMemoryTier(2)
 	e := TierEntry{OK: true, Delay: 1, Tier: uint8(TierQWM)}
-	mt.Put("a", e)
-	mt.Put("b", e)
+	mt.Put(ctx, "a", e)
+	mt.Put(ctx, "b", e)
 	// Overwrite must not create a duplicate eviction slot.
-	mt.Put("a", e)
-	mt.Put("c", e) // evicts "a" (oldest insertion)
-	if _, ok := mt.Get("a"); ok {
+	mt.Put(ctx, "a", e)
+	mt.Put(ctx, "c", e) // evicts "a" (oldest insertion)
+	if _, ok := mt.Get(ctx, "a"); ok {
 		t.Error("oldest key survived eviction")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := mt.Get(k); !ok {
+		if _, ok := mt.Get(ctx, k); !ok {
 			t.Errorf("key %q evicted prematurely", k)
 		}
 	}
@@ -96,32 +32,34 @@ func TestMemoryTierFIFOEviction(t *testing.T) {
 	}
 }
 
-// TestTierChainWarmAnalyzeBitIdentical is the chain analogue of
+// TestTierChainWarmAnalyzeBitIdentical is the two-store analogue of
 // TestTierStoreWarmRunIsBitIdentical: an analyzer hydrated through a
-// memory→backing chain reports StagesEvaluated = 0 and bit-identical results.
+// MemoryTier in front of a backing store reports StagesEvaluated = 0 and
+// bit-identical results. The cold run's writes must reach the last store and
+// the warm run's reads must pass through a cold first one.
 func TestTierChainWarmAnalyzeBitIdentical(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 
 	backing := newMapTierStore()
-	cold := New(tech, lib, Config{Workers: 1, Tier: NewTierChain(NewMemoryTier(0), backing)})
+	cold := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{NewMemoryTier(0), backing}})
 	ref, err := cold.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if backing.puts != ref.StagesEvaluated {
-		t.Fatalf("cold chain run: %d evals, %d backing puts — write-back-all must reach the last tier",
+		t.Fatalf("cold run: %d evals, %d backing puts — write-back-all must reach the last store",
 			ref.StagesEvaluated, backing.puts)
 	}
 
-	warm := New(tech, lib, Config{Workers: 4, Tier: NewTierChain(NewMemoryTier(0), backing)})
+	warm := New(tech, lib, Config{Workers: 4, Tiers: []TierStore{NewMemoryTier(0), backing}})
 	res, err := warm.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.StagesEvaluated != 0 {
-		t.Errorf("warm chain run evaluated %d stages, want 0", res.StagesEvaluated)
+		t.Errorf("warm run evaluated %d stages, want 0", res.StagesEvaluated)
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
-		t.Error("chain-warm run diverged from cold reference")
+		t.Error("warm run through the memory tier diverged from cold reference")
 	}
 }

@@ -121,13 +121,8 @@ func maxArrivalErrPct(ref, got *sta.Result) float64 {
 }
 
 // RunHotPathDiff executes the four-leg hot-path differential on one case.
-func RunHotPathDiff(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, workers int, tolPct float64) HotPathDiff {
-	return RunHotPathDiffObserved(tech, lib, c, workers, tolPct, nil)
-}
-
-// RunHotPathDiffObserved is RunHotPathDiff with an optional metrics registry
-// attached to every analyzer it constructs.
-func RunHotPathDiffObserved(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, workers int, tolPct float64, metrics *obs.Registry) HotPathDiff {
+// metrics, when non-nil, is attached to every analyzer it constructs.
+func RunHotPathDiff(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, workers int, tolPct float64, metrics *obs.Registry) HotPathDiff {
 	d := HotPathDiff{Name: c.Name}
 	offCfg, offMemo := reduce.Config{}, sta.MemoConfig{}
 	onCfg := reduce.Config{Enabled: true}

@@ -23,7 +23,7 @@ func TestHotPathDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := RunHotPathDiff(tech, h.Lib, c, 4, 10)
+	d := RunHotPathDiff(tech, h.Lib, c, 4, 10, nil)
 	if d.Err != "" {
 		t.Fatal(d.Err)
 	}
@@ -44,7 +44,7 @@ func TestHotPathDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := RunHotPathDiff(tech, h.Lib, c2, 4, 10)
+	d2 := RunHotPathDiff(tech, h.Lib, c2, 4, 10, nil)
 	if !reflect.DeepEqual(d, d2) {
 		t.Fatalf("hot-path diff not reproducible:\n%+v\nvs\n%+v", d, d2)
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -166,7 +167,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 		var problems []string
 		cfgA := sta.Config{Workers: cfg.Workers}
 		ca := remotecache.New(hs.URL, cfgA.Signature(), remoteQuickOpts())
-		cfgA.Tier = ca
+		cfgA.Tiers = []sta.TierStore{ca}
 		resA, err := sta.New(tech, lib, cfgA).AnalyzeContext(nil, req)
 		if err != nil {
 			problems = append(problems, "replica A: "+err.Error())
@@ -181,7 +182,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 
 		cfgB := sta.Config{Workers: cfg.Workers}
 		cb := remotecache.New(hs.URL, cfgB.Signature(), remoteQuickOpts())
-		cfgB.Tier = cb
+		cfgB.Tiers = []sta.TierStore{cb}
 		resB, err := sta.New(tech, lib, cfgB).AnalyzeContext(nil, req)
 		if err != nil {
 			problems = append(problems, "replica B: "+err.Error())
@@ -210,7 +211,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 		opts.Fault = inj
 		ccfg := sta.Config{Workers: cfg.Workers}
 		cc := remotecache.New(hs.URL, ccfg.Signature(), opts)
-		ccfg.Tier = cc
+		ccfg.Tiers = []sta.TierStore{cc}
 		res, err := sta.New(tech, lib, ccfg).AnalyzeContext(nil, req)
 		if err != nil {
 			problems = append(problems, "chaos analyze: "+err.Error())
@@ -241,7 +242,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 			c := remotecache.New("http://dead.invalid", "sig", opts)
 			defer c.Close()
 			for i := 0; i < 11; i++ {
-				c.Get(fmt.Sprintf("k%d", i))
+				c.Get(context.Background(), fmt.Sprintf("k%d", i))
 				states = append(states, c.BreakerState().String())
 			}
 			return states, tr.attempts.Load()
@@ -274,7 +275,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 		opts.HTTPClient = &http.Client{Transport: tr}
 		dcfg := sta.Config{Workers: cfg.Workers}
 		dc := remotecache.New("http://dead.invalid", dcfg.Signature(), opts)
-		dcfg.Tier = dc
+		dcfg.Tiers = []sta.TierStore{dc}
 		res, err := sta.New(tech, lib, dcfg).AnalyzeContext(nil, req)
 		if err != nil {
 			problems = append(problems, "dead-peer analyze: "+err.Error())

@@ -168,15 +168,10 @@ func arrivalWithin(a, b sta.Arrival, rel float64) bool {
 
 // RunAnalyzeDiff checks one generated tree across three variants against
 // the cold serial reference: a warm re-run on the same analyzer (cache hits
-// only), a cold parallel run, and a warm parallel re-run.
-func RunAnalyzeDiff(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int) AnalyzeDiff {
-	return RunAnalyzeDiffObserved(tech, lib, c, workers, nil)
-}
-
-// RunAnalyzeDiffObserved is RunAnalyzeDiff with an optional metrics
-// registry attached to every analyzer it constructs, so a verification
+// only), a cold parallel run, and a warm parallel re-run. metrics, when
+// non-nil, is attached to every analyzer it constructs, so a verification
 // sweep doubles as an observability exercise of the engine.
-func RunAnalyzeDiffObserved(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int, metrics *obs.Registry) AnalyzeDiff {
+func RunAnalyzeDiff(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int, metrics *obs.Registry) AnalyzeDiff {
 	d := AnalyzeDiff{Name: c.Name}
 	serial, ref, err := analyze(tech, lib, c, 1, metrics)
 	if err != nil {
@@ -218,14 +213,9 @@ func RunAnalyzeDiffObserved(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCas
 // the heavy result bit-for-bit against a fresh uncached analyzer. A cache
 // key that omits the load digest serves the heavy tree from the light
 // tree's entries and fails here; it also checks the loads actually matter
-// (the two trees must not produce identical arrivals).
-func RunSiblingDiff(tech *mos.Tech, lib *devmodel.Library, p *SiblingPair, workers int) AnalyzeDiff {
-	return RunSiblingDiffObserved(tech, lib, p, workers, nil)
-}
-
-// RunSiblingDiffObserved is RunSiblingDiff with an optional metrics
-// registry attached to the analyzers it constructs.
-func RunSiblingDiffObserved(tech *mos.Tech, lib *devmodel.Library, p *SiblingPair, workers int, metrics *obs.Registry) AnalyzeDiff {
+// (the two trees must not produce identical arrivals). metrics, when
+// non-nil, is attached to the analyzers it constructs.
+func RunSiblingDiff(tech *mos.Tech, lib *devmodel.Library, p *SiblingPair, workers int, metrics *obs.Registry) AnalyzeDiff {
 	d := AnalyzeDiff{Name: p.Name}
 	shared := sta.New(tech, lib, sta.Config{Workers: workers, Metrics: metrics})
 	lightRes, err := shared.AnalyzeContext(nil, sta.Request{Netlist: p.A.Netlist, Primary: p.A.Primary, Outputs: p.A.Outputs})

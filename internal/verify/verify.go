@@ -96,7 +96,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	for i := 0; i < cfg.AnalyzeN; i++ {
 		c := GenAnalyzeCase(tech, r, i)
-		d := RunAnalyzeDiffObserved(tech, h.Lib, c, cfg.Workers, cfg.Metrics)
+		d := RunAnalyzeDiff(tech, h.Lib, c, cfg.Workers, cfg.Metrics)
 		rep.Analyze = append(rep.Analyze, d)
 		if cfg.Progress != nil {
 			cfg.Progress("analyze %s: %s", d.Name, passMark(d.Pass, d.Err))
@@ -104,7 +104,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	for i := 0; i < cfg.PairN; i++ {
 		p := GenSiblingPair(tech, r, i)
-		d := RunSiblingDiffObserved(tech, h.Lib, p, cfg.Workers, cfg.Metrics)
+		d := RunSiblingDiff(tech, h.Lib, p, cfg.Workers, cfg.Metrics)
 		rep.Sibling = append(rep.Sibling, d)
 		if cfg.Progress != nil {
 			cfg.Progress("sibling %s: %s", d.Name, passMark(d.Pass, d.Err))
@@ -115,7 +115,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verify: generate hot-path case %d: %w", i, err)
 		}
-		d := RunHotPathDiffObserved(tech, h.Lib, c, cfg.Workers, cfg.TolPct, cfg.Metrics)
+		d := RunHotPathDiff(tech, h.Lib, c, cfg.Workers, cfg.TolPct, cfg.Metrics)
 		rep.HotPath = append(rep.HotPath, d)
 		if cfg.Progress != nil {
 			cfg.Progress("hotpath %s: err %.2f%% (reduced %d, class hits %d) %s",

@@ -74,7 +74,7 @@ func TestSiblingDiffCatchesLoadBlindCache(t *testing.T) {
 	}
 	r := newRand(7)
 	p := GenSiblingPair(tech, r, 0)
-	d := RunSiblingDiff(tech, h.Lib, p, 4)
+	d := RunSiblingDiff(tech, h.Lib, p, 4, nil)
 	if d.Err != "" {
 		t.Fatal(d.Err)
 	}
