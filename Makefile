@@ -104,12 +104,13 @@ service-smoke:
 # One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the
 # whole-engine Thomas + Sherman–Morrison vs dense-LU ablation, the
+# secant-capacitance second pass vs frozen capacitances, the
 # observability-overhead comparison (bare vs observer vs metrics), the
 # warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
 # vs on), incremental re-analysis and the warm-disk service path. It checks
 # that they run; performance is measured by perfbench (BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
 	$(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/
 

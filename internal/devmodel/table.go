@@ -49,8 +49,11 @@ type Table struct {
 	StepV float64 // grid pitch (0.1 V in the paper)
 	WRef  float64
 	N     int // grid points per axis: 0..N-1 covering [0, VDD]
-	Grid  [][]Entry
+	// Grid[ig][is] is the entry at vg = ig·StepV, vs = is·StepV. Its rows
+	// are views of one row-major array, which the lookups index directly.
+	Grid [][]Entry
 
+	flat   []Entry // Grid's backing store: entry (ig, is) at ig·N + is
 	params *mos.Params
 	body   float64 // body voltage in unfolded space
 }
@@ -82,7 +85,11 @@ func Characterize(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error
 		Pol: p.Pol, L: l, VDD: vdd, StepV: step,
 		WRef: 1e-6, N: n,
 		Grid:   make([][]Entry, n),
+		flat:   make([]Entry, n*n),
 		params: p, body: body,
+	}
+	for ig := range t.Grid {
+		t.Grid[ig] = t.flat[ig*n : (ig+1)*n : (ig+1)*n]
 	}
 	const nFit = 24 // samples per region for the least-squares fits
 	// Grid rows are independent; characterize them in parallel.
@@ -108,7 +115,6 @@ func Characterize(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error
 func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 	n := t.N
 	vdd := t.VDD
-	t.Grid[ig] = make([]Entry, n)
 	vg := float64(ig) * step
 	for is := 0; is < n; is++ {
 		vs := float64(is) * step
@@ -260,26 +266,22 @@ func (t *Table) ivForward(w, vg, vd, vs float64) (i, dvg, dvd, dvs float64) {
 		vds = 0
 	}
 
-	var iv [2][2]float64 // current at corners
-	var gv [2][2]float64 // dI/dVds at corners
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			iv[a][b], gv[a][b] = t.Grid[ig+a][is+b].Eval(vds)
-		}
-	}
-	lerp := func(m [2][2]float64) float64 {
-		top := m[0][0]*(1-fs) + m[0][1]*fs
-		bot := m[1][0]*(1-fs) + m[1][1]*fs
-		return top*(1-fg) + bot*fg
-	}
-	i = scale * lerp(iv)
-	dvd = scale * lerp(gv)
+	// The four corners: row ig (lo) and ig+1 (hi), columns is and is+1.
+	k := ig*t.N + is
+	lo, hi := t.flat[k:k+2], t.flat[k+t.N:k+t.N+2]
+	i00, g00 := lo[0].Eval(vds)
+	i01, g01 := lo[1].Eval(vds)
+	i10, g10 := hi[0].Eval(vds)
+	i11, g11 := hi[1].Eval(vds)
+	iLo := i00*(1-fs) + i01*fs
+	iHi := i10*(1-fs) + i11*fs
+	i = scale * (iLo*(1-fg) + iHi*fg)
+	dvd = scale * ((g00*(1-fs)+g01*fs)*(1-fg) + (g10*(1-fs)+g11*fs)*fg)
 	// ∂/∂Vg of the bilinear weights.
-	dIg := (iv[1][0]*(1-fs) + iv[1][1]*fs) - (iv[0][0]*(1-fs) + iv[0][1]*fs)
-	dvg = scale * dIg / t.StepV
+	dvg = scale * (iHi - iLo) / t.StepV
 	// ∂/∂Vs: the weight term (body effect) plus the −∂I/∂Vds term from the
 	// query Vds shrinking as vs rises.
-	dIs := (iv[0][1]*(1-fg) + iv[1][1]*fg) - (iv[0][0]*(1-fg) + iv[1][0]*fg)
+	dIs := (i01*(1-fg) + i11*fg) - (i00*(1-fg) + i10*fg)
 	dvs = scale*dIs/t.StepV - dvd
 	return i, dvg, dvd, dvs
 }
@@ -303,17 +305,18 @@ func (t *Table) locate(v float64) (int, float64) {
 // G = V_lower + Vth uses (paper Eq. 7, last line).
 func (t *Table) Threshold(vs float64) float64 {
 	is, fs := t.locate(vs)
-	return t.Grid[0][is].Vth*(1-fs) + t.Grid[0][is+1].Vth*fs
+	return t.flat[is].Vth*(1-fs) + t.flat[is+1].Vth*fs
 }
 
 // Vdsat returns the interpolated saturation voltage at folded (vg, vs).
 func (t *Table) Vdsat(vg, vs float64) float64 {
 	ig, fg := t.locate(vg)
 	is, fs := t.locate(vs)
-	v00 := t.Grid[ig][is].Vdsat
-	v01 := t.Grid[ig][is+1].Vdsat
-	v10 := t.Grid[ig+1][is].Vdsat
-	v11 := t.Grid[ig+1][is+1].Vdsat
+	k := ig*t.N + is
+	v00 := t.flat[k].Vdsat
+	v01 := t.flat[k+1].Vdsat
+	v10 := t.flat[k+t.N].Vdsat
+	v11 := t.flat[k+t.N+1].Vdsat
 	return (v00*(1-fs)+v01*fs)*(1-fg) + (v10*(1-fs)+v11*fs)*fg
 }
 

@@ -303,3 +303,63 @@ func TestGridPitchAblation(t *testing.T) {
 		t.Errorf("entry counts: fine %d vs default %d", fine.Entries(), nTable.Entries())
 	}
 }
+
+// gridIV is the reference table lookup: bilinear interpolation over the
+// two-level Grid with every corner's fit evaluated at the query's Vds, in
+// the same arithmetic order as Table.IV.
+func gridIV(t *Table, w, vg, vd, vs float64) (i, dvg, dvd, dvs float64) {
+	if vd < vs {
+		i, dvg, dvs, dvd = gridIV(t, w, vg, vs, vd)
+		return -i, -dvg, -dvd, -dvs
+	}
+	scale := w / t.WRef
+	ig, fg := t.locate(vg)
+	is, fs := t.locate(vs)
+	vds := math.Max(vd-vs, 0)
+	var iv, gv [2][2]float64
+	for a := 0; a < 2; a++ {
+		for b := 0; b < 2; b++ {
+			iv[a][b], gv[a][b] = t.Grid[ig+a][is+b].Eval(vds)
+		}
+	}
+	lerp := func(m [2][2]float64) float64 {
+		top := m[0][0]*(1-fs) + m[0][1]*fs
+		bot := m[1][0]*(1-fs) + m[1][1]*fs
+		return top*(1-fg) + bot*fg
+	}
+	i = scale * lerp(iv)
+	dvd = scale * lerp(gv)
+	dIg := (iv[1][0]*(1-fs) + iv[1][1]*fs) - (iv[0][0]*(1-fs) + iv[0][1]*fs)
+	dvg = scale * dIg / t.StepV
+	dIs := (iv[0][1]*(1-fg) + iv[1][1]*fg) - (iv[0][0]*(1-fg) + iv[1][0]*fg)
+	dvs = scale*dIs/t.StepV - dvd
+	return i, dvg, dvd, dvs
+}
+
+// The flat-array lookup must reproduce the Grid bilinear evaluation bit for
+// bit — current and all three derivatives — on a dense sweep that covers
+// cell interiors, the neighbourhood of grid lines, both clamped edges and
+// reverse conduction, for both polarities.
+func TestIVMatchesGridBilinearBitExact(t *testing.T) {
+	const w = 1.7e-6
+	for _, tbl := range []*Table{nTable, pTable} {
+		n := 0
+		for vg := -0.1; vg <= tbl.VDD+0.1; vg += 0.0525 {
+			for vd := -0.1; vd <= tbl.VDD+0.1; vd += 0.0875 {
+				for vs := -0.1; vs <= tbl.VDD+0.1; vs += 0.0875 {
+					i, dg, dd, ds := tbl.IV(w, vg, vd, vs)
+					ri, rg, rd, rs := gridIV(tbl, w, vg, vd, vs)
+					if math.Float64bits(i) != math.Float64bits(ri) || math.Float64bits(dg) != math.Float64bits(rg) ||
+						math.Float64bits(dd) != math.Float64bits(rd) || math.Float64bits(ds) != math.Float64bits(rs) {
+						t.Fatalf("%v vg=%g vd=%g vs=%g: IV (%g, %g, %g, %g), grid reference (%g, %g, %g, %g)",
+							tbl.Pol, vg, vd, vs, i, dg, dd, ds, ri, rg, rd, rs)
+					}
+					n++
+				}
+			}
+		}
+		if n < 50000 {
+			t.Fatalf("%v: sweep covered only %d points", tbl.Pol, n)
+		}
+	}
+}

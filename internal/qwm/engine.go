@@ -31,7 +31,9 @@ type Options struct {
 	// paper's simplified presentation). By default the engine re-solves each
 	// region once with secant (charge-based) capacitances over the region's
 	// voltage excursion, which removes the systematic junction-capacitance
-	// bias at negligible cost.
+	// bias. The second pass starts from the first pass's solution; on the
+	// Table II 8-stack of BenchmarkAblationFreezeCaps it costs about 1.3×
+	// the frozen run's time (318 vs 221 Newton iterations).
 	FreezeCaps bool
 	// LinearWaveform replaces the quadratic voltage model with a piecewise
 	// LINEAR one (constant node current per region, matched at the critical
@@ -237,6 +239,7 @@ func newEngine(ch *Chain, opts Options) (*engine, error) {
 		e.v[k] = ch.V0[k-1]
 		e.cur[k], e.capn[k], e.qn[k] = 0, 0, 0
 		e.segs[k-1] = &wave.PWQ{}
+		scr.capV[k] = math.NaN() // matches no voltage: the cache starts empty
 	}
 	if o.WallBudget > 0 {
 		e.wallDeadline = time.Now().Add(o.WallBudget)
@@ -381,17 +384,17 @@ func (e *engine) run() (*Result, error) {
 
 // elemJ returns the current through element i flowing from node i+1 (upper)
 // down to node i (lower) at time t with the given terminal voltages, plus
-// its derivatives with respect to the lower and upper node voltages.
-func (e *engine) elemJ(i int, t, vLow, vUp float64) (j, dLow, dUp float64) {
+// its derivatives with respect to the lower, upper and gate voltages.
+func (e *engine) elemJ(i int, t, vLow, vUp float64) (j, dLow, dUp, dGate float64) {
 	el := e.ch.Elems[i]
 	if el.IsWire() {
 		g := 1 / el.R
-		return (vUp - vLow) * g, -g, g
+		return (vUp - vLow) * g, -g, g, 0
 	}
 	e.res.DeviceEvals++
 	g := el.Gate.Eval(t)
-	j, _, dvd, dvs := el.Model.IV(el.W, g, vUp, vLow)
-	return j, dvs, dvd
+	j, dvg, dvd, dvs := el.Model.IV(el.W, g, vUp, vLow)
+	return j, dvs, dvd, dvg
 }
 
 // isOn reports whether transistor element i conducts at the current state:
@@ -416,10 +419,17 @@ func (e *engine) advanceFront() {
 
 // refreshCaps freezes the node capacitances at the current voltages — the
 // constant-parasitic-per-region assumption of §III-C — and keeps the
-// region-start charges for the secant pass.
+// region-start charges for the secant pass. A node whose voltage has not
+// moved since its last evaluation (every inactive node above the front)
+// reuses the cached C and Q.
 func (e *engine) refreshCaps() {
+	s := e.scr
 	for k := 1; k <= e.m; k++ {
-		e.capn[k], e.qn[k] = e.ch.Caps[k-1].CQ(e.v[k], e.ch.VDD, e.ch.Pol)
+		if e.v[k] != s.capV[k] {
+			s.capV[k] = e.v[k]
+			s.capC[k], s.capQ[k] = e.ch.Caps[k-1].CQ(e.v[k], e.ch.VDD, e.ch.Pol)
+		}
+		e.capn[k], e.qn[k] = s.capC[k], s.capQ[k]
 	}
 }
 
@@ -434,13 +444,13 @@ func (e *engine) refreshCurrents() {
 		}
 		var jBelow float64
 		if k == 1 {
-			jBelow, _, _ = e.elemJ(0, e.t, 0, e.v[1])
+			jBelow, _, _, _ = e.elemJ(0, e.t, 0, e.v[1])
 		} else {
 			jBelow = jPrev
 		}
 		var jAbove float64
 		if k < e.front {
-			jAbove, _, _ = e.elemJ(k, e.t, e.v[k], e.v[k+1])
+			jAbove, _, _, _ = e.elemJ(k, e.t, e.v[k], e.v[k+1])
 		}
 		e.cur[k] = jAbove - jBelow
 		jPrev = jAbove
@@ -517,12 +527,11 @@ func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, 
 		return false, nil
 	}
 	if !e.o.FreezeCaps {
-		// Secant-capacitance second pass, as in solveRegionSecant.
+		// Secant-capacitance second pass, as in solveRegionSecant, started
+		// from the probe's α.
 		saved := e.secantCaps(L, alpha, durCap)
 		alpha2 := e.scr.nextAlpha(L)
-		for i := range alpha2 {
-			alpha2[i] = 0
-		}
+		copy(alpha2, alpha)
 		if fe2, ok2 := rs.solveAlphas(alpha2, tauP, iter); ok2 && notFired(fe2) {
 			alpha = alpha2
 		} else {
@@ -581,14 +590,15 @@ func (e *engine) durCap() float64 {
 // solveRegionSecant runs the region solve, then — unless FreezeCaps — once
 // more with secant (charge-based) node capacitances evaluated over the
 // first pass's voltage excursion, so voltage-dependent junctions do not
-// bias the region endpoint.
+// bias the region endpoint. The second pass starts from the first pass's
+// (α, τ′).
 func (e *engine) solveRegionSecant(L int, ev event) (float64, []float64, error) {
-	tauP, alpha, err := e.solveRegion(L, ev)
+	tauP, alpha, err := e.solveRegion(L, ev, nil, 0)
 	if err != nil || e.o.FreezeCaps {
 		return tauP, alpha, err
 	}
 	saved := e.secantCaps(L, alpha, tauP-e.t)
-	tauP2, alpha2, err2 := e.solveRegion(L, ev)
+	tauP2, alpha2, err2 := e.solveRegion(L, ev, alpha, tauP)
 	if err2 != nil {
 		copy(e.capn, saved)
 		return tauP, alpha, nil

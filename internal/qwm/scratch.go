@@ -21,29 +21,34 @@ import (
 //     region results are live at once: the secant-capacitance second pass
 //     holds the first pass's α while re-solving).
 //   - The Newton loop (newton) and the inner α solve (solveAlphas) are never
-//     active at the same time, so they share F/neg/trial/Ftrial/dx.
+//     active at the same time, so they share F/neg/trial/Ftrial/dx and tri.
 //   - The bisection fallback keeps its persistent α in alphaBis and its
 //     per-probe trial in alphaTrial, both disjoint from solveAlphas's
 //     buffers.
+//   - capV/capC/capQ cache each node's last capacitance evaluation; newEngine
+//     invalidates them, since a pooled scratch moves between chains.
 type solverScratch struct {
 	n int // current capacity (system order)
 
 	// Engine chain state (index 0..m).
 	v, cur, capn, qn, capSaved []float64
+	// NodeCap.CQ cache: node k last evaluated at folded voltage capV[k]
+	// gave capC[k], capQ[k] (index 1..m).
+	capV, capC, capQ []float64
 
 	// Region-system state.
-	rsV, rsVdot, rsJ, rsDLow, rsDUp []float64
+	rsV, rsVdot, rsJ, rsDLow, rsDUp, rsDGate []float64
 
 	// Newton / inner-solve work vectors (length L+1 views).
 	F, neg, trial, Ftrial, dx, x []float64
 	u, vcol                      []float64
 	y, z, cp                     []float64
 
-	// Tridiagonal backing stores; tri/inner are re-sliced views of them so a
-	// region of any order L+1 ≤ n reuses the same memory.
-	triSub, triDiag, triSup       []float64
-	innerSub, innerDiag, innerSup []float64
-	tri, inner                    la.Tridiag
+	// Tridiagonal backing stores; tri is a re-sliced view of them so a
+	// region of any order L+1 ≤ n — or the inner α solve's order L —
+	// reuses the same memory.
+	triSub, triDiag, triSup []float64
+	tri                     la.Tridiag
 
 	// Rotating α result buffers plus the bisection fallback's own pair.
 	alphaA, alphaB, alphaBis, alphaTrial []float64
@@ -65,12 +70,12 @@ func (s *solverScratch) ensure(n int) {
 	s.n = n
 	grow := func() []float64 { return make([]float64, n) }
 	s.v, s.cur, s.capn, s.qn, s.capSaved = grow(), grow(), grow(), grow(), grow()
-	s.rsV, s.rsVdot, s.rsJ, s.rsDLow, s.rsDUp = grow(), grow(), grow(), grow(), grow()
+	s.capV, s.capC, s.capQ = grow(), grow(), grow()
+	s.rsV, s.rsVdot, s.rsJ, s.rsDLow, s.rsDUp, s.rsDGate = grow(), grow(), grow(), grow(), grow(), grow()
 	s.F, s.neg, s.trial, s.Ftrial, s.dx, s.x = grow(), grow(), grow(), grow(), grow(), grow()
 	s.u, s.vcol = grow(), grow()
 	s.y, s.z, s.cp = grow(), grow(), grow()
 	s.triSub, s.triDiag, s.triSup = grow(), grow(), grow()
-	s.innerSub, s.innerDiag, s.innerSup = grow(), grow(), grow()
 	s.alphaA, s.alphaB, s.alphaBis, s.alphaTrial = grow(), grow(), grow(), grow()
 	s.dmBuf, s.luBuf = make([]float64, n*n), make([]float64, n*n)
 	s.piv = make([]int, n)
@@ -94,14 +99,6 @@ func (s *solverScratch) triN(k int) *la.Tridiag {
 	s.tri.Sub = s.triSub[:k-1]
 	s.tri.Sup = s.triSup[:k-1]
 	return &s.tri
-}
-
-// innerN returns the inner α-solve tridiagonal re-sliced to order k.
-func (s *solverScratch) innerN(k int) *la.Tridiag {
-	s.inner.Diag = s.innerDiag[:k]
-	s.inner.Sub = s.innerSub[:k-1]
-	s.inner.Sup = s.innerSup[:k-1]
-	return &s.inner
 }
 
 // nextAlpha hands out the other half of the α double buffer. Callers may

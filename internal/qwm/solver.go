@@ -7,6 +7,7 @@ import (
 
 	"qwm/internal/faultinject"
 	"qwm/internal/la"
+	"qwm/internal/wave"
 )
 
 // errInjectedPivot is the synthetic linear-solve failure raised by the
@@ -16,53 +17,58 @@ var errInjectedPivot = errors.New("faultinject: injected Thomas pivot breakdown"
 
 // event closes a region's algebraic system: the turn-on condition of the
 // next stack transistor (paper Eq. 7, last line) or an output-level crossing
-// for the final regions. eval returns the residual, its derivative with
-// respect to the top active node voltage, and its direct time derivative.
-// The name is formatted lazily (diagnostics only) so constructing an event
-// on the hot path does not allocate a string.
+// for the final regions. The name is formatted lazily (diagnostics only) so
+// constructing an event on the hot path does not allocate.
 type event struct {
-	kind string  // "turn-on" or "cross"
-	arg  float64 // element index or target level
-	eval func(tauP, vTop float64) (f, dfdv, dfdt float64)
+	arg float64 // element index or target level
+	el  *Elem   // the turning-on element; nil for a crossing
 }
 
 func (ev *event) name() string {
-	if ev.kind == "turn-on" {
+	if ev.el != nil {
 		return fmt.Sprintf("turn-on[%d]", int(ev.arg))
 	}
 	return fmt.Sprintf("cross[%.3g]", ev.arg)
 }
 
+// value is the event residual at τ′ with the top active node at vTop: the
+// gate overdrive G − V − Vth of a turn-on, or V − target of a crossing.
+func (ev *event) value(tauP, vTop float64) float64 {
+	if ev.el == nil {
+		return vTop - ev.arg
+	}
+	return ev.el.Gate.Eval(tauP) - vTop - ev.el.Model.Threshold(vTop)
+}
+
+// partials returns the event residual's derivatives with respect to the
+// top active node voltage and, directly, to τ′.
+func (ev *event) partials(tauP, vTop float64) (dfdv, dfdt float64) {
+	if ev.el == nil {
+		return 1, 0
+	}
+	const h = 1e-4
+	m := ev.el.Model
+	dth := (m.Threshold(vTop+h) - m.Threshold(vTop-h)) / (2 * h)
+	return -1 - dth, gateSlope(ev.el.Gate, tauP)
+}
+
+// gateSlope is a gate waveform's rate of change at t, by central
+// difference. Ramps contribute their slope; steps contribute zero almost
+// everywhere (the bisection fallback handles the jump itself).
+func gateSlope(g wave.Waveform, t float64) float64 {
+	const ht = 1e-13
+	return (g.Eval(t+ht) - g.Eval(t-ht)) / (2 * ht)
+}
+
 // turnOnEvent builds the G = V + Vth condition for transistor element i,
 // whose lower node is the current top active node.
 func (e *engine) turnOnEvent(i int) event {
-	el := e.ch.Elems[i]
-	return event{
-		kind: "turn-on",
-		arg:  float64(i),
-		eval: func(tauP, vTop float64) (float64, float64, float64) {
-			const h = 1e-4
-			g := el.Gate.Eval(tauP)
-			th := el.Model.Threshold(vTop)
-			dth := (el.Model.Threshold(vTop+h) - el.Model.Threshold(vTop-h)) / (2 * h)
-			// Gate slope for ramp inputs; steps contribute zero almost
-			// everywhere (the bisection fallback handles the jump itself).
-			const ht = 1e-13
-			dg := (el.Gate.Eval(tauP+ht) - el.Gate.Eval(tauP-ht)) / (2 * ht)
-			return g - vTop - th, -1 - dth, dg
-		},
-	}
+	return event{arg: float64(i), el: e.ch.Elems[i]}
 }
 
 // crossEvent builds the V_output = target condition for the final regions.
 func (e *engine) crossEvent(target float64) event {
-	return event{
-		kind: "cross",
-		arg:  target,
-		eval: func(tauP, vTop float64) (float64, float64, float64) {
-			return vTop - target, 1, 0
-		},
-	}
+	return event{arg: target}
 }
 
 // regionSys holds the scratch state for one region's algebraic system with
@@ -73,18 +79,19 @@ type regionSys struct {
 	ev  event
 	lin bool // linear-waveform ablation: x are constant currents, not slopes
 
-	v    []float64 // node voltages at τ′, index 0..m
-	vdot []float64 // node dV/dt at τ′, index 0..m
-	j    []float64 // element currents, index 0..L (j[L] ≡ 0)
-	dLow []float64 // ∂J_i/∂V_lower
-	dUp  []float64 // ∂J_i/∂V_upper
+	v     []float64 // node voltages at τ′, index 0..m
+	vdot  []float64 // node dV/dt at τ′, index 0..m
+	j     []float64 // element currents, index 0..L (j[L] ≡ 0)
+	dLow  []float64 // ∂J_i/∂V_lower
+	dUp   []float64 // ∂J_i/∂V_upper
+	dGate []float64 // ∂J_i/∂V_gate (zero for wires)
 
 	iScale float64 // residual normalization for the current rows
 }
 
 // newRegionSys prepares the engine's single region-system header for a new
 // region: all state slices are views into the pooled scratch, so entering a
-// region allocates nothing but the event closure.
+// region allocates nothing.
 func (e *engine) newRegionSys(L int, ev event) *regionSys {
 	s := e.scr
 	rs := &e.rs
@@ -94,6 +101,7 @@ func (e *engine) newRegionSys(L int, ev event) *regionSys {
 	rs.j = s.rsJ[:L+1]
 	rs.dLow = s.rsDLow[:L+1]
 	rs.dUp = s.rsDUp[:L+1]
+	rs.dGate = s.rsDGate[:L+1]
 	rs.iScale = 1e-7
 	for k := 1; k <= L; k++ {
 		if a := math.Abs(e.cur[k]); a > rs.iScale {
@@ -128,9 +136,9 @@ func (rs *regionSys) stateAt(alpha []float64, tauP float64) {
 // currents evaluates the conducting element currents and derivatives at τ′.
 func (rs *regionSys) currents(tauP float64) {
 	for i := 0; i < rs.L; i++ {
-		rs.j[i], rs.dLow[i], rs.dUp[i] = rs.e.elemJ(i, tauP, rs.v[i], rs.v[i+1])
+		rs.j[i], rs.dLow[i], rs.dUp[i], rs.dGate[i] = rs.e.elemJ(i, tauP, rs.v[i], rs.v[i+1])
 	}
-	rs.j[rs.L], rs.dLow[rs.L], rs.dUp[rs.L] = 0, 0, 0
+	rs.j[rs.L], rs.dLow[rs.L], rs.dUp[rs.L], rs.dGate[rs.L] = 0, 0, 0, 0
 }
 
 // residual fills F (length L+1) at x = (α, τ′); returns false for invalid or
@@ -152,8 +160,7 @@ func (rs *regionSys) residual(x, F []float64) bool {
 		}
 		F[k-1] = ik - (rs.j[k] - rs.j[k-1])
 	}
-	fe, _, _ := rs.ev.eval(tauP, rs.v[L])
-	F[L] = fe
+	F[L] = rs.ev.value(tauP, rs.v[L])
 	for _, f := range F {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return false
@@ -177,85 +184,101 @@ func (rs *regionSys) norm(F []float64) float64 {
 	return max
 }
 
-// jacobian fills the tridiagonal band and the out-of-band τ′ column u
-// (paper §IV-B: Â = A + u·vᵀ with v = e_{L+1}), or a dense matrix when the
-// LU ablation is enabled. residual must have been called at x first.
-func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64, dense *la.Matrix) {
-	e := rs.e
-	L := rs.L
-	delta := x[L] - e.t
-	// ∂V_k/∂x_k and ∂I_k/∂x_k depend on the waveform model.
-	q := func(k int) float64 {
-		if rs.lin {
-			return delta / e.capn[k]
-		}
-		return 0.5 * delta * delta / e.capn[k]
+// dvdx is ∂V_k/∂x_k at region duration delta under the waveform model.
+func (rs *regionSys) dvdx(k int, delta float64) float64 {
+	if rs.lin {
+		return delta / rs.e.capn[k]
 	}
-	dIdx := delta
+	return 0.5 * delta * delta / rs.e.capn[k]
+}
+
+// alphaBlock fills the leading L×L α block of the Jacobian — the
+// tridiagonal current-matching rows without the τ′ column — into diag
+// (length ≥ L) and sub/sup (length ≥ L−1). residual must have been called
+// at (α, τ′) with τ′ − τ = delta first.
+func (rs *regionSys) alphaBlock(delta float64, diag, sub, sup []float64) {
+	L := rs.L
+	dIdx := delta // ∂I_k/∂x_k
 	if rs.lin {
 		dIdx = 1
 	}
-
-	set := func(r, c int, val float64) {
-		if dense != nil {
-			dense.Set(r, c, val)
-			return
-		}
-		switch {
-		case c == r:
-			tri.Diag[r] = val
-		case c == r-1:
-			tri.Sub[r-1] = val
-		case c == r+1:
-			tri.Sup[r] = val
-		default:
-			// Out-of-band: only the τ′ column (c == L) ever lands here.
-			u[r] = val
-		}
-	}
-	if dense != nil {
-		dense.Zero()
-	} else {
-		for i := range u {
-			u[i] = 0
-		}
-		for i := range tri.Diag {
-			tri.Diag[i] = 0
-		}
-		for i := range tri.Sub {
-			tri.Sub[i] = 0
-			tri.Sup[i] = 0
-		}
-	}
-
 	for k := 1; k <= L; k++ {
 		r := k - 1
 		// ∂F_k/∂α_{k-1}: through J_{k-1}'s lower terminal.
 		if k >= 2 {
-			set(r, r-1, rs.dLow[k-1]*q(k-1))
+			sub[r-1] = rs.dLow[k-1] * rs.dvdx(k-1, delta)
 		}
 		// ∂F_k/∂α_k: direct + both adjacent element currents through V_k.
-		diag := dIdx + (rs.dUp[k-1]-rs.dLow[k])*q(k)
-		set(r, r, diag)
+		diag[r] = dIdx + (rs.dUp[k-1]-rs.dLow[k])*rs.dvdx(k, delta)
 		// ∂F_k/∂α_{k+1}: through J_k's upper terminal (node k+1 active iff
 		// k+1 ≤ L; for k = L, J_L ≡ 0).
 		if k+1 <= L {
-			set(r, r+1, -rs.dUp[k]*q(k+1))
+			sup[r] = -rs.dUp[k] * rs.dvdx(k+1, delta)
 		}
-		// ∂F_k/∂τ′.
+	}
+}
+
+// gateRate is ∂J_i/∂τ′ through element i's own gate: ∂J_i/∂V_gate times
+// the gate slope at τ′. Zero for wires and for element L, which carries no
+// current.
+func (rs *regionSys) gateRate(i int, tauP float64) float64 {
+	if rs.dGate[i] == 0 {
+		return 0
+	}
+	return rs.dGate[i] * gateSlope(rs.e.ch.Elems[i].Gate, tauP)
+}
+
+// jacobian fills the tridiagonal band and the out-of-band τ′ column u
+// (paper §IV-B: Â = A + u·vᵀ with v = e_{L+1}), and expands both into dense
+// when the LU ablation passes a matrix. residual must have been called at x
+// first.
+func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64, dense *la.Matrix) {
+	L := rs.L
+	tauP := x[L]
+	delta := tauP - rs.e.t
+	rs.alphaBlock(delta, tri.Diag, tri.Sub, tri.Sup)
+
+	// ∂F_k/∂τ′: the node current's own slope, every adjacent node's motion
+	// through the element currents, and the gates' motion (dG_i). Row L−1's
+	// entry sits in the band (Sup[L−1]); the rows above land in u.
+	for i := range u {
+		u[i] = 0
+	}
+	gBelow := rs.gateRate(0, tauP)
+	for k := 1; k <= L; k++ {
 		dTau := x[k-1] // dI_k/dτ′ = α_k (zero for the linear model)
 		if rs.lin {
 			dTau = 0
 		}
 		dTau -= rs.dLow[k]*rs.vdot[k] + rs.dUp[k]*rs.vdotAt(k+1)
 		dTau += rs.dLow[k-1]*rs.vdotAt(k-1) + rs.dUp[k-1]*rs.vdot[k]
-		set(r, L, dTau)
+		gAbove := rs.gateRate(k, tauP)
+		dTau += gBelow - gAbove
+		gBelow = gAbove
+		if k == L {
+			tri.Sup[L-1] = dTau
+		} else {
+			u[k-1] = dTau
+		}
 	}
 	// Event row.
-	fe, dfdv, dfdt := rs.ev.eval(x[L], rs.v[L])
-	_ = fe
-	set(L, L-1, dfdv*q(L))
-	set(L, L, dfdv*rs.vdot[L]+dfdt)
+	dfdv, dfdt := rs.ev.partials(tauP, rs.v[L])
+	tri.Sub[L-1] = dfdv * rs.dvdx(L, delta)
+	tri.Diag[L] = dfdv*rs.vdot[L] + dfdt
+
+	if dense != nil {
+		expandDense(tri, u, dense)
+	}
+}
+
+// expandDense writes the full Jacobian — the band plus the τ′ column u —
+// into m for a dense LU solve.
+func expandDense(tri *la.Tridiag, u []float64, m *la.Matrix) {
+	tri.DenseInto(m)
+	L := len(u) - 1
+	for r, ur := range u {
+		m.Add(r, L, ur)
+	}
 }
 
 // vdotAt returns the slope of node k, treating the rail (0) and frozen nodes
@@ -267,10 +290,13 @@ func (rs *regionSys) vdotAt(k int) float64 {
 	return rs.vdot[k]
 }
 
-// solveRegion finds (α, τ′) for a region with L active nodes. It first runs
-// the paper's joint Newton iteration over several τ′ scale guesses, then
-// falls back to a robust bisection on τ′ with an inner α solve.
-func (e *engine) solveRegion(L int, ev event) (float64, []float64, error) {
+// solveRegion finds (α, τ′) for a region with L active nodes. A non-nil
+// seed (α of length L, with seedTau) is tried first: the secant pass starts
+// from the frozen-capacitance pass's solution, which differs from it only
+// through the capacitances. Without a seed, or when it fails, the paper's
+// joint Newton iteration runs over several τ′ scale guesses, then falls
+// back to a robust bisection on τ′ with an inner α solve.
+func (e *engine) solveRegion(L int, ev event, seed []float64, seedTau float64) (float64, []float64, error) {
 	// Fault site: a forced NR divergence fails the whole region solve, as a
 	// Newton blow-up near a flat region would. The site fires in both the
 	// Newton and bisection modes, so at rate 1 it defeats the first two
@@ -283,6 +309,26 @@ func (e *engine) solveRegion(L int, ev event) (float64, []float64, error) {
 	rs := e.newRegionSys(L, ev)
 
 	if !e.o.ForceBisection {
+		x := e.scr.x[:L+1]
+		// converged copies a Newton result out of the shared x buffer: the
+		// caller's secant second pass holds it across the next solveRegion
+		// call, so the two most recent results rotate through a double
+		// buffer.
+		converged := func() (float64, []float64, error) {
+			out := e.scr.nextAlpha(L)
+			copy(out, x[:L])
+			return x[L], out, nil
+		}
+		if seed != nil {
+			copy(x, seed)
+			x[L] = seedTau
+			if rs.newton(x, e.o.MaxNR, e.o.UseDenseLU) {
+				return converged()
+			}
+			if e.budgetHit {
+				return 0, nil, e.budgetErr()
+			}
+		}
 		// Fixed-size guess ladder (stack-allocated; the hot path must not
 		// touch the heap).
 		var guesses [7]float64
@@ -296,7 +342,6 @@ func (e *engine) solveRegion(L int, ev event) (float64, []float64, error) {
 			guesses[ng] = dg
 			ng++
 		}
-		x := e.scr.x[:L+1]
 		for _, dg := range guesses[:ng] {
 			for i := range x {
 				x[i] = 0
@@ -307,14 +352,8 @@ func (e *engine) solveRegion(L int, ev event) (float64, []float64, error) {
 				copy(x[:L], e.cur[1:L+1])
 			}
 			x[L] = e.t + dg
-			if ok := rs.newton(x, e.o.MaxNR, e.o.UseDenseLU); ok {
-				// Copy the result out of the shared x buffer: the caller's
-				// secant second pass holds it across the next solveRegion
-				// call, so the two most recent results rotate through a
-				// double buffer.
-				out := e.scr.nextAlpha(L)
-				copy(out, x[:L])
-				return x[L], out, nil
+			if rs.newton(x, e.o.MaxNR, e.o.UseDenseLU) {
+				return converged()
 			}
 			if e.budgetHit {
 				return 0, nil, e.budgetErr()
@@ -400,10 +439,7 @@ func (rs *regionSys) newton(x []float64, maxIter int, dense bool) bool {
 				// through the scratch workspace (no allocation).
 				e.res.Stats.DenseFallbacks++
 				full := s.denseN(L + 1)
-				tri.DenseInto(full)
-				for r := 0; r <= L; r++ {
-					full.Add(r, L, u[r])
-				}
+				expandDense(tri, u, full)
 				err = la.SolveDenseInto(full, neg, dx, s.luN(L+1), s.piv[:L+1])
 			}
 		}
@@ -455,8 +491,9 @@ func (rs *regionSys) solveAlphas(alpha []float64, tauP float64, maxIter int) (fl
 		return 0, false
 	}
 	fn := rs.normAlpha(F)
-	tri := s.triN(L + 1)
-	u := s.u[:L+1]
+	// The α block is the leading L×L tridiagonal; the τ′ column, the gate
+	// slopes and the event row are never formed.
+	inner := s.triN(L)
 	neg := s.neg[:L]
 	dx := s.dx[:L]
 	trial := s.trial[:L+1]
@@ -472,15 +509,7 @@ func (rs *regionSys) solveAlphas(alpha []float64, tauP float64, maxIter int) (fl
 			copy(alpha, x[:L])
 			return F[L], true
 		}
-		rs.jacobian(x, tri, u, nil)
-		// Restrict to the leading L×L block: dropping the event row and the
-		// τ′ column (which occupies Sup[L-1] in the full band).
-		inner := s.innerN(L)
-		copy(inner.Diag, tri.Diag[:L])
-		if L > 1 {
-			copy(inner.Sub, tri.Sub[:L-1])
-			copy(inner.Sup, tri.Sup[:L-1])
-		}
+		rs.alphaBlock(tauP-e.t, inner.Diag, inner.Sub, inner.Sup)
 		for i := 0; i < L; i++ {
 			neg[i] = -F[i]
 		}
