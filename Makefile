@@ -81,7 +81,9 @@ leak-check:
 
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
 # trace headers a client or peer sends (traceparent, Qwm-Span), the netlist
-# deck and value parsers, the disk/remote-tier entry and record codecs, and
+# deck, card tokenizer and value parsers (the tokenizer and value parser
+# against their previous implementations), the disk/remote-tier entry and
+# record codecs, and
 # the remote tier endpoint (any method, path and body) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
@@ -91,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitCard$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
@@ -107,12 +110,14 @@ service-smoke:
 # secant-capacitance second pass vs frozen capacitances, the
 # observability-overhead comparison (bare vs observer vs metrics), the
 # warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
-# vs on), incremental re-analysis and the warm-disk service path. It checks
+# vs on), incremental re-analysis, the warm-disk service path and the
+# junction-table lookup against the exact junction model. It checks
 # that they run; performance is measured by perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
 	$(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/
 
 # Full benchmark sweep (regenerates every table/figure; slow).
 bench-full:

@@ -1,8 +1,10 @@
 package circuit
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Stage is the paper's Definition 1: a CMOS logic stage as a polar directed
@@ -40,155 +42,135 @@ type StageEdge struct {
 // as partition boundaries like rails. Outputs of each stage are the nodes
 // that appear as gate inputs of some *other* component or are listed in
 // observed.
+//
+// Every non-boundary channel node gets a dense ID once; the union-find and
+// the grouping then run over slices indexed by it.
 func ExtractStages(n *Netlist, observed []string) []*Stage {
-	isBoundary := map[string]bool{GroundNode: true, SupplyNode: true}
+	// Dense IDs for the non-boundary channel terminals; boundary nodes map
+	// to −1. ends[2e], ends[2e+1] are element e's two terminals,
+	// transistors first, then resistors.
+	ids := map[string]int32{GroundNode: -1, SupplyNode: -1}
 	for _, v := range n.VSources {
-		isBoundary[v.A] = true
+		ids[v.A] = -1
 	}
-
-	// Union-find over non-boundary nodes touched by channel terminals.
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
+	var names []string
+	id := func(nd string) int32 {
+		if i, ok := ids[nd]; ok {
+			return i
 		}
-		if p != x {
-			parent[x] = find(p)
-		}
-		return parent[x]
+		i := int32(len(names))
+		ids[nd] = i
+		names = append(names, nd)
+		return i
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	connect := func(a, b string) {
-		switch {
-		case isBoundary[a] && isBoundary[b]:
-		case isBoundary[a]:
-			find(b)
-		case isBoundary[b]:
-			find(a)
-		default:
-			union(a, b)
-		}
-	}
+	nt := len(n.Transistors)
+	ends := make([]int32, 0, 2*(nt+len(n.Resistors)))
 	for _, t := range n.Transistors {
-		connect(t.Drain, t.Source)
+		ends = append(ends, id(t.Drain), id(t.Source))
 	}
 	for _, r := range n.Resistors {
-		connect(r.A, r.B)
+		ends = append(ends, id(r.A), id(r.B))
 	}
 
-	// Group elements by the component of their non-boundary terminals.
-	groups := map[string]*group{}
-	groupOf := func(nodes ...string) *group {
-		for _, nd := range nodes {
-			if !isBoundary[nd] {
-				root := find(nd)
-				g := groups[root]
-				if g == nil {
-					g = &group{nodes: map[string]bool{}}
-					groups[root] = g
-				}
-				return g
-			}
-		}
-		return nil
+	// Union-find over the IDs.
+	parent := make([]int32, len(names))
+	for i := range parent {
+		parent[i] = int32(i)
 	}
-	addNodes := func(g *group, nodes ...string) {
-		for _, nd := range nodes {
-			if !isBoundary[nd] {
-				g.nodes[nd] = true
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for e := 0; e < len(ends); e += 2 {
+		if a, b := ends[e], ends[e+1]; a >= 0 && b >= 0 {
+			if ra, rb := find(a), find(b); ra != rb {
+				parent[ra] = rb
 			}
 		}
 	}
-	for _, t := range n.Transistors {
-		g := groupOf(t.Drain, t.Source)
-		if g == nil {
+
+	// One group per component, numbered in order of first element.
+	groupOf := make([]int32, len(names))
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	var stages []*Stage
+	var members [][]int32 // node IDs per group
+	edges := make([]StageEdge, len(ends)/2)
+	for e := 0; e < len(ends); e += 2 {
+		nd := ends[e]
+		if nd < 0 {
+			nd = ends[e+1]
+		}
+		if nd < 0 {
 			continue // degenerate: both channel terminals on rails
 		}
-		addNodes(g, t.Drain, t.Source)
-		kind := t.Kind
-		g.edges = append(g.edges, &StageEdge{
-			Kind: kind, Src: t.Drain, Snk: t.Source, Gate: t.Gate,
-			W: t.W, L: t.L, Ref: t,
-		})
-	}
-	for _, r := range n.Resistors {
-		g := groupOf(r.A, r.B)
-		if g == nil {
-			continue
+		root := find(nd)
+		if groupOf[root] < 0 {
+			groupOf[root] = int32(len(stages))
+			stages = append(stages, &Stage{})
+			members = append(members, nil)
 		}
-		addNodes(g, r.A, r.B)
-		g.edges = append(g.edges, &StageEdge{Kind: KindWire, Src: r.A, Snk: r.B, R: r.R})
+		st := stages[groupOf[root]]
+		k := e / 2
+		se := &edges[k]
+		if k < nt {
+			t := n.Transistors[k]
+			*se = StageEdge{
+				Kind: t.Kind, Src: t.Drain, Snk: t.Source, Gate: t.Gate,
+				W: t.W, L: t.L, Ref: t,
+			}
+		} else {
+			r := n.Resistors[k-nt]
+			*se = StageEdge{Kind: KindWire, Src: r.A, Snk: r.B, R: r.R}
+		}
+		st.Edges = append(st.Edges, se)
 	}
 
-	// Which nodes feed gates elsewhere? Those are implicit outputs.
-	gateNets := map[string]bool{}
+	// Nodes that feed gates anywhere, or are observed, are outputs.
+	isOut := make([]bool, len(names))
 	for _, t := range n.Transistors {
-		gateNets[t.Gate] = true
-	}
-	obs := map[string]bool{}
-	for _, o := range observed {
-		obs[CanonName(o)] = true
-	}
-
-	// Deterministic ordering of stages by their smallest node name.
-	roots := make([]string, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return groups[roots[i]].min() < groups[roots[j]].min()
-	})
-
-	var stages []*Stage
-	for si, root := range roots {
-		g := groups[root]
-		st := &Stage{Name: fmt.Sprintf("stage%d", si)}
-		for nd := range g.nodes {
-			st.Nodes = append(st.Nodes, nd)
+		if i, ok := ids[t.Gate]; ok && i >= 0 {
+			isOut[i] = true
 		}
-		sort.Strings(st.Nodes)
-		st.Edges = g.edges
-		inSet := map[string]bool{}
-		for _, e := range g.edges {
-			if e.Gate != "" {
-				inSet[e.Gate] = true
+	}
+	for _, o := range observed {
+		if i, ok := ids[CanonName(o)]; ok && i >= 0 {
+			isOut[i] = true
+		}
+	}
+	for i := range names {
+		g := groupOf[find(int32(i))]
+		members[g] = append(members[g], int32(i))
+	}
+
+	// Sorted node and input lists per stage.
+	for g, st := range stages {
+		nodes := members[g]
+		slices.SortFunc(nodes, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+		st.Nodes = make([]string, len(nodes))
+		for k, nd := range nodes {
+			st.Nodes[k] = names[nd]
+			if isOut[nd] {
+				st.Outputs = append(st.Outputs, names[nd])
 			}
 		}
-		for in := range inSet {
-			st.Inputs = append(st.Inputs, in)
+		for _, e := range st.Edges {
+			if e.Gate != "" {
+				st.Inputs = append(st.Inputs, e.Gate)
+			}
 		}
 		sort.Strings(st.Inputs)
-		for _, nd := range st.Nodes {
-			if gateNets[nd] || obs[nd] {
-				st.Outputs = append(st.Outputs, nd)
-			}
-		}
-		stages = append(stages, st)
+		st.Inputs = slices.Compact(st.Inputs)
+	}
+	// Deterministic ordering of stages by their smallest node name; the
+	// components are disjoint, so the names never tie.
+	sort.Slice(stages, func(i, j int) bool { return stages[i].Nodes[0] < stages[j].Nodes[0] })
+	for si, st := range stages {
+		st.Name = "stage" + strconv.Itoa(si)
 	}
 	return stages
-}
-
-// group accumulates the nodes and edges of one channel-connected component
-// during stage extraction.
-type group struct {
-	nodes map[string]bool
-	edges []*StageEdge
-}
-
-func (g *group) min() string {
-	first := ""
-	for nd := range g.nodes {
-		if first == "" || nd < first {
-			first = nd
-		}
-	}
-	return first
 }

@@ -75,15 +75,17 @@ func (a *Analytic) Vdsat(vg, vs float64) float64 {
 // Params implements IVModel.
 func (a *Analytic) Params() *mos.Params { return a.P }
 
-// Library caches characterized tables per (polarity, channel length) so
-// repeated analyses share the one-time characterization cost, mirroring how
-// a production flow characterizes a technology once.
+// Library caches characterized tables per (polarity, channel length), and
+// junction tables per polarity, so repeated analyses share the one-time
+// characterization cost, mirroring how a production flow characterizes a
+// technology once.
 type Library struct {
 	Tech  *mos.Tech
 	StepV float64 // grid pitch; 0.1 V default
 
-	mu     sync.Mutex
-	tables map[libKey]*Table
+	mu        sync.Mutex
+	tables    map[libKey]*Table
+	junctions [2]*JunctionTable // indexed by mos.Polarity
 }
 
 type libKey struct {
@@ -115,4 +117,21 @@ func (lib *Library) Table(pol mos.Polarity, l float64) (*Table, error) {
 	}
 	lib.tables[k] = t
 	return t, nil
+}
+
+// Junction returns the characterized junction table for a polarity,
+// building it on first use.
+func (lib *Library) Junction(pol mos.Polarity) *JunctionTable {
+	lib.mu.Lock()
+	defer lib.mu.Unlock()
+	if t := lib.junctions[pol]; t != nil {
+		return t
+	}
+	p := &lib.Tech.N
+	if pol == mos.PMOS {
+		p = &lib.Tech.P
+	}
+	t := CharacterizeJunction(p, lib.Tech.VDD)
+	lib.junctions[pol] = t
+	return t
 }

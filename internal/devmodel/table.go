@@ -287,16 +287,18 @@ func (t *Table) ivForward(w, vg, vd, vs float64) (i, dvg, dvd, dvs float64) {
 }
 
 // locate returns the lower grid index and fractional position for a voltage,
-// clamped to the table range.
+// clamped to the table range; negative and NaN voltages clamp to the first
+// grid point. Inside the range int truncation is the floor, without the
+// math.Floor call.
 func (t *Table) locate(v float64) (int, float64) {
 	x := v / t.StepV
-	i := int(math.Floor(x))
-	if i < 0 {
+	if !(x > 0) {
 		return 0, 0
 	}
-	if i >= t.N-1 {
+	if x >= float64(t.N-1) {
 		return t.N - 2, 1
 	}
+	i := int(x)
 	return i, x - float64(i)
 }
 

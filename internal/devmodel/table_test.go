@@ -363,3 +363,44 @@ func TestIVMatchesGridBilinearBitExact(t *testing.T) {
 		}
 	}
 }
+
+// locate truncates instead of calling math.Floor: for every voltage at or
+// above zero it must return exactly what the floor-based lookup did, and
+// negative or NaN voltages must still clamp to the first grid point.
+func TestLocateMatchesFloor(t *testing.T) {
+	ref := func(tb *Table, v float64) (int, float64) {
+		x := v / tb.StepV
+		i := int(math.Floor(x))
+		if i < 0 {
+			return 0, 0
+		}
+		if i >= tb.N-1 {
+			return tb.N - 2, 1
+		}
+		return i, x - float64(i)
+	}
+	var vs []float64
+	for k := 0; k <= 4000; k++ {
+		v := 4 * float64(k) / 4000
+		vs = append(vs, v, math.Nextafter(v, 0), math.Nextafter(v, 10))
+	}
+	for k := 0; k < nTable.N; k++ {
+		g := float64(k) * nTable.StepV
+		vs = append(vs, g, math.Nextafter(g, -1), math.Nextafter(g, 10))
+	}
+	for _, v := range vs {
+		if v < 0 {
+			continue
+		}
+		i, f := nTable.locate(v)
+		ri, rf := ref(nTable, v)
+		if i != ri || f != rf {
+			t.Fatalf("locate(%v) = (%d, %v), floor reference (%d, %v)", v, i, f, ri, rf)
+		}
+	}
+	for _, v := range []float64{-1e-300, -0.05, -7, math.Inf(-1), math.NaN()} {
+		if i, f := nTable.locate(v); i != 0 || f != 0 {
+			t.Errorf("locate(%v) = (%d, %v), want (0, 0)", v, i, f)
+		}
+	}
+}

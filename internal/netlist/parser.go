@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"qwm/internal/circuit"
 	"qwm/internal/wave"
@@ -96,7 +97,7 @@ func (d *Deck) card(line string, no int) error {
 	}
 	name := fields[0]
 	var err error
-	switch strings.ToLower(name)[0] {
+	switch lowerByte(name[0]) {
 	case 'm':
 		err = d.mosCard(name, fields[1:])
 	case 'r':
@@ -117,10 +118,51 @@ func (d *Deck) card(line string, no int) error {
 }
 
 // splitCard tokenizes a card, keeping parenthesized groups (PWL lists)
-// together as single tokens with inner spaces normalized. Any Unicode space
-// separates tokens — the same set CanonName trims — so no token can
-// canonicalize to an empty node name.
+// together as single tokens, with the spaces inside them kept verbatim. Any
+// Unicode space separates tokens — the same set CanonName trims — so no
+// token can canonicalize to an empty node name. Tokens are substrings of
+// line: ASCII bytes are classified directly and other valid UTF-8 is
+// decoded rune by rune. A line with invalid UTF-8 goes through
+// splitCardRunes, which re-encodes each invalid byte as U+FFFD.
 func splitCard(line string) []string {
+	out := make([]string, 0, 8)
+	depth, start := 0, -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(line[i:])
+			if r == utf8.RuneError && size == 1 {
+				return splitCardRunes(line)
+			}
+		}
+		sep := false
+		switch {
+		case r == '(':
+			depth++
+		case r == ')':
+			depth--
+		case depth == 0 && (r == ',' || unicode.IsSpace(r)):
+			sep = true
+		}
+		if sep {
+			if start >= 0 {
+				out = append(out, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		out = append(out, line[start:])
+	}
+	return out
+}
+
+// splitCardRunes is splitCard for a line with invalid UTF-8: it rebuilds
+// every token rune by rune, so each invalid byte becomes U+FFFD.
+func splitCardRunes(line string) []string {
 	var out []string
 	depth := 0
 	var cur strings.Builder
@@ -148,15 +190,56 @@ func splitCard(line string) []string {
 	return out
 }
 
+// lowerByte folds an ASCII upper-case letter to lower case.
+func lowerByte(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// lowerIs reports whether strings.ToLower(s) == lower for an ASCII
+// lower-case literal, without building the lowered copy. Only ASCII letters
+// need folding: the two non-ASCII runes that lower-case to ASCII are U+0130
+// (to 'i') and the Kelvin sign U+212A (to 'k'), and no literal matched
+// this way contains an 'i' or a 'k'.
+func lowerIs(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if lowerByte(s[i]) != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// hasPrefixFold is strings.HasPrefix(strings.ToLower(s), lower) for an ASCII
+// lower-case literal without an 'i' or a 'k', as for lowerIs.
+func hasPrefixFold(s, lower string) bool {
+	return len(s) >= len(lower) && lowerIs(s[:len(lower)], lower)
+}
+
+// isASCII reports whether s is pure ASCII.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 func (d *Deck) mosCard(name string, f []string) error {
 	if len(f) < 5 {
 		return fmt.Errorf("%s: MOSFET needs d g s b type", name)
 	}
-	kind := circuit.KindNMOS
-	switch strings.ToLower(f[4]) {
-	case "nmos", "n":
+	var kind circuit.DeviceKind
+	switch typ := f[4]; {
+	case lowerIs(typ, "nmos"), lowerIs(typ, "n"):
 		kind = circuit.KindNMOS
-	case "pmos", "p":
+	case lowerIs(typ, "pmos"), lowerIs(typ, "p"):
 		kind = circuit.KindPMOS
 	default:
 		return fmt.Errorf("%s: unknown device type %q", name, f[4])
@@ -174,18 +257,18 @@ func (d *Deck) mosCard(name string, f []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		switch strings.ToLower(key) {
-		case "w":
+		switch {
+		case lowerIs(key, "w"):
 			t.W = x
-		case "l":
+		case lowerIs(key, "l"):
 			t.L = x
-		case "ad":
+		case lowerIs(key, "ad"):
 			t.DrainJunc.Area = x
-		case "pd":
+		case lowerIs(key, "pd"):
 			t.DrainJunc.Perim = x
-		case "as":
+		case lowerIs(key, "as"):
 			t.SourceJunc.Area = x
-		case "ps":
+		case lowerIs(key, "ps"):
 			t.SourceJunc.Perim = x
 		default:
 			return fmt.Errorf("%s: unknown parameter %q", name, key)
@@ -237,15 +320,14 @@ func (d *Deck) vCard(name string, f []string) error {
 
 func parseSourceSpec(spec string) (wave.Waveform, error) {
 	s := strings.TrimSpace(spec)
-	low := strings.ToLower(s)
 	switch {
-	case strings.HasPrefix(low, "dc"):
+	case hasPrefixFold(s, "dc"):
 		v, err := ParseValue(strings.TrimSpace(s[2:]))
 		if err != nil {
 			return nil, err
 		}
 		return wave.DC(v), nil
-	case strings.HasPrefix(low, "pwl"):
+	case hasPrefixFold(s, "pwl"):
 		inner := strings.TrimSpace(s[3:])
 		inner = strings.TrimPrefix(inner, "(")
 		inner = strings.TrimSuffix(inner, ")")
@@ -321,42 +403,51 @@ func (d *Deck) dotCard(name string, f []string) error {
 	}
 }
 
-// ParseValue parses a SPICE number with an optional scale suffix.
+// ParseValue parses a SPICE number with an optional scale suffix. Suffixes
+// match in any case; strconv.ParseFloat is case-insensitive too, so ASCII
+// input is never lower-cased.
 func ParseValue(s string) (float64, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
+	s = strings.TrimSpace(s)
+	if !isASCII(s) {
+		// A non-ASCII rune can lower-case to a suffix letter (the Kelvin
+		// sign to 'k', U+0130 to the 'i' of "mil").
+		s = strings.ToLower(s)
+	}
 	if s == "" {
 		return 0, fmt.Errorf("empty value")
 	}
 	scale := 1.0
+	n := len(s)
 	switch {
-	case strings.HasSuffix(s, "meg"):
-		scale, s = 1e6, s[:len(s)-3]
-	case strings.HasSuffix(s, "mil"):
-		scale, s = 25.4e-6, s[:len(s)-3]
-	default:
-		if n := len(s); n > 1 {
-			switch s[n-1] {
-			case 'f':
-				scale, s = 1e-15, s[:n-1]
-			case 'p':
-				scale, s = 1e-12, s[:n-1]
-			case 'n':
-				scale, s = 1e-9, s[:n-1]
-			case 'u':
-				scale, s = 1e-6, s[:n-1]
-			case 'm':
-				scale, s = 1e-3, s[:n-1]
-			case 'k':
-				scale, s = 1e3, s[:n-1]
-			case 'g':
-				scale, s = 1e9, s[:n-1]
-			case 't':
-				scale, s = 1e12, s[:n-1]
-			}
+	case n >= 3 && lowerIs(s[n-3:], "meg"):
+		scale, s = 1e6, s[:n-3]
+	case n >= 3 && lowerIs(s[n-3:], "mil"):
+		scale, s = 25.4e-6, s[:n-3]
+	case n > 1:
+		switch lowerByte(s[n-1]) {
+		case 'f':
+			scale, s = 1e-15, s[:n-1]
+		case 'p':
+			scale, s = 1e-12, s[:n-1]
+		case 'n':
+			scale, s = 1e-9, s[:n-1]
+		case 'u':
+			scale, s = 1e-6, s[:n-1]
+		case 'm':
+			scale, s = 1e-3, s[:n-1]
+		case 'k':
+			scale, s = 1e3, s[:n-1]
+		case 'g':
+			scale, s = 1e9, s[:n-1]
+		case 't':
+			scale, s = 1e12, s[:n-1]
 		}
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
+		if isASCII(s) {
+			s = strings.ToLower(s)
+		}
 		return 0, fmt.Errorf("bad number %q", s)
 	}
 	return v * scale, nil

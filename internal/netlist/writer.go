@@ -1,8 +1,8 @@
 package netlist
 
 import (
-	"fmt"
-	"strings"
+	"sort"
+	"strconv"
 
 	"qwm/internal/circuit"
 	"qwm/internal/wave"
@@ -11,135 +11,165 @@ import (
 // Format serializes a deck back to SPICE-card text. Sources render as DC or
 // PWL cards; Step and Ramp waveforms become equivalent two-point PWLs (with
 // a 1 fs rise for the ideal step). Parse(Format(d)) reproduces the circuit.
+// Every card is appended to one byte buffer.
 func Format(d *Deck) string {
-	var b strings.Builder
 	title := d.Title
 	if title == "" {
 		title = "* untitled"
 	}
-	b.WriteString(title)
-	b.WriteByte('\n')
 	n := d.Netlist
+	b := make([]byte, 0, 64*(1+len(n.VSources)+len(n.Transistors)+len(n.Resistors)+len(n.Capacitors)))
+	b = append(b, title...)
+	b = append(b, '\n')
 	for _, v := range n.VSources {
-		fmt.Fprintf(&b, "%s %s %s %s\n", v.Name, v.A, v.B, formatSource(v.Wave))
+		b = appendFields(b, v.Name, v.A, v.B)
+		b = append(b, ' ')
+		b = appendSource(b, v.Wave)
+		b = append(b, '\n')
 	}
 	for _, t := range n.Transistors {
 		kind := "NMOS"
 		if t.Kind == circuit.KindPMOS {
 			kind = "PMOS"
 		}
-		fmt.Fprintf(&b, "%s %s %s %s %s %s W=%s L=%s",
-			t.Name, t.Drain, t.Gate, t.Source, t.Body, kind,
-			FormatValue(t.W), FormatValue(t.L))
+		b = appendFields(b, t.Name, t.Drain, t.Gate, t.Source, t.Body, kind)
+		b = appendParam(b, " W=", t.W)
+		b = appendParam(b, " L=", t.L)
 		if t.DrainJunc.Area > 0 {
-			fmt.Fprintf(&b, " AD=%s PD=%s", FormatValue(t.DrainJunc.Area), FormatValue(t.DrainJunc.Perim))
+			b = appendParam(b, " AD=", t.DrainJunc.Area)
+			b = appendParam(b, " PD=", t.DrainJunc.Perim)
 		}
 		if t.SourceJunc.Area > 0 {
-			fmt.Fprintf(&b, " AS=%s PS=%s", FormatValue(t.SourceJunc.Area), FormatValue(t.SourceJunc.Perim))
+			b = appendParam(b, " AS=", t.SourceJunc.Area)
+			b = appendParam(b, " PS=", t.SourceJunc.Perim)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for _, r := range n.Resistors {
-		fmt.Fprintf(&b, "%s %s %s %s\n", r.Name, r.A, r.B, FormatValue(r.R))
+		b = appendFields(b, r.Name, r.A, r.B)
+		b = appendParam(b, " ", r.R)
+		b = append(b, '\n')
 	}
 	for _, c := range n.Capacitors {
-		fmt.Fprintf(&b, "%s %s %s %s\n", c.Name, c.A, c.B, FormatValue(c.C))
+		b = appendFields(b, c.Name, c.A, c.B)
+		b = appendParam(b, " ", c.C)
+		b = append(b, '\n')
 	}
 	if len(d.IC) > 0 {
-		b.WriteString(".ic")
+		b = append(b, ".ic"...)
 		// Deterministic order.
 		keys := make([]string, 0, len(d.IC))
 		for k := range d.IC {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, " V(%s)=%s", k, FormatValue(d.IC[k]))
+			b = append(b, " V("...)
+			b = append(b, k...)
+			b = appendParam(b, ")=", d.IC[k])
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	if d.TranStep > 0 && d.TranStop > 0 {
-		fmt.Fprintf(&b, ".tran %s %s\n", FormatValue(d.TranStep), FormatValue(d.TranStop))
+		b = appendParam(b, ".tran ", d.TranStep)
+		b = appendParam(b, " ", d.TranStop)
+		b = append(b, '\n')
 	}
-	b.WriteString(".end\n")
-	return b.String()
+	b = append(b, ".end\n"...)
+	return string(b)
 }
 
-func formatSource(w interface{ Eval(t float64) float64 }) string {
+// appendFields appends space-separated fields.
+func appendFields(b []byte, fields ...string) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, f...)
+	}
+	return b
+}
+
+// appendParam appends a separator or key prefix and a formatted value.
+func appendParam(b []byte, prefix string, v float64) []byte {
+	return appendValue(append(b, prefix...), v)
+}
+
+// appendSource appends a source's DC or PWL specification.
+func appendSource(b []byte, w interface{ Eval(t float64) float64 }) []byte {
 	switch s := w.(type) {
 	case nil:
-		return "DC 0"
+		return append(b, "DC 0"...)
 	case wave.DC:
-		return "DC " + FormatValue(float64(s))
+		return appendParam(b, "DC ", float64(s))
 	case wave.Step:
 		// An ideal step becomes a 1 fs PWL ramp at the switching instant.
 		t0 := s.At
 		if t0 < 0 {
 			t0 = 0
 		}
-		return fmt.Sprintf("PWL(%s %s %s %s)",
-			FormatValue(t0), FormatValue(s.Low),
-			FormatValue(t0+1e-15), FormatValue(s.High))
+		return appendPWL(b, t0, s.Low, t0+1e-15, s.High)
 	case wave.Ramp:
-		return fmt.Sprintf("PWL(%s %s %s %s)",
-			FormatValue(s.T0), FormatValue(s.Low),
-			FormatValue(s.T1), FormatValue(s.High))
+		return appendPWL(b, s.T0, s.Low, s.T1, s.High)
 	case *wave.PWL:
-		var b strings.Builder
-		b.WriteString("PWL(")
+		b = append(b, "PWL("...)
 		for i := range s.T {
 			if i > 0 {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			fmt.Fprintf(&b, "%s %s", FormatValue(s.T[i]), FormatValue(s.V[i]))
+			b = appendValue(b, s.T[i])
+			b = appendParam(b, " ", s.V[i])
 		}
-		b.WriteByte(')')
-		return b.String()
+		return append(b, ')')
 	default:
 		// Sample unknown waveforms at t = 0 as a DC approximation.
-		return "DC " + FormatValue(w.Eval(0))
+		return appendParam(b, "DC ", w.Eval(0))
 	}
+}
+
+// appendPWL appends a two-point PWL specification.
+func appendPWL(b []byte, t0, v0, t1, v1 float64) []byte {
+	b = appendParam(b, "PWL(", t0)
+	b = appendParam(b, " ", v0)
+	b = appendParam(b, " ", t1)
+	b = appendParam(b, " ", v1)
+	return append(b, ')')
 }
 
 // FormatValue renders a number with the natural SPICE suffix.
 func FormatValue(v float64) string {
+	var buf [32]byte
+	return string(appendValue(buf[:0], v))
+}
+
+// appendValue appends v with the natural SPICE suffix: six significant
+// digits of the scaled value in %g form.
+func appendValue(b []byte, v float64) []byte {
 	abs := v
 	if abs < 0 {
 		abs = -abs
 	}
+	x, suffix := v, ""
 	switch {
 	case v == 0:
-		return "0"
+		return append(b, '0')
 	case abs >= 1e9:
-		return trimZero(v/1e9) + "g"
+		x, suffix = v/1e9, "g"
 	case abs >= 1e6:
-		return trimZero(v/1e6) + "meg"
+		x, suffix = v/1e6, "meg"
 	case abs >= 1e3:
-		return trimZero(v/1e3) + "k"
+		x, suffix = v/1e3, "k"
 	case abs >= 1:
-		return trimZero(v)
 	case abs >= 1e-3:
-		return trimZero(v*1e3) + "m"
+		x, suffix = v*1e3, "m"
 	case abs >= 1e-6:
-		return trimZero(v*1e6) + "u"
+		x, suffix = v*1e6, "u"
 	case abs >= 1e-9:
-		return trimZero(v*1e9) + "n"
+		x, suffix = v*1e9, "n"
 	case abs >= 1e-12:
-		return trimZero(v*1e12) + "p"
+		x, suffix = v*1e12, "p"
 	default:
-		return trimZero(v*1e15) + "f"
+		x, suffix = v*1e15, "f"
 	}
-}
-
-func trimZero(v float64) string {
-	s := fmt.Sprintf("%.6g", v)
-	return s
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return append(strconv.AppendFloat(b, x, 'g', 6, 64), suffix...)
 }

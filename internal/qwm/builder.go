@@ -84,6 +84,17 @@ func Build(bi BuildInput) (*Chain, error) {
 		})
 	}
 
+	// In table mode junction C and Q come from the library as well, when it
+	// was characterized for this technology's parameters.
+	var jtab [2]*devmodel.JunctionTable // indexed by mos.Polarity
+	if !bi.Analytic {
+		for pol, p := range [2]*mos.Params{&bi.Tech.N, &bi.Tech.P} {
+			if t := bi.Lib.Junction(mos.Polarity(pol)); *t.Params() == *p {
+				jtab[pol] = t
+			}
+		}
+	}
+
 	// Per-node capacitance: every transistor in the stage with a channel
 	// terminal on the node contributes its junction (voltage dependent),
 	// its gate overlap, and half its channel capacitance — on-path and
@@ -117,7 +128,7 @@ func Build(bi BuildInput) (*Chain, error) {
 			if junc == (mos.Junction{}) {
 				junc = tp.DefaultJunction(edge.W)
 			}
-			nc.addJunction(tp, junc)
+			nc.addJunction(tp, junc, jtab[tp.Pol])
 			srcHalf, _ := tp.ChannelCapSplit(edge.W, edge.L)
 			nc.Fixed += tp.OverlapCap(edge.W) + srcHalf
 		}

@@ -39,10 +39,13 @@ func (e *Elem) IsWire() bool { return e.Model == nil }
 
 // JunctionAt is a voltage-dependent junction capacitance contribution to a
 // chain node from the devices (on-path or off-path) that share one set of
-// parameters: J is their summed geometry.
+// parameters: J is their summed geometry. Tab, when set, is the library's
+// characterized junction table for P; without it C and Q come from the
+// exact mos.JunctionCQ.
 type JunctionAt struct {
-	P *mos.Params
-	J mos.Junction
+	P   *mos.Params
+	J   mos.Junction
+	Tab *devmodel.JunctionTable
 }
 
 // NodeCap describes the total capacitance to ground of one chain node:
@@ -57,8 +60,9 @@ type NodeCap struct {
 // addJunction adds a junction to the node, folding it into an existing
 // entry with the same device parameters. Junction capacitance and charge
 // are linear in Area and Perim, so summing the geometry is exact, and each
-// distinct parameter set costs one evaluation per node and bias.
-func (nc *NodeCap) addJunction(p *mos.Params, j mos.Junction) {
+// distinct parameter set costs one evaluation per node and bias. tab is the
+// junction table for p, or nil for the exact model.
+func (nc *NodeCap) addJunction(p *mos.Params, j mos.Junction, tab *devmodel.JunctionTable) {
 	for i := range nc.Junctions {
 		if ja := &nc.Junctions[i]; ja.P == p {
 			ja.J.Area += j.Area
@@ -66,7 +70,7 @@ func (nc *NodeCap) addJunction(p *mos.Params, j mos.Junction) {
 			return
 		}
 	}
-	nc.Junctions = append(nc.Junctions, JunctionAt{P: p, J: j})
+	nc.Junctions = append(nc.Junctions, JunctionAt{P: p, J: j, Tab: tab})
 }
 
 // At evaluates the node capacitance at a folded node voltage. vdd and the
@@ -86,7 +90,12 @@ func (nc *NodeCap) CQ(vFolded, vdd float64, chainPol mos.Polarity) (c, q float64
 	c = nc.Fixed
 	for _, ja := range nc.Junctions {
 		vr := reverseBias(ja.P, unfold(vFolded, vdd, chainPol), vdd)
-		cj, qj := ja.P.JunctionCQ(ja.J, vr)
+		var cj, qj float64
+		if ja.Tab != nil {
+			cj, qj = ja.Tab.CQ(ja.J, vr)
+		} else {
+			cj, qj = ja.P.JunctionCQ(ja.J, vr)
+		}
 		c += cj
 		if ja.P.Pol == chainPol {
 			q += qj
@@ -220,12 +229,31 @@ func (f FoldWave) Crossing(level float64, rising bool) (float64, bool) {
 // UnfoldPWQ converts a folded piecewise-quadratic waveform back to real
 // voltages for a PMOS chain; NMOS chains are returned as-is.
 func UnfoldPWQ(p *wave.PWQ, vdd float64, pol mos.Polarity) *wave.PWQ {
+	return unfoldAll([]*wave.PWQ{p}, vdd, pol)[0]
+}
+
+// unfoldAll unfolds every node waveform of a chain. For a PMOS chain the
+// unfolded segments of all nodes share one slab.
+func unfoldAll(ps []*wave.PWQ, vdd float64, pol mos.Polarity) []*wave.PWQ {
+	out := make([]*wave.PWQ, len(ps))
 	if pol == mos.NMOS {
-		return p
+		copy(out, ps)
+		return out
 	}
-	out := &wave.PWQ{Segs: make([]wave.QuadSeg, len(p.Segs))}
-	for i, s := range p.Segs {
-		out.Segs[i] = wave.QuadSeg{T0: s.T0, T1: s.T1, V0: vdd - s.V0, S: -s.S, A: -s.A}
+	n := 0
+	for _, p := range ps {
+		n += len(p.Segs)
+	}
+	pw := make([]wave.PWQ, len(ps))
+	slab := make([]wave.QuadSeg, n)
+	for i, p := range ps {
+		segs := slab[:len(p.Segs):len(p.Segs)]
+		slab = slab[len(p.Segs):]
+		for j, s := range p.Segs {
+			segs[j] = wave.QuadSeg{T0: s.T0, T1: s.T1, V0: vdd - s.V0, S: -s.S, A: -s.A}
+		}
+		pw[i].Segs = segs
+		out[i] = &pw[i]
 	}
 	return out
 }

@@ -32,8 +32,8 @@ type Options struct {
 	// region once with secant (charge-based) capacitances over the region's
 	// voltage excursion, which removes the systematic junction-capacitance
 	// bias. The second pass starts from the first pass's solution; on the
-	// Table II 8-stack of BenchmarkAblationFreezeCaps it costs about 1.3×
-	// the frozen run's time (318 vs 221 Newton iterations).
+	// Table II 8-stack of BenchmarkAblationFreezeCaps it costs about 1.5×
+	// the frozen run's time (293 vs 203 Newton iterations).
 	FreezeCaps bool
 	// LinearWaveform replaces the quadratic voltage model with a piecewise
 	// LINEAR one (constant node current per region, matched at the critical
@@ -157,14 +157,15 @@ func (r *Result) Delay50(tIn, vdd float64) (float64, error) {
 type engine struct {
 	ch      *Chain
 	o       Options
-	m       int       // number of elements / non-rail nodes
-	t       float64   // current region start time
-	v       []float64 // folded node voltages, index 0..m (v[0] = rail = 0)
-	cur     []float64 // node currents C·dV/dt, index 1..m (cur[0] unused)
-	capn    []float64 // frozen node capacitances for the current region, 1..m
-	qn      []float64 // oriented junction charges at the region start, 1..m
-	segs    []*wave.PWQ
-	front   int // index of the first off transistor element; m when all on
+	m       int         // number of elements / non-rail nodes
+	t       float64     // current region start time
+	v       []float64   // folded node voltages, index 0..m (v[0] = rail = 0)
+	cur     []float64   // node currents C·dV/dt, index 1..m (cur[0] unused)
+	capn    []float64   // frozen node capacitances for the current region, 1..m
+	qn      []float64   // oriented junction charges at the region start, 1..m
+	segs    []*wave.PWQ // node waveforms; their segments share one slab
+	segCap  int         // segments per node the slab holds
+	front   int         // index of the first off transistor element; m when all on
 	prevDur float64
 	res     *Result
 	scr     *solverScratch
@@ -238,13 +239,21 @@ func newEngine(ch *Chain, opts Options) (*engine, error) {
 	for k := 1; k <= m; k++ {
 		e.v[k] = ch.V0[k-1]
 		e.cur[k], e.capn[k], e.qn[k] = 0, 0, 0
-		e.segs[k-1] = &wave.PWQ{}
 		scr.capV[k] = math.NaN() // matches no voltage: the cache starts empty
 	}
+	// Every region appends one segment to every node, so all nodes share
+	// one slab, sized for the turn-on regions plus a short final ladder
+	// (wires add nodes, not regions); growSegs doubles it.
+	pw := make([]wave.PWQ, m)
+	for k := range pw {
+		e.segs[k] = &pw[k]
+	}
+	segs := 2*ch.Transistors() + 16
+	e.growSegs(segs)
 	if o.WallBudget > 0 {
 		e.wallDeadline = time.Now().Add(o.WallBudget)
 	}
-	e.res.CriticalTimes = append(e.res.CriticalTimes, 0)
+	e.res.CriticalTimes = append(make([]float64, 0, segs+1), 0)
 	return e, nil
 }
 
@@ -286,8 +295,12 @@ func (e *engine) run() (*Result, error) {
 			ev := e.turnOnEvent(e.front)
 			// Subdivide long waits: a turn-on residual is negative until it
 			// fires.
+			var seed []float64
+			var seedTau float64
 			if !o.NoSubdivision {
-				capped, cerr := e.timeCappedRegion(e.front, ev, func(fe float64) bool { return fe < 0 }, e.durCap())
+				var capped bool
+				var cerr error
+				capped, seed, seedTau, cerr = e.timeCappedRegion(e.front, ev, func(fe float64) bool { return fe < 0 }, e.durCap())
 				if cerr != nil {
 					return nil, cerr
 				}
@@ -295,7 +308,7 @@ func (e *engine) run() (*Result, error) {
 					continue
 				}
 			}
-			tauP, alpha, err = e.solveRegionSecant(e.front, ev)
+			tauP, alpha, err = e.solveRegionSecant(e.front, ev, seed, seedTau)
 			if err != nil {
 				return nil, fmt.Errorf("qwm: region %d (turn-on of element %d): %w", e.res.Stats.Regions, e.front, err)
 			}
@@ -329,6 +342,8 @@ func (e *engine) run() (*Result, error) {
 				return nil, fmt.Errorf("%w: region limit %d exceeded", ErrNoConvergence, o.MaxRegions)
 			}
 			sub := target
+			var seed []float64
+			var seedTau float64
 			if !o.NoSubdivision {
 				if lim := e.v[m] - 0.12*ch.VDD; sub < lim {
 					sub = lim
@@ -337,7 +352,9 @@ func (e *engine) run() (*Result, error) {
 					sub = lim
 				}
 				// A cross residual is positive until the level is reached.
-				capped, cerr := e.timeCappedRegion(m, e.crossEvent(sub), func(fe float64) bool { return fe > 0 }, e.durCap())
+				var capped bool
+				var cerr error
+				capped, seed, seedTau, cerr = e.timeCappedRegion(m, e.crossEvent(sub), func(fe float64) bool { return fe > 0 }, e.durCap())
 				if cerr != nil {
 					return nil, cerr
 				}
@@ -345,7 +362,7 @@ func (e *engine) run() (*Result, error) {
 					continue
 				}
 			}
-			tauP, alpha, err := e.solveRegionSecant(m, e.crossEvent(sub))
+			tauP, alpha, err := e.solveRegionSecant(m, e.crossEvent(sub), seed, seedTau)
 			if err != nil {
 				if target < 0.35*ch.VDD && e.res.Stats.Regions > 0 && !e.budgetHit {
 					// The delay point is already behind us; a stalled deep
@@ -372,10 +389,7 @@ func (e *engine) run() (*Result, error) {
 
 	// Assemble result.
 	e.res.Folded = e.segs
-	e.res.Nodes = make([]*wave.PWQ, m)
-	for i, p := range e.segs {
-		e.res.Nodes[i] = UnfoldPWQ(p, ch.VDD, ch.Pol)
-	}
+	e.res.Nodes = unfoldAll(e.segs, ch.VDD, ch.Pol)
 	e.res.Output = e.res.Nodes[m-1]
 	return e.res, nil
 }
@@ -457,6 +471,19 @@ func (e *engine) refreshCurrents() {
 	}
 }
 
+// growSegs moves every node's segments into a new slab of n segments per
+// node. Each node's slice is capped at its share, so appends never spill
+// into the next node's.
+func (e *engine) growSegs(n int) {
+	slab := make([]wave.QuadSeg, e.m*n)
+	for k, p := range e.segs {
+		base := k * n
+		used := copy(slab[base:base+n], p.Segs)
+		p.Segs = slab[base : base+used : base+n]
+	}
+	e.segCap = n
+}
+
 // commitRegion appends this region's quadratic segments and moves the state
 // to τ′. The solver guarantees τ′ > τ, so a segment-append failure is a
 // violated solver invariant; it used to panic (taking the whole Analyze —
@@ -465,6 +492,9 @@ func (e *engine) refreshCurrents() {
 // one broken evaluation degrades exactly one stage direction.
 func (e *engine) commitRegion(tauP float64, alpha []float64, active int) error {
 	delta := tauP - e.t
+	if len(e.segs[0].Segs) == e.segCap {
+		e.growSegs(2 * e.segCap)
+	}
 	for k := 1; k <= e.m; k++ {
 		var a float64
 		if k <= active && alpha != nil {
@@ -504,9 +534,12 @@ func (e *engine) commitRegion(tauP float64, alpha []float64, active int) error {
 // on its residual), the fixed-duration region is committed and the caller
 // loops — this subdivides long regions so the linear-current chord stays
 // accurate through fast equilibration transients. The first return value
-// reports whether a capped region was committed; the error is non-nil only
-// for a commit-invariant violation (ErrInternal).
-func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, durCap float64) (bool, error) {
+// reports whether a capped region was committed. When the probe converged
+// with the event already fired, it returns the probe's α as a seed for the
+// region solve, with τ′ interpolated linearly between the event residual at
+// the region start and at the probe point. The error is non-nil only for a
+// commit-invariant violation (ErrInternal).
+func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, durCap float64) (capped bool, seed []float64, seedTau float64, err error) {
 	rs := e.newRegionSys(L, ev)
 	alpha := e.scr.nextAlpha(L)
 	for i := range alpha {
@@ -523,8 +556,17 @@ func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, 
 		iter = 30
 	}
 	fe, ok := rs.solveAlphas(alpha, tauP, iter)
-	if !ok || !notFired(fe) {
-		return false, nil
+	if !ok {
+		return false, nil, 0, nil
+	}
+	if !notFired(fe) {
+		seedTau = tauP
+		// At τ′ = t the state is the region start, so the residual there
+		// needs no solve.
+		if f0 := ev.value(e.t, e.v[L]); notFired(f0) {
+			seedTau = e.t + durCap*f0/(f0-fe)
+		}
+		return false, alpha, seedTau, nil
 	}
 	if !e.o.FreezeCaps {
 		// Secant-capacitance second pass, as in solveRegionSecant, started
@@ -544,11 +586,11 @@ func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, 
 		e.o.Events.Region(Event{Region: e.res.Stats.Regions, Kind: RegionTimeCap, Tau: tauP, Pending: ev.name()})
 	}
 	if err := e.commitRegion(tauP, alpha, L); err != nil {
-		return false, err
+		return false, nil, 0, err
 	}
 	e.refreshCaps()
 	e.refreshCurrents()
-	return true, nil
+	return true, nil, 0, nil
 }
 
 // endVoltage predicts node k's voltage after delta under the current
@@ -590,10 +632,11 @@ func (e *engine) durCap() float64 {
 // solveRegionSecant runs the region solve, then — unless FreezeCaps — once
 // more with secant (charge-based) node capacitances evaluated over the
 // first pass's voltage excursion, so voltage-dependent junctions do not
-// bias the region endpoint. The second pass starts from the first pass's
-// (α, τ′).
-func (e *engine) solveRegionSecant(L int, ev event) (float64, []float64, error) {
-	tauP, alpha, err := e.solveRegion(L, ev, nil, 0)
+// bias the region endpoint. The first pass starts from seed (the fired
+// time-cap probe's α and interpolated τ′) when there is one; the second
+// starts from the first pass's (α, τ′).
+func (e *engine) solveRegionSecant(L int, ev event, seed []float64, seedTau float64) (float64, []float64, error) {
+	tauP, alpha, err := e.solveRegion(L, ev, seed, seedTau)
 	if err != nil || e.o.FreezeCaps {
 		return tauP, alpha, err
 	}

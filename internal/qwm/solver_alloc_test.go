@@ -1,9 +1,11 @@
 package qwm
 
 import (
+	"math"
 	"testing"
 
 	"qwm/internal/mos"
+	"qwm/internal/stages"
 	"qwm/internal/wave"
 )
 
@@ -151,5 +153,53 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	// (the pre-refactor engine allocated ~8 slices per iteration).
 	if iters > 0 && allocs > float64(iters) {
 		t.Errorf("Evaluate allocated %.0f objects for %d NR iterations — the inner loop is allocating", allocs, iters)
+	}
+}
+
+// TestEvaluateTable2StackAllocBound bounds the allocation count of a whole
+// evaluation of a Table II 8-stack: the node waveforms share one segment
+// slab that grows for all nodes at once, so an evaluation allocates a
+// handful of objects (the engine, the Result, the waveform headers, the
+// slab and its one doubling, the critical times) instead of a slice growth
+// per node. With per-node append growth it made 76.
+func TestEvaluateTable2StackAllocBound(t *testing.T) {
+	ws, err := stages.TableII(tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w *stages.Workload
+	for _, c := range ws {
+		if c.Name == "8/ckt1" {
+			w = c
+		}
+	}
+	if w == nil {
+		t.Fatal("Table II has no 8/ckt1")
+	}
+	ch, err := Build(BuildInput{
+		Tech: tech, Lib: testLib,
+		Stage: w.Stage, Path: w.Path,
+		Inputs: w.Inputs, Loads: w.Loads, V0: w.IC,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(ch, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 12
+	// Under the race detector sync.Pool drops a quarter of its puts, so a
+	// run may pay for a fresh solver scratch; the least of several single
+	// runs is the count with the scratch pool warm.
+	allocs := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		allocs = math.Min(allocs, testing.AllocsPerRun(1, func() {
+			if _, err := Evaluate(ch, Options{}); err != nil {
+				t.Error(err)
+			}
+		}))
+	}
+	if allocs > limit {
+		t.Errorf("Evaluate of %s allocated %.0f objects, limit %d", w.Name, allocs, limit)
 	}
 }

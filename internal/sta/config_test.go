@@ -36,14 +36,15 @@ func TestConfigSignature(t *testing.T) {
 
 // The engine tag leads every signature. It changes whenever the solver's
 // results move, even in the last bits, so a disk or remote-tier namespace
-// written by an older engine is never re-opened: qwm3 is the region Newton
-// solve with the gate term in its τ′ column and warm-started secant passes.
+// written by an older engine is never re-opened: qwm4 reads junction C and
+// Q from the characterized library and seeds each region solve from its
+// fired time-cap probe.
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm3|red:|memo:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm4|red:|memo:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
-	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm3|") {
-		t.Errorf("signature %q lacks the qwm3 engine tag", sig)
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm4|") {
+		t.Errorf("signature %q lacks the qwm4 engine tag", sig)
 	}
 }
 

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -160,7 +161,12 @@ func (a *Analyzer) evalLadder(st *circuit.Stage, out, rail string, loads map[str
 // worker goroutine survives, the single-flight cache entry completes, and
 // the ladder escalates exactly as for an ordinary tier failure.
 func (a *Analyzer) runTier(tier Tier, st *circuit.Stage, out, rail string, path *circuit.Path, loads map[string]float64, inSlew float64, faultKey string, t *dirTiming) (res dirResult, err error) {
-	key := fmt.Sprintf("%s|tier%d", faultKey, tier)
+	// Only the fault injector reads the per-tier key; a nil injector never
+	// fires, so the key is built only when a fault plan is set.
+	var key string
+	if a.cfg.FaultPlan != nil {
+		key = faultKey + "|tier" + strconv.Itoa(int(tier))
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			t.panics++

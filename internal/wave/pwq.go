@@ -86,9 +86,9 @@ func (p *PWQ) Crossing(level float64, rising bool) (float64, bool) {
 	for _, s := range p.Segs {
 		dur := s.T1 - s.T0
 		// Roots of 0.5·A·x² + S·x + (V0 − level) = 0 within [0, dur].
-		roots := quadRoots(0.5*s.A, s.S, s.V0-level)
+		roots, n := quadRoots(0.5*s.A, s.S, s.V0-level)
 		best := math.Inf(1)
-		for _, x := range roots {
+		for _, x := range roots[:n] {
 			if x < -1e-18 || x > dur*(1+1e-9) {
 				continue
 			}
@@ -110,34 +110,32 @@ func (p *PWQ) Crossing(level float64, rising bool) (float64, bool) {
 	return 0, false
 }
 
-// quadRoots returns the real roots of a·x² + b·x + c, degenerating to the
-// linear case when a ≈ 0 relative to b.
-func quadRoots(a, b, c float64) []float64 {
+// quadRoots returns the n real roots of a·x² + b·x + c in ascending order,
+// degenerating to the linear case when a ≈ 0 relative to b. The roots come
+// back in an array so a crossing search never touches the heap.
+func quadRoots(a, b, c float64) (roots [2]float64, n int) {
 	if math.Abs(a) < 1e-300 || math.Abs(a) < 1e-14*math.Abs(b) {
 		if b == 0 {
-			return nil
+			return roots, 0
 		}
-		return []float64{-c / b}
+		roots[0] = -c / b
+		return roots, 1
 	}
 	disc := b*b - 4*a*c
 	if disc < 0 {
-		return nil
+		return roots, 0
 	}
 	sq := math.Sqrt(disc)
 	// Numerically stable form avoiding cancellation.
 	q := -0.5 * (b + math.Copysign(sq, b))
-	r1 := q / a
-	var roots []float64
-	roots = append(roots, r1)
+	roots[0] = q / a
 	if q != 0 {
-		roots = append(roots, c/q)
-	} else {
-		roots = append(roots, 0)
+		roots[1] = c / q
 	}
 	if roots[0] > roots[1] {
 		roots[0], roots[1] = roots[1], roots[0]
 	}
-	return roots
+	return roots, 2
 }
 
 // CriticalPoints returns the (time, voltage) pairs at segment boundaries —

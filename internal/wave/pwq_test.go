@@ -83,18 +83,18 @@ func TestPWQCrossingLinearSegment(t *testing.T) {
 
 func TestQuadRootsStable(t *testing.T) {
 	// Catastrophic-cancellation case: x² − 1e8·x + 1 has roots ~1e8 and ~1e-8.
-	rs := quadRoots(1, -1e8, 1)
-	if len(rs) != 2 {
-		t.Fatalf("want 2 roots, got %v", rs)
+	rs, n := quadRoots(1, -1e8, 1)
+	if n != 2 {
+		t.Fatalf("want 2 roots, got %v", rs[:n])
 	}
 	if !feq(rs[0], 1e-8, 1e-9) || !feq(rs[1], 1e8, 1e-9) {
 		t.Errorf("roots = %v", rs)
 	}
-	if rs := quadRoots(0, 2, -4); len(rs) != 1 || rs[0] != 2 {
-		t.Errorf("linear fallback roots = %v", rs)
+	if rs, n := quadRoots(0, 2, -4); n != 1 || rs[0] != 2 {
+		t.Errorf("linear fallback roots = %v", rs[:n])
 	}
-	if rs := quadRoots(1, 0, 1); rs != nil {
-		t.Errorf("complex case should give no roots, got %v", rs)
+	if rs, n := quadRoots(1, 0, 1); n != 0 {
+		t.Errorf("complex case should give no roots, got %v", rs[:n])
 	}
 }
 
@@ -175,5 +175,35 @@ func TestDelayErrorAndAccuracy(t *testing.T) {
 	}
 	if a := AccuracyPct(300, 100); a != 0 {
 		t.Errorf("accuracy floor = %g", a)
+	}
+}
+
+// Crossing searches and the metrics built on them run once per stage
+// evaluation on the STA path; none of them may allocate.
+func TestCrossingAndSlewAllocFree(t *testing.T) {
+	p := &PWQ{}
+	for _, s := range []QuadSeg{
+		{T0: 0, T1: 1e-10, V0: 3.3, S: -5e9, A: -1e20},
+		{T0: 1e-10, T1: 3e-10, V0: 2.3, S: -1.5e10, A: 5e19},
+		{T0: 3e-10, T1: 1e-9, V0: 0.3, S: -4e8, A: 0},
+	} {
+		if err := p.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := p.Crossing(1.65, false); !ok {
+		t.Fatal("falling 50 % crossing not found")
+	}
+	if _, err := Slew(p, 3.3, false); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.Crossing(1.65, false) }); a != 0 {
+		t.Errorf("PWQ.Crossing allocated %.1f times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { Slew(p, 3.3, false) }); a != 0 {
+		t.Errorf("Slew allocated %.1f times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { Delay50(p, 0, 3.3, false) }); a != 0 {
+		t.Errorf("Delay50 allocated %.1f times per call, want 0", a)
 	}
 }
