@@ -62,10 +62,12 @@ race-obs:
 # analysis, one eval span per work item with cache, tier and solver args,
 # more than one worker lane) and assert the deterministic rendering is
 # byte-identical at Workers 1 and 8; plus the bridge's own wall-clock,
-# schedule-independence and mid-analysis export tests.
+# schedule-independence and mid-analysis export tests, and the service's
+# deterministic export of a traced 2-bit decoder request against its golden.
 trace-smoke:
 	$(GO) test -run 'TestTraceDecoderSmoke|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
 	$(GO) test -run 'TestTraceBridge|TestTraceDeterministicByteIdentical|TestTraceIncompleteAnalysis' -count=1 ./internal/obs/
+	$(GO) test -run 'TestTraceDeterministicGolden' -count=1 ./internal/service/
 
 # Distributed-tracing smoke: replica A answers warm off replica B's cache
 # plane and the flight-recorded trace must contain spans from BOTH
@@ -80,7 +82,8 @@ leak-check:
 	$(GO) test -run 'TestServerStartShutdownNoLeak' -count=1 ./internal/obs/
 
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
-# trace headers a client or peer sends (traceparent, Qwm-Span), the netlist
+# trace headers a client or peer sends (traceparent, Qwm-Span), the flight
+# recorder's span record codec, the netlist
 # deck, card tokenizer and value parsers (the tokenizer and value parser
 # against their previous implementations), the disk/remote-tier entry and
 # record codecs, and
@@ -91,6 +94,7 @@ leak-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePeerSpan$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRecord$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitCard$$' -fuzztime 10s ./internal/netlist/
@@ -110,13 +114,14 @@ service-smoke:
 # secant-capacitance second pass vs frozen capacitances, the
 # observability-overhead comparison (bare vs observer vs metrics), the
 # warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
-# vs on), incremental re-analysis, the warm-disk service path and the
+# vs on), incremental re-analysis, the warm-disk service path, the warm
+# service path untraced and traced (flight recorder + metrics) and the
 # junction-table lookup against the exact junction model. It checks
 # that they run; performance is measured by perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
-	$(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced' -benchtime 1x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/
 
 # Full benchmark sweep (regenerates every table/figure; slow).

@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -184,7 +185,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 	analyze := func(pass int) (*sta.Result, error) {
 		ctx := context.Background()
 		if trace != nil {
-			ctx = obs.ContextWithTrace(ctx, obs.TraceRef{T: trace, Parent: fmt.Sprintf("sta.r%d", pass), Item: pass})
+			ctx = obs.ContextWithTrace(ctx, obs.TraceRef{T: trace, Parent: "sta.r" + strconv.Itoa(pass), Item: pass})
 		}
 		return a.AnalyzeContext(ctx, req)
 	}

@@ -124,20 +124,43 @@ func (t *Tridiag) SolveInto(b, x, cp []float64) error {
 //	T·y = b,  T·z = u,  x = y − v·y / (1 + v·z) · z.
 //
 // This is how QWM handles the Jacobian's dense last column while keeping the
-// O(n) tridiagonal solve. The solution is written into x; y, z and cp are
-// caller-provided scratch of lengths n, n and ≥ n−1 (y and z receive the two
-// intermediate solves), and x must not alias y or z. Returns ErrSingular if
-// T is singular to the Thomas algorithm or if 1 + vᵀz vanishes.
+// O(n) tridiagonal solve. Both solves share one elimination sweep (the
+// modified superdiagonal and the pivots depend only on T), and each right-
+// hand side sees exactly the operations SolveInto would apply, so y and z
+// are bit-identical to two SolveInto calls. The solution is written into x;
+// y, z and cp are caller-provided scratch of lengths n, n and ≥ n−1 (y and
+// z receive the two intermediate solves), and x must not alias y or z.
+// Returns ErrSingular if T is singular to the Thomas algorithm or if
+// 1 + vᵀz vanishes.
 func (t *Tridiag) SolveRankOneInto(u, v, b, x, y, z, cp []float64) error {
 	n := t.N()
 	if len(u) != n || len(v) != n || len(b) != n || len(x) != n || len(y) != n || len(z) != n || len(cp) < n-1 {
 		panic("la: SolveRankOneInto dimension mismatch")
 	}
-	if err := t.SolveInto(b, y, cp); err != nil {
-		return err
+	d0 := t.Diag[0]
+	if d0 == 0 {
+		return ErrSingular
 	}
-	if err := t.SolveInto(u, z, cp); err != nil {
-		return err
+	if n > 1 {
+		cp[0] = t.Sup[0] / d0
+	}
+	y[0] = b[0] / d0
+	z[0] = u[0] / d0
+	for i := 1; i < n; i++ {
+		elim := t.Sub[i-1] * cp[i-1]
+		den := t.Diag[i] - elim
+		if math.Abs(den) <= 1e-14*(math.Abs(t.Diag[i])+math.Abs(elim)) {
+			return ErrSingular
+		}
+		if i < n-1 {
+			cp[i] = t.Sup[i] / den
+		}
+		y[i] = (b[i] - t.Sub[i-1]*y[i-1]) / den
+		z[i] = (u[i] - t.Sub[i-1]*z[i-1]) / den
+	}
+	for i := n - 2; i >= 0; i-- {
+		y[i] -= cp[i] * y[i+1]
+		z[i] -= cp[i] * z[i+1]
 	}
 	den := 1 + Dot(v, z)
 	if math.Abs(den) < 1e-300 {

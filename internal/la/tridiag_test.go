@@ -361,3 +361,59 @@ func TestTridiagDenseIntoMatchesDense(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveRankOneSharedSweepBitExact: the rank-one solve's shared
+// elimination sweep gives the same bits as two separate SolveInto calls
+// followed by the Sherman–Morrison update, on well and badly scaled rows,
+// and reports a pivot breakdown exactly when SolveInto does.
+func TestSolveRankOneSharedSweepBitExact(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(12)
+		tri := randomDDTridiag(r, n)
+		u, v, b := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			// Rows in different units, as the QWM Jacobian's are.
+			scale := math.Pow(10, float64(r.Intn(24)-12))
+			tri.Diag[i] *= scale
+			if i < n-1 {
+				tri.Sup[i] *= scale
+			}
+			if i > 0 {
+				tri.Sub[i-1] *= scale
+			}
+			u[i], v[i], b[i] = r.NormFloat64()*scale, r.NormFloat64(), r.NormFloat64()*scale
+		}
+		if seed%10 == 0 && n > 2 {
+			// Force a cancelled pivot in row 1.
+			tri.Diag[1] = tri.Sub[0] * tri.Sup[0] / tri.Diag[0]
+		}
+		cp := make([]float64, n)
+		y, z := make([]float64, n), make([]float64, n)
+		errY, errZ := tri.SolveInto(b, y, cp), tri.SolveInto(u, z, cp)
+		want := make([]float64, n)
+		wantErr := errY
+		if wantErr == nil {
+			wantErr = errZ
+		}
+		if wantErr == nil {
+			f := Dot(v, y) / (1 + Dot(v, z))
+			for i := range want {
+				want[i] = y[i] - f*z[i]
+			}
+		}
+		x := make([]float64, n)
+		gotErr := tri.SolveRankOneInto(u, v, b, x, make([]float64, n), make([]float64, n), make([]float64, n))
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("seed %d: error %v, two solves gave %v", seed, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: x[%d] = %x, two solves give %x", seed, i, x[i], want[i])
+			}
+		}
+	}
+}

@@ -272,7 +272,7 @@ func (f *FlightRecorder) List() []TraceSummary {
 		out = append(out, TraceSummary{
 			TraceID: e.t.TraceID, Route: e.t.Route, Status: e.t.Status,
 			Start: e.t.Start, DurMS: e.t.Dur.Seconds() * 1e3,
-			Spans: len(e.t.Spans), Classes: strings.Join(e.classes, ","),
+			Spans: e.t.NumSpans(), Classes: strings.Join(e.classes, ","),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -14,10 +14,9 @@ import (
 
 // fakeTrace builds a minimal retained trace.
 func fakeTrace(id, route string, status int, dur time.Duration, start time.Time) *RequestTrace {
-	return &RequestTrace{
-		TraceID: id, Route: route, Status: status, Start: start, Dur: dur,
-		Spans: []ReqSpan{{ID: "req", Name: "POST /" + route, Level: LevelRequest, Start: start, Dur: dur}},
-	}
+	at := &ActiveTrace{TraceID: id, Start: start}
+	at.Add(ReqSpan{ID: "req", Name: "POST /" + route, Level: LevelRequest, Start: start, Dur: dur})
+	return at.Finish(route, status, dur)
 }
 
 func TestFlightRecordFlushGet(t *testing.T) {

@@ -4,11 +4,12 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -46,42 +47,47 @@ type ReqSpan struct {
 	// ("" for the root). A parent's ID is always a prefix of its children's,
 	// so within one (Level, Item) tie the deterministic sort emits parents
 	// first.
-	ID     string `json:"id"`
-	Parent string `json:"parent,omitempty"`
+	ID     string
+	Parent string
 	// Name is the human-facing label.
-	Name string `json:"name"`
+	Name string
 	// Process names the replica that recorded the span; "" is the local
 	// process. The Chrome export maps processes to pids deterministically
 	// (local first, then remote names sorted).
-	Process string `json:"process,omitempty"`
+	Process string
 	// Level and Item are the deterministic sort identity, mirroring the
 	// Observer contract: engine spans carry their dependency level and item
 	// index, request-plumbing spans carry the pseudo-levels above.
-	Level int `json:"level"`
-	Item  int `json:"item"`
+	Level int
+	Item  int
 	// Start and Dur are wall-clock; the deterministic export strips both.
-	Start time.Time     `json:"start"`
-	Dur   time.Duration `json:"dur"`
+	Start time.Time
+	Dur   time.Duration
 	// Thread is the span's lane within its process in the wall-clock
 	// export: 0 for plumbing, analyze and level spans, worker slot + 1 for
 	// eval spans, so a parallel run renders one Perfetto track per worker.
 	// Schedule-dependent; the deterministic export puts every span on 0.
-	Thread int `json:"thread,omitempty"`
+	Thread int
 	// Attrs carries ONLY schedule-independent attributes (cache outcomes,
 	// tier names, counts). Durations, worker ids and queue depths must never
 	// appear here — the deterministic export serializes Attrs verbatim.
-	Attrs map[string]any `json:"attrs,omitempty"`
+	Attrs Attrs
 }
 
 // ActiveTrace accumulates the spans of one in-flight request. Spans arrive
-// concurrently from worker goroutines; Add serializes them with a mutex.
+// concurrently from worker goroutines; Add serializes them with a mutex and
+// appends each to the trace's one span record (record.go).
 type ActiveTrace struct {
 	TraceID string
 	Start   time.Time
 
-	mu    sync.Mutex
-	spans []ReqSpan
+	mu  sync.Mutex
+	enc spanEncoder
 }
+
+// activeTraceBuf is the initial capacity of a trace's span record: room for
+// a small decoder request's spans before the first growth.
+const activeTraceBuf = 2048
 
 // NewActiveTrace starts a trace. An empty traceID mints a fresh random one
 // (the caller passes an inbound traceparent's ID to join an existing trace).
@@ -89,26 +95,30 @@ func NewActiveTrace(traceID string) *ActiveTrace {
 	if traceID == "" {
 		traceID = NewTraceID()
 	}
-	return &ActiveTrace{TraceID: traceID, Start: time.Now()}
+	return &ActiveTrace{TraceID: traceID, Start: time.Now(),
+		enc: spanEncoder{buf: make([]byte, 0, activeTraceBuf)}}
 }
 
-// Add records one completed span.
+// Add records one completed span. The span is encoded on the spot: nothing
+// it references is kept, so callers may build it from stack temporaries.
 func (t *ActiveTrace) Add(s ReqSpan) {
 	t.mu.Lock()
-	t.spans = append(t.spans, s)
+	t.enc.add(&s, t.Start)
 	t.mu.Unlock()
 }
 
-// Finish freezes the trace into its completed, exportable form. Spans added
-// after Finish (an async batch still draining) affect only later Finish
-// calls, never the returned value.
+// Finish freezes the trace into its completed, exportable form: the span
+// record copied to its exact size. Spans added after Finish (an async batch
+// still draining) affect only later Finish calls, never the returned value.
 func (t *ActiveTrace) Finish(route string, status int, dur time.Duration) *RequestTrace {
 	t.mu.Lock()
-	spans := append([]ReqSpan(nil), t.spans...)
+	rec := make([]byte, len(t.enc.buf))
+	copy(rec, t.enc.buf)
+	n := t.enc.n
 	t.mu.Unlock()
 	return &RequestTrace{
 		TraceID: t.TraceID, Route: route, Status: status,
-		Start: t.Start, Dur: dur, Spans: spans,
+		Start: t.Start, Dur: dur, rec: rec, n: n,
 	}
 }
 
@@ -163,7 +173,9 @@ func NewTraceID() string {
 func WireSpanID(semantic string) string {
 	h := fnv.New64a()
 	h.Write([]byte(semantic))
-	return fmt.Sprintf("%016x", h.Sum64())
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], h.Sum64())
+	return hex.EncodeToString(b[:])
 }
 
 // FormatTraceparent renders the W3C traceparent header for a semantic span:
@@ -251,13 +263,15 @@ func DecodePeerSpan(s string) (PeerSpan, bool) {
 	return ps, true
 }
 
-// KeyHash32 is a short deterministic content hash used to disambiguate
-// sibling span groups keyed by cache key (one eval may look up two keys
-// under slew-bucket interpolation).
-func KeyHash32(key string) uint32 {
+// KeyHash is a short deterministic content hash, 8 hex digits, used to
+// disambiguate sibling span groups keyed by cache key (one eval may look up
+// two keys under slew-bucket interpolation).
+func KeyHash(key string) string {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return h.Sum32()
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], h.Sum32())
+	return hex.EncodeToString(b[:])
 }
 
 // TraceBridge adapts the engine's Observer span stream into request-trace
@@ -314,13 +328,14 @@ func (b *TraceBridge) LevelStart(info LevelStartInfo) {
 // emitLevelLocked closes the open level span. Caller holds b.mu.
 func (b *TraceBridge) emitLevelLocked(end time.Time) {
 	l := b.curLevel
+	lvl := strconv.Itoa(l.Level)
 	b.ref.T.Add(ReqSpan{
-		ID:     fmt.Sprintf("%s.L%d", b.analyzeID, l.Level),
+		ID:     b.analyzeID + ".L" + lvl,
 		Parent: b.analyzeID,
-		Name:   fmt.Sprintf("level %d", l.Level),
+		Name:   "level " + lvl,
 		Level:  l.Level, Item: -1,
 		Start: b.curStart, Dur: end.Sub(b.curStart),
-		Attrs: map[string]any{"level": l.Level, "stages": l.Stages, "items": l.Items},
+		Attrs: Attrs{Int("level", l.Level), Int("stages", l.Stages), Int("items", l.Items)},
 	})
 }
 
@@ -333,28 +348,31 @@ func (b *TraceBridge) StageEval(info StageEvalInfo) {
 	// The solver statistics belong to the cache entry (a hit carries the
 	// stats of the evaluation that produced it, persisted in tier records),
 	// so they are schedule-independent like the cache outcome and tier.
-	attrs := map[string]any{
-		"output": info.Output, "dir": info.Direction, "cache": cache,
-		"nr_iters":        info.QWM.NRIters,
-		"regions":         info.QWM.Regions,
-		"dense_fallbacks": info.QWM.DenseFallbacks,
-		"cap_resolves":    info.QWM.CapResolves,
+	attrs := [9]Attr{
+		Str("output", info.Output), Str("dir", info.Direction), Str("cache", cache),
+		Int("nr_iters", info.QWM.NRIters),
+		Int("regions", info.QWM.Regions),
+		Int("dense_fallbacks", info.QWM.DenseFallbacks),
+		Int("cap_resolves", info.QWM.CapResolves),
 	}
+	n := 7
 	if info.Tier != "" {
-		attrs["tier"] = info.Tier
+		attrs[n] = Str("tier", info.Tier)
+		n++
 	}
 	if info.Err != "" {
-		attrs["err"] = info.Err
+		attrs[n] = Str("err", info.Err)
+		n++
 	}
-	levelID := fmt.Sprintf("%s.L%d", b.analyzeID, info.Level)
+	levelID := b.analyzeID + ".L" + strconv.Itoa(info.Level)
 	b.ref.T.Add(ReqSpan{
-		ID:     fmt.Sprintf("%s.e%d", levelID, info.Item),
+		ID:     levelID + ".e" + strconv.Itoa(info.Item),
 		Parent: levelID,
 		Name:   info.Output + "~" + info.Direction,
 		Level:  info.Level, Item: info.Item,
 		Start: end.Add(-info.Duration), Dur: info.Duration,
 		Thread: info.Worker + 1,
-		Attrs:  attrs,
+		Attrs:  attrs[:n],
 	})
 }
 
@@ -366,24 +384,27 @@ func (b *TraceBridge) AnalyzeEnd(info AnalyzeEndInfo) {
 		b.emitLevelLocked(now)
 		b.haveLevel = false
 	}
-	attrs := map[string]any{
-		"stages":  b.info.Stages,
-		"levels":  b.info.Levels,
-		"items":   b.info.Items,
-		"outputs": b.info.Outputs,
+	attrs := [11]Attr{
+		Int("stages", b.info.Stages),
+		Int("levels", b.info.Levels),
+		Int("items", b.info.Items),
+		Int("outputs", b.info.Outputs),
 		// Deterministic per the single-flight cache contract (the existing
 		// trace gate pins this); the Workers setting and durations are not.
-		"cache_hits":       info.CacheHits,
-		"cache_misses":     info.CacheMisses,
-		"stages_evaluated": info.StagesEvaluated,
-		"eval_errors":      info.EvalErrors,
-		"slew_fallbacks":   info.SlewFallbacks,
+		Int64("cache_hits", info.CacheHits),
+		Int64("cache_misses", info.CacheMisses),
+		Int("stages_evaluated", info.StagesEvaluated),
+		Int("eval_errors", info.EvalErrors),
+		Int("slew_fallbacks", info.SlewFallbacks),
 	}
+	n := 9
 	if info.Cancelled {
-		attrs["cancelled"] = true
+		attrs[n] = Bool("cancelled", true)
+		n++
 	}
 	if info.Err != nil {
-		attrs["err"] = info.Err.Error()
+		attrs[n] = Str("err", info.Err.Error())
+		n++
 	}
 	b.ref.T.Add(ReqSpan{
 		ID:     b.analyzeID,
@@ -391,20 +412,34 @@ func (b *TraceBridge) AnalyzeEnd(info AnalyzeEndInfo) {
 		Name:   "analyze",
 		Level:  LevelAnalyze, Item: b.ref.Item,
 		Start: b.start, Dur: now.Sub(b.start),
-		Attrs: attrs,
+		Attrs: attrs[:n],
 	})
 }
 
 // RequestTrace is one completed request's span tree, the unit the flight
-// recorder retains and the /trace/request/{id} endpoint exports.
+// recorder retains and the /trace/request/{id} endpoint exports. Past its
+// header it holds only the exact-size span record (record.go), which
+// Spans decodes on demand.
 type RequestTrace struct {
-	TraceID string        `json:"trace_id"`
-	Route   string        `json:"route"`
-	Status  int           `json:"status"`
-	Start   time.Time     `json:"start"`
-	Dur     time.Duration `json:"dur"`
-	Spans   []ReqSpan     `json:"spans"`
+	TraceID string
+	Route   string
+	Status  int
+	Start   time.Time
+	Dur     time.Duration
+
+	rec []byte
+	n   int
 }
+
+// Spans decodes the trace's spans, in the order they were recorded.
+func (rt *RequestTrace) Spans() []ReqSpan {
+	// The record is written only by ActiveTrace, so it always decodes.
+	spans, _ := decodeSpans(rt.rec, rt.Start, rt.n)
+	return spans
+}
+
+// NumSpans reports how many spans the trace holds, without decoding them.
+func (rt *RequestTrace) NumSpans() int { return rt.n }
 
 // Err reports whether the request classifies as errored for retention.
 func (rt *RequestTrace) Err() bool { return rt.Status >= 400 }
@@ -465,7 +500,7 @@ func (rt *RequestTrace) ChromeJSON(deterministic bool) ([]byte, error) {
 }
 
 func (rt *RequestTrace) events(deterministic bool) []TraceEvent {
-	spans := append([]ReqSpan(nil), rt.Spans...)
+	spans := rt.Spans()
 	if deterministic {
 		sortSpansDeterministic(spans)
 	} else {
@@ -490,12 +525,13 @@ func (rt *RequestTrace) events(deterministic bool) []TraceEvent {
 		events = append(events, workerLanes(spans, pids)...)
 	}
 	for rank, s := range spans {
-		args := map[string]any{"id": s.ID}
+		args := make(map[string]any, len(s.Attrs)+2)
+		args["id"] = s.ID
 		if s.Parent != "" {
 			args["parent"] = s.Parent
 		}
-		for k, v := range s.Attrs {
-			args[k] = v
+		for _, a := range s.Attrs {
+			args[a.Key] = a.Value()
 		}
 		ev := TraceEvent{
 			Name: s.Name, Cat: "request", Ph: "X",
@@ -536,7 +572,7 @@ func workerLanes(spans []ReqSpan, pids map[string]int) []TraceEvent {
 	out := make([]TraceEvent, len(lanes))
 	for i, l := range lanes {
 		out[i] = TraceEvent{Name: "thread_name", Ph: "M", Pid: l.pid, Tid: l.tid,
-			Args: map[string]any{"name": fmt.Sprintf("worker %d", l.tid-1)}}
+			Args: map[string]any{"name": "worker " + strconv.Itoa(l.tid-1)}}
 	}
 	return out
 }

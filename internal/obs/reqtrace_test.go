@@ -117,17 +117,17 @@ func TestDecodePeerSpanCaps(t *testing.T) {
 func traceFixtureSpans() []ReqSpan {
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	spans := []ReqSpan{
-		{ID: "req", Name: "POST /analyze", Level: LevelRequest, Item: 0, Start: base, Dur: 9 * time.Millisecond, Attrs: map[string]any{"route": "analyze", "status": 200}},
-		{ID: "req.enqueue", Parent: "req", Name: "enqueue", Level: LevelAdmit, Item: 0, Start: base, Dur: time.Microsecond, Attrs: map[string]any{"requests": 1, "admitted": true}},
-		{ID: "req.j0", Parent: "req", Name: "worker", Level: LevelWorker, Item: 0, Start: base, Dur: 8 * time.Millisecond, Attrs: map[string]any{"status": "ok"}},
-		{ID: "req.j0.analyze", Parent: "req.j0", Name: "analyze", Level: LevelAnalyze, Item: 0, Start: base, Dur: 7 * time.Millisecond, Attrs: map[string]any{"stages": 2}},
+		{ID: "req", Name: "POST /analyze", Level: LevelRequest, Item: 0, Start: base, Dur: 9 * time.Millisecond, Attrs: Attrs{Str("route", "analyze"), Int("status", 200)}},
+		{ID: "req.enqueue", Parent: "req", Name: "enqueue", Level: LevelAdmit, Item: 0, Start: base, Dur: time.Microsecond, Attrs: Attrs{Int("requests", 1), Bool("admitted", true)}},
+		{ID: "req.j0", Parent: "req", Name: "worker", Level: LevelWorker, Item: 0, Start: base, Dur: 8 * time.Millisecond, Attrs: Attrs{Str("status", "ok")}},
+		{ID: "req.j0.analyze", Parent: "req.j0", Name: "analyze", Level: LevelAnalyze, Item: 0, Start: base, Dur: 7 * time.Millisecond, Attrs: Attrs{Int("stages", 2)}},
 		{ID: "req.j0.analyze.L0", Parent: "req.j0.analyze", Name: "level 0", Level: 0, Item: -1, Start: base, Dur: time.Millisecond},
-		{ID: "req.j0.analyze.L0.e0", Parent: "req.j0.analyze.L0", Name: "y0~rise", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: map[string]any{"cache": "miss"}},
-		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote", Parent: "req.j0.analyze.L0.e0", Name: "tier remote", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: map[string]any{"tier": "remote", "hit": true}},
-		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote", Name: "remote get", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: map[string]any{"attempt": 0, "outcome": "hit"}},
-		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0.peer", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Name: "cache-plane get", Process: "replica-b", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: map[string]any{"op": "get", "outcome": "hit"}},
+		{ID: "req.j0.analyze.L0.e0", Parent: "req.j0.analyze.L0", Name: "y0~rise", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("cache", "miss")}},
+		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote", Parent: "req.j0.analyze.L0.e0", Name: "tier remote", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("tier", "remote"), Bool("hit", true)}},
+		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote", Name: "remote get", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Int("attempt", 0), Str("outcome", "hit")}},
+		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0.peer", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Name: "cache-plane get", Process: "replica-b", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("op", "get"), Str("outcome", "hit")}},
 		{ID: "req.j0.analyze.L1", Parent: "req.j0.analyze", Name: "level 1", Level: 1, Item: -1, Start: base, Dur: time.Millisecond},
-		{ID: "req.j0.analyze.L1.e3", Parent: "req.j0.analyze.L1", Name: "y1~fall", Level: 1, Item: 3, Start: base, Dur: time.Millisecond, Attrs: map[string]any{"cache": "hit"}},
+		{ID: "req.j0.analyze.L1.e3", Parent: "req.j0.analyze.L1", Name: "y1~fall", Level: 1, Item: 3, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("cache", "hit")}},
 	}
 	return spans
 }
@@ -241,7 +241,7 @@ func TestTraceBridgeSpans(t *testing.T) {
 
 	rt := at.Finish("analyze", 200, time.Millisecond)
 	byID := map[string]ReqSpan{}
-	for _, s := range rt.Spans {
+	for _, s := range rt.Spans() {
 		byID[s.ID] = s
 	}
 	for id, parent := range map[string]string{
@@ -254,7 +254,7 @@ func TestTraceBridgeSpans(t *testing.T) {
 	} {
 		s, ok := byID[id]
 		if !ok {
-			t.Errorf("missing span %s (have %d spans)", id, len(rt.Spans))
+			t.Errorf("missing span %s (have %d spans)", id, rt.NumSpans())
 			continue
 		}
 		if s.Parent != parent {
@@ -262,22 +262,22 @@ func TestTraceBridgeSpans(t *testing.T) {
 		}
 	}
 	an := byID["req.j0.analyze"]
-	if an.Attrs["cache_hits"] != int64(1) {
-		t.Errorf("analyze span cache_hits = %v", an.Attrs["cache_hits"])
+	if an.Attrs.Get("cache_hits") != int64(1) {
+		t.Errorf("analyze span cache_hits = %v", an.Attrs.Get("cache_hits"))
 	}
-	if _, leaked := an.Attrs["workers"]; leaked {
+	if an.Attrs.Get("workers") != nil {
 		t.Error("analyze span leaked the schedule-dependent Workers setting")
 	}
-	if s := byID["req.j0.analyze.L1.e0"]; s.Attrs["tier"] != "qwm" {
-		t.Errorf("eval span tier attr = %v", s.Attrs["tier"])
+	if s := byID["req.j0.analyze.L1.e0"]; s.Attrs.Get("tier") != "qwm" {
+		t.Errorf("eval span tier attr = %v", s.Attrs.Get("tier"))
 	}
-	if an.Attrs["eval_errors"] != 1 || an.Attrs["slew_fallbacks"] != 2 {
-		t.Errorf("analyze span error counts = %v / %v", an.Attrs["eval_errors"], an.Attrs["slew_fallbacks"])
+	if an.Attrs.Get("eval_errors") != int64(1) || an.Attrs.Get("slew_fallbacks") != int64(2) {
+		t.Errorf("analyze span error counts = %v / %v", an.Attrs.Get("eval_errors"), an.Attrs.Get("slew_fallbacks"))
 	}
 	e := byID["req.j0.analyze.L1.e0"]
-	for k, want := range map[string]int{"regions": 6, "nr_iters": 44, "dense_fallbacks": 1, "cap_resolves": 3} {
-		if e.Attrs[k] != want {
-			t.Errorf("eval span %s = %v, want %d", k, e.Attrs[k], want)
+	for k, want := range map[string]int64{"regions": 6, "nr_iters": 44, "dense_fallbacks": 1, "cap_resolves": 3} {
+		if e.Attrs.Get(k) != want {
+			t.Errorf("eval span %s = %v, want %d", k, e.Attrs.Get(k), want)
 		}
 	}
 	if e.Thread != 6 || an.Thread != 0 || byID["req.j0.analyze.L1"].Thread != 0 {

@@ -211,7 +211,7 @@ func TestTraceIncompleteAnalysis(t *testing.T) {
 	if a, e := count(at.Finish("sta", 0, time.Since(at.Start)), false); a != 1 || e != 1 {
 		t.Errorf("completed trace has %d analyze / %d eval spans, want 1/1", a, e)
 	}
-	if len(partial.Spans) != 1 {
-		t.Errorf("spans added after Finish leaked into the frozen trace: %d spans", len(partial.Spans))
+	if partial.NumSpans() != 1 || len(partial.Spans()) != 1 {
+		t.Errorf("spans added after Finish leaked into the frozen trace: %d spans", len(partial.Spans()))
 	}
 }

@@ -172,12 +172,7 @@ func (rs *regionSys) residual(x, F []float64) bool {
 // norm is the mixed-unit convergence measure: current rows scaled by the
 // region's current magnitude, the event row by VDD.
 func (rs *regionSys) norm(F []float64) float64 {
-	max := 0.0
-	for r := 0; r < rs.L; r++ {
-		if a := math.Abs(F[r]) / rs.iScale; a > max {
-			max = a
-		}
-	}
+	max := rs.normAlpha(F)
 	if a := math.Abs(F[rs.L]) / rs.e.ch.VDD; a > max {
 		max = a
 	}
@@ -202,19 +197,26 @@ func (rs *regionSys) alphaBlock(delta float64, diag, sub, sup []float64) {
 	if rs.lin {
 		dIdx = 1
 	}
+	// dvdx of nodes k−1, k and k+1, each computed once.
+	dPrev, dCur := 0.0, rs.dvdx(1, delta)
 	for k := 1; k <= L; k++ {
 		r := k - 1
+		dNext := 0.0
+		if k+1 <= L {
+			dNext = rs.dvdx(k+1, delta)
+		}
 		// ∂F_k/∂α_{k-1}: through J_{k-1}'s lower terminal.
 		if k >= 2 {
-			sub[r-1] = rs.dLow[k-1] * rs.dvdx(k-1, delta)
+			sub[r-1] = rs.dLow[k-1] * dPrev
 		}
 		// ∂F_k/∂α_k: direct + both adjacent element currents through V_k.
-		diag[r] = dIdx + (rs.dUp[k-1]-rs.dLow[k])*rs.dvdx(k, delta)
+		diag[r] = dIdx + (rs.dUp[k-1]-rs.dLow[k])*dCur
 		// ∂F_k/∂α_{k+1}: through J_k's upper terminal (node k+1 active iff
 		// k+1 ≤ L; for k = L, J_L ≡ 0).
 		if k+1 <= L {
-			sup[r] = -rs.dUp[k] * rs.dvdx(k+1, delta)
+			sup[r] = -rs.dUp[k] * dNext
 		}
+		dPrev, dCur = dCur, dNext
 	}
 }
 
@@ -549,15 +551,17 @@ func (rs *regionSys) solveAlphas(alpha []float64, tauP float64, maxIter int) (fl
 	return 0, false
 }
 
-// normAlpha measures only the current-matching rows.
+// normAlpha measures only the current-matching rows. It scales the largest
+// |F| once: division by iScale > 0 rounds monotonically, so this is bit for
+// bit the largest of the scaled rows.
 func (rs *regionSys) normAlpha(F []float64) float64 {
 	max := 0.0
-	for r := 0; r < rs.L; r++ {
-		if a := math.Abs(F[r]) / rs.iScale; a > max {
+	for _, f := range F[:rs.L] {
+		if a := math.Abs(f); a > max {
 			max = a
 		}
 	}
-	return max
+	return max / rs.iScale
 }
 
 // bisect locates τ′ by expanding a bracket on the event residual and

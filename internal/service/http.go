@@ -87,33 +87,29 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			v1.ErrorResponse("", v1.CodeInvalidRequest, "POST required"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			v1.ErrorResponse("", v1.CodeInvalidRequest, "request body too large"))
 		return
 	}
 	// A batch is detected by the presence of the "requests" key; anything
-	// else is a single AnalyzeRequest.
-	var probe struct {
-		Requests []json.RawMessage `json:"requests"`
+	// else is a single AnalyzeRequest. One decode reads both. A body it
+	// refuses is decoded again in two steps, the "requests" probe and then
+	// the request, whose errors are the messages 400 answers carry.
+	var in analyzeBody
+	if err := json.Unmarshal(body, &in); err != nil {
+		if in, err = decodeTwoStep(body); err != nil {
+			writeJSON(w, http.StatusBadRequest,
+				v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
+			return
+		}
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
-		return
-	}
-	if probe.Requests != nil {
+	if in.Requests != nil {
 		s.handleBatch(w, r, body)
 		return
 	}
-
-	var req v1.AnalyzeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
-		return
-	}
+	req := in.AnalyzeRequest
 	s.mRequests.Inc()
 	b := s.admit(r.Context(), []v1.AnalyzeRequest{req}, false)
 	if b == nil {
@@ -126,6 +122,45 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	resp := b.responses[0]
 	resp.TraceID = obs.TraceIDFrom(r.Context())
 	writeJSON(w, httpStatus(resp), resp)
+}
+
+// readBody reads a POST body under the maxBodyBytes guard. A declared
+// Content-Length within the cap is read into one buffer of exactly that
+// size; any read error, the guard's included, is reported as is.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
+}
+
+// analyzeBody is a POST /analyze body: a single request, or a batch when
+// "requests" is present.
+type analyzeBody struct {
+	v1.AnalyzeRequest
+	Requests []json.RawMessage `json:"requests"`
+}
+
+// decodeTwoStep decodes body as the "requests" probe, then — for a
+// non-batch — as the request.
+func decodeTwoStep(body []byte) (analyzeBody, error) {
+	var probe struct {
+		Requests []json.RawMessage `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &probe); err != nil {
+		return analyzeBody{}, err
+	}
+	in := analyzeBody{Requests: probe.Requests}
+	if in.Requests != nil {
+		return in, nil
+	}
+	err := json.Unmarshal(body, &in.AnalyzeRequest)
+	return in, err
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte) {

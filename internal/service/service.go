@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,7 +227,7 @@ func (s *Server) worker() {
 			wStart time.Time
 		)
 		if traced {
-			wID = fmt.Sprintf("%s.j%d", ref.Parent, j.idx)
+			wID = ref.Parent + ".j" + strconv.Itoa(j.idx)
 			wStart = time.Now()
 			ctx = obs.ContextWithTrace(context.Background(), obs.TraceRef{
 				T: ref.T, Parent: wID, Level: obs.LevelWorker, Item: j.idx,
@@ -245,7 +246,7 @@ func (s *Server) worker() {
 				ID: wID, Parent: ref.Parent, Name: "worker",
 				Level: obs.LevelWorker, Item: j.idx,
 				Start: wStart, Dur: time.Since(wStart),
-				Attrs: map[string]any{"status": string(resp.Status)},
+				Attrs: obs.Attrs{obs.Str("status", string(resp.Status))},
 			})
 		}
 		j.batch.complete(j.idx, resp)
@@ -279,7 +280,7 @@ func (s *Server) admit(ctx context.Context, reqs []v1.AnalyzeRequest, async bool
 			ID: ref.Parent + ".enqueue", Parent: ref.Parent, Name: "enqueue",
 			Level: obs.LevelAdmit, Item: 0,
 			Start: aStart, Dur: time.Since(aStart),
-			Attrs: map[string]any{"requests": len(reqs), "admitted": admitted},
+			Attrs: obs.Attrs{obs.Int("requests", len(reqs)), obs.Bool("admitted", admitted)},
 		})
 	}
 	if !admitted {

@@ -29,7 +29,13 @@ var (
 // wire format for circuits — plus its primary inputs and outputs.
 func decoderDeck(t testing.TB) (string, []string, []string) {
 	t.Helper()
-	nl, ins, outs, err := stages.DecoderNetlist(tech, 2, 1e-6, 10e-15)
+	return decoderDeckBits(t, 2)
+}
+
+// decoderDeckBits is decoderDeck for a decoder of the given address width.
+func decoderDeckBits(t testing.TB, bits int) (string, []string, []string) {
+	t.Helper()
+	nl, ins, outs, err := stages.DecoderNetlist(tech, bits, 1e-6, 10e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,5 +585,60 @@ func TestRetryAfterDerived(t *testing.T) {
 	}
 	if deep <= n {
 		t.Errorf("Retry-After did not grow with queue depth: idle %d, deep %d", n, deep)
+	}
+}
+
+// TestAnalyzeRejectBodiesPinned pins POST /analyze's answers to malformed
+// and refused bodies byte for byte, as the two-step decode (a "requests"
+// probe, then the request) produced them before the single decode was
+// added: every body the single decode refuses must still get the probe's or
+// the request's own error message. Oversize bodies get 413 whether or not
+// they declare their length.
+func TestAnalyzeRejectBodiesPinned(t *testing.T) {
+	s := New(tech, lib, Options{})
+	defer s.Close()
+	h := s.Handler()
+	msg := func(m string) string {
+		return `{"schema_version":"qwm.v1","status":"error","error":{"code":"invalid_request","message":` + strconv.Quote(m) + "}}\n"
+	}
+	probeType := `struct { Requests []json.RawMessage "json:\"requests\"" }`
+	cases := []struct {
+		body   string
+		status int
+		want   string
+	}{
+		{`{`, 400, msg("malformed JSON: unexpected end of JSON input")},
+		{``, 400, msg("malformed JSON: unexpected end of JSON input")},
+		{`[1,2]`, 400, msg("malformed JSON: json: cannot unmarshal array into Go value of type " + probeType)},
+		{`"x"`, 400, msg("malformed JSON: json: cannot unmarshal string into Go value of type " + probeType)},
+		{`{"netlist":5,"outputs":["y"]}`, 400, msg("malformed JSON: json: cannot unmarshal number into Go struct field AnalyzeRequest.netlist of type string")},
+		{`{"requests":5}`, 400, msg("malformed JSON: json: cannot unmarshal number into Go struct field .requests of type []json.RawMessage")},
+		{`{"requests":{"a":1}}`, 400, msg("malformed JSON: json: cannot unmarshal object into Go struct field .requests of type []json.RawMessage")},
+		{`{"inputs":{"a":3},"outputs":["y"]}`, 400, msg("malformed JSON: json: cannot unmarshal number into Go struct field AnalyzeRequest.inputs of type v1.Arrival")},
+		{`{"outputs":"y","netlist":"x"}`, 400, msg("malformed JSON: json: cannot unmarshal string into Go struct field AnalyzeRequest.outputs of type []string")},
+		{`{"netlist":"x"} x`, 400, msg("malformed JSON: invalid character 'x' after top-level value")},
+		{`{"requests":[],"netlist":5}`, 400, msg("empty batch")},
+		{`{"requests":[{"netlist":5}]}`, 400, msg("malformed JSON: json: cannot unmarshal number into Go struct field AnalyzeRequest.requests.netlist of type string")},
+		{`null`, 400, msg("empty netlist")},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(tc.body)))
+		if rec.Code != tc.status || rec.Body.String() != tc.want {
+			t.Errorf("body %q: got %d %s\nwant %d %s", tc.body, rec.Code, rec.Body, tc.status, tc.want)
+		}
+	}
+
+	huge := strings.Repeat(" ", maxBodyBytes+1)
+	for _, declared := range []bool{true, false} {
+		req := httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(huge))
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if want := msg("request body too large"); rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+			t.Errorf("oversize body (length declared %v): got %d %s", declared, rec.Code, rec.Body)
+		}
 	}
 }

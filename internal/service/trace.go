@@ -107,7 +107,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				ID: "req", Name: r.Method + " /" + route,
 				Level: obs.LevelRequest, Item: 0,
 				Start: start, Dur: dur,
-				Attrs: map[string]any{"route": route, "status": sw.status},
+				Attrs: obs.Attrs{obs.Str("route", route), obs.Int("status", sw.status)},
 			})
 			fl.Record(at.Finish(route, sw.status, dur))
 		}

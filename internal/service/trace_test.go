@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,12 +55,12 @@ func TestTraceEnvelopeAndRecorder(t *testing.T) {
 		t.Errorf("retained route/status %s/%d", rt.Route, rt.Status)
 	}
 	byID := map[string]obs.ReqSpan{}
-	for _, s := range rt.Spans {
+	for _, s := range rt.Spans() {
 		byID[s.ID] = s
 	}
 	for _, id := range []string{"req", "req.enqueue", "req.j0", "req.j0.analyze"} {
 		if _, ok := byID[id]; !ok {
-			t.Errorf("trace missing span %q (have %d spans)", id, len(rt.Spans))
+			t.Errorf("trace missing span %q (have %d spans)", id, rt.NumSpans())
 		}
 	}
 	// A cold analysis evaluates stages: level and eval spans must be there.
@@ -127,37 +130,37 @@ func TestDistributedTraceMergesPeerSpan(t *testing.T) {
 		t.Fatal("trace not retained")
 	}
 	var remoteProbes, attempts, peers int
-	for _, s := range rt.Spans {
+	for _, s := range rt.Spans() {
 		switch {
 		case s.Process == "replica-b":
 			peers++
-			if s.Attrs["outcome"] != "hit" {
-				t.Errorf("peer span outcome %v, want hit", s.Attrs["outcome"])
+			if s.Attrs.Get("outcome") != "hit" {
+				t.Errorf("peer span outcome %v, want hit", s.Attrs.Get("outcome"))
 			}
 			if !strings.HasSuffix(s.ID, ".peer") {
 				t.Errorf("peer span id %q not under an attempt span", s.ID)
 			}
 		case s.Name == "remote get":
 			attempts++
-			if s.Attrs["outcome"] != "hit" {
-				t.Errorf("attempt outcome %v, want hit", s.Attrs["outcome"])
+			if s.Attrs.Get("outcome") != "hit" {
+				t.Errorf("attempt outcome %v, want hit", s.Attrs.Get("outcome"))
 			}
-		case s.Attrs["tier"] == "remote" && s.Attrs["hit"] == true:
+		case s.Attrs.Get("tier") == "remote" && s.Attrs.Get("hit") == true:
 			remoteProbes++
 		}
 	}
 	if peers == 0 || attempts == 0 || remoteProbes == 0 {
 		t.Fatalf("merged trace incomplete: %d peer spans, %d attempts, %d remote probes (of %d spans)",
-			peers, attempts, remoteProbes, len(rt.Spans))
+			peers, attempts, remoteProbes, rt.NumSpans())
 	}
 	// Solver statistics travel with the tier record: evals answered off the
 	// peer still report the Newton work that produced their entry.
 	qwmEvals := 0
-	for _, s := range rt.Spans {
-		if s.Attrs["tier"] == "qwm" && s.Attrs["cache"] != nil {
+	for _, s := range rt.Spans() {
+		if s.Attrs.Get("tier") == "qwm" && s.Attrs.Get("cache") != nil {
 			qwmEvals++
-			if n, _ := s.Attrs["nr_iters"].(int); n <= 0 {
-				t.Errorf("warm-off-peer eval %s reports nr_iters %v", s.ID, s.Attrs["nr_iters"])
+			if n, _ := s.Attrs.Get("nr_iters").(int64); n <= 0 {
+				t.Errorf("warm-off-peer eval %s reports nr_iters %v", s.ID, s.Attrs.Get("nr_iters"))
 			}
 		}
 	}
@@ -356,5 +359,163 @@ func TestQueueDepthGaugeTruthful(t *testing.T) {
 	reg2.Gauge("service/queue/depth").Set(0) // simulate the missed edge
 	if got := reg2.Snapshot().Gauges["service/queue/depth"]; got != 2 {
 		t.Errorf("stuck-full queue depth %d, want 2", got)
+	}
+}
+
+// TestTraceDeterministicGolden pins the deterministic export of a fixed
+// traced 2-bit decoder request — cold, then warm off the same server —
+// byte for byte against goldens recorded from the span-map representation
+// the compact trace record replaced. Any change to the spans, their
+// attributes, their order or the export format shows up here.
+func TestTraceDeterministicGolden(t *testing.T) {
+	deck, _, outs := decoderDeck(t)
+	_, hs, fl := tracedServer(t, Options{})
+	for _, golden := range []string{"trace_decoder2_cold.json", "trace_decoder2_warm.json"} {
+		hr, body := postJSON(t, hs.URL, v1.AnalyzeRequest{ID: "golden", Netlist: deck, Outputs: outs})
+		if hr.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", golden, hr.StatusCode, body)
+		}
+		fl.Flush()
+		rt := fl.Get(decodeAnalyze(t, body).TraceID)
+		if rt == nil {
+			t.Fatalf("%s: trace not retained", golden)
+		}
+		got, err := rt.ChromeJSON(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("deterministic export differs from testdata/%s:\n%s", golden, got)
+		}
+	}
+}
+
+// warmHandler returns a service handler that has already answered body
+// once, so every later request with it is all-hit.
+func warmHandler(t testing.TB, opts Options, body []byte) http.Handler {
+	t.Helper()
+	s := New(tech, lib, opts)
+	t.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warmup failed: %d %s", rec.Code, rec.Body)
+	}
+	return h
+}
+
+// warmDecoder4Body is the all-hit request body the traced-cost benchmark
+// and budget use: a 4-bit decoder, every output.
+func warmDecoder4Body(t testing.TB) []byte {
+	t.Helper()
+	deck, _, outs := decoderDeckBits(t, 4)
+	body, err := json.Marshal(v1.AnalyzeRequest{Netlist: deck, Outputs: outs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// serveOnce runs one POST /analyze through h in-process.
+func serveOnce(t testing.TB, h http.Handler, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request failed: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkServiceWarmTraced measures what tracing adds to a warm request:
+// the all-hit 4-bit decoder through the full handler, untraced and with a
+// flight recorder and metrics registry (the stad configuration). Run with
+// -benchmem; the difference between the two is the tracing cost.
+func BenchmarkServiceWarmTraced(b *testing.B) {
+	body := warmDecoder4Body(b)
+	for _, tc := range []struct {
+		name   string
+		traced bool
+	}{{"untraced", false}, {"traced", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opts := Options{}
+			if tc.traced {
+				fl := obs.NewFlightRecorder()
+				b.Cleanup(fl.Close)
+				opts = Options{Flight: fl, Metrics: obs.NewRegistry()}
+			}
+			h := warmHandler(b, opts, body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOnce(b, h, body)
+			}
+		})
+	}
+}
+
+// TestFlightRetainedBytes bounds what the flight recorder keeps per trace:
+// 160 recorded warm 4-bit decoder traces (79 spans each) must hold at most
+// 16 KB apiece on the heap, measured as the live-heap growth across the
+// recording.
+func TestFlightRetainedBytes(t *testing.T) {
+	body := warmDecoder4Body(t)
+	fl := obs.NewFlightRecorder()
+	defer fl.Close()
+	h := warmHandler(t, Options{Flight: fl}, body)
+	serveOnce(t, h, body) // settle any first-request growth before measuring
+	fl.Flush()
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 160; i++ {
+		serveOnce(t, h, body)
+	}
+	fl.Flush()
+	after := heap()
+	retained := len(fl.List())
+	if retained < 100 {
+		t.Fatalf("recorder retains only %d of 160 traces", retained)
+	}
+	per := (int64(after) - int64(before)) / int64(retained)
+	t.Logf("%d traces retained, %d B of live heap each", retained, per)
+	if per > 16<<10 {
+		t.Errorf("each retained trace holds %d B of live heap, budget 16 KB", per)
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestTracedWarmAllocBudget bounds what tracing adds to a warm request: the
+// all-hit 4-bit decoder through the handler with a flight recorder and a
+// metrics registry may allocate at most 64 more objects and 40 KB more than
+// the same request untraced.
+func TestTracedWarmAllocBudget(t *testing.T) {
+	body := warmDecoder4Body(t)
+	cost := func(opts Options) (allocs, bytes float64) {
+		h := warmHandler(t, opts, body)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { serveOnce(t, h, body) })
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	plainA, plainB := cost(Options{})
+	fl := obs.NewFlightRecorder()
+	defer fl.Close()
+	tracedA, tracedB := cost(Options{Flight: fl, Metrics: obs.NewRegistry()})
+	dA, dB := tracedA-plainA, tracedB-plainB
+	t.Logf("tracing adds %.0f allocations and %.1f KB per warm request", dA, dB/1024)
+	if dA > 64 || dB > 40<<10 {
+		t.Errorf("tracing adds %.0f allocations and %.1f KB per warm request; budget 64 and 40 KB", dA, dB/1024)
 	}
 }

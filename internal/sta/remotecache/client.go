@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -270,7 +271,7 @@ func (c *Client) Get(ctx context.Context, key string) (sta.TierEntry, bool) {
 			ref.T.Add(obs.ReqSpan{
 				ID: ref.Parent + ".a0", Parent: ref.Parent, Name: "remote get",
 				Level: ref.Level, Item: ref.Item, Start: time.Now(),
-				Attrs: map[string]any{"attempt": 0, "outcome": "breaker-open"},
+				Attrs: obs.Attrs{obs.Int("attempt", 0), obs.Str("outcome", "breaker-open")},
 			})
 		}
 		return sta.TierEntry{}, false
@@ -361,7 +362,7 @@ func (c *Client) attempt(key string, ref obs.TraceRef, n int) (sta.TierEntry, bo
 		e, ok, _, err := c.roundTrip(key, "")
 		return e, ok, err
 	}
-	attID := fmt.Sprintf("%s.a%d", ref.Parent, n)
+	attID := ref.Parent + ".a" + strconv.Itoa(n)
 	start := time.Now()
 	e, ok, peer, err := c.roundTrip(key, obs.FormatTraceparent(ref.T.TraceID, attID))
 	outcome := "miss"
@@ -375,12 +376,13 @@ func (c *Client) attempt(key string, ref obs.TraceRef, n int) (sta.TierEntry, bo
 		ID: attID, Parent: ref.Parent, Name: "remote get",
 		Level: ref.Level, Item: ref.Item,
 		Start: start, Dur: time.Since(start),
-		Attrs: map[string]any{"attempt": n, "outcome": outcome},
+		Attrs: obs.Attrs{obs.Int("attempt", n), obs.Str("outcome", outcome)},
 	})
 	if ps, good := obs.DecodePeerSpan(peer); good {
-		attrs := make(map[string]any, len(ps.Attrs))
+		var buf [obs.MaxPeerSpanAttrs]obs.Attr
+		attrs := buf[:0]
 		for k, v := range ps.Attrs {
-			attrs[k] = v
+			attrs = append(attrs, obs.Str(k, v))
 		}
 		ref.T.Add(obs.ReqSpan{
 			ID: attID + ".peer", Parent: attID,

@@ -46,15 +46,15 @@ func TestTracedGetMergesPeerSpan(t *testing.T) {
 
 	rt := at.Finish("test", 200, time.Millisecond)
 	spans := map[string]obs.ReqSpan{}
-	for _, s := range rt.Spans {
+	for _, s := range rt.Spans() {
 		spans[s.ID] = s
 	}
 	miss, ok := spans["p.miss.a0"]
-	if !ok || miss.Name != "remote get" || miss.Attrs["outcome"] != "miss" {
+	if !ok || miss.Name != "remote get" || miss.Attrs.Get("outcome") != "miss" {
 		t.Errorf("miss attempt span wrong: %+v (have %v)", miss, keysOf(spans))
 	}
 	hit, ok := spans["p.hit.a0"]
-	if !ok || hit.Attrs["outcome"] != "hit" {
+	if !ok || hit.Attrs.Get("outcome") != "hit" {
 		t.Errorf("hit attempt span wrong: %+v", hit)
 	}
 	for _, id := range []string{"p.miss.a0.peer", "p.hit.a0.peer"} {
@@ -118,8 +118,8 @@ func TestTracedKillMidRequest(t *testing.T) {
 			}
 		}
 		rt := at.Finish("test", 200, time.Millisecond)
-		for _, s := range rt.Spans {
-			switch s.Attrs["outcome"] {
+		for _, s := range rt.Spans() {
+			switch s.Attrs.Get("outcome") {
 			case "error":
 				errSpans++
 			case "breaker-open":
@@ -128,7 +128,7 @@ func TestTracedKillMidRequest(t *testing.T) {
 		}
 		if errSpans != 3 || fastFails != 1 {
 			t.Errorf("dead-peer spans: %d errors, %d breaker-open; want 3 and 1 (%d spans total)",
-				errSpans, fastFails, len(rt.Spans))
+				errSpans, fastFails, rt.NumSpans())
 		}
 		fl.Record(rt)
 		fl.Flush()

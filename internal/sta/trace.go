@@ -2,7 +2,7 @@ package sta
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"time"
 
 	"qwm/internal/obs"
@@ -23,8 +23,8 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 	ctx := context.Background()
 	var evalID, groupID string
 	if trace.T != nil {
-		evalID = fmt.Sprintf("%s.L%d.e%d", trace.Parent, it.level, it.idx)
-		groupID = fmt.Sprintf("%s.k%08x", evalID, obs.KeyHash32(key))
+		evalID = evalSpanID(trace.Parent, it)
+		groupID = evalID + ".k" + obs.KeyHash(key)
 	}
 	for j, st := range a.cfg.Tiers {
 		var (
@@ -33,7 +33,7 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 		)
 		if trace.T != nil {
 			name = st.Name()
-			probeID = fmt.Sprintf("%s.t%d-%s", groupID, j, name)
+			probeID = groupID + ".t" + strconv.Itoa(j) + "-" + name
 			ctx = obs.ContextWithTrace(context.Background(), obs.TraceRef{
 				T: trace.T, Parent: probeID, Level: it.level, Item: it.idx,
 			})
@@ -46,7 +46,7 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 				ID: probeID, Parent: evalID, Name: "tier " + name,
 				Level: it.level, Item: it.idx,
 				Start: start, Dur: time.Since(start),
-				Attrs: map[string]any{"tier": name, "hit": hit},
+				Attrs: obs.Attrs{obs.Str("tier", name), obs.Bool("hit", hit)},
 			})
 		}
 		if hit {
@@ -67,13 +67,18 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 func (a *Analyzer) tierPut(trace *obs.TraceRef, it *workItem, key string, e TierEntry) {
 	ctx := context.Background()
 	if trace.T != nil {
-		evalID := fmt.Sprintf("%s.L%d.e%d", trace.Parent, it.level, it.idx)
 		ctx = obs.ContextWithTrace(ctx, obs.TraceRef{
-			T: trace.T, Parent: fmt.Sprintf("%s.k%08x.put", evalID, obs.KeyHash32(key)),
+			T: trace.T, Parent: evalSpanID(trace.Parent, it) + ".k" + obs.KeyHash(key) + ".put",
 			Level: it.level, Item: it.idx,
 		})
 	}
 	for _, st := range a.cfg.Tiers {
 		st.Put(ctx, key, e)
 	}
+}
+
+// evalSpanID is the trace bridge's span ID for the eval of work item it
+// under the analyze span analyzeID.
+func evalSpanID(analyzeID string, it *workItem) string {
+	return analyzeID + ".L" + strconv.Itoa(it.level) + ".e" + strconv.Itoa(it.idx)
 }
