@@ -86,8 +86,9 @@ leak-check:
 # recorder's span record codec, the netlist
 # deck, card tokenizer and value parsers (the tokenizer and value parser
 # against their previous implementations), the disk/remote-tier entry and
-# record codecs, and
-# the remote tier endpoint (any method, path and body) —
+# record codecs,
+# the remote tier endpoint (any method, path and body) and the delay-cache
+# key derivation (equal keys exactly when the stage content is equal) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
 # target.
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/sta/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),

@@ -266,9 +266,9 @@ func DecodePeerSpan(s string) (PeerSpan, bool) {
 // KeyHash is a short deterministic content hash, 8 hex digits, used to
 // disambiguate sibling span groups keyed by cache key (one eval may look up
 // two keys under slew-bucket interpolation).
-func KeyHash(key string) string {
+func KeyHash(key []byte) string {
 	h := fnv.New32a()
-	h.Write([]byte(key))
+	h.Write(key)
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], h.Sum32())
 	return hex.EncodeToString(b[:])

@@ -2,6 +2,8 @@ package sta
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"qwm/internal/circuit"
@@ -151,4 +153,102 @@ func TestLoadDigest(t *testing.T) {
 	if d1 != d2 {
 		t.Errorf("sub-precision jitter split the digest: %q vs %q", d1, d2)
 	}
+}
+
+// aliasGate is a gate net name that spells, in the text cache key format
+// (fields joined by ':', '>', '@', edges by ';'), the tail of one edge and
+// the head of another: "nmos:out>0@" + aliasGate + ":1e-06:3.5e-07:0" is the
+// text of two parallel pull-down edges gated by g and h.
+const aliasGate = "g:1e-06:3.5e-07:0;nmos:out>0@h"
+
+// aliasDecks builds the two decks whose out stages shared one text cache
+// key: deck A is a NOR2 (pull-down nmos g ∥ nmos h, pull-up pmos g — pmos h
+// in series); deck B has the same pull-up but a single pull-down nmos gated
+// by aliasGate. Both drive 10 fF.
+func aliasDecks() (a, b *circuit.Netlist) {
+	build := func(pullDown ...string) *circuit.Netlist {
+		nl := &circuit.Netlist{}
+		for i, g := range pullDown {
+			nl.AddTransistor(&circuit.Transistor{Name: "mn" + strconv.Itoa(i), Kind: circuit.KindNMOS, Drain: "out", Gate: g, Source: "0", Body: "0", W: 1e-6, L: 3.5e-7})
+		}
+		nl.AddTransistor(&circuit.Transistor{Name: "mpg", Kind: circuit.KindPMOS, Drain: "m", Gate: "g", Source: "vdd", Body: "vdd", W: 2e-6, L: 3.5e-7})
+		nl.AddTransistor(&circuit.Transistor{Name: "mph", Kind: circuit.KindPMOS, Drain: "out", Gate: "h", Source: "m", Body: "vdd", W: 2e-6, L: 3.5e-7})
+		nl.AddCapacitor("cl", "out", "0", 10e-15)
+		return nl
+	}
+	return build("g", "h"), build(aliasGate)
+}
+
+// openDiskTier opens a persistent disk tier namespace in dir, returning it
+// with its close function (which drains the write-behind queue). The
+// diskcache package imports sta, so the opener is installed by an external
+// test file (disk_hook_test.go) through export_test.go.
+var openDiskTier func(dir, signature string) (TierStore, func() error, error)
+
+// TestCacheKeySeparatorInNames: node names may contain the text key's
+// separators, so deck B's out stage spelled deck A's text key, and an
+// analyzer (or a tier) that had seen B answered A's arrivals from B's
+// entries with 0 evaluations. Digest keys length-prefix every name: A must
+// evaluate and match a fresh serial analyzer bit for bit, both on a
+// memory-warm analyzer and over a disk namespace warmed by B.
+func TestCacheKeySeparatorInNames(t *testing.T) {
+	deckA, deckB := aliasDecks()
+	outs := []string{"out"}
+	stageOf := func(nl *circuit.Netlist) *circuit.Stage {
+		for _, st := range circuit.ExtractStages(nl, outs) {
+			if slices.Contains(st.Outputs, "out") {
+				return st
+			}
+		}
+		t.Fatal("no stage drives out")
+		return nil
+	}
+	// The decks really did alias under the text keys.
+	stA, stB := stageOf(deckA), stageOf(deckB)
+	if stageKey(stA, "out") != stageKey(stB, "out") {
+		t.Fatalf("decks no longer alias under the text key:\nA %s\nB %s", stageKey(stA, "out"), stageKey(stB, "out"))
+	}
+	ref, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, Request{Netlist: deckA, Outputs: outs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, got *Result) {
+		t.Helper()
+		if got.StagesEvaluated == 0 {
+			t.Error("deck A evaluated 0 stages: answered from deck B's entries")
+		}
+		if !reflect.DeepEqual(got.Arrivals, ref.Arrivals) {
+			t.Errorf("deck A arrivals %+v, fresh serial analyzer %+v", got.Arrivals["out"], ref.Arrivals["out"])
+		}
+	}
+
+	t.Run("memory-warm", func(t *testing.T) {
+		a := New(tech, lib)
+		if _, err := a.AnalyzeContext(nil, Request{Netlist: deckB, Outputs: outs}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.AnalyzeContext(nil, Request{Netlist: deckA, Outputs: outs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got)
+	})
+
+	t.Run("disk-warm", func(t *testing.T) {
+		dir, sig := t.TempDir(), (Config{}).Signature()
+		analyze := func(nl *circuit.Netlist) *Result {
+			store, closeStore, err := openDiskTier(dir, sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeStore()
+			res, err := New(tech, lib, Config{Tiers: []TierStore{store}}).AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		analyze(deckB)
+		check(t, analyze(deckA))
+	})
 }

@@ -1,10 +1,7 @@
 package sta
 
 import (
-	"bytes"
 	"slices"
-	"strconv"
-	"sync"
 
 	"qwm/internal/circuit"
 )
@@ -19,36 +16,6 @@ import (
 // arena: Result.Arrivals, CriticalPath and the diagnostics maps are always
 // freshly allocated.
 
-// internTable deduplicates cache-key strings: the hot path builds keys into
-// reusable byte buffers, and intern materializes a string only the first time
-// a distinct key is seen. Lookups exploit the map[string(b)] no-allocation
-// idiom. Entries live for the Analyzer's lifetime, exactly like the delay
-// cache entries the keys index.
-type internTable struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-func (t *internTable) intern(b []byte) string {
-	t.mu.RLock()
-	s, ok := t.m[string(b)]
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = map[string]string{}
-	}
-	s, ok = t.m[string(b)]
-	if !ok {
-		s = string(b)
-		t.m[s] = s
-	}
-	t.mu.Unlock()
-	return s
-}
-
 // analyzeScratch is one request's arena. All fields are grow-only: maps are
 // cleared (buckets retained) and slices re-sliced to length zero between
 // requests, so capacity accumulates to the high-water mark and stays there.
@@ -56,7 +23,7 @@ type analyzeScratch struct {
 	producer  map[string]*circuit.Stage
 	predFall  map[string]string // net -> worst fall predecessor (a rising input)
 	predRise  map[string]string
-	classSeen map[string]bool
+	classSeen map[Key]bool
 	ix        loadIndex
 
 	// Levelization scratch (see levelize). seenStamp uses the monotonic
@@ -73,8 +40,7 @@ type analyzeScratch struct {
 	levels    [][]*circuit.Stage
 
 	// Per-level slabs. evs and items are sized to the level's output count
-	// up front so &evs[i] stays stable while the level is filled; workItem
-	// slots keep their key buffers across levels and requests.
+	// up front so &evs[i] stays stable while the level is filled.
 	ins   []stageInputs
 	items []workItem
 	evs   []outEval
@@ -84,9 +50,9 @@ type analyzeScratch struct {
 	loadMaps []map[string]float64
 	loadUsed int
 
-	// Key-building buffers: keyBuf assembles content keys and raw bases,
-	// segBuf/segOffs/segOrd hold the stage-edge segments being sorted, and
-	// nodeBuf sorts load-map node names for the digest.
+	// Digest-encoding buffers (see contentDigest): keyBuf assembles one
+	// (stage, output)'s content encoding, segBuf/segOffs/segOrd hold the
+	// stage-edge segments being sorted, and nodeBuf sorts load-map node names.
 	keyBuf  []byte
 	segBuf  []byte
 	segOffs []int
@@ -102,7 +68,7 @@ func (a *Analyzer) getScratch() *analyzeScratch {
 		producer:  map[string]*circuit.Stage{},
 		predFall:  map[string]string{},
 		predRise:  map[string]string{},
-		classSeen: map[string]bool{},
+		classSeen: map[Key]bool{},
 		idx:       map[*circuit.Stage]int{},
 		ix: loadIndex{
 			gateCap: map[string]float64{},
@@ -129,10 +95,7 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	s.levelBuf = s.levelBuf[:0]
 	clear(s.levels)
 	s.levels = s.levels[:0]
-	for i := range s.items {
-		kb := s.items[i].keyBuf
-		s.items[i] = workItem{keyBuf: kb[:0]}
-	}
+	clear(s.items)
 	s.items = s.items[:0]
 	clear(s.evs)
 	s.evs = s.evs[:0]
@@ -247,80 +210,4 @@ func (s *analyzeScratch) levelize(stages []*circuit.Stage, producer map[string]*
 		}
 	}
 	return levels, nil
-}
-
-// appendStageKey appends the stage-content key for (st, out): the observed
-// output plus every edge's kind, connectivity, gate and geometry, sorted so
-// edge declaration order drops out. Byte-identical to the historical
-// fmt.Sprintf/sort.Strings formatting, without the per-edge allocations.
-func (s *analyzeScratch) appendStageKey(b []byte, st *circuit.Stage, out string) []byte {
-	b = append(b, out...)
-	b = append(b, '|')
-	seg := s.segBuf[:0]
-	offs := s.segOffs[:0]
-	for _, e := range st.Edges {
-		offs = append(offs, len(seg))
-		seg = appendEdgeKey(seg, e)
-	}
-	offs = append(offs, len(seg))
-	s.segBuf, s.segOffs = seg, offs
-	ne := len(st.Edges)
-	ord := s.segOrd[:0]
-	for i := 0; i < ne; i++ {
-		ord = append(ord, i)
-	}
-	// Insertion sort: stages have a handful of edges, and the comparisons
-	// are plain memcmp over the segment bytes.
-	for i := 1; i < ne; i++ {
-		for j := i; j > 0 && bytes.Compare(seg[offs[ord[j]]:offs[ord[j]+1]], seg[offs[ord[j-1]]:offs[ord[j-1]+1]]) < 0; j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	s.segOrd = ord
-	for _, i := range ord {
-		b = append(b, seg[offs[i]:offs[i+1]]...)
-		b = append(b, ';')
-	}
-	return b
-}
-
-// appendEdgeKey appends one edge in the exact historical format
-// "%v:%s>%s@%s:%g:%g:%g" (strconv's shortest 'g' is what %g prints).
-func appendEdgeKey(b []byte, e *circuit.StageEdge) []byte {
-	b = append(b, e.Kind.String()...)
-	b = append(b, ':')
-	b = append(b, e.Src...)
-	b = append(b, '>')
-	b = append(b, e.Snk...)
-	b = append(b, '@')
-	b = append(b, e.Gate...)
-	b = append(b, ':')
-	b = strconv.AppendFloat(b, e.W, 'g', -1, 64)
-	b = append(b, ':')
-	b = strconv.AppendFloat(b, e.L, 'g', -1, 64)
-	b = append(b, ':')
-	b = strconv.AppendFloat(b, e.R, 'g', -1, 64)
-	return b
-}
-
-// appendLoadDigest appends the canonical load digest: sorted node:cap pairs
-// at 6 significant digits (see loadDigest for why the digest is part of the
-// cache key at all).
-func (s *analyzeScratch) appendLoadDigest(b []byte, loads map[string]float64) []byte {
-	if len(loads) == 0 {
-		return b
-	}
-	nodes := s.nodeBuf[:0]
-	for n := range loads {
-		nodes = append(nodes, n)
-	}
-	slices.Sort(nodes)
-	s.nodeBuf = nodes
-	for _, n := range nodes {
-		b = append(b, n...)
-		b = append(b, ':')
-		b = strconv.AppendFloat(b, loads[n], 'e', 6, 64)
-		b = append(b, ',')
-	}
-	return b
 }

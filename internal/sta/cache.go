@@ -7,8 +7,8 @@ import (
 	"qwm/internal/qwm"
 )
 
-// dirTiming is the cached QWM result for one (stage content + load digest,
-// rail, input-slew bucket) key. ok is false when the stage has no conducting
+// dirTiming is the cached QWM result for one Key (content digest, rail,
+// input-slew bucket). ok is false when the stage has no conducting
 // path to that rail (e.g. a pass-gate structure) or the evaluation failed to
 // converge; errMsg then carries the failure so every Analyze consulting the
 // entry can surface it (Result.EvalErrors) instead of silently degrading.
@@ -41,14 +41,14 @@ type dirTiming struct {
 // core counts this engine targets while costing only a few hundred bytes.
 const cacheShards = 32
 
-// delayCache is a sharded, single-flight concurrent map from direction keys
-// to dirTiming. Shard selection hashes the key with FNV-1a, and each shard
-// is guarded by its own RWMutex, so parallel level evaluation scales without
-// serializing on one lock.
+// delayCache is a sharded, single-flight concurrent map from Keys to
+// dirTiming. The shard is the key's first digest byte (the digest is already
+// uniform), and each shard is guarded by its own RWMutex, so parallel level
+// evaluation scales without serializing on one lock.
 //
 // Single-flight discipline: the first goroutine to miss on a key installs an
-// entry with an open ready channel and computes the value; later arrivals
-// for the same key block on ready instead of re-evaluating. This keeps the
+// entry whose ready group is pending and computes the value; later arrivals
+// for the same key wait on ready instead of re-evaluating. This keeps the
 // evaluation count deterministic — every unique key is computed exactly once
 // no matter how many workers race on it — which is what lets the parallel
 // engine report the same StagesEvaluated as the serial one.
@@ -62,56 +62,44 @@ type delayCache struct {
 
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[string]*cacheEntry
+	m  map[Key]*cacheEntry
 }
 
+// cacheEntry is one cached direction timing: a single allocation holding
+// the value and the wait group its followers block on.
 type cacheEntry struct {
-	ready chan struct{} // closed once val is populated
+	ready sync.WaitGroup // Done once val is populated
 	val   dirTiming
 }
 
 func newDelayCache() *delayCache {
 	c := &delayCache{}
 	for i := range c.shards {
-		c.shards[i].m = map[string]*cacheEntry{}
+		c.shards[i].m = map[Key]*cacheEntry{}
 	}
 	return c
 }
 
-// fnv1a is the 32-bit FNV-1a hash, inlined to avoid the hash/fnv interface
-// allocations on the hot path.
-func fnv1a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // acquire is the single-flight entry point: it returns the entry for key and
-// whether THIS caller is the leader. A non-leader must wait on e.ready before
-// reading e.val (an in-flight compute counts as a hit). The leader MUST set
-// e.val and close(e.ready) with no early exits in between, so a cancelled
-// analysis can never strand an entry with an open ready channel: in-flight
-// computes always run to completion and close ready (see
+// whether THIS caller is the leader. A non-leader must call e.ready.Wait
+// before reading e.val (an in-flight compute counts as a hit). The leader
+// MUST set e.val and call e.ready.Done with no early exits in between, so a
+// cancelled analysis can never strand a pending entry: in-flight computes
+// always run to completion and release ready (see
 // TestCancelledContextLeavesCacheUsable).
-//
-// The key is accepted as bytes so warm lookups — the sh.m[string(key)] idiom
-// compiles to an allocation-free probe — build keys in reused buffers; only
-// the installing leader materializes the string.
-func (c *delayCache) acquire(key []byte) (*cacheEntry, bool) {
-	sh := &c.shards[fnv1a(key)%cacheShards]
+func (c *delayCache) acquire(key *Key) (*cacheEntry, bool) {
+	sh := &c.shards[key[0]%cacheShards]
 
 	sh.mu.RLock()
-	e := sh.m[string(key)]
+	e := sh.m[*key]
 	sh.mu.RUnlock()
 
 	if e == nil {
 		sh.mu.Lock()
-		if e = sh.m[string(key)]; e == nil {
-			e = &cacheEntry{ready: make(chan struct{})}
-			sh.m[string(key)] = e
+		if e = sh.m[*key]; e == nil {
+			e = &cacheEntry{}
+			e.ready.Add(1)
+			sh.m[*key] = e
 			sh.mu.Unlock()
 			c.misses.Add(1)
 			return e, true

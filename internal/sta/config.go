@@ -26,13 +26,13 @@ type Config struct {
 	// Reduction configures the RC-chain model-order-reduction pre-pass
 	// (internal/reduce): long series wire runs on each evaluated path are
 	// collapsed into moment-matched equivalents before the solver runs. The
-	// zero value disables it; its signature suffixes every cache key, so
-	// reduced and unreduced entries never alias.
+	// zero value disables it; its signature is part of every cache key's
+	// digest, so reduced and unreduced entries never alias.
 	Reduction reduce.Config
 	// Memo configures equivalence-class stage memoization: structurally
 	// identical stages (node names canonicalized away) share delay-cache
 	// entries, evaluated once per (class, direction, slew bucket). The zero
-	// value disables it, preserving raw per-name keys bit for bit.
+	// value disables it, keeping raw per-name keys.
 	Memo MemoConfig
 	// Budget bounds each stage-direction evaluation (Newton iterations
 	// and/or wall clock). Exhausting it aborts the running solver tier with
@@ -74,7 +74,7 @@ type Config struct {
 // (chaos runs use dedicated analyzers that are never pooled), and Tiers
 // (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
-	return fmt.Sprintf("qwm4|red:%s|memo:%s|nr:%d|wallns:%d",
+	return fmt.Sprintf("qwm5|red:%s|memo:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
 
@@ -116,10 +116,9 @@ func (e TierEntry) Valid() bool {
 // Put with every freshly computed timing. Implementations must be safe for
 // concurrent use and are expected to be lossy in BOTH directions — a failed
 // or dropped Put and a corrupt or missing Get are misses, never errors; the
-// engine re-evaluates and overwrites. Keys are the engine's content-addressed
-// cache keys (stage content + load digest + reduction signature + rail +
-// slew bucket), so a store namespace must only ever be shared between
-// analyzers with equal Signatures.
+// engine re-evaluates and overwrites. Keys are the engine's fixed-width
+// content-addressed cache keys (see Key), so a store namespace must only ever
+// be shared between analyzers with equal Signatures.
 //
 // Name labels the store's "tier <name>" trace spans ("remote", "disk",
 // "memory"). The context carries the request's trace reference when the
@@ -127,8 +126,8 @@ func (e TierEntry) Valid() bool {
 // or stamp outbound requests; stores without a use for it ignore it.
 type TierStore interface {
 	Name() string
-	Get(ctx context.Context, key string) (TierEntry, bool)
-	Put(ctx context.Context, key string, e TierEntry)
+	Get(ctx context.Context, key Key) (TierEntry, bool)
+	Put(ctx context.Context, key Key, e TierEntry)
 }
 
 // tierEntryOf converts a computed timing to its portable form.

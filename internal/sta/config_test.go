@@ -36,15 +36,16 @@ func TestConfigSignature(t *testing.T) {
 
 // The engine tag leads every signature. It changes whenever the solver's
 // results move, even in the last bits, so a disk or remote-tier namespace
-// written by an older engine is never re-opened: qwm4 reads junction C and
-// Q from the characterized library and seeds each region solve from its
-// fired time-cap probe.
+// written by an older engine is never re-opened. It also changes with the
+// key format, so no namespace is read under keys it was not written with:
+// qwm5 keys every tier by the fixed-width digest Key instead of qwm4's text
+// keys.
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm4|red:|memo:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm5|red:|memo:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
-	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm4|") {
-		t.Errorf("signature %q lacks the qwm4 engine tag", sig)
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm5|") {
+		t.Errorf("signature %q lacks the qwm5 engine tag", sig)
 	}
 }
 
@@ -53,17 +54,17 @@ func TestConfigSignatureEngineTag(t *testing.T) {
 // engine-side contract independent of any file format.
 type mapTierStore struct {
 	mu   sync.Mutex
-	m    map[string]TierEntry
+	m    map[Key]TierEntry
 	gets int
 	hits int
 	puts int
 }
 
-func newMapTierStore() *mapTierStore { return &mapTierStore{m: map[string]TierEntry{}} }
+func newMapTierStore() *mapTierStore { return &mapTierStore{m: map[Key]TierEntry{}} }
 
 func (s *mapTierStore) Name() string { return "map" }
 
-func (s *mapTierStore) Get(_ context.Context, key string) (TierEntry, bool) {
+func (s *mapTierStore) Get(_ context.Context, key Key) (TierEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gets++
@@ -74,7 +75,7 @@ func (s *mapTierStore) Get(_ context.Context, key string) (TierEntry, bool) {
 	return e, ok
 }
 
-func (s *mapTierStore) Put(_ context.Context, key string, e TierEntry) {
+func (s *mapTierStore) Put(_ context.Context, key Key, e TierEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++

@@ -111,9 +111,9 @@ func (a *Analyzer) qwmOpts(faultKey string, forceBisect bool) qwm.Options {
 // structurally unsupported path, since TierBound is iteration-free) does
 // the direction come back failed.
 //
-// faultKey is the direction's cache key: deterministic, schedule- and
-// worker-independent, which is what makes seeded fault injection
-// reproducible at any Workers setting.
+// faultKey is the direction's cache key in hex ("" without a FaultPlan):
+// deterministic, schedule- and worker-independent, which is what makes
+// seeded fault injection reproducible at any Workers setting.
 func (a *Analyzer) evalLadder(st *circuit.Stage, out, rail string, loads map[string]float64, inSlew float64, faultKey string) dirTiming {
 	path, err := circuit.LongestPath(st, out, rail)
 	if err != nil {

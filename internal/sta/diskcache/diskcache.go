@@ -1,6 +1,6 @@
 // Package diskcache is the persistent tier below the engine's in-memory
 // delay cache: a content-addressed store of direction timings (sta.TierEntry
-// values keyed by the engine's cache keys) that survives process restarts,
+// values keyed by the engine's fixed-width sta.Key) that survives process restarts,
 // so a service replica restarting over a warm directory serves previously
 // analyzed netlists without re-running the solver.
 //
@@ -14,8 +14,8 @@
 //  2. Lossy is fine, slow is not. Puts are write-behind through a bounded
 //     WriteQueue drained by one goroutine; when the queue is full or closed
 //     the put is dropped (and counted). Gets are a ReadAt against the segment
-//     file under an RLock — no serialization with the writer beyond index
-//     access.
+//     file under an RLock into a pooled fixed-size buffer — no serialization
+//     with the writer beyond index access, and no allocation on a hit.
 //  3. Bounded size. Records append to numbered segment files; when a segment
 //     exceeds segTarget bytes it is sealed and a new one started, and when
 //     the directory's total exceeds MaxBytes the oldest sealed segments are
@@ -101,26 +101,36 @@ func (s Stats) HitRate() float64 {
 }
 
 const (
-	segMagic   = "QWMDSEG1"     // 8-byte segment preamble
+	segMagic   = "QWMDSEG2"     // 8-byte segment preamble
 	sigFile    = "signature"    // persisted Config.Signature
 	segPattern = "seg-%06d.log" // segment file naming
-	recHeader  = 4 + 4 + 4      // CRC32, key length, value length
-	maxKeyLen  = 1 << 20        // sanity bounds: a longer field means a
-	maxValLen  = 1 << 20        // corrupt header, not a huge record
-	entryVer   = 1              // TierEntry encoding version
+	recHeader  = 4 + 4          // CRC32, value length
+	recKeyOff  = recHeader      // the fixed-width key follows the header
+	recValOff  = recHeader + sta.KeySize
+	maxValLen  = 1 << 20 // sanity bound: a longer field means a corrupt header
+	entryVer   = 1       // TierEntry encoding version
+	entryFixed = 46      // encodeEntry's bytes before the error message
 	flagOK     = 1 << 0
 	flagFell   = 1 << 1
+
+	// getBufLen sizes Get's read buffers: the checksummed part of a record
+	// (value length, key, value) whose error message is at most 165 bytes,
+	// which covers every successful timing. Longer records use the heap.
+	getBufLen = 256
 )
+
+// getBufs pools Get's read buffers. A stack array would escape anyway: the
+// CRC routine's argument leaks to the heap.
+var getBufs = sync.Pool{New: func() any { return new([getBufLen]byte) }}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// indexEntry locates a record's value bytes inside a segment.
+// indexEntry locates a record inside a segment.
 type indexEntry struct {
-	seg    int
-	off    int64 // offset of the VALUE bytes
-	keyLen int
-	valLen int
-	crc    uint32 // CRC over keyLen|valLen|key|val, re-verified on Get
+	off    int64 // offset of the record's key bytes
+	seg    int32
+	valLen int32
+	crc    uint32 // CRC over valLen|key|val, re-verified on Get
 }
 
 type segment struct {
@@ -130,7 +140,7 @@ type segment struct {
 }
 
 type putReq struct {
-	key string
+	key sta.Key
 	val []byte
 }
 
@@ -141,7 +151,7 @@ type Store struct {
 	opts Options
 
 	mu     sync.RWMutex
-	index  map[string]indexEntry
+	index  map[sta.Key]indexEntry
 	segs   []*segment // ascending id order; last is active
 	closed bool
 
@@ -175,7 +185,7 @@ func Open(dir, signature string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		index: map[string]indexEntry{},
+		index: map[sta.Key]indexEntry{},
 	}
 	r := opts.Metrics
 	s.hits = r.Counter("sta/disk/hits")
@@ -301,34 +311,30 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 			break // torn header
 		}
 		crc := binary.LittleEndian.Uint32(hdr[0:4])
-		keyLen := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		valLen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-		if keyLen <= 0 || keyLen > maxKeyLen || valLen <= 0 || valLen > maxValLen ||
-			off+recHeader+int64(keyLen+valLen) > size {
+		valLen := int(binary.LittleEndian.Uint32(hdr[4:8]))
+		if valLen <= 0 || valLen > maxValLen || off+recValOff+int64(valLen) > size {
 			break // corrupt header or torn body
 		}
-		need := 8 + keyLen + valLen
+		need := 4 + sta.KeySize + valLen
 		if cap(buf) < need {
 			buf = make([]byte, need)
 		}
 		body := buf[:need]
-		copy(body[0:8], hdr[4:12])
-		if n, _ := f.ReadAt(body[8:], off+recHeader); n != keyLen+valLen {
+		copy(body[0:4], hdr[4:8])
+		if n, _ := f.ReadAt(body[4:], off+recKeyOff); n != sta.KeySize+valLen {
 			break
 		}
 		if crc32.Checksum(body, crcTable) != crc {
 			s.statCorrupt.add(1, s.corrupt)
 			break // everything past a bad CRC is suspect
 		}
-		key := string(body[8 : 8+keyLen])
-		s.index[key] = indexEntry{
-			seg:    id,
-			off:    off + recHeader + int64(keyLen),
-			keyLen: keyLen,
-			valLen: valLen,
+		s.index[sta.Key(body[4:4+sta.KeySize])] = indexEntry{
+			seg:    int32(id),
+			off:    off + recKeyOff,
+			valLen: int32(valLen),
 			crc:    crc,
 		}
-		off += recHeader + int64(keyLen+valLen)
+		off += recValOff + int64(valLen)
 		good = off
 	}
 	if good < size {
@@ -350,7 +356,8 @@ func (s *Store) Name() string { return "disk" }
 
 // Get implements sta.TierStore: a read-through probe. Any failure — missing
 // key, short read, CRC mismatch, undecodable or invalid entry — is a miss.
-func (s *Store) Get(_ context.Context, key string) (sta.TierEntry, bool) {
+// A hit reads the record into a pooled buffer and allocates nothing.
+func (s *Store) Get(_ context.Context, key sta.Key) (sta.TierEntry, bool) {
 	if s == nil {
 		return sta.TierEntry{}, false
 	}
@@ -359,7 +366,7 @@ func (s *Store) Get(_ context.Context, key string) (sta.TierEntry, bool) {
 	var f *os.File
 	if ok {
 		for _, seg := range s.segs {
-			if seg.id == ie.seg {
+			if seg.id == int(ie.seg) {
 				f = seg.f
 				break
 			}
@@ -375,19 +382,26 @@ func (s *Store) Get(_ context.Context, key string) (sta.TierEntry, bool) {
 	// of an aliased or corrupt timing. The read happens under the RLock so
 	// GC cannot close the file mid-read; it's a positioned ReadAt, so
 	// concurrent readers never contend on a file offset.
-	body := make([]byte, 8+ie.keyLen+ie.valLen)
-	binary.LittleEndian.PutUint32(body[0:4], uint32(ie.keyLen))
-	binary.LittleEndian.PutUint32(body[4:8], uint32(ie.valLen))
-	n, _ := f.ReadAt(body[8:], ie.off-int64(ie.keyLen))
+	need := 4 + sta.KeySize + int(ie.valLen)
+	var body []byte
+	if need <= getBufLen {
+		buf := getBufs.Get().(*[getBufLen]byte)
+		defer getBufs.Put(buf)
+		body = buf[:need]
+	} else {
+		body = make([]byte, need)
+	}
+	binary.LittleEndian.PutUint32(body[0:4], uint32(ie.valLen))
+	n, _ := f.ReadAt(body[4:], ie.off)
 	s.mu.RUnlock()
-	if n != ie.keyLen+ie.valLen ||
+	if n != need-4 ||
 		crc32.Checksum(body, crcTable) != ie.crc ||
-		string(body[8:8+ie.keyLen]) != key {
+		sta.Key(body[4:4+sta.KeySize]) != key {
 		s.statCorrupt.add(1, s.corrupt)
 		s.statMisses.add(1, s.misses)
 		return sta.TierEntry{}, false
 	}
-	e, err := decodeEntry(body[8+ie.keyLen:])
+	e, err := decodeEntry(body[4+sta.KeySize:])
 	if err != nil || !e.Valid() {
 		s.statCorrupt.add(1, s.corrupt)
 		s.statMisses.add(1, s.misses)
@@ -400,7 +414,7 @@ func (s *Store) Get(_ context.Context, key string) (sta.TierEntry, bool) {
 // Put implements sta.TierStore: write-behind, lossy under pressure. The
 // value is encoded on the caller's goroutine (cheap, allocation-bounded) so
 // a dropped put costs no disk work at all.
-func (s *Store) Put(_ context.Context, key string, e sta.TierEntry) {
+func (s *Store) Put(_ context.Context, key sta.Key, e sta.TierEntry) {
 	if s == nil {
 		return
 	}
@@ -440,10 +454,9 @@ func (s *Store) append(req putReq) {
 		active.f.Sync()
 	}
 	s.index[req.key] = indexEntry{
-		seg:    active.id,
-		off:    active.size + recHeader + int64(len(req.key)),
-		keyLen: len(req.key),
-		valLen: len(req.val),
+		seg:    int32(active.id),
+		off:    active.size + recKeyOff,
+		valLen: int32(len(req.val)),
 		crc:    binary.LittleEndian.Uint32(rec[0:4]),
 	}
 	active.size += int64(len(rec))
@@ -464,7 +477,7 @@ func (s *Store) gcLocked() {
 		s.segs = s.segs[1:]
 		removed := int64(0)
 		for k, ie := range s.index {
-			if ie.seg == victim.id {
+			if int(ie.seg) == victim.id {
 				delete(s.index, k)
 				removed++
 			}
@@ -520,7 +533,7 @@ func (s *Store) Close() error {
 		}
 	}
 	s.segs = nil
-	s.index = map[string]indexEntry{}
+	s.index = map[sta.Key]indexEntry{}
 	return first
 }
 
@@ -553,17 +566,15 @@ func (s *Store) Stats() Stats {
 
 // encodeRecord frames one key/value pair:
 //
-//	[u32 CRC][u32 keyLen][u32 valLen][key][val]
+//	[u32 CRC][u32 valLen][key: sta.KeySize bytes][val]
 //
-// The CRC (Castagnoli) covers keyLen|valLen|key|val — everything after
-// itself — so a bit flip anywhere in the record, lengths included, fails
-// verification.
-func encodeRecord(key string, val []byte) []byte {
-	rec := make([]byte, recHeader+len(key)+len(val))
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(val)))
-	copy(rec[12:], key)
-	copy(rec[12+len(key):], val)
+// The CRC (Castagnoli) covers valLen|key|val — everything after itself — so
+// a bit flip anywhere in the record, length included, fails verification.
+func encodeRecord(key sta.Key, val []byte) []byte {
+	rec := make([]byte, recValOff+len(val))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
+	copy(rec[recKeyOff:], key[:])
+	copy(rec[recValOff:], val)
 	binary.LittleEndian.PutUint32(rec[0:4], crc32.Checksum(rec[4:], crcTable))
 	return rec
 }
@@ -584,7 +595,7 @@ func encodeEntry(e sta.TierEntry) []byte {
 	if len(errMsg) > math.MaxUint16 {
 		errMsg = errMsg[:math.MaxUint16]
 	}
-	b := make([]byte, 46+len(errMsg))
+	b := make([]byte, entryFixed+len(errMsg))
 	b[0] = entryVer
 	var flags byte
 	if e.OK {
@@ -604,7 +615,7 @@ func encodeEntry(e sta.TierEntry) []byte {
 	binary.LittleEndian.PutUint32(b[36:40], uint32(e.DenseFall))
 	binary.LittleEndian.PutUint32(b[40:44], uint32(e.CapResolves))
 	binary.LittleEndian.PutUint16(b[44:46], uint16(len(errMsg)))
-	copy(b[46:], errMsg)
+	copy(b[entryFixed:], errMsg)
 	return b
 }
 
@@ -612,7 +623,7 @@ func encodeEntry(e sta.TierEntry) []byte {
 // strings encodeEntry produces, so whatever decodes re-encodes to the same
 // bytes.
 func decodeEntry(b []byte) (sta.TierEntry, error) {
-	if len(b) < 46 {
+	if len(b) < entryFixed {
 		return sta.TierEntry{}, errors.New("diskcache: short entry")
 	}
 	if b[0] != entryVer {
@@ -623,7 +634,7 @@ func decodeEntry(b []byte) (sta.TierEntry, error) {
 		return sta.TierEntry{}, errors.New("diskcache: unknown entry flags")
 	}
 	errLen := int(binary.LittleEndian.Uint16(b[44:46]))
-	if len(b) != 46+errLen {
+	if len(b) != entryFixed+errLen {
 		return sta.TierEntry{}, errors.New("diskcache: entry length mismatch")
 	}
 	e := sta.TierEntry{
@@ -638,7 +649,7 @@ func decodeEntry(b []byte) (sta.TierEntry, error) {
 		Regions:      int32(binary.LittleEndian.Uint32(b[32:36])),
 		DenseFall:    int32(binary.LittleEndian.Uint32(b[36:40])),
 		CapResolves:  int32(binary.LittleEndian.Uint32(b[40:44])),
-		ErrMsg:       string(b[46:]),
+		ErrMsg:       string(b[entryFixed:]),
 	}
 	return e, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,6 +28,13 @@ func testEntry(i int) sta.TierEntry {
 	}
 }
 
+// tk is a test key: the name's bytes at the front of an otherwise zero Key.
+func tk(name string) sta.Key {
+	var k sta.Key
+	copy(k[:], name)
+	return k
+}
+
 func mustOpen(t *testing.T, dir, sig string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, sig, opts)
@@ -42,11 +50,11 @@ func TestPutGetRestart(t *testing.T) {
 	s := mustOpen(t, dir, "sigA", Options{})
 	const n = 100
 	for i := 0; i < n; i++ {
-		s.Put(context.Background(), fmt.Sprintf("key-%03d", i), testEntry(i))
+		s.Put(context.Background(), tk(fmt.Sprintf("key-%03d", i)), testEntry(i))
 	}
 	s.Flush()
 	for i := 0; i < n; i++ {
-		e, ok := s.Get(context.Background(), fmt.Sprintf("key-%03d", i))
+		e, ok := s.Get(context.Background(), tk(fmt.Sprintf("key-%03d", i)))
 		if !ok {
 			t.Fatalf("key-%03d missing before restart", i)
 		}
@@ -61,7 +69,7 @@ func TestPutGetRestart(t *testing.T) {
 	// Restart: a fresh Store over the same directory serves every entry.
 	s2 := mustOpen(t, dir, "sigA", Options{})
 	for i := 0; i < n; i++ {
-		e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%03d", i))
+		e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%03d", i)))
 		if !ok {
 			t.Fatalf("key-%03d lost across restart", i)
 		}
@@ -78,15 +86,15 @@ func TestPutGetRestart(t *testing.T) {
 func TestLatestWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "s", Options{})
-	s.Put(context.Background(), "k", testEntry(1))
-	s.Put(context.Background(), "k", testEntry(2))
+	s.Put(context.Background(), tk("k"), testEntry(1))
+	s.Put(context.Background(), tk("k"), testEntry(2))
 	s.Flush()
-	if e, _ := s.Get(context.Background(), "k"); e != testEntry(2) {
+	if e, _ := s.Get(context.Background(), tk("k")); e != testEntry(2) {
 		t.Fatalf("live store served %+v, want the later write", e)
 	}
 	s.Close()
 	s2 := mustOpen(t, dir, "s", Options{})
-	if e, ok := s2.Get(context.Background(), "k"); !ok || e != testEntry(2) {
+	if e, ok := s2.Get(context.Background(), tk("k")); !ok || e != testEntry(2) {
 		t.Fatalf("reopened store served %+v (ok=%v), want the later write", e, ok)
 	}
 }
@@ -106,12 +114,12 @@ func TestSignatureMismatchRejected(t *testing.T) {
 // TestKillMidWrite simulates a crash that tears the last record: the torn
 // tail must be truncated away on reopen and every record before it served.
 func TestKillMidWrite(t *testing.T) {
-	for _, cut := range []int{1, 5, 11, 13} { // inside header, inside key, inside value
+	for _, cut := range []int{1, 5, 11, 13, 30, recValOff + 13} { // inside header, inside key, inside value
 		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, "s", Options{})
 			for i := 0; i < 10; i++ {
-				s.Put(context.Background(), fmt.Sprintf("key-%d", i), testEntry(i))
+				s.Put(context.Background(), tk(fmt.Sprintf("key-%d", i)), testEntry(i))
 			}
 			s.Flush()
 			s.Close()
@@ -121,7 +129,7 @@ func TestKillMidWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := encodeRecord("torn-key", encodeEntry(testEntry(99)))
+			rec := encodeRecord(tk("torn-key"), encodeEntry(testEntry(99)))
 			if cut >= len(rec) {
 				t.Fatalf("cut %d outside record of %d bytes", cut, len(rec))
 			}
@@ -131,20 +139,20 @@ func TestKillMidWrite(t *testing.T) {
 			}
 
 			s2 := mustOpen(t, dir, "s", Options{})
-			if _, ok := s2.Get(context.Background(), "torn-key"); ok {
+			if _, ok := s2.Get(context.Background(), tk("torn-key")); ok {
 				t.Fatal("torn record must not be served")
 			}
 			for i := 0; i < 10; i++ {
-				if e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%d", i)); !ok || e != testEntry(i) {
+				if e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%d", i))); !ok || e != testEntry(i) {
 					t.Fatalf("key-%d lost or changed after torn-tail recovery (ok=%v)", i, ok)
 				}
 			}
 			// The tail was truncated: appends after recovery must land cleanly.
-			s2.Put(context.Background(), "after", testEntry(50))
+			s2.Put(context.Background(), tk("after"), testEntry(50))
 			s2.Flush()
 			s2.Close()
 			s3 := mustOpen(t, dir, "s", Options{})
-			if e, ok := s3.Get(context.Background(), "after"); !ok || e != testEntry(50) {
+			if e, ok := s3.Get(context.Background(), tk("after")); !ok || e != testEntry(50) {
 				t.Fatal("append after recovery did not survive a second restart")
 			}
 		})
@@ -157,8 +165,8 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	s := mustOpen(t, dir, "s", Options{Metrics: reg})
-	s.Put(context.Background(), "victim", testEntry(3))
-	s.Put(context.Background(), "bystander", testEntry(4))
+	s.Put(context.Background(), tk("victim"), testEntry(3))
+	s.Put(context.Background(), tk("bystander"), testEntry(4))
 	s.Flush()
 	s.Close()
 
@@ -169,7 +177,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	}
 	// The victim record is first after the magic; flip a byte well inside
 	// its value region (past header+key).
-	off := len(segMagic) + recHeader + len("victim") + 14
+	off := len(segMagic) + recValOff + 14
 	b[off] ^= 0xFF
 	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
@@ -183,7 +191,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	defer s2.Close()
 	// Open-time scan stops at the corrupt record: the victim is unindexed
 	// (miss) and the corruption is counted.
-	if _, ok := s2.Get(context.Background(), "victim"); ok {
+	if _, ok := s2.Get(context.Background(), tk("victim")); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
 	if got := reg2.Snapshot().Counters["sta/disk/corrupt"]; got == 0 {
@@ -200,9 +208,9 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "s", Options{})
-	s.Put(context.Background(), "k", testEntry(7))
+	s.Put(context.Background(), tk("k"), testEntry(7))
 	s.Flush()
-	if _, ok := s.Get(context.Background(), "k"); !ok {
+	if _, ok := s.Get(context.Background(), tk("k")); !ok {
 		t.Fatal("sanity: entry must hit before corruption")
 	}
 	// Rot the value in place while the store is live and the index warm.
@@ -211,7 +219,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(len(segMagic) + recHeader + len("k") + 14)
+	off := int64(len(segMagic) + recValOff + 14)
 	var one [1]byte
 	if _, err := f.ReadAt(one[:], off); err != nil {
 		t.Fatal(err)
@@ -222,7 +230,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	}
 	f.Close()
 
-	if _, ok := s.Get(context.Background(), "k"); ok {
+	if _, ok := s.Get(context.Background(), tk("k")); ok {
 		t.Fatal("re-verification missed in-place corruption")
 	}
 	if s.Stats().Corrupt == 0 {
@@ -254,7 +262,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("key-%04d", i)
-				if e, ok := s.Get(context.Background(), key); ok && e != testEntry(i) {
+				if e, ok := s.Get(context.Background(), tk(key)); ok && e != testEntry(i) {
 					t.Errorf("reader %d: %s returned %+v, want %+v", r, key, e, testEntry(i))
 					return
 				}
@@ -262,7 +270,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 		}(r)
 	}
 	for i := 0; i < n; i++ {
-		s.Put(context.Background(), fmt.Sprintf("key-%04d", i), testEntry(i))
+		s.Put(context.Background(), tk(fmt.Sprintf("key-%04d", i)), testEntry(i))
 	}
 	s.Flush()
 	close(stop)
@@ -278,7 +286,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Recent keys must still be present; evicted old keys must miss cleanly.
 	hits := 0
 	for i := 0; i < n; i++ {
-		if e, ok := s.Get(context.Background(), fmt.Sprintf("key-%04d", i)); ok {
+		if e, ok := s.Get(context.Background(), tk(fmt.Sprintf("key-%04d", i))); ok {
 			hits++
 			if e != testEntry(i) {
 				t.Fatalf("key-%04d corrupted by GC", i)
@@ -294,7 +302,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Restart over the GC'd directory: still consistent.
 	s2 := mustOpen(t, dir, "s", Options{})
 	for i := n - 50; i < n; i++ {
-		if e, ok := s2.Get(context.Background(), fmt.Sprintf("key-%04d", i)); ok && e != testEntry(i) {
+		if e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%04d", i))); ok && e != testEntry(i) {
 			t.Fatalf("key-%04d corrupted after GC+restart", i)
 		}
 	}
@@ -305,7 +313,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	s := mustOpen(t, dir, "s", Options{QueueLen: 4})
 	// Far more puts than the queue holds; Put must never block.
 	for i := 0; i < 10000; i++ {
-		s.Put(context.Background(), fmt.Sprintf("k%d", i), testEntry(i))
+		s.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), testEntry(i))
 	}
 	s.Flush()
 	st := s.Stats()
@@ -323,7 +331,7 @@ func TestPutAfterCloseIsCountedDrop(t *testing.T) {
 	}
 	before := s.Stats().Dropped
 	for i := 0; i < 100; i++ {
-		s.Put(context.Background(), fmt.Sprintf("k%d", i), testEntry(i))
+		s.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), testEntry(i))
 	}
 	if got := s.Stats().Dropped - before; got != 100 {
 		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
@@ -332,10 +340,10 @@ func TestPutAfterCloseIsCountedDrop(t *testing.T) {
 
 func TestNilStoreIsNoop(t *testing.T) {
 	var s *Store
-	if _, ok := s.Get(context.Background(), "k"); ok {
+	if _, ok := s.Get(context.Background(), tk("k")); ok {
 		t.Fatal("nil store hit")
 	}
-	s.Put(context.Background(), "k", testEntry(1))
+	s.Put(context.Background(), tk("k"), testEntry(1))
 	s.Flush()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -419,5 +427,30 @@ func TestWarmDiskMatchesWarmMemory(t *testing.T) {
 	_ = ref
 	if hr := s2.Stats().HitRate(); hr < 0.9 {
 		t.Errorf("disk hit rate %.2f after restart, want >= 0.90 (stats %+v)", hr, s2.Stats())
+	}
+}
+
+// TestGetHitAllocFree pins the warm disk read: a hit reads the fixed-width
+// key and record into a pooled buffer and decodes it in place, so it
+// allocates nothing. Entries with a long error message take the heap path,
+// and must still read back exactly.
+func TestGetHitAllocFree(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), "s", Options{})
+	ctx := context.Background()
+	long := sta.TierEntry{ErrMsg: strings.Repeat("no conducting path; ", 20)}
+	s.Put(ctx, tk("hit"), testEntry(5))
+	s.Put(ctx, tk("long"), long)
+	s.Flush()
+	if e, ok := s.Get(ctx, tk("long")); !ok || e != long {
+		t.Fatalf("long entry read back as %+v, %v", e, ok)
+	}
+	key := tk("hit")
+	allocs := testing.AllocsPerRun(100, func() {
+		if e, ok := s.Get(ctx, key); !ok || e != testEntry(5) {
+			t.Fatalf("hit read back as %+v, %v", e, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("disk hit allocates %.1f times, want 0", allocs)
 	}
 }

@@ -43,8 +43,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		key, val, err := DecodeRecord(b)
 		if err != nil {
-			if !errors.Is(err, ErrCorruptRecord) || key != "" || val != nil {
-				t.Fatalf("failed decode: err %v, key %q, val %x", err, key, val)
+			if !errors.Is(err, ErrCorruptRecord) || key != (sta.Key{}) || val != nil {
+				t.Fatalf("failed decode: err %v, key %s, val %x", err, key, val)
 			}
 			return
 		}
@@ -54,7 +54,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		k2, v2, err := DecodeRecord(rec)
 		if err != nil || k2 != key || !bytes.Equal(v2, val) {
-			t.Fatalf("re-framed record decodes to %q/%x (%v), want %q/%x", k2, v2, err, key, val)
+			t.Fatalf("re-framed record decodes to %s/%x (%v), want %s/%x", k2, v2, err, key, val)
 		}
 	})
 }

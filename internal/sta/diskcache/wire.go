@@ -26,8 +26,8 @@ func DecodeEntry(b []byte) (sta.TierEntry, error) { return decodeEntry(b) }
 // EncodeRecord frames one key/value pair with a leading CRC32-Castagnoli over
 // everything after the checksum itself:
 //
-//	[u32 CRC][u32 keyLen][u32 valLen][key][val]
-func EncodeRecord(key string, val []byte) []byte { return encodeRecord(key, val) }
+//	[u32 CRC][u32 valLen][key: sta.KeySize bytes][val]
+func EncodeRecord(key sta.Key, val []byte) []byte { return encodeRecord(key, val) }
 
 // ErrCorruptRecord is returned by DecodeRecord for any framing failure —
 // short buffer, implausible lengths, trailing bytes, or checksum mismatch.
@@ -36,19 +36,17 @@ var ErrCorruptRecord = errors.New("diskcache: corrupt record frame")
 
 // DecodeRecord parses and CRC-verifies a frame produced by EncodeRecord,
 // returning the embedded key and value bytes (aliasing b, not copied).
-func DecodeRecord(b []byte) (key string, val []byte, err error) {
-	if len(b) < recHeader {
-		return "", nil, ErrCorruptRecord
+func DecodeRecord(b []byte) (key sta.Key, val []byte, err error) {
+	if len(b) < recValOff {
+		return sta.Key{}, nil, ErrCorruptRecord
 	}
 	crc := binary.LittleEndian.Uint32(b[0:4])
-	keyLen := int(binary.LittleEndian.Uint32(b[4:8]))
-	valLen := int(binary.LittleEndian.Uint32(b[8:12]))
-	if keyLen <= 0 || keyLen > maxKeyLen || valLen <= 0 || valLen > maxValLen ||
-		len(b) != recHeader+keyLen+valLen {
-		return "", nil, ErrCorruptRecord
+	valLen := int(binary.LittleEndian.Uint32(b[4:8]))
+	if valLen <= 0 || valLen > maxValLen || len(b) != recValOff+valLen {
+		return sta.Key{}, nil, ErrCorruptRecord
 	}
 	if crc32.Checksum(b[4:], crcTable) != crc {
-		return "", nil, ErrCorruptRecord
+		return sta.Key{}, nil, ErrCorruptRecord
 	}
-	return string(b[recHeader : recHeader+keyLen]), b[recHeader+keyLen:], nil
+	return sta.Key(b[recKeyOff:recValOff]), b[recValOff:], nil
 }

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"math"
+	"slices"
 
 	"qwm/internal/circuit"
 )
@@ -44,15 +45,14 @@ type ECOStats struct {
 	EarlyStops int
 }
 
-// ecoStage is the per-stage memo record: the content digest that decides
-// cleanliness, plus everything a clean replay must reproduce — the interned
-// per-output content keys (for fpTable invalidation when the stage later
-// goes dirty) and both directions' timings per output (for re-folding the
-// Result diagnostics exactly as a scratch run would).
+// ecoStage is the per-stage memo record: the per-output content digests
+// (the digest part of every raw Key the stage's outputs produce) that decide
+// cleanliness and drive fpTable invalidation when the stage later goes dirty,
+// plus both directions' timings per output (for re-folding the Result
+// diagnostics exactly as a scratch run would).
 type ecoStage struct {
-	digest      string
-	contentKeys []string
-	fall, rise  []dirTiming
+	contents   []digest
+	fall, rise []dirTiming
 }
 
 // ecoMemo is one committed run: the stage records keyed by stage identity
@@ -81,9 +81,9 @@ type ecoRun struct {
 	pending    map[*circuit.Stage]*ecoStage
 	pendingID  map[*circuit.Stage]string
 	// Scratch buffers for the digest walk and the per-level dirty schedule.
-	loadTmp   map[string]float64
-	digestBuf []byte
-	dirtyBuf  []*circuit.Stage
+	loadTmp  map[string]float64
+	contents []digest
+	dirtyBuf []*circuit.Stage
 }
 
 // stageIdentity names a stage by its sorted channel-node set — unlike the
@@ -168,39 +168,28 @@ func (e *ecoRun) arrivalEq(a, b Arrival) bool {
 }
 
 // filterLevel partitions one dependency level into clean and dirty stages
-// and returns the dirty schedule. A stage is clean when its content digest
-// (per-output stage key + load digest + reduction signature, prefixed by the
-// memo-mode signature) matches the baseline record AND none of its inputs
-// carries a changed arrival; clean stages replay their memoized arrivals and
-// diagnostics here, paying no cache lookups and no solver work. A stage
+// and returns the dirty schedule. A stage is clean when its per-output
+// content digests (contentDigest: stage content, loads, reduction signature)
+// match the baseline record AND none of its inputs carries a changed
+// arrival; clean stages replay their memoized arrivals and diagnostics
+// here, paying no cache lookups and no solver work. A stage
 // whose digest changed additionally invalidates its stale fpTable entries —
 // the raw-key → class-key memo would otherwise keep a dead resolution per
 // edited stage forever.
 func (e *ecoRun) filterLevel(a *Analyzer, s *analyzeScratch, level []*circuit.Stage, loads *loadIndex, res *Result, redSig string) []*circuit.Stage {
 	dirty := e.dirtyBuf[:0]
-	memoSig := a.cfg.Memo.Signature()
 	for _, st := range level {
 		id := stageIdentity(st)
-		db := append(e.digestBuf[:0], memoSig...)
-		db = append(db, 0x1f)
-		cks := make([]string, 0, len(st.Outputs))
+		cur := e.contents[:0]
 		for _, out := range st.Outputs {
 			ol := loads.stageLoadsInto(e.loadTmp, st, out)
-			kb := s.appendStageKey(s.keyBuf[:0], st, out)
-			kb = append(kb, '|')
-			kb = s.appendLoadDigest(kb, ol)
-			kb = append(kb, redSig...)
-			s.keyBuf = kb
-			ck := a.keys.intern(kb)
-			cks = append(cks, ck)
-			db = append(db, ck...)
-			db = append(db, 0x1f)
+			cur = append(cur, s.contentDigest(st, out, ol, redSig))
 		}
-		e.digestBuf = db
-		digest := string(db)
+		e.contents = cur
 
 		rec := e.prev.stages[id]
-		clean := rec != nil && rec.digest == digest
+		same := rec != nil && slices.Equal(rec.contents, cur)
+		clean := same
 		if clean {
 			for _, in := range st.Inputs {
 				if e.changed[in] {
@@ -226,14 +215,13 @@ func (e *ecoRun) filterLevel(a *Analyzer, s *analyzeScratch, level []*circuit.St
 			res.ECO.SkippedStages++
 			continue
 		}
-		if rec != nil && rec.digest != digest {
-			a.invalidateFP(rec.contentKeys)
+		if rec != nil && !same {
+			a.invalidateFP(rec.contents)
 		}
 		e.pending[st] = &ecoStage{
-			digest:      digest,
-			contentKeys: cks,
-			fall:        make([]dirTiming, len(st.Outputs)),
-			rise:        make([]dirTiming, len(st.Outputs)),
+			contents: slices.Clone(cur),
+			fall:     make([]dirTiming, len(st.Outputs)),
+			rise:     make([]dirTiming, len(st.Outputs)),
 		}
 		e.pendingID[st] = id
 		res.ECO.DirtyStages++

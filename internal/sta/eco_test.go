@@ -237,23 +237,24 @@ func TestIncrementalFPInvalidation(t *testing.T) {
 // keeps serving lookups afterwards.
 func TestFPTableCap(t *testing.T) {
 	var tab fpTable
-	if ev := tab.store("a", "ca", 2); ev != 0 {
+	a, b, c := Key{'a'}, Key{'b'}, Key{'c'}
+	if ev := tab.store(a, Key{'A'}, 2); ev != 0 {
 		t.Fatalf("first insert evicted %d", ev)
 	}
-	if ev := tab.store("b", "cb", 2); ev != 0 {
+	if ev := tab.store(b, Key{'B'}, 2); ev != 0 {
 		t.Fatalf("second insert evicted %d", ev)
 	}
 	// Overwriting an existing key never flushes.
-	if ev := tab.store("a", "ca2", 2); ev != 0 {
+	if ev := tab.store(a, Key{'A', 2}, 2); ev != 0 {
 		t.Fatalf("overwrite evicted %d", ev)
 	}
-	if ev := tab.store("c", "cc", 2); ev != 2 {
+	if ev := tab.store(c, Key{'C'}, 2); ev != 2 {
 		t.Fatalf("cap-exceeding insert evicted %d, want 2", ev)
 	}
-	if got, ok := tab.lookup("c"); !ok || got != "cc" {
-		t.Fatalf("post-flush lookup: %q, %v", got, ok)
+	if got, ok := tab.lookup(&c); !ok || got != (Key{'C'}) {
+		t.Fatalf("post-flush lookup: %v, %v", got, ok)
 	}
-	if _, ok := tab.lookup("a"); ok {
+	if _, ok := tab.lookup(&a); ok {
 		t.Fatal("flushed entry survived")
 	}
 }

@@ -27,8 +27,8 @@ type MemoConfig struct {
 	// internal/devmodel table idiom applied to the stage cache). More
 	// accurate than floor-snapping for slews far from a boundary, at the
 	// cost of up to two evaluations per new bucket. Boundary evaluations
-	// share the snap-mode ("|b") key namespace, so a slew sitting exactly on
-	// a bucket floor is bit-identical to snap mode and costs one eval.
+	// share the snap-mode class keys, so a slew sitting exactly on a bucket
+	// floor is bit-identical to snap mode and costs one eval.
 	Interp bool
 }
 
@@ -42,8 +42,8 @@ type MemoConfig struct {
 // never changes a cache key.
 const defaultFPCap = 65536
 
-// Signature distinguishes memoized key namespaces; class keys additionally
-// carry the "C|" prefix so they can never collide with raw keys.
+// Signature distinguishes memoized configurations; class keys additionally
+// carry the nsClass namespace bit so they can never collide with raw keys.
 func (m MemoConfig) Signature() string {
 	switch {
 	case !m.Enabled:
@@ -54,44 +54,35 @@ func (m MemoConfig) Signature() string {
 	return "m"
 }
 
-// fpTable memoizes raw-key → canonical-class-key resolutions on the
-// Analyzer, so each (stage, output, rail) pays the fingerprint walk once per
-// Analyzer lifetime no matter how many Analyzes consult it. The empty string
+// fpTable memoizes raw-key → class-key resolutions, so each (stage, output,
+// rail) pays the fingerprint walk once per Analyzer lifetime no matter how
+// many Analyzes consult it. Keys and values have a zero bucket. The zero Key
 // is a valid value: it records "no canonical form" (no conducting path), and
-// the caller then falls back to the raw key.
+// the caller then keeps the raw key.
 type fpTable struct {
 	mu sync.RWMutex
-	m  map[string]string
+	m  map[Key]Key
 }
 
-func (t *fpTable) lookup(raw string) (string, bool) {
+func (t *fpTable) lookup(raw *Key) (Key, bool) {
 	t.mu.RLock()
-	s, ok := t.m[raw]
+	k, ok := t.m[*raw]
 	t.mu.RUnlock()
-	return s, ok
-}
-
-// lookupB is lookup for a key still in its assembly buffer (the
-// map[string(b)] probe does not allocate).
-func (t *fpTable) lookupB(raw []byte) (string, bool) {
-	t.mu.RLock()
-	s, ok := t.m[string(raw)]
-	t.mu.RUnlock()
-	return s, ok
+	return k, ok
 }
 
 // store inserts one resolution, flushing the whole table first when the
 // insert would exceed cap. It returns the number of entries evicted by that
 // flush so the caller can feed the eviction metric without holding the lock.
-func (t *fpTable) store(raw, canon string, cap int) int {
+func (t *fpTable) store(raw, canon Key, cap int) int {
 	t.mu.Lock()
 	if t.m == nil {
-		t.m = map[string]string{}
+		t.m = map[Key]Key{}
 	}
 	evicted := 0
 	if _, exists := t.m[raw]; !exists && len(t.m) >= cap {
 		evicted = len(t.m)
-		t.m = make(map[string]string, cap/4)
+		t.m = make(map[Key]Key, cap/4)
 	}
 	t.m[raw] = canon
 	t.mu.Unlock()
@@ -99,7 +90,7 @@ func (t *fpTable) store(raw, canon string, cap int) int {
 }
 
 // remove deletes one resolution, reporting whether it was present.
-func (t *fpTable) remove(raw string) bool {
+func (t *fpTable) remove(raw Key) bool {
 	t.mu.Lock()
 	_, ok := t.m[raw]
 	if ok {
@@ -110,18 +101,18 @@ func (t *fpTable) remove(raw string) bool {
 }
 
 // invalidateFP drops the fpTable resolutions of a stage whose content digest
-// changed (ECO dirty diffing): each per-output content key has one memo entry
-// per rail, and after an edit both point at a class the stage no longer
-// belongs to. Without this the table accretes one dead entry per edited
-// stage for the Analyzer's lifetime. Evictions land on the
+// changed (ECO dirty diffing): each per-output content digest has one memo
+// entry per rail, and after an edit both point at a class the stage no
+// longer belongs to. Without this the table accretes one dead entry per
+// edited stage for the Analyzer's lifetime. Evictions land on the
 // "sta/class/fp_evictions" metric alongside cap flushes.
-func (a *Analyzer) invalidateFP(contentKeys []string) {
+func (a *Analyzer) invalidateFP(contents []digest) {
 	n := 0
-	for _, ck := range contentKeys {
-		if a.fp.remove(ck + "|" + circuit.GroundNode) {
+	for i := range contents {
+		if a.fp.remove(makeKey(&contents[i], 0)) {
 			n++
 		}
-		if a.fp.remove(ck + "|" + circuit.SupplyNode) {
+		if a.fp.remove(makeKey(&contents[i], nsRise)) {
 			n++
 		}
 	}
@@ -132,22 +123,22 @@ func (a *Analyzer) invalidateFP(contentKeys []string) {
 	}
 }
 
-// classBase resolves the canonical per-direction key base for one (stage,
-// output, rail): "C|<reduction-signature>|<fingerprint>|<rail>" when the
-// stage has a conducting path, or "" when fingerprinting is impossible and
+// classKey resolves the class key for one raw (stage, output, rail) key: the
+// digest of the reduction signature and the structural fingerprint, in the
+// nsClass namespace, or the zero Key when fingerprinting is impossible and
 // the caller must key by raw identity. Resolutions are memoized per
 // Analyzer; the walk itself is deterministic, so concurrent resolutions of
 // one raw key store identical values.
-func (a *Analyzer) classBase(raw string, st *circuit.Stage, out, rail string, loads map[string]float64, redSig string) string {
+func (a *Analyzer) classKey(raw *Key, st *circuit.Stage, out, rail string, loads map[string]float64, redSig string) Key {
 	if canon, ok := a.fp.lookup(raw); ok {
 		return canon
 	}
-	fp, ok := fingerprint(st, out, rail, loads)
-	canon := ""
-	if ok {
-		canon = "C|" + redSig + "|" + fp + "|" + rail
+	var canon Key
+	if fp, ok := fingerprint(st, out, rail, loads); ok {
+		d := classDigest(redSig, fp)
+		canon = makeKey(&d, nsClass|raw[nsByte]&nsRise)
 	}
-	if evicted := a.fp.store(raw, canon, defaultFPCap); evicted > 0 {
+	if evicted := a.fp.store(*raw, canon, defaultFPCap); evicted > 0 {
 		if a.ms != nil {
 			a.ms.fpEvictions.Add(int64(evicted))
 		}
@@ -155,27 +146,18 @@ func (a *Analyzer) classBase(raw string, st *circuit.Stage, out, rail string, lo
 	return canon
 }
 
-// resolveBases fills the per-direction key bases of one outEval: the raw
-// contentKey+rail form by default, or the canonical class base when Memo is
+// resolveKeys fills the per-direction keys of one outEval from the output's
+// content digest: the raw key by default, or the class key when Memo is
 // enabled and the direction fingerprints cleanly. Runs in the sequential
 // gather phase; the scratch's classSeen set tallies the distinct direction
 // classes (and the members beyond the first) into the Result's diagnostics,
-// so the counts are schedule-independent. The raw key is assembled in the
-// scratch buffer and only materialized (interned) when actually needed.
-func (a *Analyzer) resolveBases(s *analyzeScratch, ev *outEval, st *circuit.Stage, out, redSig string, res *Result) {
-	for i, rail := range [2]string{circuit.GroundNode, circuit.SupplyNode} {
-		kb := append(s.keyBuf[:0], ev.contentKey...)
-		kb = append(kb, '|')
-		kb = append(kb, rail...)
-		s.keyBuf = kb
-		base, memo := "", false
+// so the counts are schedule-independent.
+func (a *Analyzer) resolveKeys(s *analyzeScratch, ev *outEval, content *digest, st *circuit.Stage, out, redSig string, res *Result) {
+	for _, rail := range [2]string{circuit.GroundNode, circuit.SupplyNode} {
+		key := makeKey(content, railNS(rail))
 		if a.cfg.Memo.Enabled {
-			canon, ok := a.fp.lookupB(kb)
-			if !ok {
-				canon = a.classBase(a.keys.intern(kb), st, out, rail, ev.loads, redSig)
-			}
-			if canon != "" {
-				base, memo = canon, true
+			if canon := a.classKey(&key, st, out, rail, ev.loads, redSig); canon != (Key{}) {
+				key = canon
 				if s.classSeen[canon] {
 					res.ClassHits++
 				} else {
@@ -184,13 +166,10 @@ func (a *Analyzer) resolveBases(s *analyzeScratch, ev *outEval, st *circuit.Stag
 				}
 			}
 		}
-		if base == "" {
-			base = a.keys.intern(kb)
-		}
-		if i == 0 {
-			ev.baseFall, ev.memoFall = base, memo
+		if rail == circuit.GroundNode {
+			ev.keyFall = key
 		} else {
-			ev.baseRise, ev.memoRise = base, memo
+			ev.keyRise = key
 		}
 	}
 }

@@ -1,0 +1,174 @@
+package sta
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"slices"
+	"strconv"
+
+	"qwm/internal/circuit"
+)
+
+// KeySize is the length of a Key in bytes.
+const KeySize = sha256.Size + 1 + 8
+
+// Key is the delay cache's one key format, shared by the in-memory cache,
+// Memo's class table, the ECO stage records and every TierStore:
+//
+//	[0:32]  SHA-256 content digest
+//	[32]    namespace byte: nsRise (the rail) | nsClass (Memo class digest)
+//	[33:41] slew bucket, big-endian two's complement
+//
+// A raw key's digest covers one (stage, output)'s timing-relevant content —
+// output name, canonically sorted edges, load map, reduction signature — in a
+// length-prefixed binary encoding, so node names can hold any byte (separators
+// included) without two different stages sharing a key. A class key's digest
+// covers the reduction signature and the structural fingerprint instead. The
+// digest is computed once per (stage, output) in the gather phase; a lookup
+// only copies it and fills in the bucket.
+//
+// SHA-256 rather than a faster non-cryptographic hash: keys are derived from
+// client-supplied netlists and shared across clients through the tiers, so a
+// crafted collision would let one client poison another's timings.
+type Key [KeySize]byte
+
+// Namespace bits of Key[nsByte].
+const (
+	nsByte = sha256.Size
+
+	// nsRise marks the output-rising direction (rail circuit.SupplyNode);
+	// clear, the output falls (rail circuit.GroundNode).
+	nsRise byte = 1 << 0
+	// nsClass marks a Memo class digest. Class entries are evaluated at the
+	// bucket floor, so they are a pure function of the key.
+	nsClass byte = 1 << 1
+)
+
+// digest is the content part of a Key.
+type digest = [sha256.Size]byte
+
+// makeKey builds a bucket-zero key from a digest and namespace byte.
+func makeKey(d *digest, ns byte) Key {
+	var k Key
+	copy(k[:], d[:])
+	k[nsByte] = ns
+	return k
+}
+
+// withBucket returns k with its slew-bucket field set.
+func (k Key) withBucket(bucket int) Key {
+	binary.BigEndian.PutUint64(k[nsByte+1:], uint64(int64(bucket)))
+	return k
+}
+
+// class reports whether k is a Memo class key.
+func (k *Key) class() bool { return k[nsByte]&nsClass != 0 }
+
+// String renders the key in hex. Fault-injection site keys use it, so it is
+// built only when a FaultPlan is set.
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
+
+// railNS is the namespace rail bit for a rail node.
+func railNS(rail string) byte {
+	if rail == circuit.SupplyNode {
+		return nsRise
+	}
+	return 0
+}
+
+// contentDigest hashes the timing-relevant content of one (stage, output):
+// the output name, the stage's edges in canonical order, the output's load
+// map and the reduction signature. Two stages get equal digests exactly when
+// all of these are equal, with load caps compared at the 6-significant-digit
+// precision of their 'e' formatting (load differences below that are far
+// under timing resolution and share an entry). The encoding is assembled in
+// the scratch's reused buffers, so a warm gather allocates nothing.
+func (s *analyzeScratch) contentDigest(st *circuit.Stage, out string, loads map[string]float64, redSig string) digest {
+	b := appendString(s.keyBuf[:0], out)
+	b = s.appendEdges(b, st)
+	b = s.appendLoads(b, loads)
+	b = appendString(b, redSig)
+	s.keyBuf = b
+	return sha256.Sum256(b)
+}
+
+// appendEdges appends the edge count and every edge's encoding, sorted
+// bytewise so edge declaration order drops out. Each edge encoding is
+// self-delimiting (length-prefixed strings, fixed-width floats), so the
+// sorted concatenation decodes to exactly one multiset of edges.
+func (s *analyzeScratch) appendEdges(b []byte, st *circuit.Stage) []byte {
+	seg := s.segBuf[:0]
+	offs := s.segOffs[:0]
+	for _, e := range st.Edges {
+		offs = append(offs, len(seg))
+		seg = appendString(seg, e.Kind.String())
+		seg = appendString(seg, e.Src)
+		seg = appendString(seg, e.Snk)
+		seg = appendString(seg, e.Gate)
+		seg = appendFloat(seg, e.W)
+		seg = appendFloat(seg, e.L)
+		seg = appendFloat(seg, e.R)
+	}
+	offs = append(offs, len(seg))
+	s.segBuf, s.segOffs = seg, offs
+	ne := len(st.Edges)
+	ord := s.segOrd[:0]
+	for i := 0; i < ne; i++ {
+		ord = append(ord, i)
+	}
+	// Insertion sort: stages have a handful of edges, and the comparisons
+	// are plain memcmp over the segment bytes.
+	for i := 1; i < ne; i++ {
+		for j := i; j > 0 && bytes.Compare(seg[offs[ord[j]]:offs[ord[j]+1]], seg[offs[ord[j-1]]:offs[ord[j-1]+1]]) < 0; j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	s.segOrd = ord
+	b = binary.AppendUvarint(b, uint64(ne))
+	for _, i := range ord {
+		b = append(b, seg[offs[i]:offs[i+1]]...)
+	}
+	return b
+}
+
+// appendLoads appends the load map as a count and name-sorted (name, cap)
+// pairs, each cap as its strconv 'e' text at 6 digits: two caps share an
+// encoding exactly when they print alike at that precision.
+func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte {
+	nodes := s.nodeBuf[:0]
+	for n := range loads {
+		nodes = append(nodes, n)
+	}
+	slices.Sort(nodes)
+	s.nodeBuf = nodes
+	b = binary.AppendUvarint(b, uint64(len(nodes)))
+	var num [32]byte
+	for _, n := range nodes {
+		b = appendString(b, n)
+		t := strconv.AppendFloat(num[:0], loads[n], 'e', 6, 64)
+		b = binary.AppendUvarint(b, uint64(len(t)))
+		b = append(b, t...)
+	}
+	return b
+}
+
+// classDigest hashes a Memo class: the reduction signature and the
+// structural fingerprint (see fingerprint).
+func classDigest(redSig, fp string) digest {
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+len(redSig)+len(fp))
+	b = appendString(b, redSig)
+	b = appendString(b, fp)
+	return sha256.Sum256(b)
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+}

@@ -124,7 +124,7 @@ func (o Options) withDefaults() Options {
 }
 
 // maxResponseBytes bounds one GET response body: a frame holding a cache key
-// and an encoded TierEntry is a few hundred bytes; anything past the disk
+// and an encoded TierEntry is about a hundred bytes; anything past the disk
 // format's own record bounds is garbage.
 const maxResponseBytes = 4 << 20
 
@@ -156,7 +156,7 @@ func (p *cpair) add(n int64, m *obs.Counter) { p.c.Add(n); m.Add(n) }
 func (p *cpair) value() int64                { return p.c.Value() }
 
 type putReq struct {
-	key string
+	key sta.Key
 	rec []byte
 	tp  string // traceparent header for the async PUT ("" untraced)
 }
@@ -215,8 +215,17 @@ func New(baseURL, signature string, opts Options) *Client {
 }
 
 // keyURL renders the GET/PUT URL for one cache key.
-func (c *Client) keyURL(key string) string {
-	return c.base + c.path + base64.RawURLEncoding.EncodeToString([]byte(key))
+func (c *Client) keyURL(key *sta.Key) string {
+	return c.base + c.path + base64.RawURLEncoding.EncodeToString(key[:])
+}
+
+// faultKey is the fault-injection site key for one cache key: its hex form,
+// built only when a fault plan is armed.
+func (c *Client) faultKey(key *sta.Key) string {
+	if c.opts.Fault == nil {
+		return ""
+	}
+	return key.String()
 }
 
 // BreakerState returns the breaker's current state.
@@ -256,7 +265,7 @@ func (c *Client) Name() string { return "remote" }
 // stamped with the traceparent header, and a peer-recorded span returned in
 // the response header is merged into the same trace. ctx supplies only the
 // trace: each attempt runs under the client's own deadline.
-func (c *Client) Get(ctx context.Context, key string) (sta.TierEntry, bool) {
+func (c *Client) Get(ctx context.Context, key sta.Key) (sta.TierEntry, bool) {
 	if c == nil {
 		return sta.TierEntry{}, false
 	}
@@ -276,7 +285,7 @@ func (c *Client) Get(ctx context.Context, key string) (sta.TierEntry, bool) {
 		}
 		return sta.TierEntry{}, false
 	}
-	e, ok, err := c.fetch(key, ref)
+	e, ok, err := c.fetch(&key, ref)
 	if err != nil {
 		c.br.failure(probe)
 		c.misses.add(1, c.mMisses)
@@ -300,7 +309,7 @@ var errInjected = errors.New("remotecache: injected network error")
 // nil. Corruption is deliberately not retried: the frame made it across the
 // transport, and hammering the peer for a bad record would amplify exactly
 // the failure the CRC already contained.
-func (c *Client) fetch(key string, ref obs.TraceRef) (sta.TierEntry, bool, error) {
+func (c *Client) fetch(key *sta.Key, ref obs.TraceRef) (sta.TierEntry, bool, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		e, ok, err := c.attempt(key, ref, attempt)
@@ -320,18 +329,18 @@ func (c *Client) fetch(key string, ref obs.TraceRef) (sta.TierEntry, bool, error
 // deterministic jitter in [0, base) hashed from (key, attempt) — replicas
 // de-synchronize (different keys, different phases) while a fixed workload
 // replays the exact same waits.
-func (c *Client) backoff(key string, attempt int) time.Duration {
+func (c *Client) backoff(key *sta.Key, attempt int) time.Duration {
 	d := c.opts.Backoff << uint(attempt)
 	const maxBackoff = 2 * time.Second
 	if d > maxBackoff {
 		d = maxBackoff
 	}
-	return d + time.Duration(hash64(key, uint64(attempt))%uint64(c.opts.Backoff))
+	return d + time.Duration(hash64(key[:], uint64(attempt))%uint64(c.opts.Backoff))
 }
 
 // hash64 is FNV-1a over key ⊕ salt with a splitmix64 finalizer (the
 // faultinject mixing recipe) — allocation-free deterministic jitter.
-func hash64(key string, salt uint64) uint64 {
+func hash64(key []byte, salt uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -357,7 +366,7 @@ func hash64(key string, salt uint64) uint64 {
 // when the request is traced: the outbound GET carries the traceparent for
 // the attempt's semantic span ID ("<probe>.a<n>"), and a peer span returned
 // in the response header is re-parented under the attempt.
-func (c *Client) attempt(key string, ref obs.TraceRef, n int) (sta.TierEntry, bool, error) {
+func (c *Client) attempt(key *sta.Key, ref obs.TraceRef, n int) (sta.TierEntry, bool, error) {
 	if ref.T == nil {
 		e, ok, _, err := c.roundTrip(key, "")
 		return e, ok, err
@@ -398,15 +407,15 @@ func (c *Client) attempt(key string, ref obs.TraceRef, n int) (sta.TierEntry, bo
 // roundTrip is one raw HTTP exchange. Error return means transport failure
 // (retryable); (zero, false, nil) is a definitive miss. peerSpan is the
 // encoded Qwm-Span response header, "" when absent.
-func (c *Client) roundTrip(key, traceparent string) (_ sta.TierEntry, _ bool, peerSpan string, _ error) {
-	fault := c.opts.Fault
+func (c *Client) roundTrip(key *sta.Key, traceparent string) (_ sta.TierEntry, _ bool, peerSpan string, _ error) {
+	fault, fk := c.opts.Fault, c.faultKey(key)
 	// Fault site net-latency: a slow peer. Pure latency — the request still
 	// completes, and results must be bit-for-bit unaffected.
-	fault.Stall(faultinject.NetLatency, key)
+	fault.Stall(faultinject.NetLatency, fk)
 	// Fault site net-error: the request never comes back (reset, refused,
 	// mid-flight partition). Keyed by cache key, so retries of the same key
 	// deterministically fail too — the tier must degrade to a miss.
-	if fault.Fire(faultinject.NetError, key) {
+	if fault.Fire(faultinject.NetError, fk) {
 		return sta.TierEntry{}, false, "", errInjected
 	}
 
@@ -450,14 +459,14 @@ func (c *Client) roundTrip(key, traceparent string) (_ sta.TierEntry, _ bool, pe
 	}
 	// Fault site net-corrupt: a flipped bit on the wire. The CRC must catch
 	// it and serve a counted miss, never a wrong timing.
-	if fault.Fire(faultinject.NetCorrupt, key) && len(body) > 0 {
+	if fault.Fire(faultinject.NetCorrupt, fk) && len(body) > 0 {
 		body[len(body)/2] ^= 0x40
 	}
 	// End-to-end verification: checksum over the whole frame, embedded key
 	// equality (a router handing back the wrong record is corruption too),
 	// and semantic validity of the decoded entry.
 	gotKey, val, err := diskcache.DecodeRecord(body)
-	if err != nil || gotKey != key {
+	if err != nil || gotKey != *key {
 		c.corrupt.add(1, c.mCorrupt)
 		return sta.TierEntry{}, false, peerSpan, nil
 	}
@@ -475,7 +484,7 @@ func (c *Client) roundTrip(key, traceparent string) (_ sta.TierEntry, _ bool, pe
 // When ctx carries a trace reference, the traceparent for the caller's put
 // span is stamped on the asynchronous PUT — the peer can correlate the
 // write, but (the put being write-behind) no span is merged back.
-func (c *Client) Put(ctx context.Context, key string, e sta.TierEntry) {
+func (c *Client) Put(ctx context.Context, key sta.Key, e sta.TierEntry) {
 	if c == nil {
 		return
 	}
@@ -504,16 +513,16 @@ func (c *Client) send(req putReq) {
 		c.dropped.add(1, c.mDropped)
 		return
 	}
-	fault := c.opts.Fault
-	fault.Stall(faultinject.NetLatency, req.key)
-	if fault.Fire(faultinject.NetError, req.key) {
+	fault, fk := c.opts.Fault, c.faultKey(&req.key)
+	fault.Stall(faultinject.NetLatency, fk)
+	if fault.Fire(faultinject.NetError, fk) {
 		c.br.failure(probe)
 		c.dropped.add(1, c.mDropped)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(req.key), strings.NewReader(string(req.rec)))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(&req.key), strings.NewReader(string(req.rec)))
 	if err != nil {
 		c.br.failure(probe)
 		c.dropped.add(1, c.mDropped)

@@ -31,6 +31,13 @@ var (
 	lib  = devmodel.NewLibrary(tech)
 )
 
+// tk is a test key: the name's bytes at the front of an otherwise zero Key.
+func tk(name string) sta.Key {
+	var k sta.Key
+	copy(k[:], name)
+	return k
+}
+
 func decoderFixture(t *testing.T) (*circuit.Netlist, map[string]sta.Arrival, []string) {
 	t.Helper()
 	nl, ins, outs, err := stages.DecoderNetlist(tech, 3, 1e-6, 10e-15)
@@ -83,30 +90,30 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 
 	// Cold server: a definitive miss, and a completed round trip (no breaker
 	// damage).
-	if _, ok := clean.Get(context.Background(), "k1"); ok {
+	if _, ok := clean.Get(context.Background(), tk("k1")); ok {
 		t.Fatal("cold Get hit")
 	}
 
-	clean.Put(context.Background(), "k1", e)
+	clean.Put(context.Background(), tk("k1"), e)
 	clean.Flush()
 	if got := srv.Stats(); got.Stored != 1 {
 		t.Fatalf("server stored %d records, want 1 (stats %+v)", got.Stored, got)
 	}
 
-	got, ok := clean.Get(context.Background(), "k1")
+	got, ok := clean.Get(context.Background(), tk("k1"))
 	if !ok || got != e {
 		t.Fatalf("round trip = %+v, %v; want the stored entry back bit-for-bit", got, ok)
 	}
 
 	// Namespace isolation: same key, different signature, must miss.
-	if _, ok := other.Get(context.Background(), "k1"); ok {
+	if _, ok := other.Get(context.Background(), tk("k1")); ok {
 		t.Fatal("signature namespaces alias each other")
 	}
 
 	// Wire corruption at rate 1: every GET response has a byte flipped, the
 	// CRC catches it, and the client serves a counted miss — never a wrong
 	// entry.
-	if _, ok := corrupting.Get(context.Background(), "k1"); ok {
+	if _, ok := corrupting.Get(context.Background(), tk("k1")); ok {
 		t.Fatal("corrupt frame served as a hit")
 	}
 	cs := corrupting.Stats()
@@ -119,10 +126,11 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 	}
 
 	// A corrupt PUT is rejected by the server and never stored.
-	rec := diskcache.EncodeRecord("k2", diskcache.EncodeEntry(e))
+	k2 := tk("k2")
+	rec := diskcache.EncodeRecord(k2, diskcache.EncodeEntry(e))
 	rec[len(rec)-1] ^= 0xff
 	url := base + "/tier/" + base64.RawURLEncoding.EncodeToString([]byte("sig-a")) +
-		"/" + base64.RawURLEncoding.EncodeToString([]byte("k2"))
+		"/" + base64.RawURLEncoding.EncodeToString(k2[:])
 	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(rec))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -165,7 +173,7 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	c := remotecache.New("http://dead.invalid", "sig", opts)
 	defer c.Close()
 
-	get := func() { c.Get(context.Background(), "k") }
+	get := func() { c.Get(context.Background(), tk("k")) }
 
 	// Gets 1..3 reach the transport and fail; the 3rd opens the breaker.
 	for i := 0; i < 3; i++ {
@@ -233,7 +241,7 @@ func TestPutAfterCloseIsCountedDrop(t *testing.T) {
 	e := sta.TierEntry{Delay: 1e-10, OK: true, Tier: uint8(sta.TierQWM)}
 	before := c.Stats().Dropped
 	for i := 0; i < 100; i++ {
-		c.Put(context.Background(), fmt.Sprintf("k%d", i), e)
+		c.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), e)
 	}
 	if got := c.Stats().Dropped - before; got != 100 {
 		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
@@ -421,5 +429,36 @@ func TestChainKillRestartRace(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestTierPathKeyLength: the key segment must be the canonical encoding of
+// exactly sta.KeySize bytes. Text keys, short and long keys and a spelling
+// with non-zero padding bits are malformed paths (400), never a store probe.
+func TestTierPathKeyLength(t *testing.T) {
+	h := remotecache.NewServer(remotecache.MemoryStores(0), nil)
+	sig := "/tier/" + base64.RawURLEncoding.EncodeToString([]byte("sig")) + "/"
+	key := tk("k")
+	good := base64.RawURLEncoding.EncodeToString(key[:])
+	// The last character carries 2 padding bits; 'B' sets one of them.
+	noncanonical := good[:len(good)-1] + "B"
+	for _, tc := range []struct {
+		name, seg string
+		want      int
+	}{
+		{"canonical", good, http.StatusNotFound},
+		{"text key", base64.RawURLEncoding.EncodeToString([]byte("INV:n1|c=1.000e-14|fall|b12")), http.StatusBadRequest},
+		{"short", base64.RawURLEncoding.EncodeToString(key[:sta.KeySize-1]), http.StatusBadRequest},
+		{"long", base64.RawURLEncoding.EncodeToString(append(key[:], 0)), http.StatusBadRequest},
+		{"padding bits", noncanonical, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, sig+tc.seg, nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+	}
+	if s := h.Stats(); s.BadRequests != 4 || s.Gets != 1 {
+		t.Errorf("stats %+v, want 4 bad requests and 1 get", s)
 	}
 }

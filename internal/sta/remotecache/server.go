@@ -17,9 +17,11 @@ import (
 //
 //	/tier/<base64url(signature)>/<base64url(key)>
 //
-// with both path segments base64.RawURLEncoding-encoded: signatures and
-// cache keys are structured strings full of separators, and encoding keeps
-// the URL router trivial and proxy-safe. GET returns 200 with a
+// with both path segments base64.RawURLEncoding-encoded: the signature is a
+// structured string full of separators and the key is the 41 raw bytes of an
+// sta.Key (55 characters encoded), and encoding keeps the URL router trivial
+// and proxy-safe. A path whose key segment is not the canonical encoding of
+// exactly sta.KeySize bytes is malformed (400). GET returns 200 with a
 // CRC32-Castagnoli-framed record (the diskcache on-disk format, see
 // diskcache.EncodeRecord) or 404 for a miss; PUT accepts the same frame and
 // answers 204, or 400 when the frame fails the checksum, embeds a different
@@ -92,26 +94,30 @@ func (s *Server) Stats() ServerStats {
 // tierPathPrefix ("/tier/").
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
 
+// keyEncoding is the key segment's encoding; Strict rejects non-zero
+// padding bits, so every key has exactly one spelling.
+var keyEncoding = base64.RawURLEncoding.Strict()
+
 // parseTierPath splits /tier/<b64sig>/<b64key> into the decoded signature
-// and key.
-func parseTierPath(path string) (sig, key string, ok bool) {
+// and key. A key segment that does not decode to exactly sta.KeySize bytes
+// is malformed.
+func parseTierPath(path string) (sig string, key sta.Key, ok bool) {
 	rest, found := strings.CutPrefix(path, tierPathPrefix)
 	if !found {
-		return "", "", false
+		return "", key, false
 	}
 	encSig, encKey, found := strings.Cut(rest, "/")
-	if !found || encSig == "" || encKey == "" || strings.Contains(encKey, "/") {
-		return "", "", false
+	if !found || encSig == "" || len(encKey) != keyEncoding.EncodedLen(sta.KeySize) {
+		return "", key, false
 	}
 	sigB, err := base64.RawURLEncoding.DecodeString(encSig)
 	if err != nil {
-		return "", "", false
+		return "", key, false
 	}
-	keyB, err := base64.RawURLEncoding.DecodeString(encKey)
-	if err != nil {
-		return "", "", false
+	if n, err := keyEncoding.Decode(key[:], []byte(encKey)); err != nil || n != sta.KeySize {
+		return "", sta.Key{}, false
 	}
-	return string(sigB), string(keyB), true
+	return string(sigB), key, true
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +169,7 @@ func (s *Server) setPeerSpan(w http.ResponseWriter, name string, dur time.Durati
 	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, store sta.TierStore, key string, traced bool) {
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, store sta.TierStore, key sta.Key, traced bool) {
 	s.gets.add(1, s.mGets)
 	start := time.Now()
 	var (
@@ -191,7 +197,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, store sta.Tie
 	w.Write(diskcache.EncodeRecord(key, diskcache.EncodeEntry(e)))
 }
 
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, store sta.TierStore, key string, traced bool) {
+func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, store sta.TierStore, key sta.Key, traced bool) {
 	s.puts.add(1, s.mPuts)
 	start := time.Now()
 	fail := func(msg string) {

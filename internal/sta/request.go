@@ -156,8 +156,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 
 	res = &Result{Arrivals: map[string]Arrival{}}
 	evalStart := a.cache.evals.Load()
-	// Key-derivation context: the reduction signature suffixes every content
-	// key (reduced and unreduced evaluations must never alias), and Memo
+	// Key-derivation context: the reduction signature is part of every content
+	// digest (reduced and unreduced evaluations must never alias), and Memo
 	// mode tracks the distinct structural classes seen this Analyze (the
 	// scratch's classSeen set). Both live in the sequential gather phase, so
 	// the tallies are schedule-independent.
@@ -217,24 +217,20 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 
 		// Gather phase (sequential): the worst input arrivals per stage
 		// depend only on completed earlier levels. The per-output evaluation
-		// context (stage-content key + load digest + load map) is built here,
-		// once per (stage, output), so the parallel lookup path below does no
-		// key formatting at all.
+		// context (load map and per-direction keys) is built here, once per
+		// (stage, output), so the parallel lookup path below only fills in
+		// slew buckets.
 		vi := 0
 		for _, st := range level {
 			si := gatherInputs(st, res.Arrivals)
 			ins = append(ins, si)
 			for _, out := range st.Outputs {
 				ol := loads.stageLoadsInto(s.loadMap(), st, out)
-				kb := s.appendStageKey(s.keyBuf[:0], st, out)
-				kb = append(kb, '|')
-				kb = s.appendLoadDigest(kb, ol)
-				kb = append(kb, redSig...)
-				s.keyBuf = kb
 				ev := &evs[vi]
 				vi++
-				*ev = outEval{contentKey: a.keys.intern(kb), loads: ol}
-				a.resolveBases(s, ev, st, out, redSig, res)
+				*ev = outEval{loads: ol}
+				content := s.contentDigest(st, out, ol, redSig)
+				a.resolveKeys(s, ev, &content, st, out, redSig, res)
 				// An input that rises makes the pull-down conduct (output
 				// falls), and vice versa; each direction sees the slew of
 				// the edge that triggers it.

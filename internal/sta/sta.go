@@ -18,13 +18,15 @@
 // outputs) and Config.Signature(). Nothing on a Request overrides the
 // analyzer's settings.
 //
-// Stage delays are cached by stage identity, direction, input-slew bucket
-// AND the stage output's load digest, so re-analysis after a local edit (the
-// incremental-STA use case) only re-evaluates the directions whose devices,
-// input slews or fanout loads changed and re-propagates arrivals. The load
-// digest matters: two structurally identical stages driving different fanout
-// must not alias to one cache entry, or the second silently inherits the
-// first's delay (see TestCacheKeyIncludesLoad).
+// Stage delays are cached by a fixed-width Key (key.go): a digest of the
+// stage content AND the stage output's load map, plus direction and
+// input-slew bucket, so re-analysis after a local edit (the incremental-STA
+// use case) only re-evaluates the directions whose devices, input slews or
+// fanout loads changed and re-propagates arrivals. The loads matter: two
+// structurally identical stages driving different fanout must not alias to
+// one cache entry, or the second silently inherits the first's delay (see
+// TestCacheKeyIncludesLoad); neither may two stages whose node names spell
+// each other's text form (TestCacheKeySeparatorInNames).
 package sta
 
 import (
@@ -33,7 +35,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,6 @@ type Analyzer struct {
 
 	// fp memoizes raw-key → canonical-class-key resolutions (Memo mode).
 	fp fpTable
-	// keys interns cache-key strings so warm Analyzes build keys in reused
-	// byte buffers and materialize no strings (see arena.go).
-	keys internTable
 	// scratch pools the per-Analyze arena (see arena.go).
 	scratch sync.Pool
 
@@ -245,27 +243,19 @@ type Result struct {
 	ECO ECOStats
 }
 
-// outEval is the per-(stage, output) evaluation context, memoized once per
-// Analyze call: the expensive stage-content key (edge sort + formatting)
-// plus the output's load map and its canonical digest. Both directions of an
-// output share one outEval, so the cache-lookup path in evalItem is reduced
-// to a cheap string concatenation — previously every lookup (hit or miss)
-// re-sorted and re-formatted the stage's edges.
+// outEval is the per-(stage, output) evaluation context, built once per
+// Analyze call in the gather phase: the output's load map and the two
+// per-direction keys. Both directions of an output share one outEval, so the
+// cache-lookup path in evalItem only copies a key and fills in the slew
+// bucket.
 type outEval struct {
-	// contentKey is stageKey(st, out) + "|" + loadDigest(loads) + the
-	// reduction signature: everything that determines the stage's timing
-	// except direction and input slew.
-	contentKey string
-	loads      map[string]float64
-	// baseFall/baseRise are the per-direction key prefixes the lookup path
-	// appends the slew-bucket suffix to: the raw contentKey+"|"+rail form,
-	// or — when Memo resolved a structural class for the direction — the
-	// canonical "C|…" class base shared by every member stage.
-	baseFall, baseRise string
-	// memoFall/memoRise mark canonical bases; their evaluations snap (or
-	// interpolate) the input slew to bucket boundaries so the shared entry
-	// is a pure function of the class key.
-	memoFall, memoRise bool
+	loads map[string]float64
+	// keyFall/keyRise are the per-direction keys with a zero bucket: the raw
+	// content digest (contentDigest), or — when Memo resolved a structural
+	// class for the direction — the class key shared by every member stage,
+	// whose evaluations snap (or interpolate) the input slew to bucket
+	// boundaries so the shared entry is a pure function of the key.
+	keyFall, keyRise Key
 }
 
 // workItem is one independent evaluation: a stage output switching toward
@@ -283,13 +273,9 @@ type workItem struct {
 	level  int
 	idx    int
 	timing dirTiming
-	// keyBuf is the item's reusable cache-key assembly buffer (worker-local
-	// by construction: exactly one worker resolves each item).
-	keyBuf []byte
 }
 
-// resetItem refills a pooled workItem slot in place, preserving only its
-// key buffer's capacity.
+// resetItem refills a pooled workItem slot in place.
 func resetItem(w *workItem, st *circuit.Stage, out string, ev *outEval, rail string, inSlew float64, level, idx int) {
 	w.st, w.out, w.ev, w.rail = st, out, ev, rail
 	w.inSlew, w.level, w.idx = inSlew, level, idx
@@ -399,11 +385,11 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 }
 
 // evalItem resolves one work item through the delay cache, computing the
-// direction timing on a miss. The cache key is the memoized per-direction
-// base (raw stage-content + load-digest + rail, or the canonical class base
-// in Memo mode) plus the input-slew bucket; omitting the load digest was the
-// aliasing bug that let structurally identical stages with different fanout
-// share one entry.
+// direction timing on a miss. The cache key is the per-direction key built in
+// the gather phase (raw content digest, or the class key in Memo mode) plus
+// the input-slew bucket; the content digest covers the load map, whose
+// omission was the aliasing bug that let structurally identical stages with
+// different fanout share one entry.
 //
 // rec is the per-Analyze observation recorder; nil means no observer and no
 // metrics registry are attached, and the fast path then performs exactly
@@ -430,33 +416,32 @@ const slewPitch = 5e-12
 // pure function of the key, so WHICH class member computes it is
 // irrelevant — or, in Interp mode, evaluate both bounding bucket boundaries
 // and linearly interpolate delay and slew at the exact input slew.
-// Keys are assembled into the item's reusable buffer — the warm (all-hits)
-// path materializes no strings at all; a miss pays one string conversion
-// when the cache installs the entry.
+// The lookup copies the gathered key and fills in the bucket: no formatting,
+// no hashing beyond the map's own.
 func (a *Analyzer) resolveTiming(it *workItem, trace *obs.TraceRef) (dirTiming, bool) {
-	base, memo := it.ev.baseFall, it.ev.memoFall
+	key := &it.ev.keyFall
 	if it.rail == circuit.SupplyNode {
-		base, memo = it.ev.baseRise, it.ev.memoRise
+		key = &it.ev.keyRise
 	}
 	bucket := slewBucket(it.inSlew)
-	if !memo {
-		return a.lookupOrEval(it.appendKey(base, "|", bucket), it, trace, it.inSlew)
+	if !key.class() {
+		return a.lookupOrEval(key.withBucket(bucket), it, trace, it.inSlew)
 	}
 	floor := float64(bucket) * slewPitch
 	if !a.cfg.Memo.Interp {
-		return a.lookupOrEval(it.appendKey(base, "|b", bucket), it, trace, floor)
+		return a.lookupOrEval(key.withBucket(bucket), it, trace, floor)
 	}
-	// Interp shares the "|b" bucket-floor namespace with snap mode: both
-	// evaluate at exactly the boundary slew with identical inputs, so a
-	// separate interp namespace only duplicated every boundary entry (and a
-	// boundary-sitting slew, frac == 0, paid an eval snap mode had cached).
-	t0, c0 := a.lookupOrEval(it.appendKey(base, "|b", bucket), it, trace, floor)
+	// Interp shares the class namespace with snap mode: both evaluate at
+	// exactly the boundary slew with identical inputs, so a separate interp
+	// namespace only duplicated every boundary entry (and a boundary-sitting
+	// slew, frac == 0, paid an eval snap mode had cached).
+	t0, c0 := a.lookupOrEval(key.withBucket(bucket), it, trace, floor)
 	frac := (it.inSlew - floor) / slewPitch
 	if frac <= 0 || !t0.ok {
 		return t0, c0
 	}
 	ceil := float64(bucket+1) * slewPitch
-	t1, c1 := a.lookupOrEval(it.appendKey(base, "|b", bucket+1), it, trace, ceil)
+	t1, c1 := a.lookupOrEval(key.withBucket(bucket+1), it, trace, ceil)
 	if !t1.ok {
 		// The upper boundary failed (budget chaos, pathological geometry):
 		// fall back to the floor evaluation rather than half an interpolant.
@@ -465,52 +450,47 @@ func (a *Analyzer) resolveTiming(it *workItem, trace *obs.TraceRef) (dirTiming, 
 	return lerpTiming(t0, t1, frac), c0 || c1
 }
 
-// appendKey assembles base + sep + bucket into the item's key buffer.
-func (it *workItem) appendKey(base, sep string, bucket int) []byte {
-	kb := append(it.keyBuf[:0], base...)
-	kb = append(kb, sep...)
-	kb = strconv.AppendInt(kb, int64(bucket), 10)
-	it.keyBuf = kb
-	return kb
-}
-
 // lookupOrEval resolves one cache key, computing the direction timing through
 // the degradation ladder when this caller wins the single-flight race. The
 // second return is true when THIS caller performed the compute (an
 // evaluation — a persistent-tier hit hydrates the in-memory entry without
 // computing, and followers then see an ordinary hit).
-func (a *Analyzer) lookupOrEval(key []byte, it *workItem, trace *obs.TraceRef, inSlew float64) (dirTiming, bool) {
-	e, leader := a.cache.acquire(key)
+func (a *Analyzer) lookupOrEval(key Key, it *workItem, trace *obs.TraceRef, inSlew float64) (dirTiming, bool) {
+	e, leader := a.cache.acquire(&key)
 	if !leader {
-		<-e.ready
+		e.ready.Wait()
 		return e.val, false
 	}
-	ks := string(key)
 	// Persistent tier read-through: the single-flight leader consults the
 	// tiers below before paying an evaluation. A hit hydrates the in-memory
-	// entry — every close(e.ready) path below runs exactly once, so a
+	// entry — every e.ready.Done path below runs exactly once, so a
 	// cancelled or corrupt store can never strand followers.
 	if len(a.cfg.Tiers) > 0 {
-		if te, ok := a.tierGet(trace, it, ks); ok {
+		if te, ok := a.tierGet(trace, it, &key); ok {
 			e.val = te.timing()
-			close(e.ready)
+			e.ready.Done()
 			return e.val, false
 		}
 	}
 	a.cache.evals.Add(1)
-	// Fault site: a brief sleep inside the single-flight compute, simulating
-	// shard contention or a slow leader; results must be bit-for-bit
-	// unaffected (latency-only fault).
-	a.cfg.FaultPlan.Stall(faultinject.CacheStall, ks)
+	// Fault sites are keyed by the hex key, built only under a fault plan.
+	var faultKey string
+	if a.cfg.FaultPlan != nil {
+		faultKey = key.String()
+		// Fault site: a brief sleep inside the single-flight compute,
+		// simulating shard contention or a slow leader; results must be
+		// bit-for-bit unaffected (latency-only fault).
+		a.cfg.FaultPlan.Stall(faultinject.CacheStall, faultKey)
+	}
 	// Resolve through the degradation ladder. A direction with no conducting
 	// path to this rail stays failed (the apply phase errors only if both
 	// directions are missing); numerical failures escalate tier by tier and
 	// come back degraded-but-complete.
-	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, inSlew, ks)
-	close(e.ready)
-	// Write-behind AFTER ready is closed: followers never wait on the store.
+	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, inSlew, faultKey)
+	e.ready.Done()
+	// Write-behind AFTER ready is released: followers never wait on the store.
 	if len(a.cfg.Tiers) > 0 {
-		a.tierPut(trace, it, ks, tierEntryOf(e.val))
+		a.tierPut(trace, it, &key, tierEntryOf(e.val))
 	}
 	return e.val, true
 }
@@ -672,26 +652,6 @@ func (ix *loadIndex) stageLoadsInto(m map[string]float64, st *circuit.Stage, out
 // stageLoads is stageLoadsInto with a fresh map (tests and one-off callers).
 func (ix *loadIndex) stageLoads(st *circuit.Stage, out string) map[string]float64 {
 	return ix.stageLoadsInto(map[string]float64{}, st, out)
-}
-
-// loadDigest canonically encodes a stage output's load map — the third
-// input to evalDirection after stage content and stimulus — as sorted
-// node:cap pairs at fixed precision (6 significant digits; load differences
-// below that are far under timing resolution and should share an entry).
-// Two structurally identical stages driving different fanout get different
-// digests and therefore distinct cache entries; omitting this from the key
-// made the second stage silently inherit the first's delay.
-func loadDigest(loads map[string]float64) string {
-	var s analyzeScratch
-	return string(s.appendLoadDigest(nil, loads))
-}
-
-// stageKey identifies a stage's timing-relevant content: its devices,
-// geometry and connectivity, plus the observed output. The hot path uses
-// appendStageKey directly; this wrapper exists for tests and cold callers.
-func stageKey(st *circuit.Stage, out string) string {
-	var s analyzeScratch
-	return string(s.appendStageKey(nil, st, out))
 }
 
 // errLoop is the combinational-loop rejection raised by levelize; the caller

@@ -16,8 +16,8 @@ type MemoryTier struct {
 	capN int
 
 	mu    sync.Mutex
-	m     map[string]TierEntry
-	order []string // insertion order of live keys, for FIFO eviction
+	m     map[Key]TierEntry
+	order []Key // insertion order of live keys, for FIFO eviction
 
 	hits, misses, puts, evictions atomic.Int64
 }
@@ -28,14 +28,14 @@ func NewMemoryTier(capN int) *MemoryTier {
 	if capN <= 0 {
 		capN = 4096
 	}
-	return &MemoryTier{capN: capN, m: make(map[string]TierEntry, capN)}
+	return &MemoryTier{capN: capN, m: make(map[Key]TierEntry, capN)}
 }
 
 // Name implements TierStore.
 func (t *MemoryTier) Name() string { return "memory" }
 
 // Get implements TierStore.
-func (t *MemoryTier) Get(_ context.Context, key string) (TierEntry, bool) {
+func (t *MemoryTier) Get(_ context.Context, key Key) (TierEntry, bool) {
 	if t == nil {
 		return TierEntry{}, false
 	}
@@ -52,7 +52,7 @@ func (t *MemoryTier) Get(_ context.Context, key string) (TierEntry, bool) {
 
 // Put implements TierStore: insertion evicts the oldest entries beyond the
 // cap. Overwriting an existing key keeps its original eviction position.
-func (t *MemoryTier) Put(_ context.Context, key string, e TierEntry) {
+func (t *MemoryTier) Put(_ context.Context, key Key, e TierEntry) {
 	if t == nil {
 		return
 	}

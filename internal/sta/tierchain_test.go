@@ -10,17 +10,18 @@ func TestMemoryTierFIFOEviction(t *testing.T) {
 	ctx := context.Background()
 	mt := NewMemoryTier(2)
 	e := TierEntry{OK: true, Delay: 1, Tier: uint8(TierQWM)}
-	mt.Put(ctx, "a", e)
-	mt.Put(ctx, "b", e)
+	a, b, c := Key{'a'}, Key{'b'}, Key{'c'}
+	mt.Put(ctx, a, e)
+	mt.Put(ctx, b, e)
 	// Overwrite must not create a duplicate eviction slot.
-	mt.Put(ctx, "a", e)
-	mt.Put(ctx, "c", e) // evicts "a" (oldest insertion)
-	if _, ok := mt.Get(ctx, "a"); ok {
+	mt.Put(ctx, a, e)
+	mt.Put(ctx, c, e) // evicts a (oldest insertion)
+	if _, ok := mt.Get(ctx, a); ok {
 		t.Error("oldest key survived eviction")
 	}
-	for _, k := range []string{"b", "c"} {
+	for _, k := range []Key{b, c} {
 		if _, ok := mt.Get(ctx, k); !ok {
-			t.Errorf("key %q evicted prematurely", k)
+			t.Errorf("key %s evicted prematurely", k)
 		}
 	}
 	s := mt.Stats()

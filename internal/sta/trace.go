@@ -16,15 +16,15 @@ import (
 
 // tierGet is the leader's read through Config.Tiers: probe the stores in
 // order, treat an entry failing Valid as a miss, and promote a hit into every
-// earlier store. Span IDs embed a short content hash of the key: one eval may
-// perform two lookups (slew-bucket interpolation), and sibling probe groups
-// must not collide.
-func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierEntry, bool) {
+// earlier store. Span IDs embed a short hash of the key: one eval may perform
+// two lookups (slew-bucket interpolation), and sibling probe groups must not
+// collide.
+func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key *Key) (TierEntry, bool) {
 	ctx := context.Background()
 	var evalID, groupID string
 	if trace.T != nil {
 		evalID = evalSpanID(trace.Parent, it)
-		groupID = evalID + ".k" + obs.KeyHash(key)
+		groupID = evalID + ".k" + obs.KeyHash(key[:])
 	}
 	for j, st := range a.cfg.Tiers {
 		var (
@@ -39,7 +39,7 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 			})
 			start = time.Now()
 		}
-		e, ok := st.Get(ctx, key)
+		e, ok := st.Get(ctx, *key)
 		hit := ok && e.Valid()
 		if trace.T != nil {
 			trace.T.Add(obs.ReqSpan{
@@ -53,7 +53,7 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 			// Promotion carries no trace: the peer sees the write, but it
 			// belongs to no probe span.
 			for _, earlier := range a.cfg.Tiers[:j] {
-				earlier.Put(context.Background(), key, e)
+				earlier.Put(context.Background(), *key, e)
 			}
 			return e, true
 		}
@@ -64,16 +64,16 @@ func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key string) (TierE
 // tierPut is the leader's write-behind: the entry goes to every store. Traced,
 // the context names the eval's put span, which a remote store stamps on its
 // asynchronous PUT for the peer's correlation (no span is merged back).
-func (a *Analyzer) tierPut(trace *obs.TraceRef, it *workItem, key string, e TierEntry) {
+func (a *Analyzer) tierPut(trace *obs.TraceRef, it *workItem, key *Key, e TierEntry) {
 	ctx := context.Background()
 	if trace.T != nil {
 		ctx = obs.ContextWithTrace(ctx, obs.TraceRef{
-			T: trace.T, Parent: evalSpanID(trace.Parent, it) + ".k" + obs.KeyHash(key) + ".put",
+			T: trace.T, Parent: evalSpanID(trace.Parent, it) + ".k" + obs.KeyHash(key[:]) + ".put",
 			Level: it.level, Item: it.idx,
 		})
 	}
 	for _, st := range a.cfg.Tiers {
-		st.Put(ctx, key, e)
+		st.Put(ctx, *key, e)
 	}
 }
 

@@ -242,7 +242,7 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 			c := remotecache.New("http://dead.invalid", "sig", opts)
 			defer c.Close()
 			for i := 0; i < 11; i++ {
-				c.Get(context.Background(), fmt.Sprintf("k%d", i))
+				c.Get(context.Background(), sta.Key{byte(i)})
 				states = append(states, c.BreakerState().String())
 			}
 			return states, tr.attempts.Load()
