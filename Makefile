@@ -7,10 +7,10 @@
 # 429 backpressure under a flooded queue), the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
-# observed-analyze, warm-cache, hot-path wide, incremental-reanalysis and
+# observed-analyze, warm-cache, hot-path wide, re-analysis-after-edit and
 # warm-disk-service benchmarks, a small-budget differential-verification
 # sweep, a small fault-injection (chaos) sweep over every fault class, the
-# incremental (ECO) edit-sequence differential, the service-path
+# edit-sequence (eco) differential over warm analyzers, the service-path
 # differential (wire bit-transparency, warm-disk restart, chaos through
 # POST /analyze, trace determinism), and the remote-cache gates: the
 # two-replica shared-tier smoke plus the kill/restart race tests — untraced
@@ -116,13 +116,14 @@ service-smoke:
 # secant-capacitance second pass vs frozen capacitances, the
 # observability-overhead comparison (bare vs observer vs metrics), the
 # warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
-# vs on), incremental re-analysis, the warm-disk service path, the warm
-# service path untraced and traced (flight recorder + metrics) and the
-# junction-table lookup against the exact junction model. It checks
-# that they run; performance is measured by perfbench (BENCHMARK.json).
+# vs on), re-analysis after an edit (fresh vs warm analyzer), the warm-disk
+# service path, the warm service path untraced and traced (flight recorder
+# + metrics) and the junction-table lookup against the exact junction
+# model. It checks that they run; performance is measured by perfbench
+# (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
+	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|ReanalyzeAfterEdit' -benchtime 1x -benchmem ./internal/sta/
 	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced' -benchtime 1x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/
 
@@ -152,15 +153,18 @@ chaos:
 chaos-full:
 	$(GO) run ./cmd/verify -chaos -seed 1 -chaos-n 8
 
-# Incremental (ECO) gate: the randomized edit-sequence differential —
-# incremental vs from-scratch bit equality across the feature matrix plus
-# dirty-cone minimality — and the TierSpice cross-member identity pin from
-# the class-memoization fix. Exits non-zero on any mismatch.
+# Edit-sequence gate: the randomized edit-sequence differential over warm
+# analyzers — resizes, junction-geometry changes, load changes and buffer
+# insertions; warm serial vs parallel bit equality across the feature
+# matrix, memo variants vs a cold analyzer, every edit evaluating at least
+# one and at most its structural bound of directions, no-op re-runs
+# evaluating nothing — and the TierSpice cross-member identity pin from the
+# class-memoization fix. Exits non-zero on any mismatch.
 eco:
 	$(GO) run ./cmd/verify -eco -seed 1 -eco-edits 4 -o /dev/null
 	$(GO) test -run 'TestSpiceCrossMemberBitIdentity|TestEvalSpicePathCanonical' -count=1 ./internal/sta/
 
-# The full ECO acceptance sweep (longer edit sequences, JSON on stdout).
+# The full edit-sequence sweep (longer edit sequences, JSON on stdout).
 eco-full:
 	$(GO) run ./cmd/verify -eco -seed 1 -eco-edits 8
 

@@ -28,13 +28,6 @@
 // snapping to the bucket floor. -cache-stats then also reports how many RC
 // nodes the pre-pass removed and the class count/hit tallies.
 //
-// -eco routes the analysis through the incremental (ECO) scheduler and then
-// re-runs it: the second pass diffs per-stage content digests against the
-// first, finds nothing dirty, and replays every arrival from the memo with
-// zero solver work — the flow an edit-measure-edit optimization loop runs
-// thousands of times (see internal/sizing). Both passes print a
-// dirty/skipped/early-stop summary line.
-//
 // Evaluations that fail to converge (or exhaust -nr-budget / -wall-budget)
 // escalate a degradation ladder — QWM Newton, QWM bisection, adaptive
 // transient, conservative RC bound — so the report is always complete; a
@@ -46,10 +39,9 @@
 // level and one per work item with its cache outcome, tier and solver
 // statistics, each eval on its worker's lane (load it in Perfetto).
 // -trace-deterministic writes the schedule-independent variant instead,
-// byte-identical at any -workers. Under -eco both passes land in the one
-// trace. -metrics-json output is the versioned v1 metrics envelope. To serve
-// analyses over HTTP — POST /analyze, /metrics, /healthz, /trace — run
-// cmd/stad.
+// byte-identical at any -workers. -metrics-json output is the versioned v1
+// metrics envelope. To serve analyses over HTTP — POST /analyze, /metrics,
+// /healthz, /trace — run cmd/stad.
 //
 //	sta -deck decoder.sp -outputs y0,y1 -trace run.trace.json
 package main
@@ -61,7 +53,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -88,7 +79,6 @@ func main() {
 		redTol   = flag.Float64("reduce", 0, "enable the RC-chain reduction pre-pass with this moment-mismatch tolerance in percent (0 = off)")
 		memo     = flag.Bool("memo", false, "enable equivalence-class stage memoization (evaluation slew snapped to 5 ps buckets)")
 		interp   = flag.Bool("interp", false, "with -memo, interpolate between slew-bucket boundary evaluations instead of floor-snapping")
-		eco      = flag.Bool("eco", false, "run through the incremental (ECO) scheduler and demonstrate a no-op re-run: the second pass diffs per-stage content digests against the first and replays everything clean")
 		trace    = flag.String("trace", "", "write the analysis as Chrome trace-event JSON to this file")
 		traceDet = flag.Bool("trace-deterministic", false, "write the deterministic trace variant (synthetic clock, schedule-independent; byte-identical at any -workers)")
 	)
@@ -101,7 +91,7 @@ func main() {
 	if *interp && !*memo {
 		fmt.Fprintln(os.Stderr, "sta: -interp has no effect without -memo")
 	}
-	feat := hotPathFlags{reduceTol: *redTol, memo: *memo, interp: *interp, eco: *eco}
+	feat := hotPathFlags{reduceTol: *redTol, memo: *memo, interp: *interp}
 	if err := run(*deckPath, *inputs, *outputs, *verbose, *workers, budget, feat, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "sta:", err)
 		os.Exit(1)
@@ -115,11 +105,10 @@ type opsOptions struct {
 	traceDet           bool
 }
 
-// hotPathFlags bundles the accelerator knobs (-reduce/-memo/-interp/-eco).
+// hotPathFlags bundles the accelerator knobs (-reduce/-memo/-interp).
 type hotPathFlags struct {
 	reduceTol    float64
 	memo, interp bool
-	eco          bool
 }
 
 func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta.EvalBudget, feat hotPathFlags, ops opsOptions) error {
@@ -171,25 +160,16 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 		cfg.Metrics = obs.NewRegistry()
 	}
 	a := sta.New(tech, lib, cfg)
-	req := sta.Request{
-		Netlist: deck.Netlist, Primary: primary, Outputs: outs,
-		Incremental: feat.eco,
-	}
-	// With -trace every pass runs under its own reference into one request
-	// trace (distinct parents and items, so the -eco re-run's span IDs never
-	// collide with the first pass's); the engine bridges its span stream in.
+	req := sta.Request{Netlist: deck.Netlist, Primary: primary, Outputs: outs}
+	// With -trace the analysis runs under a reference into one request
+	// trace; the engine bridges its span stream in.
 	var trace *obs.ActiveTrace
+	ctx := context.Background()
 	if ops.tracePath != "" {
 		trace = obs.NewActiveTrace("")
+		ctx = obs.ContextWithTrace(ctx, obs.TraceRef{T: trace, Parent: "sta.r0"})
 	}
-	analyze := func(pass int) (*sta.Result, error) {
-		ctx := context.Background()
-		if trace != nil {
-			ctx = obs.ContextWithTrace(ctx, obs.TraceRef{T: trace, Parent: "sta.r" + strconv.Itoa(pass), Item: pass})
-		}
-		return a.AnalyzeContext(ctx, req)
-	}
-	res, err := analyze(0)
+	res, err := a.AnalyzeContext(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -201,19 +181,6 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 		// A degraded run still reports complete arrivals, but the operator
 		// must see which directions came from a fallback tier.
 		fmt.Printf("DEGRADED: %s\n", res.Diagnostics)
-	}
-	if feat.eco {
-		fmt.Printf("eco: %d dirty, %d skipped, %d early-stops\n",
-			res.ECO.DirtyStages, res.ECO.SkippedStages, res.ECO.EarlyStops)
-		// The first incremental call has no baseline, so everything above is
-		// dirty; the re-run shows the ECO payoff on an unedited deck — every
-		// stage replays from the memo with zero solver work.
-		rerun, err := analyze(1)
-		if err != nil {
-			return fmt.Errorf("eco re-run: %w", err)
-		}
-		fmt.Printf("eco re-run: %d dirty, %d skipped, %d early-stops, %d stage evaluations\n",
-			rerun.ECO.DirtyStages, rerun.ECO.SkippedStages, rerun.ECO.EarlyStops, rerun.StagesEvaluated)
 	}
 	if ops.stats {
 		cs := a.CacheStats()

@@ -41,7 +41,7 @@ func main() {
 		chaosN    = flag.Int("chaos-n", 6, "number of generated analyze cases in the chaos sweep")
 		chaosRate = flag.Float64("chaos-rate", 1, "per-class firing rate in (0,1]; 1 arms the strict tier-coverage assertions")
 
-		eco      = flag.Bool("eco", false, "run the incremental (ECO) edit-sequence differential instead: randomized resize/load/buffer edits, incremental vs from-scratch bit equality plus dirty-cone minimality")
+		eco      = flag.Bool("eco", false, "run the edit-sequence differential instead: randomized resize/junction/load/buffer edits re-analyzed on warm analyzers, serial vs parallel bit equality, memo vs cold, and per-edit evaluation bounds")
 		ecoEdits = flag.Int("eco-edits", 6, "number of edit steps per (workload, variant) sequence in the eco sweep")
 
 		svc = flag.Bool("service", false, "run the service-path differential instead: direct-vs-wire bit identity, warm-disk restart with >=90% hit rate, and the chaos contract through POST /analyze")

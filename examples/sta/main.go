@@ -43,7 +43,8 @@ func main() {
 		fmt.Printf("  %-4s rise %7.2f  fall %7.2f\n", net, ar.Rise*1e12, ar.Fall*1e12)
 	}
 
-	// Incremental: double the width of the first NAND's devices and re-run.
+	// Re-analysis after an edit: double the width of the first NAND's
+	// devices and re-run on the same, warm analyzer.
 	for _, t := range nl.Transistors[:3] {
 		t.W *= 2
 	}

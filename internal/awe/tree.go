@@ -178,9 +178,3 @@ type WireRC struct {
 func (w WireRC) Totals(length float64) (r, c float64) {
 	return w.ROhmPerM * length, w.CFPerM * length
 }
-
-// ElmoreWithLoad returns the Elmore delay of the π driving an extra load:
-// R·(CFar + CLoad); convenience for the switch-level baseline.
-func (p Pi) ElmoreWithLoad(cl float64) float64 {
-	return p.R * (p.CFar + cl)
-}

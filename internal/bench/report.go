@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"qwm/internal/devmodel"
@@ -261,9 +260,4 @@ func (h *Harness) waveformPairs(w *stages.Workload, tstop float64) ([]*Series, e
 		series = append(series, qs, ss)
 	}
 	return series, nil
-}
-
-// SortRows orders rows by name for deterministic output.
-func SortRows(rows []*Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 }

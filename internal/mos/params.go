@@ -61,9 +61,6 @@ type Tech struct {
 	Temp   float64 // kelvin
 }
 
-// VT returns the thermal voltage kT/q at the technology temperature.
-func (t *Tech) VT() float64 { return 8.617333e-5 * t.Temp }
-
 // CMOSP18 returns a parameter set representative of a 0.18 µm, 1.8 V bulk
 // CMOS process — a second technology node exercising the same machinery at
 // lower voltage headroom and stronger velocity saturation. The values are

@@ -336,13 +336,6 @@ func (s *Server) TierStoreFor(signature string) (sta.TierStore, error) {
 	return s.pool.tierStoreFor(signature)
 }
 
-// RemoteBreakers snapshots every remote-cache client's circuit-breaker
-// state, keyed by analyzer signature; nil when no remote tier is
-// configured or no analyzer has been pooled yet.
-func (s *Server) RemoteBreakers() map[string]remotecache.BreakerState {
-	return s.pool.breakerStates()
-}
-
 // Healthy implements the /healthz hook: degraded while the queue is
 // saturated (admission would shed). An open remote-cache breaker is
 // REPORTED in the detail but does not degrade health — the tier is an

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qwm/internal/circuit"
+	"qwm/internal/netlist"
 )
 
 // loadedInverter builds a single inverter in -> out with the given explicit
@@ -208,26 +209,63 @@ func TestCacheKeySeparatorInNames(t *testing.T) {
 	if stageKey(stA, "out") != stageKey(stB, "out") {
 		t.Fatalf("decks no longer alias under the text key:\nA %s\nB %s", stageKey(stA, "out"), stageKey(stB, "out"))
 	}
-	ref, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, Request{Netlist: deckA, Outputs: outs})
+	requireWarmMatchesFresh(t, deckB, deckA, outs)
+}
+
+// junctionInverter is one inverter driving 10 fF whose devices both declare
+// the drain area ad (no perimeter), parsed from deck text.
+func junctionInverter(t *testing.T, ad string) *circuit.Netlist {
+	t.Helper()
+	d, err := netlist.ParseString("* inverter\n" +
+		"M1 out in 0 0 NMOS W=1u L=0.35u AD=" + ad + "\n" +
+		"M2 out in vdd vdd PMOS W=2u L=0.35u AD=" + ad + "\n" +
+		"CL out 0 10f\n.end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Netlist
+}
+
+// TestCacheKeyJunctionGeometry: qwm.Build charges a path node with the
+// declared junction geometry (AD/PD/AS/PS) of the device terminals on it,
+// but the key covered only kind, nodes, gate, W, L and R, so two decks
+// differing only in a drain area shared entries: after AD=1p, a warm
+// analyzer answered AD=20p from the 1p entries with 0 evaluations (fall
+// 28.06 ps against 90.79 ps fresh). The digest now encodes each device's
+// junctions, so AD=20p must evaluate and match a fresh serial analyzer bit
+// for bit, on a memory-warm analyzer and over a disk namespace warmed with
+// AD=1p.
+func TestCacheKeyJunctionGeometry(t *testing.T) {
+	small, large := junctionInverter(t, "1p"), junctionInverter(t, "20p")
+	requireWarmMatchesFresh(t, small, large, []string{"out"})
+}
+
+// requireWarmMatchesFresh analyzes deck on an analyzer warmed with warmDeck —
+// in memory, and over a disk namespace warmed by another analyzer — and
+// requires that deck evaluates at least one direction and matches a fresh
+// Workers = 1 analyzer bit for bit: warmDeck's entries must not answer it.
+func requireWarmMatchesFresh(t *testing.T, warmDeck, deck *circuit.Netlist, outs []string) {
+	t.Helper()
+	ref, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, Request{Netlist: deck, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(t *testing.T, got *Result) {
 		t.Helper()
 		if got.StagesEvaluated == 0 {
-			t.Error("deck A evaluated 0 stages: answered from deck B's entries")
+			t.Error("deck evaluated 0 stages: answered from the warm deck's entries")
 		}
 		if !reflect.DeepEqual(got.Arrivals, ref.Arrivals) {
-			t.Errorf("deck A arrivals %+v, fresh serial analyzer %+v", got.Arrivals["out"], ref.Arrivals["out"])
+			t.Errorf("warm arrivals %+v, fresh serial analyzer %+v", got.Arrivals, ref.Arrivals)
 		}
 	}
 
 	t.Run("memory-warm", func(t *testing.T) {
 		a := New(tech, lib)
-		if _, err := a.AnalyzeContext(nil, Request{Netlist: deckB, Outputs: outs}); err != nil {
+		if _, err := a.AnalyzeContext(nil, Request{Netlist: warmDeck, Outputs: outs}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.AnalyzeContext(nil, Request{Netlist: deckA, Outputs: outs})
+		got, err := a.AnalyzeContext(nil, Request{Netlist: deck, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +286,7 @@ func TestCacheKeySeparatorInNames(t *testing.T) {
 			}
 			return res
 		}
-		analyze(deckB)
-		check(t, analyze(deckA))
+		analyze(warmDeck)
+		check(t, analyze(deck))
 	})
 }

@@ -74,7 +74,7 @@ type Config struct {
 // (chaos runs use dedicated analyzers that are never pooled), and Tiers
 // (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
-	return fmt.Sprintf("qwm5|red:%s|memo:%s|nr:%d|wallns:%d",
+	return fmt.Sprintf("qwm6|red:%s|memo:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
 
@@ -100,16 +100,17 @@ type TierEntry struct {
 // Valid reports whether the entry could have been produced by this engine
 // version — the cheap semantic check stores run after checksum verification,
 // so a decodable-but-nonsensical record is treated as a miss rather than
-// poisoning an analysis.
+// poisoning an analysis. A successful entry must carry a finite delay and
+// slew: the engine never produces NaN or ±Inf there, so one read from a
+// disk record or a peer's PUT is corrupt or hostile.
 func (e TierEntry) Valid() bool {
 	if Tier(e.Tier) >= NumTiers {
 		return false
 	}
-	if e.OK && (math.IsNaN(e.Delay) || math.IsNaN(e.Slew)) {
-		return false
-	}
-	return true
+	return !e.OK || finite(e.Delay) && finite(e.Slew)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // TierStore is a read-through/write-behind store below the in-memory delay
 // cache: the single-flight leader consults Get before evaluating and calls

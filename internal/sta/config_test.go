@@ -2,6 +2,7 @@ package sta
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -39,13 +40,13 @@ func TestConfigSignature(t *testing.T) {
 // written by an older engine is never re-opened. It also changes with the
 // key format, so no namespace is read under keys it was not written with:
 // qwm5 keys every tier by the fixed-width digest Key instead of qwm4's text
-// keys.
+// keys, and qwm6 adds each device's junction geometry to the digest.
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm5|red:|memo:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm6|red:|memo:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
-	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm5|") {
-		t.Errorf("signature %q lacks the qwm5 engine tag", sig)
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm6|") {
+		t.Errorf("signature %q lacks the qwm6 engine tag", sig)
 	}
 }
 
@@ -140,8 +141,9 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 }
 
 // TestTierStoreInvalidEntryIsMiss: a store handing back a nonsensical entry
-// (wrong engine version, corrupt tier byte) must be treated as a miss — and
-// an invalid entry in an early store must not shadow a valid later one.
+// (wrong engine version, corrupt tier byte, a non-finite delay or slew) must
+// be treated as a miss — and an invalid entry in an early store must not
+// shadow a valid later one.
 func TestTierStoreInvalidEntryIsMiss(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 	req := Request{Netlist: nl, Primary: primary, Outputs: outs}
@@ -152,41 +154,55 @@ func TestTierStoreInvalidEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	invalid, shadow, good := newMapTierStore(), newMapTierStore(), newMapTierStore()
-	for k, e := range valid.m {
-		good.m[k] = e
-		e.Tier = uint8(NumTiers) + 3
-		invalid.m[k] = e
-		shadow.m[k] = e
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*TierEntry)
+	}{
+		{"tier byte", func(e *TierEntry) { e.Tier = uint8(NumTiers) + 3 }},
+		{"inf delay", func(e *TierEntry) { e.Delay = math.Inf(1) }},
+		{"inf slew", func(e *TierEntry) { e.Slew = math.Inf(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			invalid, shadow, good := newMapTierStore(), newMapTierStore(), newMapTierStore()
+			for k, e := range valid.m {
+				if !e.OK {
+					t.Fatalf("reference entry %v failed", k)
+				}
+				good.m[k] = e
+				tc.corrupt(&e)
+				invalid.m[k] = e
+				shadow.m[k] = e
+			}
 
-	// Alone, the invalid store hydrates nothing.
-	res, err := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{invalid}}).AnalyzeContext(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StagesEvaluated != ref.StagesEvaluated {
-		t.Errorf("invalid entries: evaluated %d, want a full re-evaluation of %d",
-			res.StagesEvaluated, ref.StagesEvaluated)
-	}
-	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
-		t.Error("re-evaluation after invalid entries diverged from reference")
-	}
+			// Alone, the invalid store hydrates nothing.
+			res, err := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{invalid}}).AnalyzeContext(nil, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StagesEvaluated != ref.StagesEvaluated {
+				t.Errorf("invalid entries: evaluated %d, want a full re-evaluation of %d",
+					res.StagesEvaluated, ref.StagesEvaluated)
+			}
+			if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
+				t.Error("re-evaluation after invalid entries diverged from reference")
+			}
 
-	// In front of a valid store, every lookup falls through to it, and the
-	// promotion overwrites the invalid entries.
-	res, err = New(tech, lib, Config{Workers: 1, Tiers: []TierStore{shadow, good}}).AnalyzeContext(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StagesEvaluated != 0 {
-		t.Errorf("invalid early entries shadowed valid later ones: evaluated %d stages, want 0", res.StagesEvaluated)
-	}
-	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
-		t.Error("fall-through past invalid entries diverged from reference")
-	}
-	if !reflect.DeepEqual(shadow.m, valid.m) {
-		t.Error("the valid entries were not promoted over the invalid ones")
+			// In front of a valid store, every lookup falls through to it, and
+			// the promotion overwrites the invalid entries.
+			res, err = New(tech, lib, Config{Workers: 1, Tiers: []TierStore{shadow, good}}).AnalyzeContext(nil, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StagesEvaluated != 0 {
+				t.Errorf("invalid early entries shadowed valid later ones: evaluated %d stages, want 0", res.StagesEvaluated)
+			}
+			if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
+				t.Error("fall-through past invalid entries diverged from reference")
+			}
+			if !reflect.DeepEqual(shadow.m, valid.m) {
+				t.Error("the valid entries were not promoted over the invalid ones")
+			}
+		})
 	}
 }
 

@@ -89,40 +89,6 @@ func (t *fpTable) store(raw, canon Key, cap int) int {
 	return evicted
 }
 
-// remove deletes one resolution, reporting whether it was present.
-func (t *fpTable) remove(raw Key) bool {
-	t.mu.Lock()
-	_, ok := t.m[raw]
-	if ok {
-		delete(t.m, raw)
-	}
-	t.mu.Unlock()
-	return ok
-}
-
-// invalidateFP drops the fpTable resolutions of a stage whose content digest
-// changed (ECO dirty diffing): each per-output content digest has one memo
-// entry per rail, and after an edit both point at a class the stage no
-// longer belongs to. Without this the table accretes one dead entry per
-// edited stage for the Analyzer's lifetime. Evictions land on the
-// "sta/class/fp_evictions" metric alongside cap flushes.
-func (a *Analyzer) invalidateFP(contents []digest) {
-	n := 0
-	for i := range contents {
-		if a.fp.remove(makeKey(&contents[i], 0)) {
-			n++
-		}
-		if a.fp.remove(makeKey(&contents[i], nsRise)) {
-			n++
-		}
-	}
-	if n > 0 {
-		if a.ms != nil {
-			a.ms.fpEvictions.Add(int64(n))
-		}
-	}
-}
-
 // classKey resolves the class key for one raw (stage, output, rail) key: the
 // digest of the reduction signature and the structural fingerprint, in the
 // nsClass namespace, or the zero Key when fingerprinting is impossible and

@@ -10,25 +10,27 @@ import (
 	"strconv"
 
 	"qwm/internal/circuit"
+	"qwm/internal/mos"
 )
 
 // KeySize is the length of a Key in bytes.
 const KeySize = sha256.Size + 1 + 8
 
 // Key is the delay cache's one key format, shared by the in-memory cache,
-// Memo's class table, the ECO stage records and every TierStore:
+// Memo's class table and every TierStore:
 //
 //	[0:32]  SHA-256 content digest
 //	[32]    namespace byte: nsRise (the rail) | nsClass (Memo class digest)
 //	[33:41] slew bucket, big-endian two's complement
 //
 // A raw key's digest covers one (stage, output)'s timing-relevant content —
-// output name, canonically sorted edges, load map, reduction signature — in a
-// length-prefixed binary encoding, so node names can hold any byte (separators
-// included) without two different stages sharing a key. A class key's digest
-// covers the reduction signature and the structural fingerprint instead. The
-// digest is computed once per (stage, output) in the gather phase; a lookup
-// only copies it and fills in the bucket.
+// output name, canonically sorted edges with their junction geometry, load
+// map, reduction signature — in a length-prefixed binary encoding, so node
+// names can hold any byte (separators included) without two different
+// stages sharing a key. A class key's digest covers the reduction signature
+// and the structural fingerprint instead. The digest is computed once per
+// (stage, output) in the gather phase; a lookup only copies it and fills in
+// the bucket.
 //
 // SHA-256 rather than a faster non-cryptographic hash: keys are derived from
 // client-supplied netlists and shared across clients through the tiers, so a
@@ -80,12 +82,13 @@ func railNS(rail string) byte {
 }
 
 // contentDigest hashes the timing-relevant content of one (stage, output):
-// the output name, the stage's edges in canonical order, the output's load
-// map and the reduction signature. Two stages get equal digests exactly when
-// all of these are equal, with load caps compared at the 6-significant-digit
-// precision of their 'e' formatting (load differences below that are far
-// under timing resolution and share an entry). The encoding is assembled in
-// the scratch's reused buffers, so a warm gather allocates nothing.
+// the output name, the stage's edges in canonical order (with their devices'
+// junction geometry), the output's load map and the reduction signature. Two
+// stages get equal digests exactly when all of these are equal, with load
+// caps compared at the 6-significant-digit precision of their 'e' formatting
+// (load differences below that are far under timing resolution and share an
+// entry). The encoding is assembled in the scratch's reused buffers, so a
+// warm gather allocates nothing.
 func (s *analyzeScratch) contentDigest(st *circuit.Stage, out string, loads map[string]float64, redSig string) digest {
 	b := appendString(s.keyBuf[:0], out)
 	b = s.appendEdges(b, st)
@@ -111,6 +114,7 @@ func (s *analyzeScratch) appendEdges(b []byte, st *circuit.Stage) []byte {
 		seg = appendFloat(seg, e.W)
 		seg = appendFloat(seg, e.L)
 		seg = appendFloat(seg, e.R)
+		seg = appendJunctions(seg, e)
 	}
 	offs = append(offs, len(seg))
 	s.segBuf, s.segOffs = seg, offs
@@ -130,6 +134,28 @@ func (s *analyzeScratch) appendEdges(b []byte, st *circuit.Stage) []byte {
 	b = binary.AppendUvarint(b, uint64(ne))
 	for _, i := range ord {
 		b = append(b, seg[offs[i]:offs[i+1]]...)
+	}
+	return b
+}
+
+// appendJunctions appends one byte saying whether the edge's device sets
+// junction geometry (AD/PD/AS/PS) and, when it does, which channel end is
+// the drain (0 for Src, 1 for Snk) and the drain and source junctions' area
+// and perimeter. qwm.Build charges each path node with the junction of the
+// device terminal on it, and a zero junction stands for the W-derived
+// default, which W already keys.
+func appendJunctions(b []byte, e *circuit.StageEdge) []byte {
+	t := e.Ref
+	if t == nil || t.DrainJunc == (mos.Junction{}) && t.SourceJunc == (mos.Junction{}) {
+		return append(b, 0)
+	}
+	drainSide := byte(0)
+	if t.Drain != e.Src {
+		drainSide = 1
+	}
+	b = append(b, 1, drainSide)
+	for _, v := range [4]float64{t.DrainJunc.Area, t.DrainJunc.Perim, t.SourceJunc.Area, t.SourceJunc.Perim} {
+		b = appendFloat(b, v)
 	}
 	return b
 }

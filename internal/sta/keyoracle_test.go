@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"qwm/internal/circuit"
+	"qwm/internal/mos"
 	"qwm/internal/netlist"
 	"qwm/internal/reduce"
 	"qwm/internal/stages"
@@ -24,8 +25,11 @@ import (
 
 // This file keeps the text cache keys the engine used before Key as the
 // oracle for the key-equivalence tests: for inputs whose node names contain
-// none of the text form's separators, two digest keys must be equal exactly
-// when their text keys are.
+// none of the text form's separators and whose devices declare no junction
+// geometry (the text key aliased both, see TestCacheKeySeparatorInNames and
+// TestCacheKeyJunctionGeometry), two digest keys must be equal exactly when
+// their text keys are. FuzzCacheKey covers both carve-outs against the
+// canonical content instead.
 
 // loadDigest canonically encodes a stage output's load map as sorted
 // node:cap pairs at fixed precision (6 significant digits).
@@ -175,6 +179,11 @@ func keyCorpusCases(t *testing.T) []keyCase {
 	var nls []*circuit.Netlist
 	var obs [][]string
 	add := func(nl *circuit.Netlist, outs []string) {
+		for _, tr := range nl.Transistors {
+			if tr.DrainJunc != (mos.Junction{}) || tr.SourceJunc != (mos.Junction{}) {
+				return // outside the text oracle: it omits junction geometry
+			}
+		}
 		nls = append(nls, nl)
 		obs = append(obs, outs)
 	}
@@ -383,7 +392,10 @@ func TestCacheKeyMatchesTextOracle(t *testing.T) {
 		{Memo: MemoConfig{Enabled: true, Interp: true}},
 		{Memo: MemoConfig{Enabled: true}, Reduction: red},
 	} {
-		t.Run(cfg.Signature(), func(t *testing.T) {
+		// Subtests are named by the signature without its engine tag, so a
+		// tag bump does not rename them.
+		_, name, _ := strings.Cut(cfg.Signature(), "|")
+		t.Run(name, func(t *testing.T) {
 			a := New(tech, lib, cfg)
 			s := a.getScratch()
 			classOf := map[string]string{}
@@ -417,8 +429,10 @@ func TestCacheKeyMatchesTextOracle(t *testing.T) {
 
 // fuzzStage decodes a stage, its output and a load map from fuzz bytes:
 // names are raw byte strings (separators, NULs and invalid UTF-8 included),
-// geometry and caps come from short palettes so equal values recur, and
-// two caps in the palette print alike at 6 digits.
+// geometry, junctions and caps come from short palettes so equal values
+// recur, and two caps in the palette print alike at 6 digits. A device edge
+// may carry a device with declared junction geometry, its drain on either
+// channel end.
 func fuzzStage(b []byte) (*circuit.Stage, string, map[string]float64) {
 	next := func() byte {
 		if len(b) == 0 {
@@ -437,11 +451,20 @@ func fuzzStage(b []byte) (*circuit.Stage, string, map[string]float64) {
 	kinds := [...]circuit.DeviceKind{circuit.KindNMOS, circuit.KindPMOS, circuit.KindWire}
 	vals := [...]float64{1e-6, 2e-6, 3.5e-7, 0, 100, math.Copysign(0, -1)}
 	caps := [...]float64{1e-15, 1.0000001e-15, 2e-15, 0, math.Copysign(0, -1), 1e-320}
+	juncs := [...]float64{0, 1e-12, 2e-6, math.Copysign(0, -1)}
 	out := name()
 	st := &circuit.Stage{Outputs: []string{out}}
 	for i, n := 0, int(next()%5); i < n; i++ {
 		e := &circuit.StageEdge{Kind: kinds[next()%3], Src: name(), Snk: name(), Gate: name()}
 		e.W, e.L, e.R = vals[next()%6], vals[next()%6], vals[next()%6]
+		if side := next() % 3; side > 0 && e.Kind != circuit.KindWire {
+			junc := func() mos.Junction { return mos.Junction{Area: juncs[next()%4], Perim: juncs[next()%4]} }
+			t := &circuit.Transistor{Kind: e.Kind, Drain: e.Src, Source: e.Snk, DrainJunc: junc(), SourceJunc: junc()}
+			if side == 2 {
+				t.Drain, t.Source = e.Snk, e.Src
+			}
+			e.Ref = t
+		}
 		st.Edges = append(st.Edges, e)
 		for _, nd := range []string{e.Src, e.Snk} {
 			if nd != circuit.GroundNode && nd != circuit.SupplyNode && !slices.Contains(st.Nodes, nd) {
@@ -459,7 +482,9 @@ func fuzzStage(b []byte) (*circuit.Stage, string, map[string]float64) {
 }
 
 // canonicalContent renders everything a key must distinguish, in Go-quoted
-// (unambiguous) form: the output, the sorted edges with exact float bits, the
+// (unambiguous) form: the output, the sorted edges with exact float bits
+// (plus, for a device declaring junction geometry, its drain side and
+// junctions; zero junctions mean the W-derived default), the
 // sorted loads at the key's 6-digit cap precision and the rail — or, with
 // Memo, the class fingerprint first resolved for that raw content (classOf
 // memoizes it as the engine's fpTable does) when there is one.
@@ -485,6 +510,11 @@ func rawContent(st *circuit.Stage, out string, loads map[string]float64, rail st
 	for i, e := range st.Edges {
 		edges[i] = fmt.Sprintf("%q %q %q %q %x %x %x", e.Kind.String(), e.Src, e.Snk, e.Gate,
 			math.Float64bits(e.W), math.Float64bits(e.L), math.Float64bits(e.R))
+		if t := e.Ref; t != nil && (t.DrainJunc != (mos.Junction{}) || t.SourceJunc != (mos.Junction{})) {
+			edges[i] += fmt.Sprintf(" drain-at-snk=%v %x %x %x %x", t.Drain != e.Src,
+				math.Float64bits(t.DrainJunc.Area), math.Float64bits(t.DrainJunc.Perim),
+				math.Float64bits(t.SourceJunc.Area), math.Float64bits(t.SourceJunc.Perim))
+		}
 	}
 	sort.Strings(edges)
 	var ls []string
@@ -507,7 +537,7 @@ func fuzzSeed(out string, edges ...[4]string) []byte {
 			b = append(b, byte(len(s)))
 			b = append(b, s...)
 		}
-		b = append(b, 0, 2, 3) // W 1e-6, L 3.5e-7, R 0
+		b = append(b, 0, 2, 3, 0) // W 1e-6, L 3.5e-7, R 0, no junctions
 	}
 	b = append(b, 1, byte(len(out)))
 	b = append(b, out...)
@@ -524,6 +554,14 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add(nor, alias, true, int8(3))
 	f.Add(nor, nor, false, int8(-1))
 	f.Add(alias, alias, true, int8(1))
+	// One pull-down without and with a declared drain junction
+	// (AD=1e-12, PD=2e-6): the edge's last byte before the load selects
+	// junctions, followed by four junction palette indices.
+	inv := fuzzSeed("out", [4]string{"nmos", "out", "0", "g"})
+	side := len(inv) - len("out") - 4
+	invAD := slices.Concat(inv[:side], []byte{1, 1, 2, 0, 0}, inv[side+1:])
+	f.Add(inv, invAD, false, int8(0))
+	f.Add(invAD, invAD, true, int8(2))
 	f.Fuzz(func(t *testing.T, x, y []byte, memo bool, bucket int8) {
 		a := New(tech, lib, Config{Memo: MemoConfig{Enabled: memo}})
 		s := a.getScratch()

@@ -33,9 +33,6 @@ const (
 	mClassHits      = "sta/class_hits"
 	mClasses        = "sta/classes"
 	mFPEvictions    = "sta/class/fp_evictions"
-	mEcoDirty       = "sta/eco/dirty_stages"
-	mEcoSkipped     = "sta/eco/skipped_stages"
-	mEcoEarly       = "sta/eco/early_stops"
 	// mTierPrefix + Tier.String() counts computed directions per ladder
 	// tier (e.g. "sta/tier_evals/qwm", "sta/tier_evals/rc-bound").
 	mTierPrefix = "sta/tier_evals/"
@@ -81,8 +78,6 @@ type metricSet struct {
 	reduceNodes              *obs.Counter
 	classHits, classes       *obs.Counter
 	fpEvictions              *obs.Counter
-	ecoDirty, ecoSkipped     *obs.Counter
-	ecoEarly                 *obs.Counter
 	tierEvals                [NumTiers]*obs.Counter
 	nrIterHist, regionHist   *obs.Histogram
 	evalSeconds              *obs.Histogram
@@ -110,9 +105,6 @@ func newMetricSet(r *obs.Registry) *metricSet {
 		classHits:      r.Counter(mClassHits),
 		classes:        r.Counter(mClasses),
 		fpEvictions:    r.Counter(mFPEvictions),
-		ecoDirty:       r.Counter(mEcoDirty),
-		ecoSkipped:     r.Counter(mEcoSkipped),
-		ecoEarly:       r.Counter(mEcoEarly),
 		nrIterHist:     r.Histogram(hNRItersPerEval, nrIterBounds),
 		regionHist:     r.Histogram(hRegionsPerEval, regionBounds),
 		evalSeconds:    r.Histogram(hEvalSeconds, secondsBounds),
@@ -243,11 +235,6 @@ func (r *recorder) analyzeEnd(res *Result, err error) {
 			r.ms.panicsRec.Add(int64(res.PanicsRecovered))
 			r.ms.classHits.Add(int64(res.ClassHits))
 			r.ms.classes.Add(int64(res.ClassCount))
-			if res.ECO.Incremental {
-				r.ms.ecoDirty.Add(int64(res.ECO.DirtyStages))
-				r.ms.ecoSkipped.Add(int64(res.ECO.SkippedStages))
-				r.ms.ecoEarly.Add(int64(res.ECO.EarlyStops))
-			}
 		}
 		r.ms.analyzeSec.Observe(time.Since(r.start).Seconds())
 	}

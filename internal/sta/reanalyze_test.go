@@ -6,7 +6,6 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/faultinject"
-	"qwm/internal/obs"
 	"qwm/internal/reduce"
 	"qwm/internal/stages"
 )
@@ -37,23 +36,20 @@ func findDevice(t testing.TB, nl *circuit.Netlist, name string) *circuit.Transis
 	return nil
 }
 
-// ecoRunOnce performs one incremental analysis and fails on error.
-func ecoRunOnce(t testing.TB, a *Analyzer, nl *circuit.Netlist, primary map[string]Arrival, outs []string, eps float64) *Result {
+// analyzeOnce performs one analysis and fails on error.
+func analyzeOnce(t testing.TB, a *Analyzer, nl *circuit.Netlist, primary map[string]Arrival, outs []string) *Result {
 	t.Helper()
-	res, err := a.AnalyzeContext(nil, Request{
-		Netlist: nl, Primary: primary, Outputs: outs,
-		Incremental: true, Epsilon: eps,
-	})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// requireSameTiming asserts the fields the incremental ≡ from-scratch
-// guarantee covers: arrivals (bitwise), worst output, critical path, and the
-// replayable diagnostics. ClassCount/ClassHits are intentionally excluded —
-// an incremental run only resolves classes for dirty stages.
+// requireSameTiming asserts bitwise equality of everything a result reports
+// about the circuit: arrivals, worst output, critical path and diagnostics.
+// StagesEvaluated and the class tallies depend on the analyzer's cache
+// history and are compared by the callers that need them.
 func requireSameTiming(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Arrivals, got.Arrivals) {
@@ -74,20 +70,18 @@ func requireSameTiming(t *testing.T, label string, ref, got *Result) {
 }
 
 // TestIncrementalMatchesScratch drives an edit sequence (resize, load change,
-// revert) through a persistent incremental Analyzer and checks every step
-// bit-for-bit against the from-scratch schedule — across worker counts and
-// the memo/interp/reduce feature matrix.
+// revert) through one persistent analyzer per worker count — re-analysis
+// after an edit is a plain re-run on a warm analyzer — and checks every step
+// bit-for-bit against a persistent serial analyzer with the same history,
+// across the memo/interp/reduce feature matrix.
 //
-// The reference is a PERSISTENT non-incremental Analyzer running the same
-// edit sequence, not a fresh one per step: raw (non-memo) delay-cache entries
-// are keyed by 5 ps slew bucket but evaluated at the first-seen exact slew,
-// so any warm re-analysis — incremental or not — can legitimately differ from
-// a cold analyzer in low-order bits when an edit moves a slew within its
-// bucket. The differential therefore isolates exactly what ECO changes: the
-// Incremental flag may only change scheduling, never results. Memo-mode
-// entries are pure functions of their key (bucket-floor snap / boundary
-// interp), so for memo variants the steps are additionally checked against a
-// cold from-scratch analyzer.
+// The reference shares the cache history rather than starting cold: raw
+// (non-memo) delay-cache entries are keyed by 5 ps slew bucket but evaluated
+// at the first-seen exact slew, so a warm re-analysis can differ from a cold
+// analyzer in low-order bits when an edit moves a slew within its bucket.
+// Memo-mode entries are pure functions of their key (bucket-floor snap /
+// boundary interp), so memo variants are additionally checked against a cold
+// analyzer at every step.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	variants := []struct {
 		name string
@@ -103,23 +97,25 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			t.Run(v.name, func(t *testing.T) {
 				nl, primary, outs := decoderFixture(t)
-				inc := New(tech, lib, Config{Workers: workers, Reduction: v.red, Memo: v.memo})
-				scratch := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
+				warm := New(tech, lib, Config{Workers: workers, Reduction: v.red, Memo: v.memo})
+				serial := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
 
+				// Every step's netlist is new to the analyzers, so each
+				// must evaluate something.
 				step := func(label string) {
-					ref, err := scratch.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := ecoRunOnce(t, inc, nl, primary, outs, 0)
+					ref := analyzeOnce(t, serial, nl, primary, outs)
+					got := analyzeOnce(t, warm, nl, primary, outs)
 					requireSameTiming(t, label, ref, got)
+					if got.StagesEvaluated != ref.StagesEvaluated {
+						t.Fatalf("%s: workers %d evaluated %d directions, serial %d",
+							label, workers, got.StagesEvaluated, ref.StagesEvaluated)
+					}
+					if got.StagesEvaluated == 0 {
+						t.Fatalf("%s: the edit re-evaluated nothing", label)
+					}
 					if v.memo.Enabled {
 						cold := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
-						cref, err := cold.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameTiming(t, label+"/cold", cref, got)
+						requireSameTiming(t, label+"/cold", analyzeOnce(t, cold, nl, primary, outs), got)
 					}
 				}
 
@@ -136,100 +132,45 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestIncrementalNoEditAllClean: a repeat incremental call with an untouched
-// netlist must replay everything — zero dirty stages, zero cache misses, and
-// identical results.
+// TestIncrementalNoEditAllClean: re-running a warm analyzer on an untouched
+// netlist must answer everything from the cache — zero evaluations, zero
+// misses — with identical results.
 func TestIncrementalNoEditAllClean(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 	a := New(tech, lib)
-	first := ecoRunOnce(t, a, nl, primary, outs, 0)
-	total := first.ECO.DirtyStages + first.ECO.SkippedStages
-	if first.ECO.DirtyStages != total || first.ECO.SkippedStages != 0 {
-		t.Fatalf("first incremental run must be all-dirty: %+v", first.ECO)
-	}
-	second := ecoRunOnce(t, a, nl, primary, outs, 0)
-	if second.ECO.DirtyStages != 0 || second.ECO.SkippedStages != total {
-		t.Fatalf("no-edit rerun not fully clean: %+v", second.ECO)
-	}
+	first := analyzeOnce(t, a, nl, primary, outs)
+	before := a.CacheStats()
+	second := analyzeOnce(t, a, nl, primary, outs)
 	if second.StagesEvaluated != 0 {
-		t.Fatalf("no-edit rerun paid %d cache misses", second.StagesEvaluated)
+		t.Fatalf("no-edit rerun evaluated %d directions", second.StagesEvaluated)
+	}
+	if after := a.CacheStats(); after.Misses != before.Misses {
+		t.Fatalf("no-edit rerun paid %d cache misses", after.Misses-before.Misses)
 	}
 	requireSameTiming(t, "no-edit", first, second)
 }
 
-// TestIncrementalDirtyCone: resizing one row driver of the decoder must
-// re-evaluate exactly two of the 19 stages — the driver itself (geometry)
-// and the NAND driving its gate (the resize moves the driver's gate
-// capacitance, so the NAND's fanout-load digest shifts). Everything else
-// replays. This is the ≥ 5× stage-eval reduction the acceptance criteria
-// name, in its exact form.
+// TestIncrementalDirtyCone: resizing one row driver of the decoder on a warm
+// analyzer must re-evaluate exactly the two directions of each of two stages
+// — the driver itself (geometry) and the NAND driving its gate (the resize
+// moves the driver's gate capacitance, so the NAND's load map changes). The
+// driver's outputs are primary outputs, so nothing lies further downstream;
+// every other stage's key is unchanged and hits.
 func TestIncrementalDirtyCone(t *testing.T) {
 	nl, primary, outs := decoderFixture(t)
 	a := New(tech, lib)
-	first := ecoRunOnce(t, a, nl, primary, outs, 0)
-	total := first.ECO.DirtyStages
+	first := analyzeOnce(t, a, nl, primary, outs)
 
 	findDevice(t, nl, "mnd0").W *= 1.3
-	res := ecoRunOnce(t, a, nl, primary, outs, 0)
-	if res.ECO.DirtyStages != 2 {
-		t.Fatalf("row-driver resize dirtied %d stages, want 2 (driver + fanin NAND) (%+v)", res.ECO.DirtyStages, res.ECO)
+	res := analyzeOnce(t, a, nl, primary, outs)
+	if res.StagesEvaluated != 4 {
+		t.Fatalf("row-driver resize evaluated %d directions, want 4 (driver + fanin NAND, both directions)", res.StagesEvaluated)
 	}
-	if res.ECO.SkippedStages != total-2 {
-		t.Fatalf("skipped %d stages, want %d", res.ECO.SkippedStages, total-2)
+	if res.StagesEvaluated*5 > first.StagesEvaluated {
+		t.Fatalf("re-analysis %d evaluations not ≥5× under the cold %d", res.StagesEvaluated, first.StagesEvaluated)
 	}
-	if res.ECO.DirtyStages*5 > total {
-		t.Fatalf("dirty cone %d not ≥5× under total %d", res.ECO.DirtyStages, total)
-	}
-}
-
-// TestIncrementalEpsilonEarlyStop: a sub-epsilon geometry perturbation on an
-// address inverter (a stage with a deep fanout cone) re-evaluates only that
-// stage — the arrival moves within epsilon, the early-stop fires, and the
-// cone below it stays clean. With epsilon 0 the same edit floods the cone.
-func TestIncrementalEpsilonEarlyStop(t *testing.T) {
-	nl, primary, outs := decoderFixture(t)
-	dev := findDevice(t, nl, "mni0")
-
-	exact := New(tech, lib)
-	ecoRunOnce(t, exact, nl, primary, outs, 0)
-	dev.W *= 1.0000001
-	flood := ecoRunOnce(t, exact, nl, primary, outs, 0)
-	if flood.ECO.DirtyStages <= 1 {
-		t.Fatalf("epsilon-0 run did not propagate the edit: %+v", flood.ECO)
-	}
-
-	dev.W /= 1.0000001
-	loose := New(tech, lib)
-	ecoRunOnce(t, loose, nl, primary, outs, 0)
-	dev.W *= 1.0000001
-	res := ecoRunOnce(t, loose, nl, primary, outs, 100e-12)
-	if res.ECO.DirtyStages != 1 {
-		t.Fatalf("epsilon run dirtied %d stages, want 1 (%+v)", res.ECO.DirtyStages, res.ECO)
-	}
-	if res.ECO.EarlyStops == 0 {
-		t.Fatal("epsilon run recorded no early stops")
-	}
-}
-
-// TestIncrementalFPInvalidation: with Memo on, editing a stage must drop its
-// stale fpTable resolutions during the incremental diff (counted on
-// sta/class/fp_evictions) — the raw-key → class-key memo would otherwise
-// keep one dead entry per edited stage forever.
-func TestIncrementalFPInvalidation(t *testing.T) {
-	nl, primary, outs := decoderFixture(t)
-	reg := obs.NewRegistry()
-	a := New(tech, lib, Config{Memo: MemoConfig{Enabled: true}, Metrics: reg})
-	ecoRunOnce(t, a, nl, primary, outs, 0)
-
-	evictions := func() int64 {
-		return reg.Snapshot().Counters["sta/class/fp_evictions"]
-	}
-	before := evictions()
-	findDevice(t, nl, "mnd0").W *= 1.4
-	ecoRunOnce(t, a, nl, primary, outs, 0)
-	if after := evictions(); after <= before {
-		t.Fatalf("edit evicted no fpTable entries (before %d, after %d)", before, after)
-	}
+	cold := analyzeOnce(t, New(tech, lib, Config{Workers: 1}), nl, primary, outs)
+	requireSameTiming(t, "resize", cold, res)
 }
 
 // TestFPTableCap: an insert that would exceed the cap flushes the table (the
@@ -407,68 +348,38 @@ func TestEvalSpicePathCanonical(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeIncremental compares the single-edit re-analysis cost:
-// /full re-analyzes the decoder from scratch after each one-device toggle,
-// /eco runs the same toggle through the incremental path. The stage-evals/op
-// metric is the acceptance number (≥ 5× fewer for /eco).
-func BenchmarkAnalyzeIncremental(b *testing.B) {
-	nl, ins, outs, err := stages.DecoderNetlist(tech, 3, 1e-6, 10e-15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	primary := map[string]Arrival{}
-	for _, in := range ins {
-		primary[in] = Arrival{}
-	}
-	var dev *circuit.Transistor
-	for _, tr := range nl.Transistors {
-		if tr.Name == "mnd0" {
-			dev = tr
-		}
-	}
+// BenchmarkReanalyzeAfterEdit times one re-analysis of the 3-bit decoder
+// after a one-device edit (mnd0 toggled between two widths). /cold builds a
+// fresh analyzer per edit, so it pays every evaluation; /warm re-runs one
+// analyzer, whose delay cache already holds both geometries, so an edit
+// costs the gather and lookup walk over every stage and no evaluation.
+func BenchmarkReanalyzeAfterEdit(b *testing.B) {
+	nl, primary, outs := decoderFixture(b)
+	dev := findDevice(b, nl, "mnd0")
 	toggle := func(i int) {
 		dev.W = 1e-6
 		if i%2 == 1 {
 			dev.W = 1.5e-6
 		}
 	}
-
-	b.Run("full", func(b *testing.B) {
-		// A from-scratch Analyze walks (gathers, keys, resolves) every stage
-		// of the netlist, edit or no edit.
-		nStages := len(circuit.ExtractStages(nl, outs))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			toggle(i)
-			a := New(tech, lib, Config{Workers: 1})
-			if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(nStages), "stageevals/op")
-	})
-
-	b.Run("eco", func(b *testing.B) {
+	run := func(b *testing.B, fresh bool) {
 		a := New(tech, lib, Config{Workers: 1})
-		// Warm both toggle variants so the steady state is a pure dirty-cone
-		// walk (the delay cache already holds both geometries).
 		for i := 0; i < 2; i++ {
 			toggle(i)
-			if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs, Incremental: true}); err != nil {
-				b.Fatal(err)
-			}
+			analyzeOnce(b, a, nl, primary, outs)
 		}
-		dirty := 0
+		evals := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			toggle(i)
-			res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs, Incremental: true})
-			if err != nil {
-				b.Fatal(err)
+			if fresh {
+				a = New(tech, lib, Config{Workers: 1})
 			}
-			dirty += res.ECO.DirtyStages
+			evals += analyzeOnce(b, a, nl, primary, outs).StagesEvaluated
 		}
-		b.ReportMetric(float64(dirty)/float64(b.N), "stageevals/op")
-	})
+		b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	}
+	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) { run(b, false) })
 }

@@ -6,11 +6,14 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -460,5 +463,42 @@ func TestTierPathKeyLength(t *testing.T) {
 	}
 	if s := h.Stats(); s.BadRequests != 4 || s.Gets != 1 {
 		t.Errorf("stats %+v, want 4 bad requests and 1 get", s)
+	}
+}
+
+// TestTierPutNonFiniteEntryDropped: a peer's PUT of a well-formed frame whose
+// successful entry carries an infinite delay or slew is an invalid entry —
+// answered 400, counted as corrupt and never stored, so the shared tier
+// cannot hand it to another replica.
+func TestTierPutNonFiniteEntryDropped(t *testing.T) {
+	base, srv := startTier(t)
+	sig := base64.RawURLEncoding.EncodeToString([]byte("sig"))
+	for i, e := range []sta.TierEntry{
+		{Delay: math.Inf(1), Slew: 3.5e-11, OK: true, Tier: uint8(sta.TierQWM)},
+		{Delay: 1.25e-10, Slew: math.Inf(-1), OK: true, Tier: uint8(sta.TierQWM)},
+	} {
+		key := tk(fmt.Sprintf("inf%d", i))
+		url := base + "/tier/" + sig + "/" + base64.RawURLEncoding.EncodeToString(key[:])
+		req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid entry") {
+			t.Fatalf("PUT %+v: status %d %q, want 400 invalid entry", e, resp.StatusCode, body)
+		}
+		resp, err = http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET after a dropped PUT: status %d, want 404", resp.StatusCode)
+		}
+	}
+	if s := srv.Stats(); s.Corrupt != 2 || s.Stored != 0 {
+		t.Fatalf("stats %+v, want 2 corrupt and nothing stored", s)
 	}
 }

@@ -29,21 +29,6 @@ type Request struct {
 	// obs.Observer for the ordering and concurrency contract). Nil costs
 	// nothing: the engine never constructs an event or reads the clock.
 	Observer obs.Observer
-	// Incremental turns on ECO dirty-cone re-analysis: the Analyzer keeps a
-	// per-stage content-digest + arrival memo from the previous incremental
-	// run, and only stages whose digest changed (or that sit downstream of a
-	// changed arrival) are re-evaluated; the rest replay their memoized
-	// arrivals and diagnostics. The first incremental call has no baseline
-	// and analyzes everything. Results are bit-for-bit identical to a
-	// from-scratch analysis when Epsilon is 0 (see eco.go). Incremental
-	// requests on one Analyzer are serialized against each other;
-	// non-incremental requests never touch the memo.
-	Incremental bool
-	// Epsilon is the ECO early-stop tolerance: a re-computed arrival within
-	// Epsilon (absolute, per field) of the memoized one does not propagate
-	// dirtiness downstream. 0 means exact bit equality — the only setting
-	// that preserves the incremental ≡ from-scratch guarantee.
-	Epsilon float64
 }
 
 // AnalyzeContext runs a full timing analysis for one request: the netlist
@@ -62,12 +47,6 @@ type Request struct {
 // StagesEvaluated and every deterministic metric (see obs.Snapshot.
 // Deterministic) are bit-for-bit identical at any Workers setting.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result, err error) {
-	if req.Incremental {
-		// Incremental runs read and replace the Analyzer's ECO baseline, so
-		// they are serialized; plain runs stay lock-free and concurrent.
-		a.ecoMu.Lock()
-		defer a.ecoMu.Unlock()
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -166,28 +145,11 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		res.Arrivals[circuit.CanonName(net)] = ar
 	}
 
-	// Incremental (ECO) mode: diff per-stage content digests against the
-	// previous committed run and schedule only dirty stages (see eco.go).
-	var eco *ecoRun
-	if req.Incremental {
-		eco = a.beginECO(s, res, producer, req.Epsilon)
-		res.ECO.Incremental = true
-	}
-
 	for li, level := range levels {
 		// Cancellation checkpoint between levels: completed levels keep
 		// their cache entries, the rest of the schedule is abandoned.
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
-		}
-
-		// Clean stages replay their memoized arrivals inside filterLevel;
-		// only the dirty remainder reaches the gather/evaluate machinery.
-		if eco != nil {
-			level = eco.filterLevel(a, s, level, loads, res, redSig)
-			if len(level) == 0 {
-				continue
-			}
 		}
 
 		// Size this level's slabs up front: appends below can then never
@@ -267,7 +229,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		k := 0
 		for si2, st := range level {
 			si := &ins[si2]
-			for oi, out := range st.Outputs {
+			for _, out := range st.Outputs {
 				fall, rise := items[k].timing, items[k+1].timing
 				k += 2
 				res.recordEvalIssues(out, fall, rise)
@@ -286,9 +248,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 					s.predRise[out] = si.fallFrom
 				}
 				res.Arrivals[out] = ar
-				if eco != nil {
-					eco.noteOutput(st, oi, out, ar, fall, rise, res)
-				}
 			}
 		}
 	}
@@ -328,11 +287,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			break
 		}
 		net = p
-	}
-	// Commit the new ECO baseline only on success: a failed or cancelled run
-	// leaves the previous self-consistent memo in place.
-	if eco != nil {
-		a.ecoPrev = eco.commit(s, res, req)
 	}
 	return res, nil
 }

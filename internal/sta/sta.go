@@ -76,12 +76,6 @@ type Analyzer struct {
 	fp fpTable
 	// scratch pools the per-Analyze arena (see arena.go).
 	scratch sync.Pool
-
-	// ecoMu serializes incremental (Request.Incremental) runs; ecoPrev is
-	// the committed baseline of the last successful incremental run (see
-	// eco.go). Plain runs never touch either.
-	ecoMu   sync.Mutex
-	ecoPrev *ecoMemo
 }
 
 // New creates an analyzer with a fresh delay cache. An optional Config fixes
@@ -230,17 +224,14 @@ type Result struct {
 	// (one per solver run; at most one per stage output, direction, slew
 	// bucket and load digest). In-memory cache hits AND persistent-tier
 	// hits do not count, so a fully warm run — memory- or disk-warm —
-	// reports 0. The incremental path keeps this small, and it is identical
-	// for serial and parallel runs thanks to the cache's single-flight
-	// discipline.
+	// reports 0; a warm re-analysis after an edit pays only the directions
+	// whose key changed. It is identical for serial and parallel runs
+	// thanks to the cache's single-flight discipline.
 	StagesEvaluated int
 	// Diagnostics is embedded, so the pre-fold selectors
 	// (Result.EvalErrors, Result.EvalErrorDetail, Result.SlewFallbacks)
 	// still compile; they are deprecated in favor of Result.Diagnostics.
 	Diagnostics
-	// ECO carries the incremental-run accounting (dirty/skipped stages,
-	// epsilon early-stops); the zero value for plain runs.
-	ECO ECOStats
 }
 
 // outEval is the per-(stage, output) evaluation context, built once per

@@ -16,26 +16,24 @@ import (
 )
 
 // ECOConfig parameterizes the randomized edit-sequence differential: a
-// netlist is mutated step by step (transistor resizes, load changes, buffer
-// insertions) and after every edit the persistent incremental analyzers —
-// serial and parallel — are checked bit-for-bit against the from-scratch
-// schedule, across the feature matrix (plain, memo, interp, reduce, and a
-// rate-1 NR-divergence chaos class that forces the spice tier). Each step
-// also gates dirty-cone minimality: the incremental run may not re-evaluate
-// more stages than the edit's structural fanout closure, and a no-op re-run
-// must re-evaluate nothing.
-//
-// The from-scratch reference is a PERSISTENT non-incremental analyzer
-// running the same edit sequence, not a fresh analyzer per step. Raw
-// (non-memo) delay-cache entries are keyed by 5 ps slew bucket but evaluated
-// at the first-seen exact slew, so any warm re-analysis — incremental or not
-// — can differ from a cold analyzer in low-order bits when an edit moves a
-// slew within its bucket; that is a property of the cache, present since
-// before ECO existed. Holding the reference's cache history identical to the
-// incremental analyzers' isolates exactly what this sweep must prove: the
-// Incremental flag changes scheduling only, never results. Memo-mode entries
-// are pure functions of their key (bucket-floor snap / boundary interp), so
-// memo variants are additionally checked against a cold per-step analyzer.
+// netlist is mutated step by step (transistor resizes, junction-geometry
+// changes, load changes, buffer insertions) and re-analyzed after every edit
+// on persistent warm analyzers — re-analysis after an edit is a plain re-run
+// on a warm analyzer, whose delay cache re-evaluates only the directions
+// whose key changed. The sweep runs across the feature matrix (plain, memo,
+// interp, reduce, and a rate-1 NR-divergence chaos class that forces the
+// spice tier) and gates, per step:
+//   - a persistent parallel analyzer matches the persistent serial reference
+//     bit for bit, evaluation count included;
+//   - memo variants also match a cold analyzer: memo entries are pure
+//     functions of their key (bucket-floor snap / boundary interp). Raw
+//     entries are keyed by 5 ps slew bucket but evaluated at the first-seen
+//     exact slew, so plain variants may differ from a cold analyzer in
+//     low-order bits and are checked against the same-history reference only;
+//   - an edit evaluates at least one direction (an edit that evaluates
+//     nothing was answered from the pre-edit entries: the key omits what the
+//     edit changed) and at most the edit's structural evaluation bound;
+//   - a no-op re-run evaluates nothing and reproduces the step's result.
 type ECOConfig struct {
 	// Seed drives the edit sequence; identical seeds reproduce identical
 	// sweeps.
@@ -43,8 +41,8 @@ type ECOConfig struct {
 	// Edits is the number of mutation steps per (workload, variant)
 	// sequence (default 6).
 	Edits int
-	// Workers is the parallel incremental analyzer's worker count checked
-	// against the serial one (default 8).
+	// Workers is the parallel analyzer's worker count checked against the
+	// serial one (default 8).
 	Workers int
 	// Progress, when set, receives one line per completed step.
 	Progress func(format string, args ...any)
@@ -63,13 +61,10 @@ func (c ECOConfig) withDefaults() ECOConfig {
 // ECOStep is the outcome of one edit step.
 type ECOStep struct {
 	Edit string `json:"edit"`
-	// Dirty/Skipped/EarlyStops are the serial incremental run's ECO stats;
-	// ConeBound is the structural fanout-closure size the dirty count is
-	// gated against.
-	Dirty      int `json:"dirty"`
-	Skipped    int `json:"skipped"`
-	EarlyStops int `json:"early_stops"`
-	ConeBound  int `json:"cone_bound"`
+	// Evaluated is the serial analyzer's StagesEvaluated; EvalBound is the
+	// structural bound it is gated against.
+	Evaluated int `json:"evaluated"`
+	EvalBound int `json:"eval_bound"`
 }
 
 // ECOSequence is one (workload, variant) edit sequence.
@@ -81,7 +76,7 @@ type ECOSequence struct {
 	Pass     bool      `json:"pass"`
 }
 
-// ECOReport aggregates an ECO sweep.
+// ECOReport aggregates an edit-sequence sweep.
 type ECOReport struct {
 	SchemaVersion string        `json:"schema_version"`
 	Seed          int64         `json:"seed"`
@@ -144,16 +139,27 @@ func ecoWorkload(tech *mos.Tech, name string) (*AnalyzeCase, error) {
 // ecoEdit mutates the netlist in place and returns a label plus the seed
 // nets whose stages the edit can structurally touch (device channel nodes,
 // moved gate loads, new buffer nets). The seed nets feed the fanout-closure
-// bound the dirty count is checked against.
+// bound the evaluation count is checked against; nil seeds mark a no-op.
+// The edit kinds take turns, so every sequence of four or more steps
+// exercises each kind; the device, net and amount are random.
 func ecoEdit(nl *circuit.Netlist, r *rand.Rand, tech *mos.Tech, step int) (string, []string) {
-	switch r.Intn(3) {
+	switch step % 4 {
 	case 0: // resize
 		t := nl.Transistors[r.Intn(len(nl.Transistors))]
 		f := 0.7 + 0.8*r.Float64()
 		t.W *= f
 		return fmt.Sprintf("resize %s x%.3f", t.Name, f),
 			[]string{t.Drain, t.Source, t.Gate}
-	case 1: // load change
+	case 1: // junction geometry: AD/PD/AS/PS
+		t := nl.Transistors[r.Intn(len(nl.Transistors))]
+		junc := func() mos.Junction {
+			return mos.Junction{Area: (0.5 + 19.5*r.Float64()) * 1e-12, Perim: (1 + 19*r.Float64()) * 1e-6}
+		}
+		t.DrainJunc, t.SourceJunc = junc(), junc()
+		return fmt.Sprintf("junction %s AD=%.3g PD=%.3g AS=%.3g PS=%.3g", t.Name,
+				t.DrainJunc.Area, t.DrainJunc.Perim, t.SourceJunc.Area, t.SourceJunc.Perim),
+			[]string{t.Drain, t.Source}
+	case 2: // load change
 		if len(nl.Capacitors) == 0 {
 			return "load-noop", nil
 		}
@@ -184,12 +190,13 @@ func ecoEdit(nl *circuit.Netlist, r *rand.Rand, tech *mos.Tech, step int) (strin
 	}
 }
 
-// coneBound computes the structural fanout closure of the seed nets: every
-// stage owning or loading a seed net, plus everything transitively
-// downstream. The incremental run must not re-evaluate more stages than
-// this (it may re-evaluate fewer — epsilon-free runs still early-stop when
-// an arrival reproduces bitwise).
-func coneBound(nl *circuit.Netlist, outs []string, seeds []string) int {
+// coneOutputs counts the outputs of the seed nets' structural fanout
+// closure: every stage owning or loading a seed net, plus everything
+// transitively downstream. Every other stage keeps its content and its
+// input slews, so its keys hit; a warm re-run may evaluate at most both
+// directions of each closure output (twice that under Interp, which
+// evaluates two bucket boundaries per direction).
+func coneOutputs(nl *circuit.Netlist, outs []string, seeds []string) int {
 	sts := circuit.ExtractStages(nl, outs)
 	seed := map[string]bool{}
 	for _, s := range seeds {
@@ -225,9 +232,9 @@ func coneBound(nl *circuit.Netlist, outs []string, seeds []string) int {
 		}
 	}
 	n := 0
-	for _, d := range dirty {
+	for i, d := range dirty {
 		if d {
-			n++
+			n += len(sts[i].Outputs)
 		}
 	}
 	return n
@@ -253,82 +260,83 @@ func runECOSequence(tech *mos.Tech, lib *devmodel.Library, workload string, v ec
 	}
 	r := rand.New(rand.NewSource(cfg.Seed + int64(len(workload))*7919))
 
-	incSerial := ecoAnalyzer(tech, lib, v, 1, cfg.Seed)
-	incParallel := ecoAnalyzer(tech, lib, v, cfg.Workers, cfg.Seed)
-	scratch := ecoAnalyzer(tech, lib, v, 1, cfg.Seed)
+	serial := ecoAnalyzer(tech, lib, v, 1, cfg.Seed)
+	parallel := ecoAnalyzer(tech, lib, v, cfg.Workers, cfg.Seed)
 
-	analyze := func(a *sta.Analyzer, incremental bool) (*sta.Result, error) {
-		return a.AnalyzeContext(nil, sta.Request{
-			Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs,
-			Incremental: incremental,
-		})
+	analyze := func(a *sta.Analyzer) (*sta.Result, error) {
+		return a.AnalyzeContext(nil, sta.Request{Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs})
 	}
 
-	step := func(label string, seeds []string, bound int) bool {
-		ref, err := analyze(scratch, false)
+	// step re-analyzes after one edit; seeds is nil for the baseline and for
+	// a no-op edit. It returns the serial result, nil after a failed run.
+	step := func(label string, seeds []string) *sta.Result {
+		s, err := analyze(serial)
 		if err != nil {
-			seq.Problems = append(seq.Problems, label+": scratch run failed: "+err.Error())
-			return false
+			seq.Problems = append(seq.Problems, label+": serial run failed: "+err.Error())
+			return nil
 		}
-		s, err := analyze(incSerial, true)
+		p, err := analyze(parallel)
 		if err != nil {
-			seq.Problems = append(seq.Problems, label+": incremental serial run failed: "+err.Error())
-			return false
+			seq.Problems = append(seq.Problems, label+": parallel run failed: "+err.Error())
+			return nil
 		}
-		p, err := analyze(incParallel, true)
-		if err != nil {
-			seq.Problems = append(seq.Problems, label+": incremental parallel run failed: "+err.Error())
-			return false
+		pl := fmt.Sprintf("%s: warm workers 1 vs %d", label, cfg.Workers)
+		seq.Problems = sameResult(pl, s, p, seq.Problems)
+		if p.StagesEvaluated != s.StagesEvaluated {
+			seq.Problems = append(seq.Problems, fmt.Sprintf("%s: %d evaluations, want %d", pl, p.StagesEvaluated, s.StagesEvaluated))
 		}
-		seq.Problems = sameResult(label+": incremental vs scratch", ref, s, seq.Problems)
 		if v.memo.Enabled {
-			cold, err := analyze(ecoAnalyzer(tech, lib, v, 1, cfg.Seed), false)
+			cold, err := analyze(ecoAnalyzer(tech, lib, v, 1, cfg.Seed))
 			if err != nil {
-				seq.Problems = append(seq.Problems, label+": cold scratch run failed: "+err.Error())
-				return false
+				seq.Problems = append(seq.Problems, label+": cold run failed: "+err.Error())
+				return nil
 			}
-			seq.Problems = sameResult(label+": incremental vs cold scratch", cold, s, seq.Problems)
+			seq.Problems = sameResult(label+": warm vs cold", cold, s, seq.Problems)
 		}
-		seq.Problems = sameResult(fmt.Sprintf("%s: incremental workers 1 vs %d", label, cfg.Workers), s, p, seq.Problems)
-		st := ECOStep{Edit: label, Dirty: s.ECO.DirtyStages, Skipped: s.ECO.SkippedStages,
-			EarlyStops: s.ECO.EarlyStops, ConeBound: bound}
+		st := ECOStep{Edit: label, Evaluated: s.StagesEvaluated}
+		if seeds != nil {
+			st.EvalBound = 2 * coneOutputs(c.Netlist, c.Outputs, seeds)
+			if v.memo.Interp {
+				st.EvalBound *= 2
+			}
+			if st.Evaluated == 0 {
+				seq.Problems = append(seq.Problems,
+					label+": the edit evaluated nothing: answered from pre-edit cache entries")
+			}
+			if st.Evaluated > st.EvalBound {
+				seq.Problems = append(seq.Problems,
+					fmt.Sprintf("%s: %d evaluations, structural bound is %d", label, st.Evaluated, st.EvalBound))
+			}
+		}
 		seq.Steps = append(seq.Steps, st)
-		if seeds != nil && st.Dirty > bound {
-			seq.Problems = append(seq.Problems,
-				fmt.Sprintf("%s: dirty-cone minimality: %d stages dirty, structural closure is %d", label, st.Dirty, bound))
-		}
 		if cfg.Progress != nil {
-			cfg.Progress("eco %s/%s %s: dirty %d, skipped %d, bound %d",
-				workload, v.name, label, st.Dirty, st.Skipped, bound)
+			cfg.Progress("eco %s/%s %s: evaluated %d, bound %d",
+				workload, v.name, label, st.Evaluated, st.EvalBound)
 		}
-		return true
+		return s
 	}
 
-	// Baseline: the first incremental call has no memo — everything dirty.
-	if !step("baseline", nil, 0) {
+	if step("baseline", nil) == nil {
 		return seq
 	}
 	for i := 0; i < cfg.Edits; i++ {
 		label, seeds := ecoEdit(c.Netlist, r, tech, i)
-		bound := coneBound(c.Netlist, c.Outputs, seeds)
-		if !step(fmt.Sprintf("step %d: %s", i, label), seeds, bound) {
+		s := step(fmt.Sprintf("step %d: %s", i, label), seeds)
+		if s == nil {
 			return seq
 		}
 		// Every other step, a no-op re-run: nothing changed, so nothing may
-		// be re-evaluated or re-computed.
+		// be re-evaluated and the result must repeat bit for bit.
 		if i%2 == 1 {
-			res, err := analyze(incSerial, true)
+			res, err := analyze(serial)
 			if err != nil {
 				seq.Problems = append(seq.Problems, "no-op rerun failed: "+err.Error())
 				return seq
 			}
-			if res.ECO.DirtyStages != 0 {
-				seq.Problems = append(seq.Problems,
-					fmt.Sprintf("no-op rerun after step %d dirtied %d stages", i, res.ECO.DirtyStages))
-			}
+			seq.Problems = sameResult(fmt.Sprintf("no-op rerun after step %d", i), s, res, seq.Problems)
 			if res.StagesEvaluated != 0 {
 				seq.Problems = append(seq.Problems,
-					fmt.Sprintf("no-op rerun after step %d paid %d cache misses", i, res.StagesEvaluated))
+					fmt.Sprintf("no-op rerun after step %d evaluated %d directions", i, res.StagesEvaluated))
 			}
 		}
 	}
@@ -336,7 +344,7 @@ func runECOSequence(tech *mos.Tech, lib *devmodel.Library, workload string, v ec
 	return seq
 }
 
-// RunECO executes the full ECO differential sweep: every workload × variant
+// RunECO executes the full edit-sequence differential sweep: every workload × variant
 // edit sequence.
 func RunECO(cfg ECOConfig) (*ECOReport, error) {
 	cfg = cfg.withDefaults()

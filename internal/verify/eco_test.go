@@ -2,14 +2,15 @@ package verify
 
 import "testing"
 
-// TestRunECOSmoke runs a reduced-budget ECO sweep: every workload × variant
-// sequence with a short edit schedule must pass the incremental ≡ scratch
-// and dirty-cone-minimality gates. The full-budget sweep runs via `make eco`.
+// TestRunECOSmoke runs a reduced-budget edit-sequence sweep: every workload ×
+// variant sequence, one edit of each kind, must pass the warm serial ≡
+// parallel, memo ≡ cold and evaluation-bound gates. The full-budget sweep
+// runs via `make eco`.
 func TestRunECOSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eco sweep in -short mode")
 	}
-	rep, err := RunECO(ECOConfig{Seed: 1, Edits: 3, Workers: 8})
+	rep, err := RunECO(ECOConfig{Seed: 1, Edits: 4, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
