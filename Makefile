@@ -7,15 +7,16 @@
 # 429 backpressure under a flooded queue), the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
-# observed-analyze, warm-cache, hot-path wide, re-analysis-after-edit and
-# warm-disk-service benchmarks, a small-budget differential-verification
+# observed-analyze, warm-cache, hot-path wide, re-analysis-after-edit,
+# warm-disk-service and warm-off-peer benchmarks, a small-budget differential-verification
 # sweep, a small fault-injection (chaos) sweep over every fault class, the
 # edit-sequence (eco) differential over warm analyzers, the service-path
 # differential (wire bit-transparency, warm-disk restart, chaos through
 # POST /analyze, trace determinism), and the remote-cache gates: the
-# two-replica shared-tier smoke plus the kill/restart race tests — untraced
-# and traced — (remote-smoke) and the network-chaos differential
-# (remote-chaos).
+# two-replica shared-tier smoke, the per-level read budget, the batch
+# corruption and write-behind breaker tests plus the kill/restart race
+# tests — untraced and traced — (remote-smoke) and the network-chaos
+# differential (remote-chaos).
 #
 # The benchmark smoke only checks that the go-test benchmarks run.
 # Performance is recorded and compared in one place: the perfbench harness
@@ -87,7 +88,9 @@ leak-check:
 # deck, card tokenizer and value parsers (the tokenizer and value parser
 # against their previous implementations), the disk/remote-tier entry and
 # record codecs,
-# the remote tier endpoint (any method, path and body) and the delay-cache
+# the remote tier endpoint (any method, path and batch body), the v1 front
+# door (any body of at most 4 KiB through POST /analyze: no panic, no 5xx,
+# always a v1 envelope) and the delay-cache
 # key derivation (equal keys exactly when the stage content is equal) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
@@ -102,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeBody$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/sta/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
@@ -118,13 +122,14 @@ service-smoke:
 # warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
 # vs on), re-analysis after an edit (fresh vs warm analyzer), the warm-disk
 # service path, the warm service path untraced and traced (flight recorder
-# + metrics) and the junction-table lookup against the exact junction
-# model. It checks that they run; performance is measured by perfbench
+# + metrics), the two-replica request served warm from the peer (with its
+# read and write round trips per op) and the junction-table lookup against
+# the exact junction model. It checks that they run; performance is measured by perfbench
 # (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|ReanalyzeAfterEdit' -benchtime 1x -benchmem ./internal/sta/
-	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced' -benchtime 1x -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced|ServiceWarmOffPeer' -benchtime 1x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/
 
 # Full benchmark sweep (regenerates every table/figure; slow).
@@ -178,11 +183,14 @@ service-verify:
 
 # Remote-cache smoke, under the race detector: two in-process replicas share
 # one tier server (the fresh one must answer warm: zero evaluations, >=90%
-# remote hits, bit-identical results), and concurrent analyses through the
-# service's remote → disk tiers survive the remote server being killed and
-# restarted mid-run without leaking a goroutine or moving a bit.
+# remote hits, bit-identical results, at most one read request per
+# dependency level), a corrupted frame in a batch read costs only its own
+# key, a batch write stores exactly its valid frames, write-behind sends
+# never move an open breaker, and concurrent analyses through the service's
+# remote → disk tiers survive the remote server being killed and restarted
+# mid-run without leaking a goroutine or moving a bit.
 remote-smoke:
-	$(GO) test -race -run 'TestTwoReplicasShareTier|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
+	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
 
 # Remote-cache differential: each network fault class (net-latency,
 # net-error, net-corrupt) at rate 0.2 must leave results bit-identical to a

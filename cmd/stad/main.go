@@ -27,7 +27,7 @@
 //
 // A fleet of daemons can share one warm delay cache: -cache-listen ADDR
 // additionally serves this replica's per-signature caches over the tier API
-// (GET/PUT /tier/{signature}/{key}), and -remote-cache URL makes every
+// (batched POST and PUT on /tier/{signature}/), and -remote-cache URL makes every
 // pooled analyzer read through remote → disk against a peer's endpoint. The remote client sits behind per-op deadlines, bounded retries
 // and a circuit breaker: a dead or flaky peer degrades to cache misses, and
 // /healthz reports (but never 503s on) an open breaker.
@@ -58,7 +58,7 @@ func main() {
 		queueLen    = flag.Int("queue", 64, "admission-queue capacity in sub-requests; a full queue sheds with 429")
 		workers     = flag.Int("workers", 2, "queue-draining workers (concurrent analyses)")
 		analyzerW   = flag.Int("analyzer-workers", 0, "per-analysis stage-evaluation workers (0 = GOMAXPROCS)")
-		cacheListen = flag.String("cache-listen", "", "additionally serve this replica's delay cache to the fleet on this address (GET/PUT /tier/)")
+		cacheListen = flag.String("cache-listen", "", "additionally serve this replica's delay cache to the fleet on this address (POST/PUT /tier/)")
 		remoteCache = flag.String("remote-cache", "", "base URL of a peer's -cache-listen endpoint to read through (remote → disk)")
 		replica     = flag.String("replica", "", "replica name stamped on cache-plane trace spans (defaults to the listen address)")
 	)

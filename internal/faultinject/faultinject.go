@@ -177,6 +177,15 @@ func (in *Injector) Fire(c Class, key string) bool {
 // (CacheStall, NetLatency). Safe on a nil receiver.
 func (in *Injector) Stall(c Class, key string) {
 	if in.Fire(c, key) {
+		in.Pause()
+	}
+}
+
+// Pause blocks for the configured stall duration unconditionally: the
+// caller has already decided with Fire (a batch that stalls once when any
+// member's site fires). Safe on a nil receiver (returns at once).
+func (in *Injector) Pause() {
+	if in != nil {
 		time.Sleep(in.stall)
 	}
 }

@@ -155,7 +155,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"unparseable deck", `{"netlist":"* t\nMBAD\n.end\n","outputs":["y"]}`,
 			http.StatusUnprocessableEntity, v1.CodeInvalidNetlist},
 		{"undriven output", fmt.Sprintf(`{"netlist":%q,"outputs":["nosuchnet"]}`, deck),
-			http.StatusInternalServerError, v1.CodeAnalysisFailed},
+			http.StatusUnprocessableEntity, v1.CodeInvalidNetlist},
 		{"slew over limit", withSlew("rise_slew", 1e-5), http.StatusBadRequest, v1.CodeInvalidRequest},
 		{"negative slew", withSlew("fall_slew", -1e-12), http.StatusBadRequest, v1.CodeInvalidRequest},
 	}

@@ -145,8 +145,10 @@ func TestDistributedTraceMergesPeerSpan(t *testing.T) {
 			if s.Attrs.Get("outcome") != "hit" {
 				t.Errorf("attempt outcome %v, want hit", s.Attrs.Get("outcome"))
 			}
-		case s.Attrs.Get("tier") == "remote" && s.Attrs.Get("hit") == true:
-			remoteProbes++
+		case s.Name == "tier remote":
+			if hits, _ := s.Attrs.Get("hits").(int64); hits > 0 {
+				remoteProbes++
+			}
 		}
 	}
 	if peers == 0 || attempts == 0 || remoteProbes == 0 {
@@ -455,6 +457,43 @@ func BenchmarkServiceWarmTraced(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServiceWarmOffPeer measures the two-replica request served warm
+// from the peer: replica A has analyzed the all-hit 4-bit decoder and serves
+// its cache plane; each op is a fresh replica B answering the same request
+// through A's plane (B's construction and Close are outside the timer). Run
+// with -benchmem; read_reqs/op and write_reqs/op count the round trips B
+// made to the plane.
+func BenchmarkServiceWarmOffPeer(b *testing.B) {
+	body := warmDecoder4Body(b)
+	dir := b.TempDir()
+	warm := New(tech, lib, Options{CacheDir: dir})
+	serveOnce(b, warm.Handler(), body)
+	warm.Close() // drains the disk write-behind, so the plane starts warm
+	a := New(tech, lib, Options{CacheDir: dir})
+	b.Cleanup(func() { a.Close() })
+	plane := remotecache.NewServer(a.TierStoreFor, nil)
+	hs := httptest.NewServer(plane.Handler())
+	b.Cleanup(hs.Close)
+
+	before := plane.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		replica := New(tech, lib, Options{RemoteCache: hs.URL})
+		h := replica.Handler()
+		b.StartTimer()
+		serveOnce(b, h, body)
+		b.StopTimer()
+		replica.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	after := plane.Stats()
+	b.ReportMetric(float64(after.ReadRequests-before.ReadRequests)/float64(b.N), "read_reqs/op")
+	b.ReportMetric(float64(after.WriteRequests-before.WriteRequests)/float64(b.N), "write_reqs/op")
 }
 
 // TestFlightRetainedBytes bounds what the flight recorder keeps per trace:

@@ -21,7 +21,11 @@ type AdaptiveOptions struct {
 	// MaxNR and Gmin as in Options.
 	MaxNR int
 	Gmin  float64
-	IC    map[string]float64
+	// MaxNRIters, when positive, caps the Newton iterations of the whole
+	// run: past it TransientAdaptive gives up with an error instead of
+	// grinding through a circuit whose steps keep failing.
+	MaxNRIters int
+	IC         map[string]float64
 	// RecordNodes limits which node waveforms are stored (nil = all).
 	RecordNodes []string
 }
@@ -126,6 +130,9 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 		c.h = h
 		iters, ok := s.solvePoint(c, gmin, maxNR)
 		res.Stats.NRIterations += iters
+		if o.MaxNRIters > 0 && res.Stats.NRIterations > o.MaxNRIters {
+			return nil, fmt.Errorf("spice: Newton iteration budget of %d exhausted at t = %g", o.MaxNRIters, tNow)
+		}
 		if !ok {
 			// Newton failure: halve the step and retry.
 			copy(c.x, saved)

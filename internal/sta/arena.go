@@ -45,6 +45,14 @@ type analyzeScratch struct {
 	items []workItem
 	evs   []outEval
 
+	// Tier-read scratch (see readTiers): the level's keys still to probe,
+	// one GetMany's result slots, a dedupe set, and the level's hits.
+	tierKeys []Key
+	tierOut  []TierEntry
+	tierHit  []bool
+	tierSeen map[Key]struct{}
+	tierHits map[Key]TierEntry
+
 	// Pooled per-output load maps, reused level over level (an output's map
 	// is only read while its level is in flight).
 	loadMaps []map[string]float64
@@ -69,6 +77,8 @@ func (a *Analyzer) getScratch() *analyzeScratch {
 		predFall:  map[string]string{},
 		predRise:  map[string]string{},
 		classSeen: map[Key]bool{},
+		tierSeen:  map[Key]struct{}{},
+		tierHits:  map[Key]TierEntry{},
 		idx:       map[*circuit.Stage]int{},
 		ix: loadIndex{
 			gateCap: map[string]float64{},
@@ -84,6 +94,9 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	clear(s.predFall)
 	clear(s.predRise)
 	clear(s.classSeen)
+	clear(s.tierSeen)
+	clear(s.tierHits)
+	clear(s.tierOut)
 	clear(s.idx)
 	clear(s.ix.gateCap)
 	clear(s.ix.nodeCap)

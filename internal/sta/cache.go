@@ -110,6 +110,18 @@ func (c *delayCache) acquire(key *Key) (*cacheEntry, bool) {
 	return e, false
 }
 
+// peek returns key's entry, complete or in flight, or nil. It creates no
+// entry and counts nothing: a caller that goes on to use the entry counts
+// the hit itself, exactly as acquire would have (see lookupOrEval). Entries
+// are never removed, so a peeked entry stays the key's entry.
+func (c *delayCache) peek(key *Key) *cacheEntry {
+	sh := &c.shards[key[0]%cacheShards]
+	sh.mu.RLock()
+	e := sh.m[*key]
+	sh.mu.RUnlock()
+	return e
+}
+
 // CacheStats is a snapshot of the delay cache's counters.
 type CacheStats struct {
 	// Hits and Misses count lookups; a miss triggers exactly one QWM

@@ -52,13 +52,16 @@ type Config struct {
 	// reads the clock on the evaluation path.
 	Metrics *obs.Registry
 	// Tiers are the persistent delay-cache tiers below the in-memory cache,
-	// in probe order, fastest first (the service uses remote → disk). A
-	// single-flight leader probes them before evaluating, skips entries
-	// failing Valid and promotes a hit into every earlier tier; every fresh
-	// evaluation is written to all of them. Entries loaded from a tier count
-	// as cache activity but not as evaluations, so a warm-tier Analyze
-	// reports StagesEvaluated = 0 exactly like a warm-memory one. See
-	// TierStore.
+	// in probe order, fastest first (the service uses remote → disk). Each
+	// dependency level reads them once, before its items run: every key the
+	// level will look up that the memory cache lacks goes to the first store
+	// in one GetMany, the keys it misses to the next, and so on; entries
+	// failing Valid are misses and a hit is promoted into every earlier
+	// tier. A single-flight leader whose key hit hydrates from that read
+	// instead of evaluating; every fresh evaluation is written to all the
+	// tiers. Entries loaded from a tier count as cache activity but not as
+	// evaluations, so a warm-tier Analyze reports StagesEvaluated = 0
+	// exactly like a warm-memory one. See TierStore.
 	Tiers []TierStore
 }
 
@@ -113,13 +116,18 @@ func (e TierEntry) Valid() bool {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // TierStore is a read-through/write-behind store below the in-memory delay
-// cache: the single-flight leader consults Get before evaluating and calls
-// Put with every freshly computed timing. Implementations must be safe for
-// concurrent use and are expected to be lossy in BOTH directions — a failed
-// or dropped Put and a corrupt or missing Get are misses, never errors; the
-// engine re-evaluates and overwrites. Keys are the engine's fixed-width
-// content-addressed cache keys (see Key), so a store namespace must only ever
-// be shared between analyzers with equal Signatures.
+// cache: the engine reads a whole level's keys with one GetMany before the
+// level runs and calls Put with every freshly computed timing.
+// Implementations must be safe for concurrent use and are expected to be
+// lossy in BOTH directions — a failed or dropped Put and a corrupt or
+// missing entry are misses, never errors; the engine re-evaluates and
+// overwrites. Keys are the engine's fixed-width content-addressed cache keys
+// (see Key), so a store namespace must only ever be shared between analyzers
+// with equal Signatures.
+//
+// GetMany resolves keys[i] into out[i] and hit[i] for every i (len(out) and
+// len(hit) are at least len(keys)); a false hit[i] leaves out[i]
+// unspecified. It must not retain the slices.
 //
 // Name labels the store's "tier <name>" trace spans ("remote", "disk",
 // "memory"). The context carries the request's trace reference when the
@@ -127,7 +135,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // or stamp outbound requests; stores without a use for it ignore it.
 type TierStore interface {
 	Name() string
-	Get(ctx context.Context, key Key) (TierEntry, bool)
+	GetMany(ctx context.Context, keys []Key, out []TierEntry, hit []bool)
 	Put(ctx context.Context, key Key, e TierEntry)
 }
 

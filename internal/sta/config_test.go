@@ -53,27 +53,39 @@ func TestConfigSignatureEngineTag(t *testing.T) {
 // mapTierStore is the reference TierStore: a plain locked map. The disk
 // implementation lives in sta/diskcache; this in-memory one pins down the
 // engine-side contract independent of any file format.
+// gets and hits count keys; reads counts GetMany calls.
 type mapTierStore struct {
-	mu   sync.Mutex
-	m    map[Key]TierEntry
-	gets int
-	hits int
-	puts int
+	mu    sync.Mutex
+	m     map[Key]TierEntry
+	reads int
+	gets  int
+	hits  int
+	puts  int
 }
 
 func newMapTierStore() *mapTierStore { return &mapTierStore{m: map[Key]TierEntry{}} }
 
 func (s *mapTierStore) Name() string { return "map" }
 
-func (s *mapTierStore) Get(_ context.Context, key Key) (TierEntry, bool) {
+func (s *mapTierStore) GetMany(_ context.Context, keys []Key, out []TierEntry, hit []bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gets++
-	e, ok := s.m[key]
-	if ok {
-		s.hits++
+	s.reads++
+	for i, k := range keys {
+		s.gets++
+		out[i], hit[i] = s.m[k]
+		if hit[i] {
+			s.hits++
+		}
 	}
-	return e, ok
+}
+
+// getOne reads one key through a store's batch read.
+func getOne(st TierStore, key Key) (TierEntry, bool) {
+	var out [1]TierEntry
+	var hit [1]bool
+	st.GetMany(context.Background(), []Key{key}, out[:], hit[:])
+	return out[0], hit[0]
 }
 
 func (s *mapTierStore) Put(_ context.Context, key Key, e TierEntry) {

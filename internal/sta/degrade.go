@@ -103,6 +103,10 @@ func (a *Analyzer) qwmOpts(faultKey string, forceBisect bool) qwm.Options {
 	}
 }
 
+// spiceNRBudget caps the SPICE tier's Newton iterations per evaluation
+// (see evalSpicePath).
+const spiceNRBudget = 10000
+
 // evalLadder resolves one stage-direction timing through the degradation
 // ladder. Structural failures (no conducting path to the rail) return
 // immediately without escalation — no solver can conjure a path that does
@@ -449,11 +453,18 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 	}
 	// Span: generous for the ps–ns stage delays this engine targets, plus
 	// the full input ramp; HMax keeps coarse late-tail steps from blurring
-	// the measured edge.
+	// the measured edge. HMax grows with the span past 5 ns, so the step
+	// count stays near 1000 whatever the input slew: a microsecond ramp
+	// from a pathologically slow upstream stage otherwise took a million
+	// 5 ps steps (the LTE control still shortens steps around the edge).
+	// The Newton budget bounds what is left — absurd device geometry whose
+	// steps keep failing — and escalates it to the bound tier; healthy
+	// stages use under a thousand iterations.
 	tstop := 1.25*inSlew + 2e-9
 	res, err := sim.TransientAdaptive(spice.AdaptiveOptions{
 		TStop:       tstop,
-		HMax:        5e-12,
+		HMax:        max(5e-12, tstop/1000),
+		MaxNRIters:  spiceNRBudget,
 		IC:          ic,
 		RecordNodes: []string{rout},
 	})

@@ -7,14 +7,15 @@
 // Design constraints, in order:
 //
 //  1. Never serve wrong data. Every record carries a CRC32 over its entire
-//     payload, re-verified on every Get (not just at open), and a semantic
+//     payload, re-verified on every read (not just at open), and a semantic
 //     validity check on the decoded entry. Any mismatch is a miss — the
 //     engine re-evaluates and overwrites. Torn tails from a crash mid-write
 //     are truncated away at open.
 //  2. Lossy is fine, slow is not. Puts are write-behind through a bounded
-//     WriteQueue drained by one goroutine; when the queue is full or closed
-//     the put is dropped (and counted). Gets are a ReadAt against the segment
-//     file under an RLock into a pooled fixed-size buffer — no serialization
+//     WriteQueue drained by one goroutine, which appends each drained batch
+//     under one lock; when the queue is full or closed the put is dropped
+//     (and counted). A GetMany batch is ReadAts against the segment files
+//     under one RLock into a pooled fixed-size buffer — no serialization
 //     with the writer beyond index access, and no allocation on a hit.
 //  3. Bounded size. Records append to numbered segment files; when a segment
 //     exceeds segTarget bytes it is sealed and a new one started, and when
@@ -82,7 +83,7 @@ func (o Options) withDefaults() Options {
 
 // Stats is a snapshot of a store's counters.
 type Stats struct {
-	Hits, Misses int64 // Get outcomes
+	Hits, Misses int64 // read outcomes, per key
 	Puts         int64 // records durably appended
 	Dropped      int64 // puts discarded by a full write-behind queue
 	Corrupt      int64 // CRC / decode failures served as misses
@@ -113,13 +114,13 @@ const (
 	flagOK     = 1 << 0
 	flagFell   = 1 << 1
 
-	// getBufLen sizes Get's read buffers: the checksummed part of a record
+	// getBufLen sizes GetMany's read buffer: the checksummed part of a record
 	// (value length, key, value) whose error message is at most 165 bytes,
 	// which covers every successful timing. Longer records use the heap.
 	getBufLen = 256
 )
 
-// getBufs pools Get's read buffers. A stack array would escape anyway: the
+// getBufs pools GetMany's read buffers. A stack array would escape anyway: the
 // CRC routine's argument leaks to the heap.
 var getBufs = sync.Pool{New: func() any { return new([getBufLen]byte) }}
 
@@ -130,7 +131,7 @@ type indexEntry struct {
 	off    int64 // offset of the record's key bytes
 	seg    int32
 	valLen int32
-	crc    uint32 // CRC over valLen|key|val, re-verified on Get
+	crc    uint32 // CRC over valLen|key|val, re-verified on every read
 }
 
 type segment struct {
@@ -354,61 +355,77 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 // Name implements sta.TierStore.
 func (s *Store) Name() string { return "disk" }
 
-// Get implements sta.TierStore: a read-through probe. Any failure — missing
-// key, short read, CRC mismatch, undecodable or invalid entry — is a miss.
-// A hit reads the record into a pooled buffer and allocates nothing.
-func (s *Store) Get(_ context.Context, key sta.Key) (sta.TierEntry, bool) {
+// GetMany implements sta.TierStore: the batch resolves under one RLock. Any
+// failure — missing key, short read, CRC mismatch, undecodable or invalid
+// entry — is a miss. A hit reads the record into a pooled buffer and
+// allocates nothing.
+func (s *Store) GetMany(_ context.Context, keys []sta.Key, out []sta.TierEntry, hit []bool) {
 	if s == nil {
-		return sta.TierEntry{}, false
+		clear(hit[:len(keys)])
+		return
 	}
+	buf := getBufs.Get().(*[getBufLen]byte)
+	defer getBufs.Put(buf)
+	var hits, corrupt int64
 	s.mu.RLock()
-	ie, ok := s.index[key]
-	var f *os.File
-	if ok {
-		for _, seg := range s.segs {
-			if seg.id == int(ie.seg) {
-				f = seg.f
-				break
-			}
+	for i := range keys {
+		var ok bool
+		out[i], ok, hit[i] = s.getLocked(&keys[i], buf)
+		if hit[i] {
+			hits++
+		} else if ok {
+			corrupt++
 		}
 	}
-	if !ok || f == nil {
-		s.mu.RUnlock()
-		s.statMisses.add(1, s.misses)
-		return sta.TierEntry{}, false
+	s.mu.RUnlock()
+	s.statHits.add(hits, s.hits)
+	s.statMisses.add(int64(len(keys))-hits, s.misses)
+	if corrupt > 0 {
+		s.statCorrupt.add(corrupt, s.corrupt)
+	}
+}
+
+// getLocked reads one key; found reports an index entry, hit a verified
+// entry (found && !hit is corruption). Requires s.mu held for reading, so GC
+// cannot close the file mid-read; the read is a positioned ReadAt, so
+// concurrent readers never contend on a file offset.
+func (s *Store) getLocked(key *sta.Key, buf *[getBufLen]byte) (e sta.TierEntry, found, hit bool) {
+	ie, ok := s.index[*key]
+	if !ok {
+		return e, false, false
+	}
+	var f *os.File
+	for _, seg := range s.segs {
+		if seg.id == int(ie.seg) {
+			f = seg.f
+			break
+		}
+	}
+	if f == nil {
+		return e, false, false
 	}
 	// Re-read key+value and re-verify the CRC on every hit: a flipped bit
 	// anywhere in the record — key or value — downgrades to a miss instead
-	// of an aliased or corrupt timing. The read happens under the RLock so
-	// GC cannot close the file mid-read; it's a positioned ReadAt, so
-	// concurrent readers never contend on a file offset.
+	// of an aliased or corrupt timing.
 	need := 4 + sta.KeySize + int(ie.valLen)
 	var body []byte
 	if need <= getBufLen {
-		buf := getBufs.Get().(*[getBufLen]byte)
-		defer getBufs.Put(buf)
 		body = buf[:need]
 	} else {
 		body = make([]byte, need)
 	}
 	binary.LittleEndian.PutUint32(body[0:4], uint32(ie.valLen))
 	n, _ := f.ReadAt(body[4:], ie.off)
-	s.mu.RUnlock()
 	if n != need-4 ||
 		crc32.Checksum(body, crcTable) != ie.crc ||
-		sta.Key(body[4:4+sta.KeySize]) != key {
-		s.statCorrupt.add(1, s.corrupt)
-		s.statMisses.add(1, s.misses)
-		return sta.TierEntry{}, false
+		sta.Key(body[4:4+sta.KeySize]) != *key {
+		return e, true, false
 	}
 	e, err := decodeEntry(body[4+sta.KeySize:])
 	if err != nil || !e.Valid() {
-		s.statCorrupt.add(1, s.corrupt)
-		s.statMisses.add(1, s.misses)
-		return sta.TierEntry{}, false
+		return sta.TierEntry{}, true, false
 	}
-	s.statHits.add(1, s.hits)
-	return e, true
+	return e, true, true
 }
 
 // Put implements sta.TierStore: write-behind, lossy under pressure. The
@@ -423,18 +440,25 @@ func (s *Store) Put(_ context.Context, key sta.Key, e sta.TierEntry) {
 	}
 }
 
-// append is the write-behind sink: it writes one record to the active
-// segment, sealing and collecting when size thresholds trip. Write errors
-// (disk full, EIO) drop the record: the store is a cache, and the next Get
-// simply misses.
-func (s *Store) append(req putReq) {
-	rec := encodeRecord(req.key, req.val)
-
+// append is the write-behind sink: it writes a batch of records to the
+// active segment under one lock, sealing and collecting when size thresholds
+// trip. Write errors (disk full, EIO) drop the record: the store is a cache,
+// and the next read simply misses.
+func (s *Store) append(batch []putReq) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || len(s.segs) == 0 {
 		return
 	}
+	for _, req := range batch {
+		s.appendLocked(req)
+	}
+	s.bytes.Set(s.totalBytesLocked())
+}
+
+// appendLocked writes one record. Requires s.mu held for writing.
+func (s *Store) appendLocked(req putReq) {
+	rec := encodeRecord(req.key, req.val)
 	active := s.segs[len(s.segs)-1]
 	if active.size+int64(len(rec)) > s.opts.SegmentBytes && active.size > int64(len(segMagic)) {
 		seg, err := s.newSegment(active.id + 1)
@@ -461,7 +485,6 @@ func (s *Store) append(req putReq) {
 	}
 	active.size += int64(len(rec))
 	s.statPuts.add(1, s.puts)
-	s.bytes.Set(s.totalBytesLocked())
 }
 
 // gcLocked drops oldest sealed segments until the total fits MaxBytes.
@@ -513,7 +536,7 @@ func (s *Store) Flush() {
 }
 
 // Close drains the write-behind queue, fsyncs and closes every segment.
-// The store is unusable afterwards (Gets miss, Puts drop and are counted).
+// The store is unusable afterwards (reads miss, Puts drop and are counted).
 // Safe to call more than once.
 func (s *Store) Close() error {
 	if s == nil {

@@ -35,6 +35,14 @@ func tk(name string) sta.Key {
 	return k
 }
 
+// get reads one key through the store's batch read.
+func get(s *Store, key sta.Key) (sta.TierEntry, bool) {
+	var out [1]sta.TierEntry
+	var hit [1]bool
+	s.GetMany(context.Background(), []sta.Key{key}, out[:], hit[:])
+	return out[0], hit[0]
+}
+
 func mustOpen(t *testing.T, dir, sig string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, sig, opts)
@@ -54,7 +62,7 @@ func TestPutGetRestart(t *testing.T) {
 	}
 	s.Flush()
 	for i := 0; i < n; i++ {
-		e, ok := s.Get(context.Background(), tk(fmt.Sprintf("key-%03d", i)))
+		e, ok := get(s, tk(fmt.Sprintf("key-%03d", i)))
 		if !ok {
 			t.Fatalf("key-%03d missing before restart", i)
 		}
@@ -69,7 +77,7 @@ func TestPutGetRestart(t *testing.T) {
 	// Restart: a fresh Store over the same directory serves every entry.
 	s2 := mustOpen(t, dir, "sigA", Options{})
 	for i := 0; i < n; i++ {
-		e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%03d", i)))
+		e, ok := get(s2, tk(fmt.Sprintf("key-%03d", i)))
 		if !ok {
 			t.Fatalf("key-%03d lost across restart", i)
 		}
@@ -89,12 +97,12 @@ func TestLatestWriteWins(t *testing.T) {
 	s.Put(context.Background(), tk("k"), testEntry(1))
 	s.Put(context.Background(), tk("k"), testEntry(2))
 	s.Flush()
-	if e, _ := s.Get(context.Background(), tk("k")); e != testEntry(2) {
+	if e, _ := get(s, tk("k")); e != testEntry(2) {
 		t.Fatalf("live store served %+v, want the later write", e)
 	}
 	s.Close()
 	s2 := mustOpen(t, dir, "s", Options{})
-	if e, ok := s2.Get(context.Background(), tk("k")); !ok || e != testEntry(2) {
+	if e, ok := get(s2, tk("k")); !ok || e != testEntry(2) {
 		t.Fatalf("reopened store served %+v (ok=%v), want the later write", e, ok)
 	}
 }
@@ -139,11 +147,11 @@ func TestKillMidWrite(t *testing.T) {
 			}
 
 			s2 := mustOpen(t, dir, "s", Options{})
-			if _, ok := s2.Get(context.Background(), tk("torn-key")); ok {
+			if _, ok := get(s2, tk("torn-key")); ok {
 				t.Fatal("torn record must not be served")
 			}
 			for i := 0; i < 10; i++ {
-				if e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%d", i))); !ok || e != testEntry(i) {
+				if e, ok := get(s2, tk(fmt.Sprintf("key-%d", i))); !ok || e != testEntry(i) {
 					t.Fatalf("key-%d lost or changed after torn-tail recovery (ok=%v)", i, ok)
 				}
 			}
@@ -152,7 +160,7 @@ func TestKillMidWrite(t *testing.T) {
 			s2.Flush()
 			s2.Close()
 			s3 := mustOpen(t, dir, "s", Options{})
-			if e, ok := s3.Get(context.Background(), tk("after")); !ok || e != testEntry(50) {
+			if e, ok := get(s3, tk("after")); !ok || e != testEntry(50) {
 				t.Fatal("append after recovery did not survive a second restart")
 			}
 		})
@@ -191,7 +199,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	defer s2.Close()
 	// Open-time scan stops at the corrupt record: the victim is unindexed
 	// (miss) and the corruption is counted.
-	if _, ok := s2.Get(context.Background(), tk("victim")); ok {
+	if _, ok := get(s2, tk("victim")); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
 	if got := reg2.Snapshot().Counters["sta/disk/corrupt"]; got == 0 {
@@ -210,7 +218,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	s := mustOpen(t, dir, "s", Options{})
 	s.Put(context.Background(), tk("k"), testEntry(7))
 	s.Flush()
-	if _, ok := s.Get(context.Background(), tk("k")); !ok {
+	if _, ok := get(s, tk("k")); !ok {
 		t.Fatal("sanity: entry must hit before corruption")
 	}
 	// Rot the value in place while the store is live and the index warm.
@@ -230,7 +238,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	}
 	f.Close()
 
-	if _, ok := s.Get(context.Background(), tk("k")); ok {
+	if _, ok := get(s, tk("k")); ok {
 		t.Fatal("re-verification missed in-place corruption")
 	}
 	if s.Stats().Corrupt == 0 {
@@ -262,7 +270,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("key-%04d", i)
-				if e, ok := s.Get(context.Background(), tk(key)); ok && e != testEntry(i) {
+				if e, ok := get(s, tk(key)); ok && e != testEntry(i) {
 					t.Errorf("reader %d: %s returned %+v, want %+v", r, key, e, testEntry(i))
 					return
 				}
@@ -286,7 +294,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Recent keys must still be present; evicted old keys must miss cleanly.
 	hits := 0
 	for i := 0; i < n; i++ {
-		if e, ok := s.Get(context.Background(), tk(fmt.Sprintf("key-%04d", i))); ok {
+		if e, ok := get(s, tk(fmt.Sprintf("key-%04d", i))); ok {
 			hits++
 			if e != testEntry(i) {
 				t.Fatalf("key-%04d corrupted by GC", i)
@@ -302,7 +310,7 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	// Restart over the GC'd directory: still consistent.
 	s2 := mustOpen(t, dir, "s", Options{})
 	for i := n - 50; i < n; i++ {
-		if e, ok := s2.Get(context.Background(), tk(fmt.Sprintf("key-%04d", i))); ok && e != testEntry(i) {
+		if e, ok := get(s2, tk(fmt.Sprintf("key-%04d", i))); ok && e != testEntry(i) {
 			t.Fatalf("key-%04d corrupted after GC+restart", i)
 		}
 	}
@@ -340,7 +348,7 @@ func TestPutAfterCloseIsCountedDrop(t *testing.T) {
 
 func TestNilStoreIsNoop(t *testing.T) {
 	var s *Store
-	if _, ok := s.Get(context.Background(), tk("k")); ok {
+	if _, ok := get(s, tk("k")); ok {
 		t.Fatal("nil store hit")
 	}
 	s.Put(context.Background(), tk("k"), testEntry(1))
@@ -441,16 +449,19 @@ func TestGetHitAllocFree(t *testing.T) {
 	s.Put(ctx, tk("hit"), testEntry(5))
 	s.Put(ctx, tk("long"), long)
 	s.Flush()
-	if e, ok := s.Get(ctx, tk("long")); !ok || e != long {
+	if e, ok := get(s, tk("long")); !ok || e != long {
 		t.Fatalf("long entry read back as %+v, %v", e, ok)
 	}
-	key := tk("hit")
+	keys := []sta.Key{tk("hit"), tk("hit")}
+	out := make([]sta.TierEntry, len(keys))
+	hit := make([]bool, len(keys))
 	allocs := testing.AllocsPerRun(100, func() {
-		if e, ok := s.Get(ctx, key); !ok || e != testEntry(5) {
-			t.Fatalf("hit read back as %+v, %v", e, ok)
+		s.GetMany(ctx, keys, out, hit)
+		if !hit[0] || !hit[1] || out[0] != testEntry(5) || out[1] != testEntry(5) {
+			t.Fatalf("hit read back as %+v, %v", out, hit)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("disk hit allocates %.1f times, want 0", allocs)
+		t.Fatalf("disk batch hit allocates %.1f times, want 0", allocs)
 	}
 }

@@ -3,15 +3,17 @@ package diskcache
 import "sync"
 
 // WriteQueue is the write-behind queue of the disk tier and the remote tier
-// (internal/sta/remotecache): Enqueue never blocks, one goroutine hands each
-// item to the sink in FIFO order, Flush is a barrier behind everything
-// enqueued before it, and Close drains what is queued and stops the
-// goroutine. An item Enqueue accepts is always handed to the sink; one it
-// refuses (full queue, or Close has begun) is the caller's to count as a
-// drop. All methods are safe for concurrent use, Close included.
+// (internal/sta/remotecache): Enqueue never blocks, one goroutine hands the
+// sink everything buffered at once — one batch, in FIFO order, of at most
+// the queue's capacity — Flush is a barrier behind everything enqueued
+// before it, and Close drains what is queued and stops the goroutine. An
+// item Enqueue accepts is always handed to the sink; one it refuses (full
+// queue, or Close has begun) is the caller's to count as a drop. All methods
+// are safe for concurrent use, Close included.
 type WriteQueue[T any] struct {
 	ch     chan queued[T]
-	sink   func(T)
+	sink   func([]T)
+	batch  []T           // the drain goroutine's reused batch buffer
 	stop   chan struct{} // closed once, by Close
 	exited chan struct{} // closed by the drain goroutine on return
 	once   sync.Once
@@ -30,8 +32,9 @@ type queued[T any] struct {
 }
 
 // NewWriteQueue starts a queue of capacity n whose goroutine passes every
-// accepted item to sink. The caller must Close it.
-func NewWriteQueue[T any](n int, sink func(T)) *WriteQueue[T] {
+// accepted item to sink, in batches of what is buffered. The sink must not
+// retain its slice. The caller must Close it.
+func NewWriteQueue[T any](n int, sink func([]T)) *WriteQueue[T] {
 	q := &WriteQueue[T]{
 		ch:     make(chan queued[T], n),
 		sink:   sink,
@@ -92,22 +95,44 @@ func (q *WriteQueue[T]) drain() {
 	for {
 		select {
 		case it := <-q.ch:
-			q.handle(it)
+			q.run(it)
 		case <-q.stop:
 			// Enqueue accepts nothing now, and this goroutine is the only
 			// receiver, so what is buffered is all that is left.
 			for len(q.ch) > 0 {
-				q.handle(<-q.ch)
+				q.run(<-q.ch)
 			}
 			return
 		}
 	}
 }
 
-func (q *WriteQueue[T]) handle(it queued[T]) {
-	if it.ack != nil {
-		close(it.ack)
+// run collects first and whatever else is buffered behind it into one batch
+// for the sink. A barrier first sinks the batch gathered ahead of it, so
+// Flush's guarantee holds; the batch stops at the queue's capacity, so one
+// sink call stays bounded under a steady stream of puts.
+func (q *WriteQueue[T]) run(first queued[T]) {
+	it := first
+	for {
+		if it.ack != nil {
+			q.sinkBatch()
+			close(it.ack)
+		} else {
+			q.batch = append(q.batch, it.v)
+		}
+		if len(q.ch) == 0 || len(q.batch) >= cap(q.ch) {
+			break
+		}
+		it = <-q.ch
+	}
+	q.sinkBatch()
+}
+
+func (q *WriteQueue[T]) sinkBatch() {
+	if len(q.batch) == 0 {
 		return
 	}
-	q.sink(it.v)
+	q.sink(q.batch)
+	clear(q.batch) // the items may hold buffers; don't pin them
+	q.batch = q.batch[:0]
 }

@@ -50,3 +50,20 @@ func DecodeRecord(b []byte) (key sta.Key, val []byte, err error) {
 	}
 	return sta.Key(b[recKeyOff:recValOff]), b[recValOff:], nil
 }
+
+// NextRecord splits the first frame off a concatenation of EncodeRecord
+// frames (the remote tier's batch bodies) by its length field, without
+// verifying it — DecodeRecord does that. ok is false when b is too short
+// for a frame header or for the frame its header announces; the rest of the
+// stream is then unusable, since no later frame boundary can be found.
+func NextRecord(b []byte) (frame, rest []byte, ok bool) {
+	if len(b) < recValOff {
+		return nil, nil, false
+	}
+	valLen := int(binary.LittleEndian.Uint32(b[4:8]))
+	if valLen <= 0 || valLen > maxValLen || len(b)-recValOff < valLen {
+		return nil, nil, false
+	}
+	n := recValOff + valLen
+	return b[:n:n], b[n:], true
+}

@@ -26,8 +26,11 @@ var (
 	ErrPanicRecovered = errors.New("sta: panic recovered during evaluation")
 	// ErrInvalidNetlist wraps every pre-flight validation failure
 	// (malformed devices, duplicate names, non-finite values, floating
-	// capacitor terminals, combinational cycles). The analysis is rejected
-	// before any solver work; use errors.Is to detect this class.
+	// capacitor terminals, combinational cycles), which rejects the analysis
+	// before any solver work, and the structural defects found later: a
+	// netlist with no logic stage, a stage output with no path to either
+	// rail, a requested output the netlist does not drive. Use errors.Is to
+	// detect this class.
 	ErrInvalidNetlist = errors.New("sta: invalid netlist")
 	// ErrInvalidInput wraps every rejected primary-input arrival (a
 	// non-finite time or slew, a negative slew, or a slew above

@@ -139,18 +139,45 @@ func (b *breaker) failure(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe || BreakerState(b.state.Load()) == BreakerHalfOpen {
-		b.openedAt = b.now()
-		b.skips = 0
-		b.setState(BreakerOpen)
-		b.opens.add(1, b.mOpens)
+		b.openLocked()
 		return
 	}
+	b.countFailureLocked()
+}
+
+// settle records the outcome of a write-behind send. It acts only while the
+// breaker is closed: a send may reset the failure run or count toward the
+// threshold, but it never decides a probe or closes an open breaker. Reads
+// own the probe schedule, so the breaker's path does not depend on when
+// queued writes happen to drain.
+func (b *breaker) settle(ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if BreakerState(b.state.Load()) != BreakerClosed {
+		return
+	}
+	if ok {
+		b.consecFails = 0
+		return
+	}
+	b.countFailureLocked()
+}
+
+// countFailureLocked adds one failure to the closed breaker's run and opens
+// it at the threshold. Requires b.mu.
+func (b *breaker) countFailureLocked() {
 	b.consecFails++
 	if b.consecFails >= b.threshold && BreakerState(b.state.Load()) == BreakerClosed {
-		b.consecFails = 0
-		b.openedAt = b.now()
-		b.skips = 0
-		b.setState(BreakerOpen)
-		b.opens.add(1, b.mOpens)
+		b.openLocked()
 	}
+}
+
+// openLocked moves the breaker to Open and restarts the probe schedule.
+// Requires b.mu.
+func (b *breaker) openLocked() {
+	b.consecFails = 0
+	b.openedAt = b.now()
+	b.skips = 0
+	b.setState(BreakerOpen)
+	b.opens.add(1, b.mOpens)
 }

@@ -8,21 +8,32 @@
 //
 // The envelope, inside out:
 //
+// The unit of tier I/O is a batch, not a key. The engine reads a whole
+// dependency level's keys with one GetMany, which is one POST of the
+// concatenated keys answered with the hits' frames; the write-behind queue
+// hands its sink everything buffered, which goes out as one PUT of
+// concatenated frames (see server.go for the routes).
+//
+// The envelope, inside out:
+//
 //   - Per-attempt deadlines: every round trip runs under Options.Timeout;
 //     a hung peer costs a bounded wait, never a stuck worker.
 //   - Bounded retries with exponential backoff and deterministic jitter
-//     (hashed from the cache key and attempt number, so two replicas never
-//     synchronize their retry storms yet a fixed workload replays exactly).
+//     (hashed from the batch's first cache key and the attempt number, so
+//     two replicas never synchronize their retry storms yet a fixed
+//     workload replays exactly).
 //   - A three-state circuit breaker (closed → open on consecutive-failure
 //     threshold → half-open probe): once a peer is declared dead, further
-//     Gets cost one atomic load and are counted misses; a deterministic
-//     probe schedule rediscovers recovery. See breaker.go.
+//     reads cost one atomic load and are counted misses; a deterministic
+//     probe schedule, advanced only by reads, rediscovers recovery. See
+//     breaker.go.
 //   - Write-behind Puts through diskcache's bounded WriteQueue with
-//     drop-on-full: the engine never waits on the network to store.
+//     drop-on-full: the engine never waits on the network to store, and a
+//     drained batch is dropped unless the breaker is closed.
 //   - End-to-end CRC: responses carry the same CRC32-Castagnoli-framed
-//     records diskcache appends to disk, re-verified (checksum, embedded
-//     key, entry validity) on every Get — wire corruption is a counted
-//     miss, never wrong data.
+//     records diskcache appends to disk, each re-verified (checksum,
+//     embedded key, entry validity) on every read — wire corruption is a
+//     counted miss of the corrupted frame's key, never wrong data.
 //
 // Failure of any kind degrades to a miss; the engine re-evaluates. The tier
 // can therefore sit in an analyzer's sta.Config.Tiers (remote → disk)
@@ -30,12 +41,14 @@
 package remotecache
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -54,13 +67,13 @@ type Options struct {
 	// Timeout is the per-attempt deadline for one HTTP round trip.
 	// 0 means 250 ms.
 	Timeout time.Duration
-	// Retries is the number of EXTRA Get attempts after the first fails at
-	// the transport level (a 404 miss is a completed round trip, never
+	// Retries is the number of EXTRA read attempts after the first fails at
+	// the transport level (a completed round trip, misses and all, is never
 	// retried). 0 means 2; negative means none.
 	Retries int
 	// Backoff is the base delay before the first retry, doubling per
 	// attempt, plus a deterministic jitter in [0, Backoff) hashed from the
-	// key and attempt. 0 means 20 ms.
+	// batch's first key and the attempt. 0 means 20 ms.
 	Backoff time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// breaker. 0 means 5.
@@ -75,7 +88,7 @@ type Options struct {
 	// 1 s; negative disables (fully deterministic count-based probing).
 	BreakerCooldown time.Duration
 	// QueueLen bounds the write-behind Put queue; a full queue drops the
-	// put (counted). 0 means 1024.
+	// put (counted). It also bounds one drained write batch. 0 means 1024.
 	QueueLen int
 	// HTTPClient overrides the transport (tests inject failures here).
 	// Its Timeout is ignored; per-attempt deadlines come from Timeout.
@@ -85,7 +98,9 @@ type Options struct {
 	Metrics *obs.Registry
 	// Fault, when set, arms the network fault classes (net-latency,
 	// net-error, net-corrupt), keyed by cache key so injected weather is
-	// schedule-independent. Chaos rigs only.
+	// schedule-independent: a batch stalls or fails when any member's site
+	// fires, and net-corrupt flips a byte in the frame of each member whose
+	// site fires. Chaos rigs only.
 	Fault *faultinject.Injector
 }
 
@@ -123,21 +138,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxResponseBytes bounds one GET response body: a frame holding a cache key
-// and an encoded TierEntry is about a hundred bytes; anything past the disk
-// format's own record bounds is garbage.
-const maxResponseBytes = 4 << 20
+// Batch bounds, shared by client and server: one read carries at most
+// maxBatchKeys keys and one write at most maxBatchKeys frames, and every
+// body is at most maxResponseBytes (responses) or maxRequestBytes
+// (requests). A frame holding a cache key and an encoded TierEntry is about
+// a hundred bytes, so a full batch fits well inside the byte bound.
+const (
+	maxBatchKeys     = 4096
+	maxResponseBytes = 4 << 20
+	maxRequestBytes  = maxResponseBytes
+)
 
-// Stats is a snapshot of a client's counters.
+// Stats is a snapshot of a client's counters. Hits, Misses, FastFails and
+// Corrupt count keys (frames), Puts and Dropped count records, so rates stay
+// comparable however the keys were batched; ReadRequests and WriteRequests
+// count the round trips.
 type Stats struct {
-	Hits, Misses int64 // Get outcomes (every non-hit path is a miss)
-	Puts         int64 // records durably sent (2xx acknowledged)
-	Dropped      int64 // puts discarded: full queue, open breaker, send failure
-	Retries      int64 // extra Get attempts after transport failures
-	Timeouts     int64 // attempts that died on the per-attempt deadline
-	Corrupt      int64 // CRC / frame / validity failures served as misses
-	FastFails    int64 // Gets suppressed by the open breaker (no network)
-	BreakerOpens int64 // transitions into the open state
+	Hits, Misses  int64 // read outcomes per key (every non-hit path is a miss)
+	Puts          int64 // records durably sent (2xx acknowledged)
+	Dropped       int64 // records discarded: full queue, open breaker, send failure
+	Retries       int64 // extra read attempts after transport failures
+	Timeouts      int64 // attempts that died on the per-attempt deadline
+	Corrupt       int64 // CRC / frame / validity failures served as misses
+	FastFails     int64 // keys whose read the open breaker suppressed (no network)
+	BreakerOpens  int64 // transitions into the open state
+	ReadRequests  int64 // read round trips attempted (POSTs, retries included)
+	WriteRequests int64 // write round trips attempted (PUTs)
 
 	BreakerState string // current state name
 }
@@ -175,16 +201,17 @@ const (
 type Client struct {
 	base string // server base URL, no trailing slash
 	sig  string
-	path string // precomputed "/tier/<b64sig>/"
+	path string // precomputed "/tier/<b64sig>/", the read and write route
 	opts Options
 	http *http.Client
 	br   *breaker
 
 	queue *diskcache.WriteQueue[putReq]
 
-	hits, misses, puts, dropped, retriesC, timeouts, corrupt, fastfails cpair
+	hits, misses, puts, dropped, retriesC, timeouts, corrupt, fastfails,
+	readReqs, writeReqs cpair
 	mHits, mMisses, mPuts, mDropped, mRetries, mTimeouts, mCorrupt,
-	mFastfails *obs.Counter
+	mFastfails, mReadReqs, mWriteReqs *obs.Counter
 }
 
 // New creates a client for the tier namespace `signature` on the server at
@@ -210,22 +237,10 @@ func New(baseURL, signature string, opts Options) *Client {
 	c.mTimeouts = r.Counter("sta/remote/timeouts")
 	c.mCorrupt = r.Counter("sta/remote/corrupt")
 	c.mFastfails = r.Counter("sta/remote/fastfails")
+	c.mReadReqs = r.Counter("sta/remote/read_requests")
+	c.mWriteReqs = r.Counter("sta/remote/write_requests")
 	c.queue = diskcache.NewWriteQueue(opts.QueueLen, c.send)
 	return c
-}
-
-// keyURL renders the GET/PUT URL for one cache key.
-func (c *Client) keyURL(key *sta.Key) string {
-	return c.base + c.path + base64.RawURLEncoding.EncodeToString(key[:])
-}
-
-// faultKey is the fault-injection site key for one cache key: its hex form,
-// built only when a fault plan is armed.
-func (c *Client) faultKey(key *sta.Key) string {
-	if c.opts.Fault == nil {
-		return ""
-	}
-	return key.String()
 }
 
 // BreakerState returns the breaker's current state.
@@ -242,93 +257,116 @@ func (c *Client) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:         c.hits.value(),
-		Misses:       c.misses.value(),
-		Puts:         c.puts.value(),
-		Dropped:      c.dropped.value(),
-		Retries:      c.retriesC.value(),
-		Timeouts:     c.timeouts.value(),
-		Corrupt:      c.corrupt.value(),
-		FastFails:    c.fastfails.value(),
-		BreakerOpens: c.br.opens.value(),
-		BreakerState: c.br.State().String(),
+		Hits:          c.hits.value(),
+		Misses:        c.misses.value(),
+		Puts:          c.puts.value(),
+		Dropped:       c.dropped.value(),
+		Retries:       c.retriesC.value(),
+		Timeouts:      c.timeouts.value(),
+		Corrupt:       c.corrupt.value(),
+		FastFails:     c.fastfails.value(),
+		BreakerOpens:  c.br.opens.value(),
+		ReadRequests:  c.readReqs.value(),
+		WriteRequests: c.writeReqs.value(),
+		BreakerState:  c.br.State().String(),
 	}
 }
 
 // Name implements sta.TierStore.
 func (c *Client) Name() string { return "remote" }
 
-// Get implements sta.TierStore: a read-through probe whose every failure
-// mode — suppressed by the breaker, timed out, transport error, corrupt
-// frame — is a miss, never an error. When ctx carries a trace reference,
-// every network attempt becomes a child span, the outbound request is
-// stamped with the traceparent header, and a peer-recorded span returned in
-// the response header is merged into the same trace. ctx supplies only the
-// trace: each attempt runs under the client's own deadline.
-func (c *Client) Get(ctx context.Context, key sta.Key) (sta.TierEntry, bool) {
+// GetMany implements sta.TierStore: a read-through probe of a batch of keys,
+// one POST per at most maxBatchKeys keys, whose every failure mode —
+// suppressed by the breaker, timed out, transport error, corrupt frame — is
+// a miss, never an error. Each batch takes one breaker decision, one
+// deadline per attempt and one retry schedule. When ctx carries a trace
+// reference, every network attempt becomes a child span, the outbound
+// request is stamped with the traceparent header, and a peer-recorded span
+// returned in the response header is merged into the same trace. ctx
+// supplies only the trace: each attempt runs under the client's own
+// deadline.
+func (c *Client) GetMany(ctx context.Context, keys []sta.Key, out []sta.TierEntry, hit []bool) {
+	clear(hit[:len(keys)])
 	if c == nil {
-		return sta.TierEntry{}, false
+		return
 	}
 	ref, _ := obs.TraceFrom(ctx)
+	for lo, n := 0, 0; lo < len(keys); lo, n = lo+maxBatchKeys, n+1 {
+		hi := min(lo+maxBatchKeys, len(keys))
+		b := batch{keys: keys[lo:hi], out: out[lo:hi], hit: hit[lo:hi], ref: ref}
+		if ref.T != nil && n > 0 {
+			// Later batches of one probe get their own span subtree.
+			b.ref.Parent += ".c" + strconv.Itoa(n)
+		}
+		c.getBatch(&b)
+	}
+}
+
+// batch is one read request's keys, their result slots and the probe's
+// trace reference.
+type batch struct {
+	keys []sta.Key
+	out  []sta.TierEntry
+	hit  []bool
+	ref  obs.TraceRef
+}
+
+func (c *Client) getBatch(b *batch) {
+	n := int64(len(b.keys))
 	proceed, probe := c.br.allow()
 	if !proceed {
-		c.fastfails.add(1, c.mFastfails)
-		c.misses.add(1, c.mMisses)
-		if ref.T != nil {
-			// The breaker suppressed the probe entirely; record a zero-cost
+		c.fastfails.add(n, c.mFastfails)
+		c.misses.add(n, c.mMisses)
+		if b.ref.T != nil {
+			// The breaker suppressed the read entirely; record a zero-cost
 			// span so the trace shows WHY the remote tier went unconsulted.
-			ref.T.Add(obs.ReqSpan{
-				ID: ref.Parent + ".a0", Parent: ref.Parent, Name: "remote get",
-				Level: ref.Level, Item: ref.Item, Start: time.Now(),
+			b.ref.T.Add(obs.ReqSpan{
+				ID: b.ref.Parent + ".a0", Parent: b.ref.Parent, Name: "remote get",
+				Level: b.ref.Level, Item: b.ref.Item, Start: time.Now(),
 				Attrs: obs.Attrs{obs.Int("attempt", 0), obs.Str("outcome", "breaker-open")},
 			})
 		}
-		return sta.TierEntry{}, false
+		return
 	}
-	e, ok, err := c.fetch(&key, ref)
+	hits, err := c.fetch(b)
 	if err != nil {
 		c.br.failure(probe)
-		c.misses.add(1, c.mMisses)
-		return sta.TierEntry{}, false
+		c.misses.add(n, c.mMisses)
+		return
 	}
 	c.br.success()
-	if !ok {
-		c.misses.add(1, c.mMisses)
-		return sta.TierEntry{}, false
-	}
-	c.hits.add(1, c.mHits)
-	return e, true
+	c.hits.add(int64(hits), c.mHits)
+	c.misses.add(n-int64(hits), c.mMisses)
 }
 
 // errInjected marks a fault-injected transport failure.
 var errInjected = errors.New("remotecache: injected network error")
 
-// fetch runs the bounded-retry GET loop for one key. The returned error is
-// non-nil only for transport-level failure of EVERY attempt; a completed
-// round trip that misses (404) or decodes badly (corrupt ⇒ miss) is err ==
-// nil. Corruption is deliberately not retried: the frame made it across the
-// transport, and hammering the peer for a bad record would amplify exactly
+// fetch runs the bounded-retry POST loop for one batch and returns its hit
+// count. The returned error is non-nil only for transport-level failure of
+// EVERY attempt; a completed round trip is err == nil, whatever its frames
+// held (a missing key is a miss, a corrupt frame a counted miss).
+// Corruption is deliberately not retried: the frames made it across the
+// transport, and hammering the peer for bad records would amplify exactly
 // the failure the CRC already contained.
-func (c *Client) fetch(key *sta.Key, ref obs.TraceRef) (sta.TierEntry, bool, error) {
-	var lastErr error
+func (c *Client) fetch(b *batch) (int, error) {
 	for attempt := 0; ; attempt++ {
-		e, ok, err := c.attempt(key, ref, attempt)
+		hits, err := c.attempt(b, attempt)
 		if err == nil {
-			return e, ok, nil
+			return hits, nil
 		}
-		lastErr = err
 		if attempt >= c.opts.Retries {
-			return sta.TierEntry{}, false, lastErr
+			return 0, err
 		}
 		c.retriesC.add(1, c.mRetries)
-		time.Sleep(c.backoff(key, attempt))
+		time.Sleep(c.backoff(&b.keys[0], attempt))
 	}
 }
 
 // backoff computes the sleep before retry `attempt`: base << attempt plus a
-// deterministic jitter in [0, base) hashed from (key, attempt) — replicas
-// de-synchronize (different keys, different phases) while a fixed workload
-// replays the exact same waits.
+// deterministic jitter in [0, base) hashed from (the batch's first key,
+// attempt) — replicas de-synchronize (different keys, different phases)
+// while a fixed workload replays the exact same waits.
 func (c *Client) backoff(key *sta.Key, attempt int) time.Duration {
 	d := c.opts.Backoff << uint(attempt)
 	const maxBackoff = 2 * time.Second
@@ -363,29 +401,23 @@ func hash64(key []byte, salt uint64) uint64 {
 }
 
 // attempt performs one deadline-bounded round trip, recording it as a span
-// when the request is traced: the outbound GET carries the traceparent for
+// when the request is traced: the outbound POST carries the traceparent for
 // the attempt's semantic span ID ("<probe>.a<n>"), and a peer span returned
 // in the response header is re-parented under the attempt.
-func (c *Client) attempt(key *sta.Key, ref obs.TraceRef, n int) (sta.TierEntry, bool, error) {
+func (c *Client) attempt(b *batch, n int) (int, error) {
+	ref := b.ref
 	if ref.T == nil {
-		e, ok, _, err := c.roundTrip(key, "")
-		return e, ok, err
+		hits, _, err := c.roundTrip(b, "")
+		return hits, err
 	}
 	attID := ref.Parent + ".a" + strconv.Itoa(n)
 	start := time.Now()
-	e, ok, peer, err := c.roundTrip(key, obs.FormatTraceparent(ref.T.TraceID, attID))
-	outcome := "miss"
-	switch {
-	case err != nil:
-		outcome = "error"
-	case ok:
-		outcome = "hit"
-	}
+	hits, peer, err := c.roundTrip(b, obs.FormatTraceparent(ref.T.TraceID, attID))
 	ref.T.Add(obs.ReqSpan{
 		ID: attID, Parent: ref.Parent, Name: "remote get",
 		Level: ref.Level, Item: ref.Item,
 		Start: start, Dur: time.Since(start),
-		Attrs: obs.Attrs{obs.Int("attempt", n), obs.Str("outcome", outcome)},
+		Attrs: obs.Attrs{obs.Int("attempt", n), obs.Str("outcome", outcome(len(b.keys), hits, err))},
 	})
 	if ps, good := obs.DecodePeerSpan(peer); good {
 		var buf [obs.MaxPeerSpanAttrs]obs.Attr
@@ -401,97 +433,170 @@ func (c *Client) attempt(key *sta.Key, ref obs.TraceRef, n int) (sta.TierEntry, 
 			Attrs: attrs,
 		})
 	}
-	return e, ok, err
+	return hits, err
 }
 
-// roundTrip is one raw HTTP exchange. Error return means transport failure
-// (retryable); (zero, false, nil) is a definitive miss. peerSpan is the
-// encoded Qwm-Span response header, "" when absent.
-func (c *Client) roundTrip(key *sta.Key, traceparent string) (_ sta.TierEntry, _ bool, peerSpan string, _ error) {
-	fault, fk := c.opts.Fault, c.faultKey(key)
-	// Fault site net-latency: a slow peer. Pure latency — the request still
-	// completes, and results must be bit-for-bit unaffected.
-	fault.Stall(faultinject.NetLatency, fk)
+// outcome names a read's result for its spans: "error" for a failed round
+// trip, else "hit" when every key hit, "miss" when none did and "partial"
+// in between.
+func outcome(keys, hits int, err error) string {
+	switch {
+	case err != nil:
+		return "error"
+	case hits == keys:
+		return "hit"
+	case hits == 0:
+		return "miss"
+	}
+	return "partial"
+}
+
+// firesAny reports whether fault class cl fires at any of the keys' sites.
+// The sites stay keyed by cache key, so a batch's weather is a pure function
+// of its members.
+func firesAny(fault *faultinject.Injector, cl faultinject.Class, keys func(int) *sta.Key, n int) bool {
+	if fault == nil {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if fault.Fire(cl, keys(i).String()) {
+			return true
+		}
+	}
+	return false
+}
+
+// roundTrip is one raw HTTP exchange for a batch: POST the concatenated
+// keys, decode the answered frames into the batch's slots. An error return
+// means transport failure (retryable), and leaves the slots untouched.
+// peerSpan is the encoded Qwm-Span response header, "" when absent.
+func (c *Client) roundTrip(b *batch, traceparent string) (hits int, peerSpan string, _ error) {
+	fault := c.opts.Fault
+	key := func(i int) *sta.Key { return &b.keys[i] }
+	// Fault site net-latency: a slow peer, once per batch when any member's
+	// site fires. Pure latency — the request still completes, and results
+	// must be bit-for-bit unaffected.
+	if firesAny(fault, faultinject.NetLatency, key, len(b.keys)) {
+		fault.Pause()
+	}
 	// Fault site net-error: the request never comes back (reset, refused,
-	// mid-flight partition). Keyed by cache key, so retries of the same key
-	// deterministically fail too — the tier must degrade to a miss.
-	if fault.Fire(faultinject.NetError, fk) {
-		return sta.TierEntry{}, false, "", errInjected
+	// mid-flight partition) when any member's site fires. Keyed by cache
+	// key, so retries of the same batch deterministically fail too — the
+	// tier must degrade to misses.
+	if firesAny(fault, faultinject.NetError, key, len(b.keys)) {
+		return 0, "", errInjected
 	}
 
+	body := make([]byte, 0, len(b.keys)*sta.KeySize)
+	for i := range b.keys {
+		body = append(body, b.keys[i][:]...)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.keyURL(key), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+c.path, bytes.NewReader(body))
 	if err != nil {
-		return sta.TierEntry{}, false, "", err
+		return 0, "", err
 	}
+	req.Header.Set("Content-Type", keysContentType)
 	if traceparent != "" {
 		req.Header.Set(traceparentHeader, traceparent)
 	}
+	c.readReqs.add(1, c.mReadReqs)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			c.timeouts.add(1, c.mTimeouts)
 		}
-		return sta.TierEntry{}, false, "", err
+		return 0, "", err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	peerSpan = resp.Header.Get(peerSpanHeader)
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		return sta.TierEntry{}, false, peerSpan, nil // completed round trip, definitive miss
-	case resp.StatusCode != http.StatusOK:
-		return sta.TierEntry{}, false, peerSpan, fmt.Errorf("remotecache: GET %s: status %d", key, resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		// Includes a peer on the single-key protocol, which answers the
+		// batch route 400: the breaker then degrades it to misses.
+		return 0, peerSpan, fmt.Errorf("remotecache: POST %s: status %d", c.path, resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	resBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		if ctx.Err() != nil {
 			c.timeouts.add(1, c.mTimeouts)
 		}
-		return sta.TierEntry{}, false, peerSpan, err
+		return 0, peerSpan, err
 	}
-	if len(body) > maxResponseBytes {
+	if len(resBody) > maxResponseBytes {
 		c.corrupt.add(1, c.mCorrupt)
-		return sta.TierEntry{}, false, peerSpan, nil
+		return 0, peerSpan, nil
 	}
-	// Fault site net-corrupt: a flipped bit on the wire. The CRC must catch
-	// it and serve a counted miss, never a wrong timing.
-	if fault.Fire(faultinject.NetCorrupt, fk) && len(body) > 0 {
-		body[len(body)/2] ^= 0x40
+	return c.decodeFrames(b, resBody), peerSpan, nil
+}
+
+// decodeFrames verifies a read response end to end and fills the batch's
+// slots. The server answers the hits' frames in request order; each frame is
+// checked on its own — checksum, an embedded key the batch asked for (a
+// router handing back another record is corruption too) and a valid entry
+// — so a corrupt frame costs only its own key. A frame whose header runs
+// past the body ends the walk: no later boundary can be trusted.
+func (c *Client) decodeFrames(b *batch, body []byte) (hits int) {
+	fault := c.opts.Fault
+	var corrupt int64
+	next := 0 // keys before next are answered or skipped
+	for rest := body; len(rest) > 0; {
+		frame, r, ok := diskcache.NextRecord(rest)
+		if !ok {
+			corrupt++
+			break
+		}
+		rest = r
+		// Fault site net-corrupt: a flipped bit inside the frame of each
+		// member whose site fires. The CRC must catch it and serve that key
+		// as a counted miss, never a wrong timing.
+		if fault != nil && fault.Fire(faultinject.NetCorrupt, sta.Key(frame[8:8+sta.KeySize]).String()) {
+			frame[len(frame)/2] ^= 0x40
+		}
+		key, val, err := diskcache.DecodeRecord(frame)
+		if err != nil {
+			corrupt++
+			continue
+		}
+		i := slices.Index(b.keys[next:], key)
+		if i < 0 {
+			corrupt++
+			continue
+		}
+		i += next
+		next = i + 1
+		e, err := diskcache.DecodeEntry(val)
+		if err != nil || !e.Valid() {
+			corrupt++
+			continue
+		}
+		b.out[i], b.hit[i] = e, true
+		hits++
 	}
-	// End-to-end verification: checksum over the whole frame, embedded key
-	// equality (a router handing back the wrong record is corruption too),
-	// and semantic validity of the decoded entry.
-	gotKey, val, err := diskcache.DecodeRecord(body)
-	if err != nil || gotKey != *key {
-		c.corrupt.add(1, c.mCorrupt)
-		return sta.TierEntry{}, false, peerSpan, nil
+	if corrupt > 0 {
+		c.corrupt.add(corrupt, c.mCorrupt)
 	}
-	e, err := diskcache.DecodeEntry(val)
-	if err != nil || !e.Valid() {
-		c.corrupt.add(1, c.mCorrupt)
-		return sta.TierEntry{}, false, peerSpan, nil
-	}
-	return e, true, peerSpan, nil
+	return hits
 }
 
 // Put implements sta.TierStore: write-behind, lossy under pressure and
-// while the breaker is open. The frame is encoded on the caller's goroutine
-// (cheap and allocation-bounded) so a dropped put costs no network work.
-// When ctx carries a trace reference, the traceparent for the caller's put
-// span is stamped on the asynchronous PUT — the peer can correlate the
-// write, but (the put being write-behind) no span is merged back.
+// whenever the breaker is not closed. The frame is encoded on the caller's
+// goroutine (cheap and allocation-bounded) so a dropped put costs no
+// network work. When ctx carries a trace reference, the traceparent for the
+// caller's put span is stamped on the asynchronous PUT — the peer can
+// correlate the write, but (the put being write-behind) no span is merged
+// back.
 func (c *Client) Put(ctx context.Context, key sta.Key, e sta.TierEntry) {
 	if c == nil {
 		return
 	}
-	if c.br.State() == BreakerOpen {
+	if c.br.State() != BreakerClosed {
 		// No probe promotion for puts: the tier is written behind anyway,
 		// and probing with data nobody is waiting for would make breaker
-		// recovery depend on write traffic. Gets own the probe schedule.
+		// recovery depend on write traffic. Reads own the probe schedule.
 		c.dropped.add(1, c.mDropped)
 		return
 	}
@@ -504,59 +609,87 @@ func (c *Client) Put(ctx context.Context, key sta.Key, e sta.TierEntry) {
 	}
 }
 
-// send is the write-behind sink: it performs one PUT. Failures drop the
-// record (counted) and feed the breaker; there are no retries — the store is
-// lossy by contract and the next analysis simply re-puts.
-func (c *Client) send(req putReq) {
-	proceed, probe := c.br.allow()
-	if !proceed {
-		c.dropped.add(1, c.mDropped)
+// send is the write-behind sink: it sends everything the queue drained, one
+// PUT per at most maxBatchKeys frames and maxRequestBytes bytes. Unless the
+// breaker is closed the whole batch is dropped without touching the
+// network: a put queued while the breaker was closed must not become a
+// suppressed operation — or the half-open probe — once it opened. Failures
+// drop the records (counted); there are no retries — the store is lossy by
+// contract and the next analysis simply re-puts.
+func (c *Client) send(batch []putReq) {
+	if c.br.State() != BreakerClosed {
+		c.dropped.add(int64(len(batch)), c.mDropped)
 		return
 	}
-	fault, fk := c.opts.Fault, c.faultKey(&req.key)
-	fault.Stall(faultinject.NetLatency, fk)
-	if fault.Fire(faultinject.NetError, fk) {
-		c.br.failure(probe)
-		c.dropped.add(1, c.mDropped)
+	for len(batch) > 0 {
+		n, size := 0, 0
+		for n < len(batch) && n < maxBatchKeys && size+len(batch[n].rec) <= maxRequestBytes {
+			size += len(batch[n].rec)
+			n++
+		}
+		c.sendBatch(batch[:n], size)
+		batch = batch[n:]
+	}
+}
+
+// sendBatch performs one PUT of the records' concatenated frames. Its
+// outcome reaches the breaker through settle, which acts only while the
+// breaker is closed.
+func (c *Client) sendBatch(batch []putReq, size int) {
+	n := int64(len(batch))
+	drop := func(ok bool) {
+		c.br.settle(ok)
+		c.dropped.add(n, c.mDropped)
+	}
+	fault := c.opts.Fault
+	key := func(i int) *sta.Key { return &batch[i].key }
+	if firesAny(fault, faultinject.NetLatency, key, len(batch)) {
+		fault.Pause()
+	}
+	if firesAny(fault, faultinject.NetError, key, len(batch)) {
+		drop(false)
 		return
+	}
+	body := make([]byte, 0, size)
+	tp := ""
+	for i := range batch {
+		body = append(body, batch[i].rec...)
+		if tp == "" {
+			tp = batch[i].tp
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(&req.key), strings.NewReader(string(req.rec)))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+c.path, bytes.NewReader(body))
 	if err != nil {
-		c.br.failure(probe)
-		c.dropped.add(1, c.mDropped)
+		drop(false)
 		return
 	}
 	hreq.Header.Set("Content-Type", contentType)
-	if req.tp != "" {
-		hreq.Header.Set(traceparentHeader, req.tp)
+	if tp != "" {
+		hreq.Header.Set(traceparentHeader, tp)
 	}
+	c.writeReqs.add(1, c.mWriteReqs)
 	resp, err := c.http.Do(hreq)
 	if err != nil {
 		if ctx.Err() != nil {
 			c.timeouts.add(1, c.mTimeouts)
 		}
-		c.br.failure(probe)
-		c.dropped.add(1, c.mDropped)
+		drop(false)
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		// 4xx here means the server judged the frame corrupt or mismatched;
-		// that is a data problem, not peer death — breaker-neutral, like
-		// client-side corruption.
-		if resp.StatusCode/100 == 5 {
-			c.br.failure(probe)
-		} else {
-			c.br.success()
-		}
-		c.dropped.add(1, c.mDropped)
+		// 4xx means the server rejected frames as corrupt or the body as
+		// malformed; that is a data problem, not peer death — neutral for
+		// the breaker, like client-side corruption. The client cannot tell
+		// which frames a 400 kept, so the whole batch counts as dropped.
+		drop(resp.StatusCode/100 != 5)
 		return
 	}
-	c.br.success()
-	c.puts.add(1, c.mPuts)
+	c.br.settle(true)
+	c.puts.add(n, c.mPuts)
 }
 
 // Flush blocks until every Put enqueued BEFORE the call has been sent or
@@ -569,7 +702,7 @@ func (c *Client) Flush() {
 }
 
 // Close drains the write-behind queue and stops its goroutine. The client is
-// unusable afterwards (Gets still work — they are stateless — but Puts drop
+// unusable afterwards (reads still work — they are stateless — but Puts drop
 // and are counted). Safe to call more than once, concurrently.
 func (c *Client) Close() error {
 	if c == nil {

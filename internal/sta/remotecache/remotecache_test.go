@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,6 +40,43 @@ func tk(name string) sta.Key {
 	var k sta.Key
 	copy(k[:], name)
 	return k
+}
+
+// get reads one key through the client's batch read.
+func get(ctx context.Context, c *remotecache.Client, key sta.Key) (sta.TierEntry, bool) {
+	var out [1]sta.TierEntry
+	var hit [1]bool
+	c.GetMany(ctx, []sta.Key{key}, out[:], hit[:])
+	return out[0], hit[0]
+}
+
+// tierURL is the batch route of one signature's namespace.
+func tierURL(base, sig string) string {
+	return base + "/tier/" + base64.RawURLEncoding.EncodeToString([]byte(sig)) + "/"
+}
+
+// do sends one request and returns its status and body.
+func do(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// frame is the canonical wire frame of one entry.
+func frame(key sta.Key, e sta.TierEntry) []byte {
+	return diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))
 }
 
 func decoderFixture(t *testing.T) (*circuit.Netlist, map[string]sta.Arrival, []string) {
@@ -93,7 +131,7 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 
 	// Cold server: a definitive miss, and a completed round trip (no breaker
 	// damage).
-	if _, ok := clean.Get(context.Background(), tk("k1")); ok {
+	if _, ok := get(context.Background(), clean, tk("k1")); ok {
 		t.Fatal("cold Get hit")
 	}
 
@@ -103,20 +141,20 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("server stored %d records, want 1 (stats %+v)", got.Stored, got)
 	}
 
-	got, ok := clean.Get(context.Background(), tk("k1"))
+	got, ok := get(context.Background(), clean, tk("k1"))
 	if !ok || got != e {
 		t.Fatalf("round trip = %+v, %v; want the stored entry back bit-for-bit", got, ok)
 	}
 
 	// Namespace isolation: same key, different signature, must miss.
-	if _, ok := other.Get(context.Background(), tk("k1")); ok {
+	if _, ok := get(context.Background(), other, tk("k1")); ok {
 		t.Fatal("signature namespaces alias each other")
 	}
 
 	// Wire corruption at rate 1: every GET response has a byte flipped, the
 	// CRC catches it, and the client serves a counted miss — never a wrong
 	// entry.
-	if _, ok := corrupting.Get(context.Background(), tk("k1")); ok {
+	if _, ok := get(context.Background(), corrupting, tk("k1")); ok {
 		t.Fatal("corrupt frame served as a hit")
 	}
 	cs := corrupting.Stats()
@@ -129,19 +167,10 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 	}
 
 	// A corrupt PUT is rejected by the server and never stored.
-	k2 := tk("k2")
-	rec := diskcache.EncodeRecord(k2, diskcache.EncodeEntry(e))
+	rec := frame(tk("k2"), e)
 	rec[len(rec)-1] ^= 0xff
-	url := base + "/tier/" + base64.RawURLEncoding.EncodeToString([]byte("sig-a")) +
-		"/" + base64.RawURLEncoding.EncodeToString(k2[:])
-	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(rec))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt PUT: status %d, want 400", resp.StatusCode)
+	if code, _ := do(t, http.MethodPut, tierURL(base, "sig-a"), rec); code != http.StatusBadRequest {
+		t.Fatalf("corrupt PUT: status %d, want 400", code)
 	}
 	if got := srv.Stats(); got.Corrupt != 1 || got.Stored != 1 {
 		t.Fatalf("server accepted a corrupt frame: %+v", got)
@@ -149,7 +178,8 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 }
 
 // failThenServe is a RoundTripper that counts attempts and fails every
-// request until healed, after which it serves 404 (a completed round trip).
+// request until healed, after which it answers 200 with no frames (a
+// completed round trip: every key missed).
 type failThenServe struct {
 	attempts atomic.Int64
 	healed   atomic.Bool
@@ -161,7 +191,7 @@ func (f *failThenServe) RoundTrip(r *http.Request) (*http.Response, error) {
 		return nil, errors.New("synthetic transport failure")
 	}
 	rec := httptest.NewRecorder()
-	rec.WriteHeader(http.StatusNotFound)
+	rec.WriteHeader(http.StatusOK)
 	return rec.Result(), nil
 }
 
@@ -176,14 +206,14 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	c := remotecache.New("http://dead.invalid", "sig", opts)
 	defer c.Close()
 
-	get := func() { c.Get(context.Background(), tk("k")) }
+	read := func() { get(context.Background(), c, tk("k")) }
 
-	// Gets 1..3 reach the transport and fail; the 3rd opens the breaker.
+	// Reads 1..3 reach the transport and fail; the 3rd opens the breaker.
 	for i := 0; i < 3; i++ {
 		if st := c.BreakerState(); st != remotecache.BreakerClosed {
 			t.Fatalf("get %d: breaker %v, want closed", i, st)
 		}
-		get()
+		read()
 	}
 	if st := c.BreakerState(); st != remotecache.BreakerOpen {
 		t.Fatalf("after threshold: breaker %v, want open", st)
@@ -192,9 +222,9 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 		t.Fatalf("attempts = %d, want 3", n)
 	}
 
-	// Gets 4..6 are suppressed: zero network traffic, counted fast-fails.
+	// Reads 4..6 are suppressed: zero network traffic, counted fast-fails.
 	for i := 0; i < 3; i++ {
-		get()
+		read()
 	}
 	if n := tr.attempts.Load(); n != 3 {
 		t.Fatalf("open breaker leaked %d network attempts", n-3)
@@ -204,9 +234,9 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 		t.Fatalf("fastfails = %d, want 3 (stats %+v)", s.FastFails, s)
 	}
 
-	// Get 7 is the 4th suppressed op: promoted to a half-open probe, which
+	// Read 7 is the 4th suppressed op: promoted to a half-open probe, which
 	// fails and re-opens. Exactly one extra attempt.
-	get()
+	read()
 	if n := tr.attempts.Load(); n != 4 {
 		t.Fatalf("probe window: attempts = %d, want 4", n)
 	}
@@ -221,7 +251,7 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	// breaker, and traffic flows again.
 	tr.healed.Store(true)
 	for i := 0; i < 4; i++ {
-		get()
+		read()
 	}
 	if st := c.BreakerState(); st != remotecache.BreakerClosed {
 		t.Fatalf("after healed probe: breaker %v, want closed", st)
@@ -229,7 +259,7 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	if n := tr.attempts.Load(); n != 5 {
 		t.Fatalf("recovery: attempts = %d, want 5", n)
 	}
-	get()
+	read()
 	if n := tr.attempts.Load(); n != 6 {
 		t.Fatalf("closed breaker suppressed traffic: attempts = %d, want 6", n)
 	}
@@ -314,6 +344,123 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
 		t.Error("replica B diverged from replica A")
+	}
+}
+
+// TestWarmReplicaReadBudget: the level is the unit of tier I/O. A fresh
+// replica over a warm shared tier answers the 3-bit decoder with zero
+// evaluations and bit-identical results in at most one read request per
+// dependency level (3); one request per key would take 38.
+func TestWarmReplicaReadBudget(t *testing.T) {
+	base, srv := startTier(t)
+	nl, ins, outs := decoderFixture(t)
+	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
+
+	cfgA := sta.Config{Workers: 2}
+	ca := remotecache.New(base, cfgA.Signature(), quick())
+	cfgA.Tiers = []sta.TierStore{ca}
+	ref, err := sta.New(tech, lib, cfgA).AnalyzeContext(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca.Close()
+	sa := ca.Stats()
+	if sa.WriteRequests == 0 || sa.WriteRequests >= sa.Puts {
+		t.Errorf("replica A sent %d records in %d write requests; the write-behind must coalesce", sa.Puts, sa.WriteRequests)
+	}
+
+	cfgB := sta.Config{Workers: 4}
+	cb := remotecache.New(base, cfgB.Signature(), quick())
+	defer cb.Close()
+	cfgB.Tiers = []sta.TierStore{cb}
+	res, err := sta.New(tech, lib, cfgB).AnalyzeContext(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StagesEvaluated != 0 {
+		t.Errorf("fresh replica evaluated %d stages off a warm shared tier, want 0", res.StagesEvaluated)
+	}
+	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
+		t.Error("replica B diverged from replica A")
+	}
+	sb := cb.Stats()
+	if sb.ReadRequests > 3 || sb.Hits == 0 || sb.Misses != 0 {
+		t.Errorf("replica B: %d read requests for %d hits and %d misses, want at most 3 and no misses", sb.ReadRequests, sb.Hits, sb.Misses)
+	}
+	if got := srv.Stats(); got.ReadRequests != sb.ReadRequests+sa.ReadRequests || got.Gets != sb.Hits+sb.Misses+sa.Hits+sa.Misses {
+		t.Errorf("server counted %d read requests for %d keys; clients sent %d for %d",
+			got.ReadRequests, got.Gets, sa.ReadRequests+sb.ReadRequests, sa.Hits+sa.Misses+sb.Hits+sb.Misses)
+	}
+}
+
+// gatedDead is a dead peer whose first PUT blocks until the gate opens: the
+// write-behind sink is then held inside one send while later puts queue up
+// behind it. Every request fails; attempts are counted per method.
+type gatedDead struct {
+	reads, writes atomic.Int64
+	entered, gate chan struct{}
+}
+
+func (g *gatedDead) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodPut {
+		g.reads.Add(1)
+		return nil, errors.New("dead peer")
+	}
+	if g.writes.Add(1) == 1 {
+		close(g.entered)
+		<-g.gate
+	}
+	return nil, errors.New("dead peer")
+}
+
+// TestBreakerIgnoresWriteBehind: write-behind sends never advance the probe
+// schedule. Puts queued while the breaker was closed and drained after it
+// opened are dropped without touching the network, so the open breaker
+// walks exactly the trajectory — state, read attempts, opens — it walks
+// with no puts at all.
+func TestBreakerIgnoresWriteBehind(t *testing.T) {
+	e := sta.TierEntry{Delay: 1e-10, OK: true, Tier: uint8(sta.TierQWM)}
+	run := func(withPuts bool) (steps []string, st remotecache.Stats, writes int64) {
+		tr := &gatedDead{entered: make(chan struct{}), gate: make(chan struct{})}
+		opts := quick()
+		opts.HTTPClient = &http.Client{Transport: tr}
+		c := remotecache.New("http://dead.invalid", "sig", opts)
+		defer c.Close()
+		if withPuts {
+			// The first put's send holds the sink; six more queue behind it
+			// while the breaker is still closed.
+			c.Put(context.Background(), tk("p0"), e)
+			<-tr.entered
+			for i := 1; i <= 6; i++ {
+				c.Put(context.Background(), tk(fmt.Sprintf("p%d", i)), e)
+			}
+		}
+		step := func() {
+			get(context.Background(), c, tk("k"))
+			steps = append(steps, fmt.Sprintf("%v/%d/%d", c.BreakerState(), tr.reads.Load(), c.Stats().BreakerOpens))
+		}
+		for i := 0; i < 3; i++ { // threshold 3: the breaker opens
+			step()
+		}
+		if withPuts {
+			close(tr.gate)
+			c.Flush() // the queued puts drain with the breaker open
+		}
+		for i := 0; i < 9; i++ {
+			step()
+		}
+		return steps, c.Stats(), tr.writes.Load()
+	}
+	want, _, _ := run(false)
+	got, st, writes := run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("open-breaker trajectory with queued puts:\n got  %v\n want %v", got, want)
+	}
+	if writes != 1 {
+		t.Errorf("%d PUT attempts reached a dead peer, want only the one sent while closed", writes)
+	}
+	if st.Dropped != 7 || st.Puts != 0 {
+		t.Errorf("stats %+v, want all 7 records dropped", st)
 	}
 }
 
@@ -435,34 +582,40 @@ func TestChainKillRestartRace(t *testing.T) {
 	}
 }
 
-// TestTierPathKeyLength: the key segment must be the canonical encoding of
-// exactly sta.KeySize bytes. Text keys, short and long keys and a spelling
-// with non-zero padding bits are malformed paths (400), never a store probe.
+// TestTierPathKeyLength: the batch route is exactly /tier/<sig>/ and a read
+// body is 1 to 4096 whole sta.KeySize-byte keys. The retired single-key path
+// (a key segment after the signature), a text key, short and long keys, an
+// empty body and an over-long batch are malformed (400), never a store
+// probe.
 func TestTierPathKeyLength(t *testing.T) {
 	h := remotecache.NewServer(remotecache.MemoryStores(0), nil)
 	sig := "/tier/" + base64.RawURLEncoding.EncodeToString([]byte("sig")) + "/"
 	key := tk("k")
-	good := base64.RawURLEncoding.EncodeToString(key[:])
-	// The last character carries 2 padding bits; 'B' sets one of them.
-	noncanonical := good[:len(good)-1] + "B"
 	for _, tc := range []struct {
-		name, seg string
-		want      int
+		name, path string
+		body       []byte
+		want       int
 	}{
-		{"canonical", good, http.StatusNotFound},
-		{"text key", base64.RawURLEncoding.EncodeToString([]byte("INV:n1|c=1.000e-14|fall|b12")), http.StatusBadRequest},
-		{"short", base64.RawURLEncoding.EncodeToString(key[:sta.KeySize-1]), http.StatusBadRequest},
-		{"long", base64.RawURLEncoding.EncodeToString(append(key[:], 0)), http.StatusBadRequest},
-		{"padding bits", noncanonical, http.StatusBadRequest},
+		{"one key", sig, key[:], http.StatusOK},
+		{"two keys", sig, append(key[:], key[:]...), http.StatusOK},
+		{"single-key path", sig + base64.RawURLEncoding.EncodeToString(key[:]), key[:], http.StatusBadRequest},
+		{"text key", sig, []byte("INV:n1|c=1.000e-14|fall|b12"), http.StatusBadRequest},
+		{"short", sig, key[:sta.KeySize-1], http.StatusBadRequest},
+		{"long", sig, append(key[:], 0), http.StatusBadRequest},
+		{"empty", sig, nil, http.StatusBadRequest},
+		{"too many keys", sig, bytes.Repeat(key[:], 4097), http.StatusBadRequest},
 	} {
 		rec := httptest.NewRecorder()
-		h.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, sig+tc.seg, nil))
+		h.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body)))
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
 		}
+		if rec.Code == http.StatusOK && rec.Body.Len() != 0 {
+			t.Errorf("%s: a cold store answered %d bytes", tc.name, rec.Body.Len())
+		}
 	}
-	if s := h.Stats(); s.BadRequests != 4 || s.Gets != 1 {
-		t.Errorf("stats %+v, want 4 bad requests and 1 get", s)
+	if s := h.Stats(); s.BadRequests != 6 || s.Gets != 3 || s.ReadRequests != 7 {
+		t.Errorf("stats %+v, want 6 bad requests, 3 keys read in 7 read requests", s)
 	}
 }
 
@@ -472,33 +625,142 @@ func TestTierPathKeyLength(t *testing.T) {
 // cannot hand it to another replica.
 func TestTierPutNonFiniteEntryDropped(t *testing.T) {
 	base, srv := startTier(t)
-	sig := base64.RawURLEncoding.EncodeToString([]byte("sig"))
+	url := tierURL(base, "sig")
 	for i, e := range []sta.TierEntry{
 		{Delay: math.Inf(1), Slew: 3.5e-11, OK: true, Tier: uint8(sta.TierQWM)},
 		{Delay: 1.25e-10, Slew: math.Inf(-1), OK: true, Tier: uint8(sta.TierQWM)},
 	} {
 		key := tk(fmt.Sprintf("inf%d", i))
-		url := base + "/tier/" + sig + "/" + base64.RawURLEncoding.EncodeToString(key[:])
-		req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		code, body := do(t, http.MethodPut, url, frame(key, e))
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "invalid entry") {
+			t.Fatalf("PUT %+v: status %d %q, want 400 invalid entry", e, code, body)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid entry") {
-			t.Fatalf("PUT %+v: status %d %q, want 400 invalid entry", e, resp.StatusCode, body)
-		}
-		resp, err = http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET after a dropped PUT: status %d, want 404", resp.StatusCode)
+		if code, body := do(t, http.MethodPost, url, key[:]); code != http.StatusOK || len(body) != 0 {
+			t.Fatalf("read after a dropped PUT: status %d, %d bytes; want 200 and no frame", code, len(body))
 		}
 	}
 	if s := srv.Stats(); s.Corrupt != 2 || s.Stored != 0 {
 		t.Fatalf("stats %+v, want 2 corrupt and nothing stored", s)
 	}
+}
+
+// TestTierWriteMixedBatch: one PUT mixing valid frames with a checksum
+// failure, an invalid entry and a truncated tail stores exactly the valid
+// frames — each reads back byte for byte — and answers 400 naming the
+// rejections.
+func TestTierWriteMixedBatch(t *testing.T) {
+	base, srv := startTier(t)
+	url := tierURL(base, "sig")
+	e := sta.TierEntry{Delay: 1.25e-10, Slew: 3.5e-11, OK: true, Tier: uint8(sta.TierQWM), NRIters: 7}
+	good1, good2 := frame(tk("good1"), e), frame(tk("good2"), e)
+	flipped := frame(tk("flip"), e)
+	flipped[len(flipped)-1] ^= 0xff
+	invalid := frame(tk("inf"), sta.TierEntry{Delay: math.Inf(1), OK: true})
+	truncated := frame(tk("cut"), e)[:30]
+	body := slices.Concat(good1, flipped, invalid, good2, truncated)
+
+	code, msg := do(t, http.MethodPut, url, body)
+	if code != http.StatusBadRequest || !strings.Contains(string(msg), "3 of 5 frames rejected") {
+		t.Fatalf("mixed PUT: status %d %q, want 400 with 3 of 5 frames rejected", code, msg)
+	}
+	if s := srv.Stats(); s.Puts != 5 || s.Stored != 2 || s.Corrupt != 3 || s.WriteRequests != 1 {
+		t.Fatalf("stats %+v, want 5 frames, 2 stored, 3 corrupt in 1 write request", s)
+	}
+	for _, k := range []string{"good1", "flip", "inf", "good2", "cut"} {
+		key := tk(k)
+		code, got := do(t, http.MethodPost, url, key[:])
+		if code != http.StatusOK {
+			t.Fatalf("read %s: status %d", k, code)
+		}
+		want := []byte(nil)
+		if strings.HasPrefix(k, "good") {
+			want = frame(key, e)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("read %s = %x, want %x", k, got, want)
+		}
+	}
+}
+
+// TestTierReadPartialCorruption: within one read, a corrupted frame costs
+// only its own key. Under net-corrupt the client yields exactly the hits
+// whose sites did not fire; a frame for a key the batch did not ask for is
+// corruption too. Neither moves the breaker.
+func TestTierReadPartialCorruption(t *testing.T) {
+	base, _ := startTier(t)
+	e := sta.TierEntry{Delay: 1.25e-10, Slew: 3.5e-11, OK: true, Tier: uint8(sta.TierQWM)}
+	keys := make([]sta.Key, 16)
+	var body []byte
+	for i := range keys {
+		keys[i] = tk(fmt.Sprintf("key-%02d", i))
+		body = append(body, frame(keys[i], e)...)
+	}
+	if code, _ := do(t, http.MethodPut, tierURL(base, "sig"), body); code != http.StatusNoContent {
+		t.Fatalf("seeding PUT: status %d", code)
+	}
+	read := func(c *remotecache.Client) ([]sta.TierEntry, []bool) {
+		out, hit := make([]sta.TierEntry, len(keys)), make([]bool, len(keys))
+		c.GetMany(context.Background(), keys, out, hit)
+		return out, hit
+	}
+
+	t.Run("net-corrupt", func(t *testing.T) {
+		opts := quick()
+		opts.Fault = faultinject.New(11).Enable(faultinject.NetCorrupt, 0.5)
+		c := remotecache.New(base, "sig", opts)
+		defer c.Close()
+		oracle := faultinject.New(11).Enable(faultinject.NetCorrupt, 0.5)
+		out, hit := read(c)
+		fired := 0
+		for i, k := range keys {
+			corrupted := oracle.Fire(faultinject.NetCorrupt, k.String())
+			if corrupted {
+				fired++
+			}
+			if hit[i] == corrupted || hit[i] && out[i] != e {
+				t.Errorf("key %d: hit %v (%+v), corrupted %v", i, hit[i], out[i], corrupted)
+			}
+		}
+		if fired == 0 || fired == len(keys) {
+			t.Fatalf("%d of %d frames corrupted; the case needs both kinds", fired, len(keys))
+		}
+		s := c.Stats()
+		if s.Corrupt != int64(fired) || s.Hits != int64(len(keys)-fired) || s.Misses != int64(fired) || s.ReadRequests != 1 {
+			t.Errorf("stats %+v, want %d corrupt misses and %d hits in 1 read request", s, fired, len(keys)-fired)
+		}
+		if st := c.BreakerState(); st != remotecache.BreakerClosed {
+			t.Errorf("breaker %v after corruption, want closed", st)
+		}
+	})
+
+	t.Run("other key", func(t *testing.T) {
+		// A router that answers an extra, valid frame for a key nobody
+		// asked for, between the real ones.
+		stray := frame(tk("stray"), e)
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			req, _ := http.NewRequest(r.Method, base+r.URL.Path, r.Body)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			defer resp.Body.Close()
+			got, _ := io.ReadAll(resp.Body)
+			n := len(stray) // every frame here has the same size
+			mid := len(got) / n / 2 * n
+			w.Write(slices.Concat(got[:mid], stray, got[mid:]))
+		}))
+		defer proxy.Close()
+		c := remotecache.New(proxy.URL, "sig", quick())
+		defer c.Close()
+		out, hit := read(c)
+		for i := range keys {
+			if !hit[i] || out[i] != e {
+				t.Errorf("key %d: hit %v (%+v), want the stored entry", i, hit[i], out[i])
+			}
+		}
+		if s := c.Stats(); s.Corrupt != 1 || s.Hits != int64(len(keys)) {
+			t.Errorf("stats %+v, want the stray frame counted corrupt and every key hit", s)
+		}
+	})
 }

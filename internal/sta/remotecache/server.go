@@ -2,8 +2,10 @@ package remotecache
 
 import (
 	"encoding/base64"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -13,34 +15,46 @@ import (
 	"qwm/internal/sta/diskcache"
 )
 
-// tierPathPrefix is the URL prefix of the tier API. One cache key lives at
+// tierPathPrefix is the URL prefix of the tier API. One namespace lives at
 //
-//	/tier/<base64url(signature)>/<base64url(key)>
+//	/tier/<base64url(signature)>/
 //
-// with both path segments base64.RawURLEncoding-encoded: the signature is a
-// structured string full of separators and the key is the 41 raw bytes of an
-// sta.Key (55 characters encoded), and encoding keeps the URL router trivial
-// and proxy-safe. A path whose key segment is not the canonical encoding of
-// exactly sta.KeySize bytes is malformed (400). GET returns 200 with a
-// CRC32-Castagnoli-framed record (the diskcache on-disk format, see
-// diskcache.EncodeRecord) or 404 for a miss; PUT accepts the same frame and
-// answers 204, or 400 when the frame fails the checksum, embeds a different
-// key than the URL, or decodes to an invalid entry — a corrupt upload is
-// counted and discarded, never stored.
+// with the signature base64.RawURLEncoding-encoded (it is a structured
+// string full of separators; encoding keeps the router trivial and
+// proxy-safe). Anything after the trailing slash — the retired single-key
+// routes' key segment included — is a malformed path (400). Two methods:
+//
+//   - POST reads a batch. The body is 1 to maxBatchKeys concatenated
+//     sta.KeySize-byte keys; the answer is 200 with the concatenated
+//     CRC32-Castagnoli frames (the diskcache on-disk format, see
+//     diskcache.EncodeRecord) of the keys that hit, in request order. Each
+//     frame embeds its key, so a miss is simply absent.
+//   - PUT writes a batch. The body is 1 to maxBatchKeys concatenated
+//     frames. Each frame is checked on its own — it must lie inside the
+//     body, pass its checksum and decode to a valid entry — and stored if
+//     it does; frames that fail are counted and dropped, never stored. The
+//     answer is 204 when every frame was accepted, else 400 naming the
+//     rejections (the valid frames are stored all the same).
+//
+// A body of the wrong shape (empty, not whole keys, over a bound) is 400.
 const tierPathPrefix = "/tier/"
 
-// contentType labels tier frames in transit.
-const contentType = "application/x-qwm-tier-record"
+// Content types of the two batch bodies.
+const (
+	contentType     = "application/x-qwm-tier-record" // concatenated frames
+	keysContentType = "application/x-qwm-tier-keys"   // concatenated keys
+)
 
-// maxRequestBytes bounds one PUT body, mirroring maxResponseBytes.
-const maxRequestBytes = maxResponseBytes
-
-// ServerStats is a snapshot of a Server's counters.
+// ServerStats is a snapshot of a Server's counters. Gets, Hits and Misses
+// count keys and Puts, Stored and Corrupt count frames, so rates stay
+// comparable however the keys were batched; ReadRequests and WriteRequests
+// count the round trips served.
 type ServerStats struct {
-	Gets, Hits, Misses int64
-	Puts, Stored       int64
-	Corrupt            int64 // PUT frames rejected (CRC, key mismatch, invalid entry)
-	BadRequests        int64 // malformed paths / methods
+	Gets, Hits, Misses          int64
+	Puts, Stored                int64
+	Corrupt                     int64 // PUT frames rejected (framing, CRC, invalid entry)
+	BadRequests                 int64 // malformed paths, methods and bodies
+	ReadRequests, WriteRequests int64
 }
 
 // Server exposes TierStores over HTTP so a fleet of replicas can share one
@@ -58,9 +72,9 @@ type Server struct {
 	// Qwm-Span a traced request receives back). "" reads as "cache-plane".
 	Name string
 
-	gets, hits, misses, puts, stored, corrupt, badreq cpair
-	mGets, mHits, mMisses, mPuts, mStored, mCorrupt,
-	mBadreq *obs.Counter
+	gets, hits, misses, puts, stored, corrupt, badreq, readReqs, writeReqs cpair
+	mGets, mHits, mMisses, mPuts, mStored, mCorrupt, mBadreq,
+	mReadReqs, mWriteReqs *obs.Counter
 }
 
 // NewServer builds a Server over the given namespace resolver. metrics may
@@ -74,19 +88,23 @@ func NewServer(storeFor func(signature string) (sta.TierStore, error), metrics *
 	s.mStored = metrics.Counter("sta/remote/server/stored")
 	s.mCorrupt = metrics.Counter("sta/remote/server/corrupt")
 	s.mBadreq = metrics.Counter("sta/remote/server/badrequests")
+	s.mReadReqs = metrics.Counter("sta/remote/server/read_requests")
+	s.mWriteReqs = metrics.Counter("sta/remote/server/write_requests")
 	return s
 }
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Gets:        s.gets.value(),
-		Hits:        s.hits.value(),
-		Misses:      s.misses.value(),
-		Puts:        s.puts.value(),
-		Stored:      s.stored.value(),
-		Corrupt:     s.corrupt.value(),
-		BadRequests: s.badreq.value(),
+		Gets:          s.gets.value(),
+		Hits:          s.hits.value(),
+		Misses:        s.misses.value(),
+		Puts:          s.puts.value(),
+		Stored:        s.stored.value(),
+		Corrupt:       s.corrupt.value(),
+		BadRequests:   s.badreq.value(),
+		ReadRequests:  s.readReqs.value(),
+		WriteRequests: s.writeReqs.value(),
 	}
 }
 
@@ -94,37 +112,28 @@ func (s *Server) Stats() ServerStats {
 // tierPathPrefix ("/tier/").
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
 
-// keyEncoding is the key segment's encoding; Strict rejects non-zero
-// padding bits, so every key has exactly one spelling.
-var keyEncoding = base64.RawURLEncoding.Strict()
-
-// parseTierPath splits /tier/<b64sig>/<b64key> into the decoded signature
-// and key. A key segment that does not decode to exactly sta.KeySize bytes
-// is malformed.
-func parseTierPath(path string) (sig string, key sta.Key, ok bool) {
+// parseTierPath decodes the signature of /tier/<b64sig>/. Anything after the
+// trailing slash is malformed.
+func parseTierPath(path string) (sig string, ok bool) {
 	rest, found := strings.CutPrefix(path, tierPathPrefix)
 	if !found {
-		return "", key, false
+		return "", false
 	}
-	encSig, encKey, found := strings.Cut(rest, "/")
-	if !found || encSig == "" || len(encKey) != keyEncoding.EncodedLen(sta.KeySize) {
-		return "", key, false
+	encSig, tail, found := strings.Cut(rest, "/")
+	if !found || encSig == "" || tail != "" {
+		return "", false
 	}
 	sigB, err := base64.RawURLEncoding.DecodeString(encSig)
 	if err != nil {
-		return "", key, false
+		return "", false
 	}
-	if n, err := keyEncoding.Decode(key[:], []byte(encKey)); err != nil || n != sta.KeySize {
-		return "", sta.Key{}, false
-	}
-	return string(sigB), key, true
+	return string(sigB), true
 }
 
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	sig, key, ok := parseTierPath(r.URL.Path)
+	sig, ok := parseTierPath(r.URL.Path)
 	if !ok {
-		s.badreq.add(1, s.mBadreq)
-		http.Error(w, "remotecache: malformed tier path", http.StatusBadRequest)
+		s.bad(w, "remotecache: malformed tier path")
 		return
 	}
 	store, err := s.StoreFor(sig)
@@ -140,20 +149,26 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		_, _, traced = obs.ParseTraceparent(tp)
 	}
 	switch r.Method {
-	case http.MethodGet:
-		s.handleGet(w, r, store, key, traced)
+	case http.MethodPost:
+		s.handleRead(w, r, store, traced)
 	case http.MethodPut:
-		s.handlePut(w, r, store, key, traced)
+		s.handleWrite(w, r, store, traced)
 	default:
 		s.badreq.add(1, s.mBadreq)
-		w.Header().Set("Allow", "GET, PUT")
+		w.Header().Set("Allow", "POST, PUT")
 		http.Error(w, "remotecache: method not allowed", http.StatusMethodNotAllowed)
 	}
 }
 
+// bad answers 400 for a malformed request, counted.
+func (s *Server) bad(w http.ResponseWriter, msg string) {
+	s.badreq.add(1, s.mBadreq)
+	http.Error(w, msg, http.StatusBadRequest)
+}
+
 // setPeerSpan encodes the replica-side span into the response header. It must
 // run before the first status or body write.
-func (s *Server) setPeerSpan(w http.ResponseWriter, name string, dur time.Duration, op, outcome string) {
+func (s *Server) setPeerSpan(w http.ResponseWriter, name string, dur time.Duration, attrs map[string]string) {
 	proc := s.Name
 	if proc == "" {
 		proc = "cache-plane"
@@ -162,78 +177,143 @@ func (s *Server) setPeerSpan(w http.ResponseWriter, name string, dur time.Durati
 		Name:    name,
 		Process: proc,
 		DurUS:   float64(dur) / float64(time.Microsecond),
-		Attrs:   map[string]string{"op": op, "outcome": outcome},
+		Attrs:   attrs,
 	})
 	if v != "" {
 		w.Header().Set(peerSpanHeader, v)
 	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, store sta.TierStore, key sta.Key, traced bool) {
-	s.gets.add(1, s.mGets)
-	start := time.Now()
-	var (
-		e  sta.TierEntry
-		ok bool
-	)
-	if store != nil {
-		e, ok = store.Get(r.Context(), key)
-	}
-	hit := ok && e.Valid()
-	if traced {
-		outcome := "miss"
-		if hit {
-			outcome = "hit"
-		}
-		s.setPeerSpan(w, "cache-plane get", time.Since(start), "get", outcome)
-	}
-	if !hit {
-		s.misses.add(1, s.mMisses)
-		http.Error(w, "miss", http.StatusNotFound)
-		return
-	}
-	s.hits.add(1, s.mHits)
-	w.Header().Set("Content-Type", contentType)
-	w.Write(diskcache.EncodeRecord(key, diskcache.EncodeEntry(e)))
+// readBody reads a request body of at most max bytes; ok is false for an
+// unreadable, empty or oversized body.
+func readBody(r *http.Request, max int) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(max)+1))
+	return body, err == nil && len(body) > 0 && len(body) <= max
 }
 
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, store sta.TierStore, key sta.Key, traced bool) {
-	s.puts.add(1, s.mPuts)
+func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, store sta.TierStore, traced bool) {
+	s.readReqs.add(1, s.mReadReqs)
 	start := time.Now()
-	fail := func(msg string) {
-		s.corrupt.add(1, s.mCorrupt)
-		if traced {
-			s.setPeerSpan(w, "cache-plane put", time.Since(start), "put", "corrupt")
-		}
-		http.Error(w, msg, http.StatusBadRequest)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-	if err != nil || len(body) > maxRequestBytes {
-		fail("remotecache: unreadable or oversized frame")
+	body, ok := readBody(r, maxBatchKeys*sta.KeySize)
+	if !ok || len(body)%sta.KeySize != 0 {
+		s.bad(w, "remotecache: read body must be 1 to 4096 whole keys")
 		return
 	}
-	// The server re-runs the client's own end-to-end checks before storing:
-	// CRC over the frame, URL key == embedded key, decodable and valid
-	// entry. A record that fails any of them is counted and dropped — the
-	// shared tier must never launder a corrupt frame into a durable one.
-	gotKey, val, err := diskcache.DecodeRecord(body)
-	if err != nil || gotKey != key {
-		fail("remotecache: corrupt frame")
-		return
+	n := len(body) / sta.KeySize
+	keys := make([]sta.Key, n)
+	for i := range keys {
+		keys[i] = sta.Key(body[i*sta.KeySize:])
 	}
-	e, err := diskcache.DecodeEntry(val)
-	if err != nil || !e.Valid() {
-		fail("remotecache: invalid entry")
-		return
-	}
-	outcome := "dropped"
+	out := make([]sta.TierEntry, n)
+	hit := make([]bool, n)
 	if store != nil {
-		store.Put(r.Context(), key, e)
-		s.stored.add(1, s.mStored)
-		outcome = "stored"
+		store.GetMany(r.Context(), keys, out, hit)
 	}
+	var resp []byte
+	hits := 0
+	for i := range keys {
+		if !hit[i] || !out[i].Valid() {
+			continue
+		}
+		frame := diskcache.EncodeRecord(keys[i], diskcache.EncodeEntry(out[i]))
+		if len(resp)+len(frame) > maxResponseBytes {
+			break // the rest read as misses
+		}
+		resp = append(resp, frame...)
+		hits++
+	}
+	s.gets.add(int64(n), s.mGets)
+	s.hits.add(int64(hits), s.mHits)
+	s.misses.add(int64(n-hits), s.mMisses)
 	if traced {
-		s.setPeerSpan(w, "cache-plane put", time.Since(start), "put", outcome)
+		s.setPeerSpan(w, "cache-plane get", time.Since(start), map[string]string{
+			"op": "get", "outcome": outcome(n, hits, nil),
+			"keys": strconv.Itoa(n), "hits": strconv.Itoa(hits),
+		})
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(resp)
+}
+
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, store sta.TierStore, traced bool) {
+	s.writeReqs.add(1, s.mWriteReqs)
+	start := time.Now()
+	body, ok := readBody(r, maxRequestBytes)
+	if !ok {
+		s.bad(w, "remotecache: write body must be 1 to 4096 frames")
+		return
+	}
+	// Bound the frame count before storing anything. A tail that is not a
+	// whole frame counts as one frame here and is rejected below.
+	frames := 0
+	for rest := body; len(rest) > 0 && frames <= maxBatchKeys; frames++ {
+		_, next, ok := diskcache.NextRecord(rest)
+		if !ok {
+			frames++
+			break
+		}
+		rest = next
+	}
+	if frames > maxBatchKeys {
+		s.bad(w, "remotecache: write body must be 1 to 4096 frames")
+		return
+	}
+	// The server re-runs the client's own end-to-end checks on every frame
+	// before storing it: the frame lies inside the body, its CRC holds, and
+	// its entry decodes and is valid. A frame that fails any of them is
+	// counted and dropped — the shared tier must never launder a corrupt
+	// frame into a durable one.
+	var stored, rejected int
+	reason := ""
+	reject := func(why string) {
+		rejected++
+		if reason == "" {
+			reason = why
+		}
+	}
+	for rest := body; len(rest) > 0; {
+		frame, next, ok := diskcache.NextRecord(rest)
+		if !ok {
+			reject("truncated frame")
+			break
+		}
+		rest = next
+		key, val, err := diskcache.DecodeRecord(frame)
+		if err != nil {
+			reject("corrupt frame")
+			continue
+		}
+		e, err := diskcache.DecodeEntry(val)
+		if err != nil || !e.Valid() {
+			reject("invalid entry")
+			continue
+		}
+		if store != nil {
+			store.Put(r.Context(), key, e)
+			stored++
+		}
+	}
+	s.puts.add(int64(frames), s.mPuts)
+	s.stored.add(int64(stored), s.mStored)
+	s.corrupt.add(int64(rejected), s.mCorrupt)
+	if traced {
+		out := "stored"
+		switch {
+		case rejected == frames:
+			out = "corrupt"
+		case rejected > 0:
+			out = "partial"
+		case store == nil:
+			out = "dropped"
+		}
+		s.setPeerSpan(w, "cache-plane put", time.Since(start), map[string]string{
+			"op": "put", "outcome": out,
+			"frames": strconv.Itoa(frames), "stored": strconv.Itoa(stored),
+		})
+	}
+	if rejected > 0 {
+		http.Error(w, fmt.Sprintf("remotecache: %d of %d frames rejected: %s", rejected, frames, reason), http.StatusBadRequest)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -34,12 +34,12 @@ func TestTracedGetMergesPeerSpan(t *testing.T) {
 	at := obs.NewActiveTrace("")
 	// Traced miss, then a traced put, then a traced hit — distinct parents
 	// so the three operations' spans are distinguishable.
-	if _, ok := c.Get(tracedCtx(at, "p.miss"), tk("k1")); ok {
+	if _, ok := get(tracedCtx(at, "p.miss"), c, tk("k1")); ok {
 		t.Fatal("cold Get hit")
 	}
 	c.Put(tracedCtx(at, "p"), tk("k1"), e)
 	c.Flush()
-	got, ok := c.Get(tracedCtx(at, "p.hit"), tk("k1"))
+	got, ok := get(tracedCtx(at, "p.hit"), c, tk("k1"))
 	if !ok || got != e {
 		t.Fatalf("traced round trip = %+v, %v", got, ok)
 	}
@@ -102,7 +102,7 @@ func TestTracedKillMidRequest(t *testing.T) {
 		at := obs.NewActiveTrace("")
 		c.Put(tracedCtx(at, "p"), tk("k"), e)
 		c.Flush()
-		if _, ok := c.Get(tracedCtx(at, "p.warm"), tk("k")); !ok {
+		if _, ok := get(tracedCtx(at, "p.warm"), c, tk("k")); !ok {
 			t.Fatal("warm get missed")
 		}
 
@@ -113,7 +113,7 @@ func TestTracedKillMidRequest(t *testing.T) {
 		hs.Close()
 		var errSpans, fastFails int
 		for i := 0; i < 4; i++ {
-			if _, ok := c.Get(tracedCtx(at, fmt.Sprintf("p.dead%d", i)), tk("k")); ok {
+			if _, ok := get(tracedCtx(at, fmt.Sprintf("p.dead%d", i)), c, tk("k")); ok {
 				t.Fatalf("get %d hit a dead peer", i)
 			}
 		}

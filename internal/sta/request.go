@@ -65,7 +65,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 
 	stages := circuit.ExtractStages(req.Netlist, req.Outputs)
 	if len(stages) == 0 {
-		return nil, fmt.Errorf("sta: no logic stages found")
+		return nil, fmt.Errorf("%w: no logic stages found", ErrInvalidNetlist)
 	}
 
 	// Per-request arena: every map, slab and key buffer below comes from the
@@ -104,10 +104,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	observer := req.Observer
 	// Distributed tracing: a trace reference on the context (minted by the
 	// service front door) bridges the Observer span stream into the request's
-	// trace tree and arms traced tier probing. trace is shared read-only by
-	// every worker; its T stays nil on the untraced path, which pays exactly
-	// one context Value lookup.
-	var trace obs.TraceRef
+	// trace tree and arms traced tier probing. lt.trace is shared read-only
+	// by every worker; its T stays nil on the untraced path, which pays
+	// exactly one context Value lookup.
+	var lt levelTiers
 	if ref, ok := obs.TraceFrom(ctx); ok {
 		bridge := obs.NewTraceBridge(ref)
 		if observer != nil {
@@ -115,7 +115,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		} else {
 			observer = bridge
 		}
-		trace = obs.TraceRef{T: ref.T, Parent: bridge.AnalyzeID(), Level: ref.Level, Item: ref.Item}
+		lt.trace = obs.TraceRef{T: ref.T, Parent: bridge.AnalyzeID(), Level: ref.Level, Item: ref.Item}
 	}
 	rec := a.newRecorder(observer)
 	if rec != nil {
@@ -214,9 +214,15 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			levelStart = time.Now()
 		}
 
+		// Tier read (sequential): one batched read per store for every key
+		// the level will look up that the memory cache lacks.
+		if len(a.cfg.Tiers) > 0 {
+			lt.hits = a.readTiers(s, items, li, &lt.trace)
+		}
+
 		// Evaluate phase (parallel): drain the level's items through the
 		// worker pool; the single-flight cache deduplicates identical keys.
-		if rerr := a.runItems(ctx, items, workers, rec, &trace); rerr != nil {
+		if rerr := a.runItems(ctx, items, workers, rec, &lt); rerr != nil {
 			return nil, rerr
 		}
 
@@ -234,7 +240,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 				k += 2
 				res.recordEvalIssues(out, fall, rise)
 				if !fall.ok && !rise.ok {
-					return nil, fmt.Errorf("sta: stage %s output %q has neither pull-up nor pull-down path", st.Name, out)
+					return nil, fmt.Errorf("%w: stage %s output %q has neither pull-up nor pull-down path", ErrInvalidNetlist, st.Name, out)
 				}
 				ar := res.Arrivals[out]
 				if fall.ok {
@@ -258,7 +264,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		o = circuit.CanonName(o)
 		ar, ok := res.Arrivals[o]
 		if !ok {
-			return nil, fmt.Errorf("sta: output %q has no arrival (not driven?)", o)
+			return nil, fmt.Errorf("%w: output %q has no arrival (not driven?)", ErrInvalidNetlist, o)
 		}
 		if ar.Fall > worst {
 			worst, worstNet, worstDir = ar.Fall, o, "fall"

@@ -43,7 +43,6 @@ import (
 	"qwm/internal/devmodel"
 	"qwm/internal/faultinject"
 	"qwm/internal/mos"
-	"qwm/internal/obs"
 	"qwm/internal/qwm"
 	"qwm/internal/wave"
 )
@@ -264,6 +263,18 @@ type workItem struct {
 	level  int
 	idx    int
 	timing dirTiming
+	// known holds the memory-cache entries the level's tier read found for
+	// the item's lookup keys (see lookupKeys), nil where the key was absent
+	// or the analyzer has no tiers.
+	known [2]*cacheEntry
+}
+
+// baseKey is the item's per-direction key with a zero slew bucket.
+func (it *workItem) baseKey() *Key {
+	if it.rail == circuit.SupplyNode {
+		return &it.ev.keyRise
+	}
+	return &it.ev.keyFall
 }
 
 // resetItem refills a pooled workItem slot in place.
@@ -271,6 +282,7 @@ func resetItem(w *workItem, st *circuit.Stage, out string, ev *outEval, rail str
 	w.st, w.out, w.ev, w.rail = st, out, ev, rail
 	w.inSlew, w.level, w.idx = inSlew, level, idx
 	w.timing = dirTiming{}
+	w.known = [2]*cacheEntry{}
 }
 
 // stageInputs is the gathered worst-case input picture for one stage at its
@@ -343,7 +355,7 @@ func gatherInputs(st *circuit.Stage, arrivals map[string]Arrival) stageInputs {
 // completion (the single-flight cache must never hold a pending entry), and
 // runItems joins all workers before returning ctx.Err() — no goroutine
 // outlives the call.
-func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, rec *recorder, trace *obs.TraceRef) error {
+func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, rec *recorder, lt *levelTiers) error {
 	if workers > len(items) {
 		workers = len(items)
 	}
@@ -352,7 +364,7 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			a.evalItem(&items[i], rec, trace, 0)
+			a.evalItem(&items[i], rec, lt, 0)
 		}
 		return nil
 	}
@@ -367,7 +379,7 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 				if i >= len(items) {
 					return
 				}
-				a.evalItem(&items[i], rec, trace, worker)
+				a.evalItem(&items[i], rec, lt, worker)
 			}
 		}(w)
 	}
@@ -387,13 +399,13 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 // the work it did before observability existed (no clock reads, no event
 // structs). worker is the pool slot running this item (0 on the serial
 // path), surfaced to observers for timeline rendering only.
-func (a *Analyzer) evalItem(it *workItem, rec *recorder, trace *obs.TraceRef, worker int) {
+func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker int) {
 	if rec == nil {
-		it.timing, _ = a.resolveTiming(it, trace)
+		it.timing, _ = a.resolveTiming(it, lt)
 		return
 	}
 	start := rec.now()
-	timing, computed := a.resolveTiming(it, trace)
+	timing, computed := a.resolveTiming(it, lt)
 	it.timing = timing
 	rec.stageEval(it, computed, rec.since(start), worker)
 }
@@ -409,30 +421,27 @@ const slewPitch = 5e-12
 // and linearly interpolate delay and slew at the exact input slew.
 // The lookup copies the gathered key and fills in the bucket: no formatting,
 // no hashing beyond the map's own.
-func (a *Analyzer) resolveTiming(it *workItem, trace *obs.TraceRef) (dirTiming, bool) {
-	key := &it.ev.keyFall
-	if it.rail == circuit.SupplyNode {
-		key = &it.ev.keyRise
-	}
+func (a *Analyzer) resolveTiming(it *workItem, lt *levelTiers) (dirTiming, bool) {
+	key := it.baseKey()
 	bucket := slewBucket(it.inSlew)
 	if !key.class() {
-		return a.lookupOrEval(key.withBucket(bucket), it, trace, it.inSlew)
+		return a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, it.inSlew)
 	}
 	floor := float64(bucket) * slewPitch
 	if !a.cfg.Memo.Interp {
-		return a.lookupOrEval(key.withBucket(bucket), it, trace, floor)
+		return a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, floor)
 	}
 	// Interp shares the class namespace with snap mode: both evaluate at
 	// exactly the boundary slew with identical inputs, so a separate interp
 	// namespace only duplicated every boundary entry (and a boundary-sitting
 	// slew, frac == 0, paid an eval snap mode had cached).
-	t0, c0 := a.lookupOrEval(key.withBucket(bucket), it, trace, floor)
+	t0, c0 := a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, floor)
 	frac := (it.inSlew - floor) / slewPitch
 	if frac <= 0 || !t0.ok {
 		return t0, c0
 	}
 	ceil := float64(bucket+1) * slewPitch
-	t1, c1 := a.lookupOrEval(key.withBucket(bucket+1), it, trace, ceil)
+	t1, c1 := a.lookupOrEval(key.withBucket(bucket+1), it.known[1], it, lt, ceil)
 	if !t1.ok {
 		// The upper boundary failed (budget chaos, pathological geometry):
 		// fall back to the floor evaluation rather than half an interpolant.
@@ -441,27 +450,46 @@ func (a *Analyzer) resolveTiming(it *workItem, trace *obs.TraceRef) (dirTiming, 
 	return lerpTiming(t0, t1, frac), c0 || c1
 }
 
+// lookupKeys appends to dst the cache keys resolveTiming looks up for it: the
+// bucket's key and, under Interp with the slew strictly inside its bucket,
+// the upper boundary's key. The level's tier read probes exactly these.
+func (a *Analyzer) lookupKeys(it *workItem, dst []Key) []Key {
+	key := it.baseKey()
+	bucket := slewBucket(it.inSlew)
+	dst = append(dst, key.withBucket(bucket))
+	if key.class() && a.cfg.Memo.Interp && it.inSlew > float64(bucket)*slewPitch {
+		dst = append(dst, key.withBucket(bucket+1))
+	}
+	return dst
+}
+
 // lookupOrEval resolves one cache key, computing the direction timing through
 // the degradation ladder when this caller wins the single-flight race. The
 // second return is true when THIS caller performed the compute (an
 // evaluation — a persistent-tier hit hydrates the in-memory entry without
-// computing, and followers then see an ordinary hit).
-func (a *Analyzer) lookupOrEval(key Key, it *workItem, trace *obs.TraceRef, inSlew float64) (dirTiming, bool) {
-	e, leader := a.cache.acquire(&key)
+// computing, and followers then see an ordinary hit). known is the key's
+// entry when the level's tier read already found it in the memory cache:
+// it is used, and counted, as the hit acquire would have returned.
+func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *levelTiers, inSlew float64) (dirTiming, bool) {
+	e, leader := known, false
+	if e == nil {
+		e, leader = a.cache.acquire(&key)
+	} else {
+		a.cache.hits.Add(1)
+	}
 	if !leader {
 		e.ready.Wait()
 		return e.val, false
 	}
-	// Persistent tier read-through: the single-flight leader consults the
-	// tiers below before paying an evaluation. A hit hydrates the in-memory
+	// Persistent tier read-through: the level's batched read (readTiers)
+	// already probed the stores for this key, so the leader only consults
+	// its hits before paying an evaluation. A hit hydrates the in-memory
 	// entry — every e.ready.Done path below runs exactly once, so a
 	// cancelled or corrupt store can never strand followers.
-	if len(a.cfg.Tiers) > 0 {
-		if te, ok := a.tierGet(trace, it, &key); ok {
-			e.val = te.timing()
-			e.ready.Done()
-			return e.val, false
-		}
+	if te, ok := lt.hits[key]; ok {
+		e.val = te.timing()
+		e.ready.Done()
+		return e.val, false
 	}
 	a.cache.evals.Add(1)
 	// Fault sites are keyed by the hex key, built only under a fault plan.
@@ -481,7 +509,7 @@ func (a *Analyzer) lookupOrEval(key Key, it *workItem, trace *obs.TraceRef, inSl
 	e.ready.Done()
 	// Write-behind AFTER ready is released: followers never wait on the store.
 	if len(a.cfg.Tiers) > 0 {
-		a.tierPut(trace, it, &key, tierEntryOf(e.val))
+		a.tierPut(lt, it, &key, tierEntryOf(e.val))
 	}
 	return e.val, true
 }

@@ -34,20 +34,23 @@ func NewMemoryTier(capN int) *MemoryTier {
 // Name implements TierStore.
 func (t *MemoryTier) Name() string { return "memory" }
 
-// Get implements TierStore.
-func (t *MemoryTier) Get(_ context.Context, key Key) (TierEntry, bool) {
+// GetMany implements TierStore: the batch resolves under one lock.
+func (t *MemoryTier) GetMany(_ context.Context, keys []Key, out []TierEntry, hit []bool) {
 	if t == nil {
-		return TierEntry{}, false
+		clear(hit[:len(keys)])
+		return
 	}
+	var n int64
 	t.mu.Lock()
-	e, ok := t.m[key]
-	t.mu.Unlock()
-	if !ok {
-		t.misses.Add(1)
-		return TierEntry{}, false
+	for i, k := range keys {
+		out[i], hit[i] = t.m[k]
+		if hit[i] {
+			n++
+		}
 	}
-	t.hits.Add(1)
-	return e, true
+	t.mu.Unlock()
+	t.hits.Add(n)
+	t.misses.Add(int64(len(keys)) - n)
 }
 
 // Put implements TierStore: insertion evicts the oldest entries beyond the

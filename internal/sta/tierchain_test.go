@@ -16,11 +16,11 @@ func TestMemoryTierFIFOEviction(t *testing.T) {
 	// Overwrite must not create a duplicate eviction slot.
 	mt.Put(ctx, a, e)
 	mt.Put(ctx, c, e) // evicts a (oldest insertion)
-	if _, ok := mt.Get(ctx, a); ok {
+	if _, ok := getOne(mt, a); ok {
 		t.Error("oldest key survived eviction")
 	}
 	for _, k := range []Key{b, c} {
-		if _, ok := mt.Get(ctx, k); !ok {
+		if _, ok := getOne(mt, k); !ok {
 			t.Errorf("key %s evicted prematurely", k)
 		}
 	}

@@ -9,66 +9,111 @@ import (
 )
 
 // This file holds the analyzer's only reads and writes of Config.Tiers. When
-// a request carries a trace reference (trace.T != nil), each probe becomes
-// one "tier <name>" span and the stores receive a context carrying a child
-// trace reference, so the remote-cache client's own attempt/peer spans land
-// in the same tree. The untraced path formats no span IDs.
+// a request carries a trace reference (trace.T != nil), each store a level
+// probes becomes one "tier <name>" span and the store receives a context
+// carrying a child trace reference, so the remote-cache client's own
+// attempt/peer spans land in the same tree. The untraced path formats no
+// span IDs.
 
-// tierGet is the leader's read through Config.Tiers: probe the stores in
-// order, treat an entry failing Valid as a miss, and promote a hit into every
-// earlier store. Span IDs embed a short hash of the key: one eval may perform
-// two lookups (slew-bucket interpolation), and sibling probe groups must not
-// collide.
-func (a *Analyzer) tierGet(trace *obs.TraceRef, it *workItem, key *Key) (TierEntry, bool) {
+// levelTiers is what a level's workers share about the tiers: the request's
+// trace reference (for write-behind spans) and the hits of the level's
+// batched read. Both are read-only while the level's items run.
+type levelTiers struct {
+	trace obs.TraceRef
+	hits  map[Key]TierEntry
+}
+
+// readTiers is the level's one read through Config.Tiers. It takes every key
+// the level's items will look up (both Interp boundaries when the slew lies
+// inside its bucket), keeps those the memory cache lacks, deduped in item
+// order, and walks the stores in order: each store gets one GetMany with the
+// keys still missing, an entry failing Valid is a miss, and a hit is
+// promoted into every earlier store. The hits land in the scratch's map,
+// which the level's single-flight leaders read instead of calling the
+// stores. The memory entries the peek found are kept on the items, so their
+// lookups do not search the cache a second time.
+func (a *Analyzer) readTiers(s *analyzeScratch, items []workItem, level int, trace *obs.TraceRef) map[Key]TierEntry {
+	clear(s.tierSeen)
+	clear(s.tierHits)
+	keys := s.tierKeys[:0]
+	for i := range items {
+		it := &items[i]
+		var buf [2]Key
+		for j, k := range a.lookupKeys(it, buf[:0]) {
+			if it.known[j] = a.cache.peek(&k); it.known[j] != nil {
+				continue
+			}
+			if _, dup := s.tierSeen[k]; !dup {
+				s.tierSeen[k] = struct{}{}
+				keys = append(keys, k)
+			}
+		}
+	}
 	ctx := context.Background()
-	var evalID, groupID string
+	var levelID string
 	if trace.T != nil {
-		evalID = evalSpanID(trace.Parent, it)
-		groupID = evalID + ".k" + obs.KeyHash(key[:])
+		levelID = trace.Parent + ".L" + strconv.Itoa(level)
 	}
 	for j, st := range a.cfg.Tiers {
+		if len(keys) == 0 {
+			break
+		}
+		if cap(s.tierOut) < len(keys) {
+			s.tierOut = make([]TierEntry, len(keys))
+			s.tierHit = make([]bool, len(keys))
+		}
+		out, hit := s.tierOut[:len(keys)], s.tierHit[:len(keys)]
+		clear(hit)
 		var (
 			name, probeID string
 			start         time.Time
 		)
 		if trace.T != nil {
 			name = st.Name()
-			probeID = groupID + ".t" + strconv.Itoa(j) + "-" + name
+			probeID = levelID + ".t" + strconv.Itoa(j) + "-" + name
 			ctx = obs.ContextWithTrace(context.Background(), obs.TraceRef{
-				T: trace.T, Parent: probeID, Level: it.level, Item: it.idx,
+				T: trace.T, Parent: probeID, Level: level, Item: -1,
 			})
 			start = time.Now()
 		}
-		e, ok := st.Get(ctx, *key)
-		hit := ok && e.Valid()
-		if trace.T != nil {
-			trace.T.Add(obs.ReqSpan{
-				ID: probeID, Parent: evalID, Name: "tier " + name,
-				Level: it.level, Item: it.idx,
-				Start: start, Dur: time.Since(start),
-				Attrs: obs.Attrs{obs.Str("tier", name), obs.Bool("hit", hit)},
-			})
-		}
-		if hit {
+		st.GetMany(ctx, keys, out, hit)
+		probed, hits := len(keys), 0
+		missing := keys[:0] // compacts in place: writes trail reads
+		for i, k := range keys {
+			if !hit[i] || !out[i].Valid() {
+				missing = append(missing, k)
+				continue
+			}
+			hits++
+			s.tierHits[k] = out[i]
 			// Promotion carries no trace: the peer sees the write, but it
 			// belongs to no probe span.
 			for _, earlier := range a.cfg.Tiers[:j] {
-				earlier.Put(context.Background(), *key, e)
+				earlier.Put(context.Background(), k, out[i])
 			}
-			return e, true
 		}
+		if trace.T != nil {
+			trace.T.Add(obs.ReqSpan{
+				ID: probeID, Parent: levelID, Name: "tier " + name,
+				Level: level, Item: -1,
+				Start: start, Dur: time.Since(start),
+				Attrs: obs.Attrs{obs.Str("tier", name), obs.Int("keys", probed), obs.Int("hits", hits)},
+			})
+		}
+		keys = missing
 	}
-	return TierEntry{}, false
+	s.tierKeys = keys
+	return s.tierHits
 }
 
 // tierPut is the leader's write-behind: the entry goes to every store. Traced,
 // the context names the eval's put span, which a remote store stamps on its
 // asynchronous PUT for the peer's correlation (no span is merged back).
-func (a *Analyzer) tierPut(trace *obs.TraceRef, it *workItem, key *Key, e TierEntry) {
+func (a *Analyzer) tierPut(lt *levelTiers, it *workItem, key *Key, e TierEntry) {
 	ctx := context.Background()
-	if trace.T != nil {
+	if lt.trace.T != nil {
 		ctx = obs.ContextWithTrace(ctx, obs.TraceRef{
-			T: trace.T, Parent: evalSpanID(trace.Parent, it) + ".k" + obs.KeyHash(key[:]) + ".put",
+			T: lt.trace.T, Parent: evalSpanID(lt.trace.Parent, it) + ".k" + obs.KeyHash(key[:]) + ".put",
 			Level: it.level, Item: it.idx,
 		})
 	}

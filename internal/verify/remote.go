@@ -241,15 +241,17 @@ func RunRemote(cfg RemoteConfig) (*RemoteReport, error) {
 			opts.HTTPClient = &http.Client{Transport: tr}
 			c := remotecache.New("http://dead.invalid", "sig", opts)
 			defer c.Close()
+			var out [1]sta.TierEntry
+			var hit [1]bool
 			for i := 0; i < 11; i++ {
-				c.Get(context.Background(), sta.Key{byte(i)})
+				c.GetMany(context.Background(), []sta.Key{{byte(i)}}, out[:], hit[:])
 				states = append(states, c.BreakerState().String())
 			}
 			return states, tr.attempts.Load()
 		}
-		// Threshold 3, probe every 4th suppressed op: gets 1-3 fail closed
-		// (the 3rd opens), 4-6 are suppressed, 7 probes and re-opens, 8-10
-		// are suppressed, 11 probes and re-opens.
+		// Threshold 3, probe every 4th suppressed op: one-key reads 1-3
+		// fail closed (the 3rd opens), 4-6 are suppressed, 7 probes and
+		// re-opens, 8-10 are suppressed, 11 probes and re-opens.
 		want := []string{
 			"closed", "closed", "open",
 			"open", "open", "open", "open",
