@@ -85,8 +85,8 @@ leak-check:
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
 # trace headers a client or peer sends (traceparent, Qwm-Span), the flight
 # recorder's span record codec, the netlist
-# deck, card tokenizer and value parsers (the tokenizer and value parser
-# against their previous implementations), the disk/remote-tier entry and
+# deck, card tokenizer and value parsers (the deck parser, tokenizer and
+# value parser against their previous implementations), the disk/remote-tier entry and
 # record codecs,
 # the remote tier endpoint (any method, path and batch body), the v1 front
 # door (any body of at most 4 KiB through POST /analyze: no panic, no 5xx,
@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitCard$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesRef$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/sta/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
@@ -110,9 +111,11 @@ fuzz-smoke:
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),
-# and a deterministically flooded queue sheds with 429 + Retry-After.
+# a deterministically flooded queue sheds with 429 + Retry-After, absurd
+# device geometry answers 422, and no string of a retained async response
+# points into the request's deck (the copy-free parser's alias rule).
 service-smoke:
-	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429' -count=1 ./internal/service/
+	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody' -count=1 ./internal/service/
 
 # One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the
@@ -123,14 +126,16 @@ service-smoke:
 # vs on), re-analysis after an edit (fresh vs warm analyzer), the warm-disk
 # service path, the warm service path untraced and traced (flight recorder
 # + metrics), the two-replica request served warm from the peer (with its
-# read and write round trips per op) and the junction-table lookup against
-# the exact junction model. It checks that they run; performance is measured by perfbench
+# read and write round trips per op), the junction-table lookup against
+# the exact junction model and the parse of the 4-bit decoder deck (the
+# netlist.parse rung). It checks that they run; performance is measured by perfbench
 # (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|ReanalyzeAfterEdit' -benchtime 1x -benchmem ./internal/sta/
 	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced|ServiceWarmOffPeer' -benchtime 1x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/
+	$(GO) test -run '^$$' -bench 'ParseDecoder' -benchtime 1x -benchmem ./internal/netlist/
 
 # Full benchmark sweep (regenerates every table/figure; slow).
 bench-full:

@@ -20,6 +20,7 @@ package v1
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"qwm/internal/obs"
@@ -196,20 +197,23 @@ func FromDiagnostics(d sta.Diagnostics) Diagnostics {
 			out.TierCounts[t.String()] = n
 		}
 	}
-	if len(d.EvalTier) > 0 {
-		out.EvalTier = make(map[string]string, len(d.EvalTier))
-		for k, v := range d.EvalTier {
-			out.EvalTier[k] = v
-		}
-	}
-	if len(d.EvalErrorDetail) > 0 {
-		out.EvalErrorDetail = make(map[string]string, len(d.EvalErrorDetail))
-		for k, v := range d.EvalErrorDetail {
-			out.EvalErrorDetail[k] = v
-		}
-	}
+	out.EvalTier = cloneMap(d.EvalTier)
+	out.EvalErrorDetail = cloneMap(d.EvalErrorDetail)
 	if !out.Healthy {
 		out.Summary = d.String()
+	}
+	return out
+}
+
+// cloneMap deep-copies a diagnostics map, strings included (see
+// FromResult); an empty map stays nil.
+func cloneMap(m map[string]string) map[string]string {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]string, len(m))
+	for k, v := range m {
+		out[strings.Clone(k)] = strings.Clone(v)
 	}
 	return out
 }
@@ -236,24 +240,33 @@ type AnalyzeResult struct {
 
 // FromResult converts an engine result. outputs names the requested primary
 // outputs (canonical names); fullArrivals copies the complete arrival map.
+//
+// The result owns every string it holds. The parser hands out node names as
+// substrings of the deck, so a name kept from the engine result would keep
+// the whole request deck alive for as long as the response is retained (an
+// async batch's responses outlive the request); the critical path, the worst
+// output, the arrival keys and the diagnostics maps are therefore cloned.
 func FromResult(res *sta.Result, outputs []string, fullArrivals bool) *AnalyzeResult {
 	out := &AnalyzeResult{
 		WorstArrival:    res.WorstArrival,
-		WorstOutput:     res.WorstOutput,
+		WorstOutput:     strings.Clone(res.WorstOutput),
 		CriticalPath:    append([]string(nil), res.CriticalPath...),
 		StagesEvaluated: res.StagesEvaluated,
 		Outputs:         make(map[string]Arrival, len(outputs)),
 		Diagnostics:     FromDiagnostics(res.Diagnostics),
 	}
+	for i, n := range out.CriticalPath {
+		out.CriticalPath[i] = strings.Clone(n)
+	}
 	for _, o := range outputs {
 		if ar, ok := res.Arrivals[o]; ok {
-			out.Outputs[o] = FromArrival(ar)
+			out.Outputs[strings.Clone(o)] = FromArrival(ar)
 		}
 	}
 	if fullArrivals {
 		out.Arrivals = make(map[string]Arrival, len(res.Arrivals))
 		for n, ar := range res.Arrivals {
-			out.Arrivals[n] = FromArrival(ar)
+			out.Arrivals[strings.Clone(n)] = FromArrival(ar)
 		}
 	}
 	return out

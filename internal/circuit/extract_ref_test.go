@@ -23,7 +23,8 @@ import (
 // stage names, Nodes, Inputs, Outputs and edges in the same order, on 2–5
 // bit decoders, the Table I/II circuits, the wide and Manchester netlists,
 // every parseable deck in the repository's fuzz corpora and seeded random
-// netlists with resistors and source-driven nodes.
+// netlists with resistors and source-driven nodes — both fresh and through
+// one reused Extractor.
 func TestExtractStagesMatchesReference(t *testing.T) {
 	tech := mos.CMOSP35()
 	type tc struct {
@@ -76,9 +77,16 @@ func TestExtractStagesMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		cases = append(cases, tc{fmt.Sprintf("random%d", seed), randomNetlist(seed), []string{"N3", "n7", "gnd"}})
 	}
+	// One Extractor serves every case in turn, so stale slab contents from
+	// a larger or differently shaped netlist would show up as a mismatch.
+	var x circuit.Extractor
 	for _, c := range cases {
 		got := circuit.ExtractStages(c.nl, c.observed)
 		want := extractStagesRef(c.nl, c.observed)
+		x.Nodes.Build(c.nl)
+		if reused := x.Extract(c.nl, c.observed); !reflect.DeepEqual(reused, want) {
+			t.Errorf("%s: a reused Extractor differs from the reference", c.name)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ExtractStages differs from the reference", c.name)
 			for i := 0; i < len(got) && i < len(want); i++ {

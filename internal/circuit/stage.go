@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -43,134 +42,300 @@ type StageEdge struct {
 // that appear as gate inputs of some *other* component or are listed in
 // observed.
 //
-// Every non-boundary channel node gets a dense ID once; the union-find and
-// the grouping then run over slices indexed by it.
+// ExtractStages allocates fresh stages; Extractor.Extract is the same
+// extraction over reusable buffers.
 func ExtractStages(n *Netlist, observed []string) []*Stage {
-	// Dense IDs for the non-boundary channel terminals; boundary nodes map
-	// to −1. ends[2e], ends[2e+1] are element e's two terminals,
-	// transistors first, then resistors.
-	ids := map[string]int32{GroundNode: -1, SupplyNode: -1}
-	for _, v := range n.VSources {
-		ids[v.A] = -1
-	}
-	var names []string
-	id := func(nd string) int32 {
-		if i, ok := ids[nd]; ok {
-			return i
+	var x Extractor
+	x.Nodes.Build(n)
+	return x.Extract(n, observed)
+}
+
+// Extractor holds the reusable state of stage extraction: the netlist's node
+// table, the union-find over its IDs, and the slabs that stages, their edges
+// and their name lists are carved from. The zero value is ready to use. The
+// stages Extract returns alias the Extractor: they stay valid until its next
+// Extract or Reset.
+type Extractor struct {
+	// Nodes must hold the netlist's table (Nodes.Build) before Extract.
+	Nodes NodeTable
+
+	boundary, isOut  []bool
+	parent, groupOf  []int32
+	elemGroup        []int32
+	edgeOff, nodeOff []int32 // per-group starts in edgePtrs and members
+	members          []int32
+	stages           []Stage
+	ptrs             []*Stage
+	edges            []StageEdge
+	edgePtrs         []*StageEdge
+	names            []string
+	stageNames       []string // "stage0", "stage1", …: not netlist data, kept across uses
+}
+
+// Extract partitions n into stages exactly as ExtractStages does. Every node
+// already has its ID in x.Nodes; the union-find, the grouping and the output
+// marks run over slices indexed by it, and each stage's edges and name lists
+// are capped sub-slices of shared slabs, so appending to one never
+// overwrites another.
+func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
+	nt := &x.Nodes
+	nn := len(nt.Names)
+	nmos := len(n.Transistors)
+	nElem := nmos + len(n.Resistors)
+
+	// Boundary nodes — the rails and source-driven nets — split components.
+	x.boundary = resize(x.boundary, nn)
+	clear(x.boundary)
+	for _, rail := range [2]string{GroundNode, SupplyNode} {
+		if id, ok := nt.Lookup(rail); ok {
+			x.boundary[id] = true
 		}
-		i := int32(len(names))
-		ids[nd] = i
-		names = append(names, nd)
-		return i
 	}
-	nt := len(n.Transistors)
-	ends := make([]int32, 0, 2*(nt+len(n.Resistors)))
-	for _, t := range n.Transistors {
-		ends = append(ends, id(t.Drain), id(t.Source))
+	for i := range n.VSources {
+		x.boundary[nt.Src[2*i]] = true
 	}
-	for _, r := range n.Resistors {
-		ends = append(ends, id(r.A), id(r.B))
+	// ends returns element e's two channel terminals (transistors first,
+	// then resistors), −1 for a boundary node.
+	ends := func(e int) (int32, int32) {
+		var a, b int32
+		if e < nmos {
+			a, b = nt.MOS[3*e], nt.MOS[3*e+2]
+		} else {
+			a, b = nt.Res[2*(e-nmos)], nt.Res[2*(e-nmos)+1]
+		}
+		if x.boundary[a] {
+			a = -1
+		}
+		if x.boundary[b] {
+			b = -1
+		}
+		return a, b
 	}
 
 	// Union-find over the IDs.
-	parent := make([]int32, len(names))
+	x.parent = resize(x.parent, nn)
+	parent := x.parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
 		}
-		return x
+		return v
 	}
-	for e := 0; e < len(ends); e += 2 {
-		if a, b := ends[e], ends[e+1]; a >= 0 && b >= 0 {
+	for e := 0; e < nElem; e++ {
+		if a, b := ends(e); a >= 0 && b >= 0 {
 			if ra, rb := find(a), find(b); ra != rb {
 				parent[ra] = rb
 			}
 		}
 	}
 
-	// One group per component, numbered in order of first element.
-	groupOf := make([]int32, len(names))
-	for i := range groupOf {
-		groupOf[i] = -1
+	// One group per component, numbered in order of first element;
+	// edgeOff[g+1] counts group g's edges.
+	x.groupOf = resize(x.groupOf, nn)
+	for i := range x.groupOf {
+		x.groupOf[i] = -1
 	}
-	var stages []*Stage
-	var members [][]int32 // node IDs per group
-	edges := make([]StageEdge, len(ends)/2)
-	for e := 0; e < len(ends); e += 2 {
-		nd := ends[e]
-		if nd < 0 {
-			nd = ends[e+1]
+	x.elemGroup = resize(x.elemGroup, nElem)
+	x.edgeOff = append(x.edgeOff[:0], 0)
+	for e := 0; e < nElem; e++ {
+		a, b := ends(e)
+		if a < 0 {
+			a = b
 		}
-		if nd < 0 {
-			continue // degenerate: both channel terminals on rails
+		if a < 0 {
+			x.elemGroup[e] = -1 // degenerate: both channel terminals on rails
+			continue
 		}
-		root := find(nd)
-		if groupOf[root] < 0 {
-			groupOf[root] = int32(len(stages))
-			stages = append(stages, &Stage{})
-			members = append(members, nil)
+		root := find(a)
+		if x.groupOf[root] < 0 {
+			x.groupOf[root] = int32(len(x.edgeOff) - 1)
+			x.edgeOff = append(x.edgeOff, 0)
 		}
-		st := stages[groupOf[root]]
-		k := e / 2
-		se := &edges[k]
-		if k < nt {
-			t := n.Transistors[k]
+		x.elemGroup[e] = x.groupOf[root]
+		x.edgeOff[x.groupOf[root]+1]++
+	}
+	ng := len(x.edgeOff) - 1
+	if ng == 0 {
+		return nil
+	}
+
+	// Edges in element order, each group's contiguous.
+	x.edges = resize(x.edges, nElem)
+	toStarts(x.edgeOff)
+	x.edgePtrs = resize(x.edgePtrs, int(x.edgeOff[ng]))
+	for e := 0; e < nElem; e++ {
+		se := &x.edges[e]
+		g := x.elemGroup[e]
+		switch {
+		case g < 0:
+			*se = StageEdge{}
+			continue
+		case e < nmos:
+			t := n.Transistors[e]
 			*se = StageEdge{
 				Kind: t.Kind, Src: t.Drain, Snk: t.Source, Gate: t.Gate,
 				W: t.W, L: t.L, Ref: t,
 			}
-		} else {
-			r := n.Resistors[k-nt]
+		default:
+			r := n.Resistors[e-nmos]
 			*se = StageEdge{Kind: KindWire, Src: r.A, Snk: r.B, R: r.R}
 		}
-		st.Edges = append(st.Edges, se)
+		x.edgePtrs[x.edgeOff[g]] = se
+		x.edgeOff[g]++
 	}
+	rewind(x.edgeOff)
+
+	// Each group's members are its non-boundary channel terminals, in ID
+	// order for now.
+	x.nodeOff = resize(x.nodeOff, ng+1)
+	clear(x.nodeOff)
+	for i := 0; i < nn; i++ {
+		if g := x.groupOf[find(int32(i))]; g >= 0 && !x.boundary[i] {
+			x.nodeOff[g+1]++
+		}
+	}
+	toStarts(x.nodeOff)
+	x.members = resize(x.members, int(x.nodeOff[ng]))
+	for i := 0; i < nn; i++ {
+		if g := x.groupOf[find(int32(i))]; g >= 0 && !x.boundary[i] {
+			x.members[x.nodeOff[g]] = int32(i)
+			x.nodeOff[g]++
+		}
+	}
+	rewind(x.nodeOff)
 
 	// Nodes that feed gates anywhere, or are observed, are outputs.
-	isOut := make([]bool, len(names))
-	for _, t := range n.Transistors {
-		if i, ok := ids[t.Gate]; ok && i >= 0 {
-			isOut[i] = true
-		}
+	x.isOut = resize(x.isOut, nn)
+	clear(x.isOut)
+	for i := range n.Transistors {
+		x.isOut[nt.MOS[3*i+1]] = true
 	}
 	for _, o := range observed {
-		if i, ok := ids[CanonName(o)]; ok && i >= 0 {
-			isOut[i] = true
+		if id, ok := nt.Lookup(CanonName(o)); ok {
+			x.isOut[id] = true
 		}
-	}
-	for i := range names {
-		g := groupOf[find(int32(i))]
-		members[g] = append(members[g], int32(i))
 	}
 
-	// Sorted node and input lists per stage.
-	for g, st := range stages {
-		nodes := members[g]
-		slices.SortFunc(nodes, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
-		st.Nodes = make([]string, len(nodes))
-		for k, nd := range nodes {
-			st.Nodes[k] = names[nd]
-			if isOut[nd] {
-				st.Outputs = append(st.Outputs, names[nd])
+	// Sorted node, output and input lists per stage, carved from one name
+	// slab: a stage holds at most its members twice (nodes and outputs) plus
+	// one input per edge.
+	x.names = resize(x.names, 2*len(x.members)+len(x.edgePtrs))
+	x.stages = resize(x.stages, ng)
+	x.ptrs = resize(x.ptrs, ng)
+	pos := 0
+	carve := func(from int) []string {
+		if pos == from {
+			return nil
+		}
+		return x.names[from:pos:pos]
+	}
+	for g := range x.stages {
+		st := &x.stages[g]
+		*st = Stage{Edges: x.edgePtrs[x.edgeOff[g]:x.edgeOff[g+1]:x.edgeOff[g+1]]}
+		mem := x.members[x.nodeOff[g]:x.nodeOff[g+1]]
+		slices.SortFunc(mem, func(a, b int32) int { return strings.Compare(nt.Names[a], nt.Names[b]) })
+		from := pos
+		for _, id := range mem {
+			x.names[pos] = nt.Names[id]
+			pos++
+		}
+		st.Nodes = carve(from)
+		from = pos
+		for _, id := range mem {
+			if x.isOut[id] {
+				x.names[pos] = nt.Names[id]
+				pos++
 			}
 		}
+		st.Outputs = carve(from)
+		from = pos
 		for _, e := range st.Edges {
 			if e.Gate != "" {
-				st.Inputs = append(st.Inputs, e.Gate)
+				x.names[pos] = e.Gate
+				pos++
 			}
 		}
-		sort.Strings(st.Inputs)
-		st.Inputs = slices.Compact(st.Inputs)
+		slices.Sort(x.names[from:pos])
+		pos = from + len(slices.Compact(x.names[from:pos]))
+		st.Inputs = carve(from)
+		x.ptrs[g] = st
 	}
+
 	// Deterministic ordering of stages by their smallest node name; the
 	// components are disjoint, so the names never tie.
-	sort.Slice(stages, func(i, j int) bool { return stages[i].Nodes[0] < stages[j].Nodes[0] })
+	stages := x.ptrs[:ng:ng]
+	slices.SortFunc(stages, func(a, b *Stage) int { return strings.Compare(a.Nodes[0], b.Nodes[0]) })
+	x.growStageNames(ng)
 	for si, st := range stages {
-		st.Name = "stage" + strconv.Itoa(si)
+		st.Name = x.stageNames[si]
 	}
 	return stages
+}
+
+// growStageNames extends the cached stage names to at least n. The new
+// names share one string, so extending costs a few allocations, not one per
+// stage.
+func (x *Extractor) growStageNames(n int) {
+	k := len(x.stageNames)
+	if k >= n {
+		return
+	}
+	b := make([]byte, 0, (n-k)*len("stage"+strconv.Itoa(n)))
+	ends := make([]int, 0, n-k)
+	for i := k; i < n; i++ {
+		b = strconv.AppendInt(append(b, "stage"...), int64(i), 10)
+		ends = append(ends, len(b))
+	}
+	all, start := string(b), 0
+	x.stageNames = slices.Grow(x.stageNames, n-k)
+	for _, end := range ends {
+		x.stageNames = append(x.stageNames, all[start:end])
+		start = end
+	}
+}
+
+// Reset drops every reference the extractor holds into the netlists it
+// saw, keeping all capacity.
+func (x *Extractor) Reset() {
+	x.Nodes.reset()
+	clear(x.stages)
+	clear(x.ptrs)
+	clear(x.edges)
+	clear(x.edgePtrs)
+	clear(x.names)
+}
+
+// resize returns b with length n, reusing its backing array when it fits.
+// Entries b held past n are zeroed, so every slab is zero past its length
+// and Reset's clear of the length reaches everything Extract wrote.
+// Contents below n are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	if n < len(b) {
+		clear(b[n:])
+	}
+	return b[:n]
+}
+
+// toStarts turns per-group counts held in off[g+1] into group starts in
+// off[g]; off[len(off)-1] becomes the total. Filling group g then advances
+// off[g], and rewind restores the starts.
+func toStarts(off []int32) {
+	off[0] = 0
+	for g := 1; g < len(off); g++ {
+		off[g] += off[g-1]
+	}
+}
+
+// rewind undoes the fill cursors toStarts set up: after filling, off[g]
+// holds group g's end, which is group g+1's start.
+func rewind(off []int32) {
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
 }

@@ -14,6 +14,11 @@
 //
 // Supported cards: M (MOSFET), R, C, V (DC / PWL), .tran, .ic, .end, and
 // '*' comments. Units accept the usual SPICE suffixes (f p n u m k meg g).
+//
+// One physical line may hold at most 64 KiB - 1 bytes, a trailing '\r'
+// included and the '\n' not: a longer line fails the whole parse with
+// bufio.ErrTooLong ("bufio.Scanner: token too long"), the limit of the
+// bufio.Scanner the parser once read lines with.
 package netlist
 
 import (
@@ -39,71 +44,134 @@ type Deck struct {
 	IC map[string]float64
 }
 
-// Parse reads a deck from r.
+// maxLineBytes bounds one physical line of a deck (see the package doc).
+const maxLineBytes = bufio.MaxScanTokenSize
+
+// Parse reads all of r and parses it as ParseString does.
 func Parse(r io.Reader) (*Deck, error) {
-	d := &Deck{Netlist: &circuit.Netlist{}, IC: map[string]float64{}}
-	sc := bufio.NewScanner(r)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseString(string(b))
+}
+
+// ParseString parses a deck held in a string. It walks the string line by
+// line without copying: every name in the result (devices, nodes, the title)
+// is a substring of s, except those of a card continued with '+' lines,
+// which are substrings of the joined card. Anything kept longer than the deck
+// itself should therefore hold a copy (strings.Clone), not a name from here.
+func ParseString(s string) (*Deck, error) {
+	p := parser{d: &Deck{Netlist: &circuit.Netlist{}, IC: map[string]float64{}}}
+	p.mos.left, p.caps.left = countCards(s)
 	lineNo := 0
 	first := true
 	var prev string
-	flush := func(line string, no int) error {
-		if line == "" {
-			return nil
+	for rest := s; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if len(line) >= maxLineBytes {
+			return nil, bufio.ErrTooLong
 		}
-		return d.card(line, no)
-	}
-	for sc.Scan() {
 		lineNo++
-		raw := strings.TrimRight(sc.Text(), " \t\r")
-		trimmed := strings.TrimSpace(raw)
+		trimmed := strings.TrimSpace(line)
 		if first {
 			// SPICE convention: the first line is always the title.
-			d.Title = trimmed
+			p.d.Title = trimmed
 			first = false
 			continue
 		}
-		if trimmed == "" || strings.HasPrefix(trimmed, "*") {
+		if trimmed == "" || trimmed[0] == '*' {
 			continue
 		}
 		// '+' continuation lines extend the previous card.
-		if strings.HasPrefix(trimmed, "+") {
+		if trimmed[0] == '+' {
 			prev += " " + strings.TrimSpace(trimmed[1:])
 			continue
 		}
-		if err := flush(prev, lineNo-1); err != nil {
+		if err := p.card(prev, lineNo-1); err != nil {
 			return nil, err
 		}
 		prev = trimmed
 	}
-	if err := sc.Err(); err != nil {
+	if err := p.card(prev, lineNo); err != nil {
 		return nil, err
 	}
-	if err := flush(prev, lineNo); err != nil {
+	if err := p.d.Netlist.Validate(); err != nil {
 		return nil, err
 	}
-	if err := d.Netlist.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return p.d, nil
 }
 
-// ParseString parses a deck held in a string.
-func ParseString(s string) (*Deck, error) { return Parse(strings.NewReader(s)) }
+// parser is one ParseString call's state: the deck being built, one token
+// buffer reused by every card, and the slabs transistors and capacitors are
+// carved from.
+type parser struct {
+	d    *Deck
+	toks []string
+	mos  slab[circuit.Transistor]
+	caps slab[circuit.Capacitor]
+}
 
-func (d *Deck) card(line string, no int) error {
-	fields := splitCard(line)
+// slab hands out elements of shared chunks instead of one allocation each.
+// left estimates how many elements are still to come; a chunk holds that many,
+// at least slabMin and at most slabMax, so a deck that promises many cards
+// and fails early cannot make the parser allocate for all of them.
+type slab[T any] struct {
+	buf  []T
+	left int
+}
+
+const slabMin, slabMax = 16, 1024
+
+func (b *slab[T]) next() *T {
+	if len(b.buf) == cap(b.buf) {
+		b.buf = make([]T, 0, min(max(b.left, slabMin), slabMax))
+	}
+	b.left--
+	b.buf = b.buf[:len(b.buf)+1]
+	return &b.buf[len(b.buf)-1]
+}
+
+// countCards counts the lines that begin (after ASCII blanks) with an M or a
+// C: the slabs' size estimates. The title line may count too; the estimate
+// only sizes chunks.
+func countCards(s string) (mos, caps int) {
+	for s != "" {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		if line = strings.TrimLeft(line, " \t"); line == "" {
+			continue
+		}
+		switch lowerByte(line[0]) {
+		case 'm':
+			mos++
+		case 'c':
+			caps++
+		}
+	}
+	return mos, caps
+}
+
+func (p *parser) card(line string, no int) error {
+	if line == "" {
+		return nil
+	}
+	p.toks = splitCard(p.toks[:0], line)
+	fields := p.toks
 	if len(fields) == 0 {
 		return nil
 	}
+	d := p.d
 	name := fields[0]
 	var err error
 	switch lowerByte(name[0]) {
 	case 'm':
-		err = d.mosCard(name, fields[1:])
+		err = p.mosCard(name, fields[1:])
 	case 'r':
 		err = d.resCard(name, fields[1:])
 	case 'c':
-		err = d.capCard(name, fields[1:])
+		err = p.capCard(name, fields[1:])
 	case 'v':
 		err = d.vCard(name, fields[1:])
 	case '.':
@@ -117,36 +185,50 @@ func (d *Deck) card(line string, no int) error {
 	return nil
 }
 
-// splitCard tokenizes a card, keeping parenthesized groups (PWL lists)
-// together as single tokens, with the spaces inside them kept verbatim. Any
-// Unicode space separates tokens — the same set CanonName trims — so no
-// token can canonicalize to an empty node name. Tokens are substrings of
-// line: ASCII bytes are classified directly and other valid UTF-8 is
-// decoded rune by rune. A line with invalid UTF-8 goes through
+// splitCard appends the tokens of a card to dst, keeping parenthesized
+// groups (PWL lists) together as single tokens, with the spaces inside them
+// kept verbatim. Any Unicode space separates tokens — the same set CanonName
+// trims — so no token can canonicalize to an empty node name. Tokens are
+// substrings of line: ASCII bytes are classified directly and other valid
+// UTF-8 is decoded rune by rune. A line with invalid UTF-8 goes through
 // splitCardRunes, which re-encodes each invalid byte as U+FFFD.
-func splitCard(line string) []string {
-	out := make([]string, 0, 8)
+func splitCard(dst []string, line string) []string {
+	n0 := len(dst)
 	depth, start := 0, -1
 	for i := 0; i < len(line); {
-		r, size := rune(line[i]), 1
-		if r >= utf8.RuneSelf {
+		cls, size := byteClass[line[i]], 1
+		switch cls {
+		case clsPlain:
+			// The common case: a run of plain ASCII bytes inside a token.
+			if start < 0 {
+				start = i
+			}
+			for i++; i < len(line) && byteClass[line[i]] == clsPlain; i++ {
+			}
+			continue
+		case clsMulti:
+			var r rune
 			r, size = utf8.DecodeRuneInString(line[i:])
 			if r == utf8.RuneError && size == 1 {
-				return splitCardRunes(line)
+				return splitCardRunes(dst[:n0], line)
+			}
+			cls = clsPlain
+			if unicode.IsSpace(r) {
+				cls = clsSep
 			}
 		}
 		sep := false
-		switch {
-		case r == '(':
+		switch cls {
+		case clsOpen:
 			depth++
-		case r == ')':
+		case clsClose:
 			depth--
-		case depth == 0 && (r == ',' || unicode.IsSpace(r)):
-			sep = true
+		case clsSep:
+			sep = depth == 0
 		}
 		if sep {
 			if start >= 0 {
-				out = append(out, line[start:i])
+				dst = append(dst, line[start:i])
 				start = -1
 			}
 		} else if start < 0 {
@@ -155,20 +237,40 @@ func splitCard(line string) []string {
 		i += size
 	}
 	if start >= 0 {
-		out = append(out, line[start:])
+		dst = append(dst, line[start:])
 	}
-	return out
+	return dst
 }
+
+// Byte classes for splitCard: a separator is ',' or an ASCII space (the
+// ASCII members of unicode.IsSpace); clsMulti starts a multi-byte rune.
+const (
+	clsPlain = iota
+	clsSep
+	clsOpen
+	clsClose
+	clsMulti
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range "\t\n\v\f\r ," {
+		t[c] = clsSep
+	}
+	t['('], t[')'] = clsOpen, clsClose
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = clsMulti
+	}
+	return t
+}()
 
 // splitCardRunes is splitCard for a line with invalid UTF-8: it rebuilds
 // every token rune by rune, so each invalid byte becomes U+FFFD.
-func splitCardRunes(line string) []string {
-	var out []string
+func splitCardRunes(dst []string, line string) []string {
 	depth := 0
 	var cur strings.Builder
 	flush := func() {
 		if cur.Len() > 0 {
-			out = append(out, cur.String())
+			dst = append(dst, cur.String())
 			cur.Reset()
 		}
 	}
@@ -187,7 +289,7 @@ func splitCardRunes(line string) []string {
 		}
 	}
 	flush()
-	return out
+	return dst
 }
 
 // lowerByte folds an ASCII upper-case letter to lower case.
@@ -231,7 +333,7 @@ func isASCII(s string) bool {
 	return true
 }
 
-func (d *Deck) mosCard(name string, f []string) error {
+func (p *parser) mosCard(name string, f []string) error {
 	if len(f) < 5 {
 		return fmt.Errorf("%s: MOSFET needs d g s b type", name)
 	}
@@ -244,7 +346,12 @@ func (d *Deck) mosCard(name string, f []string) error {
 	default:
 		return fmt.Errorf("%s: unknown device type %q", name, f[4])
 	}
-	t := &circuit.Transistor{
+	n := p.d.Netlist
+	if n.Transistors == nil {
+		n.Transistors = make([]*circuit.Transistor, 0, min(max(p.mos.left, 1), slabMax))
+	}
+	t := p.mos.next()
+	*t = circuit.Transistor{
 		Name: name, Kind: kind,
 		Drain: f[0], Gate: f[1], Source: f[2], Body: f[3],
 	}
@@ -277,7 +384,7 @@ func (d *Deck) mosCard(name string, f []string) error {
 	if t.W == 0 || t.L == 0 {
 		return fmt.Errorf("%s: W and L are required", name)
 	}
-	d.Netlist.AddTransistor(t)
+	n.AddTransistor(t)
 	return nil
 }
 
@@ -293,7 +400,7 @@ func (d *Deck) resCard(name string, f []string) error {
 	return nil
 }
 
-func (d *Deck) capCard(name string, f []string) error {
+func (p *parser) capCard(name string, f []string) error {
 	if len(f) != 3 {
 		return fmt.Errorf("%s: capacitor needs two nodes and a value", name)
 	}
@@ -301,7 +408,13 @@ func (d *Deck) capCard(name string, f []string) error {
 	if err != nil {
 		return err
 	}
-	d.Netlist.AddCapacitor(name, f[0], f[1], v)
+	n := p.d.Netlist
+	if n.Capacitors == nil {
+		n.Capacitors = make([]*circuit.Capacitor, 0, min(max(p.caps.left, 1), slabMax))
+	}
+	c := p.caps.next()
+	*c = circuit.Capacitor{Name: name, A: circuit.CanonName(f[0]), B: circuit.CanonName(f[1]), C: v}
+	n.Capacitors = append(n.Capacitors, c)
 	return nil
 }
 

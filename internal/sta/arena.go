@@ -7,19 +7,32 @@ import (
 )
 
 // This file is the per-Analyze arena: a pooled scratch structure holding
-// every map, slice and byte buffer the gather/levelize/apply machinery needs,
-// so a warm Analyze (all cache hits) allocates almost nothing. The arena is
-// strictly request-scoped — acquired at the top of AnalyzeContext, released
-// (cleared of per-request pointers) when it returns — and pooled on the
-// Analyzer, so concurrent Analyzes each get their own and steady-state reuse
-// is allocation-free. Nothing reachable from a Result may point into the
-// arena: Result.Arrivals, CriticalPath and the diagnostics maps are always
-// freshly allocated.
+// every map, slice and byte buffer the preflight/extract/gather/levelize/
+// apply machinery needs, so a warm Analyze (all cache hits) allocates almost
+// nothing. The arena is strictly request-scoped — acquired at the top of
+// AnalyzeContext, released (cleared of per-request pointers) when it returns
+// — and pooled on the Analyzer, so concurrent Analyzes each get their own and
+// steady-state reuse is allocation-free. Nothing reachable from a Result may
+// point into the arena: Result.Arrivals, CriticalPath and the diagnostics
+// maps are always freshly allocated.
+//
+// The arena also holds the request's node table and its stages (ex: the
+// extraction's slabs). Those stages are valid only until AnalyzeContext
+// returns; nothing that outlives the call — the delay cache, the tiers, a
+// trace — may keep a *circuit.Stage, a *circuit.StageEdge or one of their
+// slices.
 
 // analyzeScratch is one request's arena. All fields are grow-only: maps are
 // cleared (buckets retained) and slices re-sliced to length zero between
 // requests, so capacity accumulates to the high-water mark and stays there.
 type analyzeScratch struct {
+	// Front end (see preflight): the node table and stage slabs, the
+	// duplicate-name set, and the per-node canonical IDs and touch counts.
+	ex       circuit.Extractor
+	devNames map[string]string
+	canon    []int32
+	touch    []int32
+
 	producer  map[string]*circuit.Stage
 	predFall  map[string]string // net -> worst fall predecessor (a rising input)
 	predRise  map[string]string
@@ -72,6 +85,11 @@ func (a *Analyzer) getScratch() *analyzeScratch {
 	if s, ok := a.scratch.Get().(*analyzeScratch); ok && s != nil {
 		return s
 	}
+	return newScratch()
+}
+
+// newScratch returns an empty arena.
+func newScratch() *analyzeScratch {
 	return &analyzeScratch{
 		producer:  map[string]*circuit.Stage{},
 		predFall:  map[string]string{},
@@ -80,16 +98,14 @@ func (a *Analyzer) getScratch() *analyzeScratch {
 		tierSeen:  map[Key]struct{}{},
 		tierHits:  map[Key]TierEntry{},
 		idx:       map[*circuit.Stage]int{},
-		ix: loadIndex{
-			gateCap: map[string]float64{},
-			nodeCap: map[string]float64{},
-		},
 	}
 }
 
 // putScratch clears every per-request pointer before pooling, so an idle
 // Analyzer never pins a finished request's netlist, stages or results.
 func (a *Analyzer) putScratch(s *analyzeScratch) {
+	s.ex.Reset()
+	clear(s.devNames)
 	clear(s.producer)
 	clear(s.predFall)
 	clear(s.predRise)
@@ -98,8 +114,7 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	clear(s.tierHits)
 	clear(s.tierOut)
 	clear(s.idx)
-	clear(s.ix.gateCap)
-	clear(s.ix.nodeCap)
+	s.ix.nodes = nil
 	for m := range s.loadMaps {
 		clear(s.loadMaps[m])
 	}
@@ -112,6 +127,7 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	s.items = s.items[:0]
 	clear(s.evs)
 	s.evs = s.evs[:0]
+	clear(s.ins)
 	s.ins = s.ins[:0]
 	clear(s.nodeBuf)
 	s.nodeBuf = s.nodeBuf[:0]
@@ -136,12 +152,19 @@ func (s *analyzeScratch) loadMap() map[string]float64 {
 
 func (s *analyzeScratch) resetLoadMaps() { s.loadUsed = 0 }
 
-// grownInts returns b with length n, reusing its backing array when it fits.
-// Contents are unspecified; callers that need zeroing do it themselves
-// (seenStamp deliberately does NOT — see the stamp idiom above).
-func grownInts(b []int, n int) []int {
+// grown returns b with length n, reusing its backing array when it fits.
+// Entries b held past n are zeroed, so every entry past a slab's length is
+// zero and putScratch's clear of the length reaches everything a request
+// wrote — a level narrower than the one before must not leave that level's
+// stage pointers and node names behind. Contents below n are unspecified;
+// callers that need zeroing do it themselves (seenStamp deliberately does
+// NOT — see the stamp idiom above).
+func grown[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int, n)
+		return make([]T, n)
+	}
+	if n < len(b) {
+		clear(b[n:])
 	}
 	return b[:n]
 }
@@ -158,9 +181,9 @@ func (s *analyzeScratch) levelize(stages []*circuit.Stage, producer map[string]*
 	for i, st := range stages {
 		s.idx[st] = i
 	}
-	s.indeg = grownInts(s.indeg, n)
+	s.indeg = grown(s.indeg, n)
 	clear(s.indeg)
-	s.seenStamp = grownInts(s.seenStamp, n)
+	s.seenStamp = grown(s.seenStamp, n)
 	if cap(s.consumers) < n {
 		s.consumers = make([][]int, n)
 	}

@@ -169,6 +169,9 @@ func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte 
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
+	if len(nodes) < len(s.nodeBuf) {
+		clear(s.nodeBuf[len(nodes):]) // keep every entry past the length zero (see grown)
+	}
 	s.nodeBuf = nodes
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
 	var num [32]byte

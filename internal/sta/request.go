@@ -56,27 +56,31 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		return nil, err
 	}
 
+	// Per-request arena: every map, slab and key buffer below comes from the
+	// pooled scratch, so a warm Analyze allocates almost nothing. Nothing
+	// reachable from the returned Result aliases it (see arena.go); the
+	// stages carved from it are valid only until this call returns.
+	s := a.getScratch()
+	defer a.putScratch(s)
+
 	// Pre-flight validation: reject malformed netlists (ErrInvalidNetlist)
 	// and out-of-range primary inputs (ErrInvalidInput) before any solver
-	// (or cache) work happens.
-	if err := preflight(req.Netlist, req.Primary); err != nil {
+	// (or cache) work happens. It numbers the netlist's nodes once; the
+	// extraction and the load index below reuse that table.
+	if err := s.preflight(req.Netlist, req.Primary); err != nil {
 		return nil, err
 	}
 
-	stages := circuit.ExtractStages(req.Netlist, req.Outputs)
+	stages := s.ex.Extract(req.Netlist, req.Outputs)
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("%w: no logic stages found", ErrInvalidNetlist)
 	}
 
-	// Per-request arena: every map, slab and key buffer below comes from the
-	// pooled scratch, so a warm Analyze allocates almost nothing. Nothing
-	// reachable from the returned Result aliases it (see arena.go).
-	s := a.getScratch()
-	defer a.putScratch(s)
-
 	// Net → producing stage, then Kahn levelization over gate connectivity.
 	producer := s.producer
+	totalOut := 0
 	for _, st := range stages {
+		totalOut += len(st.Outputs)
 		for _, o := range st.Outputs {
 			producer[o] = st
 		}
@@ -91,7 +95,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// Fanout-load index: one pass over the netlist instead of a rescan of
 	// every transistor and capacitor per stage output.
 	loads := &s.ix
-	loads.build(req.Netlist, a.tech)
+	loads.build(req.Netlist, &s.ex.Nodes, a.tech)
 
 	workers := a.cfg.Workers
 	if workers <= 0 {
@@ -119,21 +123,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	}
 	rec := a.newRecorder(observer)
 	if rec != nil {
-		totalItems := 0
-		for _, st := range stages {
-			totalItems += 2 * len(st.Outputs)
-		}
 		rec.analyzeStart(obs.AnalyzeStartInfo{
 			Stages:  len(stages),
 			Levels:  len(levels),
-			Items:   totalItems,
+			Items:   2 * totalOut,
 			Outputs: len(req.Outputs),
 			Workers: workers,
 		})
 		defer func() { rec.analyzeEnd(res, err) }()
 	}
 
-	res = &Result{Arrivals: map[string]Arrival{}}
+	// Sized for every arrival the analysis records: the primary inputs and
+	// each stage output.
+	res = &Result{Arrivals: make(map[string]Arrival, len(req.Primary)+totalOut)}
 	evalStart := a.cache.evals.Load()
 	// Key-derivation context: the reduction signature is part of every content
 	// digest (reduced and unreduced evaluations must never alias), and Memo
@@ -159,20 +161,10 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		for _, st := range level {
 			nOut += len(st.Outputs)
 		}
-		evs := s.evs
-		if cap(evs) < nOut {
-			evs = make([]outEval, nOut)
-		} else {
-			evs = evs[:nOut]
-		}
-		items := s.items
-		if cap(items) < 2*nOut {
-			items = make([]workItem, 2*nOut)
-		} else {
-			items = items[:2*nOut]
-		}
-		s.evs, s.items = evs, items
-		ins := s.ins[:0]
+		s.evs = grown(s.evs, nOut)
+		s.items = grown(s.items, 2*nOut)
+		s.ins = grown(s.ins, len(level))
+		evs, items, ins := s.evs, s.items, s.ins
 		// Load maps are per level: an output's map is dead once its level's
 		// apply phase completes, so each level reuses the pool from the top.
 		s.resetLoadMaps()
@@ -183,9 +175,9 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		// (stage, output), so the parallel lookup path below only fills in
 		// slew buckets.
 		vi := 0
-		for _, st := range level {
+		for k, st := range level {
 			si := gatherInputs(st, res.Arrivals)
-			ins = append(ins, si)
+			ins[k] = si
 			for _, out := range st.Outputs {
 				ol := loads.stageLoadsInto(s.loadMap(), st, out)
 				ev := &evs[vi]
@@ -201,7 +193,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 				resetItem(&items[n+1], st, out, ev, circuit.SupplyNode, si.fallSlew, li, n+1)
 			}
 		}
-		s.ins = ins
 
 		var levelStart time.Time
 		if rec != nil {

@@ -610,41 +610,56 @@ func fallbackSlew(w wave.Crosser, vdd, inSlew, delay float64) float64 {
 	return est
 }
 
-// loadIndex is the per-Analyze fanout index: net → summed gate capacitance
-// of the transistors that net drives, and net → summed explicit grounded
-// capacitance. Building it is one pass over the netlist; the previous
-// fanoutLoads rescanned every transistor and capacitor for every stage
-// output — O(stages × devices).
+// loadIndex is the per-Analyze fanout index over the request's node table:
+// node ID → summed gate capacitance of the transistors that node drives, and
+// node ID → summed explicit grounded capacitance. Building it is one pass
+// over the netlist's recorded terminal IDs; the previous fanoutLoads
+// rescanned every transistor and capacitor for every stage output — O(stages
+// × devices).
 type loadIndex struct {
-	gateCap map[string]float64
-	nodeCap map[string]float64
+	nodes   *circuit.NodeTable
+	gateCap []float64
+	nodeCap []float64
 }
 
+// buildLoadIndex indexes n over a node table of its own (tests and one-off
+// callers).
 func buildLoadIndex(n *circuit.Netlist, tech *mos.Tech) *loadIndex {
-	ix := &loadIndex{
-		gateCap: make(map[string]float64, len(n.Transistors)),
-		nodeCap: make(map[string]float64, len(n.Capacitors)),
-	}
-	ix.build(n, tech)
+	nodes := &circuit.NodeTable{}
+	nodes.Build(n)
+	ix := &loadIndex{}
+	ix.build(n, nodes, tech)
 	return ix
 }
 
-// build (re)fills the index from one pass over the netlist. The maps must be
-// empty on entry; pooled indexes are cleared by putScratch.
-func (ix *loadIndex) build(n *circuit.Netlist, tech *mos.Tech) {
-	for _, t := range n.Transistors {
+// build (re)fills the index from one pass over the netlist, whose nodes
+// carry their IDs in nodes. Per node, the sums run in device order, as they
+// always have, so every load is bit-identical to a name-keyed pass.
+func (ix *loadIndex) build(n *circuit.Netlist, nodes *circuit.NodeTable, tech *mos.Tech) {
+	ix.nodes = nodes
+	nn := len(nodes.Names)
+	ix.gateCap = grown(ix.gateCap, nn)
+	ix.nodeCap = grown(ix.nodeCap, nn)
+	clear(ix.gateCap)
+	clear(ix.nodeCap)
+	for i, t := range n.Transistors {
 		p := &tech.N
 		if t.Kind == circuit.KindPMOS {
 			p = &tech.P
 		}
-		ix.gateCap[t.Gate] += p.GateCap(t.W, t.L)
+		ix.gateCap[nodes.MOS[3*i+1]] += p.GateCap(t.W, t.L)
 	}
-	for _, c := range n.Capacitors {
-		if c.B == circuit.GroundNode {
-			ix.nodeCap[c.A] += c.C
+	gnd, ok := nodes.Lookup(circuit.GroundNode)
+	if !ok {
+		return
+	}
+	for i, c := range n.Capacitors {
+		a, b := nodes.Cap[2*i], nodes.Cap[2*i+1]
+		if b == gnd {
+			ix.nodeCap[a] += c.C
 		}
-		if c.A == circuit.GroundNode {
-			ix.nodeCap[c.B] += c.C
+		if a == gnd {
+			ix.nodeCap[b] += c.C
 		}
 	}
 }
@@ -654,15 +669,19 @@ func (ix *loadIndex) build(n *circuit.Netlist, tech *mos.Tech) {
 // plus explicit caps, and internal path nodes carry their explicit caps.
 func (ix *loadIndex) stageLoadsInto(m map[string]float64, st *circuit.Stage, out string) map[string]float64 {
 	clear(m)
-	if c := ix.gateCap[out] + ix.nodeCap[out]; c != 0 {
-		m[out] = c
+	if id, ok := ix.nodes.Lookup(out); ok {
+		if c := ix.gateCap[id] + ix.nodeCap[id]; c != 0 {
+			m[out] = c
+		}
 	}
 	for _, nd := range st.Nodes {
 		if nd == out {
 			continue
 		}
-		if c := ix.nodeCap[nd]; c != 0 {
-			m[nd] += c
+		if id, ok := ix.nodes.Lookup(nd); ok {
+			if c := ix.nodeCap[id]; c != 0 {
+				m[nd] += c
+			}
 		}
 	}
 	return m

@@ -14,15 +14,32 @@ import (
 // one pins a worker indefinitely. 100 ns is far slower than any on-chip edge.
 const MaxInputSlew = 100e-9
 
+// Device geometry bounds. Channels outside them are far from any process the
+// device tables model: a picometre-wide or metre-wide device gives the solver
+// tiers nothing to converge on, so its analysis would run the whole
+// degradation ladder and answer with bound-tier delays. The bounds are loose
+// deliberately — a generous margin on every geometry a real deck carries.
+const (
+	MinChannelLength = 10e-9  // 10 nm
+	MaxChannelLength = 100e-6 // 100 µm
+	MinChannelWidth  = 10e-9  // 10 nm
+	MaxChannelWidth  = 1e-3   // 1 mm
+)
+
 // preflight is the STA engine's input gate: every check a malformed request
 // can fail before any solver work starts. Netlist defects are wrapped in
 // ErrInvalidNetlist and out-of-range primary inputs in ErrInvalidInput, so
 // callers classify each family with one errors.Is. It layers on top of
-// circuit.Netlist.Validate (device-local sanity) the cross-device checks
-// only an analysis-level view can make: duplicate device names, non-finite
-// parameters, and floating capacitor terminals. Combinational cycles are
-// detected later by levelization and wrapped with ErrInvalidNetlist.
-func preflight(n *circuit.Netlist, primary map[string]Arrival) error {
+// circuit.Netlist.Validate (device-local sanity) the checks only an
+// analysis-level view can make: duplicate device names, non-finite
+// parameters, device geometry outside the channel bounds, and floating
+// capacitor terminals. Combinational cycles are detected later by
+// levelization and wrapped with ErrInvalidNetlist.
+//
+// preflight also numbers the netlist's nodes into s.ex.Nodes, which the
+// extraction and the load index then reuse; the cross-device checks run over
+// slices indexed by those IDs.
+func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arrival) error {
 	if n == nil {
 		return fmt.Errorf("%w: nil netlist", ErrInvalidNetlist)
 	}
@@ -32,11 +49,16 @@ func preflight(n *circuit.Netlist, primary map[string]Arrival) error {
 	if err := checkPrimary(primary); err != nil {
 		return err
 	}
+	nodes := &s.ex.Nodes
+	nodes.Build(n)
 
 	// Duplicate device names (across all device kinds): a name collision
 	// makes reports and incremental edits ambiguous. Unnamed devices are
 	// skipped — the builder APIs allow them and they collide vacuously.
-	seen := map[string]string{}
+	if s.devNames == nil {
+		s.devNames = make(map[string]string, len(n.Transistors)+len(n.Resistors)+len(n.VSources)+len(n.Capacitors))
+	}
+	seen := s.devNames
 	dup := func(name, kind string) error {
 		if name == "" {
 			return nil
@@ -56,37 +78,54 @@ func preflight(n *circuit.Netlist, primary map[string]Arrival) error {
 		return nil
 	}
 
+	// Touch counts are per canonical node: canon maps a node ID to the ID of
+	// its canonical name, numbering that name first when no terminal spells
+	// it (a netlist built without the Add methods may carry "OUT" or "gnd").
+	nn := len(nodes.Names)
+	s.canon = grown(s.canon, nn)
+	for id := 0; id < nn; id++ {
+		name := nodes.Names[id]
+		c := int32(id)
+		if cn := circuit.CanonName(name); cn != name {
+			c = nodes.ID(cn)
+		}
+		s.canon[id] = c
+	}
 	// touch counts how many device terminals (transistor channel/gate,
-	// resistor ends, source ends) connect to each node.
-	touch := map[string]int{}
-	bump := func(nodes ...string) {
-		for _, nd := range nodes {
-			touch[circuit.CanonName(nd)]++
+	// resistor ends, source ends) connect to each canonical node.
+	s.touch = grown(s.touch, len(nodes.Names))
+	clear(s.touch)
+	bump := func(ids ...int32) {
+		for _, id := range ids {
+			s.touch[s.canon[id]]++
 		}
 	}
-	for _, t := range n.Transistors {
+	for i, t := range n.Transistors {
 		if err := dup(t.Name, "transistor"); err != nil {
 			return err
 		}
 		if err := finite(t.Name, t.W, t.L); err != nil {
 			return err
 		}
-		bump(t.Drain, t.Gate, t.Source)
+		if err := checkGeometry(t); err != nil {
+			return err
+		}
+		bump(nodes.MOS[3*i : 3*i+3]...)
 	}
-	for _, r := range n.Resistors {
+	for i, r := range n.Resistors {
 		if err := dup(r.Name, "resistor"); err != nil {
 			return err
 		}
 		if err := finite(r.Name, r.R); err != nil {
 			return err
 		}
-		bump(r.A, r.B)
+		bump(nodes.Res[2*i : 2*i+2]...)
 	}
-	for _, s := range n.VSources {
-		if err := dup(s.Name, "source"); err != nil {
+	for i, v := range n.VSources {
+		if err := dup(v.Name, "source"); err != nil {
 			return err
 		}
-		bump(s.A, s.B)
+		bump(nodes.Src[2*i : 2*i+2]...)
 	}
 	for _, c := range n.Capacitors {
 		if err := dup(c.Name, "capacitor"); err != nil {
@@ -103,16 +142,31 @@ func preflight(n *circuit.Netlist, primary map[string]Arrival) error {
 	// implicit nets). The count deliberately excludes capacitor terminals
 	// themselves: two caps in series between otherwise-floating nets are
 	// just as dead as one.
-	for _, c := range n.Capacitors {
-		for _, nd := range [2]string{c.A, c.B} {
-			nd = circuit.CanonName(nd)
+	for i, c := range n.Capacitors {
+		for _, id := range nodes.Cap[2*i : 2*i+2] {
+			cid := s.canon[id]
+			nd := nodes.Names[cid]
 			if nd == circuit.GroundNode || nd == circuit.SupplyNode {
 				continue
 			}
-			if touch[nd] == 0 {
+			if s.touch[cid] == 0 {
 				return fmt.Errorf("%w: capacitor %q terminal %q is floating (no device drives the node)", ErrInvalidNetlist, c.Name, nd)
 			}
 		}
+	}
+	return nil
+}
+
+// checkGeometry rejects a transistor whose channel lies outside the
+// MinChannel*/MaxChannel* bounds. Non-finite values are refused earlier.
+func checkGeometry(t *circuit.Transistor) error {
+	if t.L < MinChannelLength || t.L > MaxChannelLength {
+		return fmt.Errorf("%w: device %q has channel length %g m, outside [%g, %g] m",
+			ErrInvalidNetlist, t.Name, t.L, MinChannelLength, MaxChannelLength)
+	}
+	if t.W < MinChannelWidth || t.W > MaxChannelWidth {
+		return fmt.Errorf("%w: device %q has channel width %g m, outside [%g, %g] m",
+			ErrInvalidNetlist, t.Name, t.W, MinChannelWidth, MaxChannelWidth)
 	}
 	return nil
 }

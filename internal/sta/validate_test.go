@@ -79,6 +79,62 @@ func TestPreflightFloatingCapTerminal(t *testing.T) {
 	analyzeExpectInvalid(t, nl2, "floating")
 }
 
+// TestPreflightGeometryBounds pins the channel-geometry gate: W and L
+// outside [MinChannel*, MaxChannel*] are ErrInvalidNetlist naming the
+// dimension, and the bounds themselves are accepted.
+func TestPreflightGeometryBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		w, l float64
+		frag string // "" = accepted
+	}{
+		{"W 1 pm", 1e-12, tech.LMin, "channel width"},
+		{"W 1 m", 1, tech.LMin, "channel width"},
+		{"L 1 mm", 1e-6, 1e-3, "channel length"},
+		{"L 350 m", 1e-6, 350, "channel length"},
+		{"L 1 nm", 1e-6, 1e-9, "channel length"},
+		{"at the lower bounds", MinChannelWidth, MinChannelLength, ""},
+		{"at the upper bounds", MaxChannelWidth, MaxChannelLength, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nl := inverterChain(1, 1e-6, 2e-6)
+			nl.AddTransistor(&circuit.Transistor{Name: "mx", Kind: circuit.KindNMOS,
+				Drain: "out", Gate: "in0", Source: "0", Body: "0", W: c.w, L: c.l})
+			if c.frag == "" {
+				if err := newScratch().preflight(nl, nil); err != nil {
+					t.Fatalf("W=%g L=%g rejected: %v", c.w, c.l, err)
+				}
+				return
+			}
+			analyzeExpectInvalid(t, nl, c.frag)
+		})
+	}
+}
+
+// TestPreflightCanonicalTouch: touch counts are per canonical node, so a
+// netlist built without the Add methods may spell one node two ways ("OUT"
+// on the device, "out" on the cap, "GND" for ground) and still pass, while a
+// cap on a node nothing else touches is floating under its canonical name.
+func TestPreflightCanonicalTouch(t *testing.T) {
+	mk := func(capNode string) *circuit.Netlist {
+		return &circuit.Netlist{
+			Transistors: []*circuit.Transistor{
+				{Name: "mn", Kind: circuit.KindNMOS, Drain: "OUT", Gate: "In", Source: "0", Body: "0", W: 1e-6, L: tech.LMin},
+				{Name: "mp", Kind: circuit.KindPMOS, Drain: "OUT", Gate: "In", Source: "vdd", Body: "vdd", W: 2e-6, L: tech.LMin},
+			},
+			Capacitors: []*circuit.Capacitor{{Name: "cl", A: capNode, B: "GND", C: 1e-15}},
+		}
+	}
+	if err := newScratch().preflight(mk("out"), nil); err != nil {
+		t.Fatalf("cap on the canonical spelling of a driven node rejected: %v", err)
+	}
+	err := newScratch().preflight(mk(" Ghost"), nil)
+	if !errors.Is(err, ErrInvalidNetlist) || !strings.Contains(err.Error(), `terminal "ghost" is floating`) {
+		t.Fatalf("floating cap error = %v", err)
+	}
+}
+
 func TestPreflightRailCapsAllowed(t *testing.T) {
 	// Decoupling caps to the rails are legitimate and must pass.
 	nl := inverterChain(1, 1e-6, 2e-6)
@@ -112,7 +168,7 @@ func TestCombinationalLoopIsInvalidNetlist(t *testing.T) {
 }
 
 func TestPreflightAcceptsHealthyNetlist(t *testing.T) {
-	if err := preflight(inverterChain(4, 1e-6, 2e-6), nil); err != nil {
+	if err := newScratch().preflight(inverterChain(4, 1e-6, 2e-6), nil); err != nil {
 		t.Fatalf("healthy netlist rejected: %v", err)
 	}
 }
@@ -145,7 +201,7 @@ func TestPreflightPrimaryInputs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			primary := map[string]Arrival{"in0": c.ar}
 			if c.frag == "" {
-				if err := preflight(nl, primary); err != nil {
+				if err := newScratch().preflight(nl, primary); err != nil {
 					t.Fatalf("arrival %+v rejected: %v", c.ar, err)
 				}
 				return
