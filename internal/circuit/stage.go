@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"qwm/internal/slab"
 )
 
 // Stage is the paper's Definition 1: a CMOS logic stage as a polar directed
@@ -84,7 +86,7 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	nElem := nmos + len(n.Resistors)
 
 	// Boundary nodes — the rails and source-driven nets — split components.
-	x.boundary = resize(x.boundary, nn)
+	x.boundary = slab.Resize(x.boundary, nn)
 	clear(x.boundary)
 	for _, rail := range [2]string{GroundNode, SupplyNode} {
 		if id, ok := nt.Lookup(rail); ok {
@@ -92,16 +94,17 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 		}
 	}
 	for i := range n.VSources {
-		x.boundary[nt.Src[2*i]] = true
+		a, _ := nt.VSourceEnds(i)
+		x.boundary[a] = true
 	}
 	// ends returns element e's two channel terminals (transistors first,
 	// then resistors), −1 for a boundary node.
 	ends := func(e int) (int32, int32) {
 		var a, b int32
 		if e < nmos {
-			a, b = nt.MOS[3*e], nt.MOS[3*e+2]
+			a, b = nt.Drain(e), nt.Source(e)
 		} else {
-			a, b = nt.Res[2*(e-nmos)], nt.Res[2*(e-nmos)+1]
+			a, b = nt.ResistorEnds(e - nmos)
 		}
 		if x.boundary[a] {
 			a = -1
@@ -113,7 +116,7 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	}
 
 	// Union-find over the IDs.
-	x.parent = resize(x.parent, nn)
+	x.parent = slab.Resize(x.parent, nn)
 	parent := x.parent
 	for i := range parent {
 		parent[i] = int32(i)
@@ -135,11 +138,11 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 
 	// One group per component, numbered in order of first element;
 	// edgeOff[g+1] counts group g's edges.
-	x.groupOf = resize(x.groupOf, nn)
+	x.groupOf = slab.Resize(x.groupOf, nn)
 	for i := range x.groupOf {
 		x.groupOf[i] = -1
 	}
-	x.elemGroup = resize(x.elemGroup, nElem)
+	x.elemGroup = slab.Resize(x.elemGroup, nElem)
 	x.edgeOff = append(x.edgeOff[:0], 0)
 	for e := 0; e < nElem; e++ {
 		a, b := ends(e)
@@ -164,9 +167,9 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	}
 
 	// Edges in element order, each group's contiguous.
-	x.edges = resize(x.edges, nElem)
+	x.edges = slab.Resize(x.edges, nElem)
 	toStarts(x.edgeOff)
-	x.edgePtrs = resize(x.edgePtrs, int(x.edgeOff[ng]))
+	x.edgePtrs = slab.Resize(x.edgePtrs, int(x.edgeOff[ng]))
 	for e := 0; e < nElem; e++ {
 		se := &x.edges[e]
 		g := x.elemGroup[e]
@@ -191,7 +194,7 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 
 	// Each group's members are its non-boundary channel terminals, in ID
 	// order for now.
-	x.nodeOff = resize(x.nodeOff, ng+1)
+	x.nodeOff = slab.Resize(x.nodeOff, ng+1)
 	clear(x.nodeOff)
 	for i := 0; i < nn; i++ {
 		if g := x.groupOf[find(int32(i))]; g >= 0 && !x.boundary[i] {
@@ -199,7 +202,7 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 		}
 	}
 	toStarts(x.nodeOff)
-	x.members = resize(x.members, int(x.nodeOff[ng]))
+	x.members = slab.Resize(x.members, int(x.nodeOff[ng]))
 	for i := 0; i < nn; i++ {
 		if g := x.groupOf[find(int32(i))]; g >= 0 && !x.boundary[i] {
 			x.members[x.nodeOff[g]] = int32(i)
@@ -209,10 +212,10 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	rewind(x.nodeOff)
 
 	// Nodes that feed gates anywhere, or are observed, are outputs.
-	x.isOut = resize(x.isOut, nn)
+	x.isOut = slab.Resize(x.isOut, nn)
 	clear(x.isOut)
 	for i := range n.Transistors {
-		x.isOut[nt.MOS[3*i+1]] = true
+		x.isOut[nt.Gate(i)] = true
 	}
 	for _, o := range observed {
 		if id, ok := nt.Lookup(CanonName(o)); ok {
@@ -223,9 +226,9 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	// Sorted node, output and input lists per stage, carved from one name
 	// slab: a stage holds at most its members twice (nodes and outputs) plus
 	// one input per edge.
-	x.names = resize(x.names, 2*len(x.members)+len(x.edgePtrs))
-	x.stages = resize(x.stages, ng)
-	x.ptrs = resize(x.ptrs, ng)
+	x.names = slab.Resize(x.names, 2*len(x.members)+len(x.edgePtrs))
+	x.stages = slab.Resize(x.stages, ng)
+	x.ptrs = slab.Resize(x.ptrs, ng)
 	pos := 0
 	carve := func(from int) []string {
 		if pos == from {
@@ -269,33 +272,13 @@ func (x *Extractor) Extract(n *Netlist, observed []string) []*Stage {
 	// components are disjoint, so the names never tie.
 	stages := x.ptrs[:ng:ng]
 	slices.SortFunc(stages, func(a, b *Stage) int { return strings.Compare(a.Nodes[0], b.Nodes[0]) })
-	x.growStageNames(ng)
+	for i := len(x.stageNames); i < ng; i++ {
+		x.stageNames = append(x.stageNames, "stage"+strconv.Itoa(i))
+	}
 	for si, st := range stages {
 		st.Name = x.stageNames[si]
 	}
 	return stages
-}
-
-// growStageNames extends the cached stage names to at least n. The new
-// names share one string, so extending costs a few allocations, not one per
-// stage.
-func (x *Extractor) growStageNames(n int) {
-	k := len(x.stageNames)
-	if k >= n {
-		return
-	}
-	b := make([]byte, 0, (n-k)*len("stage"+strconv.Itoa(n)))
-	ends := make([]int, 0, n-k)
-	for i := k; i < n; i++ {
-		b = strconv.AppendInt(append(b, "stage"...), int64(i), 10)
-		ends = append(ends, len(b))
-	}
-	all, start := string(b), 0
-	x.stageNames = slices.Grow(x.stageNames, n-k)
-	for _, end := range ends {
-		x.stageNames = append(x.stageNames, all[start:end])
-		start = end
-	}
 }
 
 // Reset drops every reference the extractor holds into the netlists it
@@ -307,20 +290,6 @@ func (x *Extractor) Reset() {
 	clear(x.edges)
 	clear(x.edgePtrs)
 	clear(x.names)
-}
-
-// resize returns b with length n, reusing its backing array when it fits.
-// Entries b held past n are zeroed, so every slab is zero past its length
-// and Reset's clear of the length reaches everything Extract wrote.
-// Contents below n are unspecified.
-func resize[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	if n < len(b) {
-		clear(b[n:])
-	}
-	return b[:n]
 }
 
 // toStarts turns per-group counts held in off[g+1] into group starts in

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"qwm/internal/circuit"
+	"qwm/internal/slab"
 )
 
 // This file is the per-Analyze arena: a pooled scratch structure holding
@@ -152,23 +153,6 @@ func (s *analyzeScratch) loadMap() map[string]float64 {
 
 func (s *analyzeScratch) resetLoadMaps() { s.loadUsed = 0 }
 
-// grown returns b with length n, reusing its backing array when it fits.
-// Entries b held past n are zeroed, so every entry past a slab's length is
-// zero and putScratch's clear of the length reaches everything a request
-// wrote — a level narrower than the one before must not leave that level's
-// stage pointers and node names behind. Contents below n are unspecified;
-// callers that need zeroing do it themselves (seenStamp deliberately does
-// NOT — see the stamp idiom above).
-func grown[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	if n < len(b) {
-		clear(b[n:])
-	}
-	return b[:n]
-}
-
 // levelize groups stages into dependency levels with Kahn's algorithm:
 // level 0 holds stages with no in-stage producers, level k+1 holds stages
 // whose producers all sit in levels ≤ k. Stages within a level are ordered
@@ -181,9 +165,9 @@ func (s *analyzeScratch) levelize(stages []*circuit.Stage, producer map[string]*
 	for i, st := range stages {
 		s.idx[st] = i
 	}
-	s.indeg = grown(s.indeg, n)
+	s.indeg = slab.Resize(s.indeg, n)
 	clear(s.indeg)
-	s.seenStamp = grown(s.seenStamp, n)
+	s.seenStamp = slab.Resize(s.seenStamp, n) // not cleared: see the stamp idiom
 	if cap(s.consumers) < n {
 		s.consumers = make([][]int, n)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/mos"
+	"qwm/internal/slab"
 )
 
 // KeySize is the length of a Key in bytes.
@@ -164,14 +165,11 @@ func appendJunctions(b []byte, e *circuit.StageEdge) []byte {
 // pairs, each cap as its strconv 'e' text at 6 digits: two caps share an
 // encoding exactly when they print alike at that precision.
 func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte {
-	nodes := s.nodeBuf[:0]
+	nodes := slab.Resize(s.nodeBuf, len(loads))[:0]
 	for n := range loads {
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
-	if len(nodes) < len(s.nodeBuf) {
-		clear(s.nodeBuf[len(nodes):]) // keep every entry past the length zero (see grown)
-	}
 	s.nodeBuf = nodes
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
 	var num [32]byte

@@ -8,6 +8,7 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/obs"
+	"qwm/internal/slab"
 )
 
 // Request is the front door of the request-shaped STA API: one analysis of
@@ -161,9 +162,9 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		for _, st := range level {
 			nOut += len(st.Outputs)
 		}
-		s.evs = grown(s.evs, nOut)
-		s.items = grown(s.items, 2*nOut)
-		s.ins = grown(s.ins, len(level))
+		s.evs = slab.Resize(s.evs, nOut)
+		s.items = slab.Resize(s.items, 2*nOut)
+		s.ins = slab.Resize(s.ins, len(level))
 		evs, items, ins := s.evs, s.items, s.ins
 		// Load maps are per level: an output's map is dead once its level's
 		// apply phase completes, so each level reuses the pool from the top.

@@ -44,6 +44,7 @@ import (
 	"qwm/internal/faultinject"
 	"qwm/internal/mos"
 	"qwm/internal/qwm"
+	"qwm/internal/slab"
 	"qwm/internal/wave"
 )
 
@@ -638,8 +639,8 @@ func buildLoadIndex(n *circuit.Netlist, tech *mos.Tech) *loadIndex {
 func (ix *loadIndex) build(n *circuit.Netlist, nodes *circuit.NodeTable, tech *mos.Tech) {
 	ix.nodes = nodes
 	nn := len(nodes.Names)
-	ix.gateCap = grown(ix.gateCap, nn)
-	ix.nodeCap = grown(ix.nodeCap, nn)
+	ix.gateCap = slab.Resize(ix.gateCap, nn)
+	ix.nodeCap = slab.Resize(ix.nodeCap, nn)
 	clear(ix.gateCap)
 	clear(ix.nodeCap)
 	for i, t := range n.Transistors {
@@ -647,14 +648,14 @@ func (ix *loadIndex) build(n *circuit.Netlist, nodes *circuit.NodeTable, tech *m
 		if t.Kind == circuit.KindPMOS {
 			p = &tech.P
 		}
-		ix.gateCap[nodes.MOS[3*i+1]] += p.GateCap(t.W, t.L)
+		ix.gateCap[nodes.Gate(i)] += p.GateCap(t.W, t.L)
 	}
 	gnd, ok := nodes.Lookup(circuit.GroundNode)
 	if !ok {
 		return
 	}
 	for i, c := range n.Capacitors {
-		a, b := nodes.Cap[2*i], nodes.Cap[2*i+1]
+		a, b := nodes.CapacitorEnds(i)
 		if b == gnd {
 			ix.nodeCap[a] += c.C
 		}

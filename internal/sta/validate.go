@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"qwm/internal/circuit"
+	"qwm/internal/slab"
 )
 
 // MaxInputSlew is the largest primary-input transition time (10–90 %, in
@@ -82,7 +83,7 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 	// its canonical name, numbering that name first when no terminal spells
 	// it (a netlist built without the Add methods may carry "OUT" or "gnd").
 	nn := len(nodes.Names)
-	s.canon = grown(s.canon, nn)
+	s.canon = slab.Resize(s.canon, nn)
 	for id := 0; id < nn; id++ {
 		name := nodes.Names[id]
 		c := int32(id)
@@ -93,7 +94,7 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 	}
 	// touch counts how many device terminals (transistor channel/gate,
 	// resistor ends, source ends) connect to each canonical node.
-	s.touch = grown(s.touch, len(nodes.Names))
+	s.touch = slab.Resize(s.touch, len(nodes.Names))
 	clear(s.touch)
 	bump := func(ids ...int32) {
 		for _, id := range ids {
@@ -110,7 +111,7 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 		if err := checkGeometry(t); err != nil {
 			return err
 		}
-		bump(nodes.MOS[3*i : 3*i+3]...)
+		bump(nodes.Drain(i), nodes.Gate(i), nodes.Source(i))
 	}
 	for i, r := range n.Resistors {
 		if err := dup(r.Name, "resistor"); err != nil {
@@ -119,13 +120,13 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 		if err := finite(r.Name, r.R); err != nil {
 			return err
 		}
-		bump(nodes.Res[2*i : 2*i+2]...)
+		bump(nodes.ResistorEnds(i))
 	}
 	for i, v := range n.VSources {
 		if err := dup(v.Name, "source"); err != nil {
 			return err
 		}
-		bump(nodes.Src[2*i : 2*i+2]...)
+		bump(nodes.VSourceEnds(i))
 	}
 	for _, c := range n.Capacitors {
 		if err := dup(c.Name, "capacitor"); err != nil {
@@ -143,7 +144,8 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 	// themselves: two caps in series between otherwise-floating nets are
 	// just as dead as one.
 	for i, c := range n.Capacitors {
-		for _, id := range nodes.Cap[2*i : 2*i+2] {
+		a, b := nodes.CapacitorEnds(i)
+		for _, id := range [2]int32{a, b} {
 			cid := s.canon[id]
 			nd := nodes.Names[cid]
 			if nd == circuit.GroundNode || nd == circuit.SupplyNode {
