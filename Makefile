@@ -52,9 +52,11 @@ race:
 
 # Targeted race pass over the concurrency-critical packages: the sta worker
 # pool delivering concurrent StageEval events (now including the degradation
-# ladder and its recover isolation), the sharded metrics registry, and the
-# fault injector shared by every worker during chaos runs. Fast enough to
-# run first, before the full race sweep.
+# ladder and its recover isolation) and per-request evaluation counts of
+# concurrent analyses on one analyzer, the metrics registry (one RWMutex
+# over its maps), the flight recorder (one mutex, synchronous Record), and
+# the fault injector shared by every worker during chaos runs. Fast enough
+# to run first, before the full race sweep.
 race-obs:
 	$(GO) test -race ./internal/sta/... ./internal/obs/... ./internal/faultinject/...
 
@@ -77,10 +79,11 @@ trace-smoke:
 trace-smoke-distributed:
 	$(GO) test -race -run 'TestDistributedTraceMergesPeerSpan|TestTraceDeterministicAcrossWorkers|TestTraceEnvelopeAndRecorder' -count=1 ./internal/service/
 
-# Ops-server lifecycle gate: repeated Start/Shutdown cycles must join the
-# serve goroutine and leak nothing.
+# Lifecycle gate: repeated ops-server Start/Shutdown cycles must join the
+# serve goroutine and leak nothing, and the flight recorder, which starts
+# no goroutine, must leave none behind across concurrent Close calls.
 leak-check:
-	$(GO) test -run 'TestServerStartShutdownNoLeak' -count=1 ./internal/obs/
+	$(GO) test -run 'TestServerStartShutdownNoLeak|TestFlightCloseIdempotentNoLeak' -count=1 ./internal/obs/
 
 # Fuzz smoke: 10 s of coverage-guided fuzzing per wire-format parser — the
 # trace headers a client or peer sends (traceparent, Qwm-Span), the flight
@@ -112,10 +115,12 @@ fuzz-smoke:
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),
 # a deterministically flooded queue sheds with 429 + Retry-After, absurd
-# device geometry answers 422, and no string of a retained async response
-# points into the request's deck (the copy-free parser's alias rule).
+# device geometry answers 422, no string of a retained async response
+# points into the request's deck (the copy-free parser's alias rule), and a
+# replica reading through a peer's cache plane evaluates nothing the peer
+# already analyzed, with or without a cache directory on the peer.
 service-smoke:
-	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody' -count=1 ./internal/service/
+	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody|TestCachePlaneServesOwnAnalyses' -count=1 ./internal/service/
 
 # One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the

@@ -19,13 +19,12 @@ func fakeTrace(id, route string, status int, dur time.Duration, start time.Time)
 	return at.Finish(route, status, dur)
 }
 
-func TestFlightRecordFlushGet(t *testing.T) {
+func TestFlightRecordGet(t *testing.T) {
 	f := NewFlightRecorder()
 	defer f.Close()
 	base := time.Now()
 	f.Record(fakeTrace("aaa", "analyze", 200, time.Millisecond, base))
 	f.Record(fakeTrace("bbb", "analyze", 503, 2*time.Millisecond, base.Add(time.Second)))
-	f.Flush()
 
 	if got := f.Get("aaa"); got == nil || got.TraceID != "aaa" {
 		t.Fatalf("Get(aaa) = %v", got)
@@ -50,8 +49,10 @@ func TestFlightRecordFlushGet(t *testing.T) {
 	}
 }
 
-// TestFlightRetentionClasses floods the ring and checks that the slowest and
-// errored traces survive churn that evicts them from the recent ring.
+// TestFlightRetentionClasses floods the ring and checks that it keeps
+// exactly the most recent traces, while the slowest and errored traces
+// survive the churn that evicts them from it. Record is synchronous, so
+// nothing is dropped.
 func TestFlightRetentionClasses(t *testing.T) {
 	f := NewFlightRecorder()
 	defer f.Close()
@@ -60,22 +61,46 @@ func TestFlightRetentionClasses(t *testing.T) {
 	// would otherwise evict them.
 	f.Record(fakeTrace("slowest", "analyze", 200, time.Hour, base))
 	f.Record(fakeTrace("errored", "analyze", 500, time.Microsecond, base))
-	// Now far more fast, healthy traces than the whole ring holds.
-	total := flightShards*flightRingPerShard + 64
+	// Then 64 more fast, healthy traces than the ring holds.
+	total := flightRecentN + 64
+	id := func(i int) string { return fmt.Sprintf("t%04d", i) }
 	for i := 0; i < total; i++ {
-		f.Record(fakeTrace(fmt.Sprintf("t%04d", i), "analyze", 200, time.Millisecond, base.Add(time.Duration(i)*time.Second)))
+		f.Record(fakeTrace(id(i), "analyze", 200, time.Millisecond, base.Add(time.Duration(i+1)*time.Second)))
 	}
-	f.Flush()
+	for i := 0; i < total; i++ {
+		if got, want := f.Get(id(i)) != nil, i >= 64; got != want {
+			t.Errorf("Get(%s) retained = %v, want %v", id(i), got, want)
+		}
+	}
 	if f.Get("slowest") == nil {
 		t.Error("slowest trace evicted despite slow-N retention")
 	}
 	if f.Get("errored") == nil {
 		t.Error("errored trace evicted despite error retention")
 	}
-	if f.Dropped() != 0 {
-		// The queue is smaller than `total`, but Flush-free recording is
-		// fast; drops are legitimate under extreme load, so only log.
-		t.Logf("dropped %d traces on a full queue", f.Dropped())
+
+	// List: newest first, one row per trace, classes in recent,slow,error
+	// order.
+	list := f.List()
+	if len(list) != flightRecentN+2 {
+		t.Fatalf("List len %d, want %d", len(list), flightRecentN+2)
+	}
+	if list[0].TraceID != id(total-1) || list[0].Classes != "recent,slow" {
+		t.Errorf("List[0] = %s %q, want %s \"recent,slow\"", list[0].TraceID, list[0].Classes, id(total-1))
+	}
+	if last := list[len(list)-1]; last.TraceID != "slowest" || last.Classes != "slow" {
+		t.Errorf("List[last] = %s %q, want slowest \"slow\"", last.TraceID, last.Classes)
+	}
+	if e := list[len(list)-2]; e.TraceID != "errored" || e.Classes != "error" {
+		t.Errorf("List[last-1] = %s %q, want errored \"error\"", e.TraceID, e.Classes)
+	}
+	if mid := list[flightSlowN]; mid.TraceID != id(total-1-flightSlowN) || mid.Classes != "recent" {
+		t.Errorf("List[%d] = %s %q, want %s \"recent\"", flightSlowN, mid.TraceID, mid.Classes, id(total-1-flightSlowN))
+	}
+	for i := 1; i < len(list); i++ {
+		if list[i].Start.After(list[i-1].Start) {
+			t.Fatalf("List not newest first at %d", i)
+		}
 	}
 }
 
@@ -92,13 +117,12 @@ func TestFlightCloseIdempotentNoLeak(t *testing.T) {
 		wg.Wait()
 		// After Close, everything is a safe no-op.
 		f.Record(fakeTrace("y", "analyze", 200, time.Millisecond, time.Now()))
-		f.Flush()
 		f.Close()
 		if f.Get("y") != nil {
 			t.Error("Record after Close inserted a trace")
 		}
 	}
-	// The flusher goroutines must all have exited.
+	// The recorder starts no goroutine, so none may be left behind.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {
@@ -112,9 +136,8 @@ func TestFlightCloseIdempotentNoLeak(t *testing.T) {
 func TestFlightNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(fakeTrace("x", "analyze", 200, 0, time.Now())) // must not panic
-	f.Flush()
 	f.Close()
-	if f.Get("x") != nil || f.List() != nil || f.Dropped() != 0 {
+	if f.Get("x") != nil || f.List() != nil {
 		t.Error("nil recorder returned non-zero results")
 	}
 }
@@ -126,7 +149,6 @@ func TestFlightHTTP(t *testing.T) {
 	f := NewFlightRecorder()
 	defer f.Close()
 	f.Record(fakeTrace("feedface", "analyze", 200, 5*time.Millisecond, time.Now()))
-	f.Flush()
 
 	srv := &Server{Flight: f}
 	ts := httptest.NewServer(srv.Handler())
@@ -160,10 +182,12 @@ func TestFlightHTTP(t *testing.T) {
 	}
 	var listing struct {
 		Requests []TraceSummary `json:"requests"`
-		Dropped  int64          `json:"dropped"`
 	}
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(body, "dropped") {
+		t.Errorf("JSON listing still carries a drop count: %s", body)
 	}
 	if len(listing.Requests) != 1 || listing.Requests[0].TraceID != "feedface" || listing.Requests[0].Spans != 1 {
 		t.Errorf("JSON listing content: %+v", listing)
@@ -189,5 +213,43 @@ func TestFlightHTTP(t *testing.T) {
 	}
 	if code, _, _ := get("/trace/request/unknown"); code != 404 {
 		t.Errorf("unknown id: code %d, want 404", code)
+	}
+}
+
+// TestFlightConcurrentRecord records from several goroutines while others
+// list and look up: every trace recorded is retained (the ring is not full)
+// and List sees each once.
+func TestFlightConcurrentRecord(t *testing.T) {
+	f := NewFlightRecorder()
+	defer f.Close()
+	const writers, each = 4, flightRecentN / 4
+	base := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				f.Record(fakeTrace(fmt.Sprintf("w%d-%03d", w, i), "analyze", 200+300*(i%2), time.Duration(i)*time.Millisecond, base))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				f.List()
+				f.Get(fmt.Sprintf("w%d-%03d", w, i))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(f.List()); got != writers*each {
+		t.Errorf("List has %d traces, want %d", got, writers*each)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < each; i++ {
+			if f.Get(fmt.Sprintf("w%d-%03d", w, i)) == nil {
+				t.Fatalf("trace w%d-%03d lost", w, i)
+			}
+		}
 	}
 }

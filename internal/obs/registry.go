@@ -1,5 +1,5 @@
-// Package obs is the observability layer of the STA engine: a lock-sharded
-// metrics registry (atomic counters and fixed-bucket histograms with
+// Package obs is the observability layer of the STA engine: a metrics
+// registry (atomic counters and fixed-bucket histograms with
 // snapshot/merge/JSON export, publishable on expvar) plus the structured
 // Observer/span interface the sta layer emits per-Analyze events through.
 //
@@ -195,20 +195,12 @@ func (f *atomicFloat) add(v float64) {
 
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// regShards is the shard count of the registry's name → metric maps. Metric
-// resolution happens once per Analyze (handles are then held directly), so
-// the shards only defend registration-time contention; 16 is plenty.
-const regShards = 16
-
-// Registry is a lock-sharded collection of named counters and histograms.
-// Counter/Histogram are get-or-create and safe for concurrent use; the
-// returned instruments are updated with atomics only, so the hot path never
-// touches the registry locks.
+// Registry is a collection of named counters, gauges and histograms under
+// one RWMutex. Counter/Gauge/Histogram are get-or-create and safe for
+// concurrent use; metric resolution happens once per Analyze (handles are
+// then held directly) and the returned instruments are updated with atomics
+// only, so the hot path never touches the registry lock.
 type Registry struct {
-	shards [regShards]regShard
-}
-
-type regShard struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -218,24 +210,30 @@ type regShard struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].counters = map[string]*Counter{}
-		r.shards[i].gauges = map[string]*Gauge{}
-		r.shards[i].gaugeFns = map[string]func() int64{}
-		r.shards[i].hists = map[string]*Histogram{}
+	return &Registry{
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		gaugeFns: map[string]func() int64{},
+		hists:    map[string]*Histogram{},
 	}
-	return r
 }
 
-func (r *Registry) shard(name string) *regShard {
-	// FNV-1a, inlined (mirrors the sta delay cache's shard selection).
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
+// getOrCreate returns m[name], creating it with mk under the write lock on
+// first use.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	return &r.shards[h%regShards]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -244,20 +242,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	sh := r.shard(name)
-	sh.mu.RLock()
-	c := sh.counters[name]
-	sh.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c = sh.counters[name]; c == nil {
-		c = &Counter{}
-		sh.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -270,20 +255,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	sh := r.shard(name)
-	sh.mu.RLock()
-	g := sh.gauges[name]
-	sh.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if g = sh.gauges[name]; g == nil {
-		g = &Gauge{}
-		sh.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // GaugeFunc registers a sampled gauge: fn is evaluated at every Snapshot and
@@ -291,17 +263,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 // same name. Edge-updated gauges go stale whenever a state transition
 // bypasses the instrumented edge (a queue that fills and then sits idle); a
 // sampled gauge reads the truth at snapshot time. fn must be safe for
-// concurrent use and must not touch the registry (it runs outside the shard
-// locks, but re-entrancy is a design smell). Re-registering a name replaces
-// the function. No-op on a nil registry.
+// concurrent use and must not touch the registry (it runs outside the
+// registry lock, but re-entrancy is a design smell). Re-registering a name
+// replaces the function. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
-	sh := r.shard(name)
-	sh.mu.Lock()
-	sh.gaugeFns[name] = fn
-	sh.mu.Unlock()
+	r.mu.Lock()
+	r.gaugeFns[name] = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -312,27 +283,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	sh := r.shard(name)
-	sh.mu.RLock()
-	h := sh.hists[name]
-	sh.mu.RUnlock()
-	if h == nil {
-		sh.mu.Lock()
-		if h = sh.hists[name]; h == nil {
-			h = NewHistogram(bounds)
-			sh.hists[name] = h
-			sh.mu.Unlock()
-			return h
-		}
-		sh.mu.Unlock()
-	}
-	if len(h.bounds) != len(bounds) {
+	h := getOrCreate(r, r.hists, name, func() *Histogram { return NewHistogram(bounds) })
+	if !equalBounds(h.bounds, bounds) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
-	}
-	for i := range bounds {
-		if h.bounds[i] != bounds[i] {
-			panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
-		}
 	}
 	return h
 }
@@ -418,39 +371,32 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	type fnEntry struct {
-		name string
-		fn   func() int64
+	r.mu.RLock()
+	for name, c := range r.counters {
+		s.Counters[name] = c.Value()
 	}
-	var fns []fnEntry
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name, c := range sh.counters {
-			s.Counters[name] = c.Value()
-		}
-		for name, g := range sh.gauges {
-			if s.Gauges == nil {
-				s.Gauges = map[string]int64{}
-			}
-			s.Gauges[name] = g.Value()
-		}
-		for name, fn := range sh.gaugeFns {
-			fns = append(fns, fnEntry{name, fn})
-		}
-		for name, h := range sh.hists {
-			s.Histograms[name] = h.snapshot()
-		}
-		sh.mu.RUnlock()
-	}
-	// Sampled gauges are evaluated outside the shard locks (a sampler is
-	// allowed to take its own locks) and override same-name edge gauges:
-	// the sampled value is the truth at snapshot time.
-	for _, e := range fns {
+	for name, g := range r.gauges {
 		if s.Gauges == nil {
 			s.Gauges = map[string]int64{}
 		}
-		s.Gauges[e.name] = e.fn()
+		s.Gauges[name] = g.Value()
+	}
+	fns := make(map[string]func() int64, len(r.gaugeFns))
+	for name, fn := range r.gaugeFns {
+		fns[name] = fn
+	}
+	for name, h := range r.hists {
+		s.Histograms[name] = h.snapshot()
+	}
+	r.mu.RUnlock()
+	// Sampled gauges are evaluated outside the registry lock (a sampler is
+	// allowed to take its own locks) and override same-name edge gauges:
+	// the sampled value is the truth at snapshot time.
+	for name, fn := range fns {
+		if s.Gauges == nil {
+			s.Gauges = map[string]int64{}
+		}
+		s.Gauges[name] = fn()
 	}
 	return s
 }

@@ -9,14 +9,15 @@ import (
 	"qwm/internal/wave"
 )
 
+// finalFractions are the folded output levels (as fractions of VDD) the
+// final regions match at, after every transistor has turned on. The 50 %
+// point is the delay measurement; the extra levels keep each region short
+// enough for the linear-current assumption and extend the tail past the
+// 10 % slew point.
+var finalFractions = [...]float64{0.85, 0.7, 0.5, 0.3, 0.15, 0.08}
+
 // Options tunes the QWM evaluation.
 type Options struct {
-	// FinalFractions are the folded output levels (as fractions of VDD) the
-	// final regions match at, after every transistor has turned on. The 50 %
-	// point is the delay measurement; the extra levels keep each region
-	// short enough for the linear-current assumption and extend the tail
-	// past the 10 % slew point. Defaults: 0.85, 0.7, 0.5, 0.3, 0.15, 0.08.
-	FinalFractions []float64
 	// MaxNR bounds Newton iterations per region (default 40).
 	MaxNR int
 	// UseDenseLU replaces the tridiagonal + Sherman–Morrison update with a
@@ -81,9 +82,6 @@ type Options struct {
 
 func (o *Options) withDefaults(k int) Options {
 	out := *o
-	if out.FinalFractions == nil {
-		out.FinalFractions = []float64{0.85, 0.7, 0.5, 0.3, 0.15, 0.08}
-	}
 	if out.MaxNR == 0 {
 		out.MaxNR = 40
 	}
@@ -331,7 +329,7 @@ func (e *engine) run() (*Result, error) {
 	// across large swings), and the region duration grows at most
 	// geometrically from the previous region, so the fast equilibration
 	// right after the last turn-on is resolved.
-	for _, frac := range o.FinalFractions {
+	for _, frac := range finalFractions {
 		target := frac * ch.VDD
 		// The slack must exceed the solver's event tolerance (1e-7·VDD).
 		for e.v[m] > target+1e-5 {

@@ -43,7 +43,7 @@ type pool struct {
 	mu        sync.Mutex
 	analyzers map[string]*pooledAnalyzer
 	stores    map[string]*diskcache.Store    // per-signature disk namespaces
-	memories  map[string]*sta.MemoryTier     // serving stores when no cache dir
+	memories  map[string]*sta.MemoryTier     // peers' PUTs when no cache dir
 	remotes   map[string]*remotecache.Client // per-signature remote clients
 }
 
@@ -111,13 +111,19 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 
 // tierStoreFor resolves the store the TIER SERVER serves for one signature:
 // the same per-signature disk namespace the local analyzers write through
-// (so this replica's warm cache is what the fleet shares), or a memory tier
-// when the deployment has no cache directory.
+// or, when the deployment has no cache directory, a memory tier for what
+// peers PUT — each backed by the signature's pooled analyzer's own cache.
+// So this replica's analyses are what the fleet shares in both modes,
+// including entries still in the disk write-behind queue.
 func (p *pool) tierStoreFor(sig string) (sta.TierStore, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.cacheDir != "" {
-		return p.storeLocked(sig)
+		store, err := p.storeLocked(sig)
+		if err != nil {
+			return nil, err
+		}
+		return servedStore{TierStore: store, p: p, sig: sig}, nil
 	}
 	mt, ok := p.memories[sig]
 	if !ok {
@@ -127,7 +133,28 @@ func (p *pool) tierStoreFor(sig string) (sta.TierStore, error) {
 		}
 		p.memories[sig] = mt
 	}
-	return mt, nil
+	return servedStore{TierStore: mt, p: p, sig: sig}, nil
+}
+
+// servedStore is what the tier server serves for one signature: the
+// backing store, which also takes every Put, and for its misses the
+// entries the signature's pooled analyzer holds. The analyzer is looked up
+// per read, so one created after the first tier request is served as well.
+type servedStore struct {
+	sta.TierStore
+	p   *pool
+	sig string
+}
+
+// GetMany implements sta.TierStore.
+func (s servedStore) GetMany(ctx context.Context, keys []sta.Key, out []sta.TierEntry, hit []bool) {
+	s.TierStore.GetMany(ctx, keys, out, hit)
+	s.p.mu.Lock()
+	pa := s.p.analyzers[s.sig]
+	s.p.mu.Unlock()
+	if pa != nil {
+		pa.a.CachedEntries(keys, out, hit)
+	}
 }
 
 // breakerStates snapshots every remote client's breaker, keyed by signature.

@@ -168,7 +168,7 @@ func New(tech *mos.Tech, lib *devmodel.Library, opts Options) *Server {
 		opts:    opts,
 		results: map[string]*batch{},
 		evicted: map[string]struct{}{},
-		queue:   newWorkQueue(opts.QueueLen, opts.Metrics.Gauge("service/queue/depth")),
+		queue:   newWorkQueue(opts.QueueLen, opts.Metrics),
 		pool: &pool{
 			tech: tech, lib: lib,
 			cacheDir:   opts.CacheDir,
@@ -178,12 +178,6 @@ func New(tech *mos.Tech, lib *devmodel.Library, opts Options) *Server {
 			analyzers:  map[string]*pooledAnalyzer{},
 		},
 	}
-	// The queue-depth gauge is edge-updated on enqueue/dequeue; the sampler
-	// re-reads the live depth at every snapshot so an idle-but-full queue
-	// (workers wedged, nothing moving) still reads truthfully.
-	opts.Metrics.GaugeFunc("service/queue/depth", func() int64 {
-		return int64(s.queue.queuedDepth())
-	})
 	r := opts.Metrics
 	s.mRequests = r.Counter("service/requests")
 	s.mBatches = r.Counter("service/batches")
@@ -397,12 +391,15 @@ type workQueue struct {
 	head   int
 	n      int
 	closed bool
-	depth  *obs.Gauge
 }
 
-func newWorkQueue(capacity int, depth *obs.Gauge) *workQueue {
-	q := &workQueue{buf: make([]*job, capacity), depth: depth}
+// newWorkQueue builds a queue of the given capacity and registers its depth
+// on reg as the sampled gauge service/queue/depth, read at every snapshot so
+// an idle-but-full queue (workers wedged, nothing moving) reads truthfully.
+func newWorkQueue(capacity int, reg *obs.Registry) *workQueue {
+	q := &workQueue{buf: make([]*job, capacity)}
 	q.nempty = sync.NewCond(&q.mu)
+	reg.GaugeFunc("service/queue/depth", func() int64 { return int64(q.queuedDepth()) })
 	return q
 }
 
@@ -419,7 +416,6 @@ func (q *workQueue) tryPush(jobs []*job) bool {
 		q.buf[(q.head+q.n)%len(q.buf)] = j
 		q.n++
 	}
-	q.depth.Set(int64(q.n))
 	q.nempty.Broadcast()
 	return true
 }
@@ -439,7 +435,6 @@ func (q *workQueue) pop() (*job, bool) {
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	q.depth.Set(int64(q.n))
 	return j, true
 }
 
@@ -472,7 +467,6 @@ func (q *workQueue) close() []*job {
 		q.head = (q.head + 1) % len(q.buf)
 		q.n--
 	}
-	q.depth.Set(0)
 	q.nempty.Broadcast()
 	return rest
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"qwm/internal/mos"
 	"qwm/internal/netlist"
 	"qwm/internal/obs"
+	"qwm/internal/sta/remotecache"
 	"qwm/internal/stages"
 )
 
@@ -193,7 +195,7 @@ func TestBackpressure429(t *testing.T) {
 	s := &Server{
 		opts:    Options{QueueLen: 2, ResultCap: 4}.withDefaults(),
 		results: map[string]*batch{},
-		queue:   newWorkQueue(2, reg.Gauge("service/queue/depth")),
+		queue:   newWorkQueue(2, reg),
 		pool:    &pool{tech: tech, lib: lib, analyzers: map[string]*pooledAnalyzer{}},
 		mShed:   reg.Counter("service/rejected_overload"),
 	}
@@ -455,6 +457,43 @@ func BenchmarkServiceWarmDisk(b *testing.B) {
 		b.StopTimer()
 		s.Close()
 		b.StartTimer()
+	}
+}
+
+// TestCachePlaneServesOwnAnalyses: replica B reads through replica A's cache
+// plane after A analyzed the deck, and must evaluate nothing, whether A has
+// a cache directory or not. Without one, A's plane used to serve only what
+// peers PUT, so B evaluated every direction again.
+func TestCachePlaneServesOwnAnalyses(t *testing.T) {
+	deck, _, outs := decoderDeck(t)
+	req := v1.AnalyzeRequest{Netlist: deck, Outputs: outs}
+	analyze := func(t *testing.T, url string) v1.AnalyzeResponse {
+		t.Helper()
+		hr, body := postJSON(t, url, req)
+		if hr.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, body %s", hr.StatusCode, body)
+		}
+		return decodeAnalyze(t, body)
+	}
+	for _, mode := range []struct{ name, dir string }{{"memory", ""}, {"disk", t.TempDir()}} {
+		t.Run(mode.name, func(t *testing.T) {
+			a, hsA := newTestServer(t, Options{CacheDir: mode.dir})
+			cold := analyze(t, hsA.URL)
+			if cold.Result.StagesEvaluated == 0 {
+				t.Fatal("A answered its first request warm")
+			}
+			plane := httptest.NewServer(remotecache.NewServer(a.TierStoreFor, nil).Handler())
+			defer plane.Close()
+			_, hsB := newTestServer(t, Options{RemoteCache: plane.URL})
+			warm := analyze(t, hsB.URL)
+			if warm.Result.StagesEvaluated != 0 {
+				t.Errorf("B evaluated %d of A's %d directions through A's plane",
+					warm.Result.StagesEvaluated, cold.Result.StagesEvaluated)
+			}
+			if !reflect.DeepEqual(warm.Result.Arrivals, cold.Result.Arrivals) {
+				t.Errorf("B's arrivals %+v differ from A's %+v", warm.Result.Arrivals, cold.Result.Arrivals)
+			}
+		})
 	}
 }
 

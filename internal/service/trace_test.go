@@ -48,7 +48,6 @@ func TestTraceEnvelopeAndRecorder(t *testing.T) {
 		t.Errorf("X-Qwm-Trace-Id %q != envelope trace_id %q", got, resp.TraceID)
 	}
 
-	fl.Flush()
 	rt := fl.Get(resp.TraceID)
 	if rt == nil {
 		t.Fatal("flight recorder did not retain the trace")
@@ -126,7 +125,6 @@ func TestDistributedTraceMergesPeerSpan(t *testing.T) {
 		t.Errorf("A evaluated %d stages; expected a fully warm-off-peer run", resp.Result.StagesEvaluated)
 	}
 
-	fl.Flush()
 	rt := fl.Get(resp.TraceID)
 	if rt == nil {
 		t.Fatal("trace not retained")
@@ -196,7 +194,6 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d %s", workers, hr.StatusCode, body)
 		}
 		resp := decodeAnalyze(t, body)
-		fl.Flush()
 		rt := fl.Get(resp.TraceID)
 		if rt == nil {
 			t.Fatalf("workers=%d: trace not retained", workers)
@@ -280,7 +277,6 @@ func TestInboundTraceparentJoined(t *testing.T) {
 	if got := hr.Header.Get("X-Qwm-Trace-Id"); got != inbound {
 		t.Errorf("trace id %q, want the inbound %q", got, inbound)
 	}
-	fl.Flush()
 	if fl.Get(inbound) == nil {
 		t.Error("trace not retained under the inbound id")
 	}
@@ -338,29 +334,27 @@ func TestHealthInfoShape(t *testing.T) {
 }
 
 // TestQueueDepthGaugeTruthful pins the staleness fix: the snapshot samples
-// the live queue depth through the GaugeFunc New registers, overriding the
-// edge-maintained gauge — a stale edge value can no longer misreport.
+// the live queue depth through the GaugeFunc newWorkQueue registers, so a
+// stale edge-updated gauge of the same name can never misreport.
 func TestQueueDepthGaugeTruthful(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, _ = newTestServer(t, Options{Metrics: reg})
 
-	// Poison the edge gauge with a stale value; the sampler must win.
+	// Poison an edge gauge with a stale value; the sampler must win.
 	reg.Gauge("service/queue/depth").Set(42)
 	if got := reg.Snapshot().Gauges["service/queue/depth"]; got != 0 {
 		t.Errorf("snapshot queue depth %d, want sampled 0 (stale edge said 42)", got)
 	}
 
-	// And the stuck-full case: a no-worker queue holding 2 jobs with a
-	// missed edge update still reads 2 — the exact TestBackpressure429
-	// topology, but with the edge gauge deliberately desynchronized.
+	// And the stuck-full case: a no-worker queue holding 2 jobs still reads
+	// 2 — the exact TestBackpressure429 topology.
 	reg2 := obs.NewRegistry()
-	q := newWorkQueue(2, reg2.Gauge("service/queue/depth"))
+	q := newWorkQueue(2, reg2)
 	defer q.close()
-	reg2.GaugeFunc("service/queue/depth", func() int64 { return int64(q.queuedDepth()) })
 	if !q.tryPush([]*job{{}, {}}) {
 		t.Fatal("tryPush failed on an empty queue")
 	}
-	reg2.Gauge("service/queue/depth").Set(0) // simulate the missed edge
+	reg2.Gauge("service/queue/depth").Set(0) // a stale edge value
 	if got := reg2.Snapshot().Gauges["service/queue/depth"]; got != 2 {
 		t.Errorf("stuck-full queue depth %d, want 2", got)
 	}
@@ -379,7 +373,6 @@ func TestTraceDeterministicGolden(t *testing.T) {
 		if hr.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, body %s", golden, hr.StatusCode, body)
 		}
-		fl.Flush()
 		rt := fl.Get(decodeAnalyze(t, body).TraceID)
 		if rt == nil {
 			t.Fatalf("%s: trace not retained", golden)
@@ -508,7 +501,6 @@ func TestFlightRetainedBytes(t *testing.T) {
 	defer fl.Close()
 	h := warmHandler(t, Options{Flight: fl}, body)
 	serveOnce(t, h, body) // settle any first-request growth before measuring
-	fl.Flush()
 
 	heap := func() uint64 {
 		runtime.GC()
@@ -521,7 +513,6 @@ func TestFlightRetainedBytes(t *testing.T) {
 	for i := 0; i < 160; i++ {
 		serveOnce(t, h, body)
 	}
-	fl.Flush()
 	after := heap()
 	retained := len(fl.List())
 	if retained < 100 {

@@ -134,8 +134,8 @@ func TestSharedIdentityFanoutSiblings(t *testing.T) {
 	}
 }
 
-// TestLoadDigest pins the canonical digest: sorted node order, fixed
-// precision, and sensitivity to load changes above that precision.
+// TestLoadDigest pins the canonical digest: sorted node order and
+// sensitivity to any load change, down to the last bit.
 func TestLoadDigest(t *testing.T) {
 	if got := loadDigest(nil); got != "" {
 		t.Errorf("empty load map digest = %q, want empty", got)
@@ -148,11 +148,11 @@ func TestLoadDigest(t *testing.T) {
 	if c := loadDigest(map[string]float64{"a": 1e-15, "b": 2.5e-15}); c == a {
 		t.Errorf("digest insensitive to a load change: %q", c)
 	}
-	// Sub-precision jitter (below 6 significant digits) shares an entry.
+	// A change in the 8th digit splits the digest too.
 	d1 := loadDigest(map[string]float64{"a": 1.0000001e-15})
 	d2 := loadDigest(map[string]float64{"a": 1.0000002e-15})
-	if d1 != d2 {
-		t.Errorf("sub-precision jitter split the digest: %q vs %q", d1, d2)
+	if d1 == d2 {
+		t.Errorf("digest insensitive to an 8th-digit load change: %q", d1)
 	}
 }
 
@@ -215,11 +215,17 @@ func TestCacheKeySeparatorInNames(t *testing.T) {
 // junctionInverter is one inverter driving 10 fF whose devices both declare
 // the drain area ad (no perimeter), parsed from deck text.
 func junctionInverter(t *testing.T, ad string) *circuit.Netlist {
+	return inverterDeck(t, " AD="+ad, "10f")
+}
+
+// inverterDeck parses an inverter whose devices carry the extra card text
+// geom and whose output drives the load cap cl.
+func inverterDeck(t *testing.T, geom, cl string) *circuit.Netlist {
 	t.Helper()
 	d, err := netlist.ParseString("* inverter\n" +
-		"M1 out in 0 0 NMOS W=1u L=0.35u AD=" + ad + "\n" +
-		"M2 out in vdd vdd PMOS W=2u L=0.35u AD=" + ad + "\n" +
-		"CL out 0 10f\n.end\n")
+		"M1 out in 0 0 NMOS W=1u L=0.35u" + geom + "\n" +
+		"M2 out in vdd vdd PMOS W=2u L=0.35u" + geom + "\n" +
+		"CL out 0 " + cl + "\n.end\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +244,14 @@ func junctionInverter(t *testing.T, ad string) *circuit.Netlist {
 func TestCacheKeyJunctionGeometry(t *testing.T) {
 	small, large := junctionInverter(t, "1p"), junctionInverter(t, "20p")
 	requireWarmMatchesFresh(t, small, large, []string{"out"})
+}
+
+// TestCacheKeyExactLoad: the key held each load cap as 6-digit text, so an
+// inverter loaded with 10.0000004 fF was answered, with 0 evaluations, from
+// the entries of one loaded with 10 fF (rise 27.12194471 ps against
+// 27.12194539 ps fresh). Loads are now keyed by their exact bits.
+func TestCacheKeyExactLoad(t *testing.T) {
+	requireWarmMatchesFresh(t, inverterDeck(t, "", "10f"), inverterDeck(t, "", "10.0000004f"), []string{"out"})
 }
 
 // requireWarmMatchesFresh analyzes deck on an analyzer warmed with warmDeck —

@@ -63,8 +63,8 @@ type Options struct {
 	// the store is a cache, and a lost tail only costs re-evaluation.
 	Sync bool
 	// Metrics, when set, receives the store's counters (sta/disk/hits,
-	// misses, puts, dropped, corrupt, evictions) and the sta/disk/bytes
-	// gauge.
+	// misses, puts, dropped, corrupt, evictions) and its share of the
+	// sta/disk/bytes gauge, which sums every open store on the registry.
 	Metrics *obs.Registry
 }
 
@@ -159,7 +159,11 @@ type Store struct {
 	queue *WriteQueue[putReq]
 
 	hits, misses, puts, dropped, corrupt, evictions *obs.Counter
-	bytes                                           *obs.Gauge
+	// bytes is the registry-wide sta/disk/bytes gauge, shared by every
+	// store on the registry: each adds the change in its own total, of
+	// which published is the part already added.
+	bytes     *obs.Gauge
+	published int64
 
 	statHits, statMisses, statPuts, statDropped, statCorrupt, statEvict counterPair
 }
@@ -200,7 +204,7 @@ func Open(dir, signature string, opts Options) (*Store, error) {
 		s.closeSegments()
 		return nil, err
 	}
-	s.bytes.Set(s.totalBytes())
+	s.publishBytesLocked()
 	s.queue = NewWriteQueue(opts.QueueLen, s.append)
 	return s, nil
 }
@@ -453,7 +457,7 @@ func (s *Store) append(batch []putReq) {
 	for _, req := range batch {
 		s.appendLocked(req)
 	}
-	s.bytes.Set(s.totalBytesLocked())
+	s.publishBytesLocked()
 }
 
 // appendLocked writes one record. Requires s.mu held for writing.
@@ -509,7 +513,7 @@ func (s *Store) gcLocked() {
 		os.Remove(s.segPath(victim.id))
 		s.statEvict.add(removed, s.evictions)
 	}
-	s.bytes.Set(s.totalBytesLocked())
+	s.publishBytesLocked()
 }
 
 func (s *Store) totalBytesLocked() int64 {
@@ -520,10 +524,13 @@ func (s *Store) totalBytesLocked() int64 {
 	return t
 }
 
-func (s *Store) totalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.totalBytesLocked()
+// publishBytesLocked moves the sta/disk/bytes gauge by the change in this
+// store's total since it last did. Requires s.mu held for writing (or a
+// store no other goroutine can reach yet).
+func (s *Store) publishBytesLocked() {
+	t := s.totalBytesLocked()
+	s.bytes.Add(t - s.published)
+	s.published = t
 }
 
 // Flush blocks until every put enqueued BEFORE the call is durably appended
@@ -556,6 +563,7 @@ func (s *Store) Close() error {
 		}
 	}
 	s.segs = nil
+	s.publishBytesLocked()
 	s.index = map[sta.Key]indexEntry{}
 	return first
 }

@@ -465,3 +465,31 @@ func TestGetHitAllocFree(t *testing.T) {
 		t.Fatalf("disk batch hit allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestDiskBytesGaugeSumsStores: two namespaces on one registry share the
+// sta/disk/bytes gauge, which must read the sum of their totals (each store
+// used to Set its own total, so the gauge showed whichever wrote last), and
+// a closed store takes its bytes back out.
+func TestDiskBytesGaugeSumsStores(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := mustOpen(t, t.TempDir(), "sigA", Options{Metrics: reg})
+	b := mustOpen(t, t.TempDir(), "sigB", Options{Metrics: reg})
+	for i := 0; i < 20; i++ {
+		a.Put(context.Background(), tk(fmt.Sprintf("a-%02d", i)), testEntry(i))
+	}
+	b.Put(context.Background(), tk("b"), testEntry(1))
+	a.Flush()
+	b.Flush()
+	gauge := func() int64 { return reg.Snapshot().Gauges["sta/disk/bytes"] }
+	sa, sb := a.Stats().Bytes, b.Stats().Bytes
+	if sa <= sb {
+		t.Fatalf("store totals %d and %d: the stores must differ for the test to mean anything", sa, sb)
+	}
+	if got := gauge(); got != sa+sb {
+		t.Errorf("sta/disk/bytes = %d, want %d + %d", got, sa, sb)
+	}
+	a.Close()
+	if got := gauge(); got != sb {
+		t.Errorf("after closing one store sta/disk/bytes = %d, want %d", got, sb)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"math"
 	"slices"
-	"strconv"
 
 	"qwm/internal/circuit"
 	"qwm/internal/mos"
@@ -85,11 +84,10 @@ func railNS(rail string) byte {
 // contentDigest hashes the timing-relevant content of one (stage, output):
 // the output name, the stage's edges in canonical order (with their devices'
 // junction geometry), the output's load map and the reduction signature. Two
-// stages get equal digests exactly when all of these are equal, with load
-// caps compared at the 6-significant-digit precision of their 'e' formatting
-// (load differences below that are far under timing resolution and share an
-// entry). The encoding is assembled in the scratch's reused buffers, so a
-// warm gather allocates nothing.
+// stages get equal digests exactly when all of these are equal, load caps
+// included bit for bit: a load that differs in any bit may time differently,
+// so it must not share an entry. The encoding is assembled in the scratch's
+// reused buffers, so a warm gather allocates nothing.
 func (s *analyzeScratch) contentDigest(st *circuit.Stage, out string, loads map[string]float64, redSig string) digest {
 	b := appendString(s.keyBuf[:0], out)
 	b = s.appendEdges(b, st)
@@ -162,8 +160,7 @@ func appendJunctions(b []byte, e *circuit.StageEdge) []byte {
 }
 
 // appendLoads appends the load map as a count and name-sorted (name, cap)
-// pairs, each cap as its strconv 'e' text at 6 digits: two caps share an
-// encoding exactly when they print alike at that precision.
+// pairs, each cap as its exact float bits.
 func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte {
 	nodes := slab.Resize(s.nodeBuf, len(loads))[:0]
 	for n := range loads {
@@ -172,12 +169,9 @@ func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte 
 	slices.Sort(nodes)
 	s.nodeBuf = nodes
 	b = binary.AppendUvarint(b, uint64(len(nodes)))
-	var num [32]byte
 	for _, n := range nodes {
 		b = appendString(b, n)
-		t := strconv.AppendFloat(num[:0], loads[n], 'e', 6, 64)
-		b = binary.AppendUvarint(b, uint64(len(t)))
-		b = append(b, t...)
+		b = appendFloat(b, loads[n])
 	}
 	return b
 }

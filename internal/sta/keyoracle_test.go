@@ -32,7 +32,7 @@ import (
 // canonical content instead.
 
 // loadDigest canonically encodes a stage output's load map as sorted
-// node:cap pairs at fixed precision (6 significant digits).
+// node:cap pairs, each cap exact (the shortest text that round-trips).
 func loadDigest(loads map[string]float64) string {
 	var s analyzeScratch
 	return string(s.appendLoadDigest(nil, loads))
@@ -125,8 +125,8 @@ func appendEdgeKey(b []byte, e *circuit.StageEdge) []byte {
 	return b
 }
 
-// appendLoadDigest appends the canonical load digest: sorted node:cap pairs
-// at 6 significant digits (see loadDigest for why the digest is part of the
+// appendLoadDigest appends the canonical load digest: sorted node:cap pairs,
+// each cap exact (see loadDigest for why the digest is part of the
 // cache key at all).
 func (s *analyzeScratch) appendLoadDigest(b []byte, loads map[string]float64) []byte {
 	if len(loads) == 0 {
@@ -141,10 +141,24 @@ func (s *analyzeScratch) appendLoadDigest(b []byte, loads map[string]float64) []
 	for _, n := range nodes {
 		b = append(b, n...)
 		b = append(b, ':')
-		b = strconv.AppendFloat(b, loads[n], 'e', 6, 64)
+		b = strconv.AppendFloat(b, loads[n], 'g', -1, 64)
 		b = append(b, ',')
 	}
 	return b
+}
+
+// buildLoadIndex indexes n over a node table of its own.
+func buildLoadIndex(n *circuit.Netlist, tech *mos.Tech) *loadIndex {
+	nodes := &circuit.NodeTable{}
+	nodes.Build(n)
+	ix := &loadIndex{}
+	ix.build(n, nodes, tech)
+	return ix
+}
+
+// stageLoads is stageLoadsInto with a fresh map.
+func (ix *loadIndex) stageLoads(st *circuit.Stage, out string) map[string]float64 {
+	return ix.stageLoadsInto(map[string]float64{}, st, out)
 }
 
 // testKey is the engine's key for one (stage, output, loads, rail, bucket),
@@ -485,7 +499,7 @@ func fuzzStage(b []byte) (*circuit.Stage, string, map[string]float64) {
 // (unambiguous) form: the output, the sorted edges with exact float bits
 // (plus, for a device declaring junction geometry, its drain side and
 // junctions; zero junctions mean the W-derived default), the
-// sorted loads at the key's 6-digit cap precision and the rail — or, with
+// sorted loads with exact cap bits and the rail — or, with
 // Memo, the class fingerprint first resolved for that raw content (classOf
 // memoizes it as the engine's fpTable does) when there is one.
 func (a *Analyzer) canonicalContent(classOf map[string]string, st *circuit.Stage, out string, loads map[string]float64, rail string) string {
@@ -519,7 +533,7 @@ func rawContent(st *circuit.Stage, out string, loads map[string]float64, rail st
 	sort.Strings(edges)
 	var ls []string
 	for n, c := range loads {
-		ls = append(ls, fmt.Sprintf("%q=%s", n, strconv.FormatFloat(c, 'e', 6, 64)))
+		ls = append(ls, fmt.Sprintf("%q=%x", n, math.Float64bits(c)))
 	}
 	sort.Strings(ls)
 	return fmt.Sprintf("raw %q %q %q %q", out, edges, ls, rail)

@@ -3,7 +3,6 @@ package sta
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"qwm/internal/circuit"
@@ -128,11 +127,13 @@ type recorder struct {
 	ms    *metricSet
 	start time.Time
 
-	// Per-request cache accounting. Kept on the recorder (not derived from
-	// the shared cache's global counters) so concurrent Analyzes on one
-	// Analyzer each see exactly their own hits and misses. Atomics because
-	// stageEval runs from worker goroutines.
-	hits, misses atomic.Int64
+	// Per-request cache accounting, one per applied work item: a miss when
+	// the item's own lookups evaluated (workItem.evals), else a hit. Kept
+	// here, not derived from the shared cache's counters, so concurrent
+	// Analyzes on one Analyzer each see exactly their own. Tallied in the
+	// sequential apply phase, so a cancelled analysis counts only the
+	// levels it completed.
+	hits, misses int64
 }
 
 // newRecorder returns the observation context for one Analyze, or nil when
@@ -165,18 +166,23 @@ func (r *recorder) levelDone(d time.Duration) {
 	}
 }
 
-// stageEval records one (stage, output, direction) evaluation. computed is
-// true when THIS request performed the QWM evaluation (a cache miss);
-// single-flight guarantees each unique key is computed exactly once, so the
-// deterministic solver counters and histograms below are fed exactly once
-// per key regardless of worker count or scheduling. worker is the pool slot
-// that resolved the item — schedule-dependent, observer-only.
-func (r *recorder) stageEval(it *workItem, computed bool, d time.Duration, worker int) {
-	if computed {
-		r.misses.Add(1)
+// resolved tallies one applied work item as a hit or a miss.
+func (r *recorder) resolved(it *workItem) {
+	if it.evals > 0 {
+		r.misses++
 	} else {
-		r.hits.Add(1)
+		r.hits++
 	}
+}
+
+// stageEval records one (stage, output, direction) resolution. The item is
+// computed when THIS request performed a QWM evaluation for it (a cache
+// miss); single-flight guarantees each unique key is computed exactly once,
+// so the deterministic solver counters and histograms below are fed exactly
+// once per key regardless of worker count or scheduling. worker is the pool
+// slot that resolved the item — schedule-dependent, observer-only.
+func (r *recorder) stageEval(it *workItem, d time.Duration, worker int) {
+	computed := it.evals > 0
 	if r.ms != nil {
 		if computed {
 			st := it.timing.stats
@@ -220,7 +226,7 @@ func (r *recorder) stageEval(it *workItem, computed bool, d time.Duration, worke
 func (r *recorder) analyzeEnd(res *Result, err error) {
 	cancelled := err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	hits, misses := r.hits.Load(), r.misses.Load()
+	hits, misses := r.hits, r.misses
 	if r.ms != nil {
 		r.ms.analyzes.Inc()
 		if cancelled {

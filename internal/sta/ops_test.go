@@ -194,7 +194,6 @@ func TestOpsServerIntegration(t *testing.T) {
 	fl := obs.NewFlightRecorder()
 	defer fl.Close()
 	fl.Record(rt)
-	fl.Flush()
 
 	srv := &obs.Server{
 		Registry: reg,

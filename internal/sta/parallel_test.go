@@ -3,6 +3,7 @@ package sta
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"qwm/internal/stages"
@@ -131,5 +132,57 @@ func TestCacheStatsAccounting(t *testing.T) {
 	}
 	if st.Entries != int(st.Misses) {
 		t.Errorf("entries %d != misses %d", st.Entries, st.Misses)
+	}
+}
+
+// TestStagesEvaluatedPerRequest runs a 3-bit and a 4-bit decoder
+// concurrently on one fresh analyzer: each Result must count only its own
+// evaluations, as it does alone. The two decks share no cache key, so the
+// shared cache's total is the sum of the two counts.
+func TestStagesEvaluatedPerRequest(t *testing.T) {
+	reqs := make([]Request, 2)
+	alone := make([]int, 2)
+	for i, bits := range []int{3, 4} {
+		nl, ins, outs, err := stages.DecoderNetlist(tech, bits, 1e-6, 10e-15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := map[string]Arrival{}
+		for _, in := range ins {
+			primary[in] = Arrival{}
+		}
+		reqs[i] = Request{Netlist: nl, Primary: primary, Outputs: outs}
+		res, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = res.StagesEvaluated
+	}
+	for round := 0; round < 5; round++ {
+		a := New(tech, lib, Config{Workers: 1})
+		got := make([]int, 2)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res, err := a.AnalyzeContext(nil, reqs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = res.StagesEvaluated
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got[0] != alone[0] || got[1] != alone[1] {
+			t.Errorf("round %d: concurrent StagesEvaluated %v, alone %v", round, got, alone)
+		}
+		if total := a.CacheStats().Evaluations; total != int64(alone[0]+alone[1]) {
+			t.Errorf("round %d: cache evaluated %d, want %d", round, total, alone[0]+alone[1])
+		}
 	}
 }

@@ -131,7 +131,6 @@ func TestTracedKillMidRequest(t *testing.T) {
 				errSpans, fastFails, rt.NumSpans())
 		}
 		fl.Record(rt)
-		fl.Flush()
 		if fl.Get(rt.TraceID) == nil {
 			t.Error("flight recorder lost the degraded trace")
 		}

@@ -137,7 +137,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// Sized for every arrival the analysis records: the primary inputs and
 	// each stage output.
 	res = &Result{Arrivals: make(map[string]Arrival, len(req.Primary)+totalOut)}
-	evalStart := a.cache.evals.Load()
 	// Key-derivation context: the reduction signature is part of every content
 	// digest (reduced and unreduced evaluations must never alias), and Memo
 	// mode tracks the distinct structural classes seen this Analyze (the
@@ -229,6 +228,11 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			si := &ins[si2]
 			for _, out := range st.Outputs {
 				fall, rise := items[k].timing, items[k+1].timing
+				res.StagesEvaluated += items[k].evals + items[k+1].evals
+				if rec != nil {
+					rec.resolved(&items[k])
+					rec.resolved(&items[k+1])
+				}
 				k += 2
 				res.recordEvalIssues(out, fall, rise)
 				if !fall.ok && !rise.ok {
@@ -267,7 +271,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	}
 	res.WorstArrival = worst
 	res.WorstOutput = worstNet
-	res.StagesEvaluated = int(a.cache.evals.Load() - evalStart)
 	// Trace the critical path back through alternating directions.
 	net, dir := worstNet, worstDir
 	for net != "" {

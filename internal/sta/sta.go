@@ -220,7 +220,8 @@ type Result struct {
 	// directions).
 	WorstArrival float64
 	WorstOutput  string
-	// StagesEvaluated counts QWM evaluations performed during this call
+	// StagesEvaluated counts the QWM evaluations this call performed —
+	// not those of a concurrent call on the same Analyzer
 	// (one per solver run; at most one per stage output, direction, slew
 	// bucket and load digest). In-memory cache hits AND persistent-tier
 	// hits do not count, so a fully warm run — memory- or disk-warm —
@@ -264,6 +265,10 @@ type workItem struct {
 	level  int
 	idx    int
 	timing dirTiming
+	// evals counts the evaluations this item's own lookups performed: 0 on
+	// hits, up to 2 for an Interp item. Concurrent Analyzes on one Analyzer
+	// share the cache, so only this count says what THIS request evaluated.
+	evals int
 	// known holds the memory-cache entries the level's tier read found for
 	// the item's lookup keys (see lookupKeys), nil where the key was absent
 	// or the analyzer has no tiers.
@@ -282,7 +287,7 @@ func (it *workItem) baseKey() *Key {
 func resetItem(w *workItem, st *circuit.Stage, out string, ev *outEval, rail string, inSlew float64, level, idx int) {
 	w.st, w.out, w.ev, w.rail = st, out, ev, rail
 	w.inSlew, w.level, w.idx = inSlew, level, idx
-	w.timing = dirTiming{}
+	w.timing, w.evals = dirTiming{}, 0
 	w.known = [2]*cacheEntry{}
 }
 
@@ -402,19 +407,19 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 // path), surfaced to observers for timeline rendering only.
 func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker int) {
 	if rec == nil {
-		it.timing, _ = a.resolveTiming(it, lt)
+		it.timing, it.evals = a.resolveTiming(it, lt)
 		return
 	}
 	start := rec.now()
-	timing, computed := a.resolveTiming(it, lt)
-	it.timing = timing
-	rec.stageEval(it, computed, rec.since(start), worker)
+	it.timing, it.evals = a.resolveTiming(it, lt)
+	rec.stageEval(it, rec.since(start), worker)
 }
 
 // slewPitch is the cache's input-slew quantization (see slewBucket).
 const slewPitch = 5e-12
 
-// resolveTiming performs the cache lookup(s) for one item. Raw-keyed items
+// resolveTiming performs the cache lookup(s) for one item and reports how
+// many of them this caller evaluated. Raw-keyed items
 // evaluate at the exact gathered slew, as always. Class-keyed (Memo) items
 // snap the evaluation slew to the bucket floor — making the shared entry a
 // pure function of the key, so WHICH class member computes it is
@@ -422,7 +427,7 @@ const slewPitch = 5e-12
 // and linearly interpolate delay and slew at the exact input slew.
 // The lookup copies the gathered key and fills in the bucket: no formatting,
 // no hashing beyond the map's own.
-func (a *Analyzer) resolveTiming(it *workItem, lt *levelTiers) (dirTiming, bool) {
+func (a *Analyzer) resolveTiming(it *workItem, lt *levelTiers) (dirTiming, int) {
 	key := it.baseKey()
 	bucket := slewBucket(it.inSlew)
 	if !key.class() {
@@ -446,9 +451,9 @@ func (a *Analyzer) resolveTiming(it *workItem, lt *levelTiers) (dirTiming, bool)
 	if !t1.ok {
 		// The upper boundary failed (budget chaos, pathological geometry):
 		// fall back to the floor evaluation rather than half an interpolant.
-		return t0, c0 || c1
+		return t0, c0 + c1
 	}
-	return lerpTiming(t0, t1, frac), c0 || c1
+	return lerpTiming(t0, t1, frac), c0 + c1
 }
 
 // lookupKeys appends to dst the cache keys resolveTiming looks up for it: the
@@ -466,12 +471,12 @@ func (a *Analyzer) lookupKeys(it *workItem, dst []Key) []Key {
 
 // lookupOrEval resolves one cache key, computing the direction timing through
 // the degradation ladder when this caller wins the single-flight race. The
-// second return is true when THIS caller performed the compute (an
-// evaluation — a persistent-tier hit hydrates the in-memory entry without
-// computing, and followers then see an ordinary hit). known is the key's
+// second return is 1 when THIS caller performed the compute (an evaluation —
+// a persistent-tier hit hydrates the in-memory entry without computing, and
+// followers then see an ordinary hit), else 0. known is the key's
 // entry when the level's tier read already found it in the memory cache:
 // it is used, and counted, as the hit acquire would have returned.
-func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *levelTiers, inSlew float64) (dirTiming, bool) {
+func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *levelTiers, inSlew float64) (dirTiming, int) {
 	e, leader := known, false
 	if e == nil {
 		e, leader = a.cache.acquire(&key)
@@ -480,7 +485,7 @@ func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *le
 	}
 	if !leader {
 		e.ready.Wait()
-		return e.val, false
+		return e.val, 0
 	}
 	// Persistent tier read-through: the level's batched read (readTiers)
 	// already probed the stores for this key, so the leader only consults
@@ -490,7 +495,7 @@ func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *le
 	if te, ok := lt.hits[key]; ok {
 		e.val = te.timing()
 		e.ready.Done()
-		return e.val, false
+		return e.val, 0
 	}
 	a.cache.evals.Add(1)
 	// Fault sites are keyed by the hex key, built only under a fault plan.
@@ -512,7 +517,7 @@ func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *le
 	if len(a.cfg.Tiers) > 0 {
 		a.tierPut(lt, it, &key, tierEntryOf(e.val))
 	}
-	return e.val, true
+	return e.val, 1
 }
 
 // lerpTiming linearly interpolates two bucket-boundary timings at frac ∈
@@ -623,16 +628,6 @@ type loadIndex struct {
 	nodeCap []float64
 }
 
-// buildLoadIndex indexes n over a node table of its own (tests and one-off
-// callers).
-func buildLoadIndex(n *circuit.Netlist, tech *mos.Tech) *loadIndex {
-	nodes := &circuit.NodeTable{}
-	nodes.Build(n)
-	ix := &loadIndex{}
-	ix.build(n, nodes, tech)
-	return ix
-}
-
 // build (re)fills the index from one pass over the netlist, whose nodes
 // carry their IDs in nodes. Per node, the sums run in device order, as they
 // always have, so every load is bit-identical to a name-keyed pass.
@@ -686,11 +681,6 @@ func (ix *loadIndex) stageLoadsInto(m map[string]float64, st *circuit.Stage, out
 		}
 	}
 	return m
-}
-
-// stageLoads is stageLoadsInto with a fresh map (tests and one-off callers).
-func (ix *loadIndex) stageLoads(st *circuit.Stage, out string) map[string]float64 {
-	return ix.stageLoadsInto(map[string]float64{}, st, out)
 }
 
 // errLoop is the combinational-loop rejection raised by levelize; the caller

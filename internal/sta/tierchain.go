@@ -10,8 +10,8 @@ import (
 // NOT the engine's single-flight delay cache — that sits above every tier
 // and holds hydrated timings per analyzer, under the same keys, so a
 // MemoryTier first in one analyzer's Config.Tiers would never hit. Its use is
-// as a SERVED store: what a replica's tier endpoint shares with the fleet
-// when the deployment has no cache directory (see remotecache.MemoryStores).
+// as a SERVED store: what peers PUT to a replica's tier endpoint when the
+// deployment has no cache directory (see remotecache.MemoryStores).
 type MemoryTier struct {
 	capN int
 
@@ -100,5 +100,21 @@ func (t *MemoryTier) Stats() MemoryTierStats {
 		Puts:      t.puts.Load(),
 		Evictions: t.evictions.Load(),
 		Entries:   n,
+	}
+}
+
+// CachedEntries fills every key not already hit with the entry the
+// analyzer's own delay cache holds for it, waiting for one still being
+// evaluated. A replica's tier endpoint serves its own analyses through it,
+// for the keys its backing store misses.
+func (a *Analyzer) CachedEntries(keys []Key, out []TierEntry, hit []bool) {
+	for i := range keys {
+		if hit[i] {
+			continue
+		}
+		if e := a.cache.peek(&keys[i]); e != nil {
+			e.ready.Wait()
+			out[i], hit[i] = tierEntryOf(e.val), true
+		}
 	}
 }

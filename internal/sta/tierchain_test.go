@@ -64,3 +64,54 @@ func TestTierChainWarmAnalyzeBitIdentical(t *testing.T) {
 		t.Error("warm run through the memory tier diverged from cold reference")
 	}
 }
+
+// TestCachedEntriesDuringAnalysis reads an analyzer's cache through
+// CachedEntries from another goroutine while a cold analysis fills it, as a
+// replica's tier endpoint does: every read is either a miss or the final
+// entry, and once the analysis returns every key it wrote is a hit equal to
+// what it wrote.
+func TestCachedEntriesDuringAnalysis(t *testing.T) {
+	nl, primary, outs := decoderFixture(t)
+	req := Request{Netlist: nl, Primary: primary, Outputs: outs}
+	written := newMapTierStore()
+	if _, err := New(tech, lib, Config{Workers: 1, Tiers: []TierStore{written}}).AnalyzeContext(nil, req); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, 0, len(written.m))
+	for k := range written.m {
+		keys = append(keys, k)
+	}
+	read := func(a *Analyzer) ([]TierEntry, []bool) {
+		out, hit := make([]TierEntry, len(keys)), make([]bool, len(keys))
+		a.CachedEntries(keys, out, hit)
+		return out, hit
+	}
+
+	a := New(tech, lib, Config{Workers: 4})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := a.AnalyzeContext(nil, req); err != nil {
+			t.Error(err)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		out, hit := read(a)
+		for i, k := range keys {
+			if hit[i] && out[i] != written.m[k] {
+				t.Fatalf("key %s read %+v mid-analysis, want %+v", k, out[i], written.m[k])
+			}
+		}
+	}
+	out, hit := read(a)
+	for i, k := range keys {
+		if !hit[i] || out[i] != written.m[k] {
+			t.Errorf("key %s: hit %v entry %+v, want %+v", k, hit[i], out[i], written.m[k])
+		}
+	}
+}

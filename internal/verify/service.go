@@ -318,7 +318,6 @@ func runServiceTraceCell(tech *mos.Tech, lib *devmodel.Library, req v1.AnalyzeRe
 			cell.Problems = append(cell.Problems, label+": envelope carries no trace_id")
 			return nil
 		}
-		fl.Flush()
 		rt := fl.Get(resp.TraceID)
 		if rt == nil {
 			cell.Problems = append(cell.Problems, label+": flight recorder did not retain trace "+resp.TraceID)
