@@ -127,8 +127,8 @@ service-smoke:
 # whole-engine Thomas + Sherman–Morrison vs dense-LU ablation, the
 # secant-capacitance second pass vs frozen capacitances, the
 # observability-overhead comparison (bare vs observer vs metrics), the
-# warm-cache lookup, the hot-path wide-netlist benchmark (reduction+memo off
-# vs on), re-analysis after an edit (fresh vs warm analyzer), the warm-disk
+# warm-cache lookup, the hot-path wide-netlist benchmark (reduction off vs
+# on), re-analysis after an edit (fresh vs warm analyzer), the warm-disk
 # service path, the warm service path untraced and traced (flight recorder
 # + metrics), the two-replica request served warm from the peer (with its
 # read and write round trips per op), the junction-table lookup against
@@ -170,11 +170,12 @@ chaos-full:
 
 # Edit-sequence gate: the randomized edit-sequence differential over warm
 # analyzers — resizes, junction-geometry changes, load changes and buffer
-# insertions; warm serial vs parallel bit equality across the feature
-# matrix, memo variants vs a cold analyzer, every edit evaluating at least
-# one and at most its structural bound of directions, no-op re-runs
-# evaluating nothing — and the TierSpice cross-member identity pin from the
-# class-memoization fix. Exits non-zero on any mismatch.
+# insertions; warm serial vs parallel bit equality across plain, reduce and
+# spice-tier-forcing chaos, every edit evaluating at least one and at most
+# its structural bound of directions, no-op re-runs evaluating nothing —
+# and the name-invariance pin: renamed nets (a sibling pair, a 3-bit
+# decoder) time bit-identically, plain and forced to the spice tier. Exits
+# non-zero on any mismatch.
 eco:
 	$(GO) run ./cmd/verify -eco -seed 1 -eco-edits 4 -o /dev/null
 	$(GO) test -run 'TestSpiceCrossMemberBitIdentity|TestEvalSpicePathCanonical' -count=1 ./internal/sta/

@@ -7,7 +7,7 @@
 //	sta -deck chain.sp -inputs a0,b0 -outputs out
 //	sta -deck chain.sp -inputs 'a0,b0@150p' -outputs out   # b0 arrives late
 //	sta -deck decoder.sp -outputs y0,y1 -workers 8 -cache-stats
-//	sta -deck bus.sp -outputs y0,y1 -reduce 1 -memo -interp -cache-stats
+//	sta -deck bus.sp -outputs y0,y1 -reduce 1 -cache-stats
 //
 // Stage evaluation is parallel: -workers sets the per-level worker-pool
 // size (0 = GOMAXPROCS, 1 = serial); results are identical for any value.
@@ -18,15 +18,11 @@
 // registry — counters plus NR-iteration, region-count and latency
 // histograms — as JSON on stdout.
 //
-// Hot-path accelerators (both off by default; with both off the result is
-// bit-identical to earlier releases): -reduce TOL enables the RC-chain
-// model-order-reduction pre-pass, collapsing long series wire runs into
-// moment-matched stubs with at most TOL percent second-moment mismatch;
-// -memo enables equivalence-class stage memoization (structurally identical
-// stages share one evaluation per rail and 5 ps slew bucket), and -interp
-// additionally interpolates between bucket-boundary evaluations instead of
-// snapping to the bucket floor. -cache-stats then also reports how many RC
-// nodes the pre-pass removed and the class count/hit tallies.
+// Hot-path accelerator (off by default; off, the result is bit-identical to
+// earlier releases): -reduce TOL enables the RC-chain model-order-reduction
+// pre-pass, collapsing long series wire runs into moment-matched stubs with
+// at most TOL percent second-moment mismatch. -cache-stats then also
+// reports how many RC nodes the pre-pass removed.
 //
 // Evaluations that fail to converge (or exhaust -nr-budget / -wall-budget)
 // escalate a degradation ladder — QWM Newton, QWM bisection, adaptive
@@ -77,8 +73,6 @@ func main() {
 		nrBudget = flag.Int("nr-budget", 0, "per-evaluation Newton-iteration budget (0 = unlimited); exhaustion degrades the tier, never fails the run")
 		wallB    = flag.Duration("wall-budget", 0, "per-evaluation wall-clock budget (0 = unlimited)")
 		redTol   = flag.Float64("reduce", 0, "enable the RC-chain reduction pre-pass with this moment-mismatch tolerance in percent (0 = off)")
-		memo     = flag.Bool("memo", false, "enable equivalence-class stage memoization (evaluation slew snapped to 5 ps buckets)")
-		interp   = flag.Bool("interp", false, "with -memo, interpolate between slew-bucket boundary evaluations instead of floor-snapping")
 		trace    = flag.String("trace", "", "write the analysis as Chrome trace-event JSON to this file")
 		traceDet = flag.Bool("trace-deterministic", false, "write the deterministic trace variant (synthetic clock, schedule-independent; byte-identical at any -workers)")
 	)
@@ -88,11 +82,7 @@ func main() {
 		stats: *stats, metricsJSON: *metrics,
 		tracePath: *trace, traceDet: *traceDet,
 	}
-	if *interp && !*memo {
-		fmt.Fprintln(os.Stderr, "sta: -interp has no effect without -memo")
-	}
-	feat := hotPathFlags{reduceTol: *redTol, memo: *memo, interp: *interp}
-	if err := run(*deckPath, *inputs, *outputs, *verbose, *workers, budget, feat, opts); err != nil {
+	if err := run(*deckPath, *inputs, *outputs, *verbose, *workers, budget, *redTol, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "sta:", err)
 		os.Exit(1)
 	}
@@ -105,13 +95,7 @@ type opsOptions struct {
 	traceDet           bool
 }
 
-// hotPathFlags bundles the accelerator knobs (-reduce/-memo/-interp).
-type hotPathFlags struct {
-	reduceTol    float64
-	memo, interp bool
-}
-
-func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta.EvalBudget, feat hotPathFlags, ops opsOptions) error {
+func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta.EvalBudget, reduceTol float64, ops opsOptions) error {
 	in := os.Stdin
 	if deckPath != "" {
 		f, err := os.Open(deckPath)
@@ -150,11 +134,8 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 	tech := mos.CMOSP35()
 	lib := devmodel.NewLibrary(tech)
 	cfg := sta.Config{Workers: workers, Budget: budget}
-	if feat.reduceTol > 0 {
-		cfg.Reduction = reduce.Config{Enabled: true, TolPct: feat.reduceTol}
-	}
-	if feat.memo {
-		cfg.Memo = sta.MemoConfig{Enabled: true, Interp: feat.interp}
+	if reduceTol > 0 {
+		cfg.Reduction = reduce.Config{Enabled: true, TolPct: reduceTol}
 	}
 	if ops.metricsJSON || ops.stats {
 		cfg.Metrics = obs.NewRegistry()
@@ -186,11 +167,8 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 		cs := a.CacheStats()
 		fmt.Printf("delay cache: %d hits, %d misses, %d evaluations, %d entries\n",
 			cs.Hits, cs.Misses, cs.Evaluations, cs.Entries)
-		if feat.reduceTol > 0 {
+		if reduceTol > 0 {
 			fmt.Printf("reduction: %d RC nodes removed\n", res.ReducedNodes)
-		}
-		if feat.memo {
-			fmt.Printf("memoization: %d classes, %d class hits\n", res.ClassCount, res.ClassHits)
 		}
 		fmt.Printf("diagnostics: %s\n", res.Diagnostics)
 		printQuantiles(cfg.Metrics.Snapshot())

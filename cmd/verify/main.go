@@ -4,9 +4,9 @@
 // uncached full sta.AnalyzeContext runs, and serial against parallel runs —
 // including shared-identity/different-load sibling pairs shaped to trip
 // delay-cache aliasing bugs, plus hot-path feature differentials on wide
-// netlists (RC-reduction and class-memoization off ⇒ bit-identical, on ⇒
-// bounded error, and the class-level load-aliasing trap). The full per-case
-// error distribution is emitted as JSON.
+// netlists (RC-reduction off ⇒ bit-identical, on ⇒ bounded error, and the
+// load-aliasing trap on a shared analyzer). The full per-case error
+// distribution is emitted as JSON.
 //
 //	verify -seed 1 -n 200                 # acceptance sweep, JSON on stdout
 //	verify -seed 7 -n 50 -tol 5 -v       # tighter gate, per-case progress
@@ -41,7 +41,7 @@ func main() {
 		chaosN    = flag.Int("chaos-n", 6, "number of generated analyze cases in the chaos sweep")
 		chaosRate = flag.Float64("chaos-rate", 1, "per-class firing rate in (0,1]; 1 arms the strict tier-coverage assertions")
 
-		eco      = flag.Bool("eco", false, "run the edit-sequence differential instead: randomized resize/junction/load/buffer edits re-analyzed on warm analyzers, serial vs parallel bit equality, memo vs cold, and per-edit evaluation bounds")
+		eco      = flag.Bool("eco", false, "run the edit-sequence differential instead: randomized resize/junction/load/buffer edits re-analyzed on warm analyzers, serial vs parallel bit equality and per-edit evaluation bounds")
 		ecoEdits = flag.Int("eco-edits", 6, "number of edit steps per (workload, variant) sequence in the eco sweep")
 
 		svc = flag.Bool("service", false, "run the service-path differential instead: direct-vs-wire bit identity, warm-disk restart with >=90% hit rate, and the chaos contract through POST /analyze")

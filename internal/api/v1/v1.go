@@ -62,15 +62,13 @@ func (a Arrival) STA() sta.Arrival {
 
 // Features selects the per-analyzer accelerator configuration. The service
 // pools analyzers by this (plus the budget), so two requests with equal
-// features share a delay cache and a disk-cache namespace.
+// features share a delay cache and a disk-cache namespace. Older clients may
+// still send "memo" and "interp" keys here; like any unknown key, they are
+// ignored.
 type Features struct {
 	// ReduceTolPct > 0 enables the RC-chain reduction pre-pass with that
 	// second-moment mismatch tolerance in percent (cmd/sta -reduce).
 	ReduceTolPct float64 `json:"reduce_tol_pct,omitempty"`
-	// Memo enables equivalence-class stage memoization (cmd/sta -memo);
-	// Interp additionally interpolates between slew-bucket boundaries.
-	Memo   bool `json:"memo,omitempty"`
-	Interp bool `json:"interp,omitempty"`
 }
 
 // Budget bounds each stage-direction evaluation (see sta.EvalBudget).
@@ -169,8 +167,6 @@ type Diagnostics struct {
 	EvalTier        map[string]string `json:"eval_tier,omitempty"`
 	EvalErrorDetail map[string]string `json:"eval_error_detail,omitempty"`
 	ReducedNodes    int               `json:"reduced_nodes,omitempty"`
-	ClassCount      int               `json:"class_count,omitempty"`
-	ClassHits       int               `json:"class_hits,omitempty"`
 	// Summary is the engine's one-line human-readable rendering.
 	Summary string `json:"summary,omitempty"`
 }
@@ -186,8 +182,6 @@ func FromDiagnostics(d sta.Diagnostics) Diagnostics {
 		Degraded:        d.Degraded,
 		PanicsRecovered: d.PanicsRecovered,
 		ReducedNodes:    d.ReducedNodes,
-		ClassCount:      d.ClassCount,
-		ClassHits:       d.ClassHits,
 	}
 	for t := sta.TierQWM; t < sta.NumTiers; t++ {
 		if n := d.TierCounts[t]; n != 0 {

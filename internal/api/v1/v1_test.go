@@ -39,9 +39,9 @@ func TestAnalyzeRequestGolden(t *testing.T) {
 		Inputs:        map[string]Arrival{"in": {Rise: 1e-10, Fall: 2e-10, RiseSlew: 5e-12, FallSlew: 0}},
 		Outputs:       []string{"out"},
 		Budget:        &Budget{NRIters: 500, WallMS: 2.5},
-		Features:      &Features{ReduceTolPct: 1, Memo: true, Interp: true},
+		Features:      &Features{ReduceTolPct: 1},
 	}
-	const golden = `{"schema_version":"qwm.v1","id":"r1","netlist":"* inv\nM1 out in 0 0 NMOS W=1u L=0.35u\n.end\n","inputs":{"in":{"rise":1e-10,"fall":2e-10,"rise_slew":5e-12,"fall_slew":0}},"outputs":["out"],"budget":{"nr_iters":500,"wall_ms":2.5},"features":{"reduce_tol_pct":1,"memo":true,"interp":true}}`
+	const golden = `{"schema_version":"qwm.v1","id":"r1","netlist":"* inv\nM1 out in 0 0 NMOS W=1u L=0.35u\n.end\n","inputs":{"in":{"rise":1e-10,"fall":2e-10,"rise_slew":5e-12,"fall_slew":0}},"outputs":["out"],"budget":{"nr_iters":500,"wall_ms":2.5},"features":{"reduce_tol_pct":1}}`
 	roundTrip(t, req, golden)
 }
 

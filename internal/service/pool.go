@@ -231,11 +231,8 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 	}
 
 	cfg := sta.Config{Workers: s.opts.AnalyzerWorkers}
-	if f := req.Features; f != nil {
-		if f.ReduceTolPct > 0 {
-			cfg.Reduction = reduce.Config{Enabled: true, TolPct: f.ReduceTolPct}
-		}
-		cfg.Memo = sta.MemoConfig{Enabled: f.Memo || f.Interp, Interp: f.Interp}
+	if f := req.Features; f != nil && f.ReduceTolPct > 0 {
+		cfg.Reduction = reduce.Config{Enabled: true, TolPct: f.ReduceTolPct}
 	}
 	if b := req.Budget; b != nil {
 		cfg.Budget = b.STA()

@@ -123,6 +123,36 @@ func TestAnalyzeSingle(t *testing.T) {
 	}
 }
 
+// TestLegacyFeatureKeysIgnored: older clients may still send the retired
+// "memo" and "interp" feature keys. The v1 decoder ignores unknown keys, so
+// such a body is answered 200 by the same pooled analyzer as the body
+// without features, byte for byte.
+func TestLegacyFeatureKeysIgnored(t *testing.T) {
+	deck, _, outs := decoderDeck(t)
+	s, hs := newTestServer(t, Options{})
+	plain := map[string]any{"schema_version": v1.SchemaVersion, "netlist": deck, "outputs": outs}
+	legacy := map[string]any{"features": map[string]any{"memo": true, "interp": true}}
+	for k, v := range plain {
+		legacy[k] = v
+	}
+
+	postJSON(t, hs.URL, plain) // cold: both bodies below answer warm
+	_, want := postJSON(t, hs.URL, plain)
+	hr, got := postJSON(t, hs.URL, legacy)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("legacy features: status %d, body %s", hr.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("legacy features changed the response:\nwant %s\ngot  %s", want, got)
+	}
+	s.pool.mu.Lock()
+	n := len(s.pool.analyzers)
+	s.pool.mu.Unlock()
+	if n != 1 {
+		t.Errorf("%d pooled analyzers, want 1: the legacy keys split the pool", n)
+	}
+}
+
 func TestAnalyzeErrors(t *testing.T) {
 	deck, ins, outs := decoderDeck(t)
 	_, hs := newTestServer(t, Options{})

@@ -34,11 +34,10 @@ type analyzeScratch struct {
 	canon    []int32
 	touch    []int32
 
-	producer  map[string]*circuit.Stage
-	predFall  map[string]string // net -> worst fall predecessor (a rising input)
-	predRise  map[string]string
-	classSeen map[Key]bool
-	ix        loadIndex
+	producer map[string]*circuit.Stage
+	predFall map[string]string // net -> worst fall predecessor (a rising input)
+	predRise map[string]string
+	ix       loadIndex
 
 	// Levelization scratch (see levelize). seenStamp uses the monotonic
 	// stamp-counter idiom: a per-stage "visited" mark is one int compare
@@ -92,13 +91,12 @@ func (a *Analyzer) getScratch() *analyzeScratch {
 // newScratch returns an empty arena.
 func newScratch() *analyzeScratch {
 	return &analyzeScratch{
-		producer:  map[string]*circuit.Stage{},
-		predFall:  map[string]string{},
-		predRise:  map[string]string{},
-		classSeen: map[Key]bool{},
-		tierSeen:  map[Key]struct{}{},
-		tierHits:  map[Key]TierEntry{},
-		idx:       map[*circuit.Stage]int{},
+		producer: map[string]*circuit.Stage{},
+		predFall: map[string]string{},
+		predRise: map[string]string{},
+		tierSeen: map[Key]struct{}{},
+		tierHits: map[Key]TierEntry{},
+		idx:      map[*circuit.Stage]int{},
 	}
 }
 
@@ -110,7 +108,6 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	clear(s.producer)
 	clear(s.predFall)
 	clear(s.predRise)
-	clear(s.classSeen)
 	clear(s.tierSeen)
 	clear(s.tierHits)
 	clear(s.tierOut)

@@ -14,7 +14,7 @@ import (
 // for the analyzer's lifetime; the subset that affects results is
 // canonically fingerprinted by Signature. The zero Config is the exact
 // baseline engine: serial-equivalent parallelism at GOMAXPROCS, no
-// reduction, no memoization, unlimited budget, no observability. The
+// reduction, unlimited budget, no observability. The
 // service layer pools analyzers by Signature, which is sound because no
 // setting can change after New.
 type Config struct {
@@ -29,11 +29,6 @@ type Config struct {
 	// zero value disables it; its signature is part of every cache key's
 	// digest, so reduced and unreduced entries never alias.
 	Reduction reduce.Config
-	// Memo configures equivalence-class stage memoization: structurally
-	// identical stages (node names canonicalized away) share delay-cache
-	// entries, evaluated once per (class, direction, slew bucket). The zero
-	// value disables it, keeping raw per-name keys.
-	Memo MemoConfig
 	// Budget bounds each stage-direction evaluation (Newton iterations
 	// and/or wall clock). Exhausting it aborts the running solver tier with
 	// ErrBudgetExceeded and escalates the degradation ladder; it never fails
@@ -77,8 +72,8 @@ type Config struct {
 // (chaos runs use dedicated analyzers that are never pooled), and Tiers
 // (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
-	return fmt.Sprintf("qwm7|red:%s|memo:%s|nr:%d|wallns:%d",
-		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
+	return fmt.Sprintf("qwm7|red:%s|nr:%d|wallns:%d",
+		c.Reduction.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
 
 // TierEntry is the portable form of one cached direction timing — the value

@@ -20,8 +20,6 @@ func TestConfigSignature(t *testing.T) {
 	distinct := map[string]Config{
 		"base":   base,
 		"reduce": {Reduction: reduce.Config{Enabled: true, TolPct: 2}},
-		"memo":   {Memo: MemoConfig{Enabled: true}},
-		"interp": {Memo: MemoConfig{Enabled: true, Interp: true}},
 		"budget": {Budget: EvalBudget{NRIters: 100}},
 		"wall":   {Budget: EvalBudget{Wall: time.Millisecond}},
 	}
@@ -43,7 +41,7 @@ func TestConfigSignature(t *testing.T) {
 // keys, qwm6 adds each device's junction geometry to the digest, and qwm7
 // keys load caps by their exact bits instead of 6-digit text.
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm7|red:|memo:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm7|red:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
 	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm7|") {

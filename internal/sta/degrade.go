@@ -271,18 +271,17 @@ func pathInputs(path *circuit.Path, sw wave.Waveform, onLevel float64) map[strin
 // spiceRename builds the canonical node-renaming map for the TierSpice
 // sub-netlist: rails keep their names, path channel nodes become "n%d" in
 // path order, gate nets become "g%d" by order of first appearance along the
-// path (the fingerprint's gate-ordinal scheme), and off-path load nodes
-// become "z%d" in (value, name)-sorted order — the name tie-break is safe
-// because equal-value isolated grounded caps are interchangeable. It returns
-// the map plus the original path-node and off-path node lists in canonical
-// order, so callers can register caps in a member-independent sequence.
+// path, and off-path load nodes become "z%d" in (value, name)-sorted order —
+// the name tie-break is safe because equal-value isolated grounded caps are
+// interchangeable. It returns the map plus the original path-node and
+// off-path node lists in canonical order, so callers can register caps in a
+// name-independent sequence.
 //
-// The rename exists because spice.New indexes the MNA matrix by SORTED node
-// name: without it, two class-memoized siblings (identical fingerprints,
-// different net names) built matrices with different elimination orders and
-// produced different float results — whichever member computed the shared
-// cache entry leaked its names into the value, breaking bitwise determinism
-// below the QWM tiers.
+// The rename keeps a timing independent of what the nets are called.
+// spice.New indexes the MNA matrix by SORTED node name, so without it two
+// stages that differ only in their net names built matrices with different
+// elimination orders and produced different floats: renaming a net could
+// move a spice-tier arrival, which the QWM tiers never do.
 func spiceRename(path *circuit.Path, loads map[string]float64) (ren map[string]string, pathNodes, offNodes []string) {
 	ren = map[string]string{
 		circuit.GroundNode: circuit.GroundNode,
@@ -337,8 +336,8 @@ func spiceRename(path *circuit.Path, loads map[string]float64) (ren map[string]s
 //
 // Every node of the sub-netlist carries a canonical name (see spiceRename)
 // and every element is registered in canonical path order, so the result is
-// a pure function of the path/load structure — two stages with equal
-// fingerprints evaluate bit-identically no matter what their nets are called.
+// a pure function of the path/load structure — two stages that differ only
+// in their net names evaluate bit-identically.
 func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64) (dirResult, error) {
 	vdd := a.tech.VDD
 	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)

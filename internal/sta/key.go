@@ -16,21 +16,19 @@ import (
 // KeySize is the length of a Key in bytes.
 const KeySize = sha256.Size + 1 + 8
 
-// Key is the delay cache's one key format, shared by the in-memory cache,
-// Memo's class table and every TierStore:
+// Key is the delay cache's one key format, shared by the in-memory cache and
+// every TierStore:
 //
 //	[0:32]  SHA-256 content digest
-//	[32]    namespace byte: nsRise (the rail) | nsClass (Memo class digest)
+//	[32]    namespace byte: nsRise (the rail)
 //	[33:41] slew bucket, big-endian two's complement
 //
-// A raw key's digest covers one (stage, output)'s timing-relevant content —
-// output name, canonically sorted edges with their junction geometry, load
-// map, reduction signature — in a length-prefixed binary encoding, so node
-// names can hold any byte (separators included) without two different
-// stages sharing a key. A class key's digest covers the reduction signature
-// and the structural fingerprint instead. The digest is computed once per
-// (stage, output) in the gather phase; a lookup only copies it and fills in
-// the bucket.
+// The digest covers one (stage, output)'s timing-relevant content — output
+// name, canonically sorted edges with their junction geometry, load map,
+// reduction signature — in a length-prefixed binary encoding, so node names
+// can hold any byte (separators included) without two different stages
+// sharing a key. The digest is computed once per (stage, output) in the
+// gather phase; a lookup only copies it and fills in the bucket.
 //
 // SHA-256 rather than a faster non-cryptographic hash: keys are derived from
 // client-supplied netlists and shared across clients through the tiers, so a
@@ -44,9 +42,6 @@ const (
 	// nsRise marks the output-rising direction (rail circuit.SupplyNode);
 	// clear, the output falls (rail circuit.GroundNode).
 	nsRise byte = 1 << 0
-	// nsClass marks a Memo class digest. Class entries are evaluated at the
-	// bucket floor, so they are a pure function of the key.
-	nsClass byte = 1 << 1
 )
 
 // digest is the content part of a Key.
@@ -66,20 +61,9 @@ func (k Key) withBucket(bucket int) Key {
 	return k
 }
 
-// class reports whether k is a Memo class key.
-func (k *Key) class() bool { return k[nsByte]&nsClass != 0 }
-
 // String renders the key in hex. Fault-injection site keys use it, so it is
 // built only when a FaultPlan is set.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// railNS is the namespace rail bit for a rail node.
-func railNS(rail string) byte {
-	if rail == circuit.SupplyNode {
-		return nsRise
-	}
-	return 0
-}
 
 // contentDigest hashes the timing-relevant content of one (stage, output):
 // the output name, the stage's edges in canonical order (with their devices'
@@ -174,15 +158,6 @@ func (s *analyzeScratch) appendLoads(b []byte, loads map[string]float64) []byte 
 		b = appendFloat(b, loads[n])
 	}
 	return b
-}
-
-// classDigest hashes a Memo class: the reduction signature and the
-// structural fingerprint (see fingerprint).
-func classDigest(redSig, fp string) digest {
-	b := make([]byte, 0, 2*binary.MaxVarintLen64+len(redSig)+len(fp))
-	b = appendString(b, redSig)
-	b = appendString(b, fp)
-	return sha256.Sum256(b)
 }
 
 func appendString(b []byte, s string) []byte {

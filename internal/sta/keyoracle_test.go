@@ -46,29 +46,10 @@ func stageKey(st *circuit.Stage, out string) string {
 }
 
 // oracleKey is the full text cache key of one (stage, output, rail, bucket)
-// under the analyzer's configuration: the raw
-// "<stageKey>|<loadDigest><redSig>|<rail>|<bucket>" form, or with Memo the
-// "C|<redSig>|<fingerprint>|<rail>|b<bucket>" class form when the direction
-// fingerprints. Like the engine's fpTable, classOf memoizes each raw base's
-// class on first sight: the fingerprint follows edge order (the builder's
-// summation order), which the raw key sorts away.
-func (a *Analyzer) oracleKey(classOf map[string]string, st *circuit.Stage, out string, loads map[string]float64, rail string, bucket int) string {
-	redSig := a.cfg.Reduction.Signature()
-	raw := stageKey(st, out) + "|" + loadDigest(loads) + redSig + "|" + rail
-	b := strconv.Itoa(bucket)
-	if a.cfg.Memo.Enabled {
-		canon, ok := classOf[raw]
-		if !ok {
-			if fp, ok := fingerprint(st, out, rail, loads); ok {
-				canon = "C|" + redSig + "|" + fp + "|" + rail
-			}
-			classOf[raw] = canon
-		}
-		if canon != "" {
-			return canon + "|b" + b
-		}
-	}
-	return raw + "|" + b
+// under the analyzer's configuration, in the
+// "<stageKey>|<loadDigest><redSig>|<rail>|<bucket>" form.
+func (a *Analyzer) oracleKey(st *circuit.Stage, out string, loads map[string]float64, rail string, bucket int) string {
+	return stageKey(st, out) + "|" + loadDigest(loads) + a.cfg.Reduction.Signature() + "|" + rail + "|" + strconv.Itoa(bucket)
 }
 
 // appendStageKey appends the stage-content key for (st, out): the observed
@@ -164,15 +145,12 @@ func (ix *loadIndex) stageLoads(st *circuit.Stage, out string) map[string]float6
 // testKey is the engine's key for one (stage, output, loads, rail, bucket),
 // derived exactly as the gather phase and the lookup path derive it.
 func (a *Analyzer) testKey(s *analyzeScratch, st *circuit.Stage, out string, loads map[string]float64, rail string, bucket int) Key {
-	redSig := a.cfg.Reduction.Signature()
-	d := s.contentDigest(st, out, loads, redSig)
-	ev := outEval{loads: loads}
-	a.resolveKeys(s, &ev, &d, st, out, redSig, &Result{})
-	k := ev.keyFall
+	d := s.contentDigest(st, out, loads, a.cfg.Reduction.Signature())
+	var ns byte
 	if rail == circuit.SupplyNode {
-		k = ev.keyRise
+		ns = nsRise
 	}
-	return k.withBucket(bucket)
+	return makeKey(&d, ns).withBucket(bucket)
 }
 
 // keyCase is one stage output under one load map.
@@ -393,33 +371,26 @@ func fuzzParseDecks(t *testing.T) []string {
 
 // TestCacheKeyMatchesTextOracle is the evidence that the digest keys move no
 // result: over the corpus of keyCorpusCases, both rails, several slew
-// buckets, Memo off/snap/interp and reduction off/on, two digest keys are
+// buckets and reduction off/on, two digest keys are
 // equal exactly when their text keys are equal — so every lookup hits, and
 // misses, exactly where it did under the text keys.
 func TestCacheKeyMatchesTextOracle(t *testing.T) {
 	cases := keyCorpusCases(t)
 	red := reduce.Config{Enabled: true}
-	for _, cfg := range []Config{
-		{},
-		{Reduction: red},
-		{Memo: MemoConfig{Enabled: true}},
-		{Memo: MemoConfig{Enabled: true, Interp: true}},
-		{Memo: MemoConfig{Enabled: true}, Reduction: red},
-	} {
+	for _, cfg := range []Config{{}, {Reduction: red}} {
 		// Subtests are named by the signature without its engine tag, so a
 		// tag bump does not rename them.
 		_, name, _ := strings.Cut(cfg.Signature(), "|")
 		t.Run(name, func(t *testing.T) {
 			a := New(tech, lib, cfg)
 			s := a.getScratch()
-			classOf := map[string]string{}
 			byText := map[string]Key{}
 			byKey := map[Key]string{}
 			n := 0
 			for _, c := range cases {
 				for _, rail := range []string{circuit.GroundNode, circuit.SupplyNode} {
 					for _, bucket := range []int{0, 1, 7, 40, 1 << 20} {
-						text := a.oracleKey(classOf, c.st, c.out, c.loads, rail, bucket)
+						text := a.oracleKey(c.st, c.out, c.loads, rail, bucket)
 						k := a.testKey(s, c.st, c.out, c.loads, rail, bucket)
 						n++
 						if prev, ok := byText[text]; ok && prev != k {
@@ -498,28 +469,9 @@ func fuzzStage(b []byte) (*circuit.Stage, string, map[string]float64) {
 // canonicalContent renders everything a key must distinguish, in Go-quoted
 // (unambiguous) form: the output, the sorted edges with exact float bits
 // (plus, for a device declaring junction geometry, its drain side and
-// junctions; zero junctions mean the W-derived default), the
-// sorted loads with exact cap bits and the rail — or, with
-// Memo, the class fingerprint first resolved for that raw content (classOf
-// memoizes it as the engine's fpTable does) when there is one.
-func (a *Analyzer) canonicalContent(classOf map[string]string, st *circuit.Stage, out string, loads map[string]float64, rail string) string {
-	raw := rawContent(st, out, loads, rail)
-	if a.cfg.Memo.Enabled {
-		canon, ok := classOf[raw]
-		if !ok {
-			if fp, ok := fingerprint(st, out, rail, loads); ok {
-				canon = fmt.Sprintf("class %q %q", fp, rail)
-			}
-			classOf[raw] = canon
-		}
-		if canon != "" {
-			return canon
-		}
-	}
-	return raw
-}
-
-func rawContent(st *circuit.Stage, out string, loads map[string]float64, rail string) string {
+// junctions; zero junctions mean the W-derived default), the sorted loads
+// with exact cap bits and the rail.
+func canonicalContent(st *circuit.Stage, out string, loads map[string]float64, rail string) string {
 	edges := make([]string, len(st.Edges))
 	for i, e := range st.Edges {
 		edges[i] = fmt.Sprintf("%q %q %q %q %x %x %x", e.Kind.String(), e.Src, e.Snk, e.Gate,
@@ -560,33 +512,32 @@ func fuzzSeed(out string, edges ...[4]string) []byte {
 
 // FuzzCacheKey: two keys are equal exactly when the canonical content they
 // stand for is equal — for any node names, including the text key's
-// separators, and at both rails, any bucket and with Memo on or off.
+// separators, and at both rails and any bucket.
 func FuzzCacheKey(f *testing.F) {
 	nor := fuzzSeed("out", [4]string{"nmos", "out", "0", "g"}, [4]string{"nmos", "out", "0", "h"})
 	alias := fuzzSeed("out", [4]string{"nmos", "out", "0", aliasGate})
-	f.Add(nor, alias, false, int8(0))
-	f.Add(nor, alias, true, int8(3))
-	f.Add(nor, nor, false, int8(-1))
-	f.Add(alias, alias, true, int8(1))
+	f.Add(nor, alias, int8(0))
+	f.Add(nor, alias, int8(3))
+	f.Add(nor, nor, int8(-1))
+	f.Add(alias, alias, int8(1))
 	// One pull-down without and with a declared drain junction
 	// (AD=1e-12, PD=2e-6): the edge's last byte before the load selects
 	// junctions, followed by four junction palette indices.
 	inv := fuzzSeed("out", [4]string{"nmos", "out", "0", "g"})
 	side := len(inv) - len("out") - 4
 	invAD := slices.Concat(inv[:side], []byte{1, 1, 2, 0, 0}, inv[side+1:])
-	f.Add(inv, invAD, false, int8(0))
-	f.Add(invAD, invAD, true, int8(2))
-	f.Fuzz(func(t *testing.T, x, y []byte, memo bool, bucket int8) {
-		a := New(tech, lib, Config{Memo: MemoConfig{Enabled: memo}})
+	f.Add(inv, invAD, int8(0))
+	f.Add(invAD, invAD, int8(2))
+	f.Fuzz(func(t *testing.T, x, y []byte, bucket int8) {
+		a := New(tech, lib)
 		s := a.getScratch()
-		classOf := map[string]string{}
 		stX, outX, lx := fuzzStage(x)
 		stY, outY, ly := fuzzStage(y)
 		for _, rail := range []string{circuit.GroundNode, circuit.SupplyNode} {
 			kx := a.testKey(s, stX, outX, lx, rail, int(bucket))
 			ky := a.testKey(s, stY, outY, ly, rail, int(bucket))
-			cx := a.canonicalContent(classOf, stX, outX, lx, rail)
-			cy := a.canonicalContent(classOf, stY, outY, ly, rail)
+			cx := canonicalContent(stX, outX, lx, rail)
+			cy := canonicalContent(stY, outY, ly, rail)
 			if (kx == ky) != (cx == cy) {
 				t.Fatalf("keys equal %v, content equal %v:\n%s\n%s", kx == ky, cx == cy, cx, cy)
 			}

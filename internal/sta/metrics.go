@@ -29,9 +29,6 @@ const (
 	mDegraded       = "sta/degraded"
 	mPanics         = "sta/panics_recovered"
 	mReduceNodes    = "sta/reduce/nodes_removed"
-	mClassHits      = "sta/class_hits"
-	mClasses        = "sta/classes"
-	mFPEvictions    = "sta/class/fp_evictions"
 	// mTierPrefix + Tier.String() counts computed directions per ladder
 	// tier (e.g. "sta/tier_evals/qwm", "sta/tier_evals/rc-bound").
 	mTierPrefix = "sta/tier_evals/"
@@ -75,8 +72,6 @@ type metricSet struct {
 	capResolves              *obs.Counter
 	degraded, panicsRec      *obs.Counter
 	reduceNodes              *obs.Counter
-	classHits, classes       *obs.Counter
-	fpEvictions              *obs.Counter
 	tierEvals                [NumTiers]*obs.Counter
 	nrIterHist, regionHist   *obs.Histogram
 	evalSeconds              *obs.Histogram
@@ -101,9 +96,6 @@ func newMetricSet(r *obs.Registry) *metricSet {
 		degraded:       r.Counter(mDegraded),
 		panicsRec:      r.Counter(mPanics),
 		reduceNodes:    r.Counter(mReduceNodes),
-		classHits:      r.Counter(mClassHits),
-		classes:        r.Counter(mClasses),
-		fpEvictions:    r.Counter(mFPEvictions),
 		nrIterHist:     r.Histogram(hNRItersPerEval, nrIterBounds),
 		regionHist:     r.Histogram(hRegionsPerEval, regionBounds),
 		evalSeconds:    r.Histogram(hEvalSeconds, secondsBounds),
@@ -239,8 +231,6 @@ func (r *recorder) analyzeEnd(res *Result, err error) {
 			r.ms.slewFbs.Add(int64(res.SlewFallbacks))
 			r.ms.degraded.Add(int64(res.Degraded))
 			r.ms.panicsRec.Add(int64(res.PanicsRecovered))
-			r.ms.classHits.Add(int64(res.ClassHits))
-			r.ms.classes.Add(int64(res.ClassCount))
 		}
 		r.ms.analyzeSec.Observe(time.Since(r.start).Seconds())
 	}

@@ -1,7 +1,9 @@
 package sta
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qwm/internal/circuit"
@@ -48,8 +50,8 @@ func analyzeOnce(t testing.TB, a *Analyzer, nl *circuit.Netlist, primary map[str
 
 // requireSameTiming asserts bitwise equality of everything a result reports
 // about the circuit: arrivals, worst output, critical path and diagnostics.
-// StagesEvaluated and the class tallies depend on the analyzer's cache
-// history and are compared by the callers that need them.
+// StagesEvaluated depends on the analyzer's cache history and is compared by
+// the callers that need it.
 func requireSameTiming(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Arrivals, got.Arrivals) {
@@ -73,32 +75,26 @@ func requireSameTiming(t *testing.T, label string, ref, got *Result) {
 // revert) through one persistent analyzer per worker count — re-analysis
 // after an edit is a plain re-run on a warm analyzer — and checks every step
 // bit-for-bit against a persistent serial analyzer with the same history,
-// across the memo/interp/reduce feature matrix.
+// with reduction off and on.
 //
-// The reference shares the cache history rather than starting cold: raw
-// (non-memo) delay-cache entries are keyed by 5 ps slew bucket but evaluated
-// at the first-seen exact slew, so a warm re-analysis can differ from a cold
+// The reference shares the cache history rather than starting cold:
+// delay-cache entries are keyed by 5 ps slew bucket but evaluated at the
+// first-seen exact slew, so a warm re-analysis can differ from a cold
 // analyzer in low-order bits when an edit moves a slew within its bucket.
-// Memo-mode entries are pure functions of their key (bucket-floor snap /
-// boundary interp), so memo variants are additionally checked against a cold
-// analyzer at every step.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	variants := []struct {
 		name string
 		red  reduce.Config
-		memo MemoConfig
 	}{
-		{"plain", reduce.Config{}, MemoConfig{}},
-		{"memo", reduce.Config{}, MemoConfig{Enabled: true}},
-		{"interp", reduce.Config{}, MemoConfig{Enabled: true, Interp: true}},
-		{"reduce", reduce.Config{Enabled: true}, MemoConfig{}},
+		{"plain", reduce.Config{}},
+		{"reduce", reduce.Config{Enabled: true}},
 	}
 	for _, v := range variants {
 		for _, workers := range []int{1, 8} {
 			t.Run(v.name, func(t *testing.T) {
 				nl, primary, outs := decoderFixture(t)
-				warm := New(tech, lib, Config{Workers: workers, Reduction: v.red, Memo: v.memo})
-				serial := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
+				warm := New(tech, lib, Config{Workers: workers, Reduction: v.red})
+				serial := New(tech, lib, Config{Workers: 1, Reduction: v.red})
 
 				// Every step's netlist is new to the analyzers, so each
 				// must evaluate something.
@@ -112,10 +108,6 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 					}
 					if got.StagesEvaluated == 0 {
 						t.Fatalf("%s: the edit re-evaluated nothing", label)
-					}
-					if v.memo.Enabled {
-						cold := New(tech, lib, Config{Workers: 1, Reduction: v.red, Memo: v.memo})
-						requireSameTiming(t, label+"/cold", analyzeOnce(t, cold, nl, primary, outs), got)
 					}
 				}
 
@@ -173,33 +165,6 @@ func TestIncrementalDirtyCone(t *testing.T) {
 	requireSameTiming(t, "resize", cold, res)
 }
 
-// TestFPTableCap: an insert that would exceed the cap flushes the table (the
-// flush size is reported for the eviction metric), and the capped table
-// keeps serving lookups afterwards.
-func TestFPTableCap(t *testing.T) {
-	var tab fpTable
-	a, b, c := Key{'a'}, Key{'b'}, Key{'c'}
-	if ev := tab.store(a, Key{'A'}, 2); ev != 0 {
-		t.Fatalf("first insert evicted %d", ev)
-	}
-	if ev := tab.store(b, Key{'B'}, 2); ev != 0 {
-		t.Fatalf("second insert evicted %d", ev)
-	}
-	// Overwriting an existing key never flushes.
-	if ev := tab.store(a, Key{'A', 2}, 2); ev != 0 {
-		t.Fatalf("overwrite evicted %d", ev)
-	}
-	if ev := tab.store(c, Key{'C'}, 2); ev != 2 {
-		t.Fatalf("cap-exceeding insert evicted %d, want 2", ev)
-	}
-	if got, ok := tab.lookup(&c); !ok || got != (Key{'C'}) {
-		t.Fatalf("post-flush lookup: %v, %v", got, ok)
-	}
-	if _, ok := tab.lookup(&a); ok {
-		t.Fatal("flushed entry survived")
-	}
-}
-
 // singleInverter builds one inverter in → out with a load cap.
 func singleInverter(in, out string) *circuit.Netlist {
 	nl := &circuit.Netlist{}
@@ -215,46 +180,11 @@ func singleInverter(in, out string) *circuit.Netlist {
 	return nl
 }
 
-// TestInterpBoundarySharesSnapNamespace pins the satellite-3 fix: interp
-// mode's boundary evaluations share snap mode's "|b" bucket-floor keys, so a
-// slew sitting exactly on a bucket boundary costs exactly the snap-mode eval
-// count and returns bit-identical arrivals, while an off-boundary slew pays
-// the two boundary evals interpolation needs.
-func TestInterpBoundarySharesSnapNamespace(t *testing.T) {
-	run := func(memo MemoConfig, slew float64) *Result {
-		a := New(tech, lib, Config{Memo: memo})
-		nl := singleInverter("in", "out")
-		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{
-			"in": {RiseSlew: slew, FallSlew: slew},
-		}, Outputs: []string{"out"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	boundary := 2 * slewPitch // exactly on a bucket floor
-	snap := run(MemoConfig{Enabled: true}, boundary)
-	interp := run(MemoConfig{Enabled: true, Interp: true}, boundary)
-	if interp.StagesEvaluated != snap.StagesEvaluated {
-		t.Fatalf("boundary slew: interp paid %d evals, snap %d — ceil eval not skipped or namespace split",
-			interp.StagesEvaluated, snap.StagesEvaluated)
-	}
-	if !reflect.DeepEqual(snap.Arrivals, interp.Arrivals) {
-		t.Fatalf("boundary slew: interp diverged from snap:\n%v\nvs\n%v", snap.Arrivals, interp.Arrivals)
-	}
-
-	off := run(MemoConfig{Enabled: true, Interp: true}, boundary+slewPitch/3)
-	if off.StagesEvaluated != 2*snap.StagesEvaluated {
-		t.Fatalf("off-boundary slew: interp paid %d evals, want %d (both boundaries per direction)",
-			off.StagesEvaluated, 2*snap.StagesEvaluated)
-	}
-}
-
 // spiceSiblingPair builds two renamed-isomorphic inverters in one netlist,
-// with declaration (and name sort) order controlled by swap — the shape that
-// exposed the PR 6 residual: under class memoization both members share one
-// TierSpice cache entry, and pre-canonicalization its float value depended
-// on WHICH member's node names built the MNA matrix.
+// with declaration (and name sort) order controlled by swap. Before the
+// spice tier renamed its sub-netlist canonically, a TierSpice timing
+// depended on the node names that built its MNA matrix, so the siblings'
+// arrivals differed in their low bits.
 func spiceSiblingPair(swap bool) (*circuit.Netlist, map[string]Arrival, []string) {
 	nl := &circuit.Netlist{}
 	add := func(in, out string) {
@@ -278,44 +208,104 @@ func spiceSiblingPair(swap bool) (*circuit.Netlist, map[string]Arrival, []string
 	return nl, map[string]Arrival{"aa_in": {}, "zz_in": {}}, []string{"aa_out", "zz_out"}
 }
 
-// TestSpiceCrossMemberBitIdentity is the satellite-1 pin: force every
-// evaluation to TierSpice (rate-1 NR divergence kills both QWM tiers) with
-// class memoization on, and run the sibling pair in both declaration orders.
-// The shared class entry must be bitwise independent of which member
-// computed it: both members see one value, and both orders produce it.
+// renameNets returns a copy of nl with every non-rail net renamed, in an
+// order that reverses the nets' sort order, and the rename map.
+func renameNets(nl *circuit.Netlist) (*circuit.Netlist, map[string]string) {
+	ren := map[string]string{circuit.GroundNode: circuit.GroundNode, circuit.SupplyNode: circuit.SupplyNode}
+	var nets []string
+	note := func(ns ...string) {
+		for _, n := range ns {
+			if _, ok := ren[n]; !ok {
+				ren[n] = ""
+				nets = append(nets, n)
+			}
+		}
+	}
+	for _, t := range nl.Transistors {
+		note(t.Drain, t.Gate, t.Source, t.Body)
+	}
+	for _, c := range nl.Capacitors {
+		note(c.A, c.B)
+	}
+	slices.Sort(nets)
+	for i, n := range nets {
+		ren[n] = fmt.Sprintf("q%03d", len(nets)-i)
+	}
+	out := &circuit.Netlist{}
+	for _, t := range nl.Transistors {
+		c := *t
+		c.Drain, c.Gate, c.Source, c.Body = ren[t.Drain], ren[t.Gate], ren[t.Source], ren[t.Body]
+		out.AddTransistor(&c)
+	}
+	for _, c := range nl.Capacitors {
+		out.AddCapacitor(c.Name, ren[c.A], ren[c.B], c.C)
+	}
+	return out, ren
+}
+
+// TestSpiceCrossMemberBitIdentity pins name invariance below the QWM tiers:
+// a timing depends on the circuit, never on what its nets are called. With
+// every evaluation forced to TierSpice (rate-1 NR divergence kills both QWM
+// tiers), the renamed-isomorphic sibling pair must time bit-identically
+// within one run and across both declaration orders. The 3-bit decoder with
+// every non-rail net renamed must reproduce every arrival bit for bit, both
+// plain and forced to the spice tier.
 func TestSpiceCrossMemberBitIdentity(t *testing.T) {
-	analyzeOrder := func(swap bool) *Result {
-		nl, primary, outs := spiceSiblingPair(swap)
-		a := New(tech, lib, Config{
-			Workers:   1,
-			Memo:      MemoConfig{Enabled: true},
-			FaultPlan: faultinject.New(3).Enable(faultinject.NRDivergence, 1),
-		})
-		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
+	spiceCfg := func() Config {
+		return Config{Workers: 1, FaultPlan: faultinject.New(3).Enable(faultinject.NRDivergence, 1)}
+	}
+	analyze := func(cfg Config, nl *circuit.Netlist, primary map[string]Arrival, outs []string) *Result {
+		res, err := New(tech, lib, cfg).AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TierCounts[TierSpice] == 0 {
+		if cfg.FaultPlan != nil && res.TierCounts[TierSpice] == 0 {
 			t.Fatalf("divergence injection did not reach the spice tier: %v", res.TierCounts)
 		}
 		return res
 	}
+	analyzeOrder := func(swap bool) *Result {
+		nl, primary, outs := spiceSiblingPair(swap)
+		return analyze(spiceCfg(), nl, primary, outs)
+	}
 	ab := analyzeOrder(false)
 	ba := analyzeOrder(true)
-	// Within one run the siblings share the class entry, so their relative
-	// delays must match bitwise.
 	for _, res := range []*Result{ab, ba} {
 		d1 := res.Arrivals["aa_out"]
 		d2 := res.Arrivals["zz_out"]
 		if d1 != d2 {
-			t.Fatalf("class siblings diverged within one run: %+v vs %+v", d1, d2)
+			t.Fatalf("renamed siblings diverged within one run: %+v vs %+v", d1, d2)
 		}
 	}
-	// Across runs, the entry's value must not depend on which member (name
-	// set) computed it.
 	if ab.Arrivals["aa_out"] != ba.Arrivals["aa_out"] {
-		t.Fatalf("spice-tier class entry depends on computing member:\nAB: %+v\nBA: %+v",
+		t.Fatalf("spice-tier timing depends on declaration order:\nAB: %+v\nBA: %+v",
 			ab.Arrivals["aa_out"], ba.Arrivals["aa_out"])
+	}
+
+	nl, primary, outs := decoderFixture(t)
+	rnl, ren := renameNets(nl)
+	rprimary := map[string]Arrival{}
+	for n, ar := range primary {
+		rprimary[ren[n]] = ar
+	}
+	routs := make([]string, len(outs))
+	for i, o := range outs {
+		routs[i] = ren[o]
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  func() Config
+	}{{"plain", func() Config { return Config{Workers: 1} }}, {"spice", spiceCfg}} {
+		ref := analyze(mode.cfg(), nl, primary, outs)
+		got := analyze(mode.cfg(), rnl, rprimary, routs)
+		if len(got.Arrivals) != len(ref.Arrivals) {
+			t.Fatalf("%s: renamed decoder has %d arrivals, want %d", mode.name, len(got.Arrivals), len(ref.Arrivals))
+		}
+		for n, want := range ref.Arrivals {
+			if g := got.Arrivals[ren[n]]; g != want {
+				t.Errorf("%s: arrival of %s (renamed %s) moved: %+v vs %+v", mode.name, n, ren[n], g, want)
+			}
+		}
 	}
 }
 

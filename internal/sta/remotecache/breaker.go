@@ -68,9 +68,19 @@ type breaker struct {
 	// works without one — the diskcache counter-pair idiom.
 	opens, probes cpair
 
-	gauge   *obs.Gauge   // sta/remote/breaker_state (0 closed, 1 half-open, 2 open)
+	reg     *obs.Registry
 	mOpens  *obs.Counter // sta/remote/breaker_opens (every transition to Open)
 	mProbes *obs.Counter // sta/remote/probes
+}
+
+// liveBreakers holds, per registry, the breakers of every client not yet
+// closed. The service keeps one client, and so one breaker, per signature,
+// all on one registry; its sta/remote/breaker_state gauge (0 closed,
+// 1 half-open, 2 open) samples the worst of them, so an open breaker shows
+// even when another client's breaker changed after it.
+var liveBreakers struct {
+	mu  sync.Mutex
+	reg map[*obs.Registry]map[*breaker]struct{}
 }
 
 func newBreaker(threshold int, probeEvery int64, cooldown time.Duration, r *obs.Registry) *breaker {
@@ -79,17 +89,54 @@ func newBreaker(threshold int, probeEvery int64, cooldown time.Duration, r *obs.
 		probeEvery: probeEvery,
 		cooldown:   cooldown,
 		now:        time.Now,
-		gauge:      r.Gauge("sta/remote/breaker_state"),
+		reg:        r,
 		mOpens:     r.Counter("sta/remote/breaker_opens"),
 		mProbes:    r.Counter("sta/remote/probes"),
 	}
+	if r == nil {
+		return b
+	}
+	liveBreakers.mu.Lock()
+	defer liveBreakers.mu.Unlock()
+	if liveBreakers.reg == nil {
+		liveBreakers.reg = map[*obs.Registry]map[*breaker]struct{}{}
+	}
+	set := liveBreakers.reg[r]
+	if set == nil {
+		set = map[*breaker]struct{}{}
+		liveBreakers.reg[r] = set
+		r.GaugeFunc("sta/remote/breaker_state", func() int64 { return worstBreaker(r) })
+	}
+	set[b] = struct{}{}
 	return b
 }
 
-func (b *breaker) setState(s BreakerState) {
-	b.state.Store(int32(s))
-	b.gauge.Set(int64(s))
+// worstBreaker is the highest state of r's live breakers (BreakerClosed
+// when it has none).
+func worstBreaker(r *obs.Registry) int64 {
+	liveBreakers.mu.Lock()
+	defer liveBreakers.mu.Unlock()
+	worst := BreakerClosed
+	for b := range liveBreakers.reg[r] {
+		worst = max(worst, b.State())
+	}
+	return int64(worst)
 }
+
+// withdraw removes the breaker from its registry's gauge. Idempotent.
+func (b *breaker) withdraw() {
+	liveBreakers.mu.Lock()
+	defer liveBreakers.mu.Unlock()
+	set := liveBreakers.reg[b.reg]
+	delete(set, b)
+	if len(set) == 0 {
+		// Keep no registry reachable once its last breaker is gone; the
+		// gauge then reads closed.
+		delete(liveBreakers.reg, b.reg)
+	}
+}
+
+func (b *breaker) setState(s BreakerState) { b.state.Store(int32(s)) }
 
 // State returns the current state (lock-free).
 func (b *breaker) State() BreakerState { return BreakerState(b.state.Load()) }

@@ -709,5 +709,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.queue.Close()
+	c.br.withdraw()
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"qwm/internal/devmodel"
 	"qwm/internal/faultinject"
 	"qwm/internal/mos"
+	"qwm/internal/obs"
 	"qwm/internal/sta"
 	"qwm/internal/sta/diskcache"
 	"qwm/internal/sta/remotecache"
@@ -411,6 +412,65 @@ func (g *gatedDead) RoundTrip(r *http.Request) (*http.Response, error) {
 		<-g.gate
 	}
 	return nil, errors.New("dead peer")
+}
+
+// TestBreakerStateGaugeWorst: clients on one registry share one
+// sta/remote/breaker_state gauge, which reads the worst live breaker. A
+// opens; B opens and then closes; the gauge still reads open until A closes
+// too. A client's Close withdraws its breaker, open or not.
+func TestBreakerStateGaugeWorst(t *testing.T) {
+	reg := obs.NewRegistry()
+	gauge := func() int64 { return reg.Snapshot().Gauges["sta/remote/breaker_state"] }
+	client := func() (*remotecache.Client, *failThenServe) {
+		tr := &failThenServe{}
+		opts := quick()
+		opts.HTTPClient = &http.Client{Transport: tr}
+		opts.Metrics = reg
+		return remotecache.New("http://dead.invalid", "sig", opts), tr
+	}
+	// threshold 3 opens; after healing, the 4th suppressed read probes and
+	// closes.
+	open := func(c *remotecache.Client) {
+		for i := 0; i < 3; i++ {
+			get(context.Background(), c, tk("k"))
+		}
+		if st := c.BreakerState(); st != remotecache.BreakerOpen {
+			t.Fatalf("breaker %v, want open", st)
+		}
+	}
+	heal := func(c *remotecache.Client, tr *failThenServe) {
+		tr.healed.Store(true)
+		for i := 0; i < 4; i++ {
+			get(context.Background(), c, tk("k"))
+		}
+		if st := c.BreakerState(); st != remotecache.BreakerClosed {
+			t.Fatalf("breaker %v, want closed", st)
+		}
+	}
+	a, trA := client()
+	defer a.Close()
+	b, trB := client()
+	defer b.Close()
+	open(a)
+	open(b)
+	heal(b, trB)
+	if g := gauge(); g != int64(remotecache.BreakerOpen) {
+		t.Fatalf("A open, B closed: gauge %d, want %d", g, remotecache.BreakerOpen)
+	}
+	heal(a, trA)
+	if g := gauge(); g != int64(remotecache.BreakerClosed) {
+		t.Fatalf("both closed: gauge %d, want %d", g, remotecache.BreakerClosed)
+	}
+
+	c, _ := client()
+	open(c)
+	if g := gauge(); g != int64(remotecache.BreakerOpen) {
+		t.Fatalf("C open: gauge %d, want %d", g, remotecache.BreakerOpen)
+	}
+	c.Close()
+	if g := gauge(); g != int64(remotecache.BreakerClosed) {
+		t.Fatalf("C closed while open: gauge %d, want %d", g, remotecache.BreakerClosed)
+	}
 }
 
 // TestBreakerIgnoresWriteBehind: write-behind sends never advance the probe

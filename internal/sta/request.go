@@ -13,9 +13,9 @@ import (
 
 // Request is the front door of the request-shaped STA API: one analysis of
 // one netlist, with an optional per-request Observer for structured span
-// events. Every setting that can change a result (reduction, memoization,
-// budget, fault plan) lives on the Analyzer's Config, fixed at New — a
-// Request carries only the circuit, its stimulus and per-call plumbing.
+// events. Every setting that can change a result (reduction, budget, fault
+// plan) lives on the Analyzer's Config, fixed at New — a Request carries
+// only the circuit, its stimulus and per-call plumbing.
 type Request struct {
 	// Netlist is the circuit to analyze.
 	Netlist *circuit.Netlist
@@ -137,11 +137,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// Sized for every arrival the analysis records: the primary inputs and
 	// each stage output.
 	res = &Result{Arrivals: make(map[string]Arrival, len(req.Primary)+totalOut)}
-	// Key-derivation context: the reduction signature is part of every content
-	// digest (reduced and unreduced evaluations must never alias), and Memo
-	// mode tracks the distinct structural classes seen this Analyze (the
-	// scratch's classSeen set). Both live in the sequential gather phase, so
-	// the tallies are schedule-independent.
+	// The reduction signature is part of every content digest: reduced and
+	// unreduced evaluations must never alias.
 	redSig := a.cfg.Reduction.Signature()
 	for net, ar := range req.Primary {
 		res.Arrivals[circuit.CanonName(net)] = ar
@@ -184,7 +181,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 				vi++
 				*ev = outEval{loads: ol}
 				content := s.contentDigest(st, out, ol, redSig)
-				a.resolveKeys(s, ev, &content, st, out, redSig, res)
+				ev.keyFall = makeKey(&content, 0)
+				ev.keyRise = makeKey(&content, nsRise)
 				// An input that rises makes the pull-down conduct (output
 				// falls), and vice versa; each direction sees the slew of
 				// the edge that triggers it.

@@ -72,8 +72,6 @@ type Analyzer struct {
 	// evaluation hot path never performs a name lookup; nil without Metrics.
 	ms *metricSet
 
-	// fp memoizes raw-key → canonical-class-key resolutions (Memo mode).
-	fp fpTable
 	// scratch pools the per-Analyze arena (see arena.go).
 	scratch sync.Pool
 }
@@ -139,14 +137,6 @@ type Diagnostics struct {
 	// pre-pass (cached entries report the reduction of the evaluation that
 	// produced them, like TierCounts). 0 whenever reduction is disabled.
 	ReducedNodes int
-	// ClassCount is the number of distinct structural equivalence classes
-	// the memoized key resolution saw this Analyze; ClassHits counts the
-	// stage directions that joined an already-seen class (evaluations
-	// avoided relative to raw keying). Both are 0 when Memo is disabled,
-	// and both are schedule-independent: they are tallied in the
-	// sequential gather phase.
-	ClassCount int
-	ClassHits  int
 }
 
 // Healthy reports a clean analysis: no failed directions, no slew
@@ -242,11 +232,8 @@ type Result struct {
 // bucket.
 type outEval struct {
 	loads map[string]float64
-	// keyFall/keyRise are the per-direction keys with a zero bucket: the raw
-	// content digest (contentDigest), or — when Memo resolved a structural
-	// class for the direction — the class key shared by every member stage,
-	// whose evaluations snap (or interpolate) the input slew to bucket
-	// boundaries so the shared entry is a pure function of the key.
+	// keyFall/keyRise are the per-direction keys of the content digest
+	// (contentDigest) with a zero bucket.
 	keyFall, keyRise Key
 }
 
@@ -265,30 +252,30 @@ type workItem struct {
 	level  int
 	idx    int
 	timing dirTiming
-	// evals counts the evaluations this item's own lookups performed: 0 on
-	// hits, up to 2 for an Interp item. Concurrent Analyzes on one Analyzer
-	// share the cache, so only this count says what THIS request evaluated.
+	// evals is 1 when this item's own lookup evaluated, else 0. Concurrent
+	// Analyzes on one Analyzer share the cache, so only this count says what
+	// THIS request evaluated.
 	evals int
-	// known holds the memory-cache entries the level's tier read found for
-	// the item's lookup keys (see lookupKeys), nil where the key was absent
-	// or the analyzer has no tiers.
-	known [2]*cacheEntry
+	// known is the memory-cache entry the level's tier read found for the
+	// item's key, nil where the key was absent or the analyzer has no tiers.
+	known *cacheEntry
 }
 
-// baseKey is the item's per-direction key with a zero slew bucket.
-func (it *workItem) baseKey() *Key {
+// key is the item's cache key: its per-direction content key with the
+// input-slew bucket filled in.
+func (it *workItem) key() Key {
+	k := &it.ev.keyFall
 	if it.rail == circuit.SupplyNode {
-		return &it.ev.keyRise
+		k = &it.ev.keyRise
 	}
-	return &it.ev.keyFall
+	return k.withBucket(slewBucket(it.inSlew))
 }
 
 // resetItem refills a pooled workItem slot in place.
 func resetItem(w *workItem, st *circuit.Stage, out string, ev *outEval, rail string, inSlew float64, level, idx int) {
 	w.st, w.out, w.ev, w.rail = st, out, ev, rail
 	w.inSlew, w.level, w.idx = inSlew, level, idx
-	w.timing, w.evals = dirTiming{}, 0
-	w.known = [2]*cacheEntry{}
+	w.timing, w.evals, w.known = dirTiming{}, 0, nil
 }
 
 // stageInputs is the gathered worst-case input picture for one stage at its
@@ -395,10 +382,9 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 
 // evalItem resolves one work item through the delay cache, computing the
 // direction timing on a miss. The cache key is the per-direction key built in
-// the gather phase (raw content digest, or the class key in Memo mode) plus
-// the input-slew bucket; the content digest covers the load map, whose
-// omission was the aliasing bug that let structurally identical stages with
-// different fanout share one entry.
+// the gather phase plus the input-slew bucket; the content digest covers the
+// load map, whose omission was the aliasing bug that let structurally
+// identical stages with different fanout share one entry.
 //
 // rec is the per-Analyze observation recorder; nil means no observer and no
 // metrics registry are attached, and the fast path then performs exactly
@@ -407,77 +393,26 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 // path), surfaced to observers for timeline rendering only.
 func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker int) {
 	if rec == nil {
-		it.timing, it.evals = a.resolveTiming(it, lt)
+		it.timing, it.evals = a.lookupOrEval(it, lt)
 		return
 	}
 	start := rec.now()
-	it.timing, it.evals = a.resolveTiming(it, lt)
+	it.timing, it.evals = a.lookupOrEval(it, lt)
 	rec.stageEval(it, rec.since(start), worker)
 }
 
-// slewPitch is the cache's input-slew quantization (see slewBucket).
-const slewPitch = 5e-12
-
-// resolveTiming performs the cache lookup(s) for one item and reports how
-// many of them this caller evaluated. Raw-keyed items
-// evaluate at the exact gathered slew, as always. Class-keyed (Memo) items
-// snap the evaluation slew to the bucket floor — making the shared entry a
-// pure function of the key, so WHICH class member computes it is
-// irrelevant — or, in Interp mode, evaluate both bounding bucket boundaries
-// and linearly interpolate delay and slew at the exact input slew.
-// The lookup copies the gathered key and fills in the bucket: no formatting,
-// no hashing beyond the map's own.
-func (a *Analyzer) resolveTiming(it *workItem, lt *levelTiers) (dirTiming, int) {
-	key := it.baseKey()
-	bucket := slewBucket(it.inSlew)
-	if !key.class() {
-		return a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, it.inSlew)
-	}
-	floor := float64(bucket) * slewPitch
-	if !a.cfg.Memo.Interp {
-		return a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, floor)
-	}
-	// Interp shares the class namespace with snap mode: both evaluate at
-	// exactly the boundary slew with identical inputs, so a separate interp
-	// namespace only duplicated every boundary entry (and a boundary-sitting
-	// slew, frac == 0, paid an eval snap mode had cached).
-	t0, c0 := a.lookupOrEval(key.withBucket(bucket), it.known[0], it, lt, floor)
-	frac := (it.inSlew - floor) / slewPitch
-	if frac <= 0 || !t0.ok {
-		return t0, c0
-	}
-	ceil := float64(bucket+1) * slewPitch
-	t1, c1 := a.lookupOrEval(key.withBucket(bucket+1), it.known[1], it, lt, ceil)
-	if !t1.ok {
-		// The upper boundary failed (budget chaos, pathological geometry):
-		// fall back to the floor evaluation rather than half an interpolant.
-		return t0, c0 + c1
-	}
-	return lerpTiming(t0, t1, frac), c0 + c1
-}
-
-// lookupKeys appends to dst the cache keys resolveTiming looks up for it: the
-// bucket's key and, under Interp with the slew strictly inside its bucket,
-// the upper boundary's key. The level's tier read probes exactly these.
-func (a *Analyzer) lookupKeys(it *workItem, dst []Key) []Key {
-	key := it.baseKey()
-	bucket := slewBucket(it.inSlew)
-	dst = append(dst, key.withBucket(bucket))
-	if key.class() && a.cfg.Memo.Interp && it.inSlew > float64(bucket)*slewPitch {
-		dst = append(dst, key.withBucket(bucket+1))
-	}
-	return dst
-}
-
-// lookupOrEval resolves one cache key, computing the direction timing through
-// the degradation ladder when this caller wins the single-flight race. The
-// second return is 1 when THIS caller performed the compute (an evaluation —
-// a persistent-tier hit hydrates the in-memory entry without computing, and
-// followers then see an ordinary hit), else 0. known is the key's
-// entry when the level's tier read already found it in the memory cache:
-// it is used, and counted, as the hit acquire would have returned.
-func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *levelTiers, inSlew float64) (dirTiming, int) {
-	e, leader := known, false
+// lookupOrEval resolves the item's cache key, computing the direction timing
+// at the item's exact input slew through the degradation ladder when this
+// caller wins the single-flight race. The second return is 1 when THIS
+// caller performed the compute (an evaluation — a persistent-tier hit
+// hydrates the in-memory entry without computing, and followers then see an
+// ordinary hit), else 0. When the level's tier read already found the key in
+// the memory cache (it.known), that entry is used, and counted, as the hit
+// acquire would have returned. The lookup copies the gathered key and fills
+// in the bucket: no formatting, no hashing beyond the map's own.
+func (a *Analyzer) lookupOrEval(it *workItem, lt *levelTiers) (dirTiming, int) {
+	key := it.key()
+	e, leader := it.known, false
 	if e == nil {
 		e, leader = a.cache.acquire(&key)
 	} else {
@@ -511,7 +446,7 @@ func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *le
 	// path to this rail stays failed (the apply phase errors only if both
 	// directions are missing); numerical failures escalate tier by tier and
 	// come back degraded-but-complete.
-	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, inSlew, faultKey)
+	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, it.inSlew, faultKey)
 	e.ready.Done()
 	// Write-behind AFTER ready is released: followers never wait on the store.
 	if len(a.cfg.Tiers) > 0 {
@@ -520,24 +455,8 @@ func (a *Analyzer) lookupOrEval(key Key, known *cacheEntry, it *workItem, lt *le
 	return e.val, 1
 }
 
-// lerpTiming linearly interpolates two bucket-boundary timings at frac ∈
-// (0, 1), folding both evaluations' degradation accounting together so a
-// consulted interpolant is never healthier-looking than its inputs.
-func lerpTiming(t0, t1 dirTiming, frac float64) dirTiming {
-	out := t0
-	out.delay = (1-frac)*t0.delay + frac*t1.delay
-	out.slew = (1-frac)*t0.slew + frac*t1.slew
-	out.slewFellBack = t0.slewFellBack || t1.slewFellBack
-	if t1.tier > out.tier {
-		out.tier = t1.tier
-	}
-	if t1.reduced > out.reduced {
-		out.reduced = t1.reduced
-	}
-	out.panics = t0.panics + t1.panics
-	addStats(&out.stats, t1.stats)
-	return out
-}
+// slewPitch is the cache's input-slew quantization (see slewBucket).
+const slewPitch = 5e-12
 
 // slewBucket quantizes a transition time to slewPitch (5 ps) so nearby values
 // share a cache entry. math.Floor keeps the buckets uniform: the previous int()

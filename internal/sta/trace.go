@@ -23,30 +23,27 @@ type levelTiers struct {
 	hits  map[Key]TierEntry
 }
 
-// readTiers is the level's one read through Config.Tiers. It takes every key
-// the level's items will look up (both Interp boundaries when the slew lies
-// inside its bucket), keeps those the memory cache lacks, deduped in item
-// order, and walks the stores in order: each store gets one GetMany with the
-// keys still missing, an entry failing Valid is a miss, and a hit is
-// promoted into every earlier store. The hits land in the scratch's map,
-// which the level's single-flight leaders read instead of calling the
-// stores. The memory entries the peek found are kept on the items, so their
-// lookups do not search the cache a second time.
+// readTiers is the level's one read through Config.Tiers. It takes every
+// item's key, keeps those the memory cache lacks, deduped in item order, and
+// walks the stores in order: each store gets one GetMany with the keys still
+// missing, an entry failing Valid is a miss, and a hit is promoted into
+// every earlier store. The hits land in the scratch's map, which the level's
+// single-flight leaders read instead of calling the stores. The memory entry
+// the peek found is kept on its item, so the lookup does not search the
+// cache a second time.
 func (a *Analyzer) readTiers(s *analyzeScratch, items []workItem, level int, trace *obs.TraceRef) map[Key]TierEntry {
 	clear(s.tierSeen)
 	clear(s.tierHits)
 	keys := s.tierKeys[:0]
 	for i := range items {
 		it := &items[i]
-		var buf [2]Key
-		for j, k := range a.lookupKeys(it, buf[:0]) {
-			if it.known[j] = a.cache.peek(&k); it.known[j] != nil {
-				continue
-			}
-			if _, dup := s.tierSeen[k]; !dup {
-				s.tierSeen[k] = struct{}{}
-				keys = append(keys, k)
-			}
+		k := it.key()
+		if it.known = a.cache.peek(&k); it.known != nil {
+			continue
+		}
+		if _, dup := s.tierSeen[k]; !dup {
+			s.tierSeen[k] = struct{}{}
+			keys = append(keys, k)
 		}
 	}
 	ctx := context.Background()

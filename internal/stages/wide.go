@@ -16,11 +16,10 @@ import (
 //	              ├─▷○── r1_0 ─R─C─R─C─…─ x1 ──▷○── y1 ─┤cl
 //	              └─ … (fan branches)
 //
-// The branches differ only in node names, so equivalence-class memoization
-// (sta.MemoConfig) collapses the fan driver and receiver evaluations to one
-// representative each, and the wire runs are long series chains the
-// model-order-reduction pre-pass (reduce.Config) collapses to moment-matched
-// stubs. With both off, every branch pays a full-length evaluation.
+// The branches differ only in node names, and the wire runs are long series
+// chains the model-order-reduction pre-pass (reduce.Config) collapses to
+// moment-matched stubs. With it off, every branch pays a full-length
+// evaluation.
 //
 // It returns the netlist, the primary inputs ("in") and the branch outputs
 // (y0 … y{fan−1}).

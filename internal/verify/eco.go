@@ -20,16 +20,14 @@ import (
 // changes, load changes, buffer insertions) and re-analyzed after every edit
 // on persistent warm analyzers — re-analysis after an edit is a plain re-run
 // on a warm analyzer, whose delay cache re-evaluates only the directions
-// whose key changed. The sweep runs across the feature matrix (plain, memo,
-// interp, reduce, and a rate-1 NR-divergence chaos class that forces the
-// spice tier) and gates, per step:
+// whose key changed. The sweep runs across the feature matrix (plain,
+// reduce, and a rate-1 NR-divergence chaos class that forces the spice tier)
+// and gates, per step:
 //   - a persistent parallel analyzer matches the persistent serial reference
-//     bit for bit, evaluation count included;
-//   - memo variants also match a cold analyzer: memo entries are pure
-//     functions of their key (bucket-floor snap / boundary interp). Raw
-//     entries are keyed by 5 ps slew bucket but evaluated at the first-seen
-//     exact slew, so plain variants may differ from a cold analyzer in
-//     low-order bits and are checked against the same-history reference only;
+//     bit for bit, evaluation count included. Entries are keyed by 5 ps slew
+//     bucket but evaluated at the first-seen exact slew, so a warm analyzer
+//     may differ from a cold one in low-order bits and is checked against
+//     the same-history reference only;
 //   - an edit evaluates at least one direction (an edit that evaluates
 //     nothing was answered from the pre-edit entries: the key omits what the
 //     edit changed) and at most the edit's structural evaluation bound;
@@ -93,20 +91,17 @@ func (r *ECOReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", " 
 type ecoVariant struct {
 	name string
 	red  reduce.Config
-	memo sta.MemoConfig
 	// chaos arms a rate-1 NR-divergence injector on every analysis, forcing
-	// each evaluation down to the spice tier — the cross-member/replay shape
-	// that exposed the PR 6 TierSpice canonicalization residual.
+	// each evaluation down to the spice tier, whose sub-netlist rename must
+	// keep every warm replay bit-identical.
 	chaos bool
 }
 
 func ecoVariants() []ecoVariant {
 	return []ecoVariant{
 		{name: "plain"},
-		{name: "memo", memo: sta.MemoConfig{Enabled: true}},
-		{name: "interp", memo: sta.MemoConfig{Enabled: true, Interp: true}},
 		{name: "reduce", red: reduce.Config{Enabled: true}},
-		{name: "chaos-divergence", memo: sta.MemoConfig{Enabled: true}, chaos: true},
+		{name: "chaos-divergence", chaos: true},
 	}
 }
 
@@ -194,8 +189,7 @@ func ecoEdit(nl *circuit.Netlist, r *rand.Rand, tech *mos.Tech, step int) (strin
 // closure: every stage owning or loading a seed net, plus everything
 // transitively downstream. Every other stage keeps its content and its
 // input slews, so its keys hit; a warm re-run may evaluate at most both
-// directions of each closure output (twice that under Interp, which
-// evaluates two bucket boundaries per direction).
+// directions of each closure output.
 func coneOutputs(nl *circuit.Netlist, outs []string, seeds []string) int {
 	sts := circuit.ExtractStages(nl, outs)
 	seed := map[string]bool{}
@@ -243,7 +237,7 @@ func coneOutputs(nl *circuit.Netlist, outs []string, seeds []string) int {
 // ecoAnalyzer builds one persistent analyzer for a variant; chaos variants
 // arm a rate-1 NR-divergence injector seeded with seed.
 func ecoAnalyzer(tech *mos.Tech, lib *devmodel.Library, v ecoVariant, workers int, seed int64) *sta.Analyzer {
-	cfg := sta.Config{Workers: workers, Reduction: v.red, Memo: v.memo}
+	cfg := sta.Config{Workers: workers, Reduction: v.red}
 	if v.chaos {
 		cfg.FaultPlan = faultinject.New(seed).Enable(faultinject.NRDivergence, 1)
 	}
@@ -285,20 +279,9 @@ func runECOSequence(tech *mos.Tech, lib *devmodel.Library, workload string, v ec
 		if p.StagesEvaluated != s.StagesEvaluated {
 			seq.Problems = append(seq.Problems, fmt.Sprintf("%s: %d evaluations, want %d", pl, p.StagesEvaluated, s.StagesEvaluated))
 		}
-		if v.memo.Enabled {
-			cold, err := analyze(ecoAnalyzer(tech, lib, v, 1, cfg.Seed))
-			if err != nil {
-				seq.Problems = append(seq.Problems, label+": cold run failed: "+err.Error())
-				return nil
-			}
-			seq.Problems = sameResult(label+": warm vs cold", cold, s, seq.Problems)
-		}
 		st := ECOStep{Edit: label, Evaluated: s.StagesEvaluated}
 		if seeds != nil {
 			st.EvalBound = 2 * coneOutputs(c.Netlist, c.Outputs, seeds)
-			if v.memo.Interp {
-				st.EvalBound *= 2
-			}
 			if st.Evaluated == 0 {
 				seq.Problems = append(seq.Problems,
 					label+": the edit evaluated nothing: answered from pre-edit cache entries")

@@ -4,7 +4,7 @@ import "testing"
 
 // TestRunECOSmoke runs a reduced-budget edit-sequence sweep: every workload ×
 // variant sequence, one edit of each kind, must pass the warm serial ≡
-// parallel, memo ≡ cold and evaluation-bound gates. The full-budget sweep
+// parallel and evaluation-bound gates. The full-budget sweep
 // runs via `make eco`.
 func TestRunECOSmoke(t *testing.T) {
 	if testing.Short() {

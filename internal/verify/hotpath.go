@@ -15,13 +15,11 @@ import (
 )
 
 // HotPathCase is one generated workload for the hot-path feature
-// differential: a wide fanout netlist (stages.WideNetlist) whose branches
-// are structurally identical — the shape equivalence-class memoization
-// collapses — with long series wire runs — the shape the reduction pre-pass
-// collapses. Light and Heavy share the structure; Heavy scales every branch
-// output load, which is the class-level incarnation of the sibling aliasing
-// trap: the loads are part of the structural fingerprint, so a correct memo
-// must never serve Heavy from Light's entries.
+// differential: a wide fanout netlist (stages.WideNetlist) with long series
+// wire runs — the shape the reduction pre-pass collapses. Light and Heavy
+// share the structure and the net names; Heavy scales every branch output
+// load, which is the sibling aliasing trap: the loads are part of the cache
+// key, so one analyzer must never serve Heavy from Light's entries.
 type HotPathCase struct {
 	Name      string
 	Fan, Segs int
@@ -67,39 +65,36 @@ func GenHotPathCase(tech *mos.Tech, r *rand.Rand, i int) (*HotPathCase, error) {
 }
 
 // HotPathDiff is the outcome of one hot-path feature differential. Four
-// legs, mirroring the PR's acceptance contract:
+// legs:
 //
-//  1. features explicitly disabled ⇒ bit-identical to the default engine
-//     (and zero reduction/class activity reported);
-//  2. features on ⇒ every output arrival within the configured tolerance of
-//     the exact run, with the reduction and memoization demonstrably active;
-//  3. features on, serial vs parallel ⇒ bit-identical arrivals, critical
+//  1. reduction explicitly disabled ⇒ bit-identical to the default engine
+//     (and no reduction activity reported);
+//  2. reduction on ⇒ every output arrival within the configured tolerance
+//     of the exact run, with the reduction demonstrably active;
+//  3. reduction on, serial vs parallel ⇒ bit-identical arrivals, critical
 //     path and accounting;
-//  4. Light then Heavy on one shared features-on analyzer ⇒ Heavy
-//     bit-identical to a fresh features-on analyzer (the class-level
-//     aliasing trap), and measurably different from Light.
+//  4. Light then Heavy on one shared reduction-on analyzer ⇒ Heavy
+//     bit-identical to a fresh reduction-on analyzer (the aliasing trap),
+//     and measurably different from Light.
 type HotPathDiff struct {
 	Name string `json:"name"`
-	// MaxErrPct is the worst features-on arrival deviation from the exact
+	// MaxErrPct is the worst reduction-on arrival deviation from the exact
 	// run, in percent (leg 2).
 	MaxErrPct float64 `json:"max_err_pct"`
-	// ReducedNodes / ClassCount / ClassHits echo the features-on run's
-	// diagnostics so the report shows the features actually fired.
+	// ReducedNodes echoes the reduction-on run's diagnostics so the report
+	// shows the pre-pass actually fired.
 	ReducedNodes int      `json:"reduced_nodes"`
-	ClassCount   int      `json:"class_count"`
-	ClassHits    int      `json:"class_hits"`
 	Mismatches   []string `json:"mismatches,omitempty"`
 	Pass         bool     `json:"pass"`
 	Err          string   `json:"err,omitempty"`
 }
 
-// analyzeHot runs one case on a fresh analyzer with the given feature
+// analyzeHot runs one case on a fresh analyzer with the given reduction
 // configuration and worker count.
 func analyzeHot(tech *mos.Tech, lib *devmodel.Library, c *AnalyzeCase, workers int,
-	red reduce.Config, memo sta.MemoConfig, metrics *obs.Registry) (*sta.Analyzer, *sta.Result, error) {
-	a := sta.New(tech, lib, sta.Config{Workers: workers, Metrics: metrics, Reduction: red, Memo: memo})
-	res, err := a.AnalyzeContext(nil, sta.Request{Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs})
-	return a, res, err
+	red reduce.Config, metrics *obs.Registry) (*sta.Result, error) {
+	a := sta.New(tech, lib, sta.Config{Workers: workers, Metrics: metrics, Reduction: red})
+	return a.AnalyzeContext(nil, sta.Request{Netlist: c.Netlist, Primary: c.Primary, Outputs: c.Outputs})
 }
 
 // maxArrivalErrPct returns the worst relative rise/fall arrival deviation of
@@ -124,21 +119,18 @@ func maxArrivalErrPct(ref, got *sta.Result) float64 {
 // metrics, when non-nil, is attached to every analyzer it constructs.
 func RunHotPathDiff(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, workers int, tolPct float64, metrics *obs.Registry) HotPathDiff {
 	d := HotPathDiff{Name: c.Name}
-	offCfg, offMemo := reduce.Config{}, sta.MemoConfig{}
 	onCfg := reduce.Config{Enabled: true}
-	onMemo := sta.MemoConfig{Enabled: true, Interp: true}
 
 	// Exact reference: the default engine, serial.
-	_, ref, err := analyzeHot(tech, lib, c.Light, 1, offCfg, offMemo, metrics)
+	ref, err := analyzeHot(tech, lib, c.Light, 1, reduce.Config{}, metrics)
 	if err != nil {
 		d.Err = "reference: " + err.Error()
 		return d
 	}
 
-	// Leg 1: explicitly zeroed feature knobs must be a true no-op — same
+	// Leg 1: an explicitly disabled reduction must be a true no-op — same
 	// bits, same cache-key namespace, no reported activity.
-	_, off, err := analyzeHot(tech, lib, c.Light, 1,
-		reduce.Config{Enabled: false, TolPct: 5}, sta.MemoConfig{Enabled: false, Interp: true}, metrics)
+	off, err := analyzeHot(tech, lib, c.Light, 1, reduce.Config{Enabled: false, TolPct: 5}, metrics)
 	if err != nil {
 		d.Err = "features-off: " + err.Error()
 		return d
@@ -147,45 +139,41 @@ func RunHotPathDiff(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, worke
 	if off.StagesEvaluated != ref.StagesEvaluated {
 		d.Mismatches = append(d.Mismatches, fmt.Sprintf("features-off evaluated %d stages, reference %d", off.StagesEvaluated, ref.StagesEvaluated))
 	}
-	if off.ReducedNodes != 0 || off.ClassCount != 0 || off.ClassHits != 0 {
-		d.Mismatches = append(d.Mismatches, fmt.Sprintf("disabled features reported activity: %+v", off.Diagnostics))
+	if off.ReducedNodes != 0 {
+		d.Mismatches = append(d.Mismatches, fmt.Sprintf("disabled reduction reported activity: %+v", off.Diagnostics))
 	}
 
-	// Leg 2: features on — bounded error, demonstrably active.
-	_, on, err := analyzeHot(tech, lib, c.Light, 1, onCfg, onMemo, metrics)
+	// Leg 2: reduction on — bounded error, demonstrably active.
+	on, err := analyzeHot(tech, lib, c.Light, 1, onCfg, metrics)
 	if err != nil {
 		d.Err = "features-on: " + err.Error()
 		return d
 	}
 	d.MaxErrPct = maxArrivalErrPct(ref, on)
-	d.ReducedNodes, d.ClassCount, d.ClassHits = on.ReducedNodes, on.ClassCount, on.ClassHits
+	d.ReducedNodes = on.ReducedNodes
 	if d.MaxErrPct > tolPct {
 		d.Mismatches = append(d.Mismatches, fmt.Sprintf("features-on arrival error %.2f%% exceeds %.2f%%", d.MaxErrPct, tolPct))
 	}
 	if on.ReducedNodes == 0 {
 		d.Mismatches = append(d.Mismatches, fmt.Sprintf("reduction removed no nodes on a %d-segment wire netlist", c.Segs))
 	}
-	if on.ClassCount == 0 || on.ClassHits == 0 {
-		d.Mismatches = append(d.Mismatches, fmt.Sprintf("memo saw no class sharing across %d identical branches", c.Fan))
-	}
 
-	// Leg 3: features on, serial vs parallel — bit-identical.
-	_, par, err := analyzeHot(tech, lib, c.Light, workers, onCfg, onMemo, metrics)
+	// Leg 3: reduction on, serial vs parallel — bit-identical.
+	par, err := analyzeHot(tech, lib, c.Light, workers, onCfg, metrics)
 	if err != nil {
 		d.Err = "features-on parallel: " + err.Error()
 		return d
 	}
 	d.Mismatches = diffResults("hot-serial-vs-parallel", on, par, d.Mismatches)
-	if par.StagesEvaluated != on.StagesEvaluated || par.ClassCount != on.ClassCount ||
-		par.ClassHits != on.ClassHits || par.ReducedNodes != on.ReducedNodes {
+	if par.StagesEvaluated != on.StagesEvaluated || par.ReducedNodes != on.ReducedNodes {
 		d.Mismatches = append(d.Mismatches, fmt.Sprintf("parallel accounting %+v, serial %+v", par.Diagnostics, on.Diagnostics))
 	}
 
-	// Leg 4: the class-level aliasing trap. Light then Heavy on one shared
-	// features-on analyzer; Heavy must match a fresh features-on analyzer
-	// bit for bit (the loads are part of the fingerprint, so Heavy's classes
-	// can never resolve to Light's entries) and must differ from Light.
-	shared := sta.New(tech, lib, sta.Config{Workers: workers, Metrics: metrics, Reduction: onCfg, Memo: onMemo})
+	// Leg 4: the aliasing trap. Light then Heavy on one shared analyzer;
+	// Heavy must match a fresh analyzer bit for bit (the loads are part of
+	// the key, so Heavy's loaded stages can never resolve to Light's
+	// entries) and must differ from Light.
+	shared := sta.New(tech, lib, sta.Config{Workers: workers, Metrics: metrics, Reduction: onCfg})
 	lightRes, err := shared.AnalyzeContext(nil, sta.Request{Netlist: c.Light.Netlist, Primary: c.Light.Primary, Outputs: c.Light.Outputs})
 	if err != nil {
 		d.Err = "shared light: " + err.Error()
@@ -196,14 +184,14 @@ func RunHotPathDiff(tech *mos.Tech, lib *devmodel.Library, c *HotPathCase, worke
 		d.Err = "shared heavy: " + err.Error()
 		return d
 	}
-	_, heavyRef, err := analyzeHot(tech, lib, c.Heavy, 1, onCfg, onMemo, metrics)
+	heavyRef, err := analyzeHot(tech, lib, c.Heavy, 1, onCfg, metrics)
 	if err != nil {
 		d.Err = "fresh heavy: " + err.Error()
 		return d
 	}
 	d.Mismatches = diffResults("hot-shared-vs-fresh", heavyRef, heavyShared, d.Mismatches)
 	if reflect.DeepEqual(lightRes.Arrivals, heavyShared.Arrivals) {
-		d.Mismatches = append(d.Mismatches, "heavy-load arrivals identical to light-load arrivals (memo ignored loads)")
+		d.Mismatches = append(d.Mismatches, "heavy-load arrivals identical to light-load arrivals (the key ignored loads)")
 	}
 
 	d.Pass = len(d.Mismatches) == 0

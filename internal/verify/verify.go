@@ -24,8 +24,8 @@ type Config struct {
 	// floors 4 and 2).
 	AnalyzeN, PairN int
 	// HotPathN is the hot-path feature differential case count (reduction
-	// off ⇒ bit-identical, on ⇒ bounded error, memoization never crosses
-	// the class-level aliasing trap); 0 derives it from N (N/10, floor 2).
+	// off ⇒ bit-identical, on ⇒ bounded error, a shared analyzer never
+	// crosses the load-aliasing trap); 0 derives it from N (N/10, floor 2).
 	HotPathN int
 	// Workers is the parallel worker count for the serial-vs-parallel
 	// differential. Default 8.
@@ -118,8 +118,8 @@ func Run(cfg Config) (*Report, error) {
 		d := RunHotPathDiff(tech, h.Lib, c, cfg.Workers, cfg.TolPct, cfg.Metrics)
 		rep.HotPath = append(rep.HotPath, d)
 		if cfg.Progress != nil {
-			cfg.Progress("hotpath %s: err %.2f%% (reduced %d, class hits %d) %s",
-				d.Name, d.MaxErrPct, d.ReducedNodes, d.ClassHits, passMark(d.Pass, d.Err))
+			cfg.Progress("hotpath %s: err %.2f%% (reduced %d) %s",
+				d.Name, d.MaxErrPct, d.ReducedNodes, passMark(d.Pass, d.Err))
 		}
 	}
 	rep.Finalize()
