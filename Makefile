@@ -3,20 +3,20 @@
 # which compiles against the engine API), the targeted observability race
 # suite, the full test suite under the race detector, the trace-export and
 # ops-server lifecycle smokes, a short fuzz pass over every wire-format
-# parser, the HTTP service smoke (200 + schema-valid response,
-# 429 backpressure under a flooded queue), the distributed-tracing smoke
+# parser, the HTTP service smoke (200 + schema-valid response bit-identical
+# to an in-process run, 429 backpressure under a flooded queue, refused
+# requests and budgets, warm-disk restart, chaos through POST /analyze),
+# the distributed-tracing smoke
 # (two replicas, one traced request, merged cross-process trace +
 # deterministic export), a smoke run of the STA-parallel, solver-kernel,
 # observed-analyze, warm-cache, hot-path wide, re-analysis-after-edit,
 # warm-disk-service and warm-off-peer benchmarks, a small-budget differential-verification
-# sweep, a small fault-injection (chaos) sweep over every fault class, the
-# edit-sequence (eco) differential over warm analyzers, the service-path
-# differential (wire bit-transparency, warm-disk restart, chaos through
-# POST /analyze, trace determinism), and the remote-cache gates: the
-# two-replica shared-tier smoke, the per-level read budget, the batch
-# corruption and write-behind breaker tests plus the kill/restart race
-# tests — untraced and traced — (remote-smoke) and the network-chaos
-# differential (remote-chaos).
+# sweep, a small fault-injection (chaos) sweep over every engine fault class, the
+# edit-sequence (eco) differential over warm analyzers, and the remote-cache
+# gates (remote-smoke): the two-replica shared-tier smoke, the per-level
+# read budget, network chaos, the breaker's trajectory and its cost against
+# a dead peer, the batch corruption and write-behind breaker tests plus the
+# kill/restart race tests, untraced and traced.
 #
 # The benchmark smoke only checks that the go-test benchmarks run.
 # Performance is recorded and compared in one place: the perfbench harness
@@ -25,9 +25,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full chaos chaos-full eco eco-full service-verify remote-smoke remote-chaos
+.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full chaos chaos-full eco eco-full remote-smoke
 
-ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify chaos eco service-verify remote-chaos
+ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify chaos eco
 
 vet:
 	$(GO) vet ./...
@@ -113,14 +113,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/sta/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
-# schema-valid v1 envelope (cold evaluates, warm reports 0 evaluations),
-# a deterministically flooded queue sheds with 429 + Retry-After, absurd
-# device geometry answers 422, no string of a retained async response
-# points into the request's deck (the copy-free parser's alias rule), and a
-# replica reading through a peer's cache plane evaluates nothing the peer
-# already analyzed, with or without a cache directory on the peer.
+# schema-valid v1 envelope bit-identical to an in-process run of the same
+# deck (cold evaluates, warm reports 0 evaluations), refused requests —
+# negative or overflowing budgets included — answer 400 without opening a
+# pooled analyzer, a deterministically flooded queue sheds with 429 +
+# Retry-After, absurd device geometry answers 422, no string of a retained
+# async response points into the request's deck (the copy-free parser's
+# alias rule), a restarted server over a warm cache directory answers every
+# arrival byte-identically, chaos requests are deterministic, conservative
+# and isolated from the pool, a replica reading through a peer's cache plane
+# evaluates nothing the peer already analyzed, with or without a cache
+# directory on the peer, and refused tier requests open no disk namespace.
 service-smoke:
-	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody|TestCachePlaneServesOwnAnalyses' -count=1 ./internal/service/
+	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody|TestWarmDiskRestartBitIdentical|TestChaosDeterministicAndIsolated|TestCachePlaneServesOwnAnalyses|TestTierRejectsOpenNoNamespace' -count=1 ./internal/service/
 
 # One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the
@@ -184,30 +189,18 @@ eco:
 eco-full:
 	$(GO) run ./cmd/verify -eco -seed 1 -eco-edits 8
 
-# Service-path differential: the HTTP/JSON front door must be bit-transparent
-# relative to the in-process engine, a restarted server over a warm cache
-# directory must answer bit-identically with a >=90% disk hit rate, and
-# chaos requests through POST /analyze must stay deterministic, conservative
-# and isolated from the analyzer pool. Exits non-zero on any violation.
-service-verify:
-	$(GO) run ./cmd/verify -service -o /dev/null
-
 # Remote-cache smoke, under the race detector: two in-process replicas share
-# one tier server (the fresh one must answer warm: zero evaluations, >=90%
-# remote hits, bit-identical results, at most one read request per
-# dependency level), a corrupted frame in a batch read costs only its own
-# key, a batch write stores exactly its valid frames, write-behind sends
-# never move an open breaker, and concurrent analyses through the service's
-# remote → disk tiers survive the remote server being killed and restarted
-# mid-run without leaking a goroutine or moving a bit.
+# one tier server (the cold one must match a remote-disabled analyzer, the
+# fresh one must answer warm: zero evaluations, >=90% remote hits,
+# bit-identical results, at most one read request per dependency level),
+# each network fault class (net-latency, net-error, net-corrupt) at rate 0.2
+# leaves results bit-identical to a remote-disabled analyzer, the breaker
+# walks its exact deterministic trajectory twice, a dead peer under a whole
+# analysis costs at most the breaker threshold plus one probe per window, a
+# corrupted frame in a batch read costs only its own key, a batch write
+# stores exactly its valid frames, write-behind sends never move an open
+# breaker, and concurrent analyses through the service's remote → disk
+# tiers survive the remote server being killed and restarted mid-run
+# without leaking a goroutine or moving a bit.
 remote-smoke:
-	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
-
-# Remote-cache differential: each network fault class (net-latency,
-# net-error, net-corrupt) at rate 0.2 must leave results bit-identical to a
-# remote-disabled baseline, the circuit breaker must walk its exact
-# deterministic trajectory against a dead peer, and a dead peer must cost at
-# most the breaker threshold plus one probe per window. Exits non-zero on
-# any violation.
-remote-chaos:
-	$(GO) run ./cmd/verify -remote -o /dev/null
+	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestNetworkChaosBitIdentical|TestBreakerDeterministicTransitions|TestDeadPeerUnderEngine|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/

@@ -43,11 +43,6 @@ func main() {
 
 		eco      = flag.Bool("eco", false, "run the edit-sequence differential instead: randomized resize/junction/load/buffer edits re-analyzed on warm analyzers, serial vs parallel bit equality and per-edit evaluation bounds")
 		ecoEdits = flag.Int("eco-edits", 6, "number of edit steps per (workload, variant) sequence in the eco sweep")
-
-		svc = flag.Bool("service", false, "run the service-path differential instead: direct-vs-wire bit identity, warm-disk restart with >=90% hit rate, and the chaos contract through POST /analyze")
-
-		remote     = flag.Bool("remote", false, "run the remote-cache differential instead: network chaos bit identity, deterministic breaker trajectory, warm shared-tier replica, dead-peer cost bound")
-		remoteRate = flag.Float64("remote-rate", 0.2, "per-class network fault rate in (0,1] for the remote sweep")
 	)
 	flag.Parse()
 
@@ -64,22 +59,6 @@ func main() {
 		mode string // the selecting flag's name; "" for the default sweep
 		run  func() (outcome, error)
 	}{
-		{*remote, "remote", func() (outcome, error) {
-			rep, err := verify.RunRemote(verify.RemoteConfig{Seed: *seed, Workers: *workers, Rate: *remoteRate, Progress: progress})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{rep, fmt.Sprintf("%d cells, %d failures, remote hit rate %.3f",
-				len(rep.Cells), rep.Failures, rep.RemoteHitRate), rep.Pass}, nil
-		}},
-		{*svc, "service", func() (outcome, error) {
-			rep, err := verify.RunService(verify.ServiceConfig{Seed: *seed, Workers: *workers, Progress: progress})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{rep, fmt.Sprintf("%d cells, %d failures, disk hit rate %.3f",
-				len(rep.Cells), rep.Failures, rep.DiskHitRate), rep.Pass}, nil
-		}},
 		{*chaos, "chaos", func() (outcome, error) {
 			rep, err := verify.RunChaos(verify.ChaosConfig{Seed: *seed, N: *chaosN, Rate: *chaosRate, Workers: *workers, Progress: progress})
 			if err != nil {

@@ -88,7 +88,7 @@ var classNames = [NumClasses]string{
 // Network reports whether c injects at a network (remote-cache) site rather
 // than inside the evaluation engine. The engine chaos sweep skips network
 // classes — with no remote tier armed they have no site to fire at — and the
-// remote-cache differential (verify -remote) gates them instead.
+// remote-cache tests (TestNetworkChaosBitIdentical) gate them instead.
 func (c Class) Network() bool {
 	return c == NetLatency || c == NetError || c == NetCorrupt
 }

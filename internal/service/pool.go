@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 
 	"qwm/internal/api/v1"
 	"qwm/internal/circuit"
@@ -235,6 +237,13 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 		cfg.Reduction = reduce.Config{Enabled: true, TolPct: f.ReduceTolPct}
 	}
 	if b := req.Budget; b != nil {
+		// Each budget value is its own Config.Signature(), so its own pooled
+		// analyzer and disk namespace: refuse values that would only
+		// re-spell "unlimited" (negative) or overflow the nanosecond wall.
+		if b.NRIters < 0 || b.WallMS < 0 || b.WallMS*float64(time.Millisecond) >= math.MaxInt64 {
+			return v1.ErrorResponse(req.ID, v1.CodeInvalidRequest,
+				"budget: nr_iters and wall_ms must be non-negative and wall_ms below 9.2e12")
+		}
 		cfg.Budget = b.STA()
 	}
 

@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -14,10 +16,12 @@ import (
 	"time"
 
 	"qwm/internal/api/v1"
+	"qwm/internal/circuit"
 	"qwm/internal/devmodel"
 	"qwm/internal/mos"
 	"qwm/internal/netlist"
 	"qwm/internal/obs"
+	"qwm/internal/sta"
 	"qwm/internal/sta/remotecache"
 	"qwm/internal/stages"
 )
@@ -91,6 +95,7 @@ func TestAnalyzeSingle(t *testing.T) {
 		ID:            "req-1",
 		Netlist:       deck,
 		Outputs:       outs,
+		FullArrivals:  true,
 	})
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", hr.StatusCode, body)
@@ -110,6 +115,30 @@ func TestAnalyzeSingle(t *testing.T) {
 	}
 	if resp.Result.StagesEvaluated == 0 {
 		t.Error("cold analysis reported 0 evaluations")
+	}
+
+	// Wire transparency: the queue, pool and JSON round trip move no bit
+	// relative to an in-process run on the same parsed deck (Go's encoder
+	// writes the shortest float64 form that round-trips exactly).
+	parsed, err := netlist.ParseString(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := make([]string, len(outs))
+	for i, o := range outs {
+		canon[i] = circuit.CanonName(o)
+	}
+	res, err := sta.New(tech, lib, sta.Config{}).AnalyzeContext(nil, sta.Request{Netlist: parsed.Netlist, Outputs: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, got := v1.FromResult(res, canon, true), resp.Result
+	if got.WorstArrival != ref.WorstArrival || got.WorstOutput != ref.WorstOutput || got.StagesEvaluated != ref.StagesEvaluated {
+		t.Errorf("wire worst %.17g@%s after %d evaluations, in-process %.17g@%s after %d",
+			got.WorstArrival, got.WorstOutput, got.StagesEvaluated, ref.WorstArrival, ref.WorstOutput, ref.StagesEvaluated)
+	}
+	if !reflect.DeepEqual(got.Outputs, ref.Outputs) || !reflect.DeepEqual(got.Arrivals, ref.Arrivals) {
+		t.Errorf("wire arrivals differ from in-process:\nwire %+v\nref  %+v", got.Arrivals, ref.Arrivals)
 	}
 
 	// Same request again: pooled analyzer, warm cache.
@@ -155,7 +184,7 @@ func TestLegacyFeatureKeysIgnored(t *testing.T) {
 
 func TestAnalyzeErrors(t *testing.T) {
 	deck, ins, outs := decoderDeck(t)
-	_, hs := newTestServer(t, Options{})
+	s, hs := newTestServer(t, Options{})
 	// withSlew is the decoder request with every primary input at one slew:
 	// out of range, it must be refused at pre-flight, not stretch the spice
 	// rescue tier's simulation window and pin a worker.
@@ -169,6 +198,11 @@ func TestAnalyzeErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		return string(b)
+	}
+	// withBudget is the decoder request under one budget: a negative or
+	// overflowing value would open a pooled analyzer of its own.
+	withBudget := func(budget string) string {
+		return fmt.Sprintf(`{"netlist":%q,"outputs":[%q],"budget":%s}`, deck, outs[0], budget)
 	}
 
 	cases := []struct {
@@ -190,6 +224,9 @@ func TestAnalyzeErrors(t *testing.T) {
 			http.StatusUnprocessableEntity, v1.CodeInvalidNetlist},
 		{"slew over limit", withSlew("rise_slew", 1e-5), http.StatusBadRequest, v1.CodeInvalidRequest},
 		{"negative slew", withSlew("fall_slew", -1e-12), http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"negative nr_iters", withBudget(`{"nr_iters":-1}`), http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"negative wall_ms", withBudget(`{"wall_ms":-1}`), http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"overflowing wall_ms", withBudget(`{"wall_ms":1e300}`), http.StatusBadRequest, v1.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,8 +248,15 @@ func TestAnalyzeErrors(t *testing.T) {
 			if resp.Status != v1.StatusError || resp.Error == nil || resp.Error.Code != tc.code {
 				t.Fatalf("error envelope %+v, want code %s", resp, tc.code)
 			}
-			_ = outs
 		})
+	}
+	// Only the rows refused after the parse with a default budget reach the
+	// pool, and they share its one analyzer.
+	s.pool.mu.Lock()
+	n := len(s.pool.analyzers)
+	s.pool.mu.Unlock()
+	if n != 1 {
+		t.Errorf("%d pooled analyzers after the refused requests, want 1", n)
 	}
 }
 
@@ -371,56 +415,66 @@ func TestSyncBatchPartialFailure(t *testing.T) {
 }
 
 // TestChaosDeterministicAndIsolated: identical chaos requests produce
-// byte-identical responses, and chaos never poisons the pooled analyzers
-// production requests share.
+// byte-identical responses, a degrading class never reports an arrival
+// earlier than the clean one, a latency-only class moves no bit, and chaos
+// never poisons the pooled analyzers production requests share.
 func TestChaosDeterministicAndIsolated(t *testing.T) {
 	deck, _, outs := decoderDeck(t)
-	_, hs := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		class     string
+		degrading bool
+	}{{"budget-exhaustion", true}, {"cache-stall", false}} {
+		t.Run(tc.class, func(t *testing.T) {
+			_, hs := newTestServer(t, Options{})
+			req := v1.AnalyzeRequest{Netlist: deck, Outputs: outs, FullArrivals: true}
+			// A warm clean response reports 0 evaluations, so the isolation
+			// probe after the chaos traffic can demand equal bytes.
+			postJSON(t, hs.URL, req)
+			_, cleanBody := postJSON(t, hs.URL, req)
+			clean := decodeAnalyze(t, cleanBody).Result
+			if !clean.Diagnostics.Healthy {
+				t.Fatalf("clean baseline unhealthy: %+v", clean.Diagnostics)
+			}
 
-	clean := func() v1.AnalyzeResponse {
-		_, b := postJSON(t, hs.URL, v1.AnalyzeRequest{Netlist: deck, Outputs: outs})
-		return decodeAnalyze(t, b)
-	}
-	ref := clean()
-	if !ref.Result.Diagnostics.Healthy {
-		t.Fatalf("clean baseline unhealthy: %+v", ref.Result.Diagnostics)
-	}
+			chaosReq := req
+			chaosReq.Chaos = &v1.Chaos{Seed: 42, Classes: []string{tc.class}}
+			_, b1 := postJSON(t, hs.URL, chaosReq)
+			_, b2 := postJSON(t, hs.URL, chaosReq)
+			if !bytes.Equal(b1, b2) {
+				t.Errorf("chaos responses differ across identical requests:\n%s\n%s", b1, b2)
+			}
+			cr := decodeAnalyze(t, b1)
+			if cr.Status != v1.StatusOK {
+				t.Fatalf("chaos run failed outright: %s", b1)
+			}
+			faulted := cr.Result
+			if faulted.Diagnostics.Healthy != !tc.degrading {
+				t.Errorf("chaos at rate 1 reported healthy=%v", faulted.Diagnostics.Healthy)
+			}
+			if !tc.degrading && !reflect.DeepEqual(faulted.Arrivals, clean.Arrivals) {
+				t.Errorf("latency-only chaos moved arrivals:\n got  %+v\n want %+v", faulted.Arrivals, clean.Arrivals)
+			}
+			for net, ref := range clean.Arrivals {
+				got, ok := faulted.Arrivals[net]
+				if !ok || got.Rise < ref.Rise*(1-1e-12) || got.Fall < ref.Fall*(1-1e-12) {
+					t.Errorf("net %s: faulted arrival %+v (present %v) earlier than clean %+v", net, got, ok, ref)
+				}
+			}
 
-	chaosReq := v1.AnalyzeRequest{
-		Netlist: deck, Outputs: outs,
-		Budget: &v1.Budget{NRIters: 1},
-		Chaos:  &v1.Chaos{Seed: 42, Classes: []string{"budget-exhaustion"}},
-	}
-	_, b1 := postJSON(t, hs.URL, chaosReq)
-	_, b2 := postJSON(t, hs.URL, chaosReq)
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("chaos responses differ across identical requests:\n%s\n%s", b1, b2)
-	}
-	cr := decodeAnalyze(t, b1)
-	if cr.Status != v1.StatusOK {
-		t.Fatalf("chaos run failed outright: %s", b1)
-	}
-	if cr.Result.Diagnostics.Healthy {
-		t.Error("budget-exhaustion chaos at rate 1 reported healthy")
-	}
-
-	// The pooled production analyzer must be untouched by the chaos runs.
-	after := clean()
-	if !after.Result.Diagnostics.Healthy {
-		t.Errorf("chaos leaked into the production pool: %+v", after.Result.Diagnostics)
-	}
-	if after.Result.WorstArrival != ref.Result.WorstArrival {
-		t.Error("clean answer changed after chaos traffic")
+			if _, after := postJSON(t, hs.URL, req); !bytes.Equal(after, cleanBody) {
+				t.Errorf("clean response changed after chaos traffic:\n got  %s\n want %s", after, cleanBody)
+			}
+		})
 	}
 }
 
 // TestWarmDiskRestartBitIdentical is the service-level restart guarantee:
-// a new server process over the same cache directory answers bit-identically
-// with zero evaluations and a ≥90 % disk hit rate.
+// a new server process over the same cache directory answers every net's
+// arrival bit-identically with zero evaluations and a ≥90 % disk hit rate.
 func TestWarmDiskRestartBitIdentical(t *testing.T) {
 	deck, _, outs := decoderDeck(t)
 	dir := t.TempDir()
-	req := v1.AnalyzeRequest{Netlist: deck, Outputs: outs}
+	req := v1.AnalyzeRequest{Netlist: deck, Outputs: outs, FullArrivals: true}
 
 	s1 := New(tech, lib, Options{CacheDir: dir})
 	hs1 := httptest.NewServer(s1.Handler())
@@ -524,6 +578,36 @@ func TestCachePlaneServesOwnAnalyses(t *testing.T) {
 				t.Errorf("B's arrivals %+v differ from A's %+v", warm.Result.Arrivals, cold.Result.Arrivals)
 			}
 		})
+	}
+}
+
+// TestTierRejectsOpenNoNamespace: tier requests the cache plane refuses —
+// a GET, a POST whose body is not whole keys — open no disk namespace.
+func TestTierRejectsOpenNoNamespace(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestServer(t, Options{CacheDir: dir})
+	plane := httptest.NewServer(remotecache.NewServer(s.TierStoreFor, nil).Handler())
+	defer plane.Close()
+	url := plane.URL + "/tier/" + base64.RawURLEncoding.EncodeToString([]byte(sta.Config{}.Signature())) + "/"
+	for _, tc := range []struct {
+		method, body string
+		status       int
+	}{{http.MethodGet, "", http.StatusMethodNotAllowed}, {http.MethodPost, "not a key", http.StatusBadRequest}} {
+		req, err := http.NewRequest(tc.method, url, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		if hr.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.method, hr.StatusCode, tc.status)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("refused tier requests left %d entries in the cache dir (%v)", len(ents), err)
 	}
 }
 

@@ -42,8 +42,9 @@ func (s BreakerState) String() string {
 // probe. A wall-clock cooldown can additionally force a probe (for
 // deployments where traffic may stop entirely), but because the count-based
 // trigger dominates under steady traffic, a fixed request sequence produces
-// a fixed state trajectory — which is what lets verify -remote assert exact
-// transition points and exact network-attempt counts against a dead peer.
+// a fixed state trajectory — which is what lets
+// TestBreakerDeterministicTransitions and TestDeadPeerUnderEngine assert
+// exact transition points and network-attempt bounds against a dead peer.
 //
 // Successes and failures are judged by the CALLER: a transport-level round
 // trip that completes (including a 404 miss) is a success; timeouts,

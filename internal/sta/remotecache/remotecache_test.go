@@ -198,16 +198,30 @@ func (f *failThenServe) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestBreakerDeterministicTransitions pins the exact state trajectory and
 // network-attempt count of the breaker against a dead peer: threshold 3,
-// probe every 4th suppressed op, retries and cooldown disabled. This is the
-// contract verify -remote re-asserts through the engine.
+// probe every 4th suppressed op, retries and cooldown disabled. A replay on
+// a fresh client walks the same states at the same attempt counts.
+// TestDeadPeerUnderEngine holds the same breaker to its cost bound under a
+// whole analysis.
 func TestBreakerDeterministicTransitions(t *testing.T) {
+	first := breakerTrajectory(t)
+	if replay := breakerTrajectory(t); !reflect.DeepEqual(replay, first) {
+		t.Errorf("replayed trajectory differs:\n got  %v\n want %v", replay, first)
+	}
+}
+
+// breakerTrajectory walks one fresh client through the pinned trajectory and
+// returns its breaker state and attempt count after every read.
+func breakerTrajectory(t *testing.T) (steps []string) {
 	tr := &failThenServe{}
 	opts := quick()
 	opts.HTTPClient = &http.Client{Transport: tr}
 	c := remotecache.New("http://dead.invalid", "sig", opts)
 	defer c.Close()
 
-	read := func() { get(context.Background(), c, tk("k")) }
+	read := func() {
+		get(context.Background(), c, tk("k"))
+		steps = append(steps, fmt.Sprintf("%v/%d", c.BreakerState(), tr.attempts.Load()))
+	}
 
 	// Reads 1..3 reach the transport and fail; the 3rd opens the breaker.
 	for i := 0; i < 3; i++ {
@@ -264,6 +278,7 @@ func TestBreakerDeterministicTransitions(t *testing.T) {
 	if n := tr.attempts.Load(); n != 6 {
 		t.Fatalf("closed breaker suppressed traffic: attempts = %d, want 6", n)
 	}
+	return steps
 }
 
 // TestPutAfterCloseIsCountedDrop: a put that arrives after Close is never
@@ -303,9 +318,10 @@ func TestConcurrentClose(t *testing.T) {
 }
 
 // TestTwoReplicasShareTier is the remote-smoke gate: replica A analyzes
-// cold and publishes its delay cache to the shared tier; a second, fresh
-// replica B then analyzes the same workload entirely off remote hits —
-// zero evaluations, ≥90 % client hit rate, bit-identical results.
+// cold, bit-identically to a remote-disabled analyzer, and publishes its
+// delay cache to the shared tier; a second, fresh replica B then analyzes
+// the same workload entirely off remote hits — zero evaluations, ≥90 %
+// client hit rate, bit-identical results.
 func TestTwoReplicasShareTier(t *testing.T) {
 	base, _ := startTier(t)
 	nl, ins, outs := decoderFixture(t)
@@ -322,6 +338,7 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	if ref.StagesEvaluated == 0 {
 		t.Fatal("cold replica evaluated nothing; fixture is broken")
 	}
+	sameAsNoRemote(t, "replica A", req, ref)
 	ca.Flush()
 	if s := ca.Stats(); s.Puts < int64(ref.StagesEvaluated) {
 		t.Fatalf("replica A published %d/%d entries", s.Puts, ref.StagesEvaluated)
@@ -345,6 +362,91 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
 		t.Error("replica B diverged from replica A")
+	}
+}
+
+// sameAsNoRemote fails the test unless got's arrivals and diagnostics equal,
+// bit for bit, those of an analyzer with no remote tier: the fault-tolerance
+// envelope may only ever turn remote failures into cache misses.
+func sameAsNoRemote(t *testing.T, label string, req sta.Request, got *sta.Result) {
+	t.Helper()
+	ref, err := sta.New(tech, lib, sta.Config{Workers: 2}).AnalyzeContext(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref.Arrivals, got.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, got.Diagnostics) {
+		t.Errorf("%s diverged from the remote-disabled analyzer", label)
+	}
+}
+
+// analyzeThrough runs req on a fresh analyzer whose only tier is c.
+func analyzeThrough(t *testing.T, c *remotecache.Client, req sta.Request) *sta.Result {
+	t.Helper()
+	res, err := sta.New(tech, lib, sta.Config{Workers: 2, Tiers: []sta.TierStore{c}}).AnalyzeContext(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestNetworkChaosBitIdentical: each network fault class at rate 0.2
+// against a warm shared tier leaves arrivals and diagnostics exactly as
+// with no remote tier. The injector must fire, and corrupt frames are
+// counted without opening the breaker: corruption is data-plane, not peer
+// death.
+func TestNetworkChaosBitIdentical(t *testing.T) {
+	base, _ := startTier(t)
+	nl, ins, outs := decoderFixture(t)
+	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
+	sig := sta.Config{Workers: 2}.Signature()
+	warm := remotecache.New(base, sig, quick())
+	analyzeThrough(t, warm, req)
+	warm.Close() // net-corrupt needs real frames to corrupt
+
+	for _, class := range []faultinject.Class{faultinject.NetLatency, faultinject.NetError, faultinject.NetCorrupt} {
+		t.Run(class.String(), func(t *testing.T) {
+			inj := faultinject.New(1).Enable(class, 0.2).WithStall(200 * time.Microsecond)
+			opts := quick()
+			opts.Fault = inj
+			c := remotecache.New(base, sig, opts)
+			defer c.Close()
+			sameAsNoRemote(t, class.String(), req, analyzeThrough(t, c, req))
+			if inj.Fired()[class.String()] == 0 {
+				t.Errorf("the %s injector never fired", class)
+			}
+			if class == faultinject.NetCorrupt {
+				if st := c.Stats(); st.Corrupt == 0 {
+					t.Errorf("no corrupt frames counted: %+v", st)
+				}
+				if st := c.BreakerState(); st != remotecache.BreakerClosed {
+					t.Errorf("corruption moved the breaker to %v", st)
+				}
+			}
+		})
+	}
+}
+
+// TestDeadPeerUnderEngine: an analysis whose only tier is a dead peer
+// spends at most the breaker threshold (3) plus one probe per 4 suppressed
+// operations in network attempts, fast-fails the rest, and answers exactly
+// as with no remote tier.
+func TestDeadPeerUnderEngine(t *testing.T) {
+	nl, ins, outs := decoderFixture(t)
+	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
+	tr := &failThenServe{}
+	opts := quick()
+	opts.HTTPClient = &http.Client{Transport: tr}
+	c := remotecache.New("http://dead.invalid", "sig", opts)
+	res := analyzeThrough(t, c, req)
+	c.Close() // drain the write-behind: every put is now sent or dropped
+	sameAsNoRemote(t, "dead peer", req, res)
+	st := c.Stats()
+	ops := st.Hits + st.Misses + st.Puts + st.Dropped
+	if n, budget := tr.attempts.Load(), 3+ops/4+1; n > budget {
+		t.Errorf("dead peer cost %d attempts over %d ops, budget %d", n, ops, budget)
+	}
+	if st.FastFails == 0 {
+		t.Errorf("open breaker never fast-failed: %+v", st)
 	}
 }
 

@@ -136,11 +136,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		s.bad(w, "remotecache: malformed tier path")
 		return
 	}
-	store, err := s.StoreFor(sig)
-	if err != nil {
-		http.Error(w, "remotecache: namespace unavailable", http.StatusInternalServerError)
-		return
-	}
 	// A valid traceparent marks the request as traced: the handler answers
 	// with one encoded child span in the Qwm-Span header (set before any
 	// body write), which the calling replica merges into its live trace.
@@ -150,14 +145,26 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPost:
-		s.handleRead(w, r, store, traced)
+		s.handleRead(w, r, sig, traced)
 	case http.MethodPut:
-		s.handleWrite(w, r, store, traced)
+		s.handleWrite(w, r, sig, traced)
 	default:
 		s.badreq.add(1, s.mBadreq)
 		w.Header().Set("Allow", "POST, PUT")
 		http.Error(w, "remotecache: method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// store resolves sig's backing store, answering 500 when the namespace is
+// refused. The handlers call it only once the body is known to be well
+// formed, so a rejected request never opens a namespace.
+func (s *Server) store(w http.ResponseWriter, sig string) (sta.TierStore, bool) {
+	store, err := s.StoreFor(sig)
+	if err != nil {
+		http.Error(w, "remotecache: namespace unavailable", http.StatusInternalServerError)
+		return nil, false
+	}
+	return store, true
 }
 
 // bad answers 400 for a malformed request, counted.
@@ -191,12 +198,16 @@ func readBody(r *http.Request, max int) ([]byte, bool) {
 	return body, err == nil && len(body) > 0 && len(body) <= max
 }
 
-func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, store sta.TierStore, traced bool) {
+func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, sig string, traced bool) {
 	s.readReqs.add(1, s.mReadReqs)
 	start := time.Now()
 	body, ok := readBody(r, maxBatchKeys*sta.KeySize)
 	if !ok || len(body)%sta.KeySize != 0 {
 		s.bad(w, "remotecache: read body must be 1 to 4096 whole keys")
+		return
+	}
+	store, ok := s.store(w, sig)
+	if !ok {
 		return
 	}
 	n := len(body) / sta.KeySize
@@ -235,7 +246,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, store sta.Ti
 	w.Write(resp)
 }
 
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, store sta.TierStore, traced bool) {
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sig string, traced bool) {
 	s.writeReqs.add(1, s.mWriteReqs)
 	start := time.Now()
 	body, ok := readBody(r, maxRequestBytes)
@@ -256,6 +267,10 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, store sta.T
 	}
 	if frames > maxBatchKeys {
 		s.bad(w, "remotecache: write body must be 1 to 4096 frames")
+		return
+	}
+	store, ok := s.store(w, sig)
+	if !ok {
 		return
 	}
 	// The server re-runs the client's own end-to-end checks on every frame

@@ -206,8 +206,8 @@ type Result struct {
 	// CriticalPath lists the nets from a primary input to the worst
 	// primary output, latest first.
 	CriticalPath []string
-	// WorstSlack output arrival (max over requested outputs and
-	// directions).
+	// WorstArrival is the latest requested-output arrival (max over the
+	// requested outputs and both directions); WorstOutput names its net.
 	WorstArrival float64
 	WorstOutput  string
 	// StagesEvaluated counts the QWM evaluations this call performed —

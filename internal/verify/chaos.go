@@ -242,7 +242,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		for class := faultinject.Class(0); class < faultinject.NumClasses; class++ {
 			if class.Network() {
 				// Network classes fire at the remote-cache tier, which the
-				// engine sweep does not arm; verify -remote gates them.
+				// engine sweep does not arm; remotecache's
+				// TestNetworkChaosBitIdentical gates them.
 				continue
 			}
 			cell := runChaosCell(tech, lib, c, class, cfg)

@@ -20,7 +20,8 @@ func TestRunChaosSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The engine sweep covers every non-network class; network classes have
-	// no fire site without a remote tier and are gated by verify -remote.
+	// no fire site without a remote tier and are gated by remotecache's
+	// TestNetworkChaosBitIdentical.
 	want := 0
 	for c := faultinject.Class(0); c < faultinject.NumClasses; c++ {
 		if !c.Network() {

@@ -146,7 +146,7 @@ func diffResultsTol(label string, ref, got *sta.Result, rel float64, out []strin
 
 // sortedNets returns a result's net names in sorted order; every verify
 // check that reports per-net problems walks nets this way.
-func sortedNets[A any](arr map[string]A) []string {
+func sortedNets(arr map[string]sta.Arrival) []string {
 	nets := make([]string, 0, len(arr))
 	for net := range arr {
 		nets = append(nets, net)

@@ -69,9 +69,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run executes the three differentials — per-stage QWM-vs-SPICE,
-// cached-vs-uncached Analyze, serial-vs-parallel Analyze (plus the
-// shared-cache sibling aliasing trap) — and returns the finalized report.
+// Run executes the four differentials — per-stage QWM-vs-SPICE, analyze
+// (cached-vs-uncached and serial-vs-parallel Analyze), the shared-cache
+// sibling aliasing trap, and the hot-path features on wide netlists — and
+// returns the finalized report.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	tech := mos.CMOSP35()
