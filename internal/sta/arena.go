@@ -57,6 +57,9 @@ type analyzeScratch struct {
 	ins   []stageInputs
 	items []workItem
 	evs   []outEval
+	// pending indexes the level's items whose key the peek did not find
+	// finished (see peekLevel).
+	pending []int32
 
 	// Tier-read scratch (see readTiers): the level's keys still to probe,
 	// one GetMany's result slots, a dedupe set, and the level's hits.

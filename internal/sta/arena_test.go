@@ -52,7 +52,7 @@ func TestIdleArenaPinsNothing(t *testing.T) {
 				}
 			case reflect.Pointer:
 				switch v.Type().Elem().Name() {
-				case "Stage", "StageEdge", "Transistor", "outEval", "cacheEntry":
+				case "Stage", "StageEdge", "Transistor", "outEval", "flight":
 					t.Errorf("%s holds a %s", path, v.Type())
 				}
 			}

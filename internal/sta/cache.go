@@ -46,12 +46,15 @@ const cacheShards = 32
 // uniform), and each shard is guarded by its own RWMutex, so parallel level
 // evaluation scales without serializing on one lock.
 //
-// Single-flight discipline: the first goroutine to miss on a key installs an
-// entry whose ready group is pending and computes the value; later arrivals
-// for the same key wait on ready instead of re-evaluating. This keeps the
-// evaluation count deterministic — every unique key is computed exactly once
-// no matter how many workers race on it — which is what lets the parallel
-// engine report the same StagesEvaluated as the serial one.
+// A key is absent, in flight or finished. The first goroutine to miss on a
+// key installs a flight in the shard's in-flight table and computes the
+// value; later arrivals for the same key wait on that flight instead of
+// re-evaluating. This keeps the evaluation count deterministic — every
+// unique key is computed exactly once no matter how many workers race on it
+// — which is what lets the parallel engine report the same StagesEvaluated
+// as the serial one. Publishing moves the value into the shard's slab of
+// packed timings and drops the flight, so a finished entry holds no pointer
+// and no wait group: its whole cost is one index slot and one slab slot.
 type delayCache struct {
 	shards [cacheShards]cacheShard
 
@@ -62,64 +65,165 @@ type delayCache struct {
 
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[Key]*cacheEntry
+	// index maps each finished key to its slot in done.
+	index map[Key]int32
+	done  []packedTiming
+	// errs is the append-only table of error texts the finished entries
+	// carry (packedTiming.err is 1 + the index); almost every entry has none.
+	errs []string
+	// flight holds the keys being evaluated, from the leader's acquire until
+	// it publishes; a key is never in flight and finished at once.
+	flight map[Key]*flight
 }
 
-// cacheEntry is one cached direction timing: a single allocation holding
-// the value and the wait group its followers block on.
-type cacheEntry struct {
-	ready sync.WaitGroup // Done once val is populated
+// flight is the single-flight wait object of one key in flight: followers
+// wait on ready, then read val.
+type flight struct {
+	ready sync.WaitGroup // Done once val is set
 	val   dirTiming
+}
+
+// wait blocks until the leader publishes and returns its value.
+func (f *flight) wait() dirTiming {
+	f.ready.Wait()
+	return f.val
+}
+
+// packedTiming is a finished dirTiming without pointers (48 bytes): the
+// solver counts narrow to int32 as they do in a TierEntry, and the rare
+// error text moves to the shard's string table.
+type packedTiming struct {
+	delay, slew                                   float64
+	nrIters, regions, denseFallbacks, capResolves int32
+	reduced, panics                               int32
+	err                                           int32 // 0: no error text
+	tier                                          Tier
+	flags                                         uint8
+}
+
+const (
+	packedOK = 1 << iota
+	packedFellBack
+)
+
+// pack stores t's error text (if any) in the shard's table and returns the
+// packed form. Requires sh.mu held for writing.
+func (sh *cacheShard) pack(t *dirTiming) packedTiming {
+	p := packedTiming{
+		delay:          t.delay,
+		slew:           t.slew,
+		nrIters:        int32(t.stats.NRIters),
+		regions:        int32(t.stats.Regions),
+		denseFallbacks: int32(t.stats.DenseFallbacks),
+		capResolves:    int32(t.stats.CapResolves),
+		reduced:        int32(t.reduced),
+		panics:         int32(t.panics),
+		tier:           t.tier,
+	}
+	if t.ok {
+		p.flags |= packedOK
+	}
+	if t.slewFellBack {
+		p.flags |= packedFellBack
+	}
+	if t.errMsg != "" {
+		sh.errs = append(sh.errs, t.errMsg)
+		p.err = int32(len(sh.errs))
+	}
+	return p
+}
+
+// unpack rebuilds slot i's dirTiming. Requires sh.mu held.
+func (sh *cacheShard) unpack(i int32) dirTiming {
+	p := &sh.done[i]
+	t := dirTiming{
+		delay:        p.delay,
+		slew:         p.slew,
+		ok:           p.flags&packedOK != 0,
+		slewFellBack: p.flags&packedFellBack != 0,
+		tier:         p.tier,
+		panics:       int(p.panics),
+		reduced:      int(p.reduced),
+	}
+	t.stats.NRIters = int(p.nrIters)
+	t.stats.Regions = int(p.regions)
+	t.stats.DenseFallbacks = int(p.denseFallbacks)
+	t.stats.CapResolves = int(p.capResolves)
+	if p.err != 0 {
+		t.errMsg = sh.errs[p.err-1]
+	}
+	return t
 }
 
 func newDelayCache() *delayCache {
 	c := &delayCache{}
 	for i := range c.shards {
-		c.shards[i].m = map[Key]*cacheEntry{}
+		c.shards[i].index = map[Key]int32{}
+		c.shards[i].flight = map[Key]*flight{}
 	}
 	return c
 }
 
-// acquire is the single-flight entry point: it returns the entry for key and
-// whether THIS caller is the leader. A non-leader must call e.ready.Wait
-// before reading e.val (an in-flight compute counts as a hit). The leader
-// MUST set e.val and call e.ready.Done with no early exits in between, so a
-// cancelled analysis can never strand a pending entry: in-flight computes
-// always run to completion and release ready (see
-// TestCancelledContextLeavesCacheUsable).
-func (c *delayCache) acquire(key *Key) (*cacheEntry, bool) {
-	sh := &c.shards[key[0]%cacheShards]
+func (c *delayCache) shard(key *Key) *cacheShard { return &c.shards[key[0]%cacheShards] }
 
-	sh.mu.RLock()
-	e := sh.m[*key]
-	sh.mu.RUnlock()
-
-	if e == nil {
-		sh.mu.Lock()
-		if e = sh.m[*key]; e == nil {
-			e = &cacheEntry{}
-			e.ready.Add(1)
-			sh.m[*key] = e
-			sh.mu.Unlock()
-			c.misses.Add(1)
-			return e, true
-		}
-		sh.mu.Unlock()
+// lookupLocked reads key's state under sh.mu (held in either mode).
+func (sh *cacheShard) lookupLocked(key *Key) (t dirTiming, f *flight, done bool) {
+	if i, ok := sh.index[*key]; ok {
+		return sh.unpack(i), nil, true
 	}
-	c.hits.Add(1)
-	return e, false
+	return t, sh.flight[*key], false
 }
 
-// peek returns key's entry, complete or in flight, or nil. It creates no
-// entry and counts nothing: a caller that goes on to use the entry counts
-// the hit itself, exactly as acquire would have (see lookupOrEval). Entries
-// are never removed, so a peeked entry stays the key's entry.
-func (c *delayCache) peek(key *Key) *cacheEntry {
-	sh := &c.shards[key[0]%cacheShards]
+// lookup returns key's finished timing (done), or its flight while it is
+// being evaluated, or neither when the key is absent. It creates nothing and
+// counts nothing: a caller that goes on to use the entry counts the hit
+// itself, exactly as acquire would have (see lookupOrEval).
+func (c *delayCache) lookup(key *Key) (t dirTiming, f *flight, done bool) {
+	sh := c.shard(key)
 	sh.mu.RLock()
-	e := sh.m[*key]
+	t, f, done = sh.lookupLocked(key)
 	sh.mu.RUnlock()
-	return e
+	return t, f, done
+}
+
+// acquire is the single-flight entry point, for a key the level's peek
+// found absent (so it goes straight to the write lock). A key finished
+// since returns its timing and no flight; a key in flight returns its
+// flight, which the caller must wait on; an absent key installs a new
+// flight and makes THIS caller the leader (an in-flight compute counts as a
+// hit). The leader MUST publish with no early exits in between, so a
+// cancelled analysis can never strand a flight: in-flight computes always
+// run to completion and release their followers (see
+// TestCancelledContextLeavesCacheUsable).
+func (c *delayCache) acquire(key *Key) (t dirTiming, f *flight, leader bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	t, f, done := sh.lookupLocked(key)
+	if leader = !done && f == nil; leader {
+		f = &flight{}
+		f.ready.Add(1)
+		sh.flight[*key] = f
+	}
+	sh.mu.Unlock()
+	if leader {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return t, f, leader
+}
+
+// publish finishes the leader's flight: the value moves into the slab, the
+// flight leaves the in-flight table, and its followers are released.
+func (c *delayCache) publish(key *Key, f *flight, t dirTiming) {
+	f.val = t
+	sh := c.shard(key)
+	sh.mu.Lock()
+	sh.index[*key] = int32(len(sh.done))
+	sh.done = append(sh.done, sh.pack(&t))
+	delete(sh.flight, *key)
+	sh.mu.Unlock()
+	f.ready.Done()
 }
 
 // CacheStats is a snapshot of the delay cache's counters.
@@ -130,7 +234,8 @@ type CacheStats struct {
 	// Evaluations counts QWM engine runs actually performed (one per
 	// direction compute; equals Misses unless a compute was skipped).
 	Evaluations int64
-	// Entries is the number of cached direction timings.
+	// Entries is the number of cached direction timings, finished or in
+	// flight.
 	Entries int
 }
 
@@ -143,7 +248,7 @@ func (c *delayCache) stats() CacheStats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		s.Entries += len(sh.m)
+		s.Entries += len(sh.index) + len(sh.flight)
 		sh.mu.RUnlock()
 	}
 	return s

@@ -53,7 +53,8 @@ type Options struct {
 	// the oldest sealed segments. 0 means 256 MiB, negative means unlimited.
 	MaxBytes int64
 	// SegmentBytes is the size at which the active segment is sealed and a
-	// new one started. 0 means 4 MiB.
+	// new one started. 0 means 4 MiB; above MaxSegmentBytes, Open fails
+	// with ErrSegmentBytes.
 	SegmentBytes int64
 	// QueueLen bounds the write-behind channel; a full queue drops the put.
 	// 0 means 1024.
@@ -120,18 +121,40 @@ const (
 	getBufLen = 256
 )
 
+// MaxSegmentBytes is the largest Options.SegmentBytes: the index holds
+// 32-bit record offsets, and a record is appended only where it ends within
+// SegmentBytes (or opens an empty segment).
+const MaxSegmentBytes = math.MaxUint32
+
+// ErrSegmentBytes is Open's error for an Options.SegmentBytes above
+// MaxSegmentBytes.
+var ErrSegmentBytes = errors.New("diskcache: SegmentBytes exceeds the index's 32-bit offsets")
+
 // getBufs pools GetMany's read buffers. A stack array would escape anyway: the
 // CRC routine's argument leaks to the heap.
 var getBufs = sync.Pool{New: func() any { return new([getBufLen]byte) }}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// indexEntry locates a record inside a segment.
-type indexEntry struct {
-	off    int64 // offset of the record's key bytes
+// locator is an index slot: where one record sits inside a segment.
+type locator struct {
+	off    uint32 // offset of the record's key bytes
 	seg    int32
-	valLen int32
+	valLen uint32
 	crc    uint32 // CRC over valLen|key|val, re-verified on every read
+}
+
+// indexWord is a key's index slot: the digest's first 64-bit word mixed
+// with the namespace byte and the slew bucket. Multiplying by an odd
+// constant is a bijection, so one stage at another rail or bucket (below
+// 2^56) always takes another slot. Two keys sharing a word share a slot, and
+// the later write owns it; a read re-checks the full key in the record, so
+// the other key reads as a miss, never as its neighbour's timing.
+func indexWord(k *sta.Key) uint64 {
+	const nsOff = sta.KeySize - 9 // a key is digest | namespace byte | 8-byte bucket
+	d := binary.LittleEndian.Uint64(k[0:8])
+	bucket := binary.BigEndian.Uint64(k[nsOff+1:])
+	return d ^ (bucket<<8|uint64(k[nsOff]))*0x9e3779b97f4a7c15
 }
 
 type segment struct {
@@ -152,8 +175,8 @@ type Store struct {
 	opts Options
 
 	mu     sync.RWMutex
-	index  map[sta.Key]indexEntry
-	segs   []*segment // ascending id order; last is active
+	index  map[uint64]locator // by indexWord
+	segs   []*segment         // ascending id order; last is active
 	closed bool
 
 	queue *WriteQueue[putReq]
@@ -181,6 +204,9 @@ func (p *counterPair) value() int64                { return p.c.Value() }
 // be internally consistent but computed under other settings.
 func Open(dir, signature string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
+	if opts.SegmentBytes > MaxSegmentBytes {
+		return nil, fmt.Errorf("%w: %d > %d", ErrSegmentBytes, opts.SegmentBytes, int64(MaxSegmentBytes))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
@@ -190,7 +216,7 @@ func Open(dir, signature string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		index: map[sta.Key]indexEntry{},
+		index: map[uint64]locator{},
 	}
 	r := opts.Metrics
 	s.hits = r.Counter("sta/disk/hits")
@@ -225,8 +251,8 @@ func checkSignature(dir, signature string) error {
 	return nil
 }
 
-// load scans every segment, rebuilding the index. Later segments win on
-// duplicate keys (append-only: the latest write is the freshest). The
+// load scans every segment, rebuilding the index. Later records win on
+// duplicate index words (append-only: the latest write is the freshest). The
 // ACTIVE (last) segment's torn tail — a crash mid-append — is truncated
 // away; corruption in a SEALED segment stops indexing that segment at the
 // bad record (the tail entries are lost, which is a cache miss, not an
@@ -320,6 +346,9 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 		if valLen <= 0 || valLen > maxValLen || off+recValOff+int64(valLen) > size {
 			break // corrupt header or torn body
 		}
+		if off+recKeyOff > MaxSegmentBytes {
+			break // past what a locator addresses: left unindexed
+		}
 		need := 4 + sta.KeySize + valLen
 		if cap(buf) < need {
 			buf = make([]byte, need)
@@ -333,10 +362,11 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 			s.statCorrupt.add(1, s.corrupt)
 			break // everything past a bad CRC is suspect
 		}
-		s.index[sta.Key(body[4:4+sta.KeySize])] = indexEntry{
+		key := sta.Key(body[4 : 4+sta.KeySize])
+		s.index[indexWord(&key)] = locator{
+			off:    uint32(off + recKeyOff),
 			seg:    int32(id),
-			off:    off + recKeyOff,
-			valLen: int32(valLen),
+			valLen: uint32(valLen),
 			crc:    crc,
 		}
 		off += recValOff + int64(valLen)
@@ -389,12 +419,14 @@ func (s *Store) GetMany(_ context.Context, keys []sta.Key, out []sta.TierEntry, 
 	}
 }
 
-// getLocked reads one key; found reports an index entry, hit a verified
-// entry (found && !hit is corruption). Requires s.mu held for reading, so GC
-// cannot close the file mid-read; the read is a positioned ReadAt, so
-// concurrent readers never contend on a file offset.
+// getLocked reads one key; found reports an intact record under the key's
+// index word, hit a verified entry for the key itself (found && !hit is
+// corruption). A record of another key sharing the word is a plain miss,
+// and is never decoded. Requires s.mu held for reading, so GC cannot close
+// the file mid-read; the read is a positioned ReadAt, so concurrent readers
+// never contend on a file offset.
 func (s *Store) getLocked(key *sta.Key, buf *[getBufLen]byte) (e sta.TierEntry, found, hit bool) {
-	ie, ok := s.index[*key]
+	ie, ok := s.index[indexWord(key)]
 	if !ok {
 		return e, false, false
 	}
@@ -419,11 +451,12 @@ func (s *Store) getLocked(key *sta.Key, buf *[getBufLen]byte) (e sta.TierEntry, 
 		body = make([]byte, need)
 	}
 	binary.LittleEndian.PutUint32(body[0:4], uint32(ie.valLen))
-	n, _ := f.ReadAt(body[4:], ie.off)
-	if n != need-4 ||
-		crc32.Checksum(body, crcTable) != ie.crc ||
-		sta.Key(body[4:4+sta.KeySize]) != *key {
+	n, _ := f.ReadAt(body[4:], int64(ie.off))
+	if n != need-4 || crc32.Checksum(body, crcTable) != ie.crc {
 		return e, true, false
+	}
+	if sta.Key(body[4:4+sta.KeySize]) != *key {
+		return e, false, false
 	}
 	e, err := decodeEntry(body[4+sta.KeySize:])
 	if err != nil || !e.Valid() {
@@ -481,10 +514,10 @@ func (s *Store) appendLocked(req putReq) {
 	if s.opts.Sync {
 		active.f.Sync()
 	}
-	s.index[req.key] = indexEntry{
+	s.index[indexWord(&req.key)] = locator{
+		off:    uint32(active.size + recKeyOff),
 		seg:    int32(active.id),
-		off:    active.size + recKeyOff,
-		valLen: int32(len(req.val)),
+		valLen: uint32(len(req.val)),
 		crc:    binary.LittleEndian.Uint32(rec[0:4]),
 	}
 	active.size += int64(len(rec))
@@ -564,7 +597,7 @@ func (s *Store) Close() error {
 	}
 	s.segs = nil
 	s.publishBytesLocked()
-	s.index = map[sta.Key]indexEntry{}
+	s.index = map[uint64]locator{}
 	return first
 }
 

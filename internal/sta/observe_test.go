@@ -168,6 +168,29 @@ func TestObserverEventOrdering(t *testing.T) {
 			t.Errorf("event %d differs after sort:\n serial  %+v\n parallel %+v", i, a, b)
 		}
 	}
+
+	// A warm re-run at Workers = 4 finds every key finished, so every item
+	// resolves on the calling goroutine: one hit event per item, each on
+	// worker slot 0, in (Level, Item) order.
+	a := New(tech, lib, Config{Workers: 4})
+	req := decoderRequest(t)
+	if _, err := a.AnalyzeContext(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	warm := &collectObserver{}
+	req.Observer = warm
+	if _, err := a.AnalyzeContext(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.evals) != start.Items {
+		t.Fatalf("warm run delivered %d StageEval events, want %d", len(warm.evals), start.Items)
+	}
+	we := warm.sortedEvals()
+	for i, ev := range warm.evals {
+		if !ev.CacheHit || ev.Worker != 0 || ev != we[i] {
+			t.Errorf("warm event %d = %+v: want an in-order cache hit on worker 0", i, ev)
+		}
+	}
 }
 
 // TestMetricsDeterminism is the acceptance gate: the deterministic portion

@@ -178,16 +178,19 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
-// failThenServe is a RoundTripper that counts attempts and fails every
-// request until healed, after which it answers 200 with no frames (a
-// completed round trip: every key missed).
+// failThenServe is a RoundTripper that counts attempts (and, of those, the
+// reads) and fails every request until healed, after which it answers 200
+// with no frames (a completed round trip: every key missed).
 type failThenServe struct {
-	attempts atomic.Int64
-	healed   atomic.Bool
+	attempts, reads atomic.Int64
+	healed          atomic.Bool
 }
 
 func (f *failThenServe) RoundTrip(r *http.Request) (*http.Response, error) {
 	f.attempts.Add(1)
+	if r.Method == http.MethodPost {
+		f.reads.Add(1)
+	}
 	if !f.healed.Load() {
 		return nil, errors.New("synthetic transport failure")
 	}
@@ -426,24 +429,27 @@ func TestNetworkChaosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDeadPeerUnderEngine: an analysis whose only tier is a dead peer
-// spends at most the breaker threshold (3) plus one probe per 4 suppressed
-// operations in network attempts, fast-fails the rest, and answers exactly
-// as with no remote tier.
+// TestDeadPeerUnderEngine: analyses whose only tier is a dead peer spend
+// at most the breaker threshold (3) plus one probe per 4 suppressed reads in
+// read attempts, fast-fail the rest, and answer exactly as with no remote
+// tier. Each cold analysis of the 3-bit decoder reads the tier once per
+// dependency level, so four analyses make 12 reads against a budget of
+// 3 + 12/4 + 1 = 7: a breaker that never suppressed would spend all 12.
 func TestDeadPeerUnderEngine(t *testing.T) {
+	const analyses, levels = 4, 3
 	nl, ins, outs := decoderFixture(t)
 	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
 	tr := &failThenServe{}
 	opts := quick()
 	opts.HTTPClient = &http.Client{Transport: tr}
 	c := remotecache.New("http://dead.invalid", "sig", opts)
-	res := analyzeThrough(t, c, req)
+	for i := 0; i < analyses; i++ {
+		sameAsNoRemote(t, "dead peer", req, analyzeThrough(t, c, req))
+	}
 	c.Close() // drain the write-behind: every put is now sent or dropped
-	sameAsNoRemote(t, "dead peer", req, res)
 	st := c.Stats()
-	ops := st.Hits + st.Misses + st.Puts + st.Dropped
-	if n, budget := tr.attempts.Load(), 3+ops/4+1; n > budget {
-		t.Errorf("dead peer cost %d attempts over %d ops, budget %d", n, ops, budget)
+	if n, budget := tr.reads.Load(), int64(3+analyses*levels/4+1); n > budget {
+		t.Errorf("dead peer cost %d read attempts over %d level reads, budget %d", n, analyses*levels, budget)
 	}
 	if st.FastFails == 0 {
 		t.Errorf("open breaker never fast-failed: %+v", st)

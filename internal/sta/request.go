@@ -203,15 +203,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			levelStart = time.Now()
 		}
 
-		// Tier read (sequential): one batched read per store for every key
-		// the level will look up that the memory cache lacks.
+		// Peek (sequential): items whose key is already finished take their
+		// value here; the rest are pending. Tier read (sequential): one
+		// batched read per store for every pending key the memory cache
+		// lacks.
+		s.pending = a.peekLevel(items, s.pending)
 		if len(a.cfg.Tiers) > 0 {
-			lt.hits = a.readTiers(s, items, li, &lt.trace)
+			lt.hits = a.readTiers(s, items, s.pending, li, &lt.trace)
 		}
 
-		// Evaluate phase (parallel): drain the level's items through the
-		// worker pool; the single-flight cache deduplicates identical keys.
-		if rerr := a.runItems(ctx, items, workers, rec, &lt); rerr != nil {
+		// Evaluate phase (parallel): drain the level's pending items through
+		// the worker pool; the single-flight cache deduplicates identical
+		// keys.
+		if rerr := a.runItems(ctx, items, s.pending, workers, rec, &lt); rerr != nil {
 			return nil, rerr
 		}
 

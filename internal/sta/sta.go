@@ -256,9 +256,11 @@ type workItem struct {
 	// Analyzes on one Analyzer share the cache, so only this count says what
 	// THIS request evaluated.
 	evals int
-	// known is the memory-cache entry the level's tier read found for the
-	// item's key, nil where the key was absent or the analyzer has no tiers.
-	known *cacheEntry
+	// cached is set when the level's peek found the item's key finished;
+	// timing then already holds the value. wait is the key's flight when the
+	// peek found it in flight, else nil.
+	cached bool
+	wait   *flight
 }
 
 // key is the item's cache key: its per-direction content key with the
@@ -275,7 +277,7 @@ func (it *workItem) key() Key {
 func resetItem(w *workItem, st *circuit.Stage, out string, ev *outEval, rail string, inSlew float64, level, idx int) {
 	w.st, w.out, w.ev, w.rail = st, out, ev, rail
 	w.inSlew, w.level, w.idx = inSlew, level, idx
-	w.timing, w.evals, w.known = dirTiming{}, 0, nil
+	w.timing, w.evals, w.cached, w.wait = dirTiming{}, 0, false, nil
 }
 
 // stageInputs is the gathered worst-case input picture for one stage at its
@@ -341,18 +343,37 @@ func gatherInputs(st *circuit.Stage, arrivals map[string]Arrival) stageInputs {
 	return si
 }
 
-// runItems evaluates every work item, using up to workers goroutines. With
-// one worker (or one item) it stays on the calling goroutine — the serial
-// reference path. Cancellation semantics: workers stop picking up NEW items
-// once ctx is cancelled, but every item already being evaluated runs to
-// completion (the single-flight cache must never hold a pending entry), and
-// runItems joins all workers before returning ctx.Err() — no goroutine
-// outlives the call.
-func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, rec *recorder, lt *levelTiers) error {
-	if workers > len(items) {
-		workers = len(items)
+// peekLevel reads every item's key state from the memory cache: a finished
+// key's timing lands on the item (cached), a key in flight leaves its flight
+// on the item (wait). It returns, in pending, the indices of the items whose
+// key is not finished. The peek counts nothing; the item's lookup counts the
+// hit, as acquire would have.
+func (a *Analyzer) peekLevel(items []workItem, pending []int32) []int32 {
+	pending = pending[:0]
+	for i := range items {
+		it := &items[i]
+		k := it.key()
+		if it.timing, it.wait, it.cached = a.cache.lookup(&k); !it.cached {
+			pending = append(pending, int32(i))
+		}
 	}
-	if workers <= 1 || len(items) <= 1 {
+	return pending
+}
+
+// runItems evaluates every work item; pending holds the indices of the items
+// whose key the level's peek did not find finished. Items with a finished
+// key resolve on the calling goroutine, and up to workers goroutines drain
+// the pending ones. With one worker, or at most one pending item, every item
+// runs on the calling goroutine in item order — the serial reference path.
+// Cancellation semantics: workers stop picking up NEW items once ctx is
+// cancelled, but every item already being evaluated runs to completion (the
+// single-flight cache must never strand a flight), and runItems joins all
+// workers before returning ctx.Err() — no goroutine outlives the call.
+func (a *Analyzer) runItems(ctx context.Context, items []workItem, pending []int32, workers int, rec *recorder, lt *levelTiers) error {
+	if workers > len(pending) {
+		workers = len(pending)
+	}
+	if workers <= 1 {
 		for i := range items {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -360,6 +381,11 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 			a.evalItem(&items[i], rec, lt, 0)
 		}
 		return nil
+	}
+	for i := range items {
+		if items[i].cached {
+			a.evalItem(&items[i], rec, lt, 0)
+		}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -369,10 +395,10 @@ func (a *Analyzer) runItems(ctx context.Context, items []workItem, workers int, 
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				if i >= len(pending) {
 					return
 				}
-				a.evalItem(&items[i], rec, lt, worker)
+				a.evalItem(&items[pending[i]], rec, lt, worker)
 			}
 		}(w)
 	}
@@ -405,32 +431,38 @@ func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker 
 // at the item's exact input slew through the degradation ladder when this
 // caller wins the single-flight race. The second return is 1 when THIS
 // caller performed the compute (an evaluation — a persistent-tier hit
-// hydrates the in-memory entry without computing, and followers then see an
-// ordinary hit), else 0. When the level's tier read already found the key in
-// the memory cache (it.known), that entry is used, and counted, as the hit
-// acquire would have returned. The lookup copies the gathered key and fills
-// in the bucket: no formatting, no hashing beyond the map's own.
+// publishes the tier's value without computing, and followers then see an
+// ordinary hit), else 0. When the level's peek already found the key
+// finished or in flight (it.cached, it.wait), that state is used, and
+// counted, as the hit acquire would have returned. The lookup copies the
+// gathered key and fills in the bucket: no formatting, no hashing beyond the
+// map's own.
 func (a *Analyzer) lookupOrEval(it *workItem, lt *levelTiers) (dirTiming, int) {
-	key := it.key()
-	e, leader := it.known, false
-	if e == nil {
-		e, leader = a.cache.acquire(&key)
-	} else {
+	switch {
+	case it.cached:
 		a.cache.hits.Add(1)
+		return it.timing, 0
+	case it.wait != nil:
+		a.cache.hits.Add(1)
+		return it.wait.wait(), 0
 	}
+	key := it.key()
+	t, f, leader := a.cache.acquire(&key)
 	if !leader {
-		e.ready.Wait()
-		return e.val, 0
+		if f != nil {
+			t = f.wait()
+		}
+		return t, 0
 	}
 	// Persistent tier read-through: the level's batched read (readTiers)
 	// already probed the stores for this key, so the leader only consults
-	// its hits before paying an evaluation. A hit hydrates the in-memory
-	// entry — every e.ready.Done path below runs exactly once, so a
-	// cancelled or corrupt store can never strand followers.
+	// its hits before paying an evaluation. Every path below publishes
+	// exactly once, so a cancelled or corrupt store can never strand
+	// followers.
 	if te, ok := lt.hits[key]; ok {
-		e.val = te.timing()
-		e.ready.Done()
-		return e.val, 0
+		t = te.timing()
+		a.cache.publish(&key, f, t)
+		return t, 0
 	}
 	a.cache.evals.Add(1)
 	// Fault sites are keyed by the hex key, built only under a fault plan.
@@ -446,13 +478,13 @@ func (a *Analyzer) lookupOrEval(it *workItem, lt *levelTiers) (dirTiming, int) {
 	// path to this rail stays failed (the apply phase errors only if both
 	// directions are missing); numerical failures escalate tier by tier and
 	// come back degraded-but-complete.
-	e.val = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, it.inSlew, faultKey)
-	e.ready.Done()
-	// Write-behind AFTER ready is released: followers never wait on the store.
+	t = a.evalLadder(it.st, it.out, it.rail, it.ev.loads, it.inSlew, faultKey)
+	a.cache.publish(&key, f, t)
+	// Write-behind AFTER publishing: followers never wait on the store.
 	if len(a.cfg.Tiers) > 0 {
-		a.tierPut(lt, it, &key, tierEntryOf(e.val))
+		a.tierPut(lt, it, &key, tierEntryOf(t))
 	}
-	return e.val, 1
+	return t, 1
 }
 
 // slewPitch is the cache's input-slew quantization (see slewBucket).

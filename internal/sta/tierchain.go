@@ -112,9 +112,12 @@ func (a *Analyzer) CachedEntries(keys []Key, out []TierEntry, hit []bool) {
 		if hit[i] {
 			continue
 		}
-		if e := a.cache.peek(&keys[i]); e != nil {
-			e.ready.Wait()
-			out[i], hit[i] = tierEntryOf(e.val), true
+		t, f, done := a.cache.lookup(&keys[i])
+		if f != nil {
+			t, done = f.wait(), true
+		}
+		if done {
+			out[i], hit[i] = tierEntryOf(t), true
 		}
 	}
 }

@@ -23,24 +23,23 @@ type levelTiers struct {
 	hits  map[Key]TierEntry
 }
 
-// readTiers is the level's one read through Config.Tiers. It takes every
-// item's key, keeps those the memory cache lacks, deduped in item order, and
-// walks the stores in order: each store gets one GetMany with the keys still
-// missing, an entry failing Valid is a miss, and a hit is promoted into
-// every earlier store. The hits land in the scratch's map, which the level's
-// single-flight leaders read instead of calling the stores. The memory entry
-// the peek found is kept on its item, so the lookup does not search the
-// cache a second time.
-func (a *Analyzer) readTiers(s *analyzeScratch, items []workItem, level int, trace *obs.TraceRef) map[Key]TierEntry {
+// readTiers is the level's one read through Config.Tiers. It takes the keys
+// the level's peek found absent from the memory cache (pending items with no
+// flight), deduped in item order, and walks the stores in order: each store
+// gets one GetMany with the keys still missing, an entry failing Valid is a
+// miss, and a hit is promoted into every earlier store. The hits land in the
+// scratch's map, which the level's single-flight leaders read instead of
+// calling the stores.
+func (a *Analyzer) readTiers(s *analyzeScratch, items []workItem, pending []int32, level int, trace *obs.TraceRef) map[Key]TierEntry {
 	clear(s.tierSeen)
 	clear(s.tierHits)
 	keys := s.tierKeys[:0]
-	for i := range items {
+	for _, i := range pending {
 		it := &items[i]
-		k := it.key()
-		if it.known = a.cache.peek(&k); it.known != nil {
+		if it.wait != nil {
 			continue
 		}
+		k := it.key()
 		if _, dup := s.tierSeen[k]; !dup {
 			s.tierSeen[k] = struct{}{}
 			keys = append(keys, k)
