@@ -34,10 +34,15 @@ func main() {
 		engine   = flag.String("engine", "qwm", "engine: qwm | spice | sc | elmore")
 		stepStr  = flag.String("step", "1p", "integration step for spice/sc")
 		printW   = flag.Bool("waveform", false, "print the output waveform samples")
-		points   = flag.Int("points", 101, "waveform sample count with -waveform")
+		points   = flag.Int("points", 101, "waveform sample count with -waveform (>= 2)")
 		trace    = flag.Bool("trace", false, "print one structured line per QWM region to stderr")
 	)
 	flag.Parse()
+	if *printW && *points < 2 {
+		fmt.Fprintf(os.Stderr, "qwm: -points must be >= 2 with -waveform, got %d\n", *points)
+		fmt.Fprintln(os.Stderr, "usage: qwm [-deck FILE] [-out NODE] [-rail 0|vdd] [-engine qwm|spice|sc|elmore] [-step T] [-waveform [-points N]] [-trace]")
+		os.Exit(2)
+	}
 	if err := run(*deckPath, *out, *rail, *engine, *stepStr, *printW, *points, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "qwm:", err)
 		os.Exit(1)

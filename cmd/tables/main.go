@@ -20,6 +20,11 @@ import (
 func main() {
 	table := flag.String("table", "all", "which table to regenerate: 1 | 2 | all")
 	flag.Parse()
+	if *table != "1" && *table != "2" && *table != "all" {
+		fmt.Fprintf(os.Stderr, "tables: unknown -table %q\n", *table)
+		fmt.Fprintln(os.Stderr, "usage: tables [-table 1|2|all]")
+		os.Exit(2)
+	}
 
 	h, err := bench.NewHarness(mos.CMOSP35())
 	if err != nil {

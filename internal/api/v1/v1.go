@@ -14,8 +14,8 @@
 //
 // The package deliberately contains only data types, constants and
 // conversions from the engine's native results — no HTTP, no handlers — so
-// every emitter (service responses, -metrics-json dumps, verify reports)
-// shares one schema instead of growing ad-hoc structs.
+// every emitter (service responses, cmd/sta -metrics-json dumps) shares one
+// schema instead of growing ad-hoc structs.
 package v1
 
 import (
@@ -324,8 +324,8 @@ type BatchResponse struct {
 }
 
 // MetricsEnvelope is the versioned wrapper for metrics-registry dumps
-// (cmd/sta -metrics-json, verify report embedding): the registry snapshot
-// under a schema_version key instead of a bare ad-hoc object.
+// (cmd/sta -metrics-json): the registry snapshot under a schema_version key
+// instead of a bare ad-hoc object.
 type MetricsEnvelope struct {
 	SchemaVersion string       `json:"schema_version"`
 	Metrics       obs.Snapshot `json:"metrics"`

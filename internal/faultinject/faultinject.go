@@ -3,9 +3,9 @@
 // and a per-class firing rate; every injection decision is a pure hash of
 // (seed, class, site key), so it is independent of goroutine scheduling,
 // worker count and wall-clock — two runs at the same seed inject exactly the
-// same faults at exactly the same sites, which is what lets the chaos
-// harness assert bit-for-bit deterministic degraded results at Workers 1
-// and 8.
+// same faults at exactly the same sites, which is what lets the ladder
+// tests (internal/sta TestLadder) assert bit-for-bit deterministic degraded
+// results at Workers 1 and 8.
 //
 // Hooks are nil-by-default: every method is safe on a nil *Injector and
 // returns "no fault", so production call sites pay one nil check and
@@ -86,9 +86,10 @@ var classNames = [NumClasses]string{
 }
 
 // Network reports whether c injects at a network (remote-cache) site rather
-// than inside the evaluation engine. The engine chaos sweep skips network
-// classes — with no remote tier armed they have no site to fire at — and the
-// remote-cache tests (TestNetworkChaosBitIdentical) gate them instead.
+// than inside the evaluation engine. The engine ladder table (TestLadder)
+// skips network classes — with no remote tier armed they have no site to
+// fire at — and the remote-cache tests (TestNetworkChaosBitIdentical) gate
+// them instead.
 func (c Class) Network() bool {
 	return c == NetLatency || c == NetError || c == NetCorrupt
 }

@@ -8,6 +8,8 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/netlist"
+	"qwm/internal/reduce"
+	"qwm/internal/stages"
 )
 
 // loadedInverter builds a single inverter in -> out with the given explicit
@@ -23,69 +25,86 @@ func loadedInverter(cl float64) *circuit.Netlist {
 }
 
 // TestCacheKeyIncludesLoad is the headline regression: a shared analyzer
-// sees the identical inverter twice, first driving 1 fF and then 50 fF. The
-// pre-fix cache key (stage content | rail | slew bucket, no load digest)
-// aliased both to one entry, so the 50 fF analysis silently inherited the
-// 1 fF delay. Post-fix the two evaluations get distinct entries, and every
-// cached arrival is bit-for-bit identical to an uncached Workers=1 run and
-// to a parallel run.
+// sees the identical netlist twice, first lightly and then heavily loaded.
+// The pre-fix cache key (stage content | rail | slew bucket, no load
+// digest) aliased both to one entry, so the heavy analysis silently
+// inherited the light delay. Post-fix the two evaluations get distinct
+// entries, and every cached arrival is bit-for-bit identical to an uncached
+// analyzer of the row's configuration at Workers = 1 and at Workers = 4.
+// Rows: one inverter driving 1 fF then 50 fF, and, with reduction on (its
+// keys carry the reduction signature and the loads it rewrites),
+// stages.WideNetlist(4, 12) driving 10 fF then 200 fF.
 func TestCacheKeyIncludesLoad(t *testing.T) {
-	primary := map[string]Arrival{"in": {}}
-	outs := []string{"out"}
-
-	shared := New(tech, lib)
-	light, err := shared.AnalyzeContext(nil, Request{Netlist: loadedInverter(1e-15), Primary: primary, Outputs: outs})
-	if err != nil {
-		t.Fatal(err)
+	wide := func(cl float64) Request {
+		nl, _, outs, err := stages.WideNetlist(tech, 4, 12, 1e-6, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Request{Netlist: nl, Primary: map[string]Arrival{"in": {}}, Outputs: outs}
 	}
-	heavy, err := shared.AnalyzeContext(nil, Request{Netlist: loadedInverter(50e-15), Primary: primary, Outputs: outs})
-	if err != nil {
-		t.Fatal(err)
+	inverter := func(cl float64) Request {
+		return Request{Netlist: loadedInverter(cl), Primary: map[string]Arrival{"in": {}}, Outputs: []string{"out"}}
 	}
-
-	// 50 fF must be distinctly slower than 1 fF — with the load-blind key
-	// the arrivals came out equal (heavy aliased to light's entry).
-	if heavy.Arrivals["out"] == light.Arrivals["out"] {
-		t.Fatalf("identical stage with 50 fF load aliased to the 1 fF cache entry: %+v", heavy.Arrivals["out"])
-	}
-	if heavy.WorstArrival <= 2*light.WorstArrival {
-		t.Errorf("50 fF arrival %g not plausibly slower than 1 fF arrival %g", heavy.WorstArrival, light.WorstArrival)
-	}
-	// The second analysis had to actually evaluate, not hit the alias.
-	if heavy.StagesEvaluated == 0 {
-		t.Errorf("heavy-load analysis evaluated 0 stages: served entirely from the light-load cache")
-	}
-
-	// Ground truth: fresh, uncached serial analyzers. Cached arrivals must
-	// match bit-for-bit (including slews and critical path).
-	for _, tc := range []struct {
-		name   string
-		cl     float64
-		cached *Result
+	for _, row := range []struct {
+		name         string
+		cfg          Config
+		build        func(cl float64) Request
+		light, heavy float64
+		slower       float64 // the heavy worst arrival exceeds slower × the light one
 	}{
-		{"1fF", 1e-15, light},
-		{"50fF", 50e-15, heavy},
+		{"inverter", Config{}, inverter, 1e-15, 50e-15, 2},
+		{"reduce-wide", Config{Reduction: reduce.Config{Enabled: true}}, wide, 10e-15, 200e-15, 1},
 	} {
-		fresh := New(tech, lib, Config{Workers: 1})
-		ref, err := fresh.AnalyzeContext(nil, Request{Netlist: loadedInverter(tc.cl), Primary: primary, Outputs: outs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tc.cached.Arrivals, ref.Arrivals) {
-			t.Errorf("%s: cached arrivals %+v != uncached serial %+v", tc.name, tc.cached.Arrivals, ref.Arrivals)
-		}
-		if !reflect.DeepEqual(tc.cached.CriticalPath, ref.CriticalPath) {
-			t.Errorf("%s: critical path %v != uncached %v", tc.name, tc.cached.CriticalPath, ref.CriticalPath)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			analyze := func(a *Analyzer, cl float64) *Result {
+				req := row.build(cl)
+				return analyzeOnce(t, a, req.Netlist, req.Primary, req.Outputs)
+			}
+			with := func(workers int) *Analyzer {
+				cfg := row.cfg
+				cfg.Workers = workers
+				return New(tech, lib, cfg)
+			}
+			shared := with(0)
+			light := analyze(shared, row.light)
+			heavy := analyze(shared, row.heavy)
 
-		par := New(tech, lib, Config{Workers: 4})
-		pref, err := par.AnalyzeContext(nil, Request{Netlist: loadedInverter(tc.cl), Primary: primary, Outputs: outs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pref.Arrivals, ref.Arrivals) {
-			t.Errorf("%s: parallel arrivals differ from serial", tc.name)
-		}
+			// The heavy load must be distinctly slower — with the load-blind
+			// key the arrivals came out equal (heavy aliased to light's
+			// entries).
+			if reflect.DeepEqual(heavy.Arrivals, light.Arrivals) {
+				t.Fatalf("identical stages with a heavy load aliased to the light-load cache entries: %+v", heavy.Arrivals)
+			}
+			if heavy.WorstArrival <= row.slower*light.WorstArrival {
+				t.Errorf("heavy-load arrival %g not plausibly slower than light-load arrival %g", heavy.WorstArrival, light.WorstArrival)
+			}
+			// The second analysis had to actually evaluate, not hit the alias.
+			if heavy.StagesEvaluated == 0 {
+				t.Errorf("heavy-load analysis evaluated 0 stages: served entirely from the light-load cache")
+			}
+			if row.cfg.Reduction.Enabled && heavy.ReducedNodes == 0 {
+				t.Errorf("reduction removed no nodes")
+			}
+
+			// Ground truth: fresh, uncached serial analyzers. Cached
+			// arrivals must match bit-for-bit (including slews and critical
+			// path), and so must a fresh parallel analyzer.
+			for _, tc := range []struct {
+				cl     float64
+				cached *Result
+			}{{row.light, light}, {row.heavy, heavy}} {
+				ref := analyze(with(1), tc.cl)
+				if !reflect.DeepEqual(tc.cached.Arrivals, ref.Arrivals) {
+					t.Errorf("%g F: cached arrivals %+v != uncached serial %+v", tc.cl, tc.cached.Arrivals, ref.Arrivals)
+				}
+				if !reflect.DeepEqual(tc.cached.CriticalPath, ref.CriticalPath) {
+					t.Errorf("%g F: critical path %v != uncached %v", tc.cl, tc.cached.CriticalPath, ref.CriticalPath)
+				}
+				if pref := analyze(with(4), tc.cl); !reflect.DeepEqual(pref.Arrivals, ref.Arrivals) {
+					t.Errorf("%g F: parallel arrivals differ from serial", tc.cl)
+				}
+			}
+		})
 	}
 }
 

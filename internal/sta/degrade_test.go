@@ -13,21 +13,22 @@ import (
 	"qwm/internal/qwm"
 )
 
-// analyzeFaulted runs one Analyze of a small inverter chain on a fresh
-// Analyzer (so faulted cache entries never leak between experiments) with
-// the given injector and worker count.
-func analyzeFaulted(t *testing.T, inj *faultinject.Injector, workers int, budget EvalBudget) *Result {
-	t.Helper()
-	a := New(tech, lib, Config{Workers: workers, Budget: budget, FaultPlan: inj})
-	res, err := a.AnalyzeContext(nil, Request{
+// chainRequest is the ladder's small workload: a 3-stage inverter chain.
+func chainRequest() Request {
+	return Request{
 		Netlist: inverterChain(3, 1e-6, 2e-6),
 		Primary: map[string]Arrival{"in0": {}},
 		Outputs: []string{"out"},
-	})
-	if err != nil {
-		t.Fatalf("degraded analyze must still complete, got: %v", err)
 	}
-	return res
+}
+
+// analyzeFaulted runs one Analyze of the inverter chain on a fresh Analyzer
+// (so faulted cache entries never leak between experiments) with the given
+// injector and worker count.
+func analyzeFaulted(t *testing.T, inj *faultinject.Injector, workers int, budget EvalBudget) *Result {
+	t.Helper()
+	req := chainRequest()
+	return analyzeOnce(t, New(tech, lib, Config{Workers: workers, Budget: budget, FaultPlan: inj}), req.Netlist, req.Primary, req.Outputs)
 }
 
 // requireConservative asserts every degraded arrival is at or above its
@@ -48,56 +49,103 @@ func requireConservative(t *testing.T, clean, got *Result, label string) {
 	}
 }
 
-// TestLadderNRDivergenceEscalatesToSpice: killing every QWM region solve
-// (Newton and bisection tiers alike) must land each direction on the spice
-// tier, with complete and conservative arrivals.
-func TestLadderNRDivergenceEscalatesToSpice(t *testing.T) {
-	clean := analyzeFaulted(t, nil, 1, EvalBudget{})
-	if !clean.Diagnostics.Healthy() {
-		t.Fatalf("clean run not healthy: %s", clean.Diagnostics)
-	}
-	if clean.TierCounts[TierQWM] == 0 {
-		t.Fatalf("clean run produced no QWM-tier timings: %v", clean.TierCounts)
-	}
-
-	inj := faultinject.New(3).Enable(faultinject.NRDivergence, 1)
-	res := analyzeFaulted(t, inj, 1, EvalBudget{})
-	if res.Diagnostics.Healthy() {
-		t.Fatal("rate-1 NR divergence left the run healthy")
-	}
-	if res.TierCounts[TierSpice] == 0 {
-		t.Errorf("no direction landed on the spice tier: %v", res.TierCounts)
-	}
-	if res.TierCounts[TierQWM] != 0 || res.TierCounts[TierBisect] != 0 {
-		t.Errorf("QWM tiers survived a rate-1 divergence injection: %v", res.TierCounts)
-	}
-	if res.Degraded != len(res.EvalTier) {
-		t.Errorf("Degraded = %d but EvalTier has %d entries", res.Degraded, len(res.EvalTier))
-	}
-	requireConservative(t, clean, res, "nr-divergence")
+// within reports whether a and b agree within relative tolerance rel; with
+// rel = 0 only equal values agree.
+func within(a, b, rel float64) bool {
+	return a == b || math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestLadderPanicIsolation: a synthetic panic in every numerical tier must
-// be recovered at the tier boundary (counted in PanicsRecovered), leaving
-// the RC-bound floor to answer — the Analyze never fails and no worker
-// goroutine is lost, at any worker count.
-func TestLadderPanicIsolation(t *testing.T) {
-	clean := analyzeFaulted(t, nil, 1, EvalBudget{})
-	for _, workers := range []int{1, 8} {
-		inj := faultinject.New(5).Enable(faultinject.Panic, 1)
-		res := analyzeFaulted(t, inj, workers, EvalBudget{})
-		if res.PanicsRecovered == 0 {
-			t.Fatalf("workers=%d: no panics recovered despite rate-1 injection", workers)
+// TestLadder injects every engine fault class at rate 1, at Workers 1 and
+// 8, into the inverter chain and the staggered-slew 3-bit decoder. Network
+// classes are skipped: they fire at the remote-cache tier, which
+// remotecache's TestNetworkChaosBitIdentical arms. Every row checks:
+//   - the injector fired;
+//   - completeness: every net the clean run timed is still timed;
+//   - determinism: a same-seed repeat, and a Workers 1 run of an 8-worker
+//     row, are bit-equal in arrivals, tiers, Degraded and PanicsRecovered;
+//   - a degrading class is conservative and lands on the tier it is built
+//     to exercise: NR divergence kills both QWM tiers and lands on spice,
+//     a panic in every numerical tier is recovered and lands on rc-bound,
+//     an injected budget exhaustion aborts tier 0 and lands on qwm-bisect;
+//   - a recoverable class is invisible: nothing degrades, the tiers match
+//     clean, and so do the results — bit for bit for a stall, within
+//     faultinject.PivotRecoveryTol for a dense-LU-recovered pivot (a
+//     different elimination rounds differently), with the critical path and
+//     worst output exact.
+func TestLadder(t *testing.T) {
+	wantTier := map[faultinject.Class]Tier{
+		faultinject.NRDivergence:     TierSpice,
+		faultinject.Panic:            TierBound,
+		faultinject.BudgetExhaustion: TierBisect,
+	}
+	for _, wl := range []struct {
+		name string
+		req  Request
+	}{{"chain", chainRequest()}, {"decoder", decoderRequest(t)}} {
+		run := func(t *testing.T, inj *faultinject.Injector, workers int) *Result {
+			return analyzeOnce(t, New(tech, lib, Config{Workers: workers, FaultPlan: inj}), wl.req.Netlist, wl.req.Primary, wl.req.Outputs)
 		}
-		if res.TierCounts[TierBound] == 0 {
-			t.Errorf("workers=%d: panicking tiers must fall through to rc-bound: %v", workers, res.TierCounts)
+		clean := run(t, nil, 1)
+		if !clean.Diagnostics.Healthy() {
+			t.Fatalf("%s: clean run not healthy: %s", wl.name, clean.Diagnostics)
 		}
-		for net := range clean.Arrivals {
-			if _, ok := res.Arrivals[net]; !ok {
-				t.Errorf("workers=%d: net %s missing (completeness)", workers, net)
+		if clean.TierCounts[TierQWM] == 0 {
+			t.Fatalf("%s: clean run produced no QWM-tier timings: %v", wl.name, clean.TierCounts)
+		}
+		for class := faultinject.Class(0); class < faultinject.NumClasses; class++ {
+			if class.Network() {
+				continue
+			}
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", wl.name, class, workers), func(t *testing.T) {
+					inj := func() *faultinject.Injector { return faultinject.New(7).Enable(class, 1) }
+					fired := inj()
+					got := run(t, fired, workers)
+					if fired.FiredTotal() == 0 {
+						t.Error("the fault never fired")
+					}
+					for net := range clean.Arrivals {
+						if _, ok := got.Arrivals[net]; !ok {
+							t.Errorf("net %s missing (completeness)", net)
+						}
+					}
+					requireSameTiming(t, "same-seed repeat", got, run(t, inj(), workers))
+					if workers != 1 {
+						requireSameTiming(t, "workers 1 vs 8", run(t, inj(), 1), got)
+					}
+
+					want, degrading := wantTier[class]
+					if !degrading {
+						requireInvisible(t, class, clean, got)
+						return
+					}
+					if got.Diagnostics.Healthy() {
+						t.Fatal("rate-1 injection left the run healthy")
+					}
+					if got.TierCounts[want] == 0 {
+						t.Errorf("no direction landed on the %s tier: %v", want, got.TierCounts)
+					}
+					if got.Degraded != len(got.EvalTier) {
+						t.Errorf("Degraded = %d but EvalTier has %d entries", got.Degraded, len(got.EvalTier))
+					}
+					switch class {
+					case faultinject.NRDivergence:
+						if got.TierCounts[TierQWM] != 0 || got.TierCounts[TierBisect] != 0 {
+							t.Errorf("QWM tiers survived a rate-1 divergence injection: %v", got.TierCounts)
+						}
+					case faultinject.Panic:
+						if got.PanicsRecovered == 0 {
+							t.Error("no panics recovered despite rate-1 injection")
+						}
+					case faultinject.BudgetExhaustion:
+						if got.TierCounts[TierQWM] != 0 {
+							t.Errorf("tier 0 answered despite rate-1 budget exhaustion: %v", got.TierCounts)
+						}
+					}
+					requireConservative(t, clean, got, class.String())
+				})
 			}
 		}
-		requireConservative(t, clean, res, "panic")
 	}
 }
 
@@ -117,71 +165,6 @@ func TestLadderBudgetDegradesNeverFails(t *testing.T) {
 		t.Error("budget starvation must show up as degraded directions")
 	}
 	requireConservative(t, clean, res, "budget")
-}
-
-// TestLadderRecoverableFaultsAreInvisible: PivotBreakdown is absorbed by the
-// dense-LU rescue and CacheStall is pure latency — neither may degrade a
-// direction or change the tier a direction resolved on. A stall leaves the
-// result bit-for-bit clean; a dense-LU-recovered Newton step rounds
-// differently from the Thomas step it replaces, so a pivot-faulted result
-// matches the clean one within faultinject.PivotRecoveryTol, with the
-// critical path and worst output exact.
-func TestLadderRecoverableFaultsAreInvisible(t *testing.T) {
-	clean := analyzeFaulted(t, nil, 1, EvalBudget{})
-	within := func(a, b, rel float64) bool {
-		return a == b || math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
-	}
-	for _, class := range []faultinject.Class{faultinject.PivotBreakdown, faultinject.CacheStall} {
-		tol := 0.0
-		if class == faultinject.PivotBreakdown {
-			tol = faultinject.PivotRecoveryTol
-		}
-		inj := faultinject.New(9).Enable(class, 1)
-		res := analyzeFaulted(t, inj, 1, EvalBudget{})
-		if inj.FiredTotal() == 0 {
-			t.Errorf("%s: the fault never fired", class)
-		}
-		if res.Degraded != 0 || res.PanicsRecovered != 0 {
-			t.Errorf("%s: degraded %d, panics %d; recoverable faults must be invisible",
-				class, res.Degraded, res.PanicsRecovered)
-		}
-		if res.TierCounts != clean.TierCounts || !reflect.DeepEqual(res.EvalTier, clean.EvalTier) {
-			t.Errorf("%s: tiers %v %v, want clean %v %v", class, res.TierCounts, res.EvalTier, clean.TierCounts, clean.EvalTier)
-		}
-		if len(res.Arrivals) != len(clean.Arrivals) {
-			t.Errorf("%s: %d arrivals, want %d", class, len(res.Arrivals), len(clean.Arrivals))
-		}
-		for net, ref := range clean.Arrivals {
-			got := res.Arrivals[net]
-			if !within(got.Rise, ref.Rise, tol) || !within(got.Fall, ref.Fall, tol) ||
-				!within(got.RiseSlew, ref.RiseSlew, tol) || !within(got.FallSlew, ref.FallSlew, tol) {
-				t.Errorf("%s: net %s arrival %+v, want clean %+v within %g", class, net, got, ref, tol)
-			}
-		}
-		if !within(res.WorstArrival, clean.WorstArrival, tol) || res.WorstOutput != clean.WorstOutput {
-			t.Errorf("%s: worst %g@%s, want clean %g@%s", class, res.WorstArrival, res.WorstOutput, clean.WorstArrival, clean.WorstOutput)
-		}
-		if !reflect.DeepEqual(res.CriticalPath, clean.CriticalPath) {
-			t.Errorf("%s: critical path %v, want clean %v", class, res.CriticalPath, clean.CriticalPath)
-		}
-	}
-}
-
-// TestLadderDeterministicAcrossWorkers: the same injector seed must produce
-// bit-for-bit identical degraded results and tier inventories at Workers 1
-// and 8 — the property the key-hash injection design exists to guarantee.
-func TestLadderDeterministicAcrossWorkers(t *testing.T) {
-	mk := func() *faultinject.Injector { return faultinject.New(11).Enable(faultinject.NRDivergence, 1) }
-	s := analyzeFaulted(t, mk(), 1, EvalBudget{})
-	p := analyzeFaulted(t, mk(), 8, EvalBudget{})
-	if s.TierCounts != p.TierCounts {
-		t.Errorf("tier counts differ across workers: %v vs %v", s.TierCounts, p.TierCounts)
-	}
-	for net, ref := range s.Arrivals {
-		if got := p.Arrivals[net]; got != ref {
-			t.Errorf("net %s: workers=8 arrival %+v, want workers=1 value %+v", net, got, ref)
-		}
-	}
 }
 
 // TestLadderStructuralFailureDoesNotEscalate: a stage with no pull-up path
@@ -249,4 +232,37 @@ func pulldownOnly() *circuit.Netlist {
 	nl.AddTransistor(&circuit.Transistor{Name: "mn", Kind: circuit.KindNMOS, Drain: "out", Gate: "in0", Source: "0", Body: "0", W: 1e-6, L: tech.LMin})
 	nl.AddCapacitor("cl", "out", "0", 5e-15)
 	return nl
+}
+
+// requireInvisible asserts a recoverable fault class left no trace: nothing
+// degraded, no panic, the clean tiers, and the clean results — within
+// faultinject.PivotRecoveryTol for a pivot breakdown, bit for bit otherwise.
+func requireInvisible(t *testing.T, class faultinject.Class, clean, got *Result) {
+	t.Helper()
+	tol := 0.0
+	if class == faultinject.PivotBreakdown {
+		tol = faultinject.PivotRecoveryTol
+	}
+	if got.Degraded != 0 || got.PanicsRecovered != 0 {
+		t.Errorf("degraded %d, panics %d; recoverable faults must be invisible", got.Degraded, got.PanicsRecovered)
+	}
+	if got.TierCounts != clean.TierCounts || !reflect.DeepEqual(got.EvalTier, clean.EvalTier) {
+		t.Errorf("tiers %v %v, want clean %v %v", got.TierCounts, got.EvalTier, clean.TierCounts, clean.EvalTier)
+	}
+	if len(got.Arrivals) != len(clean.Arrivals) {
+		t.Errorf("%d arrivals, want %d", len(got.Arrivals), len(clean.Arrivals))
+	}
+	for net, ref := range clean.Arrivals {
+		g := got.Arrivals[net]
+		if !within(g.Rise, ref.Rise, tol) || !within(g.Fall, ref.Fall, tol) ||
+			!within(g.RiseSlew, ref.RiseSlew, tol) || !within(g.FallSlew, ref.FallSlew, tol) {
+			t.Errorf("net %s arrival %+v, want clean %+v within %g", net, g, ref, tol)
+		}
+	}
+	if !within(got.WorstArrival, clean.WorstArrival, tol) || got.WorstOutput != clean.WorstOutput {
+		t.Errorf("worst %g@%s, want clean %g@%s", got.WorstArrival, got.WorstOutput, clean.WorstArrival, clean.WorstOutput)
+	}
+	if !reflect.DeepEqual(got.CriticalPath, clean.CriticalPath) {
+		t.Errorf("critical path %v, want clean %v", got.CriticalPath, clean.CriticalPath)
+	}
 }

@@ -65,8 +65,10 @@ func (c *collectObserver) sortedEvals() []obs.StageEvalInfo {
 	return out
 }
 
-// decoderRequest builds the shared observability fixture: the 3-bit decoder
-// netlist with staggered primary arrivals (same shape as analyzeDecoder).
+// decoderRequest builds the 3-bit decoder request with staggered primary
+// arrivals and slews, so the slew-bucketed cache keys and worst-input
+// selection are genuinely exercised: the fixture of the observability,
+// determinism and ladder tests.
 func decoderRequest(t testing.TB) Request {
 	t.Helper()
 	nl, ins, outs, err := stages.DecoderNetlist(tech, 3, 1e-6, 10e-15)

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -33,54 +34,46 @@ func TestSlewBucketBoundaries(t *testing.T) {
 	}
 }
 
-// analyzeDecoder runs a cold-cache analysis of a 3-bit row decoder
-// (3 address inverters, 8 three-input NANDs, 8 row drivers — a wide stage
-// DAG with parallelism inside every level) at the given worker count.
-func analyzeDecoder(t testing.TB, workers int) (*Result, int) {
-	t.Helper()
-	nl, ins, outs, err := stages.DecoderNetlist(tech, 3, 1e-6, 10e-15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(tech, lib, Config{Workers: workers})
-	primary := map[string]Arrival{}
-	for i, in := range ins {
-		// Stagger arrivals and give them slews so the slew-bucketed cache
-		// keys and worst-input selection are genuinely exercised.
-		primary[in] = Arrival{
-			Rise: float64(i) * 17e-12, Fall: float64(i) * 13e-12,
-			RiseSlew: 20e-12 + float64(i)*7e-12, FallSlew: 15e-12 + float64(i)*5e-12,
-		}
-	}
-	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, res.StagesEvaluated
-}
-
 // TestParallelDeterminism is the tentpole guarantee: the parallel levelized
 // engine returns byte-identical results to the serial path for every worker
 // count — same arrivals (bit-for-bit floats), same critical path, same
 // worst output, and, thanks to the single-flight cache, the same number of
-// QWM evaluations.
+// QWM evaluations. The workload is the 3-bit decoder with staggered input
+// arrivals and slews (decoderRequest). A warm re-run of each analyzer,
+// serial and parallel, evaluates nothing and repeats the cold serial run
+// bit for bit.
 func TestParallelDeterminism(t *testing.T) {
-	serial, serialEvals := analyzeDecoder(t, 1)
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		par, parEvals := analyzeDecoder(t, workers)
-		if !reflect.DeepEqual(par.Arrivals, serial.Arrivals) {
-			t.Fatalf("workers=%d: arrivals differ from serial", workers)
+	req := decoderRequest(t)
+	analyze := func(a *Analyzer) *Result {
+		return analyzeOnce(t, a, req.Netlist, req.Primary, req.Outputs)
+	}
+	serialA := New(tech, lib, Config{Workers: 1})
+	serial := analyze(serialA)
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		a := serialA
+		if workers != 1 {
+			a = New(tech, lib, Config{Workers: workers})
+			par := analyze(a)
+			if !reflect.DeepEqual(par.Arrivals, serial.Arrivals) {
+				t.Fatalf("workers=%d: arrivals differ from serial", workers)
+			}
+			if !reflect.DeepEqual(par.CriticalPath, serial.CriticalPath) {
+				t.Errorf("workers=%d: critical path %v != serial %v", workers, par.CriticalPath, serial.CriticalPath)
+			}
+			if par.WorstArrival != serial.WorstArrival || par.WorstOutput != serial.WorstOutput {
+				t.Errorf("workers=%d: worst %g@%s != serial %g@%s", workers,
+					par.WorstArrival, par.WorstOutput, serial.WorstArrival, serial.WorstOutput)
+			}
+			if par.StagesEvaluated != serial.StagesEvaluated {
+				t.Errorf("workers=%d: %d evaluations != serial %d (single-flight broken?)",
+					workers, par.StagesEvaluated, serial.StagesEvaluated)
+			}
 		}
-		if !reflect.DeepEqual(par.CriticalPath, serial.CriticalPath) {
-			t.Errorf("workers=%d: critical path %v != serial %v", workers, par.CriticalPath, serial.CriticalPath)
+		warm := analyze(a)
+		if warm.StagesEvaluated != 0 {
+			t.Errorf("workers=%d: warm re-run evaluated %d directions, want 0", workers, warm.StagesEvaluated)
 		}
-		if par.WorstArrival != serial.WorstArrival || par.WorstOutput != serial.WorstOutput {
-			t.Errorf("workers=%d: worst %g@%s != serial %g@%s", workers,
-				par.WorstArrival, par.WorstOutput, serial.WorstArrival, serial.WorstOutput)
-		}
-		if parEvals != serialEvals {
-			t.Errorf("workers=%d: %d evaluations != serial %d (single-flight broken?)", workers, parEvals, serialEvals)
-		}
+		requireSameTiming(t, fmt.Sprintf("workers=%d warm re-run", workers), serial, warm)
 	}
 }
 

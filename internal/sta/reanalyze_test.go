@@ -8,6 +8,7 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/faultinject"
+	"qwm/internal/mos"
 	"qwm/internal/reduce"
 	"qwm/internal/stages"
 )
@@ -66,80 +67,172 @@ func requireSameTiming(t *testing.T, label string, ref, got *Result) {
 	}
 	if ref.TierCounts != got.TierCounts || ref.Degraded != got.Degraded ||
 		ref.EvalErrors != got.EvalErrors || ref.SlewFallbacks != got.SlewFallbacks ||
-		ref.ReducedNodes != got.ReducedNodes {
-		t.Fatalf("%s: diagnostics diverged:\nref: %s\ngot: %s", label, ref.Diagnostics, got.Diagnostics)
+		ref.ReducedNodes != got.ReducedNodes || ref.PanicsRecovered != got.PanicsRecovered ||
+		!reflect.DeepEqual(ref.EvalTier, got.EvalTier) {
+		t.Fatalf("%s: diagnostics diverged:\nref: %s %v\ngot: %s %v", label, ref.Diagnostics, ref.EvalTier, got.Diagnostics, got.EvalTier)
 	}
 }
 
-// TestIncrementalMatchesScratch drives an edit sequence (resize, load change,
-// revert) through one persistent analyzer per worker count — re-analysis
-// after an edit is a plain re-run on a warm analyzer — and checks every step
-// bit-for-bit against a persistent serial analyzer with the same history,
-// with reduction off and on.
+// wideEditFixture builds stages.WideNetlist(4, 6): one input inverter
+// fanning out to four drivers, each through a 6-segment RC line into a
+// receiver inverter mnr<f>/mpr<f> loaded by cl<f>.
+func wideEditFixture(t testing.TB) (*circuit.Netlist, map[string]Arrival, []string) {
+	t.Helper()
+	nl, ins, outs, err := stages.WideNetlist(tech, 4, 6, 1e-6, 10e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nl, map[string]Arrival{ins[0]: {}}, outs
+}
+
+// findCap returns the named capacitor or fails the test.
+func findCap(t testing.TB, nl *circuit.Netlist, name string) *circuit.Capacitor {
+	t.Helper()
+	for _, c := range nl.Capacitors {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("capacitor %q not found", name)
+	return nil
+}
+
+// insertBuffer re-gates the named devices, all gated by one net, through
+// two new inverters: net -> eb1 -> eb2 -> devices.
+func insertBuffer(t testing.TB, nl *circuit.Netlist, devices ...string) {
+	t.Helper()
+	net := findDevice(t, nl, devices[0]).Gate
+	for i, nets := range [][2]string{{net, "eb1"}, {"eb1", "eb2"}} {
+		nl.AddTransistor(&circuit.Transistor{Name: fmt.Sprintf("mneb%d", i), Kind: circuit.KindNMOS,
+			Drain: nets[1], Gate: nets[0], Source: "0", Body: "0", W: 1e-6, L: tech.LMin})
+		nl.AddTransistor(&circuit.Transistor{Name: fmt.Sprintf("mpeb%d", i), Kind: circuit.KindPMOS,
+			Drain: nets[1], Gate: nets[0], Source: "vdd", Body: "vdd", W: 2e-6, L: tech.LMin})
+	}
+	for _, d := range devices {
+		findDevice(t, nl, d).Gate = "eb2"
+	}
+}
+
+// editStep is one row of an edit sequence: an in-place netlist edit and the
+// most directions a warm re-analysis after it may evaluate — both
+// directions of every stage the edit touches (its geometry, or the loads
+// on its nets) and of every stage downstream of those.
+type editStep struct {
+	name string
+	edit func(t testing.TB, nl *circuit.Netlist)
+	max  int
+}
+
+// TestIncrementalMatchesScratch drives edit sequences — resize, junction
+// geometry (AD/PD/AS/PS), load, buffer insertion, revert — through one
+// persistent analyzer per row, for {plain, reduce, rate-1 NR divergence}
+// × Workers {1, 8} × {3-bit decoder, WideNetlist(4, 6)}: re-analysis after
+// an edit is a plain re-run on a warm analyzer. Every step must:
+//   - match a persistent serial analyzer with the same history bit for
+//     bit, evaluation count included;
+//   - evaluate at least one direction (an edit answered wholly from
+//     pre-edit entries means the key omits what it changed) and at most the
+//     step's bound;
+//   - be followed by a no-op re-run that evaluates nothing, misses nothing
+//     and repeats the step's result bit for bit.
 //
-// The reference shares the cache history rather than starting cold:
-// delay-cache entries are keyed by 5 ps slew bucket but evaluated at the
-// first-seen exact slew, so a warm re-analysis can differ from a cold
-// analyzer in low-order bits when an edit moves a slew within its bucket.
+// The divergence variant forces every evaluation onto the spice tier. The
+// reference shares the cache history rather than starting cold: delay-cache
+// entries are keyed by 5 ps slew bucket but evaluated at the first-seen
+// exact slew, so a warm re-analysis can differ from a cold analyzer in
+// low-order bits when an edit moves a slew within its bucket.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	variants := []struct {
 		name string
-		red  reduce.Config
+		cfg  func(workers int) Config
 	}{
-		{"plain", reduce.Config{}},
-		{"reduce", reduce.Config{Enabled: true}},
+		{"plain", func(w int) Config { return Config{Workers: w} }},
+		{"reduce", func(w int) Config { return Config{Workers: w, Reduction: reduce.Config{Enabled: true}} }},
+		{"nr-divergence", func(w int) Config {
+			return Config{Workers: w, FaultPlan: faultinject.New(3).Enable(faultinject.NRDivergence, 1)}
+		}},
 	}
-	for _, v := range variants {
-		for _, workers := range []int{1, 8} {
-			t.Run(v.name, func(t *testing.T) {
-				nl, primary, outs := decoderFixture(t)
-				warm := New(tech, lib, Config{Workers: workers, Reduction: v.red})
-				serial := New(tech, lib, Config{Workers: 1, Reduction: v.red})
-
-				// Every step's netlist is new to the analyzers, so each
-				// must evaluate something.
-				step := func(label string) {
-					ref := analyzeOnce(t, serial, nl, primary, outs)
-					got := analyzeOnce(t, warm, nl, primary, outs)
-					requireSameTiming(t, label, ref, got)
-					if got.StagesEvaluated != ref.StagesEvaluated {
-						t.Fatalf("%s: workers %d evaluated %d directions, serial %d",
-							label, workers, got.StagesEvaluated, ref.StagesEvaluated)
-					}
-					if got.StagesEvaluated == 0 {
-						t.Fatalf("%s: the edit re-evaluated nothing", label)
-					}
-				}
-
-				step("baseline")
-				dev := findDevice(t, nl, "mnd0")
-				dev.W *= 1.7
-				step("resize")
-				nl.Capacitors[0].C *= 1.5
-				step("load")
-				dev.W /= 1.7
-				step("revert")
-			})
+	resize := func(dev string, f float64) func(testing.TB, *circuit.Netlist) {
+		return func(t testing.TB, nl *circuit.Netlist) { findDevice(t, nl, dev).W *= f }
+	}
+	revert := func(dev string, f float64) func(testing.TB, *circuit.Netlist) {
+		return func(t testing.TB, nl *circuit.Netlist) { findDevice(t, nl, dev).W /= f }
+	}
+	junction := func(dev string) func(testing.TB, *circuit.Netlist) {
+		return func(t testing.TB, nl *circuit.Netlist) {
+			d := findDevice(t, nl, dev)
+			d.DrainJunc = mos.Junction{Area: 12e-12, Perim: 14e-6}
+			d.SourceJunc = mos.Junction{Area: 3e-12, Perim: 5e-6}
 		}
 	}
-}
+	load := func(c string) func(testing.TB, *circuit.Netlist) {
+		return func(t testing.TB, nl *circuit.Netlist) { findCap(t, nl, c).C *= 1.5 }
+	}
+	buffer := func(devs ...string) func(testing.TB, *circuit.Netlist) {
+		return func(t testing.TB, nl *circuit.Netlist) { insertBuffer(t, nl, devs...) }
+	}
+	workloads := []struct {
+		name    string
+		fixture func(testing.TB) (*circuit.Netlist, map[string]Arrival, []string)
+		steps   []editStep
+	}{
+		// Stages: 3 address inverters, NAND w<r> per row, driver y<r>.
+		{"decoder", decoderFixture, []editStep{
+			{"baseline", nil, 38},                 // 19 stages, cold
+			{"resize", resize("mnd0", 1.7), 4},    // driver y0, NAND w0 (its load)
+			{"junction", junction("mnn0_0"), 4},   // NAND w0, driver y0
+			{"load", load("cl0"), 2},              // driver y0
+			{"buffer", buffer("mnd1", "mpd1"), 8}, // NAND w1 (its load), eb1, eb2, driver y1
+			{"revert", revert("mnd0", 1.7), 4},    // driver y0, NAND w0
+		}},
+		// Stages: input inverter, driver + RC line r<f>, receiver y<f>.
+		{"wide", wideEditFixture, []editStep{
+			{"baseline", nil, 18},                 // 9 stages, cold
+			{"resize", resize("mnr0", 1.7), 4},    // receiver y0, driver r0 (its load)
+			{"junction", junction("mnr1"), 2},     // receiver y1
+			{"load", load("cl0"), 2},              // receiver y0
+			{"buffer", buffer("mnr3", "mpr3"), 8}, // driver r3 (its load), eb1, eb2, receiver y3
+			{"revert", revert("mnr0", 1.7), 4},    // receiver y0, driver r0
+		}},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			for _, wl := range workloads {
+				for _, workers := range []int{1, 8} {
+					t.Run(fmt.Sprintf("w%d/%s", workers, wl.name), func(t *testing.T) {
+						nl, primary, outs := wl.fixture(t)
+						warm := New(tech, lib, v.cfg(workers))
+						serial := New(tech, lib, v.cfg(1))
+						for _, st := range wl.steps {
+							if st.edit != nil {
+								st.edit(t, nl)
+							}
+							ref := analyzeOnce(t, serial, nl, primary, outs)
+							got := analyzeOnce(t, warm, nl, primary, outs)
+							requireSameTiming(t, st.name, ref, got)
+							if got.StagesEvaluated != ref.StagesEvaluated {
+								t.Fatalf("%s: workers %d evaluated %d directions, serial %d",
+									st.name, workers, got.StagesEvaluated, ref.StagesEvaluated)
+							}
+							if got.StagesEvaluated < 1 || got.StagesEvaluated > st.max {
+								t.Fatalf("%s: evaluated %d directions, want 1..%d", st.name, got.StagesEvaluated, st.max)
+							}
 
-// TestIncrementalNoEditAllClean: re-running a warm analyzer on an untouched
-// netlist must answer everything from the cache — zero evaluations, zero
-// misses — with identical results.
-func TestIncrementalNoEditAllClean(t *testing.T) {
-	nl, primary, outs := decoderFixture(t)
-	a := New(tech, lib)
-	first := analyzeOnce(t, a, nl, primary, outs)
-	before := a.CacheStats()
-	second := analyzeOnce(t, a, nl, primary, outs)
-	if second.StagesEvaluated != 0 {
-		t.Fatalf("no-edit rerun evaluated %d directions", second.StagesEvaluated)
+							before := warm.CacheStats()
+							again := analyzeOnce(t, warm, nl, primary, outs)
+							if again.StagesEvaluated != 0 {
+								t.Fatalf("%s: no-op re-run evaluated %d directions", st.name, again.StagesEvaluated)
+							}
+							if after := warm.CacheStats(); after.Misses != before.Misses {
+								t.Fatalf("%s: no-op re-run paid %d cache misses", st.name, after.Misses-before.Misses)
+							}
+							requireSameTiming(t, st.name+" no-op re-run", got, again)
+						}
+					})
+				}
+			}
+		})
 	}
-	if after := a.CacheStats(); after.Misses != before.Misses {
-		t.Fatalf("no-edit rerun paid %d cache misses", after.Misses-before.Misses)
-	}
-	requireSameTiming(t, "no-edit", first, second)
 }
 
 // TestIncrementalDirtyCone: resizing one row driver of the decoder on a warm

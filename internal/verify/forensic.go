@@ -82,8 +82,6 @@ func WorstStageIndex(rep *Report) int {
 //	trace.json      the region decomposition as Chrome trace-event JSON
 //	                (circuit picoseconds rendered as trace microseconds —
 //	                load it in Perfetto and read µs as ps)
-//	metrics.json    the report's metrics snapshot (when one was collected;
-//	                cmd/verify -dump-worst always collects one)
 //
 // The directory is created if missing. Dump succeeds even for cases that
 // failed their gate — that is the point — but returns an error if the
@@ -184,15 +182,6 @@ func DumpStageCase(rep *Report, idx int, dir string) (*ForensicBundle, error) {
 	}
 	if err := write("trace.json", traceJSON); err != nil {
 		return nil, err
-	}
-	if rep.Metrics != nil {
-		mJSON, err := json.MarshalIndent(rep.Metrics, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("verify: forensic dump: metrics: %w", err)
-		}
-		if err := write("metrics.json", mJSON); err != nil {
-			return nil, err
-		}
 	}
 	manifest, _ := json.MarshalIndent(b, "", "  ")
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), manifest, 0o644); err != nil {

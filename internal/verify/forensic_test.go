@@ -5,19 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"qwm/internal/obs"
 )
 
-// TestDumpWorstBundle runs a tiny sweep with metrics attached, dumps the
-// worst case, and checks the bundle is complete, valid JSON, and matches the
-// report's worst case.
+// TestDumpWorstBundle runs a tiny sweep, dumps the worst case, and checks
+// the bundle is complete, valid JSON, and matches the report's worst case.
 func TestDumpWorstBundle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forensic dump runs a SPICE-differential sweep")
 	}
-	reg := obs.NewRegistry()
-	rep, err := Run(Config{Seed: 11, N: 3, Metrics: reg})
+	rep, err := Run(Config{Seed: 11, N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +28,7 @@ func TestDumpWorstBundle(t *testing.T) {
 		t.Fatalf("bundle header %+v does not match report worst case %d (%s)", b, idx, rep.Stage[idx].Name)
 	}
 
-	want := []string{"manifest.json", "case.json", "waveforms.json", "trace.json", "metrics.json"}
+	want := []string{"manifest.json", "case.json", "waveforms.json", "trace.json"}
 	for _, name := range want {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"qwm/internal/api/v1"
-	"qwm/internal/obs"
 )
 
 // Histogram is the delay-error distribution in fixed percent buckets.
@@ -34,8 +33,7 @@ func (h *Histogram) add(errPct float64) {
 }
 
 // Summary condenses a run: the per-case delay-error distribution of the
-// QWM-vs-SPICE stage differential and the pass/fail tallies of the
-// equivalence differentials.
+// QWM-vs-SPICE stage sweep.
 type Summary struct {
 	StageCases    int `json:"stage_cases"`
 	StageErrors   int `json:"stage_engine_errors"` // engine failures, no comparison
@@ -50,34 +48,18 @@ type Summary struct {
 	MedianSlewErrPct  float64   `json:"median_slew_err_pct"`
 	ErrHistogram      Histogram `json:"delay_err_histogram"`
 
-	AnalyzeCases      int `json:"analyze_cases"`
-	AnalyzeMismatches int `json:"analyze_mismatches"`
-	SiblingPairs      int `json:"sibling_pairs"`
-	SiblingMismatches int `json:"sibling_mismatches"`
-
-	HotPathCases      int     `json:"hotpath_cases"`
-	HotPathMismatches int     `json:"hotpath_mismatches"`
-	MaxHotPathErrPct  float64 `json:"max_hotpath_err_pct"`
-
-	// Pass requires: median accuracy >= 95 %, no equivalence mismatches,
-	// and no engine errors.
+	// Pass requires median accuracy >= 95 % and no engine errors.
 	Pass bool `json:"pass"`
 }
 
-// Report is the full JSON artifact of one differential-verification run.
+// Report is the full JSON artifact of one stage sweep.
 type Report struct {
-	SchemaVersion string        `json:"schema_version"`
-	Seed          int64         `json:"seed"`
-	N             int           `json:"n"`
-	TolPct        float64       `json:"tol_pct"`
-	Stage         []StageDiff   `json:"stage_cases"`
-	Analyze       []AnalyzeDiff `json:"analyze_cases"`
-	Sibling       []AnalyzeDiff `json:"sibling_pairs"`
-	HotPath       []HotPathDiff `json:"hotpath_cases,omitempty"`
-	Summary       Summary       `json:"summary"`
-	// Metrics is the aggregated STA engine metrics snapshot of the run
-	// (counters + histograms), present when Config.Metrics was set.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	SchemaVersion string      `json:"schema_version"`
+	Seed          int64       `json:"seed"`
+	N             int         `json:"n"`
+	TolPct        float64     `json:"tol_pct"`
+	Stage         []StageDiff `json:"stage_cases"`
+	Summary       Summary     `json:"summary"`
 }
 
 func percentile(sorted []float64, p float64) float64 {
@@ -99,10 +81,7 @@ func percentile(sorted []float64, p float64) float64 {
 func (r *Report) Finalize() {
 	r.SchemaVersion = v1.SchemaVersion
 	s := &r.Summary
-	*s = Summary{
-		StageCases: len(r.Stage), AnalyzeCases: len(r.Analyze),
-		SiblingPairs: len(r.Sibling), HotPathCases: len(r.HotPath),
-	}
+	*s = Summary{StageCases: len(r.Stage)}
 
 	var delayErrs, slewErrs, accs []float64
 	for _, d := range r.Stage {
@@ -138,27 +117,7 @@ func (r *Report) Finalize() {
 	if len(slewErrs) > 0 {
 		s.MedianSlewErrPct = percentile(slewErrs, 50)
 	}
-	for _, d := range r.Analyze {
-		if !d.Pass {
-			s.AnalyzeMismatches++
-		}
-	}
-	for _, d := range r.Sibling {
-		if !d.Pass {
-			s.SiblingMismatches++
-		}
-	}
-	for _, d := range r.HotPath {
-		if !d.Pass {
-			s.HotPathMismatches++
-		}
-		if d.MaxErrPct > s.MaxHotPathErrPct {
-			s.MaxHotPathErrPct = d.MaxErrPct
-		}
-	}
-	s.Pass = s.MedianAccuracyPct >= 95 &&
-		s.AnalyzeMismatches == 0 && s.SiblingMismatches == 0 &&
-		s.HotPathMismatches == 0 && s.StageErrors == 0
+	s.Pass = s.MedianAccuracyPct >= 95 && s.StageErrors == 0
 }
 
 // JSON renders the report with indentation.
