@@ -61,16 +61,19 @@ race:
 race-obs:
 	$(GO) test -race ./internal/sta/... ./internal/obs/... ./internal/faultinject/...
 
-# Trace-export smoke: trace a full decoder analysis through the request-trace
-# bridge, validate the exported Chrome trace (balanced spans nested in the
-# analysis, one eval span per work item with cache, tier and solver args,
-# more than one worker lane) and assert the deterministic rendering is
-# byte-identical at Workers 1 and 8; plus the bridge's own wall-clock,
-# schedule-independence and mid-analysis export tests, and the service's
+# Trace-export smoke: trace a full decoder analysis, validate the exported
+# Chrome trace (balanced spans nested in the analysis, one eval span per
+# work item with cache, tier and solver args, more than one worker lane,
+# and the engine's span IDs, parents, attributes and lanes against an
+# observer's view of the same run), check that each level span covers
+# exactly its sta/time/level_seconds interval with its evals and tier
+# probes inside, and assert the deterministic rendering is byte-identical
+# at Workers 1 and 8; plus the export's own wall-clock,
+# schedule-independence and mid-analysis freeze tests, and the service's
 # deterministic export of a traced 2-bit decoder request against its golden.
 trace-smoke:
-	$(GO) test -run 'TestTraceDecoderSmoke|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
-	$(GO) test -run 'TestTraceBridge|TestTraceDeterministicByteIdentical|TestTraceIncompleteAnalysis' -count=1 ./internal/obs/
+	$(GO) test -run 'TestTraceDecoderSmoke|TestTraceLevelSpansMatchLevelSeconds|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
+	$(GO) test -run 'TestTraceWallClockExport|TestTraceDeterministicByteIdentical|TestTraceIncompleteAnalysis' -count=1 ./internal/obs/
 	$(GO) test -run 'TestTraceDeterministicGolden' -count=1 ./internal/service/
 
 # Distributed-tracing smoke: replica A answers warm off replica B's cache

@@ -77,6 +77,12 @@ func main() {
 		traceDet = flag.Bool("trace-deterministic", false, "write the deterministic trace variant (synthetic clock, schedule-independent; byte-identical at any -workers)")
 	)
 	flag.Parse()
+	// A negative budget or tolerance would silently mean "off"; refuse it.
+	if *nrBudget < 0 || *wallB < 0 || !(*redTol >= 0) {
+		fmt.Fprintf(os.Stderr, "sta: -nr-budget, -wall-budget and -reduce must be >= 0, got -nr-budget %d -wall-budget %v -reduce %g\n", *nrBudget, *wallB, *redTol)
+		fmt.Fprintln(os.Stderr, "usage: sta [-deck FILE] [-inputs NETS] [-outputs NETS] [-v] [-workers N] [-cache-stats] [-metrics-json] [-nr-budget N] [-wall-budget D] [-reduce PCT] [-trace FILE [-trace-deterministic]]")
+		os.Exit(2)
+	}
 	budget := sta.EvalBudget{NRIters: *nrBudget, Wall: *wallB}
 	opts := opsOptions{
 		stats: *stats, metricsJSON: *metrics,
@@ -143,7 +149,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 	a := sta.New(tech, lib, cfg)
 	req := sta.Request{Netlist: deck.Netlist, Primary: primary, Outputs: outs}
 	// With -trace the analysis runs under a reference into one request
-	// trace; the engine bridges its span stream in.
+	// trace; the engine writes its spans into it.
 	var trace *obs.ActiveTrace
 	ctx := context.Background()
 	if ops.tracePath != "" {

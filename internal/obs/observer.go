@@ -18,7 +18,8 @@ import "time"
 // (Level, Item), which identifies each evaluation deterministically.
 //
 // A nil Observer on a request disables eventing entirely; the engine then
-// never constructs an event or reads the clock.
+// never constructs an event, and reads the clock only for an attached
+// metrics registry or request trace.
 type Observer interface {
 	AnalyzeStart(AnalyzeStartInfo)
 	LevelStart(LevelStartInfo)
@@ -154,34 +155,5 @@ func (f Funcs) StageEval(i StageEvalInfo) {
 func (f Funcs) AnalyzeEnd(i AnalyzeEndInfo) {
 	if f.OnAnalyzeEnd != nil {
 		f.OnAnalyzeEnd(i)
-	}
-}
-
-// Multi fans every event out to each observer in order. StageEval
-// concurrency propagates: each wrapped observer must itself tolerate
-// concurrent StageEval calls under Workers > 1.
-type Multi []Observer
-
-func (m Multi) AnalyzeStart(i AnalyzeStartInfo) {
-	for _, o := range m {
-		o.AnalyzeStart(i)
-	}
-}
-
-func (m Multi) LevelStart(i LevelStartInfo) {
-	for _, o := range m {
-		o.LevelStart(i)
-	}
-}
-
-func (m Multi) StageEval(i StageEvalInfo) {
-	for _, o := range m {
-		o.StageEval(i)
-	}
-}
-
-func (m Multi) AnalyzeEnd(i AnalyzeEndInfo) {
-	for _, o := range m {
-		o.AnalyzeEnd(i)
 	}
 }

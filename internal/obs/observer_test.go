@@ -18,35 +18,6 @@ func TestFuncsNilFieldsIgnoreEvents(t *testing.T) {
 	if got != 1 {
 		t.Errorf("OnStageEval fired %d times, want 1", got)
 	}
-}
-
-// TestMultiFansOut: every wrapped observer sees every event, in order.
-func TestMultiFansOut(t *testing.T) {
-	var a, b []string
-	rec := func(dst *[]string) Observer {
-		return Funcs{
-			OnAnalyzeStart: func(AnalyzeStartInfo) { *dst = append(*dst, "start") },
-			OnLevelStart:   func(LevelStartInfo) { *dst = append(*dst, "level") },
-			OnStageEval:    func(StageEvalInfo) { *dst = append(*dst, "eval") },
-			OnAnalyzeEnd:   func(AnalyzeEndInfo) { *dst = append(*dst, "end") },
-		}
-	}
-	m := Multi{rec(&a), rec(&b)}
-	m.AnalyzeStart(AnalyzeStartInfo{})
-	m.LevelStart(LevelStartInfo{})
-	m.StageEval(StageEvalInfo{})
-	m.AnalyzeEnd(AnalyzeEndInfo{})
-	want := []string{"start", "level", "eval", "end"}
-	for _, got := range [][]string{a, b} {
-		if len(got) != len(want) {
-			t.Fatalf("observer saw %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("observer saw %v, want %v", got, want)
-			}
-		}
-	}
 	// Nop implements the interface and does nothing.
 	var _ Observer = Nop{}
 }

@@ -16,10 +16,10 @@ import (
 
 // This file is the request-scoped distributed-tracing layer: a trace context
 // minted at the service front door (POST /analyze), carried through the
-// admission queue, the worker pool, the engine (bridged from the existing
-// Observer span stream), the cache-tier probes and the remote-cache client —
-// which forwards it over the wire so a peer replica's cache plane can
-// contribute a child span to the same trace.
+// admission queue, the worker pool, the engine (which writes its own
+// analyze, level, eval and tier-probe spans; internal/sta/trace.go) and the
+// remote-cache client — which forwards it over the wire so a peer replica's
+// cache plane can contribute a child span to the same trace.
 //
 // Span identity is SEMANTIC, not random: every span's ID is a "."-separated
 // path describing its causal position ("req", "req.j0", "req.j0.analyze",
@@ -272,148 +272,6 @@ func KeyHash(key []byte) string {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], h.Sum32())
 	return hex.EncodeToString(b[:])
-}
-
-// TraceBridge adapts the engine's Observer span stream into request-trace
-// spans: one analyze span, one span per dependency level, one per StageEval.
-// It is the only path from the engine into a trace — the service front door
-// and cmd/sta -trace both reach it by putting a TraceRef on the Analyze
-// context. It is constructed per-Analyze from that TraceRef and composed
-// with any user observer via Multi. StageEval events may arrive concurrently
-// (Workers > 1); level bookkeeping is mutex-guarded and StageEval touches
-// only the ActiveTrace, which serializes internally.
-//
-// The engine has no LevelEnd event (level completion is metrics-only), so a
-// level's span is emitted when the NEXT LevelStart — or AnalyzeEnd — arrives.
-type TraceBridge struct {
-	ref       TraceRef
-	analyzeID string
-
-	mu        sync.Mutex
-	start     time.Time
-	info      AnalyzeStartInfo
-	haveLevel bool
-	curLevel  LevelStartInfo
-	curStart  time.Time
-}
-
-// NewTraceBridge builds the bridge for one Analyze parented under
-// ref.Parent (the worker span).
-func NewTraceBridge(ref TraceRef) *TraceBridge {
-	return &TraceBridge{ref: ref, analyzeID: ref.Parent + ".analyze"}
-}
-
-// AnalyzeID returns the analyze span's ID — the parent for tier-probe spans.
-func (b *TraceBridge) AnalyzeID() string { return b.analyzeID }
-
-func (b *TraceBridge) AnalyzeStart(info AnalyzeStartInfo) {
-	b.mu.Lock()
-	b.start = time.Now()
-	b.info = info
-	b.mu.Unlock()
-}
-
-func (b *TraceBridge) LevelStart(info LevelStartInfo) {
-	now := time.Now()
-	b.mu.Lock()
-	if b.haveLevel {
-		b.emitLevelLocked(now)
-	}
-	b.haveLevel = true
-	b.curLevel = info
-	b.curStart = now
-	b.mu.Unlock()
-}
-
-// emitLevelLocked closes the open level span. Caller holds b.mu.
-func (b *TraceBridge) emitLevelLocked(end time.Time) {
-	l := b.curLevel
-	lvl := strconv.Itoa(l.Level)
-	b.ref.T.Add(ReqSpan{
-		ID:     b.analyzeID + ".L" + lvl,
-		Parent: b.analyzeID,
-		Name:   "level " + lvl,
-		Level:  l.Level, Item: -1,
-		Start: b.curStart, Dur: end.Sub(b.curStart),
-		Attrs: Attrs{Int("level", l.Level), Int("stages", l.Stages), Int("items", l.Items)},
-	})
-}
-
-func (b *TraceBridge) StageEval(info StageEvalInfo) {
-	end := time.Now()
-	cache := "miss"
-	if info.CacheHit {
-		cache = "hit"
-	}
-	// The solver statistics belong to the cache entry (a hit carries the
-	// stats of the evaluation that produced it, persisted in tier records),
-	// so they are schedule-independent like the cache outcome and tier.
-	attrs := [9]Attr{
-		Str("output", info.Output), Str("dir", info.Direction), Str("cache", cache),
-		Int("nr_iters", info.QWM.NRIters),
-		Int("regions", info.QWM.Regions),
-		Int("dense_fallbacks", info.QWM.DenseFallbacks),
-		Int("cap_resolves", info.QWM.CapResolves),
-	}
-	n := 7
-	if info.Tier != "" {
-		attrs[n] = Str("tier", info.Tier)
-		n++
-	}
-	if info.Err != "" {
-		attrs[n] = Str("err", info.Err)
-		n++
-	}
-	levelID := b.analyzeID + ".L" + strconv.Itoa(info.Level)
-	b.ref.T.Add(ReqSpan{
-		ID:     levelID + ".e" + strconv.Itoa(info.Item),
-		Parent: levelID,
-		Name:   info.Output + "~" + info.Direction,
-		Level:  info.Level, Item: info.Item,
-		Start: end.Add(-info.Duration), Dur: info.Duration,
-		Thread: info.Worker + 1,
-		Attrs:  attrs[:n],
-	})
-}
-
-func (b *TraceBridge) AnalyzeEnd(info AnalyzeEndInfo) {
-	now := time.Now()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.haveLevel {
-		b.emitLevelLocked(now)
-		b.haveLevel = false
-	}
-	attrs := [11]Attr{
-		Int("stages", b.info.Stages),
-		Int("levels", b.info.Levels),
-		Int("items", b.info.Items),
-		Int("outputs", b.info.Outputs),
-		// Deterministic per the single-flight cache contract (the existing
-		// trace gate pins this); the Workers setting and durations are not.
-		Int64("cache_hits", info.CacheHits),
-		Int64("cache_misses", info.CacheMisses),
-		Int("stages_evaluated", info.StagesEvaluated),
-		Int("eval_errors", info.EvalErrors),
-		Int("slew_fallbacks", info.SlewFallbacks),
-	}
-	n := 9
-	if info.Cancelled {
-		attrs[n] = Bool("cancelled", true)
-		n++
-	}
-	if info.Err != nil {
-		attrs[n] = Str("err", info.Err.Error())
-		n++
-	}
-	b.ref.T.Add(ReqSpan{
-		ID:     b.analyzeID,
-		Parent: b.ref.Parent,
-		Name:   "analyze",
-		Level:  LevelAnalyze, Item: b.ref.Item,
-		Start: b.start, Dur: now.Sub(b.start),
-		Attrs: attrs[:n],
-	})
 }
 
 // RequestTrace is one completed request's span tree, the unit the flight

@@ -222,70 +222,6 @@ func TestDeterministicExportProcesses(t *testing.T) {
 	}
 }
 
-// TestTraceBridgeSpans drives the Observer bridge through a two-level
-// analyze and checks the emitted span tree.
-func TestTraceBridgeSpans(t *testing.T) {
-	at := NewActiveTrace("")
-	b := NewTraceBridge(TraceRef{T: at, Parent: "req.j0", Level: LevelWorker, Item: 0})
-	if b.AnalyzeID() != "req.j0.analyze" {
-		t.Fatalf("AnalyzeID %q", b.AnalyzeID())
-	}
-	b.AnalyzeStart(AnalyzeStartInfo{Stages: 2, Levels: 2, Items: 3, Outputs: 1, Workers: 8})
-	b.LevelStart(LevelStartInfo{Level: 0, Levels: 2, Stages: 1, Items: 2})
-	b.StageEval(StageEvalInfo{Level: 0, Item: 0, Output: "y0", Direction: "rise", CacheHit: false, Duration: time.Millisecond})
-	b.StageEval(StageEvalInfo{Level: 0, Item: 1, Output: "y0", Direction: "fall", CacheHit: true})
-	b.LevelStart(LevelStartInfo{Level: 1, Levels: 2, Stages: 1, Items: 1})
-	b.StageEval(StageEvalInfo{Level: 1, Item: 0, Output: "y1", Direction: "rise", Tier: "qwm", Worker: 5,
-		QWM: QWMStats{Regions: 6, NRIters: 44, DenseFallbacks: 1, CapResolves: 3}})
-	b.AnalyzeEnd(AnalyzeEndInfo{CacheHits: 1, CacheMisses: 2, StagesEvaluated: 2, EvalErrors: 1, SlewFallbacks: 2})
-
-	rt := at.Finish("analyze", 200, time.Millisecond)
-	byID := map[string]ReqSpan{}
-	for _, s := range rt.Spans() {
-		byID[s.ID] = s
-	}
-	for id, parent := range map[string]string{
-		"req.j0.analyze":       "req.j0",
-		"req.j0.analyze.L0":    "req.j0.analyze",
-		"req.j0.analyze.L1":    "req.j0.analyze",
-		"req.j0.analyze.L0.e0": "req.j0.analyze.L0",
-		"req.j0.analyze.L0.e1": "req.j0.analyze.L0",
-		"req.j0.analyze.L1.e0": "req.j0.analyze.L1",
-	} {
-		s, ok := byID[id]
-		if !ok {
-			t.Errorf("missing span %s (have %d spans)", id, rt.NumSpans())
-			continue
-		}
-		if s.Parent != parent {
-			t.Errorf("span %s parent %q, want %q", id, s.Parent, parent)
-		}
-	}
-	an := byID["req.j0.analyze"]
-	if an.Attrs.Get("cache_hits") != int64(1) {
-		t.Errorf("analyze span cache_hits = %v", an.Attrs.Get("cache_hits"))
-	}
-	if an.Attrs.Get("workers") != nil {
-		t.Error("analyze span leaked the schedule-dependent Workers setting")
-	}
-	if s := byID["req.j0.analyze.L1.e0"]; s.Attrs.Get("tier") != "qwm" {
-		t.Errorf("eval span tier attr = %v", s.Attrs.Get("tier"))
-	}
-	if an.Attrs.Get("eval_errors") != int64(1) || an.Attrs.Get("slew_fallbacks") != int64(2) {
-		t.Errorf("analyze span error counts = %v / %v", an.Attrs.Get("eval_errors"), an.Attrs.Get("slew_fallbacks"))
-	}
-	e := byID["req.j0.analyze.L1.e0"]
-	for k, want := range map[string]int64{"regions": 6, "nr_iters": 44, "dense_fallbacks": 1, "cap_resolves": 3} {
-		if e.Attrs.Get(k) != want {
-			t.Errorf("eval span %s = %v, want %d", k, e.Attrs.Get(k), want)
-		}
-	}
-	if e.Thread != 6 || an.Thread != 0 || byID["req.j0.analyze.L1"].Thread != 0 {
-		t.Errorf("threads: eval %d (want worker 5 + 1), analyze %d, level %d",
-			e.Thread, an.Thread, byID["req.j0.analyze.L1"].Thread)
-	}
-}
-
 func TestTraceFromContext(t *testing.T) {
 	if _, ok := TraceFrom(nil); ok {
 		t.Error("TraceFrom(nil) claimed a trace")

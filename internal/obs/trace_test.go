@@ -4,43 +4,69 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// feedAnalysis drives one synthetic Analyze span stream through a trace
-// bridge into a fresh trace: 2 levels with 2 evals each, delivered in the
-// given eval order with the given worker ids. The deterministic identity
-// (Level, Item) and every cached-entry property are fixed; only
-// schedule-dependent content (durations, delivery order, worker ids) varies
-// between invocations. Each level waits out its evals' durations first, so
-// the reconstructed eval starts fall inside the level, as they do when the
-// engine measures them.
-func feedAnalysis(order []int, workers []int, durScale time.Duration) *ActiveTrace {
-	at := NewActiveTrace("")
-	b := NewTraceBridge(TraceRef{T: at, Parent: "sta", Level: LevelWorker})
-	b.AnalyzeStart(AnalyzeStartInfo{Stages: 2, Levels: 2, Items: 4, Outputs: 1, Workers: len(workers)})
-	evals := []StageEvalInfo{
-		{Level: 0, Item: 0, Output: "n1", Direction: "fall", QWM: QWMStats{Regions: 5, NRIters: 40}, Tier: "qwm"},
-		{Level: 0, Item: 1, Output: "n1", Direction: "rise", CacheHit: true, QWM: QWMStats{Regions: 5, NRIters: 40}, Tier: "qwm"},
-		{Level: 1, Item: 0, Output: "out", Direction: "fall", QWM: QWMStats{Regions: 7, NRIters: 61, DenseFallbacks: 1}, Tier: "qwm-bisect"},
-		{Level: 1, Item: 1, Output: "out", Direction: "rise", Err: "no conducting path"},
+// analysisSpans returns the spans of one synthetic two-level analysis under
+// the span "sta", as an engine writes them: an analyze span, two level spans
+// and two eval spans per level. The deterministic identity (ID, parent,
+// Level, Item) and every attribute are fixed; the eval spans' threads come
+// from threads and every start and duration is a multiple of durScale, so
+// only schedule-dependent content varies between calls. Each eval lies
+// inside its level and each level inside the analysis.
+func analysisSpans(start time.Time, threads []int, durScale time.Duration) []ReqSpan {
+	at := func(ticks int) time.Time { return start.Add(time.Duration(ticks) * durScale) }
+	spans := []ReqSpan{{
+		ID: "sta.analyze", Parent: "sta", Name: "analyze", Level: LevelAnalyze,
+		Start: at(0), Dur: 10 * durScale,
+		Attrs: Attrs{Int("stages", 2), Int("levels", 2), Int("items", 4), Int("outputs", 1),
+			Int64("cache_hits", 1), Int64("cache_misses", 3), Int("stages_evaluated", 3),
+			Int("eval_errors", 1), Int("slew_fallbacks", 0)},
+	}}
+	evals := [][]Attr{
+		{Str("output", "n1"), Str("dir", "fall"), Str("cache", "miss"), Int("nr_iters", 40), Int("regions", 5),
+			Int("dense_fallbacks", 0), Int("cap_resolves", 0), Str("tier", "qwm")},
+		{Str("output", "n1"), Str("dir", "rise"), Str("cache", "hit"), Int("nr_iters", 40), Int("regions", 5),
+			Int("dense_fallbacks", 0), Int("cap_resolves", 0), Str("tier", "qwm")},
+		{Str("output", "out"), Str("dir", "fall"), Str("cache", "miss"), Int("nr_iters", 61), Int("regions", 7),
+			Int("dense_fallbacks", 1), Int("cap_resolves", 0), Str("tier", "qwm-bisect")},
+		{Str("output", "out"), Str("dir", "rise"), Str("cache", "miss"), Int("nr_iters", 0), Int("regions", 0),
+			Int("dense_fallbacks", 0), Int("cap_resolves", 0), Str("err", "no conducting path")},
 	}
 	for level := 0; level < 2; level++ {
-		b.LevelStart(LevelStartInfo{Level: level, Levels: 2, Stages: 1, Items: 2})
-		time.Sleep(time.Duration(len(order)) * durScale)
-		for _, i := range order {
-			e := evals[2*level+i]
-			e.Duration = time.Duration(i+1) * durScale
-			e.Worker = workers[i%len(workers)]
-			b.StageEval(e)
+		lvl := strconv.Itoa(level)
+		levelID := "sta.analyze.L" + lvl
+		spans = append(spans, ReqSpan{
+			ID: levelID, Parent: "sta.analyze", Name: "level " + lvl, Level: level, Item: -1,
+			Start: at(5 * level), Dur: 5 * durScale,
+			Attrs: Attrs{Int("level", level), Int("stages", 1), Int("items", 2)},
+		})
+		for item := 0; item < 2; item++ {
+			a := evals[2*level+item]
+			spans = append(spans, ReqSpan{
+				ID: levelID + ".e" + strconv.Itoa(item), Parent: levelID,
+				Name:  a[0].Value().(string) + "~" + a[1].Value().(string),
+				Level: level, Item: item,
+				Start: at(5*level + 1 + 2*item), Dur: time.Duration(item+1) * durScale,
+				Thread: threads[item%len(threads)] + 1,
+				Attrs:  a,
+			})
 		}
 	}
-	b.AnalyzeEnd(AnalyzeEndInfo{
-		Duration: 4 * durScale, CacheHits: 1, CacheMisses: 3, HitRatio: 0.25,
-		StagesEvaluated: 3, EvalErrors: 1,
-	})
+	return spans
+}
+
+// feedAnalysis adds analysisSpans to a fresh trace in the given order (a
+// permutation of the span indices), as concurrent workers deliver them.
+func feedAnalysis(order []int, threads []int, durScale time.Duration) *ActiveTrace {
+	at := NewActiveTrace("")
+	spans := analysisSpans(at.Start, threads, durScale)
+	for _, i := range order {
+		at.Add(spans[i])
+	}
 	return at
 }
 
@@ -56,11 +82,11 @@ func parseChrome(t *testing.T, b []byte) []TraceEvent {
 	return doc.TraceEvents
 }
 
-// TestTraceBridgeWallClock checks the wall-clock export of a bridged
-// analysis: span counts, analyze and eval args, one Perfetto lane per
+// TestTraceWallClockExport checks the wall-clock export of an analysis's
+// spans: span counts, analyze and eval args, one named Perfetto lane per
 // worker slot, and balanced spans nested inside the analysis.
-func TestTraceBridgeWallClock(t *testing.T) {
-	at := feedAnalysis([]int{0, 1}, []int{0, 3}, time.Microsecond)
+func TestTraceWallClockExport(t *testing.T) {
+	at := feedAnalysis([]int{0, 1, 2, 3, 4, 5, 6}, []int{0, 3}, time.Microsecond)
 	b, err := at.Finish("sta", 0, time.Since(at.Start)).ChromeJSON(false)
 	if err != nil {
 		t.Fatal(err)
@@ -128,18 +154,16 @@ func TestTraceBridgeWallClock(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicByteIdentical pins the determinism contract at the
-// bridge: the same logical analysis observed under different schedules —
-// shuffled delivery order, different worker ids, different durations —
-// exports byte-identical deterministic JSON with every span on lane 0.
+// TestTraceDeterministicByteIdentical pins the determinism contract of the
+// export: the same logical analysis recorded under different schedules —
+// spans added in shuffled order, on different worker lanes, with different
+// durations — exports byte-identical deterministic JSON with every span on
+// lane 0.
 func TestTraceDeterministicByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var ref []byte
 	for trial := 0; trial < 8; trial++ {
-		order := []int{0, 1}
-		if trial%2 == 1 {
-			order = []int{1, 0}
-		}
+		order := rng.Perm(7)
 		workers := []int{rng.Intn(8), rng.Intn(8)}
 		at := feedAnalysis(order, workers, time.Duration(1+rng.Intn(900))*time.Microsecond)
 		b, err := at.Finish("sta", 0, time.Since(at.Start)).ChromeJSON(true)
@@ -169,15 +193,13 @@ func TestTraceDeterministicByteIdentical(t *testing.T) {
 }
 
 // TestTraceIncompleteAnalysis: a trace frozen mid-analysis exports the
-// spans completed so far, balanced; the open analyze and level spans appear
-// only in a trace frozen after AnalyzeEnd, and the earlier freeze is left
-// as it was.
+// spans completed so far, balanced; the analyze and level spans, recorded
+// when they end, appear only in a trace frozen after the analysis, and the
+// earlier freeze is left as it was.
 func TestTraceIncompleteAnalysis(t *testing.T) {
 	at := NewActiveTrace("")
-	b := NewTraceBridge(TraceRef{T: at, Parent: "sta"})
-	b.AnalyzeStart(AnalyzeStartInfo{Stages: 1, Levels: 1, Items: 2, Workers: 1})
-	b.LevelStart(LevelStartInfo{Level: 0, Levels: 1, Stages: 1, Items: 2})
-	b.StageEval(StageEvalInfo{Level: 0, Item: 0, Output: "out", Direction: "fall"})
+	spans := analysisSpans(at.Start, []int{0}, time.Microsecond)
+	at.Add(spans[2]) // level 0's first eval
 	partial := at.Finish("sta", 0, time.Since(at.Start))
 
 	count := func(rt *RequestTrace, det bool) (analyze, evals int) {
@@ -207,7 +229,8 @@ func TestTraceIncompleteAnalysis(t *testing.T) {
 		}
 	}
 
-	b.AnalyzeEnd(AnalyzeEndInfo{})
+	at.Add(spans[1]) // level 0
+	at.Add(spans[0]) // the analysis
 	if a, e := count(at.Finish("sta", 0, time.Since(at.Start)), false); a != 1 || e != 1 {
 		t.Errorf("completed trace has %d analyze / %d eval spans, want 1/1", a, e)
 	}

@@ -59,10 +59,6 @@ type Options struct {
 	// QueueLen bounds the write-behind channel; a full queue drops the put.
 	// 0 means 1024.
 	QueueLen int
-	// Sync, when set, fsyncs the active segment after every record — crash
-	// durability for every put, at a large throughput cost. Off by default:
-	// the store is a cache, and a lost tail only costs re-evaluation.
-	Sync bool
 	// Metrics, when set, receives the store's counters (sta/disk/hits,
 	// misses, puts, dropped, corrupt, evictions) and its share of the
 	// sta/disk/bytes gauge, which sums every open store on the registry.
@@ -85,7 +81,7 @@ func (o Options) withDefaults() Options {
 // Stats is a snapshot of a store's counters.
 type Stats struct {
 	Hits, Misses int64 // read outcomes, per key
-	Puts         int64 // records durably appended
+	Puts         int64 // records appended to a segment
 	Dropped      int64 // puts discarded by a full write-behind queue
 	Corrupt      int64 // CRC / decode failures served as misses
 	Evictions    int64 // keys dropped by segment GC
@@ -511,9 +507,6 @@ func (s *Store) appendLocked(req putReq) {
 		s.statDropped.add(1, s.dropped)
 		return
 	}
-	if s.opts.Sync {
-		active.f.Sync()
-	}
 	s.index[indexWord(&req.key)] = locator{
 		off:    uint32(active.size + recKeyOff),
 		seg:    int32(active.id),
@@ -566,7 +559,7 @@ func (s *Store) publishBytesLocked() {
 	s.published = t
 }
 
-// Flush blocks until every put enqueued BEFORE the call is durably appended
+// Flush blocks until every put enqueued BEFORE the call is appended
 // (or dropped). Tests and graceful shutdown use it; the engine never waits.
 func (s *Store) Flush() {
 	if s == nil {

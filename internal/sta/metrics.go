@@ -109,8 +109,10 @@ func newMetricSet(r *obs.Registry) *metricSet {
 }
 
 // recorder is the per-Analyze observation context: the request's Observer
-// (may be nil), the Analyzer's metric set (may be nil), and per-request
-// hit/miss tallies. It exists only when at least one of the two sinks is
+// (may be nil), the Analyzer's metric set (may be nil), the context's request
+// trace (may be absent), and per-request hit/miss tallies. It sees every
+// engine event, feeds each attached sink from it and writes the engine's
+// trace spans itself (trace.go). It exists only when at least one sink is
 // attached — the engine gates every instrumentation site on a single
 // `rec != nil` check, so the unobserved path never reads the clock or
 // constructs an event.
@@ -118,6 +120,20 @@ type recorder struct {
 	o     obs.Observer
 	ms    *metricSet
 	start time.Time
+
+	// trace is the request trace reference the engine's spans go to: T is
+	// nil when the context carries none, Parent is the analyze span's ID and
+	// Item the context reference's. traceParent is the analyze span's own
+	// parent, and info the analysis shape its attributes report.
+	trace       obs.TraceRef
+	traceParent string
+	info        obs.AnalyzeStartInfo
+
+	// level is the open dependency level and levelAt the start of its
+	// gather phase (zero when no level is open). Written only by the
+	// sequential coordinator; workers never read them.
+	level   obs.LevelStartInfo
+	levelAt time.Time
 
 	// Per-request cache accounting, one per applied work item: a miss when
 	// the item's own lookups evaluated (workItem.evals), else a hit. Kept
@@ -129,33 +145,50 @@ type recorder struct {
 }
 
 // newRecorder returns the observation context for one Analyze, or nil when
-// neither an observer nor a metrics registry is attached.
-func (a *Analyzer) newRecorder(o obs.Observer) *recorder {
-	if o == nil && a.ms == nil {
+// no observer, metrics registry or request trace is attached.
+func (a *Analyzer) newRecorder(ctx context.Context, o obs.Observer) *recorder {
+	ref, traced := obs.TraceFrom(ctx)
+	if o == nil && a.ms == nil && !traced {
 		return nil
 	}
-	return &recorder{o: o, ms: a.ms, start: time.Now()}
+	r := &recorder{o: o, ms: a.ms, start: time.Now()}
+	if traced {
+		r.trace = obs.TraceRef{T: ref.T, Parent: analyzeSpanID(ref.Parent), Item: ref.Item}
+		r.traceParent = ref.Parent
+	}
+	return r
 }
 
-func (r *recorder) now() time.Time                  { return time.Now() }
-func (r *recorder) since(t time.Time) time.Duration { return time.Since(t) }
-
 func (r *recorder) analyzeStart(info obs.AnalyzeStartInfo) {
+	r.info = info
 	if r.o != nil {
 		r.o.AnalyzeStart(info)
 	}
 }
 
+// levelStart opens a level at the start of its gather phase.
 func (r *recorder) levelStart(info obs.LevelStartInfo) {
 	if r.o != nil {
 		r.o.LevelStart(info)
 	}
+	r.level, r.levelAt = info, time.Now()
 }
 
-func (r *recorder) levelDone(d time.Duration) {
+// levelEnd closes the open level, if any, at the end of its apply phase (or
+// where an error cut it short): its span and its level_seconds observation
+// are the same interval.
+func (r *recorder) levelEnd() {
+	if r.levelAt.IsZero() {
+		return
+	}
+	d := time.Since(r.levelAt)
 	if r.ms != nil {
 		r.ms.levelSeconds.Observe(d.Seconds())
 	}
+	if r.trace.T != nil {
+		r.levelSpan(d)
+	}
+	r.levelAt = time.Time{}
 }
 
 // resolved tallies one applied work item as a hit or a miss.
@@ -172,8 +205,10 @@ func (r *recorder) resolved(it *workItem) {
 // miss); single-flight guarantees each unique key is computed exactly once,
 // so the deterministic solver counters and histograms below are fed exactly
 // once per key regardless of worker count or scheduling. worker is the pool
-// slot that resolved the item — schedule-dependent, observer-only.
-func (r *recorder) stageEval(it *workItem, d time.Duration, worker int) {
+// slot that resolved the item — schedule-dependent, for the observer and the
+// eval span's lane only. start is when the item's resolution began.
+func (r *recorder) stageEval(it *workItem, start time.Time, worker int) {
+	d := time.Since(start)
 	computed := it.evals > 0
 	if r.ms != nil {
 		if computed {
@@ -191,15 +226,18 @@ func (r *recorder) stageEval(it *workItem, d time.Duration, worker int) {
 			}
 		}
 	}
+	if r.o == nil && r.trace.T == nil {
+		return
+	}
+	dir := "fall"
+	if it.rail == circuit.SupplyNode {
+		dir = "rise"
+	}
+	tier := ""
+	if it.timing.ok {
+		tier = it.timing.tier.String()
+	}
 	if r.o != nil {
-		dir := "fall"
-		if it.rail == circuit.SupplyNode {
-			dir = "rise"
-		}
-		tier := ""
-		if it.timing.ok {
-			tier = it.timing.tier.String()
-		}
 		r.o.StageEval(obs.StageEvalInfo{
 			Level:     it.level,
 			Item:      it.idx,
@@ -213,43 +251,48 @@ func (r *recorder) stageEval(it *workItem, d time.Duration, worker int) {
 			Err:       it.timing.errMsg,
 		})
 	}
+	if r.trace.T != nil {
+		r.evalSpan(it, dir, tier, start, d, worker)
+	}
 }
 
 func (r *recorder) analyzeEnd(res *Result, err error) {
-	cancelled := err != nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	hits, misses := r.hits, r.misses
+	r.levelEnd()
+	info := obs.AnalyzeEndInfo{
+		Duration:    time.Since(r.start),
+		CacheHits:   r.hits,
+		CacheMisses: r.misses,
+		Err:         err,
+		Cancelled: err != nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)),
+	}
+	if total := r.hits + r.misses; total > 0 {
+		info.HitRatio = float64(r.hits) / float64(total)
+	}
+	if res != nil {
+		info.StagesEvaluated = res.StagesEvaluated
+		info.EvalErrors = res.EvalErrors
+		info.SlewFallbacks = res.SlewFallbacks
+	}
 	if r.ms != nil {
 		r.ms.analyzes.Inc()
-		if cancelled {
+		if info.Cancelled {
 			r.ms.cancels.Inc()
 		}
-		r.ms.cacheHits.Add(hits)
-		r.ms.cacheMisses.Add(misses)
+		r.ms.cacheHits.Add(r.hits)
+		r.ms.cacheMisses.Add(r.misses)
 		if res != nil {
 			r.ms.evalErrors.Add(int64(res.EvalErrors))
 			r.ms.slewFbs.Add(int64(res.SlewFallbacks))
 			r.ms.degraded.Add(int64(res.Degraded))
 			r.ms.panicsRec.Add(int64(res.PanicsRecovered))
 		}
-		r.ms.analyzeSec.Observe(time.Since(r.start).Seconds())
+		r.ms.analyzeSec.Observe(info.Duration.Seconds())
 	}
 	if r.o != nil {
-		info := obs.AnalyzeEndInfo{
-			Duration:    time.Since(r.start),
-			CacheHits:   hits,
-			CacheMisses: misses,
-			Err:         err,
-			Cancelled:   cancelled,
-		}
-		if total := hits + misses; total > 0 {
-			info.HitRatio = float64(hits) / float64(total)
-		}
-		if res != nil {
-			info.StagesEvaluated = res.StagesEvaluated
-			info.EvalErrors = res.EvalErrors
-			info.SlewFallbacks = res.SlewFallbacks
-		}
 		r.o.AnalyzeEnd(info)
+	}
+	if r.trace.T != nil {
+		r.analyzeSpan(&info)
 	}
 }

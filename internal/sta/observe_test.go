@@ -341,22 +341,25 @@ func TestCancelMidAnalyzeNoGoroutineLeak(t *testing.T) {
 // Err is the context error and Cancelled is set.
 func TestAnalyzeEndReportsCancel(t *testing.T) {
 	a := New(tech, lib)
-	c := &collectObserver{}
+	var ends []obs.AnalyzeEndInfo
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := decoderRequest(t)
-	req.Observer = obs.Multi{c, obs.Funcs{OnLevelStart: func(i obs.LevelStartInfo) {
-		if i.Level == 1 {
-			cancel()
-		}
-	}}}
+	req.Observer = obs.Funcs{
+		OnLevelStart: func(i obs.LevelStartInfo) {
+			if i.Level == 1 {
+				cancel()
+			}
+		},
+		OnAnalyzeEnd: func(i obs.AnalyzeEndInfo) { ends = append(ends, i) },
+	}
 	if _, err := a.AnalyzeContext(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if len(c.ends) != 1 {
-		t.Fatalf("%d AnalyzeEnd events, want exactly 1", len(c.ends))
+	if len(ends) != 1 {
+		t.Fatalf("%d AnalyzeEnd events, want exactly 1", len(ends))
 	}
-	end := c.ends[0]
+	end := ends[0]
 	if !end.Cancelled || !errors.Is(end.Err, context.Canceled) {
 		t.Errorf("AnalyzeEnd = %+v, want Cancelled with context.Canceled", end)
 	}

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +25,22 @@ import (
 func runTraced(t *testing.T, workers int) (*obs.Registry, *obs.RequestTrace, *Result) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	a := New(tech, lib, Config{Workers: workers, Metrics: reg})
+	rt, res := traceAnalysis(t, New(tech, lib, Config{Workers: workers, Metrics: reg}), decoderRequest(t))
+	return reg, rt, res
+}
+
+// traceAnalysis runs req on a with a fresh request trace on the context,
+// parented under the span "sta", and returns the finished trace and the
+// result.
+func traceAnalysis(t *testing.T, a *Analyzer, req Request) (*obs.RequestTrace, *Result) {
+	t.Helper()
 	at := obs.NewActiveTrace("")
-	ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{T: at, Parent: "sta"})
-	res, err := a.AnalyzeContext(ctx, decoderRequest(t))
+	ctx := obs.ContextWithTrace(context.Background(), obs.TraceRef{T: at, Parent: "sta", Level: obs.LevelWorker})
+	res, err := a.AnalyzeContext(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, at.Finish("sta", 0, time.Since(at.Start)), res
+	return at.Finish("sta", 0, time.Since(at.Start)), res
 }
 
 // TestTraceDecoderSmoke records a full decoder analysis and validates the
@@ -116,6 +127,188 @@ func TestTraceDecoderSmoke(t *testing.T) {
 		for _, k := range []string{"nr_iters", "regions", "dense_fallbacks", "cap_resolves"} {
 			if _, ok := ev.Args[k].(float64); !ok {
 				t.Errorf("eval %q missing solver arg %s: %v", ev.Name, k, ev.Args)
+			}
+		}
+	}
+
+	t.Run("span tree", func(t *testing.T) { checkSpanTree(t, 1) })
+	t.Run("span tree parallel", func(t *testing.T) { checkSpanTree(t, 4) })
+}
+
+// checkSpanTree traces the decoder twice at the given Workers setting, with
+// an observer attached: cold on a fresh analyzer, then on a second fresh
+// analyzer whose only tier holds the cold run's entries, edited so that
+// every entry's slew fell back and one fall direction failed. Each run's
+// analyze, level, eval and tier-probe spans must carry their semantic IDs
+// and parents; the analyze span the result's cache, error and fallback
+// counts and no Workers setting; and each eval span its item's observed
+// cache outcome, tier, solver statistics and error, on the lane of the
+// worker that resolved it.
+func checkSpanTree(t *testing.T, workers int) {
+	store := newMapTierStore()
+	check := func(name string, a *Analyzer) *Result {
+		c := &collectObserver{}
+		req := decoderRequest(t)
+		req.Observer = c
+		rt, res := traceAnalysis(t, a, req)
+		byID := map[string]obs.ReqSpan{}
+		for _, s := range rt.Spans() {
+			if _, dup := byID[s.ID]; dup {
+				t.Errorf("%s: span ID %s recorded twice", name, s.ID)
+			}
+			byID[s.ID] = s
+		}
+		an, ok := byID["sta.analyze"]
+		if !ok || an.Parent != "sta" || an.Level != obs.LevelAnalyze || an.Thread != 0 {
+			t.Fatalf("%s: analyze span %+v (present %v), want parent sta on lane 0", name, an, ok)
+		}
+		var hits int64
+		for _, ev := range c.evals {
+			if ev.CacheHit {
+				hits++
+			}
+		}
+		for k, want := range map[string]any{
+			"cache_hits": hits, "cache_misses": int64(len(c.evals)) - hits,
+			"stages_evaluated": int64(res.StagesEvaluated), "eval_errors": int64(res.EvalErrors),
+			"slew_fallbacks": int64(res.SlewFallbacks), "levels": int64(3), "items": int64(38),
+		} {
+			if got := an.Attrs.Get(k); got != want {
+				t.Errorf("%s: analyze span %s = %v, want %v", name, k, got, want)
+			}
+		}
+		if an.Attrs.Get("workers") != nil {
+			t.Errorf("%s: analyze span carries the schedule-dependent Workers setting", name)
+		}
+		for l := 0; l < 3; l++ {
+			id := "sta.analyze.L" + strconv.Itoa(l)
+			if s, ok := byID[id]; !ok || s.Parent != "sta.analyze" || s.Level != l || s.Item != -1 || s.Thread != 0 {
+				t.Errorf("%s: level span %s = %+v (present %v)", name, id, s, ok)
+			}
+			// A fresh analyzer reads every level's keys from its one tier.
+			probe := id + ".t0-map"
+			if s, ok := byID[probe]; !ok || s.Parent != id || s.Name != "tier map" {
+				t.Errorf("%s: tier probe %s = %+v (present %v), want it under %s", name, probe, s, ok, id)
+			}
+		}
+		for _, ev := range c.evals {
+			levelID := "sta.analyze.L" + strconv.Itoa(ev.Level)
+			id := levelID + ".e" + strconv.Itoa(ev.Item)
+			s, ok := byID[id]
+			if !ok {
+				t.Errorf("%s: no eval span %s", name, id)
+				continue
+			}
+			if s.Parent != levelID || s.Level != ev.Level || s.Item != ev.Item || s.Name != ev.Output+"~"+ev.Direction {
+				t.Errorf("%s: eval span %s = %+v", name, id, s)
+			}
+			if s.Thread != ev.Worker+1 {
+				t.Errorf("%s: eval span %s on lane %d, resolved by worker %d", name, id, s.Thread, ev.Worker)
+			}
+			cache := "miss"
+			if ev.CacheHit {
+				cache = "hit"
+			}
+			want := map[string]any{
+				"cache": cache, "nr_iters": int64(ev.QWM.NRIters), "regions": int64(ev.QWM.Regions),
+				"dense_fallbacks": int64(ev.QWM.DenseFallbacks), "cap_resolves": int64(ev.QWM.CapResolves),
+			}
+			if ev.Tier != "" {
+				want["tier"] = ev.Tier
+			}
+			if ev.Err != "" {
+				want["err"] = ev.Err
+			}
+			if len(s.Attrs) != len(want)+2 { // plus output and dir
+				t.Errorf("%s: eval span %s attrs %v, want %v", name, id, s.Attrs, want)
+			}
+			for k, w := range want {
+				if got := s.Attrs.Get(k); got != w {
+					t.Errorf("%s: eval span %s %s = %v, want %v", name, id, k, got, w)
+				}
+			}
+		}
+		return res
+	}
+
+	cold := check("cold", New(tech, lib, Config{Workers: workers, Tiers: []TierStore{store}}))
+	if cold.EvalErrors != 0 || cold.SlewFallbacks != 0 || cold.StagesEvaluated == 0 {
+		t.Fatalf("cold decoder run: %d eval errors, %d slew fallbacks, %d evaluated", cold.EvalErrors, cold.SlewFallbacks, cold.StagesEvaluated)
+	}
+	// Edit the stored entries: every slew fell back, and the fall direction
+	// with the lowest key failed.
+	keys := make([]Key, 0, len(store.m))
+	for k := range store.m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i][:], keys[j][:]) < 0 })
+	failed := false
+	for _, k := range keys {
+		e := store.m[k]
+		e.SlewFellBack = true
+		if !failed && k[nsByte]&nsRise == 0 {
+			e = TierEntry{ErrMsg: "injected failure", SlewFellBack: true}
+			failed = true
+		}
+		store.m[k] = e
+	}
+	edited := check("edited tier", New(tech, lib, Config{Workers: workers, Tiers: []TierStore{store}}))
+	if edited.EvalErrors == 0 || edited.SlewFallbacks == 0 {
+		t.Errorf("edited-tier run: %d eval errors, %d slew fallbacks; want both from the tier", edited.EvalErrors, edited.SlewFallbacks)
+	}
+}
+
+// TestTraceLevelSpansMatchLevelSeconds pins a level's one timed interval,
+// from the start of its gather phase to the end of its apply phase. A traced
+// analysis with a metrics registry runs cold and then warm, at Workers 1 and
+// 4: its level spans' durations must sum to its increase in the
+// sta/time/level_seconds sum (within 1 µs a level, as both come from the
+// same two clock reads), the level spans must come in level order without
+// overlapping, and every eval and tier-probe span of a level must lie inside
+// that level's span.
+func TestTraceLevelSpansMatchLevelSeconds(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		a := New(tech, lib, Config{Workers: workers, Metrics: reg, Tiers: []TierStore{newMapTierStore()}})
+		for _, run := range []string{"cold", "warm"} {
+			name := run + " Workers " + strconv.Itoa(workers)
+			before := reg.Snapshot().Histograms[MetricLevelSeconds].Sum
+			rt, _ := traceAnalysis(t, a, decoderRequest(t))
+			metric := reg.Snapshot().Histograms[MetricLevelSeconds].Sum - before
+
+			spans := rt.Spans()
+			var levels []obs.ReqSpan
+			var sum time.Duration
+			for _, s := range spans {
+				if strings.HasPrefix(s.Name, "level ") {
+					levels = append(levels, s)
+					sum += s.Dur
+				}
+			}
+			if len(levels) != 3 {
+				t.Fatalf("%s: %d level spans, want 3", name, len(levels))
+			}
+			if d := math.Abs(sum.Seconds() - metric); d > 1e-6*float64(len(levels)) {
+				t.Errorf("%s: level spans sum to %v, level_seconds grew by %v", name, sum, time.Duration(metric*1e9))
+			}
+			sort.Slice(levels, func(i, j int) bool { return levels[i].Start.Before(levels[j].Start) })
+			for k, l := range levels {
+				if l.Level != k {
+					t.Errorf("%s: level %d's span starts in position %d", name, l.Level, k)
+				}
+				if k > 0 && l.Start.Before(levels[k-1].Start.Add(levels[k-1].Dur)) {
+					t.Errorf("%s: level %d's span starts before level %d's ends", name, k, k-1)
+				}
+			}
+			for _, s := range spans {
+				if s.Level < 0 || s.Item < 0 && !strings.HasPrefix(s.Name, "tier ") {
+					continue // analyze and level spans
+				}
+				l := levels[s.Level]
+				if s.Start.Before(l.Start) || s.Start.Add(s.Dur).After(l.Start.Add(l.Dur)) {
+					t.Errorf("%s: span %s [%v, +%v] outside level %d's [%v, +%v]", name, s.ID,
+						s.Start.Sub(rt.Start), s.Dur, s.Level, l.Start.Sub(rt.Start), l.Dur)
+				}
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"qwm/internal/circuit"
 	"qwm/internal/obs"
@@ -27,8 +26,13 @@ type Request struct {
 	Outputs []string
 	// Observer, when non-nil, receives this request's span events
 	// (AnalyzeStart / LevelStart / StageEval / AnalyzeEnd — see
-	// obs.Observer for the ordering and concurrency contract). Nil costs
-	// nothing: the engine never constructs an event or reads the clock.
+	// obs.Observer for the ordering and concurrency contract). The engine
+	// calls it directly: LevelStart ahead of the level's gather phase, and
+	// each StageEval right after its item resolves, on the worker that
+	// resolved it. It is independent of the request trace, which the engine
+	// writes itself when ctx carries one (obs.ContextWithTrace). Nil costs
+	// nothing: without an observer, a metrics registry or a trace the
+	// engine never constructs an event or reads the clock.
 	Observer obs.Observer
 }
 
@@ -103,27 +107,18 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Observation plumbing: rec is nil unless an observer or a metrics
-	// registry is attached, and every instrumentation site below is gated
-	// on that one pointer — the unobserved path does no extra work.
-	observer := req.Observer
-	// Distributed tracing: a trace reference on the context (minted by the
-	// service front door) bridges the Observer span stream into the request's
-	// trace tree and arms traced tier probing. lt.trace is shared read-only
-	// by every worker; its T stays nil on the untraced path, which pays
-	// exactly one context Value lookup.
+	// Observation plumbing: rec is nil unless an observer, a metrics
+	// registry or a request trace is attached, and every instrumentation
+	// site below is gated on that one pointer — the unobserved path does no
+	// extra work. A trace reference on the context (minted by the service
+	// front door, or by cmd/sta -trace) makes the recorder write the
+	// engine's spans into the request's trace tree and arms traced tier
+	// probing. lt.trace is shared read-only by every worker; its T stays nil
+	// on the untraced path, which pays exactly one context Value lookup.
 	var lt levelTiers
-	if ref, ok := obs.TraceFrom(ctx); ok {
-		bridge := obs.NewTraceBridge(ref)
-		if observer != nil {
-			observer = obs.Multi{observer, bridge}
-		} else {
-			observer = bridge
-		}
-		lt.trace = obs.TraceRef{T: ref.T, Parent: bridge.AnalyzeID(), Level: ref.Level, Item: ref.Item}
-	}
-	rec := a.newRecorder(observer)
+	rec := a.newRecorder(ctx, req.Observer)
 	if rec != nil {
+		lt.trace = rec.trace
 		rec.analyzeStart(obs.AnalyzeStartInfo{
 			Stages:  len(stages),
 			Levels:  len(levels),
@@ -151,13 +146,24 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			return nil, cerr
 		}
 
-		// Size this level's slabs up front: appends below can then never
-		// reallocate, so the &evs[i] pointers handed to work items stay
-		// stable while the level is filled.
 		nOut := 0
 		for _, st := range level {
 			nOut += len(st.Outputs)
 		}
+		// The level's one timed interval runs from here to the end of its
+		// apply phase: the span and sta/time/level_seconds both cover the
+		// gather, peek, tier read, evaluation and apply phases.
+		if rec != nil {
+			rec.levelStart(obs.LevelStartInfo{
+				Level:  li,
+				Levels: len(levels),
+				Stages: len(level),
+				Items:  2 * nOut,
+			})
+		}
+		// Size this level's slabs up front: appends below can then never
+		// reallocate, so the &evs[i] pointers handed to work items stay
+		// stable while the level is filled.
 		s.evs = slab.Resize(s.evs, nOut)
 		s.items = slab.Resize(s.items, 2*nOut)
 		s.ins = slab.Resize(s.ins, len(level))
@@ -192,17 +198,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 			}
 		}
 
-		var levelStart time.Time
-		if rec != nil {
-			rec.levelStart(obs.LevelStartInfo{
-				Level:  li,
-				Levels: len(levels),
-				Stages: len(level),
-				Items:  len(items),
-			})
-			levelStart = time.Now()
-		}
-
 		// Peek (sequential): items whose key is already finished take their
 		// value here; the rest are pending. Tier read (sequential): one
 		// batched read per store for every pending key the memory cache
@@ -217,10 +212,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 		// keys.
 		if rerr := a.runItems(ctx, items, s.pending, workers, rec, &lt); rerr != nil {
 			return nil, rerr
-		}
-
-		if rec != nil {
-			rec.levelDone(time.Since(levelStart))
 		}
 
 		// Apply phase (sequential, deterministic): fold results into
@@ -253,6 +244,9 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 				}
 				res.Arrivals[out] = ar
 			}
+		}
+		if rec != nil {
+			rec.levelEnd()
 		}
 	}
 

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"qwm/internal/circuit"
 	"qwm/internal/devmodel"
@@ -422,9 +423,9 @@ func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker 
 		it.timing, it.evals = a.lookupOrEval(it, lt)
 		return
 	}
-	start := rec.now()
+	start := time.Now()
 	it.timing, it.evals = a.lookupOrEval(it, lt)
-	rec.stageEval(it, rec.since(start), worker)
+	rec.stageEval(it, start, worker)
 }
 
 // lookupOrEval resolves the item's cache key, computing the direction timing

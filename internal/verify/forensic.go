@@ -115,11 +115,11 @@ func DumpStageCase(rep *Report, idx int, dir string) (*ForensicBundle, error) {
 
 	b := &ForensicBundle{Case: rep.Stage[idx], Index: idx, Seed: rep.Seed}
 
-	// Re-run with capture. The evaluation goes through qwm directly (not the
-	// bench harness) so the full Result — waveforms included — is available
-	// to attach to the capture record.
-	sink := qwm.NewCaptureSink(1)
-	sink.Begin(c.Name)
+	// Re-run with the region trail collected. The evaluation goes through
+	// qwm directly (not the bench harness) so the full Result — waveforms
+	// included — is available; a Result owns its waveforms, so they are
+	// written without a copy.
+	var events []qwm.Event
 	ch, err := qwm.Build(qwm.BuildInput{
 		Tech: tech, Lib: devmodel.NewLibrary(tech),
 		Stage: c.W.Stage, Path: c.W.Path,
@@ -127,37 +127,31 @@ func DumpStageCase(rep *Report, idx int, dir string) (*ForensicBundle, error) {
 	})
 	var res *qwm.Result
 	if err == nil {
-		res, err = qwm.Evaluate(ch, qwm.Options{Events: sink})
+		res, err = qwm.Evaluate(ch, qwm.Options{Events: qwm.EventFunc(func(ev qwm.Event) { events = append(events, ev) })})
 	}
-	if err != nil {
-		sink.Abort(err)
-	} else {
-		sink.Commit(res)
-	}
-	rec := sink.Last()
-	if rec == nil || (err != nil && len(rec.Events) == 0) {
+	if err != nil && len(events) == 0 {
 		return nil, fmt.Errorf("verify: forensic dump: case %s produced no capturable state: %v", c.Name, err)
 	}
 
 	wf := &forensicWaveforms{
-		Label:         rec.Label,
-		VDD:           tech.VDD,
-		SwitchAt:      c.W.SwitchAt,
-		Rising:        c.W.Rising,
-		CriticalTimes: rec.CriticalTimes,
-		Folded:        rec.Folded,
-		Nodes:         rec.Nodes,
-		Stats:         rec.Stats,
-		TailTruncated: rec.TailTruncated,
+		Label:    c.Name,
+		VDD:      tech.VDD,
+		SwitchAt: c.W.SwitchAt,
+		Rising:   c.W.Rising,
 	}
-	for _, ev := range rec.Events {
+	if err == nil {
+		wf.CriticalTimes = res.CriticalTimes
+		wf.Folded, wf.Nodes = res.Folded, res.Nodes
+		wf.Stats, wf.TailTruncated = res.Stats, res.TailTruncated
+	}
+	for _, ev := range events {
 		wf.Events = append(wf.Events, regionEvent{
 			Region: ev.Region, Kind: ev.Kind.String(), Elem: ev.Elem,
 			Target: ev.Target, Tau: ev.Tau, Pending: ev.Pending,
 		})
 	}
 
-	traceJSON, err := regionTraceJSON(rec, c.W.SwitchAt)
+	traceJSON, err := regionTraceJSON(c.Name, events, c.W.SwitchAt)
 	if err != nil {
 		return nil, fmt.Errorf("verify: forensic dump: trace: %w", err)
 	}
@@ -207,21 +201,22 @@ func regenStageCase(tech *mos.Tech, seed int64, idx int) (*StageCase, error) {
 	return c, nil
 }
 
-// regionTraceJSON renders the captured region decomposition as Chrome
-// trace-event JSON: one complete ("X") span per committed region on a single
-// track, with circuit picoseconds mapped to trace microseconds (Perfetto has
-// no picosecond unit; read its µs axis as ps). Region i spans from the
-// previous region's τ′ (or the switching instant) to its own τ′.
-func regionTraceJSON(rec *qwm.CaptureRecord, switchAt float64) ([]byte, error) {
+// regionTraceJSON renders the region decomposition of the evaluation label
+// as Chrome trace-event JSON: one complete ("X") span per committed region
+// (events, in commit order) on a single track, with circuit picoseconds
+// mapped to trace microseconds (Perfetto has no picosecond unit; read its µs
+// axis as ps). Region i spans from the previous region's τ′ (or the
+// switching instant) to its own τ′.
+func regionTraceJSON(label string, events []qwm.Event, switchAt float64) ([]byte, error) {
 	const pid, tid = 1, 0
-	events := []obs.TraceEvent{
+	out := []obs.TraceEvent{
 		{Name: "process_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": "qwm regions: " + rec.Label}},
+			Args: map[string]any{"name": "qwm regions: " + label}},
 		{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": "regions (1 trace µs = 1 circuit ps)"}},
 	}
 	prev := switchAt
-	for _, ev := range rec.Events {
+	for _, ev := range events {
 		start, end := prev, ev.Tau
 		if end < start {
 			start = end
@@ -244,7 +239,7 @@ func regionTraceJSON(rec *qwm.CaptureRecord, switchAt float64) ([]byte, error) {
 			args["pending"] = ev.Pending
 		}
 		d := dur
-		events = append(events, obs.TraceEvent{
+		out = append(out, obs.TraceEvent{
 			Name: fmt.Sprintf("region %d: %s", ev.Region, ev.Kind),
 			Cat:  "qwm", Ph: "X", TS: ts, Dur: &d, Pid: pid, Tid: tid,
 			Args: args,
@@ -253,8 +248,8 @@ func regionTraceJSON(rec *qwm.CaptureRecord, switchAt float64) ([]byte, error) {
 	}
 	md := map[string]any{
 		"source":    "qwm/internal/verify.DumpStageCase",
-		"case":      rec.Label,
+		"case":      label,
 		"time_unit": "1 trace µs = 1 circuit ps",
 	}
-	return obs.ChromeTraceJSON(events, md)
+	return obs.ChromeTraceJSON(out, md)
 }
