@@ -72,7 +72,7 @@ race-obs:
 # schedule-independence and mid-analysis freeze tests, and the service's
 # deterministic export of a traced 2-bit decoder request against its golden.
 trace-smoke:
-	$(GO) test -run 'TestTraceDecoderSmoke|TestTraceLevelSpansMatchLevelSeconds|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
+	$(GO) test -run 'TestTraceDecoderSmoke|TestEngineSpanTree|TestTraceLevelSpansMatchLevelSeconds|TestTraceDeterministicWorkersByteIdentical' -count=1 ./internal/sta/
 	$(GO) test -run 'TestTraceWallClockExport|TestTraceDeterministicByteIdentical|TestTraceIncompleteAnalysis' -count=1 ./internal/obs/
 	$(GO) test -run 'TestTraceDeterministicGolden' -count=1 ./internal/service/
 

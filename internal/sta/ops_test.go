@@ -130,9 +130,13 @@ func TestTraceDecoderSmoke(t *testing.T) {
 			}
 		}
 	}
+}
 
-	t.Run("span tree", func(t *testing.T) { checkSpanTree(t, 1) })
-	t.Run("span tree parallel", func(t *testing.T) { checkSpanTree(t, 4) })
+// TestEngineSpanTree checks the span tree the engine writes on real decoder
+// analyses, serial and parallel (see checkSpanTree).
+func TestEngineSpanTree(t *testing.T) {
+	t.Run("workers 1", func(t *testing.T) { checkSpanTree(t, 1) })
+	t.Run("workers 4", func(t *testing.T) { checkSpanTree(t, 4) })
 }
 
 // checkSpanTree traces the decoder twice at the given Workers setting, with
