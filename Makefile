@@ -26,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke
+.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke loc
 
 ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify
 
@@ -181,3 +181,9 @@ verify-full:
 # without leaking a goroutine or moving a bit.
 remote-smoke:
 	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestNetworkChaosBitIdentical|TestBreakerDeterministicTransitions|TestDeadPeerUnderEngine|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
+
+# Non-test and test Go line counts over the tracked files: the line budget
+# ROADMAP and CHANGES.md track. Not part of ci.
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test $$(git ls-files '*_test.go' | xargs cat | wc -l)"

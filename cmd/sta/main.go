@@ -25,10 +25,9 @@
 // reports how many RC nodes the pre-pass removed.
 //
 // Evaluations that fail to converge (or exhaust -nr-budget / -wall-budget)
-// escalate a degradation ladder — QWM Newton, QWM bisection, adaptive
-// transient, conservative RC bound — so the report is always complete; a
-// run that used any fallback tier prints a DEGRADED line with the
-// per-direction tier inventory.
+// escalate a degradation ladder — QWM, adaptive transient, conservative RC
+// bound — so the report is always complete; a run that used any fallback
+// tier prints a DEGRADED line with the per-direction tier inventory.
 //
 // -trace FILE records the analysis as Chrome trace-event JSON through the
 // same request-trace path the service uses: one analyze span, one span per
@@ -77,9 +76,10 @@ func main() {
 		traceDet = flag.Bool("trace-deterministic", false, "write the deterministic trace variant (synthetic clock, schedule-independent; byte-identical at any -workers)")
 	)
 	flag.Parse()
-	// A negative budget or tolerance would silently mean "off"; refuse it.
-	if *nrBudget < 0 || *wallB < 0 || !(*redTol >= 0) {
-		fmt.Fprintf(os.Stderr, "sta: -nr-budget, -wall-budget and -reduce must be >= 0, got -nr-budget %d -wall-budget %v -reduce %g\n", *nrBudget, *wallB, *redTol)
+	// A negative worker count, budget or tolerance would silently mean
+	// GOMAXPROCS or "off"; refuse it.
+	if *workers < 0 || *nrBudget < 0 || *wallB < 0 || !(*redTol >= 0) {
+		fmt.Fprintf(os.Stderr, "sta: -workers, -nr-budget, -wall-budget and -reduce must be >= 0, got -workers %d -nr-budget %d -wall-budget %v -reduce %g\n", *workers, *nrBudget, *wallB, *redTol)
 		fmt.Fprintln(os.Stderr, "usage: sta [-deck FILE] [-inputs NETS] [-outputs NETS] [-v] [-workers N] [-cache-stats] [-metrics-json] [-nr-budget N] [-wall-budget D] [-reduce PCT] [-trace FILE [-trace-deterministic]]")
 		os.Exit(2)
 	}

@@ -82,6 +82,42 @@ func TestAccuracyRandomStacks(t *testing.T) {
 	}
 }
 
+// TestExplicitJunctionStacks: a device's own junction geometry (AD/PD,
+// AS/PS) is part of the parasitics QWM charges each node with. Stacks whose
+// drain and source junctions are four times the W-derived default must
+// still match 1 ps SPICE, which reads the same geometry, within the paper's
+// worst Table II error; with default junctions the same stacks time 30–55 %
+// faster, so a dropped junction fails.
+func TestExplicitJunctionStacks(t *testing.T) {
+	h := getHarness(t)
+	for _, k := range []int{1, 3, 5} {
+		widths := make([]float64, k)
+		for i := range widths {
+			widths[i] = 2e-6
+		}
+		w, err := stages.Stack(h.Tech, widths, 10e-15, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range w.Netlist.Transistors {
+			j := h.Tech.N.DefaultJunction(d.W)
+			d.DrainJunc = mos.Junction{Area: 4 * j.Area, Perim: 4 * j.Perim}
+			d.SourceJunc = d.DrainJunc
+		}
+		q, err := h.RunQWM(w, qwm.Options{})
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		s, err := h.RunSpice(w, 1e-12)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if e := wave.DelayErrorPct(q.Delay, s.Delay); e > 3.66 {
+			t.Errorf("K=%d: QWM %.2f ps vs SPICE %.2f ps: error %.2f%% exceeds 3.66%%", k, q.Delay*1e12, s.Delay*1e12, e)
+		}
+	}
+}
+
 func TestTableVsAnalyticAblation(t *testing.T) {
 	h := getHarness(t)
 	w, err := stages.RandomStack(h.Tech, 6, 99)

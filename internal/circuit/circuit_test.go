@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"qwm/internal/mos"
 )
 
 // nand2 builds a 2-input NAND netlist: two series NMOS to ground, two
@@ -217,6 +219,48 @@ func TestPathThroughWire(t *testing.T) {
 	if p.Elems[1].Edge.Kind != KindWire {
 		t.Errorf("middle element should be the wire, got %v", p.Elems[1].Edge.Kind)
 	}
+}
+
+// TestAppendTerminals pins the stage parasitic inventory: every device
+// channel terminal on a node in edge order, wires and gate connections
+// excluded, each with its device's own junction on that node (drain or
+// source, whichever end sits there) or the W-derived default.
+func TestAppendTerminals(t *testing.T) {
+	tech := mos.CMOSP35()
+	n := nand2()
+	n.Transistors[1].DrainJunc = mos.Junction{Area: 7e-12, Perim: 9e-6}  // mn2: drain on out
+	n.Transistors[1].SourceJunc = mos.Junction{Area: 5e-12, Perim: 8e-6} // mn2: source on n1
+	n.AddResistor("r1", "out", "w", 10)
+	st := ExtractStages(n, []string{"out"})[0]
+
+	check := func(node string, want []Terminal) {
+		t.Helper()
+		got := st.AppendTerminals(nil, tech, node)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d terminals, want %d", node, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i].Edge.Ref != w.Edge.Ref || got[i].P != w.P || got[i].Junc != w.Junc || got[i].Fixed != w.Fixed {
+				t.Errorf("%s[%d] = %+v, want %+v", node, i, got[i], w)
+			}
+		}
+	}
+	term := func(d *Transistor, j mos.Junction) Terminal {
+		p := &tech.N
+		if d.Kind == KindPMOS {
+			p = &tech.P
+		}
+		if j == (mos.Junction{}) {
+			j = p.DefaultJunction(d.W)
+		}
+		src, _ := p.ChannelCapSplit(d.W, d.L)
+		return Terminal{Edge: &StageEdge{Ref: d}, P: p, Junc: j, Fixed: p.OverlapCap(d.W) + src}
+	}
+	mn1, mn2, mp1, mp2 := n.Transistors[0], n.Transistors[1], n.Transistors[2], n.Transistors[3]
+	check("out", []Terminal{term(mn2, mn2.DrainJunc), term(mp1, mos.Junction{}), term(mp2, mos.Junction{})})
+	check("n1", []Terminal{term(mn1, mos.Junction{}), term(mn2, mn2.SourceJunc)})
+	check("w", nil)
+	check("a", nil)
 }
 
 func TestDeviceKindString(t *testing.T) {

@@ -81,7 +81,7 @@ type StageEvalInfo struct {
 	// this entry.
 	QWM QWMStats
 	// Tier names the degradation-ladder rung that produced this timing
-	// ("qwm", "qwm-bisect", "spice", "rc-bound"); empty when the direction
+	// ("qwm", "spice", "rc-bound"); empty when the direction
 	// failed outright. Like the solver stats, it is a property of the cached
 	// entry and therefore deterministic at any Workers setting.
 	Tier string

@@ -32,7 +32,7 @@ func analysisSpans(start time.Time, threads []int, durScale time.Duration) []Req
 		{Str("output", "n1"), Str("dir", "rise"), Str("cache", "hit"), Int("nr_iters", 40), Int("regions", 5),
 			Int("dense_fallbacks", 0), Int("cap_resolves", 0), Str("tier", "qwm")},
 		{Str("output", "out"), Str("dir", "fall"), Str("cache", "miss"), Int("nr_iters", 61), Int("regions", 7),
-			Int("dense_fallbacks", 1), Int("cap_resolves", 0), Str("tier", "qwm-bisect")},
+			Int("dense_fallbacks", 1), Int("cap_resolves", 0), Str("tier", "spice")},
 		{Str("output", "out"), Str("dir", "rise"), Str("cache", "miss"), Int("nr_iters", 0), Int("regions", 0),
 			Int("dense_fallbacks", 0), Int("cap_resolves", 0), Str("err", "no conducting path")},
 	}

@@ -95,42 +95,17 @@ func Build(bi BuildInput) (*Chain, error) {
 		}
 	}
 
-	// Per-node capacitance: every transistor in the stage with a channel
-	// terminal on the node contributes its junction (voltage dependent),
-	// its gate overlap, and half its channel capacitance — on-path and
-	// off-path devices alike. Explicit loads are added as fixed.
+	// Per-node capacitance: every device terminal on the node, on-path and
+	// off-path alike, contributes its junction (voltage dependent) and its
+	// fixed overlap and channel share. Explicit loads are added as fixed.
+	var buf [8]circuit.Terminal // a node rarely has more; they spill to the heap
+	terms := buf[:0]
 	for _, name := range bi.Path.InternalNodes() {
 		nc := NodeCap{Fixed: bi.Loads[name]}
-		for _, edge := range bi.Stage.Edges {
-			if edge.Kind == circuit.KindWire {
-				continue
-			}
-			tp := &bi.Tech.N
-			if edge.Kind == circuit.KindPMOS {
-				tp = &bi.Tech.P
-			}
-			touches := false
-			var junc mos.Junction
-			if t := edge.Ref; t != nil {
-				if t.Drain == name {
-					touches = true
-					junc = t.DrainJunc
-				} else if t.Source == name {
-					touches = true
-					junc = t.SourceJunc
-				}
-			} else if edge.Src == name || edge.Snk == name {
-				touches = true
-			}
-			if !touches {
-				continue
-			}
-			if junc == (mos.Junction{}) {
-				junc = tp.DefaultJunction(edge.W)
-			}
-			nc.addJunction(tp, junc, jtab[tp.Pol])
-			srcHalf, _ := tp.ChannelCapSplit(edge.W, edge.L)
-			nc.Fixed += tp.OverlapCap(edge.W) + srcHalf
+		terms = bi.Stage.AppendTerminals(terms[:0], bi.Tech, name)
+		for _, t := range terms {
+			nc.addJunction(t.P, t.Junc, jtab[t.P.Pol])
+			nc.Fixed += t.Fixed
 		}
 		ch.Caps = append(ch.Caps, nc)
 

@@ -51,11 +51,6 @@ type Options struct {
 	// (see EventSink; PrintfSink recovers the old printf trace lines). A
 	// nil sink costs nothing: no Event is constructed on the hot path.
 	Events EventSink
-	// ForceBisection skips the joint Newton guess ladder entirely and
-	// solves every region with the robust bisection-on-τ′ fallback (inner α
-	// solves at each trial point). Slower but hard to defeat — the second
-	// rung of the sta degradation ladder uses it when the Newton path fails.
-	ForceBisection bool
 	// NRBudget caps the TOTAL Newton iterations across the whole evaluation
 	// (all region solves, joint and inner). 0 means unlimited. Exceeding it
 	// aborts with an error wrapping ErrBudgetExceeded. Iteration budgets are
@@ -78,6 +73,11 @@ type Options struct {
 	// decisions are per-(stage, direction, slew, load, tier) and therefore
 	// schedule-independent.
 	FaultKey string
+
+	// forceBisection skips the joint Newton guess ladder and solves every
+	// region with the bisection-on-τ′ fallback; only this package's tests
+	// set it, to check the fallback's answer.
+	forceBisection bool
 }
 
 func (o *Options) withDefaults(k int) Options {

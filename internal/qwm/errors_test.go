@@ -61,16 +61,16 @@ func TestEvaluateWallBudgetIsTyped(t *testing.T) {
 	}
 }
 
-// TestEvaluateForceBisectionMatchesNewton checks the TierBisect primitive:
-// with the Newton guess ladder disabled every region is solved by the
-// bracketing fallback, which must still converge and agree with the Newton
-// path on the 50 % delay to within a few percent.
+// TestEvaluateForceBisectionMatchesNewton checks the per-region bisection
+// rescue: with the Newton guess ladder disabled every region is solved by
+// the bracketing fallback, which must still converge and agree with the
+// Newton path on the 50 % delay to within a few percent.
 func TestEvaluateForceBisectionMatchesNewton(t *testing.T) {
 	ref, err := Evaluate(fixedStack(t, 3, 1e-6, 5e-15, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bis, err := Evaluate(fixedStack(t, 3, 1e-6, 5e-15, 0), Options{ForceBisection: true})
+	bis, err := Evaluate(fixedStack(t, 3, 1e-6, 5e-15, 0), Options{forceBisection: true})
 	if err != nil {
 		t.Fatalf("forced-bisection evaluation failed: %v", err)
 	}

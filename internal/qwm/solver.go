@@ -300,9 +300,9 @@ func (rs *regionSys) vdotAt(k int) float64 {
 // back to a robust bisection on τ′ with an inner α solve.
 func (e *engine) solveRegion(L int, ev event, seed []float64, seedTau float64) (float64, []float64, error) {
 	// Fault site: a forced NR divergence fails the whole region solve, as a
-	// Newton blow-up near a flat region would. The site fires in both the
-	// Newton and bisection modes, so at rate 1 it defeats the first two
-	// ladder tiers and forces the sta caller down to the spice tier.
+	// Newton blow-up near a flat region would. The site fires before the
+	// Newton ladder and the bisection fallback alike, so at rate 1 it
+	// defeats the QWM tier and forces the sta caller down to the spice tier.
 	if e.o.Fault.Fire(faultinject.NRDivergence, e.o.FaultKey) {
 		return 0, nil, fmt.Errorf("%w: injected NR divergence at region %d (faultinject)",
 			ErrNoConvergence, e.res.Stats.Regions)
@@ -310,7 +310,7 @@ func (e *engine) solveRegion(L int, ev event, seed []float64, seedTau float64) (
 
 	rs := e.newRegionSys(L, ev)
 
-	if !e.o.ForceBisection {
+	if !e.o.forceBisection {
 		x := e.scr.x[:L+1]
 		// converged copies a Newton result out of the shared x buffer: the
 		// caller's secant second pass holds it across the next solveRegion

@@ -38,14 +38,16 @@ func TestConfigSignature(t *testing.T) {
 // written by an older engine is never re-opened. It also changes with the
 // key format, so no namespace is read under keys it was not written with:
 // qwm5 keys every tier by the fixed-width digest Key instead of qwm4's text
-// keys, qwm6 adds each device's junction geometry to the digest, and qwm7
-// keys load caps by their exact bits instead of 6-digit text.
+// keys, qwm6 adds each device's junction geometry to the digest, qwm7 keys
+// load caps by their exact bits instead of 6-digit text, and qwm8 gives the
+// spice and rc-bound tiers each device's own junctions and drops the
+// qwm-bisect tier (renumbering the persisted tiers).
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm7|red:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm8|red:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
-	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm7|") {
-		t.Errorf("signature %q lacks the qwm7 engine tag", sig)
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm8|") {
+		t.Errorf("signature %q lacks the qwm8 engine tag", sig)
 	}
 }
 

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,11 +29,6 @@ const (
 	// with the joint Newton iteration (plus its built-in bisection rescue
 	// per region). No guard-band — this is the reference answer.
 	TierQWM Tier = iota
-	// TierBisect re-runs QWM with the Newton guess ladder disabled
-	// (Options.ForceBisection): every region is solved by the slow
-	// bracketing fallback, which survives the flat-region geometries that
-	// defeat Newton. Guard-band 1.10x.
-	TierBisect
 	// TierSpice rebuilds the worst path as a small transistor netlist and
 	// integrates it with the adaptive (LTE-controlled) trapezoidal
 	// transient of internal/spice. Slowest numerical tier, different
@@ -49,10 +45,9 @@ const (
 )
 
 var tierNames = [NumTiers]string{
-	TierQWM:    "qwm",
-	TierBisect: "qwm-bisect",
-	TierSpice:  "spice",
-	TierBound:  "rc-bound",
+	TierQWM:   "qwm",
+	TierSpice: "spice",
+	TierBound: "rc-bound",
 }
 
 // String returns the canonical tier name.
@@ -63,18 +58,13 @@ func (t Tier) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
-// Per-tier conservative guard-bands. A degraded tier must never report a
-// delay below the clean QWM answer it replaces (the chaos harness asserts
-// this), so each fallback's delay and slew are inflated by a margin that
-// covers the tier's worst observed deviation from QWM with room to spare:
-// bisection solves the same equations (percent-level deviation from the
-// Newton path at most), the adaptive transient agrees with QWM to the
-// paper's ~2 % accuracy, and the RC bound carries its own 3x factor inside
-// switchlevel.PathBound.
-const (
-	guardBisect = 1.10
-	guardSpice  = 1.25
-)
+// guardSpice is the spice tier's conservative guard-band. A degraded tier
+// must never report a delay below the clean QWM answer it replaces (the
+// chaos harness asserts this), so the spice delay is moved later by a
+// quarter of its magnitude and its slew widened by the same factor: the
+// adaptive transient agrees with QWM to the paper's ~2 % accuracy. The RC
+// bound carries its own 3x factor inside switchlevel.PathBound.
+const guardSpice = 1.25
 
 // EvalBudget bounds each stage-direction evaluation of an Analyze. The zero
 // value means unlimited. Exhausting a budget aborts the running tier with
@@ -87,20 +77,6 @@ type EvalBudget struct {
 	// boundaries. Wall budgets are inherently racy with scheduling — use
 	// NRIters when determinism across runs matters.
 	Wall time.Duration
-}
-
-// qwmOpts assembles the solver options for one QWM tier attempt: the
-// analyzer's budget and fault plumbing over the solver defaults. faultKey
-// already carries the tier suffix, so the injector can distinguish the
-// Newton and bisection attempts of one direction.
-func (a *Analyzer) qwmOpts(faultKey string, forceBisect bool) qwm.Options {
-	return qwm.Options{
-		ForceBisection: forceBisect,
-		NRBudget:       a.cfg.Budget.NRIters,
-		WallBudget:     a.cfg.Budget.Wall,
-		Fault:          a.cfg.FaultPlan,
-		FaultKey:       faultKey,
-	}
 }
 
 // spiceNRBudget caps the SPICE tier's Newton iterations per evaluation
@@ -188,27 +164,26 @@ func (a *Analyzer) runTier(tier Tier, st *circuit.Stage, out, rail string, path 
 	switch tier {
 	case TierQWM:
 		// Fault site: an injected budget exhaustion, as a too-small
-		// Config.Budget would produce. Tier 0 only: the cheap rescue
-		// (bisection) is exactly what a budget-driven abort should
-		// escalate to.
+		// Config.Budget would produce. Tier 0 only: a budget-driven abort
+		// escalates to the spice tier.
 		if a.cfg.FaultPlan.Fire(faultinject.BudgetExhaustion, key) {
 			return dirResult{}, fmt.Errorf("%w: injected budget exhaustion (faultinject)", ErrBudgetExceeded)
 		}
-		return a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(key, false))
-	case TierBisect:
-		r, err := a.evalQWMPath(st, path, out, rail, loads, inSlew, a.qwmOpts(key, true))
-		if err != nil {
-			return r, err
-		}
-		r.delay *= guardBisect
-		r.slew *= guardBisect
-		return r, nil
+		return a.evalQWMPath(st, path, out, rail, loads, inSlew, qwm.Options{
+			NRBudget:   a.cfg.Budget.NRIters,
+			WallBudget: a.cfg.Budget.Wall,
+			Fault:      a.cfg.FaultPlan,
+			FaultKey:   key,
+		})
 	case TierSpice:
 		r, err := a.evalSpicePath(st, path, out, rail, loads, inSlew)
 		if err != nil {
 			return r, err
 		}
-		r.delay *= guardSpice
+		// Later by a quarter of the magnitude, so a negative delay (the
+		// output crossing before a slow input does) is not made earlier;
+		// for d >= 0 this is d*guardSpice to the bit.
+		r.delay += (guardSpice - 1) * math.Abs(r.delay)
 		r.slew *= guardSpice
 		return r, nil
 	case TierBound:
@@ -374,25 +349,28 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		g := ren[pe.Edge.Gate]
 		n.AddVSource("v"+g, g, circuit.GroundNode, w)
 	}
+	// Path transistors carry their own junctions, oriented to the renamed
+	// drain (upper) and source (lower) ends.
 	ic := map[string]float64{}
 	for i, pe := range path.Elems {
-		switch pe.Edge.Kind {
+		e := pe.Edge
+		switch e.Kind {
 		case circuit.KindWire:
-			n.AddResistor(fmt.Sprintf("r%d", i), ren[pe.Lower], ren[pe.Upper], pe.Edge.R)
-		case circuit.KindNMOS:
+			n.AddResistor(fmt.Sprintf("r%d", i), ren[pe.Lower], ren[pe.Upper], e.R)
+		case circuit.KindNMOS, circuit.KindPMOS:
+			body := circuit.GroundNode
+			if e.Kind == circuit.KindPMOS {
+				body = circuit.SupplyNode
+			}
 			n.AddTransistor(&circuit.Transistor{
-				Name: fmt.Sprintf("m%d", i), Kind: circuit.KindNMOS,
-				Drain: ren[pe.Upper], Gate: ren[pe.Edge.Gate], Source: ren[pe.Lower],
-				Body: circuit.GroundNode, W: pe.Edge.W, L: pe.Edge.L,
-			})
-		case circuit.KindPMOS:
-			n.AddTransistor(&circuit.Transistor{
-				Name: fmt.Sprintf("m%d", i), Kind: circuit.KindPMOS,
-				Drain: ren[pe.Upper], Gate: ren[pe.Edge.Gate], Source: ren[pe.Lower],
-				Body: circuit.SupplyNode, W: pe.Edge.W, L: pe.Edge.L,
+				Name: fmt.Sprintf("m%d", i), Kind: e.Kind,
+				Drain: ren[pe.Upper], Gate: ren[e.Gate], Source: ren[pe.Lower],
+				Body: body, W: e.W, L: e.L,
+				DrainJunc:  e.Terminal(a.tech, pe.Upper).Junc,
+				SourceJunc: e.Terminal(a.tech, pe.Lower).Junc,
 			})
 		default:
-			return dirResult{}, fmt.Errorf("sta: spice tier: unsupported element kind %v", pe.Edge.Kind)
+			return dirResult{}, fmt.Errorf("sta: spice tier: unsupported element kind %v", e.Kind)
 		}
 		ic[ren[pe.Upper]] = icLevel
 	}
@@ -411,38 +389,27 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 			ci++
 		}
 	}
-	// Off-path device parasitics: the QWM builder loads every path node
-	// with the junction, overlap and half-channel capacitance of ALL stage
-	// devices touching it — the complementary rail's drain caps included.
-	// The sub-netlist only instantiates the path devices (whose parasitics
-	// the simulator models itself), so the off-path share is lumped here at
-	// the mid-swing linearization point, exactly as the switch-level model
-	// does; omitting it made the spice tier under-predict by the missing
-	// capacitance ratio and defeat the guard-band.
+	// Off-path device parasitics: QWM charges every path node with ALL
+	// the stage's device terminals on it, the complementary rail's drains
+	// included. The sub-netlist only instantiates the path devices (whose
+	// parasitics the simulator models itself), so every other terminal is
+	// lumped here at the mid-swing linearization point, as the switch-level
+	// model does; omitting them made the spice tier under-predict by the
+	// missing capacitance ratio and defeat the guard-band.
 	onPath := map[*circuit.StageEdge]bool{}
-	inNet := map[string]bool{}
 	for _, pe := range path.Elems {
 		onPath[pe.Edge] = true
-		inNet[pe.Lower], inNet[pe.Upper] = true, true
 	}
-	pi := 0
-	for _, e := range st.Edges {
-		if onPath[e] || e.Kind == circuit.KindWire {
-			continue
-		}
-		p := &a.tech.N
-		if e.Kind == circuit.KindPMOS {
-			p = &a.tech.P
-		}
-		for _, nd := range [2]string{e.Src, e.Snk} {
-			if !inNet[nd] || nd == circuit.GroundNode || nd == circuit.SupplyNode {
+	var terms []circuit.Terminal
+	for _, node := range pathNodes {
+		terms = st.AppendTerminals(terms[:0], a.tech, node)
+		for _, t := range terms {
+			if onPath[t.Edge] {
 				continue
 			}
-			c := p.JunctionCap(p.DefaultJunction(e.W), vdd/2)
-			srcHalf, _ := p.ChannelCapSplit(e.W, e.L)
-			c += p.OverlapCap(e.W) + srcHalf
-			n.AddCapacitor(fmt.Sprintf("cp%d", pi), ren[nd], circuit.GroundNode, c)
-			pi++
+			c := t.P.JunctionCap(t.Junc, vdd/2) + t.Fixed
+			n.AddCapacitor(fmt.Sprintf("cp%d", ci), ren[node], circuit.GroundNode, c)
+			ci++
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/faultinject"
+	"qwm/internal/mos"
 	"qwm/internal/qwm"
 )
 
@@ -20,6 +21,22 @@ func chainRequest() Request {
 		Primary: map[string]Arrival{"in0": {}},
 		Outputs: []string{"out"},
 	}
+}
+
+// junctionChainRequest is chainRequest with every device's drain junction
+// at four times the W-derived default in area and perimeter: a stage whose
+// parasitics only an explicit AD/PD sets.
+func junctionChainRequest() Request {
+	req := chainRequest()
+	for _, d := range req.Netlist.Transistors {
+		p := &tech.N
+		if d.Kind == circuit.KindPMOS {
+			p = &tech.P
+		}
+		j := p.DefaultJunction(d.W)
+		d.DrainJunc = mos.Junction{Area: 4 * j.Area, Perim: 4 * j.Perim}
+	}
+	return req
 }
 
 // analyzeFaulted runs one Analyze of the inverter chain on a fresh Analyzer
@@ -56,7 +73,8 @@ func within(a, b, rel float64) bool {
 }
 
 // TestLadder injects every engine fault class at rate 1, at Workers 1 and
-// 8, into the inverter chain and the staggered-slew 3-bit decoder. Network
+// 8, into the inverter chain, the staggered-slew 3-bit decoder and the
+// chain with explicit drain junctions. Network
 // classes are skipped: they fire at the remote-cache tier, which
 // remotecache's TestNetworkChaosBitIdentical arms. Every row checks:
 //   - the injector fired;
@@ -64,9 +82,11 @@ func within(a, b, rel float64) bool {
 //   - determinism: a same-seed repeat, and a Workers 1 run of an 8-worker
 //     row, are bit-equal in arrivals, tiers, Degraded and PanicsRecovered;
 //   - a degrading class is conservative and lands on the tier it is built
-//     to exercise: NR divergence kills both QWM tiers and lands on spice,
-//     a panic in every numerical tier is recovered and lands on rc-bound,
-//     an injected budget exhaustion aborts tier 0 and lands on qwm-bisect;
+//     to exercise: NR divergence kills the QWM tier and lands on spice, a
+//     panic in every numerical tier is recovered and lands on rc-bound, an
+//     injected budget exhaustion aborts tier 0 and lands on spice;
+//   - on the junction chain, the forced spice and rc-bound arrivals move
+//     with the junctions: they differ from the default chain's;
 //   - a recoverable class is invisible: nothing degrades, the tiers match
 //     clean, and so do the results — bit for bit for a stall, within
 //     faultinject.PivotRecoveryTol for a dense-LU-recovered pivot (a
@@ -76,12 +96,12 @@ func TestLadder(t *testing.T) {
 	wantTier := map[faultinject.Class]Tier{
 		faultinject.NRDivergence:     TierSpice,
 		faultinject.Panic:            TierBound,
-		faultinject.BudgetExhaustion: TierBisect,
+		faultinject.BudgetExhaustion: TierSpice,
 	}
 	for _, wl := range []struct {
 		name string
 		req  Request
-	}{{"chain", chainRequest()}, {"decoder", decoderRequest(t)}} {
+	}{{"chain", chainRequest()}, {"decoder", decoderRequest(t)}, {"junction-chain", junctionChainRequest()}} {
 		run := func(t *testing.T, inj *faultinject.Injector, workers int) *Result {
 			return analyzeOnce(t, New(tech, lib, Config{Workers: workers, FaultPlan: inj}), wl.req.Netlist, wl.req.Primary, wl.req.Outputs)
 		}
@@ -130,8 +150,8 @@ func TestLadder(t *testing.T) {
 					}
 					switch class {
 					case faultinject.NRDivergence:
-						if got.TierCounts[TierQWM] != 0 || got.TierCounts[TierBisect] != 0 {
-							t.Errorf("QWM tiers survived a rate-1 divergence injection: %v", got.TierCounts)
+						if got.TierCounts[TierQWM] != 0 {
+							t.Errorf("QWM tier survived a rate-1 divergence injection: %v", got.TierCounts)
 						}
 					case faultinject.Panic:
 						if got.PanicsRecovered == 0 {
@@ -143,9 +163,58 @@ func TestLadder(t *testing.T) {
 						}
 					}
 					requireConservative(t, clean, got, class.String())
+					if wl.name == "junction-chain" && class != faultinject.BudgetExhaustion {
+						req := chainRequest()
+						base := analyzeOnce(t, New(tech, lib, Config{Workers: workers, FaultPlan: inj()}), req.Netlist, req.Primary, req.Outputs)
+						for net, ref := range base.Arrivals {
+							if _, primary := req.Primary[net]; primary {
+								continue
+							}
+							if g := got.Arrivals[net]; g.Rise == ref.Rise || g.Fall == ref.Fall {
+								t.Errorf("net %s: %s arrival (r %g, f %g) ignores the junctions: default chain (r %g, f %g)",
+									net, want, g.Rise, g.Fall, ref.Rise, ref.Fall)
+							}
+						}
+					}
 				})
 			}
 		}
+	}
+}
+
+// TestSpiceGuardNeverEarlier: the spice guard-band moves a delay later,
+// never earlier. A wide inverter under a slow input crosses 50 % on its
+// output before its input does, so its raw fall delay is negative, and
+// scaling that by the guard factor would make it earlier still.
+func TestSpiceGuardNeverEarlier(t *testing.T) {
+	const load, inSlew = 2.45e-15, 281e-12
+	nl := &circuit.Netlist{}
+	nl.AddTransistor(&circuit.Transistor{Name: "mn", Kind: circuit.KindNMOS, Drain: "out", Gate: "in", Source: "0", Body: "0", W: 20e-6, L: tech.LMin})
+	nl.AddTransistor(&circuit.Transistor{Name: "mp", Kind: circuit.KindPMOS, Drain: "out", Gate: "in", Source: "vdd", Body: "vdd", W: 40e-6, L: tech.LMin})
+	st := circuit.ExtractStages(nl, []string{"out"})[0]
+	path, err := circuit.LongestPath(st, "out", circuit.GroundNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := map[string]float64{"out": load}
+	a := New(tech, lib)
+	raw, err := a.evalSpicePath(st, path, "out", circuit.GroundNode, loads, inSlew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.delay >= 0 {
+		t.Fatalf("raw spice delay %g s is not negative: the case no longer exercises the guard", raw.delay)
+	}
+	var dt dirTiming
+	got, err := a.runTier(TierSpice, st, "out", circuit.GroundNode, path, loads, inSlew, "", &dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.delay < raw.delay {
+		t.Errorf("guarded spice delay %g s is earlier than the raw %g s", got.delay, raw.delay)
+	}
+	if got.slew != raw.slew*guardSpice {
+		t.Errorf("guarded slew %g s, want %g s", got.slew, raw.slew*guardSpice)
 	}
 }
 
@@ -210,10 +279,9 @@ func TestErrorTaxonomySentinels(t *testing.T) {
 // names and chaos reports.
 func TestTierString(t *testing.T) {
 	want := map[Tier]string{
-		TierQWM:    "qwm",
-		TierBisect: "qwm-bisect",
-		TierSpice:  "spice",
-		TierBound:  "rc-bound",
+		TierQWM:   "qwm",
+		TierSpice: "spice",
+		TierBound: "rc-bound",
 	}
 	for tier, name := range want {
 		if tier.String() != name {

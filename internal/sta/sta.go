@@ -511,8 +511,8 @@ type dirResult struct {
 // t = 0 — as an ideal step when inSlew is zero, otherwise as a ramp with the
 // upstream stage's transition time — every other path input is held
 // conducting, and the path nodes start precharged (discharge) or
-// pre-discharged (charge). opts carries the tier's solver configuration
-// (budgets, fault plumbing, ForceBisection for the rescue tier).
+// pre-discharged (charge). opts carries the analyzer's budgets and fault
+// plumbing.
 func (a *Analyzer) evalQWMPath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64, opts qwm.Options) (dirResult, error) {
 	vdd := a.tech.VDD
 	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)

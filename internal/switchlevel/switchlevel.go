@@ -70,26 +70,14 @@ func Delay(w *stages.Workload, tech *mos.Tech) (float64, error) {
 	return d * 0.69314718056, nil
 }
 
-// nodeCap sums the explicit loads plus the zero-bias parasitics of every
-// device touching the node — the same inventory the QWM builder uses, but
-// without voltage dependence (switch-level models are linear).
+// nodeCap sums the explicit loads plus the parasitics of every device
+// terminal on the node — the QWM builder's inventory, linearized with each
+// junction at mid-swing bias (switch-level models are linear).
 func nodeCap(w *stages.Workload, tech *mos.Tech, node string) float64 {
 	c := w.Loads[node]
-	for _, edge := range w.Stage.Edges {
-		if edge.Kind == circuit.KindWire {
-			continue
-		}
-		p := &tech.N
-		if edge.Kind == circuit.KindPMOS {
-			p = &tech.P
-		}
-		if edge.Src == node || edge.Snk == node {
-			j := p.DefaultJunction(edge.W)
-			// Mid-swing junction bias as the linearization point.
-			c += p.JunctionCap(j, tech.VDD/2)
-			src, _ := p.ChannelCapSplit(edge.W, edge.L)
-			c += p.OverlapCap(edge.W) + src
-		}
+	for _, t := range w.Stage.AppendTerminals(nil, tech, node) {
+		c += t.P.JunctionCap(t.Junc, tech.VDD/2)
+		c += t.Fixed
 	}
 	return c
 }
