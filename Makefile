@@ -15,7 +15,9 @@
 # shared-tier smoke, the per-level read budget, network chaos, the breaker's
 # trajectory and its cost against a dead peer, the batch corruption and
 # write-behind breaker tests plus the kill/restart race tests, untraced and
-# traced. The engine's fault-injection ladder (TestLadder) and
+# traced, and a dead peer costing one deadline per read. check-run-names
+# fails when a name in one of those -run lists is no longer a test of its
+# package. The engine's fault-injection ladder (TestLadder) and
 # re-analysis-after-edit (TestIncrementalMatchesScratch) gates are
 # internal/sta tests, run by `race-obs` and `race`.
 #
@@ -26,9 +28,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke loc
+.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke check-run-names loc
 
-ci: vet build bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify
+ci: vet build check-run-names bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify
 
 vet:
 	$(GO) vet ./...
@@ -170,17 +172,37 @@ verify-full:
 # one tier server (the cold one must match a remote-disabled analyzer, the
 # fresh one must answer warm: zero evaluations, >=90% remote hits,
 # bit-identical results, at most one read request per dependency level),
-# each network fault class (net-latency, net-error, net-corrupt) at rate 0.2
-# leaves results bit-identical to a remote-disabled analyzer, the breaker
-# walks its exact deterministic trajectory twice, a dead peer under a whole
-# analysis costs at most the breaker threshold plus one probe per window, a
+# each network fault (latency, transport error, frame corruption), injected
+# at rate 0.2 by a test transport keyed by cache key, leaves results
+# bit-identical to a remote-disabled analyzer, the breaker walks its exact
+# deterministic trajectory twice, a dead peer under a whole analysis costs at
+# most the breaker threshold plus one probe per window, a read of a peer
+# that never answers makes one round trip and waits one deadline, a
 # corrupted frame in a batch read costs only its own key, a batch write
 # stores exactly its valid frames, write-behind sends never move an open
 # breaker, and concurrent analyses through the service's remote → disk
 # tiers survive the remote server being killed and restarted mid-run
 # without leaking a goroutine or moving a bit.
 remote-smoke:
-	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestNetworkChaosBitIdentical|TestBreakerDeterministicTransitions|TestDeadPeerUnderEngine|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
+	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestNetworkChaosBitIdentical|TestBreakerDeterministicTransitions|TestDeadPeerUnderEngine|TestDeadPeerOneAttemptPerRead|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
+
+# Every name in the -run lists of these targets must be a test, benchmark,
+# fuzz target or example of the package the line runs: `go test -run 'A|B'`
+# passes silently when B was renamed away.
+RUN_LIST_TARGETS = trace-smoke trace-smoke-distributed leak-check service-smoke remote-smoke
+
+check-run-names:
+	@cmds="$$($(MAKE) --no-print-directory -n $(RUN_LIST_TARGETS) | grep -e ' -run ')"; \
+	test -n "$$cmds" || { echo "check-run-names: no -run lists found"; exit 1; }; \
+	echo "$$cmds" | while read -r cmd; do \
+		names=$$(echo "$$cmd" | sed -n "s/.* -run '\([^']*\)'.*/\1/p"); \
+		pkg=$${cmd##* }; \
+		test -n "$$names" || { echo "check-run-names: no quoted -run list in: $$cmd"; exit 1; }; \
+		listed=$$($(GO) test -list . $$pkg) || exit 1; \
+		for name in $$(echo "$$names" | tr '|' ' '); do \
+			echo "$$listed" | grep -qxF "$$name" || { echo "check-run-names: $$pkg has no test $$name"; exit 1; }; \
+		done; \
+	done
 
 # Non-test and test Go line counts over the tracked files: the line budget
 # ROADMAP and CHANGES.md track. Not part of ci.

@@ -28,9 +28,13 @@
 // A fleet of daemons can share one warm delay cache: -cache-listen ADDR
 // additionally serves this replica's per-signature caches over the tier API
 // (batched POST and PUT on /tier/{signature}/), and -remote-cache URL makes every
-// pooled analyzer read through remote → disk against a peer's endpoint. The remote client sits behind per-op deadlines, bounded retries
-// and a circuit breaker: a dead or flaky peer degrades to cache misses, and
+// pooled analyzer read through remote → disk against a peer's endpoint. The
+// remote client sits behind one deadline-bounded attempt per read and a
+// circuit breaker: a dead or flaky peer degrades to cache misses, and
 // /healthz reports (but never 503s on) an open breaker.
+//
+// -queue and -workers below 1 and -analyzer-workers below 0 exit 2 with a
+// usage line.
 package main
 
 import (
@@ -63,6 +67,11 @@ func main() {
 		replica     = flag.String("replica", "", "replica name stamped on cache-plane trace spans (defaults to the listen address)")
 	)
 	flag.Parse()
+	if *queueLen < 1 || *workers < 1 || *analyzerW < 0 {
+		fmt.Fprintf(os.Stderr, "stad: -queue and -workers must be >= 1 and -analyzer-workers >= 0, got -queue %d -workers %d -analyzer-workers %d\n", *queueLen, *workers, *analyzerW)
+		fmt.Fprintln(os.Stderr, "usage: stad [-addr ADDR] [-cache-dir DIR] [-cache-bytes N] [-queue N] [-workers N] [-analyzer-workers N] [-cache-listen ADDR] [-remote-cache URL] [-replica NAME]")
+		os.Exit(2)
+	}
 	if err := run(*addr, *cacheDir, *cacheBytes, *queueLen, *workers, *analyzerW, *cacheListen, *remoteCache, *replica); err != nil {
 		fmt.Fprintln(os.Stderr, "stad:", err)
 		os.Exit(1)

@@ -1,10 +1,9 @@
 // Package awe implements the linear-interconnect substrate of the paper's
 // related work and its decoder-tree experiment: RC-tree moment computation
-// by path tracing, the Elmore delay metric, asymptotic waveform evaluation
-// (AWE — moment-matched Padé poles and residues), and the O'Brien/Savarino
-// style π-model reduction the paper uses to macro-model long wires before
-// handing them to QWM ("We first used AWE approach to build a macro π model
-// for the wire", §V-C).
+// by path tracing, the Elmore delay metric, RC-chain reduction, and the
+// O'Brien/Savarino style π-model reduction the paper uses to macro-model
+// long wires before handing them to QWM ("We first used AWE approach to
+// build a macro π model for the wire", §V-C).
 package awe
 
 import "fmt"

@@ -39,20 +39,6 @@ import (
 //   - CacheStall sleeps briefly inside a delay-cache compute, simulating
 //     shard contention / a slow single-flight leader; results must be
 //     unaffected (site: sta delay cache compute).
-//   - NetLatency delays one remote-cache round trip, as a congested or
-//     GC-pausing peer would; results must be unaffected (site:
-//     remotecache client attempt).
-//   - NetError fails one remote-cache round trip outright (connection
-//     refused / reset / 5xx); the tier must degrade to a miss, never an
-//     analysis error (site: remotecache client attempt).
-//   - NetCorrupt flips a byte in a remote-cache response body before
-//     decoding, so the CRC re-verification path is exercised; corruption
-//     must be a counted miss, never wrong data (site: remotecache client
-//     response).
-//
-// The three Net* classes key on the delay-cache key like every other class,
-// so the injected network weather is schedule-independent: the same keys
-// suffer the same faults no matter how workers interleave their requests.
 type Class uint8
 
 // PivotRecoveryTol is the relative bound within which every arrival, slew
@@ -67,9 +53,6 @@ const (
 	Panic
 	BudgetExhaustion
 	CacheStall
-	NetLatency
-	NetError
-	NetCorrupt
 	// NumClasses bounds the class enum; not a class itself.
 	NumClasses
 )
@@ -80,18 +63,6 @@ var classNames = [NumClasses]string{
 	Panic:            "panic",
 	BudgetExhaustion: "budget-exhaustion",
 	CacheStall:       "cache-stall",
-	NetLatency:       "net-latency",
-	NetError:         "net-error",
-	NetCorrupt:       "net-corrupt",
-}
-
-// Network reports whether c injects at a network (remote-cache) site rather
-// than inside the evaluation engine. The engine ladder table (TestLadder)
-// skips network classes — with no remote tier armed they have no site to
-// fire at — and the remote-cache tests (TestNetworkChaosBitIdentical) gate
-// them instead.
-func (c Class) Network() bool {
-	return c == NetLatency || c == NetError || c == NetCorrupt
 }
 
 // String returns the canonical hyphenated class name.
@@ -175,18 +146,9 @@ func (in *Injector) Fire(c Class, key string) bool {
 
 // Stall blocks for the configured stall duration when class c fires at key;
 // it must only be used for classes whose injected fault is pure latency
-// (CacheStall, NetLatency). Safe on a nil receiver.
+// (CacheStall). Safe on a nil receiver.
 func (in *Injector) Stall(c Class, key string) {
 	if in.Fire(c, key) {
-		in.Pause()
-	}
-}
-
-// Pause blocks for the configured stall duration unconditionally: the
-// caller has already decided with Fire (a batch that stalls once when any
-// member's site fires). Safe on a nil receiver (returns at once).
-func (in *Injector) Pause() {
-	if in != nil {
 		time.Sleep(in.stall)
 	}
 }

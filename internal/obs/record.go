@@ -101,7 +101,7 @@ var recordKeys = [...]string{
 	"nr_iters", "regions", "dense_fallbacks", "cap_resolves",
 	"cache_hits", "cache_misses", "stages_evaluated", "eval_errors",
 	"slew_fallbacks", "cancelled",
-	"hit", "attempt", "outcome", "op",
+	"hit", "outcome", "op",
 	"route", "status", "requests", "admitted",
 }
 

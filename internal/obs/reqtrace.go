@@ -212,7 +212,7 @@ func isHex(s string) bool {
 
 // PeerSpan is the wire form of one remote-recorded span, returned by a
 // peer's cache plane in the Qwm-Span response header and re-parented into
-// the caller's trace under the attempt span that made the request.
+// the caller's trace under the remote get span that made the request.
 type PeerSpan struct {
 	Name    string            `json:"name"`
 	Process string            `json:"process"`

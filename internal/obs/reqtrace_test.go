@@ -124,7 +124,7 @@ func traceFixtureSpans() []ReqSpan {
 		{ID: "req.j0.analyze.L0", Parent: "req.j0.analyze", Name: "level 0", Level: 0, Item: -1, Start: base, Dur: time.Millisecond},
 		{ID: "req.j0.analyze.L0.e0", Parent: "req.j0.analyze.L0", Name: "y0~rise", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("cache", "miss")}},
 		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote", Parent: "req.j0.analyze.L0.e0", Name: "tier remote", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("tier", "remote"), Bool("hit", true)}},
-		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote", Name: "remote get", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Int("attempt", 0), Str("outcome", "hit")}},
+		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote", Name: "remote get", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("outcome", "hit")}},
 		{ID: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0.peer", Parent: "req.j0.analyze.L0.e0.k00000001.t0-remote.a0", Name: "cache-plane get", Process: "replica-b", Level: 0, Item: 0, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("op", "get"), Str("outcome", "hit")}},
 		{ID: "req.j0.analyze.L1", Parent: "req.j0.analyze", Name: "level 1", Level: 1, Item: -1, Start: base, Dur: time.Millisecond},
 		{ID: "req.j0.analyze.L1.e3", Parent: "req.j0.analyze.L1", Name: "y1~fall", Level: 1, Item: 3, Start: base, Dur: time.Millisecond, Attrs: Attrs{Str("cache", "hit")}},

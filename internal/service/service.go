@@ -59,9 +59,9 @@ type Options struct {
 	// RemoteCache, when set, is the base URL of a replica-shared remote
 	// delay-cache tier (a peer's stad -cache-listen endpoint). Every pooled
 	// analyzer then reads through remote → disk; the remote client
-	// degrades every network failure to a cache miss behind timeouts,
-	// bounded retries and a circuit breaker, so a dead peer never fails or
-	// stalls an analysis. "" disables.
+	// degrades every network failure to a cache miss behind one
+	// deadline-bounded attempt per read and a circuit breaker, so a dead
+	// peer never fails or stalls an analysis. "" disables.
 	RemoteCache string
 	// ResultCap bounds retained async batch results; the oldest are evicted
 	// first (polling an evicted id returns 410 Gone). 0 means 64.

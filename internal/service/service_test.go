@@ -227,6 +227,10 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"negative nr_iters", withBudget(`{"nr_iters":-1}`), http.StatusBadRequest, v1.CodeInvalidRequest},
 		{"negative wall_ms", withBudget(`{"wall_ms":-1}`), http.StatusBadRequest, v1.CodeInvalidRequest},
 		{"overflowing wall_ms", withBudget(`{"wall_ms":1e300}`), http.StatusBadRequest, v1.CodeInvalidRequest},
+		// Network faults are not engine fault classes: a chaos analyzer has
+		// no remote tier for them to fire at.
+		{"network chaos class", fmt.Sprintf(`{"netlist":%q,"outputs":[%q],"chaos":{"seed":1,"classes":["net-error"]}}`, deck, outs[0]),
+			http.StatusBadRequest, v1.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

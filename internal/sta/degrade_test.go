@@ -113,9 +113,6 @@ func TestLadder(t *testing.T) {
 			t.Fatalf("%s: clean run produced no QWM-tier timings: %v", wl.name, clean.TierCounts)
 		}
 		for class := faultinject.Class(0); class < faultinject.NumClasses; class++ {
-			if class.Network() {
-				continue
-			}
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", wl.name, class, workers), func(t *testing.T) {
 					inj := func() *faultinject.Injector { return faultinject.New(7).Enable(class, 1) }

@@ -65,13 +65,9 @@ type breaker struct {
 	skips       int64 // suppressed ops since the breaker opened / last probe
 	openedAt    time.Time
 
-	// Local counters mirrored into the (possibly nil) registry, so Stats
-	// works without one — the diskcache counter-pair idiom.
-	opens, probes cpair
-
-	reg     *obs.Registry
-	mOpens  *obs.Counter // sta/remote/breaker_opens (every transition to Open)
-	mProbes *obs.Counter // sta/remote/probes
+	reg    *obs.Registry
+	opens  *obs.Counter // sta/remote/breaker_opens (every transition to Open)
+	probes *obs.Counter // sta/remote/probes
 }
 
 // liveBreakers holds, per registry, the breakers of every client not yet
@@ -91,8 +87,8 @@ func newBreaker(threshold int, probeEvery int64, cooldown time.Duration, r *obs.
 		cooldown:   cooldown,
 		now:        time.Now,
 		reg:        r,
-		mOpens:     r.Counter("sta/remote/breaker_opens"),
-		mProbes:    r.Counter("sta/remote/probes"),
+		opens:      r.Counter("sta/remote/breaker_opens"),
+		probes:     r.Counter("sta/remote/probes"),
 	}
 	if r == nil {
 		return b
@@ -164,7 +160,7 @@ func (b *breaker) allow() (proceed, probe bool) {
 		(b.cooldown > 0 && b.now().Sub(b.openedAt) >= b.cooldown) {
 		b.skips = 0
 		b.setState(BreakerHalfOpen)
-		b.probes.add(1, b.mProbes)
+		b.probes.Inc()
 		return true, true
 	}
 	return false, false
@@ -227,5 +223,5 @@ func (b *breaker) openLocked() {
 	b.openedAt = b.now()
 	b.skips = 0
 	b.setState(BreakerOpen)
-	b.opens.add(1, b.mOpens)
+	b.opens.Inc()
 }

@@ -6,8 +6,6 @@
 // slow or partitioned peer can never fail an analysis, slow it down
 // unboundedly, or corrupt a result.
 //
-// The envelope, inside out:
-//
 // The unit of tier I/O is a batch, not a key. The engine reads a whole
 // dependency level's keys with one GetMany, which is one POST of the
 // concatenated keys answered with the hits' frames; the write-behind queue
@@ -16,12 +14,11 @@
 //
 // The envelope, inside out:
 //
-//   - Per-attempt deadlines: every round trip runs under Options.Timeout;
-//     a hung peer costs a bounded wait, never a stuck worker.
-//   - Bounded retries with exponential backoff and deterministic jitter
-//     (hashed from the batch's first cache key and the attempt number, so
-//     two replicas never synchronize their retry storms yet a fixed
-//     workload replays exactly).
+//   - One deadline-bounded attempt per read: every round trip runs under
+//     Options.Timeout, and a read that fails at the transport is a miss —
+//     a hung peer costs one bounded wait, never a stuck worker. Reads are
+//     not retried: a miss costs one stage evaluation, far less than any
+//     backoff sleep.
 //   - A three-state circuit breaker (closed → open on consecutive-failure
 //     threshold → half-open probe): once a peer is declared dead, further
 //     reads cost one atomic load and are counted misses; a deterministic
@@ -44,7 +41,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -53,28 +49,18 @@ import (
 	"strings"
 	"time"
 
-	"qwm/internal/faultinject"
 	"qwm/internal/obs"
 	"qwm/internal/sta"
 	"qwm/internal/sta/diskcache"
 )
 
 // Options tunes a Client. The zero value is production-usable: 250 ms
-// per-attempt deadline, 2 retries with 20 ms base backoff, breaker opening
-// after 5 consecutive failures with a probe every 100 suppressed ops or
-// after 1 s, 1024-entry write-behind queue.
+// deadline per round trip, breaker opening after 5 consecutive failures with
+// a probe every 100 suppressed ops or after 1 s, 1024-entry write-behind
+// queue.
 type Options struct {
-	// Timeout is the per-attempt deadline for one HTTP round trip.
-	// 0 means 250 ms.
+	// Timeout is the deadline for one HTTP round trip. 0 means 250 ms.
 	Timeout time.Duration
-	// Retries is the number of EXTRA read attempts after the first fails at
-	// the transport level (a completed round trip, misses and all, is never
-	// retried). 0 means 2; negative means none.
-	Retries int
-	// Backoff is the base delay before the first retry, doubling per
-	// attempt, plus a deterministic jitter in [0, Backoff) hashed from the
-	// batch's first key and the attempt. 0 means 20 ms.
-	Backoff time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// breaker. 0 means 5.
 	BreakerThreshold int
@@ -90,32 +76,17 @@ type Options struct {
 	// QueueLen bounds the write-behind Put queue; a full queue drops the
 	// put (counted). It also bounds one drained write batch. 0 means 1024.
 	QueueLen int
-	// HTTPClient overrides the transport (tests inject failures here).
-	// Its Timeout is ignored; per-attempt deadlines come from Timeout.
+	// HTTPClient overrides the transport (tests inject network faults
+	// here). Its Timeout is ignored; deadlines come from Timeout.
 	HTTPClient *http.Client
 	// Metrics, when set, receives the sta/remote/* counters and the
-	// breaker-state gauge.
+	// breaker-state gauge. They are the client's only counters.
 	Metrics *obs.Registry
-	// Fault, when set, arms the network fault classes (net-latency,
-	// net-error, net-corrupt), keyed by cache key so injected weather is
-	// schedule-independent: a batch stalls or fails when any member's site
-	// fires, and net-corrupt flips a byte in the frame of each member whose
-	// site fires. Chaos rigs only.
-	Fault *faultinject.Injector
 }
 
 func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 250 * time.Millisecond
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 20 * time.Millisecond
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 5
@@ -149,40 +120,7 @@ const (
 	maxRequestBytes  = maxResponseBytes
 )
 
-// Stats is a snapshot of a client's counters. Hits, Misses, FastFails and
-// Corrupt count keys (frames), Puts and Dropped count records, so rates stay
-// comparable however the keys were batched; ReadRequests and WriteRequests
-// count the round trips.
-type Stats struct {
-	Hits, Misses  int64 // read outcomes per key (every non-hit path is a miss)
-	Puts          int64 // records durably sent (2xx acknowledged)
-	Dropped       int64 // records discarded: full queue, open breaker, send failure
-	Retries       int64 // extra read attempts after transport failures
-	Timeouts      int64 // attempts that died on the per-attempt deadline
-	Corrupt       int64 // CRC / frame / validity failures served as misses
-	FastFails     int64 // keys whose read the open breaker suppressed (no network)
-	BreakerOpens  int64 // transitions into the open state
-	ReadRequests  int64 // read round trips attempted (POSTs, retries included)
-	WriteRequests int64 // write round trips attempted (PUTs)
-
-	BreakerState string // current state name
-}
-
-// HitRate returns hits / (hits + misses), 0 when idle.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
-type cpair struct{ c obs.Counter }
-
-func (p *cpair) add(n int64, m *obs.Counter) { p.c.Add(n); m.Add(n) }
-func (p *cpair) value() int64                { return p.c.Value() }
-
 type putReq struct {
-	key sta.Key
 	rec []byte
 	tp  string // traceparent header for the async PUT ("" untraced)
 }
@@ -208,10 +146,8 @@ type Client struct {
 
 	queue *diskcache.WriteQueue[putReq]
 
-	hits, misses, puts, dropped, retriesC, timeouts, corrupt, fastfails,
-	readReqs, writeReqs cpair
-	mHits, mMisses, mPuts, mDropped, mRetries, mTimeouts, mCorrupt,
-	mFastfails, mReadReqs, mWriteReqs *obs.Counter
+	hits, misses, puts, dropped, timeouts, corrupt, fastfails,
+	readReqs, writeReqs *obs.Counter
 }
 
 // New creates a client for the tier namespace `signature` on the server at
@@ -229,16 +165,15 @@ func New(baseURL, signature string, opts Options) *Client {
 		br:   newBreaker(opts.BreakerThreshold, opts.BreakerProbeEvery, opts.BreakerCooldown, opts.Metrics),
 	}
 	r := opts.Metrics
-	c.mHits = r.Counter("sta/remote/hits")
-	c.mMisses = r.Counter("sta/remote/misses")
-	c.mPuts = r.Counter("sta/remote/puts")
-	c.mDropped = r.Counter("sta/remote/dropped")
-	c.mRetries = r.Counter("sta/remote/retries")
-	c.mTimeouts = r.Counter("sta/remote/timeouts")
-	c.mCorrupt = r.Counter("sta/remote/corrupt")
-	c.mFastfails = r.Counter("sta/remote/fastfails")
-	c.mReadReqs = r.Counter("sta/remote/read_requests")
-	c.mWriteReqs = r.Counter("sta/remote/write_requests")
+	c.hits = r.Counter("sta/remote/hits")
+	c.misses = r.Counter("sta/remote/misses")
+	c.puts = r.Counter("sta/remote/puts")
+	c.dropped = r.Counter("sta/remote/dropped")
+	c.timeouts = r.Counter("sta/remote/timeouts")
+	c.corrupt = r.Counter("sta/remote/corrupt")
+	c.fastfails = r.Counter("sta/remote/fastfails")
+	c.readReqs = r.Counter("sta/remote/read_requests")
+	c.writeReqs = r.Counter("sta/remote/write_requests")
 	c.queue = diskcache.NewWriteQueue(opts.QueueLen, c.send)
 	return c
 }
@@ -251,40 +186,18 @@ func (c *Client) BreakerState() BreakerState {
 	return c.br.State()
 }
 
-// Stats snapshots the client's counters.
-func (c *Client) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits:          c.hits.value(),
-		Misses:        c.misses.value(),
-		Puts:          c.puts.value(),
-		Dropped:       c.dropped.value(),
-		Retries:       c.retriesC.value(),
-		Timeouts:      c.timeouts.value(),
-		Corrupt:       c.corrupt.value(),
-		FastFails:     c.fastfails.value(),
-		BreakerOpens:  c.br.opens.value(),
-		ReadRequests:  c.readReqs.value(),
-		WriteRequests: c.writeReqs.value(),
-		BreakerState:  c.br.State().String(),
-	}
-}
-
 // Name implements sta.TierStore.
 func (c *Client) Name() string { return "remote" }
 
 // GetMany implements sta.TierStore: a read-through probe of a batch of keys,
 // one POST per at most maxBatchKeys keys, whose every failure mode —
 // suppressed by the breaker, timed out, transport error, corrupt frame — is
-// a miss, never an error. Each batch takes one breaker decision, one
-// deadline per attempt and one retry schedule. When ctx carries a trace
-// reference, every network attempt becomes a child span, the outbound
-// request is stamped with the traceparent header, and a peer-recorded span
-// returned in the response header is merged into the same trace. ctx
-// supplies only the trace: each attempt runs under the client's own
-// deadline.
+// a miss, never an error. Each batch takes one breaker decision and makes at
+// most one deadline-bounded round trip. When ctx carries a trace reference,
+// the round trip becomes a child span, the outbound request is stamped with
+// the traceparent header, and a peer-recorded span returned in the response
+// header is merged into the same trace. ctx supplies only the trace: the
+// round trip runs under the client's own deadline.
 func (c *Client) GetMany(ctx context.Context, keys []sta.Key, out []sta.TierEntry, hit []bool) {
 	clear(hit[:len(keys)])
 	if c == nil {
@@ -315,109 +228,51 @@ func (c *Client) getBatch(b *batch) {
 	n := int64(len(b.keys))
 	proceed, probe := c.br.allow()
 	if !proceed {
-		c.fastfails.add(n, c.mFastfails)
-		c.misses.add(n, c.mMisses)
+		c.fastfails.Add(n)
+		c.misses.Add(n)
 		if b.ref.T != nil {
 			// The breaker suppressed the read entirely; record a zero-cost
 			// span so the trace shows WHY the remote tier went unconsulted.
 			b.ref.T.Add(obs.ReqSpan{
 				ID: b.ref.Parent + ".a0", Parent: b.ref.Parent, Name: "remote get",
 				Level: b.ref.Level, Item: b.ref.Item, Start: time.Now(),
-				Attrs: obs.Attrs{obs.Int("attempt", 0), obs.Str("outcome", "breaker-open")},
+				Attrs: obs.Attrs{obs.Str("outcome", "breaker-open")},
 			})
 		}
 		return
 	}
-	hits, err := c.fetch(b)
+	hits, err := c.read(b)
 	if err != nil {
 		c.br.failure(probe)
-		c.misses.add(n, c.mMisses)
+		c.misses.Add(n)
 		return
 	}
 	c.br.success()
-	c.hits.add(int64(hits), c.mHits)
-	c.misses.add(n-int64(hits), c.mMisses)
+	c.hits.Add(int64(hits))
+	c.misses.Add(n - int64(hits))
 }
 
-// errInjected marks a fault-injected transport failure.
-var errInjected = errors.New("remotecache: injected network error")
-
-// fetch runs the bounded-retry POST loop for one batch and returns its hit
-// count. The returned error is non-nil only for transport-level failure of
-// EVERY attempt; a completed round trip is err == nil, whatever its frames
-// held (a missing key is a miss, a corrupt frame a counted miss).
-// Corruption is deliberately not retried: the frames made it across the
-// transport, and hammering the peer for bad records would amplify exactly
-// the failure the CRC already contained.
-func (c *Client) fetch(b *batch) (int, error) {
-	for attempt := 0; ; attempt++ {
-		hits, err := c.attempt(b, attempt)
-		if err == nil {
-			return hits, nil
-		}
-		if attempt >= c.opts.Retries {
-			return 0, err
-		}
-		c.retriesC.add(1, c.mRetries)
-		time.Sleep(c.backoff(&b.keys[0], attempt))
-	}
-}
-
-// backoff computes the sleep before retry `attempt`: base << attempt plus a
-// deterministic jitter in [0, base) hashed from (the batch's first key,
-// attempt) — replicas de-synchronize (different keys, different phases)
-// while a fixed workload replays the exact same waits.
-func (c *Client) backoff(key *sta.Key, attempt int) time.Duration {
-	d := c.opts.Backoff << uint(attempt)
-	const maxBackoff = 2 * time.Second
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d + time.Duration(hash64(key[:], uint64(attempt))%uint64(c.opts.Backoff))
-}
-
-// hash64 is FNV-1a over key ⊕ salt with a splitmix64 finalizer (the
-// faultinject mixing recipe) — allocation-free deterministic jitter.
-func hash64(key []byte, salt uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= (salt >> (8 * i)) & 0xff
-		h *= prime64
-	}
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// attempt performs one deadline-bounded round trip, recording it as a span
-// when the request is traced: the outbound POST carries the traceparent for
-// the attempt's semantic span ID ("<probe>.a<n>"), and a peer span returned
-// in the response header is re-parented under the attempt.
-func (c *Client) attempt(b *batch, n int) (int, error) {
+// read performs the batch's one round trip and returns its hit count,
+// recording it as a span when the request is traced: the outbound POST
+// carries the traceparent for the read's semantic span ID ("<probe>.a0"),
+// and a peer span returned in the response header is re-parented under it.
+// The error is non-nil only for a transport-level failure; a completed round
+// trip is err == nil, whatever its frames held (a missing key is a miss, a
+// corrupt frame a counted miss).
+func (c *Client) read(b *batch) (int, error) {
 	ref := b.ref
 	if ref.T == nil {
 		hits, _, err := c.roundTrip(b, "")
 		return hits, err
 	}
-	attID := ref.Parent + ".a" + strconv.Itoa(n)
+	id := ref.Parent + ".a0"
 	start := time.Now()
-	hits, peer, err := c.roundTrip(b, obs.FormatTraceparent(ref.T.TraceID, attID))
+	hits, peer, err := c.roundTrip(b, obs.FormatTraceparent(ref.T.TraceID, id))
 	ref.T.Add(obs.ReqSpan{
-		ID: attID, Parent: ref.Parent, Name: "remote get",
+		ID: id, Parent: ref.Parent, Name: "remote get",
 		Level: ref.Level, Item: ref.Item,
 		Start: start, Dur: time.Since(start),
-		Attrs: obs.Attrs{obs.Int("attempt", n), obs.Str("outcome", outcome(len(b.keys), hits, err))},
+		Attrs: obs.Attrs{obs.Str("outcome", outcome(len(b.keys), hits, err))},
 	})
 	if ps, good := obs.DecodePeerSpan(peer); good {
 		var buf [obs.MaxPeerSpanAttrs]obs.Attr
@@ -426,7 +281,7 @@ func (c *Client) attempt(b *batch, n int) (int, error) {
 			attrs = append(attrs, obs.Str(k, v))
 		}
 		ref.T.Add(obs.ReqSpan{
-			ID: attID + ".peer", Parent: attID,
+			ID: id + ".peer", Parent: id,
 			Name: ps.Name, Process: ps.Process,
 			Level: ref.Level, Item: ref.Item,
 			Start: start, Dur: time.Duration(ps.DurUS * float64(time.Microsecond)),
@@ -451,42 +306,11 @@ func outcome(keys, hits int, err error) string {
 	return "partial"
 }
 
-// firesAny reports whether fault class cl fires at any of the keys' sites.
-// The sites stay keyed by cache key, so a batch's weather is a pure function
-// of its members.
-func firesAny(fault *faultinject.Injector, cl faultinject.Class, keys func(int) *sta.Key, n int) bool {
-	if fault == nil {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if fault.Fire(cl, keys(i).String()) {
-			return true
-		}
-	}
-	return false
-}
-
 // roundTrip is one raw HTTP exchange for a batch: POST the concatenated
 // keys, decode the answered frames into the batch's slots. An error return
-// means transport failure (retryable), and leaves the slots untouched.
-// peerSpan is the encoded Qwm-Span response header, "" when absent.
+// means transport failure, and leaves the slots untouched. peerSpan is the
+// encoded Qwm-Span response header, "" when absent.
 func (c *Client) roundTrip(b *batch, traceparent string) (hits int, peerSpan string, _ error) {
-	fault := c.opts.Fault
-	key := func(i int) *sta.Key { return &b.keys[i] }
-	// Fault site net-latency: a slow peer, once per batch when any member's
-	// site fires. Pure latency — the request still completes, and results
-	// must be bit-for-bit unaffected.
-	if firesAny(fault, faultinject.NetLatency, key, len(b.keys)) {
-		fault.Pause()
-	}
-	// Fault site net-error: the request never comes back (reset, refused,
-	// mid-flight partition) when any member's site fires. Keyed by cache
-	// key, so retries of the same batch deterministically fail too — the
-	// tier must degrade to misses.
-	if firesAny(fault, faultinject.NetError, key, len(b.keys)) {
-		return 0, "", errInjected
-	}
-
 	body := make([]byte, 0, len(b.keys)*sta.KeySize)
 	for i := range b.keys {
 		body = append(body, b.keys[i][:]...)
@@ -501,11 +325,11 @@ func (c *Client) roundTrip(b *batch, traceparent string) (hits int, peerSpan str
 	if traceparent != "" {
 		req.Header.Set(traceparentHeader, traceparent)
 	}
-	c.readReqs.add(1, c.mReadReqs)
+	c.readReqs.Inc()
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			c.timeouts.add(1, c.mTimeouts)
+			c.timeouts.Inc()
 		}
 		return 0, "", err
 	}
@@ -522,12 +346,12 @@ func (c *Client) roundTrip(b *batch, traceparent string) (hits int, peerSpan str
 	resBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		if ctx.Err() != nil {
-			c.timeouts.add(1, c.mTimeouts)
+			c.timeouts.Inc()
 		}
 		return 0, peerSpan, err
 	}
 	if len(resBody) > maxResponseBytes {
-		c.corrupt.add(1, c.mCorrupt)
+		c.corrupt.Inc()
 		return 0, peerSpan, nil
 	}
 	return c.decodeFrames(b, resBody), peerSpan, nil
@@ -540,7 +364,6 @@ func (c *Client) roundTrip(b *batch, traceparent string) (hits int, peerSpan str
 // — so a corrupt frame costs only its own key. A frame whose header runs
 // past the body ends the walk: no later boundary can be trusted.
 func (c *Client) decodeFrames(b *batch, body []byte) (hits int) {
-	fault := c.opts.Fault
 	var corrupt int64
 	next := 0 // keys before next are answered or skipped
 	for rest := body; len(rest) > 0; {
@@ -550,12 +373,6 @@ func (c *Client) decodeFrames(b *batch, body []byte) (hits int) {
 			break
 		}
 		rest = r
-		// Fault site net-corrupt: a flipped bit inside the frame of each
-		// member whose site fires. The CRC must catch it and serve that key
-		// as a counted miss, never a wrong timing.
-		if fault != nil && fault.Fire(faultinject.NetCorrupt, sta.Key(frame[8:8+sta.KeySize]).String()) {
-			frame[len(frame)/2] ^= 0x40
-		}
 		key, val, err := diskcache.DecodeRecord(frame)
 		if err != nil {
 			corrupt++
@@ -577,7 +394,7 @@ func (c *Client) decodeFrames(b *batch, body []byte) (hits int) {
 		hits++
 	}
 	if corrupt > 0 {
-		c.corrupt.add(corrupt, c.mCorrupt)
+		c.corrupt.Add(corrupt)
 	}
 	return hits
 }
@@ -597,15 +414,15 @@ func (c *Client) Put(ctx context.Context, key sta.Key, e sta.TierEntry) {
 		// No probe promotion for puts: the tier is written behind anyway,
 		// and probing with data nobody is waiting for would make breaker
 		// recovery depend on write traffic. Reads own the probe schedule.
-		c.dropped.add(1, c.mDropped)
+		c.dropped.Inc()
 		return
 	}
-	req := putReq{key: key, rec: diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))}
+	req := putReq{rec: diskcache.EncodeRecord(key, diskcache.EncodeEntry(e))}
 	if ref, ok := obs.TraceFrom(ctx); ok {
 		req.tp = obs.FormatTraceparent(ref.T.TraceID, ref.Parent)
 	}
 	if !c.queue.Enqueue(req) {
-		c.dropped.add(1, c.mDropped)
+		c.dropped.Inc()
 	}
 }
 
@@ -618,7 +435,7 @@ func (c *Client) Put(ctx context.Context, key sta.Key, e sta.TierEntry) {
 // contract and the next analysis simply re-puts.
 func (c *Client) send(batch []putReq) {
 	if c.br.State() != BreakerClosed {
-		c.dropped.add(int64(len(batch)), c.mDropped)
+		c.dropped.Add(int64(len(batch)))
 		return
 	}
 	for len(batch) > 0 {
@@ -639,16 +456,7 @@ func (c *Client) sendBatch(batch []putReq, size int) {
 	n := int64(len(batch))
 	drop := func(ok bool) {
 		c.br.settle(ok)
-		c.dropped.add(n, c.mDropped)
-	}
-	fault := c.opts.Fault
-	key := func(i int) *sta.Key { return &batch[i].key }
-	if firesAny(fault, faultinject.NetLatency, key, len(batch)) {
-		fault.Pause()
-	}
-	if firesAny(fault, faultinject.NetError, key, len(batch)) {
-		drop(false)
-		return
+		c.dropped.Add(n)
 	}
 	body := make([]byte, 0, size)
 	tp := ""
@@ -669,11 +477,11 @@ func (c *Client) sendBatch(batch []putReq, size int) {
 	if tp != "" {
 		hreq.Header.Set(traceparentHeader, tp)
 	}
-	c.writeReqs.add(1, c.mWriteReqs)
+	c.writeReqs.Inc()
 	resp, err := c.http.Do(hreq)
 	if err != nil {
 		if ctx.Err() != nil {
-			c.timeouts.add(1, c.mTimeouts)
+			c.timeouts.Inc()
 		}
 		drop(false)
 		return
@@ -689,7 +497,7 @@ func (c *Client) sendBatch(batch []putReq, size int) {
 		return
 	}
 	c.br.settle(true)
-	c.puts.add(n, c.mPuts)
+	c.puts.Add(n)
 }
 
 // Flush blocks until every Put enqueued BEFORE the call has been sent or

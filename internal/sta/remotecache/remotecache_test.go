@@ -3,7 +3,9 @@ package remotecache_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +24,6 @@ import (
 
 	"qwm/internal/circuit"
 	"qwm/internal/devmodel"
-	"qwm/internal/faultinject"
 	"qwm/internal/mos"
 	"qwm/internal/obs"
 	"qwm/internal/sta"
@@ -103,25 +104,133 @@ func startTier(t *testing.T) (string, *remotecache.Server) {
 	return hs.URL, srv
 }
 
-// quick are client options tuned for tests: tight deadlines, no wall-clock
-// breaker behaviour, so a failing test fails fast and deterministically.
+// quick are client options tuned for tests: a low breaker threshold and no
+// wall-clock breaker behaviour, so a failing test fails fast and
+// deterministically.
 func quick() remotecache.Options {
 	return remotecache.Options{
 		Timeout:           2 * time.Second,
-		Retries:           -1,
-		Backoff:           time.Millisecond,
 		BreakerThreshold:  3,
 		BreakerProbeEvery: 4,
 		BreakerCooldown:   -1,
 	}
 }
 
+// newMetered is New with a registry of the client's own, so a test reads
+// that client's counters alone (see count).
+func newMetered(base, sig string, opts remotecache.Options) (*remotecache.Client, *obs.Registry) {
+	opts.Metrics = obs.NewRegistry()
+	return remotecache.New(base, sig, opts), opts.Metrics
+}
+
+// count reads the client counter sta/remote/<name> from reg.
+func count(reg *obs.Registry, name string) int64 {
+	return reg.Counter("sta/remote/" + name).Value()
+}
+
+// netFault is a network fault the chaos transport injects.
+type netFault int
+
+const (
+	netLatency netFault = iota // the round trip stalls, then completes
+	netError                   // the round trip fails at the transport
+	netCorrupt                 // a byte flips inside a read's answered frame
+)
+
+func (f netFault) String() string {
+	return [...]string{"net-latency", "net-error", "net-corrupt"}[f]
+}
+
+// chaos is an http.RoundTripper that injects one network fault at a rate,
+// keyed by cache key: a request stalls or fails when any key it carries
+// fires (a read's keys, a write's frames' keys), and a read's answer has a
+// byte flipped in the frame of every key that fires. Whether a key fires is
+// a hash of (seed, key), so the weather does not depend on scheduling or on
+// how the keys were batched.
+type chaos struct {
+	fault netFault
+	seed  uint64
+	rate  float64
+	fired atomic.Int64
+}
+
+// fires reports whether the fault fires at key.
+func (ch *chaos) fires(key sta.Key) bool {
+	var buf [8 + sta.KeySize]byte
+	binary.LittleEndian.PutUint64(buf[:8], ch.seed)
+	copy(buf[8:], key[:])
+	h := sha256.Sum256(buf[:])
+	return float64(binary.LittleEndian.Uint64(h[:8])>>11)/(1<<53) < ch.rate
+}
+
+// frameKey is the cache key embedded in an intact frame.
+func frameKey(frame []byte) sta.Key {
+	key, _, _ := diskcache.DecodeRecord(frame)
+	return key
+}
+
+func (ch *chaos) RoundTrip(r *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var keys []sta.Key
+	if r.Method == http.MethodPost {
+		for k := body; len(k) >= sta.KeySize; k = k[sta.KeySize:] {
+			keys = append(keys, sta.Key(k[:sta.KeySize]))
+		}
+	} else {
+		for rest := body; ; {
+			frame, next, ok := diskcache.NextRecord(rest)
+			if !ok {
+				break
+			}
+			keys, rest = append(keys, frameKey(frame)), next
+		}
+	}
+	if ch.fault != netCorrupt && slices.ContainsFunc(keys, ch.fires) {
+		ch.fired.Add(1)
+		if ch.fault == netError {
+			return nil, errors.New("injected network error")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	r = r.Clone(r.Context())
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || ch.fault != netCorrupt || r.Method != http.MethodPost {
+		return resp, err
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	for rest := answer; ; {
+		frame, next, ok := diskcache.NextRecord(rest)
+		if !ok {
+			break
+		}
+		if ch.fires(frameKey(frame)) {
+			ch.fired.Add(1)
+			frame[len(frame)/2] ^= 0x40
+		}
+		rest = next
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(answer))
+	return resp, nil
+}
+
+// withChaos returns opts sending every request through ch.
+func withChaos(opts remotecache.Options, ch *chaos) remotecache.Options {
+	opts.HTTPClient = &http.Client{Transport: ch}
+	return opts
+}
+
 func TestWireRoundTripAndCorruption(t *testing.T) {
 	base, srv := startTier(t)
-	fi := faultinject.New(7).Enable(faultinject.NetCorrupt, 1)
-	opts := quick()
-	opts.Fault = fi
-	corrupting := remotecache.New(base, "sig-a", opts)
+	corrupting, creg := newMetered(base, "sig-a", withChaos(quick(), &chaos{fault: netCorrupt, seed: 7, rate: 1}))
 	defer corrupting.Close()
 	clean := remotecache.New(base, "sig-a", quick())
 	defer clean.Close()
@@ -158,9 +267,8 @@ func TestWireRoundTripAndCorruption(t *testing.T) {
 	if _, ok := get(context.Background(), corrupting, tk("k1")); ok {
 		t.Fatal("corrupt frame served as a hit")
 	}
-	cs := corrupting.Stats()
-	if cs.Corrupt != 1 || cs.Misses != 1 || cs.Hits != 0 {
-		t.Fatalf("corrupt-path stats = %+v, want 1 corrupt counted miss", cs)
+	if c, m, h := count(creg, "corrupt"), count(creg, "misses"), count(creg, "hits"); c != 1 || m != 1 || h != 0 {
+		t.Fatalf("corrupt path counted %d corrupt, %d misses, %d hits; want 1 corrupt counted miss", c, m, h)
 	}
 	// Corruption is breaker-neutral: the transport worked.
 	if st := corrupting.BreakerState(); st != remotecache.BreakerClosed {
@@ -201,7 +309,7 @@ func (f *failThenServe) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestBreakerDeterministicTransitions pins the exact state trajectory and
 // network-attempt count of the breaker against a dead peer: threshold 3,
-// probe every 4th suppressed op, retries and cooldown disabled. A replay on
+// probe every 4th suppressed op, cooldown disabled. A replay on
 // a fresh client walks the same states at the same attempt counts.
 // TestDeadPeerUnderEngine holds the same breaker to its cost bound under a
 // whole analysis.
@@ -218,7 +326,7 @@ func breakerTrajectory(t *testing.T) (steps []string) {
 	tr := &failThenServe{}
 	opts := quick()
 	opts.HTTPClient = &http.Client{Transport: tr}
-	c := remotecache.New("http://dead.invalid", "sig", opts)
+	c, reg := newMetered("http://dead.invalid", "sig", opts)
 	defer c.Close()
 
 	read := func() {
@@ -247,9 +355,8 @@ func breakerTrajectory(t *testing.T) (steps []string) {
 	if n := tr.attempts.Load(); n != 3 {
 		t.Fatalf("open breaker leaked %d network attempts", n-3)
 	}
-	s := c.Stats()
-	if s.FastFails != 3 {
-		t.Fatalf("fastfails = %d, want 3 (stats %+v)", s.FastFails, s)
+	if n := count(reg, "fastfails"); n != 3 {
+		t.Fatalf("fastfails = %d, want 3", n)
 	}
 
 	// Read 7 is the 4th suppressed op: promoted to a half-open probe, which
@@ -261,8 +368,8 @@ func breakerTrajectory(t *testing.T) (steps []string) {
 	if st := c.BreakerState(); st != remotecache.BreakerOpen {
 		t.Fatalf("after failed probe: breaker %v, want open", st)
 	}
-	if s := c.Stats(); s.BreakerOpens != 2 {
-		t.Fatalf("breaker opens = %d, want 2", s.BreakerOpens)
+	if n := count(reg, "breaker_opens"); n != 2 {
+		t.Fatalf("breaker opens = %d, want 2", n)
 	}
 
 	// Heal the peer; the next probe (3 suppressed + 1 promoted) closes the
@@ -288,14 +395,14 @@ func breakerTrajectory(t *testing.T) (steps []string) {
 // sent, so it must be counted as a drop — every one of them.
 func TestPutAfterCloseIsCountedDrop(t *testing.T) {
 	base, _ := startTier(t)
-	c := remotecache.New(base, "sig", quick())
+	c, reg := newMetered(base, "sig", quick())
 	c.Close()
 	e := sta.TierEntry{Delay: 1e-10, OK: true, Tier: uint8(sta.TierQWM)}
-	before := c.Stats().Dropped
+	before := count(reg, "dropped")
 	for i := 0; i < 100; i++ {
 		c.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), e)
 	}
-	if got := c.Stats().Dropped - before; got != 100 {
+	if got := count(reg, "dropped") - before; got != 100 {
 		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
 	}
 }
@@ -331,7 +438,7 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
 
 	cfgA := sta.Config{Workers: 2}
-	ca := remotecache.New(base, cfgA.Signature(), quick())
+	ca, rega := newMetered(base, cfgA.Signature(), quick())
 	cfgA.Tiers = []sta.TierStore{ca}
 	a := sta.New(tech, lib, cfgA)
 	ref, err := a.AnalyzeContext(nil, req)
@@ -343,13 +450,13 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	}
 	sameAsNoRemote(t, "replica A", req, ref)
 	ca.Flush()
-	if s := ca.Stats(); s.Puts < int64(ref.StagesEvaluated) {
-		t.Fatalf("replica A published %d/%d entries", s.Puts, ref.StagesEvaluated)
+	if n := count(rega, "puts"); n < int64(ref.StagesEvaluated) {
+		t.Fatalf("replica A published %d/%d entries", n, ref.StagesEvaluated)
 	}
 	ca.Close()
 
 	cfgB := sta.Config{Workers: 4}
-	cb := remotecache.New(base, cfgB.Signature(), quick())
+	cb, regb := newMetered(base, cfgB.Signature(), quick())
 	defer cb.Close()
 	cfgB.Tiers = []sta.TierStore{cb}
 	b := sta.New(tech, lib, cfgB)
@@ -360,8 +467,8 @@ func TestTwoReplicasShareTier(t *testing.T) {
 	if res.StagesEvaluated != 0 {
 		t.Errorf("fresh replica evaluated %d stages off a warm shared tier, want 0", res.StagesEvaluated)
 	}
-	if hr := cb.Stats().HitRate(); hr < 0.9 {
-		t.Errorf("replica B remote hit rate %.2f, want >= 0.90 (stats %+v)", hr, cb.Stats())
+	if hits, misses := count(regb, "hits"), count(regb, "misses"); float64(hits) < 0.9*float64(hits+misses) {
+		t.Errorf("replica B remote hits %d of %d reads, want >= 90%%", hits, hits+misses)
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
 		t.Error("replica B diverged from replica A")
@@ -392,11 +499,11 @@ func analyzeThrough(t *testing.T, c *remotecache.Client, req sta.Request) *sta.R
 	return res
 }
 
-// TestNetworkChaosBitIdentical: each network fault class at rate 0.2
-// against a warm shared tier leaves arrivals and diagnostics exactly as
-// with no remote tier. The injector must fire, and corrupt frames are
-// counted without opening the breaker: corruption is data-plane, not peer
-// death.
+// TestNetworkChaosBitIdentical: each network fault at rate 0.2, keyed by
+// cache key, against a warm shared tier leaves arrivals and diagnostics
+// exactly as with no remote tier. The fault must fire, and corrupt frames
+// are counted without opening the breaker: corruption is data-plane, not
+// peer death.
 func TestNetworkChaosBitIdentical(t *testing.T) {
 	base, _ := startTier(t)
 	nl, ins, outs := decoderFixture(t)
@@ -406,20 +513,18 @@ func TestNetworkChaosBitIdentical(t *testing.T) {
 	analyzeThrough(t, warm, req)
 	warm.Close() // net-corrupt needs real frames to corrupt
 
-	for _, class := range []faultinject.Class{faultinject.NetLatency, faultinject.NetError, faultinject.NetCorrupt} {
-		t.Run(class.String(), func(t *testing.T) {
-			inj := faultinject.New(1).Enable(class, 0.2).WithStall(200 * time.Microsecond)
-			opts := quick()
-			opts.Fault = inj
-			c := remotecache.New(base, sig, opts)
+	for _, fault := range []netFault{netLatency, netError, netCorrupt} {
+		t.Run(fault.String(), func(t *testing.T) {
+			ch := &chaos{fault: fault, seed: 1, rate: 0.2}
+			c, reg := newMetered(base, sig, withChaos(quick(), ch))
 			defer c.Close()
-			sameAsNoRemote(t, class.String(), req, analyzeThrough(t, c, req))
-			if inj.Fired()[class.String()] == 0 {
-				t.Errorf("the %s injector never fired", class)
+			sameAsNoRemote(t, fault.String(), req, analyzeThrough(t, c, req))
+			if ch.fired.Load() == 0 {
+				t.Errorf("the %s fault never fired", fault)
 			}
-			if class == faultinject.NetCorrupt {
-				if st := c.Stats(); st.Corrupt == 0 {
-					t.Errorf("no corrupt frames counted: %+v", st)
+			if fault == netCorrupt {
+				if count(reg, "corrupt") == 0 {
+					t.Error("no corrupt frames counted")
 				}
 				if st := c.BreakerState(); st != remotecache.BreakerClosed {
 					t.Errorf("corruption moved the breaker to %v", st)
@@ -442,17 +547,67 @@ func TestDeadPeerUnderEngine(t *testing.T) {
 	tr := &failThenServe{}
 	opts := quick()
 	opts.HTTPClient = &http.Client{Transport: tr}
-	c := remotecache.New("http://dead.invalid", "sig", opts)
+	c, reg := newMetered("http://dead.invalid", "sig", opts)
 	for i := 0; i < analyses; i++ {
 		sameAsNoRemote(t, "dead peer", req, analyzeThrough(t, c, req))
 	}
 	c.Close() // drain the write-behind: every put is now sent or dropped
-	st := c.Stats()
 	if n, budget := tr.reads.Load(), int64(3+analyses*levels/4+1); n > budget {
 		t.Errorf("dead peer cost %d read attempts over %d level reads, budget %d", n, analyses*levels, budget)
 	}
-	if st.FastFails == 0 {
-		t.Errorf("open breaker never fast-failed: %+v", st)
+	if count(reg, "fastfails") == 0 {
+		t.Error("open breaker never fast-failed")
+	}
+}
+
+// blackhole is a peer that never answers: each round trip blocks until its
+// request's context ends.
+type blackhole struct{ trips atomic.Int64 }
+
+func (b *blackhole) RoundTrip(r *http.Request) (*http.Response, error) {
+	b.trips.Add(1)
+	<-r.Context().Done()
+	return nil, r.Context().Err()
+}
+
+// TestDeadPeerOneAttemptPerRead: with default options but a short deadline,
+// a read of a peer that never answers makes exactly one round trip and
+// returns after about one deadline, counted as a timeout, until the breaker
+// opens at its default threshold (5); the open breaker then answers
+// without touching the network.
+func TestDeadPeerOneAttemptPerRead(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	tr := &blackhole{}
+	c, reg := newMetered("http://dead.invalid", "sig", remotecache.Options{
+		Timeout:    timeout,
+		HTTPClient: &http.Client{Transport: tr},
+	})
+	defer c.Close()
+	reads := int64(0)
+	for c.BreakerState() == remotecache.BreakerClosed {
+		if reads == 5 {
+			t.Fatal("breaker still closed after 5 failed reads")
+		}
+		start := time.Now()
+		if _, ok := get(context.Background(), c, tk("k")); ok {
+			t.Fatal("a dead peer answered a hit")
+		}
+		reads++
+		if d := time.Since(start); d < timeout || d > 2*timeout {
+			t.Errorf("read %d took %v, want about one %v deadline", reads, d, timeout)
+		}
+		if n := tr.trips.Load(); n != reads {
+			t.Fatalf("%d reads made %d round trips, want one each", reads, n)
+		}
+	}
+	if reads != 5 || count(reg, "timeouts") != 5 || count(reg, "misses") != 5 {
+		t.Errorf("breaker opened after %d reads with %d timeouts and %d misses, want 5 of each",
+			reads, count(reg, "timeouts"), count(reg, "misses"))
+	}
+	start := time.Now()
+	get(context.Background(), c, tk("k"))
+	if n, d := tr.trips.Load(), time.Since(start); n != 5 || d >= timeout {
+		t.Errorf("open breaker: %d round trips in total, read took %v; want 5 and no wait", n, d)
 	}
 }
 
@@ -466,20 +621,20 @@ func TestWarmReplicaReadBudget(t *testing.T) {
 	req := sta.Request{Netlist: nl, Primary: ins, Outputs: outs}
 
 	cfgA := sta.Config{Workers: 2}
-	ca := remotecache.New(base, cfgA.Signature(), quick())
+	ca, rega := newMetered(base, cfgA.Signature(), quick())
 	cfgA.Tiers = []sta.TierStore{ca}
 	ref, err := sta.New(tech, lib, cfgA).AnalyzeContext(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ca.Close()
-	sa := ca.Stats()
-	if sa.WriteRequests == 0 || sa.WriteRequests >= sa.Puts {
-		t.Errorf("replica A sent %d records in %d write requests; the write-behind must coalesce", sa.Puts, sa.WriteRequests)
+	aWrites, aPuts := count(rega, "write_requests"), count(rega, "puts")
+	if aWrites == 0 || aWrites >= aPuts {
+		t.Errorf("replica A sent %d records in %d write requests; the write-behind must coalesce", aPuts, aWrites)
 	}
 
 	cfgB := sta.Config{Workers: 4}
-	cb := remotecache.New(base, cfgB.Signature(), quick())
+	cb, regb := newMetered(base, cfgB.Signature(), quick())
 	defer cb.Close()
 	cfgB.Tiers = []sta.TierStore{cb}
 	res, err := sta.New(tech, lib, cfgB).AnalyzeContext(nil, req)
@@ -492,13 +647,15 @@ func TestWarmReplicaReadBudget(t *testing.T) {
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) || !reflect.DeepEqual(ref.Diagnostics, res.Diagnostics) {
 		t.Error("replica B diverged from replica A")
 	}
-	sb := cb.Stats()
-	if sb.ReadRequests > 3 || sb.Hits == 0 || sb.Misses != 0 {
-		t.Errorf("replica B: %d read requests for %d hits and %d misses, want at most 3 and no misses", sb.ReadRequests, sb.Hits, sb.Misses)
+	bReads, bHits, bMisses := count(regb, "read_requests"), count(regb, "hits"), count(regb, "misses")
+	if bReads > 3 || bHits == 0 || bMisses != 0 {
+		t.Errorf("replica B: %d read requests for %d hits and %d misses, want at most 3 and no misses", bReads, bHits, bMisses)
 	}
-	if got := srv.Stats(); got.ReadRequests != sb.ReadRequests+sa.ReadRequests || got.Gets != sb.Hits+sb.Misses+sa.Hits+sa.Misses {
+	reads := count(rega, "read_requests") + bReads
+	keys := count(rega, "hits") + count(rega, "misses") + bHits + bMisses
+	if got := srv.Stats(); got.ReadRequests != reads || got.Gets != keys {
 		t.Errorf("server counted %d read requests for %d keys; clients sent %d for %d",
-			got.ReadRequests, got.Gets, sa.ReadRequests+sb.ReadRequests, sa.Hits+sa.Misses+sb.Hits+sb.Misses)
+			got.ReadRequests, got.Gets, reads, keys)
 	}
 }
 
@@ -588,11 +745,11 @@ func TestBreakerStateGaugeWorst(t *testing.T) {
 // with no puts at all.
 func TestBreakerIgnoresWriteBehind(t *testing.T) {
 	e := sta.TierEntry{Delay: 1e-10, OK: true, Tier: uint8(sta.TierQWM)}
-	run := func(withPuts bool) (steps []string, st remotecache.Stats, writes int64) {
+	run := func(withPuts bool) (steps []string, dropped, puts, writes int64) {
 		tr := &gatedDead{entered: make(chan struct{}), gate: make(chan struct{})}
 		opts := quick()
 		opts.HTTPClient = &http.Client{Transport: tr}
-		c := remotecache.New("http://dead.invalid", "sig", opts)
+		c, reg := newMetered("http://dead.invalid", "sig", opts)
 		defer c.Close()
 		if withPuts {
 			// The first put's send holds the sink; six more queue behind it
@@ -605,7 +762,7 @@ func TestBreakerIgnoresWriteBehind(t *testing.T) {
 		}
 		step := func() {
 			get(context.Background(), c, tk("k"))
-			steps = append(steps, fmt.Sprintf("%v/%d/%d", c.BreakerState(), tr.reads.Load(), c.Stats().BreakerOpens))
+			steps = append(steps, fmt.Sprintf("%v/%d/%d", c.BreakerState(), tr.reads.Load(), count(reg, "breaker_opens")))
 		}
 		for i := 0; i < 3; i++ { // threshold 3: the breaker opens
 			step()
@@ -617,18 +774,18 @@ func TestBreakerIgnoresWriteBehind(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			step()
 		}
-		return steps, c.Stats(), tr.writes.Load()
+		return steps, count(reg, "dropped"), count(reg, "puts"), tr.writes.Load()
 	}
-	want, _, _ := run(false)
-	got, st, writes := run(true)
+	want, _, _, _ := run(false)
+	got, dropped, puts, writes := run(true)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("open-breaker trajectory with queued puts:\n got  %v\n want %v", got, want)
 	}
 	if writes != 1 {
 		t.Errorf("%d PUT attempts reached a dead peer, want only the one sent while closed", writes)
 	}
-	if st.Dropped != 7 || st.Puts != 0 {
-		t.Errorf("stats %+v, want all 7 records dropped", st)
+	if dropped != 7 || puts != 0 {
+		t.Errorf("%d records dropped and %d put, want all 7 dropped", dropped, puts)
 	}
 }
 
@@ -852,7 +1009,7 @@ func TestTierWriteMixedBatch(t *testing.T) {
 
 // TestTierReadPartialCorruption: within one read, a corrupted frame costs
 // only its own key. Under net-corrupt the client yields exactly the hits
-// whose sites did not fire; a frame for a key the batch did not ask for is
+// whose keys did not fire; a frame for a key the batch did not ask for is
 // corruption too. Neither moves the breaker.
 func TestTierReadPartialCorruption(t *testing.T) {
 	base, _ := startTier(t)
@@ -873,15 +1030,14 @@ func TestTierReadPartialCorruption(t *testing.T) {
 	}
 
 	t.Run("net-corrupt", func(t *testing.T) {
-		opts := quick()
-		opts.Fault = faultinject.New(11).Enable(faultinject.NetCorrupt, 0.5)
-		c := remotecache.New(base, "sig", opts)
+		ch := &chaos{fault: netCorrupt, seed: 11, rate: 0.5}
+		c, reg := newMetered(base, "sig", withChaos(quick(), ch))
 		defer c.Close()
-		oracle := faultinject.New(11).Enable(faultinject.NetCorrupt, 0.5)
+		oracle := &chaos{fault: netCorrupt, seed: 11, rate: 0.5}
 		out, hit := read(c)
 		fired := 0
 		for i, k := range keys {
-			corrupted := oracle.Fire(faultinject.NetCorrupt, k.String())
+			corrupted := oracle.fires(k)
 			if corrupted {
 				fired++
 			}
@@ -892,9 +1048,13 @@ func TestTierReadPartialCorruption(t *testing.T) {
 		if fired == 0 || fired == len(keys) {
 			t.Fatalf("%d of %d frames corrupted; the case needs both kinds", fired, len(keys))
 		}
-		s := c.Stats()
-		if s.Corrupt != int64(fired) || s.Hits != int64(len(keys)-fired) || s.Misses != int64(fired) || s.ReadRequests != 1 {
-			t.Errorf("stats %+v, want %d corrupt misses and %d hits in 1 read request", s, fired, len(keys)-fired)
+		if n := ch.fired.Load(); n != int64(fired) {
+			t.Errorf("transport corrupted %d frames, oracle predicts %d", n, fired)
+		}
+		corrupt, hits, misses, reads := count(reg, "corrupt"), count(reg, "hits"), count(reg, "misses"), count(reg, "read_requests")
+		if corrupt != int64(fired) || hits != int64(len(keys)-fired) || misses != int64(fired) || reads != 1 {
+			t.Errorf("%d corrupt, %d hits, %d misses in %d read requests; want %d corrupt misses and %d hits in 1",
+				corrupt, hits, misses, reads, fired, len(keys)-fired)
 		}
 		if st := c.BreakerState(); st != remotecache.BreakerClosed {
 			t.Errorf("breaker %v after corruption, want closed", st)
@@ -919,7 +1079,7 @@ func TestTierReadPartialCorruption(t *testing.T) {
 			w.Write(slices.Concat(got[:mid], stray, got[mid:]))
 		}))
 		defer proxy.Close()
-		c := remotecache.New(proxy.URL, "sig", quick())
+		c, reg := newMetered(proxy.URL, "sig", quick())
 		defer c.Close()
 		out, hit := read(c)
 		for i := range keys {
@@ -927,8 +1087,8 @@ func TestTierReadPartialCorruption(t *testing.T) {
 				t.Errorf("key %d: hit %v (%+v), want the stored entry", i, hit[i], out[i])
 			}
 		}
-		if s := c.Stats(); s.Corrupt != 1 || s.Hits != int64(len(keys)) {
-			t.Errorf("stats %+v, want the stray frame counted corrupt and every key hit", s)
+		if corrupt, hits := count(reg, "corrupt"), count(reg, "hits"); corrupt != 1 || hits != int64(len(keys)) {
+			t.Errorf("%d corrupt and %d hits, want the stray frame counted corrupt and every key hit", corrupt, hits)
 		}
 	})
 }

@@ -57,6 +57,13 @@ type ServerStats struct {
 	ReadRequests, WriteRequests int64
 }
 
+// cpair is one server counter: a local atomic for Stats, mirrored into the
+// (possibly nil) registry.
+type cpair struct{ c obs.Counter }
+
+func (p *cpair) add(n int64, m *obs.Counter) { p.c.Add(n); m.Add(n) }
+func (p *cpair) value() int64                { return p.c.Value() }
+
 // Server exposes TierStores over HTTP so a fleet of replicas can share one
 // warm delay cache. It holds no storage of its own: StoreFor maps a result
 // signature to the backing TierStore (a diskcache namespace, a MemoryTier —
