@@ -16,8 +16,9 @@
 # trajectory and its cost against a dead peer, the batch corruption and
 # write-behind breaker tests plus the kill/restart race tests, untraced and
 # traced, and a dead peer costing one deadline per read. check-run-names
-# fails when a name in one of those -run lists is no longer a test of its
-# package. The engine's fault-injection ladder (TestLadder) and
+# fails when a name in one of those -run lists, or a -bench or -fuzz
+# pattern of the benchmark and fuzz smokes, no longer names a test,
+# benchmark or fuzz target of its package. The engine's fault-injection ladder (TestLadder) and
 # re-analysis-after-edit (TestIncrementalMatchesScratch) gates are
 # internal/sta tests, run by `race-obs` and `race`.
 #
@@ -187,21 +188,32 @@ remote-smoke:
 	$(GO) test -race -run 'TestTwoReplicasShareTier|TestWarmReplicaReadBudget|TestNetworkChaosBitIdentical|TestBreakerDeterministicTransitions|TestDeadPeerUnderEngine|TestDeadPeerOneAttemptPerRead|TestTierReadPartialCorruption|TestTierWriteMixedBatch|TestBreakerIgnoresWriteBehind|TestChainKillRestartRace|TestTracedGetMergesPeerSpan|TestTracedKillMidRequest' -count=1 ./internal/sta/remotecache/
 
 # Every name in the -run lists of these targets must be a test, benchmark,
-# fuzz target or example of the package the line runs: `go test -run 'A|B'`
-# passes silently when B was renamed away.
-RUN_LIST_TARGETS = trace-smoke trace-smoke-distributed leak-check service-smoke remote-smoke
+# fuzz target or example of the package the line runs, and every -bench or
+# -fuzz pattern must match a benchmark or fuzz target there: `go test -run
+# 'A|B'` passes silently when B was renamed away, and so do `-bench 'A|B'`
+# and `-fuzz '^B$'`.
+RUN_LIST_TARGETS = trace-smoke trace-smoke-distributed leak-check service-smoke remote-smoke bench fuzz-smoke
 
 check-run-names:
-	@cmds="$$($(MAKE) --no-print-directory -n $(RUN_LIST_TARGETS) | grep -e ' -run ')"; \
-	test -n "$$cmds" || { echo "check-run-names: no -run lists found"; exit 1; }; \
+	@cmds="$$($(MAKE) --no-print-directory -n $(RUN_LIST_TARGETS) | grep -e ' -run ' -e ' -bench ' -e ' -fuzz ')"; \
+	test -n "$$cmds" || { echo "check-run-names: no -run, -bench or -fuzz lists found"; exit 1; }; \
 	echo "$$cmds" | while read -r cmd; do \
-		names=$$(echo "$$cmd" | sed -n "s/.* -run '\([^']*\)'.*/\1/p"); \
 		pkg=$${cmd##* }; \
-		test -n "$$names" || { echo "check-run-names: no quoted -run list in: $$cmd"; exit 1; }; \
 		listed=$$($(GO) test -list . $$pkg) || exit 1; \
-		for name in $$(echo "$$names" | tr '|' ' '); do \
-			echo "$$listed" | grep -qxF "$$name" || { echo "check-run-names: $$pkg has no test $$name"; exit 1; }; \
+		checked=0; \
+		for flag in run bench fuzz; do \
+			names=$$(echo "$$cmd" | sed -n "s/.* -$$flag '\([^']*\)'.*/\1/p"); \
+			case "$$flag:$$names" in run:'^$$'|*:) continue;; esac; \
+			checked=1; \
+			for name in $$(echo "$$names" | tr '|' ' '); do \
+				case $$flag in \
+				run) echo "$$listed" | grep -qxF "$$name";; \
+				bench) echo "$$listed" | grep '^Benchmark' | grep -q -e "$$name";; \
+				fuzz) echo "$$listed" | grep '^Fuzz' | grep -q -e "$$name";; \
+				esac || { echo "check-run-names: $$pkg has no $$flag target $$name"; exit 1; }; \
+			done; \
 		done; \
+		test $$checked = 1 || { echo "check-run-names: no quoted list in: $$cmd"; exit 1; }; \
 	done
 
 # Non-test and test Go line counts over the tracked files: the line budget

@@ -11,12 +11,13 @@
 //
 // Stage evaluation is parallel: -workers sets the per-level worker-pool
 // size (0 = GOMAXPROCS, 1 = serial); results are identical for any value.
-// -cache-stats prints the sharded delay cache's hit/miss/evaluation
-// counters after the run, plus this run's diagnostics (evaluation-error and
-// slew-fallback counts, with the first error per failed direction), so
-// silently degraded directions are visible. -metrics-json dumps the metrics
-// registry — counters plus NR-iteration, region-count and latency
-// histograms — as JSON on stdout.
+// -cache-stats prints the delay cache's hit/miss/evaluation counts after the
+// run, read from the metrics registry's sta/cache_hits and sta/cache_misses,
+// plus this run's diagnostics (evaluation-error and slew-fallback counts,
+// with the first error per failed direction), so silently degraded
+// directions are visible. -metrics-json dumps the metrics registry —
+// counters plus NR-iteration, region-count and latency histograms — as JSON
+// on stdout.
 //
 // Hot-path accelerator (off by default; off, the result is bit-identical to
 // earlier releases): -reduce TOL enables the RC-chain model-order-reduction
@@ -170,9 +171,12 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 		fmt.Printf("DEGRADED: %s\n", res.Diagnostics)
 	}
 	if ops.stats {
-		cs := a.CacheStats()
+		// One cold Analyze with no tiers: every miss is one evaluation and
+		// leaves one cache entry.
+		hits := cfg.Metrics.Counter(sta.MetricCacheHits).Value()
+		misses := cfg.Metrics.Counter(sta.MetricCacheMisses).Value()
 		fmt.Printf("delay cache: %d hits, %d misses, %d evaluations, %d entries\n",
-			cs.Hits, cs.Misses, cs.Evaluations, cs.Entries)
+			hits, misses, misses, misses)
 		if reduceTol > 0 {
 			fmt.Printf("reduction: %d RC nodes removed\n", res.ReducedNodes)
 		}

@@ -97,7 +97,8 @@ type Chaos struct {
 	// "nr-divergence", "pivot-breakdown", "panic", "budget-exhaustion",
 	// "cache-stall").
 	Classes []string `json:"classes"`
-	// Rate is the per-class firing rate in (0, 1]; 0 means 1.
+	// Rate is the per-class firing rate in (0, 1]; 0 means 1, and any other
+	// value outside the range is refused (invalid_request).
 	Rate float64 `json:"rate,omitempty"`
 }
 

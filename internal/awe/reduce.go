@@ -160,18 +160,3 @@ func ReduceChain(segs []ChainSeg, cload, tol float64) ([]ChainSeg, float64) {
 		}
 	}
 }
-
-// PiFromChain reduces a series RC ladder to its O'Brien/Savarino π model by
-// matching the first three driving-point admittance moments — the reusable
-// library form of the reduction the decoder example performed inline.
-func PiFromChain(segs []ChainSeg) (Pi, error) {
-	m1, m2 := ChainNodeMoments(segs, 0)
-	var y1, y2, y3 float64
-	for i := 1; i <= len(segs); i++ {
-		c := segs[i-1].C
-		y1 += c         // Σ c_i · m0
-		y2 += c * m1[i] // Σ c_i · m1
-		y3 += c * m2[i] // Σ c_i · m2
-	}
-	return PiFromMoments(y1, y2, y3)
-}

@@ -112,20 +112,3 @@ func TestReduceChainDegenerate(t *testing.T) {
 		t.Fatalf("2-segment ladder should be returned unchanged, got %d", len(got))
 	}
 }
-
-// PiFromChain on a finely discretized uniform line must converge to the
-// closed-form PiForWire values.
-func TestPiFromChainMatchesUniformLine(t *testing.T) {
-	const r, c = 3000.0, 120e-15
-	want, err := PiForWire(r, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PiFromChain(uniformLadder(400, r, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relDiff(got.CNear, want.CNear) > 0.02 || relDiff(got.R, want.R) > 0.02 || relDiff(got.CFar, want.CFar) > 0.02 {
-		t.Fatalf("PiFromChain = %+v, want ~%+v", got, want)
-	}
-}

@@ -120,19 +120,6 @@ func (t *RCTree) Elmore(name string) (float64, error) {
 	return -m[0], nil
 }
 
-// AdmittanceMoments returns the first three driving-point admittance
-// moments at the root: Y(s) = y1·s + y2·s² + y3·s³ + …, the inputs to the
-// π-model reduction.
-func (t *RCTree) AdmittanceMoments() (y1, y2, y3 float64) {
-	m := t.Moments(2)
-	for i := 0; i < t.N(); i++ {
-		y1 += t.cap[i] * m[0][i]
-		y2 += t.cap[i] * m[1][i]
-		y3 += t.cap[i] * m[2][i]
-	}
-	return y1, y2, y3
-}
-
 // Pi is a π macro-model of a wire or RC subtree: CNear at the driven end,
 // R in series, CFar at the receiving end.
 type Pi struct {

@@ -27,17 +27,6 @@ func (p Poly) Deriv() Poly {
 	return d
 }
 
-// Degree returns the index of the highest non-zero coefficient (0 for the
-// zero polynomial).
-func (p Poly) Degree() int {
-	for i := len(p) - 1; i > 0; i-- {
-		if p[i] != 0 {
-			return i
-		}
-	}
-	return 0
-}
-
 // PolyFit computes the least-squares polynomial of the given degree through
 // the sample points (xs[i], ys[i]) by solving the normal equations with the
 // dense LU. This is the curve-fitting engine behind the tabular device model

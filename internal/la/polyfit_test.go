@@ -28,15 +28,6 @@ func TestPolyDeriv(t *testing.T) {
 	}
 }
 
-func TestPolyDegree(t *testing.T) {
-	if (Poly{1, 0, 0}).Degree() != 0 {
-		t.Error("trailing zeros should not raise degree")
-	}
-	if (Poly{0, 0, 2}).Degree() != 2 {
-		t.Error("degree of quadratic")
-	}
-}
-
 func TestPolyFitExactQuadratic(t *testing.T) {
 	want := Poly{0.5, -1.25, 2.0}
 	var xs, ys []float64

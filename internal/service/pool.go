@@ -251,11 +251,14 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 	if c := req.Chaos; c != nil {
 		// Chaos traffic: fresh analyzer, no pool, no disk tier — injected
 		// faults must never leak into entries production requests share.
-		inj := faultinject.New(c.Seed)
 		rate := c.Rate
-		if rate <= 0 || rate > 1 {
+		if rate < 0 || rate > 1 {
+			return v1.ErrorResponse(req.ID, v1.CodeInvalidRequest, "chaos: rate must be in (0, 1], or 0 for 1")
+		}
+		if rate == 0 {
 			rate = 1
 		}
+		inj := faultinject.New(c.Seed)
 		for _, name := range c.Classes {
 			class, err := faultinject.ParseClass(name)
 			if err != nil {

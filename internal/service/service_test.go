@@ -204,6 +204,11 @@ func TestAnalyzeErrors(t *testing.T) {
 	withBudget := func(budget string) string {
 		return fmt.Sprintf(`{"netlist":%q,"outputs":[%q],"budget":%s}`, deck, outs[0], budget)
 	}
+	// withChaosRate is a chaos request at one firing rate, which must lie in
+	// (0, 1] (0 reads as 1).
+	withChaosRate := func(rate string) string {
+		return fmt.Sprintf(`{"netlist":%q,"outputs":[%q],"chaos":{"seed":1,"classes":["panic"],"rate":%s}}`, deck, outs[0], rate)
+	}
 
 	cases := []struct {
 		name   string
@@ -231,6 +236,8 @@ func TestAnalyzeErrors(t *testing.T) {
 		// no remote tier for them to fire at.
 		{"network chaos class", fmt.Sprintf(`{"netlist":%q,"outputs":[%q],"chaos":{"seed":1,"classes":["net-error"]}}`, deck, outs[0]),
 			http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"negative chaos rate", withChaosRate("-0.5"), http.StatusBadRequest, v1.CodeInvalidRequest},
+		{"chaos rate above 1", withChaosRate("1.5"), http.StatusBadRequest, v1.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package sta
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qwm/internal/qwm"
 )
@@ -57,10 +56,6 @@ const cacheShards = 32
 // and no wait group: its whole cost is one index slot and one slab slot.
 type delayCache struct {
 	shards [cacheShards]cacheShard
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	evals  atomic.Int64
 }
 
 type cacheShard struct {
@@ -175,9 +170,7 @@ func (sh *cacheShard) lookupLocked(key *Key) (t dirTiming, f *flight, done bool)
 }
 
 // lookup returns key's finished timing (done), or its flight while it is
-// being evaluated, or neither when the key is absent. It creates nothing and
-// counts nothing: a caller that goes on to use the entry counts the hit
-// itself, exactly as acquire would have (see lookupOrEval).
+// being evaluated, or neither when the key is absent. It creates nothing.
 func (c *delayCache) lookup(key *Key) (t dirTiming, f *flight, done bool) {
 	sh := c.shard(key)
 	sh.mu.RLock()
@@ -190,11 +183,10 @@ func (c *delayCache) lookup(key *Key) (t dirTiming, f *flight, done bool) {
 // found absent (so it goes straight to the write lock). A key finished
 // since returns its timing and no flight; a key in flight returns its
 // flight, which the caller must wait on; an absent key installs a new
-// flight and makes THIS caller the leader (an in-flight compute counts as a
-// hit). The leader MUST publish with no early exits in between, so a
-// cancelled analysis can never strand a flight: in-flight computes always
-// run to completion and release their followers (see
-// TestCancelledContextLeavesCacheUsable).
+// flight and makes THIS caller the leader. The leader MUST publish with no
+// early exits in between, so a cancelled analysis can never strand a flight:
+// in-flight computes always run to completion and release their followers
+// (see TestCancelledContextLeavesCacheUsable).
 func (c *delayCache) acquire(key *Key) (t dirTiming, f *flight, leader bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -205,11 +197,6 @@ func (c *delayCache) acquire(key *Key) (t dirTiming, f *flight, leader bool) {
 		sh.flight[*key] = f
 	}
 	sh.mu.Unlock()
-	if leader {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
 	return t, f, leader
 }
 
@@ -224,32 +211,4 @@ func (c *delayCache) publish(key *Key, f *flight, t dirTiming) {
 	delete(sh.flight, *key)
 	sh.mu.Unlock()
 	f.ready.Done()
-}
-
-// CacheStats is a snapshot of the delay cache's counters.
-type CacheStats struct {
-	// Hits and Misses count lookups; a miss triggers exactly one QWM
-	// evaluation (single-flight), so Misses also bounds total solver work.
-	Hits, Misses int64
-	// Evaluations counts QWM engine runs actually performed (one per
-	// direction compute; equals Misses unless a compute was skipped).
-	Evaluations int64
-	// Entries is the number of cached direction timings, finished or in
-	// flight.
-	Entries int
-}
-
-func (c *delayCache) stats() CacheStats {
-	s := CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evaluations: c.evals.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		s.Entries += len(sh.index) + len(sh.flight)
-		sh.mu.RUnlock()
-	}
-	return s
 }

@@ -116,7 +116,7 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 
 	// Same Signature, fresh memory cache, same store: everything must come
 	// from the tier with zero evaluations.
-	warm := New(tech, lib, Config{Workers: 4, Tiers: []TierStore{store}})
+	warm, reg := metered(Config{Workers: 4, Tiers: []TierStore{store}})
 	res, err := warm.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: outs})
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +124,8 @@ func TestTierStoreWarmRunIsBitIdentical(t *testing.T) {
 	if res.StagesEvaluated != 0 {
 		t.Errorf("warm-tier run evaluated %d stages, want 0", res.StagesEvaluated)
 	}
-	if cs := warm.CacheStats(); cs.Evaluations != 0 {
-		t.Errorf("warm-tier analyzer performed %d evaluations", cs.Evaluations)
+	if n := count(reg, mCacheMisses); n != 0 {
+		t.Errorf("warm-tier analyzer performed %d evaluations", n)
 	}
 	if !reflect.DeepEqual(ref.Arrivals, res.Arrivals) {
 		t.Errorf("tier-warm arrivals diverged\nref: %v\ngot: %v", ref.Arrivals, res.Arrivals)

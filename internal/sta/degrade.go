@@ -450,31 +450,20 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		// The recorded transient ended before the 10/90 % points: substitute
 		// the conservative estimate (fallbackSlew's last resort, which does
 		// not assume a falling waveform).
-		est := 2 * d
-		if inSlew > est {
-			est = inSlew
-		}
-		if est <= 0 {
-			est = 1e-12
-		}
-		return dirResult{delay: d, slew: est, slewFellBack: true}, nil
+		return dirResult{delay: d, slew: conservativeSlew(inSlew, d), slewFellBack: true}, nil
 	}
 	return dirResult{delay: d, slew: slew}, nil
 }
 
 // evalBoundPath is the TierBound evaluation: the conservative switch-level
-// RC bound over the worst path. The slew is bounded by the larger of the
-// input slew and twice the (already guard-banded) delay — a transition
-// cannot meaningfully outlast the RC bound that produced it.
+// RC bound over the worst path. The slew is conservativeSlew of the (already
+// guard-banded, at least 1 ps) delay — a transition cannot meaningfully
+// outlast the RC bound that produced it.
 func (a *Analyzer) evalBoundPath(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, inSlew float64) (dirResult, error) {
 	w := &stages.Workload{Stage: st, Path: path, Output: out, Loads: loads}
 	d, err := switchlevel.PathBound(w, a.tech)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: bound tier: %w", err)
 	}
-	slew := 2 * d
-	if inSlew > slew {
-		slew = inSlew
-	}
-	return dirResult{delay: d, slew: slew, slewFellBack: true}, nil
+	return dirResult{delay: d, slew: conservativeSlew(inSlew, d), slewFellBack: true}, nil
 }

@@ -62,6 +62,7 @@ type Options struct {
 	// Metrics, when set, receives the store's counters (sta/disk/hits,
 	// misses, puts, dropped, corrupt, evictions) and its share of the
 	// sta/disk/bytes gauge, which sums every open store on the registry.
+	// The store keeps no other tally: without Metrics nothing is counted.
 	Metrics *obs.Registry
 }
 
@@ -76,26 +77,6 @@ func (o Options) withDefaults() Options {
 		o.QueueLen = 1024
 	}
 	return o
-}
-
-// Stats is a snapshot of a store's counters.
-type Stats struct {
-	Hits, Misses int64 // read outcomes, per key
-	Puts         int64 // records appended to a segment
-	Dropped      int64 // puts discarded by a full write-behind queue
-	Corrupt      int64 // CRC / decode failures served as misses
-	Evictions    int64 // keys dropped by segment GC
-	Entries      int   // live index entries
-	Segments     int   // segment files on disk
-	Bytes        int64 // total segment bytes
-}
-
-// HitRate returns hits / (hits + misses), 0 when idle.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
 }
 
 const (
@@ -183,16 +164,7 @@ type Store struct {
 	// which published is the part already added.
 	bytes     *obs.Gauge
 	published int64
-
-	statHits, statMisses, statPuts, statDropped, statCorrupt, statEvict counterPair
 }
-
-// counterPair mirrors a metric into a plain atomic so Stats works with a nil
-// registry; obs.Counter is already atomic, so we just keep our own.
-type counterPair struct{ c obs.Counter }
-
-func (p *counterPair) add(n int64, m *obs.Counter) { p.c.Add(n); m.Add(n) }
-func (p *counterPair) value() int64                { return p.c.Value() }
 
 // Open opens (or creates) the store in dir. signature is the owning
 // analyzer configuration's sta.Config.Signature(); a directory previously
@@ -355,7 +327,7 @@ func (s *Store) scanSegment(id int, active bool) (*segment, error) {
 			break
 		}
 		if crc32.Checksum(body, crcTable) != crc {
-			s.statCorrupt.add(1, s.corrupt)
+			s.corrupt.Add(1)
 			break // everything past a bad CRC is suspect
 		}
 		key := sta.Key(body[4 : 4+sta.KeySize])
@@ -408,10 +380,10 @@ func (s *Store) GetMany(_ context.Context, keys []sta.Key, out []sta.TierEntry, 
 		}
 	}
 	s.mu.RUnlock()
-	s.statHits.add(hits, s.hits)
-	s.statMisses.add(int64(len(keys))-hits, s.misses)
+	s.hits.Add(hits)
+	s.misses.Add(int64(len(keys)) - hits)
 	if corrupt > 0 {
-		s.statCorrupt.add(corrupt, s.corrupt)
+		s.corrupt.Add(corrupt)
 	}
 }
 
@@ -469,7 +441,7 @@ func (s *Store) Put(_ context.Context, key sta.Key, e sta.TierEntry) {
 		return
 	}
 	if !s.queue.Enqueue(putReq{key: key, val: encodeEntry(e)}) {
-		s.statDropped.add(1, s.dropped)
+		s.dropped.Add(1)
 	}
 }
 
@@ -496,7 +468,7 @@ func (s *Store) appendLocked(req putReq) {
 	if active.size+int64(len(rec)) > s.opts.SegmentBytes && active.size > int64(len(segMagic)) {
 		seg, err := s.newSegment(active.id + 1)
 		if err != nil {
-			s.statDropped.add(1, s.dropped)
+			s.dropped.Add(1)
 			return
 		}
 		s.segs = append(s.segs, seg)
@@ -504,7 +476,7 @@ func (s *Store) appendLocked(req putReq) {
 		s.gcLocked()
 	}
 	if _, err := active.f.WriteAt(rec, active.size); err != nil {
-		s.statDropped.add(1, s.dropped)
+		s.dropped.Add(1)
 		return
 	}
 	s.index[indexWord(&req.key)] = locator{
@@ -514,7 +486,7 @@ func (s *Store) appendLocked(req putReq) {
 		crc:    binary.LittleEndian.Uint32(rec[0:4]),
 	}
 	active.size += int64(len(rec))
-	s.statPuts.add(1, s.puts)
+	s.puts.Add(1)
 }
 
 // gcLocked drops oldest sealed segments until the total fits MaxBytes.
@@ -537,7 +509,7 @@ func (s *Store) gcLocked() {
 		}
 		victim.f.Close()
 		os.Remove(s.segPath(victim.id))
-		s.statEvict.add(removed, s.evictions)
+		s.evictions.Add(removed)
 	}
 	s.publishBytesLocked()
 }
@@ -599,26 +571,6 @@ func (s *Store) closeSegments() {
 		seg.f.Close()
 	}
 	s.segs = nil
-}
-
-// Stats snapshots the store's counters.
-func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Stats{
-		Hits:      s.statHits.value(),
-		Misses:    s.statMisses.value(),
-		Puts:      s.statPuts.value(),
-		Dropped:   s.statDropped.value(),
-		Corrupt:   s.statCorrupt.value(),
-		Evictions: s.statEvict.value(),
-		Entries:   len(s.index),
-		Segments:  len(s.segs),
-		Bytes:     s.totalBytesLocked(),
-	}
 }
 
 // encodeRecord frames one key/value pair:

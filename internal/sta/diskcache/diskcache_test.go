@@ -56,6 +56,30 @@ func mustOpen(t *testing.T, dir, sig string, opts Options) *Store {
 	return s
 }
 
+// metered opens a store whose counters go to a registry of its own.
+func metered(t *testing.T, dir, sig string, opts Options) (*Store, *obs.Registry) {
+	t.Helper()
+	opts.Metrics = obs.NewRegistry()
+	return mustOpen(t, dir, sig, opts), opts.Metrics
+}
+
+// count reads one of the sta/disk/* counters.
+func count(r *obs.Registry, name string) int64 { return r.Counter("sta/disk/" + name).Value() }
+
+// entries counts the store's live index entries.
+func entries(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.index)
+}
+
+// diskBytes is the store's total segment bytes.
+func diskBytes(s *Store) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.totalBytesLocked()
+}
+
 func TestPutGetRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "sigA", Options{})
@@ -78,7 +102,7 @@ func TestPutGetRestart(t *testing.T) {
 	}
 
 	// Restart: a fresh Store over the same directory serves every entry.
-	s2 := mustOpen(t, dir, "sigA", Options{})
+	s2, reg := metered(t, dir, "sigA", Options{})
 	for i := 0; i < n; i++ {
 		e, ok := get(s2, tk(fmt.Sprintf("key-%03d", i)))
 		if !ok {
@@ -88,9 +112,8 @@ func TestPutGetRestart(t *testing.T) {
 			t.Fatalf("key-%03d after restart: got %+v want %+v", i, e, testEntry(i))
 		}
 	}
-	st := s2.Stats()
-	if st.Entries != n || st.Corrupt != 0 {
-		t.Fatalf("restart stats: %+v", st)
+	if got, corrupt := entries(s2), count(reg, "corrupt"); got != n || corrupt != 0 {
+		t.Fatalf("after restart: %d entries, %d corrupt; want %d and 0", got, corrupt, n)
 	}
 }
 
@@ -208,9 +231,6 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if got := reg2.Snapshot().Counters["sta/disk/corrupt"]; got == 0 {
 		t.Error("corruption not counted on sta/disk/corrupt")
 	}
-	if s2.Stats().Corrupt == 0 {
-		t.Error("corruption not counted in Stats")
-	}
 }
 
 // TestCorruptionAfterIndexIsMiss corrupts a record AFTER the index was
@@ -218,7 +238,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 // catch it.
 func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, "s", Options{})
+	s, reg := metered(t, dir, "s", Options{})
 	s.Put(context.Background(), tk("k"), testEntry(7))
 	s.Flush()
 	if _, ok := get(s, tk("k")); !ok {
@@ -244,7 +264,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 	if _, ok := get(s, tk("k")); ok {
 		t.Fatal("re-verification missed in-place corruption")
 	}
-	if s.Stats().Corrupt == 0 {
+	if count(reg, "corrupt") == 0 {
 		t.Error("in-place corruption not counted")
 	}
 }
@@ -254,7 +274,7 @@ func TestCorruptionAfterIndexIsMiss(t *testing.T) {
 // the size cap must hold, and every hit must return exactly what was put.
 func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, "s", Options{
+	s, reg := metered(t, dir, "s", Options{
 		SegmentBytes: 4 << 10,
 		MaxBytes:     16 << 10,
 		QueueLen:     1 << 14,
@@ -287,12 +307,11 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := s.Stats()
-	if st.Bytes > 24<<10 { // cap + one active segment of slack
-		t.Errorf("GC failed to bound size: %d bytes on disk", st.Bytes)
+	if b := diskBytes(s); b > 24<<10 { // cap + one active segment of slack
+		t.Errorf("GC failed to bound size: %d bytes on disk", b)
 	}
-	if st.Evictions == 0 {
-		t.Errorf("expected evictions, stats %+v", st)
+	if count(reg, "evictions") == 0 {
+		t.Error("expected evictions on sta/disk/evictions")
 	}
 	// Recent keys must still be present; evicted old keys must miss cleanly.
 	hits := 0
@@ -321,30 +340,29 @@ func TestGCBoundsSizeAndServesReaders(t *testing.T) {
 
 func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, "s", Options{QueueLen: 4})
+	s, reg := metered(t, dir, "s", Options{QueueLen: 4})
 	// Far more puts than the queue holds; Put must never block.
 	for i := 0; i < 10000; i++ {
 		s.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), testEntry(i))
 	}
 	s.Flush()
-	st := s.Stats()
-	if st.Puts+st.Dropped < 10000 {
-		t.Fatalf("puts %d + dropped %d < 10000", st.Puts, st.Dropped)
+	if puts, dropped := count(reg, "puts"), count(reg, "dropped"); puts+dropped < 10000 {
+		t.Fatalf("puts %d + dropped %d < 10000", puts, dropped)
 	}
 }
 
 // TestPutAfterCloseIsCountedDrop: a put that arrives after Close is never
 // written, so it must be counted as a drop — every one of them.
 func TestPutAfterCloseIsCountedDrop(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), "s", Options{})
+	s, reg := metered(t, t.TempDir(), "s", Options{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Stats().Dropped
+	before := count(reg, "dropped")
 	for i := 0; i < 100; i++ {
 		s.Put(context.Background(), tk(fmt.Sprintf("k%d", i)), testEntry(i))
 	}
-	if got := s.Stats().Dropped - before; got != 100 {
+	if got := count(reg, "dropped") - before; got != 100 {
 		t.Fatalf("100 puts after Close counted %d drops, want 100", got)
 	}
 }
@@ -358,9 +376,6 @@ func TestNilStoreIsNoop(t *testing.T) {
 	s.Flush()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if st := s.Stats(); st != (Stats{}) {
-		t.Fatalf("nil stats %+v", st)
 	}
 }
 
@@ -408,11 +423,7 @@ func TestWarmDiskMatchesWarmMemory(t *testing.T) {
 	}
 
 	// "Restart": fresh store over the same dir, fresh analyzer.
-	s2, err := Open(dir, cfg.Signature(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2, reg := metered(t, dir, cfg.Signature(), Options{})
 	cfg.Tiers = []sta.TierStore{s2}
 	fresh := sta.New(tech, lib, cfg)
 	warmDisk, err := fresh.AnalyzeContext(nil, req)
@@ -436,8 +447,8 @@ func TestWarmDiskMatchesWarmMemory(t *testing.T) {
 			warmMem.Diagnostics, warmDisk.Diagnostics)
 	}
 	_ = ref
-	if hr := s2.Stats().HitRate(); hr < 0.9 {
-		t.Errorf("disk hit rate %.2f after restart, want >= 0.90 (stats %+v)", hr, s2.Stats())
+	if hits, misses := count(reg, "hits"), count(reg, "misses"); hits == 0 || float64(hits) < 0.9*float64(hits+misses) {
+		t.Errorf("disk hit rate %d/%d after restart, want >= 0.90", hits, hits+misses)
 	}
 }
 
@@ -484,7 +495,7 @@ func TestDiskBytesGaugeSumsStores(t *testing.T) {
 	a.Flush()
 	b.Flush()
 	gauge := func() int64 { return reg.Snapshot().Gauges["sta/disk/bytes"] }
-	sa, sb := a.Stats().Bytes, b.Stats().Bytes
+	sa, sb := diskBytes(a), diskBytes(b)
 	if sa <= sb {
 		t.Fatalf("store totals %d and %d: the stores must differ for the test to mean anything", sa, sb)
 	}
@@ -507,7 +518,7 @@ func TestIndexWordCollisionIsMiss(t *testing.T) {
 		t.Fatal("sanity: the keys must share an index word")
 	}
 	dir := t.TempDir()
-	s := mustOpen(t, dir, "s", Options{})
+	s, reg := metered(t, dir, "s", Options{})
 	s.Put(context.Background(), a, testEntry(1))
 	s.Flush()
 	if e, ok := get(s, a); !ok || e != testEntry(1) {
@@ -515,7 +526,7 @@ func TestIndexWordCollisionIsMiss(t *testing.T) {
 	}
 	s.Put(context.Background(), b, testEntry(2))
 	s.Flush()
-	check := func(s *Store, when string) {
+	check := func(s *Store, reg *obs.Registry, when string) {
 		t.Helper()
 		if e, ok := get(s, a); ok {
 			t.Errorf("%s: the displaced key read %+v, want a miss", when, e)
@@ -523,13 +534,14 @@ func TestIndexWordCollisionIsMiss(t *testing.T) {
 		if e, ok := get(s, b); !ok || e != testEntry(2) {
 			t.Errorf("%s: the owning key read %+v (ok=%v), want its own timing", when, e, ok)
 		}
-		if st := s.Stats(); st.Corrupt != 0 || st.Entries != 1 {
-			t.Errorf("%s: %d corrupt, %d index entries; want 0 and 1", when, st.Corrupt, st.Entries)
+		if corrupt, n := count(reg, "corrupt"), entries(s); corrupt != 0 || n != 1 {
+			t.Errorf("%s: %d corrupt, %d index entries; want 0 and 1", when, corrupt, n)
 		}
 	}
-	check(s, "live")
+	check(s, reg, "live")
 	s.Close()
-	check(mustOpen(t, dir, "s", Options{}), "reopened")
+	s2, reg2 := metered(t, dir, "s", Options{})
+	check(s2, reg2, "reopened")
 }
 
 // TestOpenRejectsUnaddressableSegments: the index addresses records with
@@ -573,13 +585,13 @@ func TestIndexBytesPerEntry(t *testing.T) {
 	before := heap()
 	s = mustOpen(t, dir, "s", Options{})
 	grown := heap() - before
-	entries := s.Stats().Entries
+	indexed := entries(s)
 	runtime.KeepAlive(s)
-	if entries != n {
-		t.Fatalf("reopened store indexes %d records, want %d", entries, n)
+	if indexed != n {
+		t.Fatalf("reopened store indexes %d records, want %d", indexed, n)
 	}
-	perEntry := float64(grown) / float64(entries)
-	t.Logf("%d records, %.0f B of index per record", entries, perEntry)
+	perEntry := float64(grown) / float64(indexed)
+	t.Logf("%d records, %.0f B of index per record", indexed, perEntry)
 	if perEntry > bound {
 		t.Fatalf("index retains %.0f B per record, bound %d", perEntry, bound)
 	}

@@ -187,7 +187,7 @@ func TestEvalErrorsSurfaceOnEveryAnalyze(t *testing.T) {
 	nl.AddTransistor(&circuit.Transistor{Name: "mn", Kind: circuit.KindNMOS, Drain: "out", Gate: "in0", Source: "0", Body: "0", W: 1e-6, L: tech.LMin})
 	nl.AddCapacitor("cl", "out", "0", 5e-15)
 
-	a := New(tech, lib)
+	a, reg := metered(Config{})
 	for run := 0; run < 2; run++ {
 		res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 		if err != nil {
@@ -204,8 +204,8 @@ func TestEvalErrorsSurfaceOnEveryAnalyze(t *testing.T) {
 		}
 	}
 	// The second run consulted the failure from the cache, not a re-miss.
-	if st := a.CacheStats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per direction, cached thereafter)", st.Misses)
+	if n := count(reg, mCacheMisses); n != 2 {
+		t.Errorf("misses = %d, want 2 (one per direction, cached thereafter)", n)
 	}
 
 	// A healthy inverter reports zero eval errors.

@@ -40,10 +40,12 @@ const (
 	hAnalyzeSeconds = "sta/time/analyze_seconds"
 )
 
-// Exported metric-name aliases for ops consumers (the CLI's quantile
-// summary, dashboards scraping /metrics before name sanitization). The
-// unexported originals above stay the single source of truth.
+// Exported metric-name aliases for ops consumers (the CLI's cache line and
+// quantile summary, dashboards scraping /metrics before name sanitization).
+// The unexported originals above stay the single source of truth.
 const (
+	MetricCacheHits      = mCacheHits
+	MetricCacheMisses    = mCacheMisses
 	MetricNRItersPerEval = hNRItersPerEval
 	MetricRegionsPerEval = hRegionsPerEval
 	MetricEvalSeconds    = hEvalSeconds
@@ -136,11 +138,11 @@ type recorder struct {
 	levelAt time.Time
 
 	// Per-request cache accounting, one per applied work item: a miss when
-	// the item's own lookups evaluated (workItem.evals), else a hit. Kept
-	// here, not derived from the shared cache's counters, so concurrent
-	// Analyzes on one Analyzer each see exactly their own. Tallied in the
-	// sequential apply phase, so a cancelled analysis counts only the
-	// levels it completed.
+	// the item's own lookups evaluated (workItem.evals), else a hit. The
+	// delay cache keeps no counters of its own; these tallies are the only
+	// ones, kept per request so concurrent Analyzes on one Analyzer each see
+	// exactly their own. Tallied in the sequential apply phase, so a
+	// cancelled analysis counts only the levels it completed.
 	hits, misses int64
 }
 

@@ -252,7 +252,7 @@ func TestMetricsDeterminism(t *testing.T) {
 // later Analyze on the same Analyzer must succeed (re-evaluating, not
 // deadlocking on a never-closed ready channel).
 func TestCancelledContextLeavesCacheUsable(t *testing.T) {
-	a := New(tech, lib, Config{Workers: 4})
+	a, reg := metered(Config{Workers: 4})
 	req := decoderRequest(t)
 
 	// Already-cancelled context: no cache activity at all.
@@ -261,8 +261,8 @@ func TestCancelledContextLeavesCacheUsable(t *testing.T) {
 	if _, err := a.AnalyzeContext(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled analyze returned %v, want context.Canceled", err)
 	}
-	if st := a.CacheStats(); st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("pre-cancelled analyze touched the cache: %+v", st)
+	if misses, n := count(reg, mCacheMisses), a.cache.entries(); misses != 0 || n != 0 {
+		t.Fatalf("pre-cancelled analyze touched the cache: %d misses, %d entries", misses, n)
 	}
 
 	// Cancel mid-run, from inside the observer, at the start of level 1:
@@ -277,8 +277,8 @@ func TestCancelledContextLeavesCacheUsable(t *testing.T) {
 	if _, err := a.AnalyzeContext(ctx2, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel returned %v, want context.Canceled", err)
 	}
-	partial := a.CacheStats()
-	if partial.Entries == 0 {
+	partial := count(reg, mCacheMisses)
+	if a.cache.entries() == 0 {
 		t.Fatal("mid-run cancel left no cache entries; expected level 0 to complete")
 	}
 
@@ -298,9 +298,9 @@ func TestCancelledContextLeavesCacheUsable(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("post-cancel analyze deadlocked (stranded single-flight entry?)")
 	}
-	if st := a.CacheStats(); st.Misses <= partial.Misses {
+	if misses := count(reg, mCacheMisses); misses <= partial {
 		t.Errorf("post-cancel analyze added no misses (%d -> %d); expected the abandoned levels to evaluate",
-			partial.Misses, st.Misses)
+			partial, misses)
 	}
 }
 

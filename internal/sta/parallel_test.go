@@ -85,46 +85,46 @@ func TestLevelizeDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(tech, lib)
-	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs}); err != nil {
+	a, reg := metered(Config{})
+	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 inverters + 8 NANDs + 8 drivers.
-	st := a.CacheStats()
-	if want := int64(2 * 19); st.Misses != want {
-		t.Errorf("cold analysis missed %d times, want %d (19 stages × 2 directions)", st.Misses, want)
+	hits, misses := count(reg, mCacheHits), count(reg, mCacheMisses)
+	if want := int64(2 * 19); misses != want {
+		t.Errorf("cold analysis missed %d times, want %d (19 stages × 2 directions)", misses, want)
 	}
-	if st.Evaluations != st.Misses {
-		t.Errorf("evaluations %d != misses %d", st.Evaluations, st.Misses)
+	if int64(res.StagesEvaluated) != misses {
+		t.Errorf("evaluations %d != misses %d", res.StagesEvaluated, misses)
 	}
 	// A repeat run is all hits.
 	if _, err := a.AnalyzeContext(nil, Request{Netlist: nl, Outputs: outs}); err != nil {
 		t.Fatal(err)
 	}
-	st2 := a.CacheStats()
-	if st2.Misses != st.Misses {
-		t.Errorf("repeat run added misses: %d -> %d", st.Misses, st2.Misses)
+	if misses2 := count(reg, mCacheMisses); misses2 != misses {
+		t.Errorf("repeat run added misses: %d -> %d", misses, misses2)
 	}
-	if st2.Hits <= st.Hits {
-		t.Errorf("repeat run did not hit the cache: hits %d -> %d", st.Hits, st2.Hits)
+	if hits2 := count(reg, mCacheHits); hits2 <= hits {
+		t.Errorf("repeat run did not hit the cache: hits %d -> %d", hits, hits2)
 	}
 }
 
-// TestCacheStatsAccounting sanity-checks the counters' relationships on a
-// simple chain.
+// TestCacheStatsAccounting sanity-checks the registry's cache counters
+// against the Result and the cache's entries on a simple chain.
 func TestCacheStatsAccounting(t *testing.T) {
-	a := New(tech, lib)
+	a, reg := metered(Config{})
 	nl := inverterChain(3, 1e-6, 2e-6)
 	res, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: map[string]Arrival{"in0": {}}, Outputs: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := a.CacheStats()
-	if int(st.Misses) != res.StagesEvaluated {
-		t.Errorf("misses %d != StagesEvaluated %d", st.Misses, res.StagesEvaluated)
+	misses := count(reg, mCacheMisses)
+	if int(misses) != res.StagesEvaluated {
+		t.Errorf("misses %d != StagesEvaluated %d", misses, res.StagesEvaluated)
 	}
-	if st.Entries != int(st.Misses) {
-		t.Errorf("entries %d != misses %d", st.Entries, st.Misses)
+	if n := a.cache.entries(); n != int(misses) {
+		t.Errorf("entries %d != misses %d", n, misses)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestStagesEvaluatedPerRequest(t *testing.T) {
 		alone[i] = res.StagesEvaluated
 	}
 	for round := 0; round < 5; round++ {
-		a := New(tech, lib, Config{Workers: 1})
+		a, reg := metered(Config{Workers: 1})
 		got := make([]int, 2)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -174,7 +174,7 @@ func TestStagesEvaluatedPerRequest(t *testing.T) {
 		if got[0] != alone[0] || got[1] != alone[1] {
 			t.Errorf("round %d: concurrent StagesEvaluated %v, alone %v", round, got, alone)
 		}
-		if total := a.CacheStats().Evaluations; total != int64(alone[0]+alone[1]) {
+		if total := count(reg, mCacheMisses); total != int64(alone[0]+alone[1]) {
 			t.Errorf("round %d: cache evaluated %d, want %d", round, total, alone[0]+alone[1])
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"qwm/internal/circuit"
 	"qwm/internal/faultinject"
 	"qwm/internal/mos"
+	"qwm/internal/obs"
 	"qwm/internal/reduce"
 	"qwm/internal/stages"
 )
@@ -201,7 +202,9 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					t.Run(fmt.Sprintf("w%d/%s", workers, wl.name), func(t *testing.T) {
 						nl, primary, outs := wl.fixture(t)
-						warm := New(tech, lib, v.cfg(workers))
+						cfg := v.cfg(workers)
+						cfg.Metrics = obs.NewRegistry()
+						warm := New(tech, lib, cfg)
 						serial := New(tech, lib, v.cfg(1))
 						for _, st := range wl.steps {
 							if st.edit != nil {
@@ -218,13 +221,13 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 								t.Fatalf("%s: evaluated %d directions, want 1..%d", st.name, got.StagesEvaluated, st.max)
 							}
 
-							before := warm.CacheStats()
+							before := count(cfg.Metrics, mCacheMisses)
 							again := analyzeOnce(t, warm, nl, primary, outs)
 							if again.StagesEvaluated != 0 {
 								t.Fatalf("%s: no-op re-run evaluated %d directions", st.name, again.StagesEvaluated)
 							}
-							if after := warm.CacheStats(); after.Misses != before.Misses {
-								t.Fatalf("%s: no-op re-run paid %d cache misses", st.name, after.Misses-before.Misses)
+							if after := count(cfg.Metrics, mCacheMisses); after != before {
+								t.Fatalf("%s: no-op re-run paid %d cache misses", st.name, after-before)
 							}
 							requireSameTiming(t, st.name+" no-op re-run", got, again)
 						}

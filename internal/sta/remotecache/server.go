@@ -45,10 +45,10 @@ const (
 	keysContentType = "application/x-qwm-tier-keys"   // concatenated keys
 )
 
-// ServerStats is a snapshot of a Server's counters. Gets, Hits and Misses
-// count keys and Puts, Stored and Corrupt count frames, so rates stay
-// comparable however the keys were batched; ReadRequests and WriteRequests
-// count the round trips served.
+// ServerStats is a snapshot of a Server's sta/remote/server/* counters.
+// Gets, Hits and Misses count keys and Puts, Stored and Corrupt count frames,
+// so rates stay comparable however the keys were batched; ReadRequests and
+// WriteRequests count the round trips served.
 type ServerStats struct {
 	Gets, Hits, Misses          int64
 	Puts, Stored                int64
@@ -56,13 +56,6 @@ type ServerStats struct {
 	BadRequests                 int64 // malformed paths, methods and bodies
 	ReadRequests, WriteRequests int64
 }
-
-// cpair is one server counter: a local atomic for Stats, mirrored into the
-// (possibly nil) registry.
-type cpair struct{ c obs.Counter }
-
-func (p *cpair) add(n int64, m *obs.Counter) { p.c.Add(n); m.Add(n) }
-func (p *cpair) value() int64                { return p.c.Value() }
 
 // Server exposes TierStores over HTTP so a fleet of replicas can share one
 // warm delay cache. It holds no storage of its own: StoreFor maps a result
@@ -79,39 +72,44 @@ type Server struct {
 	// Qwm-Span a traced request receives back). "" reads as "cache-plane".
 	Name string
 
-	gets, hits, misses, puts, stored, corrupt, badreq, readReqs, writeReqs cpair
-	mGets, mHits, mMisses, mPuts, mStored, mCorrupt, mBadreq,
-	mReadReqs, mWriteReqs *obs.Counter
+	gets, hits, misses, puts, stored, corrupt, badreq,
+	readReqs, writeReqs *obs.Counter
 }
 
-// NewServer builds a Server over the given namespace resolver. metrics may
-// be nil.
+// NewServer builds a Server over the given namespace resolver. Its counters
+// live only in metrics; a nil metrics gives the server a private registry,
+// so Stats always reads them.
 func NewServer(storeFor func(signature string) (sta.TierStore, error), metrics *obs.Registry) *Server {
-	s := &Server{StoreFor: storeFor}
-	s.mGets = metrics.Counter("sta/remote/server/gets")
-	s.mHits = metrics.Counter("sta/remote/server/hits")
-	s.mMisses = metrics.Counter("sta/remote/server/misses")
-	s.mPuts = metrics.Counter("sta/remote/server/puts")
-	s.mStored = metrics.Counter("sta/remote/server/stored")
-	s.mCorrupt = metrics.Counter("sta/remote/server/corrupt")
-	s.mBadreq = metrics.Counter("sta/remote/server/badrequests")
-	s.mReadReqs = metrics.Counter("sta/remote/server/read_requests")
-	s.mWriteReqs = metrics.Counter("sta/remote/server/write_requests")
-	return s
+	if metrics == nil {
+		metrics = obs.NewRegistry()
+	}
+	return &Server{
+		StoreFor:  storeFor,
+		gets:      metrics.Counter("sta/remote/server/gets"),
+		hits:      metrics.Counter("sta/remote/server/hits"),
+		misses:    metrics.Counter("sta/remote/server/misses"),
+		puts:      metrics.Counter("sta/remote/server/puts"),
+		stored:    metrics.Counter("sta/remote/server/stored"),
+		corrupt:   metrics.Counter("sta/remote/server/corrupt"),
+		badreq:    metrics.Counter("sta/remote/server/badrequests"),
+		readReqs:  metrics.Counter("sta/remote/server/read_requests"),
+		writeReqs: metrics.Counter("sta/remote/server/write_requests"),
+	}
 }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's counters from its registry (every server on
+// one registry shares them).
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Gets:          s.gets.value(),
-		Hits:          s.hits.value(),
-		Misses:        s.misses.value(),
-		Puts:          s.puts.value(),
-		Stored:        s.stored.value(),
-		Corrupt:       s.corrupt.value(),
-		BadRequests:   s.badreq.value(),
-		ReadRequests:  s.readReqs.value(),
-		WriteRequests: s.writeReqs.value(),
+		Gets:          s.gets.Value(),
+		Hits:          s.hits.Value(),
+		Misses:        s.misses.Value(),
+		Puts:          s.puts.Value(),
+		Stored:        s.stored.Value(),
+		Corrupt:       s.corrupt.Value(),
+		BadRequests:   s.badreq.Value(),
+		ReadRequests:  s.readReqs.Value(),
+		WriteRequests: s.writeReqs.Value(),
 	}
 }
 
@@ -156,7 +154,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		s.handleWrite(w, r, sig, traced)
 	default:
-		s.badreq.add(1, s.mBadreq)
+		s.badreq.Add(1)
 		w.Header().Set("Allow", "POST, PUT")
 		http.Error(w, "remotecache: method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -176,7 +174,7 @@ func (s *Server) store(w http.ResponseWriter, sig string) (sta.TierStore, bool) 
 
 // bad answers 400 for a malformed request, counted.
 func (s *Server) bad(w http.ResponseWriter, msg string) {
-	s.badreq.add(1, s.mBadreq)
+	s.badreq.Add(1)
 	http.Error(w, msg, http.StatusBadRequest)
 }
 
@@ -206,7 +204,7 @@ func readBody(r *http.Request, max int) ([]byte, bool) {
 }
 
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, sig string, traced bool) {
-	s.readReqs.add(1, s.mReadReqs)
+	s.readReqs.Add(1)
 	start := time.Now()
 	body, ok := readBody(r, maxBatchKeys*sta.KeySize)
 	if !ok || len(body)%sta.KeySize != 0 {
@@ -240,9 +238,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, sig string, 
 		resp = append(resp, frame...)
 		hits++
 	}
-	s.gets.add(int64(n), s.mGets)
-	s.hits.add(int64(hits), s.mHits)
-	s.misses.add(int64(n-hits), s.mMisses)
+	s.gets.Add(int64(n))
+	s.hits.Add(int64(hits))
+	s.misses.Add(int64(n - hits))
 	if traced {
 		s.setPeerSpan(w, "cache-plane get", time.Since(start), map[string]string{
 			"op": "get", "outcome": outcome(n, hits, nil),
@@ -254,7 +252,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, sig string, 
 }
 
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sig string, traced bool) {
-	s.writeReqs.add(1, s.mWriteReqs)
+	s.writeReqs.Add(1)
 	start := time.Now()
 	body, ok := readBody(r, maxRequestBytes)
 	if !ok {
@@ -315,9 +313,9 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sig string,
 			stored++
 		}
 	}
-	s.puts.add(int64(frames), s.mPuts)
-	s.stored.add(int64(stored), s.mStored)
-	s.corrupt.add(int64(rejected), s.mCorrupt)
+	s.puts.Add(int64(frames))
+	s.stored.Add(int64(stored))
+	s.corrupt.Add(int64(rejected))
 	if traced {
 		out := "stored"
 		switch {

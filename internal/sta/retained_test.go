@@ -8,6 +8,7 @@ import (
 
 	"qwm/internal/devmodel"
 	"qwm/internal/mos"
+	"qwm/internal/obs"
 	"qwm/internal/sta"
 	"qwm/internal/sta/diskcache"
 	"qwm/internal/stages"
@@ -62,9 +63,10 @@ func TestDelayCacheRetainedBytes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sta.Config{Workers: 1}
 			var store *diskcache.Store
+			diskMetrics := obs.NewRegistry()
 			if tc.disk {
 				var err error
-				if store, err = diskcache.Open(t.TempDir(), cfg.Signature(), diskcache.Options{}); err != nil {
+				if store, err = diskcache.Open(t.TempDir(), cfg.Signature(), diskcache.Options{Metrics: diskMetrics}); err != nil {
 					t.Fatal(err)
 				}
 				defer store.Close()
@@ -80,13 +82,14 @@ func TestDelayCacheRetainedBytes(t *testing.T) {
 			}
 			store.Flush()
 			grown := heap() - before
-			entries := a.CacheStats().Entries
+			entries := sta.CacheEntries(a)
 			runtime.KeepAlive(a)
 			if entries < 1000 {
 				t.Fatalf("only %d cache entries: the variants do not exercise the cache", entries)
 			}
 			perEntry := float64(grown) / float64(entries)
-			t.Logf("%d entries (%d on disk), %.0f B retained per entry", entries, store.Stats().Entries, perEntry)
+			t.Logf("%d entries (%d written to disk), %.0f B retained per entry",
+				entries, diskMetrics.Counter("sta/disk/puts").Value(), perEntry)
 			if perEntry > tc.bound {
 				t.Fatalf("retained %.0f B per cache entry, bound %.0f", perEntry, tc.bound)
 			}

@@ -95,12 +95,6 @@ func New(tech *mos.Tech, lib *devmodel.Library, cfg ...Config) *Analyzer {
 	return a
 }
 
-// CacheStats returns a snapshot of the delay cache's hit/miss/evaluation
-// counters and entry count.
-func (a *Analyzer) CacheStats() CacheStats {
-	return a.cache.stats()
-}
-
 // Diagnostics aggregates the silent-degradation accounting of one Analyze:
 // evaluation failures and conservative slew fallbacks. It used to be three
 // loose fields on Result; they are folded here so health checks can carry
@@ -434,17 +428,14 @@ func (a *Analyzer) evalItem(it *workItem, rec *recorder, lt *levelTiers, worker 
 // caller performed the compute (an evaluation — a persistent-tier hit
 // publishes the tier's value without computing, and followers then see an
 // ordinary hit), else 0. When the level's peek already found the key
-// finished or in flight (it.cached, it.wait), that state is used, and
-// counted, as the hit acquire would have returned. The lookup copies the
-// gathered key and fills in the bucket: no formatting, no hashing beyond the
-// map's own.
+// finished or in flight (it.cached, it.wait), that state is used as the hit
+// acquire would have returned. The lookup copies the gathered key and fills
+// in the bucket: no formatting, no hashing beyond the map's own.
 func (a *Analyzer) lookupOrEval(it *workItem, lt *levelTiers) (dirTiming, int) {
 	switch {
 	case it.cached:
-		a.cache.hits.Add(1)
 		return it.timing, 0
 	case it.wait != nil:
-		a.cache.hits.Add(1)
 		return it.wait.wait(), 0
 	}
 	key := it.key()
@@ -465,7 +456,6 @@ func (a *Analyzer) lookupOrEval(it *workItem, lt *levelTiers) (dirTiming, int) {
 		a.cache.publish(&key, f, t)
 		return t, 0
 	}
-	a.cache.evals.Add(1)
 	// Fault sites are keyed by the hex key, built only under a fault plan.
 	var faultKey string
 	if a.cfg.FaultPlan != nil {
@@ -558,6 +548,12 @@ func fallbackSlew(w wave.Crosser, vdd, inSlew, delay float64) float64 {
 	if ok1 && ok2 && t30 > t70 {
 		return 2 * (t30 - t70)
 	}
+	return conservativeSlew(inSlew, delay)
+}
+
+// conservativeSlew is the slew floor every tier falls back on: the larger of
+// the input slew and twice the 50 % delay, or 1 ps when neither is positive.
+func conservativeSlew(inSlew, delay float64) float64 {
 	est := 2 * delay
 	if inSlew > est {
 		est = inSlew

@@ -31,10 +31,10 @@ const (
 // can fail before any solver work starts. Netlist defects are wrapped in
 // ErrInvalidNetlist and out-of-range primary inputs in ErrInvalidInput, so
 // callers classify each family with one errors.Is. It layers on top of
-// circuit.Netlist.Validate (device-local sanity) the checks only an
-// analysis-level view can make: duplicate device names, non-finite
-// parameters, device geometry outside the channel bounds, and floating
-// capacitor terminals. Combinational cycles are detected later by
+// circuit.Netlist.Validate (device-local sanity, non-finite and non-positive
+// parameters included) the checks only an analysis-level view can make:
+// duplicate device names, device geometry outside the channel bounds, and
+// floating capacitor terminals. Combinational cycles are detected later by
 // levelization and wrapped with ErrInvalidNetlist.
 //
 // preflight also numbers the netlist's nodes into s.ex.Nodes, which the
@@ -70,14 +70,6 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 		seen[name] = kind
 		return nil
 	}
-	finite := func(name string, vals ...float64) error {
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: device %q has a non-finite parameter %v", ErrInvalidNetlist, name, v)
-			}
-		}
-		return nil
-	}
 
 	// Touch counts are per canonical node: canon maps a node ID to the ID of
 	// its canonical name, numbering that name first when no terminal spells
@@ -105,9 +97,6 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 		if err := dup(t.Name, "transistor"); err != nil {
 			return err
 		}
-		if err := finite(t.Name, t.W, t.L); err != nil {
-			return err
-		}
 		if err := checkGeometry(t); err != nil {
 			return err
 		}
@@ -115,9 +104,6 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 	}
 	for i, r := range n.Resistors {
 		if err := dup(r.Name, "resistor"); err != nil {
-			return err
-		}
-		if err := finite(r.Name, r.R); err != nil {
 			return err
 		}
 		bump(nodes.ResistorEnds(i))
@@ -130,9 +116,6 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 	}
 	for _, c := range n.Capacitors {
 		if err := dup(c.Name, "capacitor"); err != nil {
-			return err
-		}
-		if err := finite(c.Name, c.C); err != nil {
 			return err
 		}
 	}
@@ -160,7 +143,8 @@ func (s *analyzeScratch) preflight(n *circuit.Netlist, primary map[string]Arriva
 }
 
 // checkGeometry rejects a transistor whose channel lies outside the
-// MinChannel*/MaxChannel* bounds. Non-finite values are refused earlier.
+// MinChannel*/MaxChannel* bounds. Netlist.Validate refuses non-finite values
+// first.
 func checkGeometry(t *circuit.Transistor) error {
 	if t.L < MinChannelLength || t.L > MaxChannelLength {
 		return fmt.Errorf("%w: device %q has channel length %g m, outside [%g, %g] m",

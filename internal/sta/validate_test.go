@@ -48,6 +48,10 @@ func TestPreflightNonFiniteParameters(t *testing.T) {
 			nl.AddTransistor(&circuit.Transistor{Name: "mx", Kind: circuit.KindNMOS,
 				Drain: "out", Gate: "in0", Source: "0", Body: "0", W: math.NaN(), L: tech.LMin})
 		}},
+		{"Inf transistor length", func(nl *circuit.Netlist) {
+			nl.AddTransistor(&circuit.Transistor{Name: "mx", Kind: circuit.KindNMOS,
+				Drain: "out", Gate: "in0", Source: "0", Body: "0", W: 1e-6, L: math.Inf(1)})
+		}},
 		{"Inf resistance", func(nl *circuit.Netlist) {
 			nl.AddResistor("rx", "out", "n1", math.Inf(1))
 		}},
@@ -206,7 +210,7 @@ func TestPreflightPrimaryInputs(t *testing.T) {
 				}
 				return
 			}
-			a := New(tech, lib)
+			a, reg := metered(Config{})
 			_, err := a.AnalyzeContext(nil, Request{Netlist: nl, Primary: primary, Outputs: []string{"out"}})
 			if !errors.Is(err, ErrInvalidInput) {
 				t.Fatalf("arrival %+v: error %v, want ErrInvalidInput", c.ar, err)
@@ -214,8 +218,8 @@ func TestPreflightPrimaryInputs(t *testing.T) {
 			if !strings.Contains(err.Error(), c.frag) || !strings.Contains(err.Error(), `"in0"`) {
 				t.Errorf("error %q does not name the input and mention %q", err, c.frag)
 			}
-			if st := a.CacheStats(); st.Misses != 0 || st.Entries != 0 {
-				t.Errorf("rejected request touched the delay cache: %+v", st)
+			if misses, n := count(reg, mCacheMisses), a.cache.entries(); misses != 0 || n != 0 {
+				t.Errorf("rejected request touched the delay cache: %d misses, %d entries", misses, n)
 			}
 		})
 	}
