@@ -124,7 +124,9 @@ fuzz-smoke:
 # deck (cold evaluates, warm reports 0 evaluations), refused requests —
 # negative or overflowing budgets included — answer 400 without opening a
 # pooled analyzer, a deterministically flooded queue sheds with 429 +
-# Retry-After, absurd device geometry answers 422, no string of a retained
+# Retry-After, Close answers every admitted-but-unstarted request 429
+# "server shutting down", refuses later ones and leaves no goroutine, a
+# cache directory that cannot open leaks no remote-cache client, absurd device geometry answers 422, no string of a retained
 # async response points into the request's deck (the copy-free parser's
 # alias rule), a restarted server over a warm cache directory answers every
 # arrival byte-identically, chaos requests are deterministic, conservative
@@ -132,7 +134,7 @@ fuzz-smoke:
 # evaluates nothing the peer already analyzed, with or without a cache
 # directory on the peer, and refused tier requests open no disk namespace.
 service-smoke:
-	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody|TestWarmDiskRestartBitIdentical|TestChaosDeterministicAndIsolated|TestCachePlaneServesOwnAnalyses|TestTierRejectsOpenNoNamespace' -count=1 ./internal/service/
+	$(GO) test -race -run 'TestAnalyzeSingle|TestAnalyzeErrors|TestBackpressure429|TestCloseAnswersWaitingRequests|TestPoolDiskFailureLeaksNoRemoteClient|TestAnalyzeAbsurdGeometry422|TestRetainedResponseDoesNotAliasBody|TestWarmDiskRestartBitIdentical|TestChaosDeterministicAndIsolated|TestCachePlaneServesOwnAnalyses|TestTierRejectsOpenNoNamespace' -count=1 ./internal/service/
 
 # One-iteration smoke of the go-test micro-benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the

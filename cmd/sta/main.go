@@ -140,10 +140,7 @@ func run(deckPath, inputs, outputs string, verbose bool, workers int, budget sta
 
 	tech := mos.CMOSP35()
 	lib := devmodel.NewLibrary(tech)
-	cfg := sta.Config{Workers: workers, Budget: budget}
-	if reduceTol > 0 {
-		cfg.Reduction = reduce.Config{Enabled: true, TolPct: reduceTol}
-	}
+	cfg := sta.Config{Workers: workers, Budget: budget, Reduction: reduce.Config{TolPct: reduceTol}}
 	if ops.metricsJSON || ops.stats {
 		cfg.Metrics = obs.NewRegistry()
 	}

@@ -60,7 +60,7 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "root directory for the persistent delay-cache tier (empty = memory only)")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "per-signature disk-cache size cap in bytes (0 = 256 MiB default, negative = unlimited)")
 		queueLen    = flag.Int("queue", 64, "admission-queue capacity in sub-requests; a full queue sheds with 429")
-		workers     = flag.Int("workers", 2, "queue-draining workers (concurrent analyses)")
+		workers     = flag.Int("workers", 2, "concurrent analyses; admitted requests beyond them wait in the queue")
 		analyzerW   = flag.Int("analyzer-workers", 0, "per-analysis stage-evaluation workers (0 = GOMAXPROCS)")
 		cacheListen = flag.String("cache-listen", "", "additionally serve this replica's delay cache to the fleet on this address (POST/PUT /tier/)")
 		remoteCache = flag.String("remote-cache", "", "base URL of a peer's -cache-listen endpoint to read through (remote → disk)")

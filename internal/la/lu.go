@@ -12,9 +12,8 @@ var ErrSingular = errors.New("la: singular matrix")
 // LU holds an in-place LU factorization with partial pivoting of a square
 // matrix: PA = LU, with L unit lower triangular.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a square matrix a with partial
@@ -24,16 +23,16 @@ func FactorLU(a *Matrix) (*LU, error) {
 		panic("la: FactorLU requires a square matrix")
 	}
 	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
-	if err := factorInPlace(f.lu, f.piv, &f.sign); err != nil {
+	f := &LU{lu: a.Clone(), piv: make([]int, n)}
+	if err := factorInPlace(f.lu, f.piv); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
 // factorInPlace runs Gaussian elimination with partial pivoting directly on
-// lu's storage, recording the row permutation in piv and its parity in sign.
-func factorInPlace(lu *Matrix, piv []int, sign *int) error {
+// lu's storage, recording the row permutation in piv.
+func factorInPlace(lu *Matrix, piv []int) error {
 	n := lu.Rows
 	for i := range piv {
 		piv[i] = i
@@ -56,7 +55,6 @@ func factorInPlace(lu *Matrix, piv []int, sign *int) error {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			*sign = -*sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -114,15 +112,6 @@ func luSolveInto(lu *Matrix, piv []int, b, x []float64) {
 	}
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense factors a and solves a·x = b in one call.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -145,8 +134,7 @@ func SolveDenseInto(a *Matrix, b, x []float64, lu *Matrix, piv []int) error {
 		panic("la: SolveDenseInto dimension mismatch")
 	}
 	copy(lu.Data, a.Data)
-	sign := 1
-	if err := factorInPlace(lu, piv, &sign); err != nil {
+	if err := factorInPlace(lu, piv); err != nil {
 		return err
 	}
 	luSolveInto(lu, piv, b, x)

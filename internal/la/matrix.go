@@ -96,17 +96,6 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// MaxAbs returns the largest absolute element value, 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // VecNormInf returns the infinity norm of a vector. NaN elements propagate
 // to the result so that diverged iterates are never mistaken for converged
 // ones.
@@ -121,15 +110,6 @@ func VecNormInf(x []float64) float64 {
 		}
 	}
 	return max
-}
-
-// VecNorm2 returns the Euclidean norm of a vector.
-func VecNorm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the inner product of two equal-length vectors.

@@ -15,18 +15,6 @@ func (p Poly) Eval(x float64) float64 {
 	return s
 }
 
-// Deriv returns the derivative polynomial.
-func (p Poly) Deriv() Poly {
-	if len(p) <= 1 {
-		return Poly{0}
-	}
-	d := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		d[i-1] = float64(i) * p[i]
-	}
-	return d
-}
-
 // PolyFit computes the least-squares polynomial of the given degree through
 // the sample points (xs[i], ys[i]) by solving the normal equations with the
 // dense LU. This is the curve-fitting engine behind the tabular device model

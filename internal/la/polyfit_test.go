@@ -17,17 +17,6 @@ func TestPolyEval(t *testing.T) {
 	}
 }
 
-func TestPolyDeriv(t *testing.T) {
-	p := Poly{1, 2, 3}
-	d := p.Deriv() // 2 + 6x
-	if d.Eval(1) != 8 {
-		t.Errorf("Deriv.Eval(1) = %g, want 8", d.Eval(1))
-	}
-	if got := (Poly{5}).Deriv().Eval(3); got != 0 {
-		t.Errorf("constant derivative = %g, want 0", got)
-	}
-}
-
 func TestPolyFitExactQuadratic(t *testing.T) {
 	want := Poly{0.5, -1.25, 2.0}
 	var xs, ys []float64

@@ -226,12 +226,6 @@ func (f FoldWave) Crossing(level float64, rising bool) (float64, bool) {
 	return cr.Crossing(f.VDD-level, !rising)
 }
 
-// UnfoldPWQ converts a folded piecewise-quadratic waveform back to real
-// voltages for a PMOS chain; NMOS chains are returned as-is.
-func UnfoldPWQ(p *wave.PWQ, vdd float64, pol mos.Polarity) *wave.PWQ {
-	return unfoldAll([]*wave.PWQ{p}, vdd, pol)[0]
-}
-
 // unfoldAll unfolds every node waveform of a chain. For a PMOS chain the
 // unfolded segments of all nodes share one slab.
 func unfoldAll(ps []*wave.PWQ, vdd float64, pol mos.Polarity) []*wave.PWQ {

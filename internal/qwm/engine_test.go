@@ -312,11 +312,11 @@ func TestFoldWaveAndUnfold(t *testing.T) {
 	}
 	p := &wave.PWQ{}
 	_ = p.Append(wave.QuadSeg{T0: 0, T1: 1, V0: 3.3, S: -1, A: 0.5})
-	u := UnfoldPWQ(p, 3.3, mos.PMOS)
+	u := unfoldAll([]*wave.PWQ{p}, 3.3, mos.PMOS)[0]
 	if !feq(u.Eval(0), 0, 1e-12) || !feq(u.Eval(0.5), 3.3-p.Eval(0.5), 1e-12) {
-		t.Errorf("UnfoldPWQ wrong: %g, %g", u.Eval(0), u.Eval(0.5))
+		t.Errorf("unfoldAll wrong: %g, %g", u.Eval(0), u.Eval(0.5))
 	}
-	same := UnfoldPWQ(p, 3.3, mos.NMOS)
+	same := unfoldAll([]*wave.PWQ{p}, 3.3, mos.NMOS)[0]
 	if same != p {
 		t.Error("NMOS unfold should be identity")
 	}

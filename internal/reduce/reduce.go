@@ -23,11 +23,10 @@ import (
 // Config is the reduction knob set. The zero value disables the pre-pass
 // entirely (Path then returns its inputs untouched).
 type Config struct {
-	// Enabled turns the pre-pass on.
-	Enabled bool
 	// TolPct is the per-run second-moment mismatch tolerance in percent
 	// (|m2' − m2| / m1² × 100 — a fractional waveform-distortion proxy).
-	// 0 means the 1 % default.
+	// A positive value turns the pre-pass on; 0 (or any non-positive
+	// value) leaves it off.
 	TolPct float64
 }
 
@@ -35,23 +34,15 @@ type Config struct {
 // shorter runs pass through unchanged.
 const minRun = 4
 
-func (c Config) withDefaults() Config {
-	if c.TolPct <= 0 {
-		c.TolPct = 1
-	}
-	return c
-}
-
 // Signature canonically encodes the configuration for cache-key derivation.
 // It is empty exactly when the pre-pass is disabled, so pre-existing cache
 // keys (and the bit-for-bit-identical-when-off guarantee) are untouched; any
 // enabled configuration yields a distinct non-empty suffix, so two Analyzers
 // at different tolerances can never share a delay-cache entry.
 func (c Config) Signature() string {
-	if !c.Enabled {
+	if !(c.TolPct > 0) {
 		return ""
 	}
-	c = c.withDefaults()
 	return "|red:" + strconv.FormatFloat(c.TolPct, 'g', -1, 64) + ":" + strconv.Itoa(minRun)
 }
 
@@ -77,10 +68,9 @@ type Stats struct {
 // evaluation), so the reduced path and load map are always fresh values.
 func Path(st *circuit.Stage, p *circuit.Path, loads map[string]float64, cfg Config) (*circuit.Path, map[string]float64, Stats) {
 	var stats Stats
-	if !cfg.Enabled || st == nil || p == nil || len(p.Elems) == 0 {
+	if !(cfg.TolPct > 0) || st == nil || p == nil || len(p.Elems) == 0 {
 		return p, loads, stats
 	}
-	cfg = cfg.withDefaults()
 
 	// Per-node stage facts: how many wire edges touch each node, and whether
 	// any device (non-wire) edge or gate does. A run interior must be a pure

@@ -64,7 +64,7 @@ func TestPathCollapsesLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Enabled: true, TolPct: 1}
+	cfg := Config{TolPct: 1}
 	rp, rl, stats := Path(st, p, loads, cfg)
 	if rp == p || len(rp.Elems) >= len(p.Elems) {
 		t.Fatalf("no collapse: %d -> %d elems", len(p.Elems), len(rp.Elems))
@@ -116,7 +116,7 @@ func TestPathDisabledAndShortRunsPassThrough(t *testing.T) {
 	}
 	st3, loads3 := chainStage(3)
 	p3, _ := circuit.LongestPath(st3, "out", "0")
-	rp, rl, _ := Path(st3, p3, loads3, Config{Enabled: true})
+	rp, rl, _ := Path(st3, p3, loads3, Config{TolPct: 1})
 	if rp != p3 {
 		t.Fatalf("run shorter than minRun must pass through, got %d elems", len(rp.Elems))
 	}
@@ -130,8 +130,8 @@ func TestPathDisabledAndShortRunsPassThrough(t *testing.T) {
 func TestPathTighterTolKeepsMoreSegments(t *testing.T) {
 	st, loads := chainStage(24)
 	p, _ := circuit.LongestPath(st, "out", "0")
-	loose, _, _ := Path(st, p, loads, Config{Enabled: true, TolPct: 20})
-	tight, _, _ := Path(st, p, loads, Config{Enabled: true, TolPct: 1e-4})
+	loose, _, _ := Path(st, p, loads, Config{TolPct: 20})
+	tight, _, _ := Path(st, p, loads, Config{TolPct: 1e-4})
 	if len(tight.Elems) < len(loose.Elems) {
 		t.Fatalf("tighter tol gave fewer elems: %d < %d", len(tight.Elems), len(loose.Elems))
 	}
@@ -145,11 +145,10 @@ func TestSignature(t *testing.T) {
 		want string
 	}{
 		{Config{}, ""},
-		{Config{TolPct: 5}, ""},
-		{Config{Enabled: true}, "|red:1:4"},
-		{Config{Enabled: true, TolPct: 1}, "|red:1:4"},
-		{Config{Enabled: true, TolPct: 5}, "|red:5:4"},
-		{Config{Enabled: true, TolPct: 0.5}, "|red:0.5:4"},
+		{Config{TolPct: -5}, ""},
+		{Config{TolPct: 1}, "|red:1:4"},
+		{Config{TolPct: 5}, "|red:5:4"},
+		{Config{TolPct: 0.5}, "|red:0.5:4"},
 	} {
 		if got := tc.cfg.Signature(); got != tc.want {
 			t.Errorf("%+v.Signature() = %q, want %q", tc.cfg, got, tc.want)

@@ -65,7 +65,7 @@ func httpStatus(resp v1.AnalyzeResponse) int {
 // in lockstep and re-collide. Same id, same depth, same answer — replayable
 // under test.
 func (s *Server) retryAfter(id string) string {
-	base := 1 + s.queue.queuedDepth()/(4*s.opts.Workers)
+	base := 1 + s.depth()/(4*s.opts.Workers)
 	if base > 30 {
 		base = 30
 	}
@@ -191,7 +191,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte
 					len(breq.Requests), s.opts.QueueLen)))
 		return
 	}
-	// Async batches outlive the submitting connection: their jobs run under
+	// Async batches outlive the submitting connection: they run under
 	// Background so a post-202 disconnect cannot shed retained work.
 	ctx := r.Context()
 	if breq.Async {

@@ -43,14 +43,10 @@ type pool struct {
 	metrics    *obs.Registry
 
 	mu        sync.Mutex
-	analyzers map[string]*pooledAnalyzer
+	analyzers map[string]*sta.Analyzer
 	stores    map[string]*diskcache.Store    // per-signature disk namespaces
 	memories  map[string]*sta.MemoryTier     // peers' PUTs when no cache dir
 	remotes   map[string]*remotecache.Client // per-signature remote clients
-}
-
-type pooledAnalyzer struct {
-	a *sta.Analyzer
 }
 
 // storeLocked opens (once) the disk namespace for sig. Caller holds p.mu;
@@ -76,27 +72,21 @@ func (p *pool) storeLocked(sig string) (*diskcache.Store, error) {
 
 // get returns the pooled analyzer for cfg, creating it (and its tiers) on
 // first use. cfg must not carry Tiers — the pool owns tier wiring.
-func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
+func (p *pool) get(cfg sta.Config) (*sta.Analyzer, error) {
 	sig := cfg.Signature()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pa, ok := p.analyzers[sig]; ok {
-		return pa, nil
+	if a, ok := p.analyzers[sig]; ok {
+		return a, nil
 	}
 	// The tiers, fastest first: remote → disk. No memory tier heads them:
 	// the analyzer's single-flight delay cache sits above every tier under
 	// the same keys, never evicts and lives exactly as long as the analyzer,
 	// so the tiers are probed at most once per key and a memory tier there
-	// could never hit.
+	// could never hit. The disk namespace opens first: the remote client
+	// starts a write-behind goroutine, so it is built only once nothing can
+	// fail.
 	var tiers []sta.TierStore
-	if p.remoteURL != "" {
-		rc := remotecache.New(p.remoteURL, sig, remotecache.Options{Metrics: p.metrics})
-		if p.remotes == nil {
-			p.remotes = map[string]*remotecache.Client{}
-		}
-		p.remotes[sig] = rc
-		tiers = append(tiers, rc)
-	}
 	if p.cacheDir != "" {
 		store, err := p.storeLocked(sig)
 		if err != nil {
@@ -104,11 +94,19 @@ func (p *pool) get(cfg sta.Config) (*pooledAnalyzer, error) {
 		}
 		tiers = append(tiers, store)
 	}
+	if p.remoteURL != "" {
+		rc := remotecache.New(p.remoteURL, sig, remotecache.Options{Metrics: p.metrics})
+		if p.remotes == nil {
+			p.remotes = map[string]*remotecache.Client{}
+		}
+		p.remotes[sig] = rc
+		tiers = append([]sta.TierStore{rc}, tiers...)
+	}
 	cfg.Tiers = tiers
 	cfg.Metrics = p.metrics
-	pa := &pooledAnalyzer{a: sta.New(p.tech, p.lib, cfg)}
-	p.analyzers[sig] = pa
-	return pa, nil
+	a := sta.New(p.tech, p.lib, cfg)
+	p.analyzers[sig] = a
+	return a, nil
 }
 
 // tierStoreFor resolves the store the TIER SERVER serves for one signature:
@@ -152,10 +150,10 @@ type servedStore struct {
 func (s servedStore) GetMany(ctx context.Context, keys []sta.Key, out []sta.TierEntry, hit []bool) {
 	s.TierStore.GetMany(ctx, keys, out, hit)
 	s.p.mu.Lock()
-	pa := s.p.analyzers[s.sig]
+	a := s.p.analyzers[s.sig]
 	s.p.mu.Unlock()
-	if pa != nil {
-		pa.a.CachedEntries(keys, out, hit)
+	if a != nil {
+		a.CachedEntries(keys, out, hit)
 	}
 }
 
@@ -191,7 +189,7 @@ func (p *pool) close() error {
 			first = err
 		}
 	}
-	p.analyzers = map[string]*pooledAnalyzer{}
+	p.analyzers = map[string]*sta.Analyzer{}
 	p.stores = nil
 	p.memories = nil
 	p.remotes = nil
@@ -207,10 +205,10 @@ func sigDirName(sig string) string {
 
 // analyze executes one wire request end to end: validate, parse, route to a
 // pooled (or, for chaos, throwaway) analyzer, convert the result. All
-// failures come back as v1 error envelopes; nothing panics the worker. ctx
+// failures come back as v1 error envelopes; nothing panics the server. ctx
 // carries the request's trace reference when the request is traced (nil is
 // fine: it reaches AnalyzeContext, which treats nil as Background) — it is
-// NOT a cancellation signal; shedding happens at dequeue.
+// NOT a cancellation signal; shedding happens when the request starts.
 func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeResponse {
 	if err := v1.Validate(req.SchemaVersion); err != nil {
 		return v1.ErrorResponse(req.ID, v1.CodeInvalidRequest, err.Error())
@@ -233,8 +231,8 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 	}
 
 	cfg := sta.Config{Workers: s.opts.AnalyzerWorkers}
-	if f := req.Features; f != nil && f.ReduceTolPct > 0 {
-		cfg.Reduction = reduce.Config{Enabled: true, TolPct: f.ReduceTolPct}
+	if f := req.Features; f != nil {
+		cfg.Reduction = reduce.Config{TolPct: f.ReduceTolPct}
 	}
 	if b := req.Budget; b != nil {
 		// Each budget value is its own Config.Signature(), so its own pooled
@@ -270,11 +268,11 @@ func (s *Server) analyze(ctx context.Context, req v1.AnalyzeRequest) v1.AnalyzeR
 		cfg.Metrics = nil
 		analyzer = sta.New(s.pool.tech, s.pool.lib, cfg)
 	} else {
-		pa, perr := s.pool.get(cfg)
+		a, perr := s.pool.get(cfg)
 		if perr != nil {
 			return v1.ErrorResponse(req.ID, v1.CodeAnalysisFailed, perr.Error())
 		}
-		analyzer = pa.a
+		analyzer = a
 	}
 
 	primary := make(map[string]sta.Arrival, len(req.Inputs))

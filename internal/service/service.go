@@ -6,12 +6,12 @@
 //	                   synchronous by default, async batches return 202 + id
 //	GET  /result/{id}  poll an async batch: 202 pending, 200 done, 404 unknown
 //
-// Architecture: requests land in a bounded work queue (admission is
-// all-or-nothing per batch, so a half-admitted batch can never deadlock the
-// queue against itself) drained by a fixed worker pool. When the queue is
-// full the server sheds load with 429 + Retry-After instead of queueing
-// unbounded work — backpressure is the contract, and /healthz degrades while
-// saturated.
+// Architecture: admission reserves one slot per sub-request in a bounded
+// count of admitted-but-unstarted requests (all-or-nothing per batch), and
+// every admitted sub-request then runs on a goroutine of its own, at most
+// Workers of them analyzing at once. When the count is full the server sheds
+// load with 429 + Retry-After instead of queueing unbounded work —
+// backpressure is the contract, and /healthz degrades while saturated.
 //
 // Analyzers are pooled by result signature (sta.Config.Signature): two
 // requests with equal features and budgets share one analyzer — one
@@ -38,13 +38,14 @@ import (
 	"qwm/internal/sta/remotecache"
 )
 
-// Options configures a Server. The zero value is usable: 64-slot queue, 2
-// workers, 64 retained async results, no disk cache, no metrics.
+// Options configures a Server. The zero value is usable: 64 admitted
+// requests waiting at most, 2 analyses at a time, no disk cache, no metrics.
 type Options struct {
-	// QueueLen bounds the admission queue (in sub-requests). 0 means 64.
+	// QueueLen bounds the admitted sub-requests still waiting to start.
+	// 0 means 64.
 	QueueLen int
-	// Workers is the number of queue-draining goroutines. Each drains one
-	// analysis at a time; the analyzers parallelize internally. 0 means 2.
+	// Workers bounds how many admitted sub-requests analyze at once. Each
+	// runs one analysis; the analyzers parallelize internally. 0 means 2.
 	Workers int
 	// AnalyzerWorkers is passed to every pooled analyzer's Config.Workers
 	// (0 = GOMAXPROCS). It does not affect results or pooling identity.
@@ -63,9 +64,6 @@ type Options struct {
 	// deadline-bounded attempt per read and a circuit breaker, so a dead
 	// peer never fails or stalls an analysis. "" disables.
 	RemoteCache string
-	// ResultCap bounds retained async batch results; the oldest are evicted
-	// first (polling an evicted id returns 410 Gone). 0 means 64.
-	ResultCap int
 	// Metrics, when set, receives the service counters (service/...), the
 	// engine's per-analyze aggregates and the disk tier's counters.
 	Metrics *obs.Registry
@@ -84,9 +82,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.ResultCap <= 0 {
-		o.ResultCap = 64
-	}
 	return o
 }
 
@@ -96,7 +91,18 @@ type Server struct {
 	opts Options
 	pool *pool
 
-	queue *workQueue
+	// admMu guards the admission state: waiting counts the admitted
+	// sub-requests that have not yet started (the queue depth), closed is
+	// set once Close has begun.
+	admMu   sync.Mutex
+	waiting int
+	closed  bool
+	// run holds one token per running analysis (capacity Workers); stop
+	// closes when Close begins, releasing every sub-request still waiting
+	// for a token. active counts the admitted sub-requests not yet answered.
+	run    chan struct{}
+	stop   chan struct{}
+	active sync.WaitGroup
 
 	resMu   sync.Mutex
 	results map[string]*batch
@@ -108,32 +114,22 @@ type Server struct {
 	evictOrder []string
 	nextID     atomic.Int64
 
-	wg sync.WaitGroup
-
 	mRequests, mBatches, mOK, mErr, mShed, mCancelled *obs.Counter
 }
 
-// evictedCap bounds the remembered-eviction set; beyond it the oldest
-// tombstones decay back into plain 404s.
-const evictedCap = 1024
-
-// job is one queued sub-request. Exactly one worker processes it, writes
-// resp, and marks it done on its batch. ctx is the submitting client's
-// request context for synchronous work (Background for async batches, whose
-// results outlive the submit call): a client that disconnects while its job
-// is still queued gets shed at dequeue instead of burning a worker.
-type job struct {
-	ctx   context.Context
-	req   v1.AnalyzeRequest
-	idx   int
-	batch *batch
-}
+const (
+	// resultCap bounds retained async batch results; the oldest are evicted
+	// first (polling an evicted id returns 410 Gone).
+	resultCap = 64
+	// evictedCap bounds the remembered-eviction set; beyond it the oldest
+	// tombstones decay back into plain 404s.
+	evictedCap = 1024
+)
 
 // batch tracks one admitted request group (a single request is a batch of
-// one). done closes when every job completed.
+// one). done closes when every sub-request completed.
 type batch struct {
 	id    string
-	async bool
 	total int
 
 	mu        sync.Mutex
@@ -161,21 +157,23 @@ func (b *batch) progress() (int, int) {
 }
 
 // New builds a service over the given technology and library. tech/lib are
-// shared by every pooled analyzer.
+// shared by every pooled analyzer. It starts no goroutine: each admitted
+// sub-request gets its own.
 func New(tech *mos.Tech, lib *devmodel.Library, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
+		run:     make(chan struct{}, opts.Workers),
+		stop:    make(chan struct{}),
 		results: map[string]*batch{},
 		evicted: map[string]struct{}{},
-		queue:   newWorkQueue(opts.QueueLen, opts.Metrics),
 		pool: &pool{
 			tech: tech, lib: lib,
 			cacheDir:   opts.CacheDir,
 			cacheBytes: opts.CacheBytes,
 			remoteURL:  opts.RemoteCache,
 			metrics:    opts.Metrics,
-			analyzers:  map[string]*pooledAnalyzer{},
+			analyzers:  map[string]*sta.Analyzer{},
 		},
 	}
 	r := opts.Metrics
@@ -185,90 +183,38 @@ func New(tech *mos.Tech, lib *devmodel.Library, opts Options) *Server {
 	s.mErr = r.Counter("service/analyses_err")
 	s.mShed = r.Counter("service/rejected_overload")
 	s.mCancelled = r.Counter("service/cancelled")
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	// Sampled at every snapshot, so a full-but-stuck server (nothing
+	// starting) reads truthfully.
+	r.GaugeFunc("service/queue/depth", func() int64 { return int64(s.depth()) })
 	return s
 }
 
-// worker drains the queue until Close.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j, ok := s.queue.pop()
-		if !ok {
-			return
-		}
-		// The cheapest analysis is the one nobody is waiting for: a client
-		// that hung up while its job sat queued is shed here, before any
-		// engine work, as a counted cancellation.
-		if j.ctx != nil && j.ctx.Err() != nil {
-			s.mCancelled.Inc()
-			s.mErr.Inc()
-			j.batch.complete(j.idx, v1.ErrorResponse(j.req.ID, v1.CodeCancelled,
-				"client disconnected before analysis started"))
-			continue
-		}
-		// Traced requests get a worker span and a derived engine context. The
-		// derived context is Background-rooted on purpose: engine cancellation
-		// semantics are owned by the dequeue shed above, and a traced request
-		// must behave identically to an untraced one.
-		ref, traced := obs.TraceFrom(j.ctx)
-		var (
-			ctx    context.Context
-			wID    string
-			wStart time.Time
-		)
-		if traced {
-			wID = ref.Parent + ".j" + strconv.Itoa(j.idx)
-			wStart = time.Now()
-			ctx = obs.ContextWithTrace(context.Background(), obs.TraceRef{
-				T: ref.T, Parent: wID, Level: obs.LevelWorker, Item: j.idx,
-			})
-		}
-		resp := s.analyze(ctx, j.req)
-		if resp.Status == v1.StatusOK {
-			s.mOK.Inc()
-		} else {
-			s.mErr.Inc()
-		}
-		if traced {
-			// Recorded BEFORE batch.complete: the root span's Finish happens
-			// strictly after every job span of a synchronous request.
-			ref.T.Add(obs.ReqSpan{
-				ID: wID, Parent: ref.Parent, Name: "worker",
-				Level: obs.LevelWorker, Item: j.idx,
-				Start: wStart, Dur: time.Since(wStart),
-				Attrs: obs.Attrs{obs.Str("status", string(resp.Status))},
-			})
-		}
-		j.batch.complete(j.idx, resp)
-	}
+// depth returns the number of admitted sub-requests still waiting to start.
+func (s *Server) depth() int {
+	s.admMu.Lock()
+	defer s.admMu.Unlock()
+	return s.waiting
 }
 
-// admit reserves queue slots for every request of a group, all or nothing.
-// It returns the tracking batch, or nil when the queue cannot take the
-// group right now (back off and retry). ctx is the submitting client's
-// context for synchronous groups; pass context.Background() for async ones.
+// admit reserves waiting slots for every request of a group, all or nothing,
+// and starts one goroutine per sub-request. A group larger than the free
+// space is refused whole: no batch is ever half admitted. It returns the
+// tracking batch, or nil when the server cannot take the group right now
+// (back off and retry) or is shutting down. ctx is the submitting client's context for
+// synchronous groups; pass context.Background() for async ones.
 func (s *Server) admit(ctx context.Context, reqs []v1.AnalyzeRequest, async bool) *batch {
-	b := &batch{
-		id:        fmt.Sprintf("b%06d", s.nextID.Add(1)),
-		async:     async,
-		total:     len(reqs),
-		responses: make([]v1.AnalyzeResponse, len(reqs)),
-		done:      make(chan struct{}),
-	}
-	jobs := make([]*job, len(reqs))
-	for i, r := range reqs {
-		jobs[i] = &job{ctx: ctx, req: r, idx: i, batch: b}
-	}
 	ref, traced := obs.TraceFrom(ctx)
 	var aStart time.Time
 	if traced {
 		aStart = time.Now()
 	}
-	admitted := s.queue.tryPush(jobs)
+	s.admMu.Lock()
+	admitted := !s.closed && s.waiting+len(reqs) <= s.opts.QueueLen
+	if admitted {
+		s.waiting += len(reqs)
+		s.active.Add(len(reqs))
+	}
+	s.admMu.Unlock()
 	if traced {
 		ref.T.Add(obs.ReqSpan{
 			ID: ref.Parent + ".enqueue", Parent: ref.Parent, Name: "enqueue",
@@ -281,10 +227,84 @@ func (s *Server) admit(ctx context.Context, reqs []v1.AnalyzeRequest, async bool
 		s.mShed.Inc()
 		return nil
 	}
+	b := &batch{
+		id:        fmt.Sprintf("b%06d", s.nextID.Add(1)),
+		total:     len(reqs),
+		responses: make([]v1.AnalyzeResponse, len(reqs)),
+		done:      make(chan struct{}),
+	}
 	if async {
 		s.retain(b)
 	}
+	for i, r := range reqs {
+		go s.serve(ctx, b, i, r)
+	}
 	return b
+}
+
+// serve runs one admitted sub-request: it waits for a run token (blocked
+// senders are served in arrival order), leaves the waiting count, analyzes
+// and completes its slot of the batch. A Close that begins while it waits
+// answers it "server shutting down" instead.
+func (s *Server) serve(ctx context.Context, b *batch, idx int, req v1.AnalyzeRequest) {
+	defer s.active.Done()
+	select {
+	case s.run <- struct{}{}:
+		defer func() { <-s.run }()
+	case <-s.stop:
+	}
+	s.admMu.Lock()
+	s.waiting--
+	closed := s.closed
+	s.admMu.Unlock()
+	if closed {
+		b.complete(idx, v1.ErrorResponse(req.ID, v1.CodeOverloaded, "server shutting down"))
+		return
+	}
+	// The cheapest analysis is the one nobody is waiting for: a client that
+	// hung up while its request waited is shed here, before any engine
+	// work, as a counted cancellation.
+	if ctx.Err() != nil {
+		s.mCancelled.Inc()
+		s.mErr.Inc()
+		b.complete(idx, v1.ErrorResponse(req.ID, v1.CodeCancelled,
+			"client disconnected before analysis started"))
+		return
+	}
+	// Traced requests get a worker span and a derived engine context. The
+	// derived context is Background-rooted on purpose: engine cancellation
+	// semantics are owned by the start-time shed above, and a traced request
+	// must behave identically to an untraced one.
+	ref, traced := obs.TraceFrom(ctx)
+	var (
+		actx   context.Context
+		wID    string
+		wStart time.Time
+	)
+	if traced {
+		wID = ref.Parent + ".j" + strconv.Itoa(idx)
+		wStart = time.Now()
+		actx = obs.ContextWithTrace(context.Background(), obs.TraceRef{
+			T: ref.T, Parent: wID, Level: obs.LevelWorker, Item: idx,
+		})
+	}
+	resp := s.analyze(actx, req)
+	if resp.Status == v1.StatusOK {
+		s.mOK.Inc()
+	} else {
+		s.mErr.Inc()
+	}
+	if traced {
+		// Recorded BEFORE batch.complete: the root span's Finish happens
+		// strictly after every worker span of a synchronous request.
+		ref.T.Add(obs.ReqSpan{
+			ID: wID, Parent: ref.Parent, Name: "worker",
+			Level: obs.LevelWorker, Item: idx,
+			Start: wStart, Dur: time.Since(wStart),
+			Attrs: obs.Attrs{obs.Str("status", string(resp.Status))},
+		})
+	}
+	b.complete(idx, resp)
 }
 
 // retain stores an async batch for /result polling, evicting the oldest
@@ -294,7 +314,7 @@ func (s *Server) retain(b *batch) {
 	defer s.resMu.Unlock()
 	s.results[b.id] = b
 	s.order = append(s.order, b.id)
-	for len(s.order) > s.opts.ResultCap {
+	for len(s.order) > resultCap {
 		evict := s.order[0]
 		s.order = s.order[1:]
 		delete(s.results, evict)
@@ -337,7 +357,7 @@ func (s *Server) TierStoreFor(signature string) (sta.TierStore, error) {
 // load-balancer check because a peer died would turn one replica's outage
 // into the fleet's.
 func (s *Server) Healthy() (bool, string) {
-	if s.queue.full() {
+	if s.depth() >= s.opts.QueueLen {
 		return false, "work queue saturated"
 	}
 	open := 0
@@ -365,108 +385,24 @@ func (s *Server) HealthInfo() map[string]any {
 	}
 	sort.Strings(open)
 	return map[string]any{
-		"queue_depth":    s.queue.queuedDepth(),
+		"queue_depth":    s.depth(),
 		"queue_capacity": s.opts.QueueLen,
 		"workers":        s.opts.Workers,
 		"open_breakers":  open,
 	}
 }
 
-// Close stops the workers (in-flight analyses run to completion), then
-// flushes and closes every pooled disk store. Queued-but-unstarted jobs are
-// completed with an overloaded error so synchronous waiters unblock.
+// Close refuses new work and answers every admitted sub-request that has
+// not started with an overloaded error, so synchronous waiters unblock; it
+// then waits for the running analyses to finish and flushes and closes every
+// pooled store. Calling it again is harmless.
 func (s *Server) Close() error {
-	for _, j := range s.queue.close() {
-		j.batch.complete(j.idx, v1.ErrorResponse(j.req.ID, v1.CodeOverloaded, "server shutting down"))
+	s.admMu.Lock()
+	if !s.closed {
+		s.closed = true
+		close(s.stop)
 	}
-	s.wg.Wait()
+	s.admMu.Unlock()
+	s.active.Wait()
 	return s.pool.close()
-}
-
-// workQueue is a bounded MPMC ring with all-or-nothing group admission.
-type workQueue struct {
-	mu     sync.Mutex
-	nempty *sync.Cond
-	buf    []*job
-	head   int
-	n      int
-	closed bool
-}
-
-// newWorkQueue builds a queue of the given capacity and registers its depth
-// on reg as the sampled gauge service/queue/depth, read at every snapshot so
-// an idle-but-full queue (workers wedged, nothing moving) reads truthfully.
-func newWorkQueue(capacity int, reg *obs.Registry) *workQueue {
-	q := &workQueue{buf: make([]*job, capacity)}
-	q.nempty = sync.NewCond(&q.mu)
-	reg.GaugeFunc("service/queue/depth", func() int64 { return int64(q.queuedDepth()) })
-	return q
-}
-
-// tryPush admits every job or none: a group larger than the free space is
-// rejected without partial enqueue, so two half-admitted batches can never
-// wedge the queue waiting on each other's remainder.
-func (q *workQueue) tryPush(jobs []*job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.n+len(jobs) > len(q.buf) {
-		return false
-	}
-	for _, j := range jobs {
-		q.buf[(q.head+q.n)%len(q.buf)] = j
-		q.n++
-	}
-	q.nempty.Broadcast()
-	return true
-}
-
-// pop blocks for the next job; ok is false once the queue is closed and
-// drained.
-func (q *workQueue) pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
-		q.nempty.Wait()
-	}
-	if q.n == 0 {
-		return nil, false
-	}
-	j := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return j, true
-}
-
-func (q *workQueue) full() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n == len(q.buf)
-}
-
-// queuedDepth returns the number of queued-but-unstarted jobs.
-func (q *workQueue) queuedDepth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
-// close marks the queue closed and returns the jobs that were queued but
-// not yet picked up, so the caller can fail them out.
-func (q *workQueue) close() []*job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil
-	}
-	q.closed = true
-	var rest []*job
-	for q.n > 0 {
-		rest = append(rest, q.buf[q.head])
-		q.buf[q.head] = nil
-		q.head = (q.head + 1) % len(q.buf)
-		q.n--
-	}
-	q.nempty.Broadcast()
-	return rest
 }

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -271,25 +273,27 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 saturates the queue of a server with NO workers (so
-// admitted jobs never drain) and asserts load shedding: 429, Retry-After,
+// stalled builds a server whose run channel is unbuffered and never read,
+// so no admitted sub-request can ever start: each waits until Close.
+func stalled(opts Options) *Server {
+	s := New(tech, lib, opts)
+	s.run = make(chan struct{})
+	return s
+}
+
+// TestBackpressure429 saturates the waiting count of a server whose admitted
+// requests can never start and asserts load shedding: 429, Retry-After,
 // overloaded code, degraded health. Deterministic by construction.
 func TestBackpressure429(t *testing.T) {
 	deck, _, outs := decoderDeck(t)
 	reg := obs.NewRegistry()
-	s := &Server{
-		opts:    Options{QueueLen: 2, ResultCap: 4}.withDefaults(),
-		results: map[string]*batch{},
-		queue:   newWorkQueue(2, reg),
-		pool:    &pool{tech: tech, lib: lib, analyzers: map[string]*pooledAnalyzer{}},
-		mShed:   reg.Counter("service/rejected_overload"),
-	}
+	s := stalled(Options{QueueLen: 2, Metrics: reg})
+	defer s.Close()
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	defer s.queue.close()
 
 	// Fill both slots with an async batch (returns 202 immediately; the
-	// jobs sit in the queue forever with no workers).
+	// sub-requests wait forever, since none can start).
 	hr, body := postJSON(t, hs.URL, v1.BatchRequest{
 		Async: true,
 		Requests: []v1.AnalyzeRequest{
@@ -322,12 +326,144 @@ func TestBackpressure429(t *testing.T) {
 
 	// A batch that can't fully fit is rejected whole (all-or-nothing) even
 	// when one slot would free: nothing is half-admitted.
-	if got := s.queue.tryPush([]*job{{}, {}, {}}); got {
+	if b := s.admit(context.Background(), make([]v1.AnalyzeRequest, 3), false); b != nil {
 		t.Error("oversized group admitted")
 	}
 	if reg.Snapshot().Counters["service/rejected_overload"] == 0 {
 		t.Error("shed not counted")
 	}
+}
+
+// settleGoroutines waits (up to 5 s) for the goroutine count to fall back
+// to before and fails the test with every stack when it does not.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseAnswersWaitingRequests pins Close's contract for admitted work
+// that has not started: every waiting synchronous request is answered 429
+// overloaded "server shutting down", a request posted after Close is shed
+// with 429, a second Close returns, and no goroutine is left behind.
+func TestCloseAnswersWaitingRequests(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const k = 3
+	s := stalled(Options{QueueLen: k})
+	hs := httptest.NewServer(s.Handler())
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	post := func(id string) (int, v1.AnalyzeResponse, error) {
+		body := fmt.Sprintf(`{"id":%q,"netlist":"* x\n.end\n","outputs":["y"]}`, id)
+		hr, err := client.Post(hs.URL+"/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, v1.AnalyzeResponse{}, err
+		}
+		defer hr.Body.Close()
+		var resp v1.AnalyzeResponse
+		err = json.NewDecoder(hr.Body).Decode(&resp)
+		return hr.StatusCode, resp, err
+	}
+
+	type answer struct {
+		status int
+		resp   v1.AnalyzeResponse
+		err    error
+	}
+	answers := make(chan answer, k)
+	for i := 0; i < k; i++ {
+		go func(id string) {
+			status, resp, err := post(id)
+			answers <- answer{status, resp, err}
+		}(fmt.Sprintf("wait-%d", i))
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.depth() < k; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests admitted", s.depth(), k)
+		}
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.status != http.StatusTooManyRequests || a.resp.Error == nil ||
+			a.resp.Error.Code != v1.CodeOverloaded || a.resp.Error.Message != "server shutting down" {
+			t.Errorf("waiting request %q: status %d, error %+v; want 429 overloaded \"server shutting down\"",
+				a.resp.ID, a.status, a.resp.Error)
+		}
+	}
+	if d := s.depth(); d != 0 {
+		t.Errorf("queue depth %d after Close, want 0", d)
+	}
+
+	status, resp, err := post("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusTooManyRequests || resp.Error == nil || resp.Error.Code != v1.CodeOverloaded {
+		t.Errorf("request after Close: status %d, error %+v; want 429 overloaded", status, resp.Error)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Close did not return")
+	}
+
+	hs.Close()
+	tr.CloseIdleConnections()
+	settleGoroutines(t, before)
+}
+
+// TestPoolDiskFailureLeaksNoRemoteClient: when a signature's disk namespace
+// cannot open, the pool must not keep (or orphan) a remote-cache client for
+// it — each client runs a write-behind goroutine. Repeated failing requests
+// leave the goroutine count and the remote-client map flat, and Close
+// leaves no drain goroutine behind.
+func TestPoolDiskFailureLeaksNoRemoteClient(t *testing.T) {
+	deck, _, outs := decoderDeck(t)
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s := New(tech, lib, Options{CacheDir: file, RemoteCache: "http://127.0.0.1:1"})
+	for i := 0; i < 20; i++ {
+		resp := s.analyze(nil, v1.AnalyzeRequest{ID: "x", Netlist: deck, Outputs: outs})
+		if resp.Error == nil || resp.Error.Code != v1.CodeAnalysisFailed {
+			t.Fatalf("request %d: %+v, want %s (the cache dir is a file)", i, resp, v1.CodeAnalysisFailed)
+		}
+	}
+	s.pool.mu.Lock()
+	n := len(s.pool.remotes)
+	s.pool.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d remote clients kept for a signature whose disk namespace failed", n)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("20 failing requests grew the goroutine count %d -> %d", before, g)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, before)
 }
 
 func TestAsyncBatchLifecycle(t *testing.T) {
@@ -626,14 +762,14 @@ func TestTierRejectsOpenNoNamespace(t *testing.T) {
 // an id this server retained and then FIFO-evicted is 410 Gone with the
 // stable v1 "gone" code; an id it never issued is 404 with "not_found".
 func TestResultGoneVsNotFound(t *testing.T) {
-	deck, _, outs := decoderDeck(t)
-	_, hs := newTestServer(t, Options{Workers: 2, ResultCap: 1})
+	// Room for every submission below even if none has started yet.
+	_, hs := newTestServer(t, Options{Workers: 2, QueueLen: resultCap + 1})
 
 	submit := func(id string) string {
 		hr, body := postJSON(t, hs.URL, v1.BatchRequest{
 			SchemaVersion: v1.SchemaVersion,
 			Async:         true,
-			Requests:      []v1.AnalyzeRequest{{ID: id, Netlist: deck, Outputs: outs[:1]}},
+			Requests:      []v1.AnalyzeRequest{{ID: id, Outputs: []string{"y"}}},
 		})
 		if hr.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %s: status %d, body %s", id, hr.StatusCode, body)
@@ -659,8 +795,13 @@ func TestResultGoneVsNotFound(t *testing.T) {
 		return hr.StatusCode, resp
 	}
 
+	// Cheap batches (an empty netlist is refused before any parse), one
+	// more than resultCap: retaining the last evicts `first`.
 	first := submit("first")
-	second := submit("second") // ResultCap 1: retaining this evicts `first`
+	var last string
+	for i := 0; i < resultCap; i++ {
+		last = submit(fmt.Sprintf("r%d", i))
+	}
 
 	status, resp := poll(first)
 	if status != http.StatusGone {
@@ -679,13 +820,13 @@ func TestResultGoneVsNotFound(t *testing.T) {
 	}
 
 	// The surviving id still resolves (200 or 202 depending on progress).
-	if status, _ := poll(second); status != http.StatusOK && status != http.StatusAccepted {
+	if status, _ := poll(last); status != http.StatusOK && status != http.StatusAccepted {
 		t.Fatalf("retained id: status %d", status)
 	}
 }
 
-// TestDequeueCancellationShed pins the worker-side disconnect check: a job
-// whose client context is already dead when a worker dequeues it is shed as
+// TestDequeueCancellationShed pins the start-time disconnect check: a
+// sub-request whose client context is already dead when it starts is shed as
 // a counted cancellation, without any engine work.
 func TestDequeueCancellationShed(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -693,7 +834,7 @@ func TestDequeueCancellationShed(t *testing.T) {
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the client is gone before the job is even queued
+	cancel() // the client is gone before the request is even admitted
 	b := s.admit(ctx, []v1.AnalyzeRequest{{ID: "dead", Netlist: "* x\n.end\n", Outputs: []string{"y"}}}, false)
 	if b == nil {
 		t.Fatal("admission failed on an empty queue")
@@ -714,7 +855,8 @@ func TestDequeueCancellationShed(t *testing.T) {
 // TestRetryAfterDerived pins the 429 backoff hint: deterministic per id,
 // growing with queue depth, and bounded.
 func TestRetryAfterDerived(t *testing.T) {
-	s := &Server{opts: Options{Workers: 2}.withDefaults(), queue: newWorkQueue(256, nil)}
+	s := stalled(Options{Workers: 2, QueueLen: 256})
+	defer s.Close()
 
 	idle := s.retryAfter("client-1")
 	if idle != s.retryAfter("client-1") {
@@ -736,12 +878,8 @@ func TestRetryAfterDerived(t *testing.T) {
 
 	// Load the queue: base = 1 + 240/(4*2) = 31, capped at 30; with jitter
 	// the answer lives in [30, 60].
-	jobs := make([]*job, 240)
-	for i := range jobs {
-		jobs[i] = &job{}
-	}
-	if !s.queue.tryPush(jobs) {
-		t.Fatal("tryPush failed")
+	if s.admit(context.Background(), make([]v1.AnalyzeRequest, 240), false) == nil {
+		t.Fatal("admission failed on an empty queue")
 	}
 	deep, err := strconv.Atoi(s.retryAfter("client-1"))
 	if err != nil || deep < 30 || deep > 60 {

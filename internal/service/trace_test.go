@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -334,8 +335,8 @@ func TestHealthInfoShape(t *testing.T) {
 }
 
 // TestQueueDepthGaugeTruthful pins the staleness fix: the snapshot samples
-// the live queue depth through the GaugeFunc newWorkQueue registers, so a
-// stale edge-updated gauge of the same name can never misreport.
+// the live queue depth through the GaugeFunc New registers, so a stale
+// edge-updated gauge of the same name can never misreport.
 func TestQueueDepthGaugeTruthful(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, _ = newTestServer(t, Options{Metrics: reg})
@@ -346,13 +347,13 @@ func TestQueueDepthGaugeTruthful(t *testing.T) {
 		t.Errorf("snapshot queue depth %d, want sampled 0 (stale edge said 42)", got)
 	}
 
-	// And the stuck-full case: a no-worker queue holding 2 jobs still reads
-	// 2 — the exact TestBackpressure429 topology.
+	// And the stuck-full case: a server holding 2 requests that can never
+	// start still reads 2 — the exact TestBackpressure429 topology.
 	reg2 := obs.NewRegistry()
-	q := newWorkQueue(2, reg2)
-	defer q.close()
-	if !q.tryPush([]*job{{}, {}}) {
-		t.Fatal("tryPush failed on an empty queue")
+	s2 := stalled(Options{QueueLen: 2, Metrics: reg2})
+	defer s2.Close()
+	if s2.admit(context.Background(), make([]v1.AnalyzeRequest, 2), false) == nil {
+		t.Fatal("admission failed on an empty queue")
 	}
 	reg2.Gauge("service/queue/depth").Set(0) // a stale edge value
 	if got := reg2.Snapshot().Gauges["service/queue/depth"]; got != 2 {

@@ -53,7 +53,7 @@ func TestCacheKeyIncludesLoad(t *testing.T) {
 		slower       float64 // the heavy worst arrival exceeds slower × the light one
 	}{
 		{"inverter", Config{}, inverter, 1e-15, 50e-15, 2},
-		{"reduce-wide", Config{Reduction: reduce.Config{Enabled: true}}, wide, 10e-15, 200e-15, 1},
+		{"reduce-wide", Config{Reduction: reduce.Config{TolPct: 1}}, wide, 10e-15, 200e-15, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			analyze := func(a *Analyzer, cl float64) *Result {
@@ -82,7 +82,7 @@ func TestCacheKeyIncludesLoad(t *testing.T) {
 			if heavy.StagesEvaluated == 0 {
 				t.Errorf("heavy-load analysis evaluated 0 stages: served entirely from the light-load cache")
 			}
-			if row.cfg.Reduction.Enabled && heavy.ReducedNodes == 0 {
+			if row.cfg.Reduction.TolPct > 0 && heavy.ReducedNodes == 0 {
 				t.Errorf("reduction removed no nodes")
 			}
 

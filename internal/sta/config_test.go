@@ -19,7 +19,7 @@ func TestConfigSignature(t *testing.T) {
 	}
 	distinct := map[string]Config{
 		"base":   base,
-		"reduce": {Reduction: reduce.Config{Enabled: true, TolPct: 2}},
+		"reduce": {Reduction: reduce.Config{TolPct: 2}},
 		"budget": {Budget: EvalBudget{NRIters: 100}},
 		"wall":   {Budget: EvalBudget{Wall: time.Millisecond}},
 	}

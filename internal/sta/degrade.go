@@ -110,11 +110,8 @@ func (a *Analyzer) evalLadder(st *circuit.Stage, out, rail string, loads map[str
 	// carries Reduction.Signature(), so reduced entries can never alias
 	// unreduced ones, and the rewrite itself is a pure function of
 	// (stage, path, loads, config).
-	if a.cfg.Reduction.Enabled {
-		rp, rl, rst := reduce.Path(st, path, loads, a.cfg.Reduction)
-		path, loads = rp, rl
-		t.reduced = rst.NodesRemoved
-	}
+	path, loads, rst := reduce.Path(st, path, loads, a.cfg.Reduction)
+	t.reduced = rst.NodesRemoved
 	var errs strings.Builder
 	for tier := TierQWM; tier < NumTiers; tier++ {
 		r, err := a.runTier(tier, st, out, rail, path, loads, inSlew, faultKey, &t)

@@ -88,7 +88,7 @@ const (
 	recValOff  = recHeader + sta.KeySize
 	maxValLen  = 1 << 20 // sanity bound: a longer field means a corrupt header
 	entryVer   = 1       // TierEntry encoding version
-	entryFixed = 46      // encodeEntry's bytes before the error message
+	entryFixed = 46      // EncodeEntry's bytes before the error message
 	flagOK     = 1 << 0
 	flagFell   = 1 << 1
 
@@ -426,7 +426,7 @@ func (s *Store) getLocked(key *sta.Key, buf *[getBufLen]byte) (e sta.TierEntry, 
 	if sta.Key(body[4:4+sta.KeySize]) != *key {
 		return e, false, false
 	}
-	e, err := decodeEntry(body[4+sta.KeySize:])
+	e, err := DecodeEntry(body[4+sta.KeySize:])
 	if err != nil || !e.Valid() {
 		return sta.TierEntry{}, true, false
 	}
@@ -440,7 +440,7 @@ func (s *Store) Put(_ context.Context, key sta.Key, e sta.TierEntry) {
 	if s == nil {
 		return
 	}
-	if !s.queue.Enqueue(putReq{key: key, val: encodeEntry(e)}) {
+	if !s.queue.Enqueue(putReq{key: key, val: EncodeEntry(e)}) {
 		s.dropped.Add(1)
 	}
 }
@@ -463,7 +463,7 @@ func (s *Store) append(batch []putReq) {
 
 // appendLocked writes one record. Requires s.mu held for writing.
 func (s *Store) appendLocked(req putReq) {
-	rec := encodeRecord(req.key, req.val)
+	rec := EncodeRecord(req.key, req.val)
 	active := s.segs[len(s.segs)-1]
 	if active.size+int64(len(rec)) > s.opts.SegmentBytes && active.size > int64(len(segMagic)) {
 		seg, err := s.newSegment(active.id + 1)
@@ -573,13 +573,13 @@ func (s *Store) closeSegments() {
 	s.segs = nil
 }
 
-// encodeRecord frames one key/value pair:
+// EncodeRecord frames one key/value pair:
 //
 //	[u32 CRC][u32 valLen][key: sta.KeySize bytes][val]
 //
 // The CRC (Castagnoli) covers valLen|key|val — everything after itself — so
 // a bit flip anywhere in the record, length included, fails verification.
-func encodeRecord(key sta.Key, val []byte) []byte {
+func EncodeRecord(key sta.Key, val []byte) []byte {
 	rec := make([]byte, recValOff+len(val))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
 	copy(rec[recKeyOff:], key[:])
@@ -588,7 +588,7 @@ func encodeRecord(key sta.Key, val []byte) []byte {
 	return rec
 }
 
-// encodeEntry serializes a TierEntry:
+// EncodeEntry serializes a TierEntry into the store's value encoding:
 //
 //	u8 version, u8 flags, u8 tier, u8 pad,
 //	u32 panics, u32 reduced,
@@ -599,7 +599,7 @@ func encodeRecord(key sta.Key, val []byte) []byte {
 // Floats travel as raw IEEE-754 bits (math.Float64bits): the warm-disk path
 // must reproduce in-memory results BIT for bit, and a decimal round-trip
 // could not promise that.
-func encodeEntry(e sta.TierEntry) []byte {
+func EncodeEntry(e sta.TierEntry) []byte {
 	errMsg := e.ErrMsg
 	if len(errMsg) > math.MaxUint16 {
 		errMsg = errMsg[:math.MaxUint16]
@@ -628,10 +628,11 @@ func encodeEntry(e sta.TierEntry) []byte {
 	return b
 }
 
-// decodeEntry parses an encodeEntry value. It accepts exactly the byte
-// strings encodeEntry produces, so whatever decodes re-encodes to the same
-// bytes.
-func decodeEntry(b []byte) (sta.TierEntry, error) {
+// DecodeEntry parses an EncodeEntry value. It accepts exactly the byte
+// strings EncodeEntry produces, so whatever decodes re-encodes to the same
+// bytes. It performs structural validation only; callers must still check
+// sta.TierEntry.Valid.
+func DecodeEntry(b []byte) (sta.TierEntry, error) {
 	if len(b) < entryFixed {
 		return sta.TierEntry{}, errors.New("diskcache: short entry")
 	}

@@ -163,7 +163,7 @@ func TestKillMidWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := encodeRecord(tk("torn-key"), encodeEntry(testEntry(99)))
+			rec := EncodeRecord(tk("torn-key"), EncodeEntry(testEntry(99)))
 			if cut >= len(rec) {
 				t.Fatalf("cut %d outside record of %d bytes", cut, len(rec))
 			}

@@ -8,26 +8,13 @@ import (
 	"qwm/internal/sta"
 )
 
-// The CRC-framed record and Float64bits entry encodings double as the
-// remote-cache wire format (internal/sta/remotecache): one replica's disk
-// segments and another replica's HTTP responses carry byte-identical frames,
-// verified by the same checksum at every hop. These exported wrappers are the
-// single source of truth for that format — the remote tier must never grow a
-// second, subtly different encoder.
-
-// EncodeEntry serializes a TierEntry into the store's value encoding
-// (version byte, flags, raw IEEE-754 float bits — see encodeEntry).
-func EncodeEntry(e sta.TierEntry) []byte { return encodeEntry(e) }
-
-// DecodeEntry parses a value encoded by EncodeEntry. It performs structural
-// validation only; callers must still check sta.TierEntry.Valid.
-func DecodeEntry(b []byte) (sta.TierEntry, error) { return decodeEntry(b) }
-
-// EncodeRecord frames one key/value pair with a leading CRC32-Castagnoli over
-// everything after the checksum itself:
-//
-//	[u32 CRC][u32 valLen][key: sta.KeySize bytes][val]
-func EncodeRecord(key sta.Key, val []byte) []byte { return encodeRecord(key, val) }
+// The CRC-framed record and Float64bits entry encodings (EncodeRecord,
+// EncodeEntry and DecodeEntry in diskcache.go) double as the remote-cache
+// wire format (internal/sta/remotecache): one replica's disk segments and
+// another replica's HTTP responses carry byte-identical frames, verified by
+// the same checksum at every hop. They are the single source of truth for
+// that format — the remote tier must never grow a second, subtly different
+// encoder.
 
 // ErrCorruptRecord is returned by DecodeRecord for any framing failure —
 // short buffer, implausible lengths, trailing bytes, or checksum mismatch.

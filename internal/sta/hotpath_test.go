@@ -37,7 +37,7 @@ func wideFixture(t *testing.T, fan, segs, workers int, red reduce.Config) *Resul
 // the empty string, so even the cache key namespace is unchanged.)
 func TestReductionOffBitIdentical(t *testing.T) {
 	base := wideFixture(t, 4, 12, 1, reduce.Config{})
-	explicit := wideFixture(t, 4, 12, 1, reduce.Config{Enabled: false, TolPct: 5})
+	explicit := wideFixture(t, 4, 12, 1, reduce.Config{TolPct: -5})
 	if !reflect.DeepEqual(base.Arrivals, explicit.Arrivals) {
 		t.Fatalf("disabled features changed arrivals:\n%v\nvs\n%v", base.Arrivals, explicit.Arrivals)
 	}
@@ -54,7 +54,7 @@ func TestReductionOffBitIdentical(t *testing.T) {
 // unreduced answer — the moment-matching tolerance at work.
 func TestReductionBoundedError(t *testing.T) {
 	off := wideFixture(t, 4, 24, 1, reduce.Config{})
-	on := wideFixture(t, 4, 24, 1, reduce.Config{Enabled: true})
+	on := wideFixture(t, 4, 24, 1, reduce.Config{TolPct: 1})
 	if on.ReducedNodes == 0 {
 		t.Fatal("reduction enabled but no nodes removed on a 24-segment wire netlist")
 	}
@@ -78,7 +78,7 @@ func TestReductionBoundedError(t *testing.T) {
 // reduction enabled, a serial and an 8-worker run produce bit-identical
 // arrivals, critical path, evaluation counts and reduction accounting.
 func TestFeaturesOnWorkersIdentical(t *testing.T) {
-	red := reduce.Config{Enabled: true}
+	red := reduce.Config{TolPct: 1}
 	serial := wideFixture(t, 8, 24, 1, red)
 	parallel := wideFixture(t, 8, 24, 8, red)
 	if !reflect.DeepEqual(serial.Arrivals, parallel.Arrivals) {

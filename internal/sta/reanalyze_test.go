@@ -148,7 +148,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		cfg  func(workers int) Config
 	}{
 		{"plain", func(w int) Config { return Config{Workers: w} }},
-		{"reduce", func(w int) Config { return Config{Workers: w, Reduction: reduce.Config{Enabled: true}} }},
+		{"reduce", func(w int) Config { return Config{Workers: w, Reduction: reduce.Config{TolPct: 1}} }},
 		{"nr-divergence", func(w int) Config {
 			return Config{Workers: w, FaultPlan: faultinject.New(3).Enable(faultinject.NRDivergence, 1)}
 		}},

@@ -37,6 +37,6 @@ func BenchmarkSTAWide(b *testing.B) {
 		benchWide(b, reduce.Config{})
 	})
 	b.Run("reduce", func(b *testing.B) {
-		benchWide(b, reduce.Config{Enabled: true})
+		benchWide(b, reduce.Config{TolPct: 1})
 	})
 }

@@ -137,19 +137,3 @@ func quadRoots(a, b, c float64) (roots [2]float64, n int) {
 	}
 	return roots, 2
 }
-
-// CriticalPoints returns the (time, voltage) pairs at segment boundaries —
-// the points the paper plots as "straight solid lines connecting the
-// critical points" in Fig. 9.
-func (p *PWQ) CriticalPoints() (ts, vs []float64) {
-	if len(p.Segs) == 0 {
-		return nil, nil
-	}
-	ts = append(ts, p.Segs[0].T0)
-	vs = append(vs, p.Segs[0].V0)
-	for _, s := range p.Segs {
-		ts = append(ts, s.T1)
-		vs = append(vs, s.EndValue())
-	}
-	return ts, vs
-}

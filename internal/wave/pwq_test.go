@@ -98,22 +98,6 @@ func TestQuadRootsStable(t *testing.T) {
 	}
 }
 
-func TestPWQCriticalPoints(t *testing.T) {
-	p := &PWQ{}
-	_ = p.Append(QuadSeg{T0: 0, T1: 1, V0: 3, S: -1, A: 0})
-	_ = p.Append(QuadSeg{T0: 1, T1: 3, V0: 2, S: -1, A: 0.5})
-	ts, vs := p.CriticalPoints()
-	if len(ts) != 3 || len(vs) != 3 {
-		t.Fatalf("got %d points", len(ts))
-	}
-	if ts[0] != 0 || ts[1] != 1 || ts[2] != 3 {
-		t.Errorf("times = %v", ts)
-	}
-	if !feq(vs[1], 2, 1e-12) || !feq(vs[2], 1, 1e-12) {
-		t.Errorf("values = %v", vs)
-	}
-}
-
 // Property: PWQ crossings evaluate back to the level.
 func TestPWQCrossingConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
