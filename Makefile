@@ -1,5 +1,5 @@
 # CI entry points for the qwm repository. `make ci` is the gate a change
-# must pass: vet, build, vet and tests of the benchmark harness (perfbench,
+# must pass: a gofmt check over every tracked Go file, vet, build, vet and tests of the benchmark harness (perfbench,
 # which compiles against the engine API), the targeted observability race
 # suite, the full test suite under the race detector, the trace-export and
 # ops-server lifecycle smokes, a short fuzz pass over every wire-format
@@ -28,10 +28,17 @@
 # `perfbench/steady.py --compare`).
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: ci vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke check-run-names loc
+.PHONY: ci fmt-check vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke check-run-names loc
 
-ci: vet build check-run-names bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify
+ci: fmt-check vet build check-run-names bench-build race-obs race trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke remote-smoke bench verify
+
+# vet accepts unformatted code; this gate does not. It only reads: gofmt -l
+# lists the tracked Go files (perfbench's included) whose formatting differs.
+fmt-check:
+	@files="$$($(GOFMT) -l $$(git ls-files '*.go'))"; \
+	test -z "$$files" || { echo "fmt-check: gofmt would reformat:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	// SPICE reference on the identical netlist and initial conditions.
-	sim, err := spice.New(w.Netlist, tech, false)
+	sim, err := spice.New(w.Netlist, tech)
 	if err != nil {
 		log.Fatal(err)
 	}

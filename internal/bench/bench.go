@@ -50,10 +50,24 @@ func NewHarness(tech *mos.Tech) (*Harness, error) {
 
 // RunQWM evaluates a workload with piecewise quadratic waveform matching.
 func (h *Harness) RunQWM(w *stages.Workload, opts qwm.Options) (*EngineRun, error) {
+	return h.runQWM(w, opts, false)
+}
+
+// RunQWMAnalytic evaluates with the golden model directly (table ablation).
+func (h *Harness) RunQWMAnalytic(w *stages.Workload, opts qwm.Options) (*EngineRun, error) {
+	return h.runQWM(w, opts, true)
+}
+
+// runQWM builds the workload's chain, over the golden model when analytic
+// and over the characterized tables otherwise, and times its evaluation.
+// The slew is read from the folded output, which falls whatever the chain's
+// polarity.
+func (h *Harness) runQWM(w *stages.Workload, opts qwm.Options, analytic bool) (*EngineRun, error) {
 	ch, err := qwm.Build(qwm.BuildInput{
 		Tech: h.Tech, Lib: h.Lib,
 		Stage: w.Stage, Path: w.Path,
 		Inputs: w.Inputs, Loads: w.Loads, V0: w.IC,
+		Analytic: analytic,
 	})
 	if err != nil {
 		return nil, err
@@ -68,58 +82,21 @@ func (h *Harness) RunQWM(w *stages.Workload, opts qwm.Options) (*EngineRun, erro
 	if err != nil {
 		return nil, err
 	}
-	slew, _ := wave.Slew(foldedCrosser{res}, h.Tech.VDD, false)
+	slew, _ := wave.Slew(res.Folded[len(res.Folded)-1], h.Tech.VDD, false)
 	return &EngineRun{
 		Delay: d, Slew: slew, Runtime: elapsed,
 		Output: res.Output, Steps: res.Stats.Regions, NRIters: res.Stats.NRIters,
 	}, nil
 }
 
-// RunQWMAnalytic evaluates with the golden model directly (table ablation).
-func (h *Harness) RunQWMAnalytic(w *stages.Workload, opts qwm.Options) (*EngineRun, error) {
-	ch, err := qwm.Build(qwm.BuildInput{
-		Tech: h.Tech, Lib: h.Lib,
-		Stage: w.Stage, Path: w.Path,
-		Inputs: w.Inputs, Loads: w.Loads, V0: w.IC,
-		Analytic: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := qwm.Evaluate(ch, opts)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	d, err := res.Delay50(w.SwitchAt, h.Tech.VDD)
-	if err != nil {
-		return nil, err
-	}
-	return &EngineRun{Delay: d, Runtime: elapsed, Output: res.Output,
-		Steps: res.Stats.Regions, NRIters: res.Stats.NRIters}, nil
-}
-
-// foldedCrosser adapts a QWM result's folded output for falling-direction
-// metrics regardless of chain polarity.
-type foldedCrosser struct{ r *qwm.Result }
-
-func (f foldedCrosser) Eval(t float64) float64 { return f.r.Folded[len(f.r.Folded)-1].Eval(t) }
-func (f foldedCrosser) Span() (float64, float64) {
-	return f.r.Folded[len(f.r.Folded)-1].Span()
-}
-func (f foldedCrosser) Crossing(level float64, rising bool) (float64, bool) {
-	return f.r.Folded[len(f.r.Folded)-1].Crossing(level, rising)
-}
-
 // RunSpice runs the baseline transient at the given step size.
 func (h *Harness) RunSpice(w *stages.Workload, step float64) (*EngineRun, error) {
-	s, err := spice.New(w.Netlist, h.Tech, false)
+	s, err := spice.New(w.Netlist, h.Tech)
 	if err != nil {
 		return nil, err
 	}
 	opts := spice.Options{
-		TStop: w.TStop, Step: step, Method: spice.Trapezoidal,
+		TStop: w.TStop, Step: step,
 		IC:          w.IC,
 		RecordNodes: []string{w.Output},
 	}

@@ -149,7 +149,7 @@ func TestNaturalPrechargeInitialCondition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simLow, err := spice.New(wLow.Netlist, h.Tech, false)
+	simLow, err := spice.New(wLow.Netlist, h.Tech)
 	if err != nil {
 		t.Fatal(err)
 	}

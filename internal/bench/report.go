@@ -129,7 +129,7 @@ func (h *Harness) Fig7() ([]*Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := spice.New(w.Netlist, h.Tech, false)
+	s, err := spice.New(w.Netlist, h.Tech)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func (h *Harness) waveformPairs(w *stages.Workload, tstop float64) ([]*Series, e
 	if err != nil {
 		return nil, err
 	}
-	s, err := spice.New(w.Netlist, h.Tech, false)
+	s, err := spice.New(w.Netlist, h.Tech)
 	if err != nil {
 		return nil, err
 	}

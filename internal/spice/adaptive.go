@@ -3,8 +3,13 @@ package spice
 import (
 	"fmt"
 	"math"
-	"qwm/internal/circuit"
-	"qwm/internal/la"
+)
+
+// Step bounds of the adaptive transient: it starts at hInit and never goes
+// below hMin.
+const (
+	hInit = 1e-12
+	hMin  = 1e-14
 )
 
 // AdaptiveOptions configures local-truncation-error-controlled transient
@@ -13,14 +18,11 @@ import (
 // difference estimates the local truncation error.
 type AdaptiveOptions struct {
 	TStop float64
-	// HInit is the starting step (default 1 ps), bounded by [HMin, HMax]
-	// (defaults 10 fs and TStop/50).
-	HInit, HMin, HMax float64
+	// HMax bounds the step (default TStop/50); it starts at 1 ps and never
+	// goes below 10 fs.
+	HMax float64
 	// LTETol is the accepted per-step voltage error (default 1 mV).
 	LTETol float64
-	// MaxNR and Gmin as in Options.
-	MaxNR int
-	Gmin  float64
 	// MaxNRIters, when positive, caps the Newton iterations of the whole
 	// run: past it TransientAdaptive gives up with an error instead of
 	// grinding through a circuit whose steps keep failing.
@@ -38,14 +40,7 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 	if o.TStop <= 0 {
 		return nil, fmt.Errorf("spice: TStop must be positive")
 	}
-	h := o.HInit
-	if h == 0 {
-		h = 1e-12
-	}
-	hMin := o.HMin
-	if hMin == 0 {
-		hMin = 1e-14
-	}
+	h := hInit
 	hMax := o.HMax
 	if hMax == 0 {
 		hMax = o.TStop / 50
@@ -54,64 +49,11 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 	if tol == 0 {
 		tol = 1e-3
 	}
-	maxNR := o.MaxNR
-	if maxNR == 0 {
-		maxNR = 60
+	tr, err := s.start(o.IC, o.RecordNodes, h)
+	if err != nil {
+		return nil, err
 	}
-	gmin := o.Gmin
-	if gmin == 0 {
-		gmin = 1e-12
-	}
-
-	c := &ctx{
-		x:    make([]float64, s.n),
-		f:    make([]float64, s.n),
-		jac:  la.NewMatrix(s.n, s.n),
-		trap: true,
-	}
-	if o.IC != nil {
-		s.seedFromSources(c.x, 0)
-		for name, v := range o.IC {
-			if i, ok := s.idx[canon(name)]; ok && i >= 0 {
-				c.x[i] = v
-			}
-		}
-	} else {
-		op, err := s.DCOp(0)
-		if err != nil {
-			return nil, err
-		}
-		for i, name := range s.nodeNames {
-			c.x[i] = op[name]
-		}
-	}
-	c.t, c.h, c.dc = 0, h, false
-	for _, e := range s.elems {
-		if st, ok := e.(stateful); ok {
-			st.initState(c)
-		}
-	}
-
-	record := map[string]bool{}
-	if o.RecordNodes == nil {
-		for _, nd := range s.nodeNames {
-			record[nd] = true
-		}
-	} else {
-		for _, nd := range o.RecordNodes {
-			record[canon(nd)] = true
-		}
-	}
-	res := &Result{V: map[string][]float64{}}
-	push := func(t float64) {
-		res.T = append(res.T, t)
-		for i, name := range s.nodeNames {
-			if record[name] {
-				res.V[name] = append(res.V[name], c.x[i])
-			}
-		}
-	}
-	push(0)
+	c, res := tr.c, tr.res
 
 	// History for the linear predictor.
 	xPrev := append([]float64(nil), c.x...)
@@ -128,23 +70,19 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 		copy(saved, c.x)
 		c.t = tNow + h
 		c.h = h
-		iters, ok := s.solvePoint(c, gmin, maxNR)
-		res.Stats.NRIterations += iters
+		ok := tr.solve()
 		if o.MaxNRIters > 0 && res.Stats.NRIterations > o.MaxNRIters {
 			return nil, fmt.Errorf("spice: Newton iteration budget of %d exhausted at t = %g", o.MaxNRIters, tNow)
 		}
 		if !ok {
-			// Newton failure: halve the step and retry.
-			copy(c.x, saved)
-			if h <= hMin*1.0001 {
-				res.Stats.NonConverged++
-				// Accept whatever we have at the minimum step to keep moving.
-				c.t = tNow + h
-				s.solvePoint(c, gmin, maxNR)
-			} else {
+			if h > hMin*1.0001 {
+				// Newton failure: halve the step and retry.
+				copy(c.x, saved)
 				h = math.Max(h/2, hMin)
 				continue
 			}
+			// At the minimum step, accept the last iterate to keep moving.
+			res.Stats.NonConverged++
 		}
 		// LTE estimate against the linear predictor. The predictor error
 		// over-estimates the trapezoidal truncation error; the 1/4 factor
@@ -168,19 +106,12 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 				continue
 			}
 		}
-		// Accept the step.
-		for _, e := range s.elems {
-			if st, okSt := e.(stateful); okSt {
-				st.accept(c)
-			}
-		}
-		res.Stats.Steps++
+		tr.accept()
 		tPrev2, tPrev = tPrev, c.t
 		copy(xPrev2, xPrev)
 		copy(xPrev, c.x)
 		haveTwo = true
 		tNow = c.t
-		push(tNow)
 		// Grow only when comfortably inside tolerance.
 		if lte < tol/4 {
 			h = math.Min(h*1.4, hMax)
@@ -188,5 +119,3 @@ func (s *Simulator) TransientAdaptive(o AdaptiveOptions) (*Result, error) {
 	}
 	return res, nil
 }
-
-func canon(name string) string { return circuit.CanonName(name) }

@@ -8,13 +8,12 @@ import (
 // ctx carries one Newton evaluation: the current iterate x, the residual f
 // and Jacobian to fill, the evaluation time and integration step.
 type ctx struct {
-	x    []float64
-	f    []float64
-	jac  *la.Matrix
-	t    float64 // time at the end of the step being solved
-	h    float64 // step size (ignored when dc)
-	dc   bool    // DC analysis: charge elements are open
-	trap bool    // trapezoidal (else backward Euler)
+	x   []float64
+	f   []float64
+	jac *la.Matrix
+	t   float64 // time at the end of the step being solved
+	h   float64 // step size (ignored when dc)
+	dc  bool    // DC analysis: charge elements are open
 }
 
 // v returns the voltage of node index i, with ground (-1) fixed at 0.
@@ -40,12 +39,6 @@ func (c *ctx) addJ(i, j int, val float64) {
 // element is anything that stamps KCL residual and Jacobian contributions.
 type element interface {
 	stamp(c *ctx)
-}
-
-// stateful elements carry integration state across time steps.
-type stateful interface {
-	initState(c *ctx)
-	accept(c *ctx)
 }
 
 // resistorElem is a linear conductance between nodes a and b.
@@ -90,8 +83,9 @@ func (v *vsrcElem) stamp(c *ctx) {
 
 // chargeElem is a two-terminal charge-based capacitance: q = qfn(va − vb).
 // Linear capacitors and nonlinear junction capacitances share this code;
-// integrating charge (not capacitance) keeps nonlinear parasitics
-// charge-conserving under both integration methods.
+// integrating charge (not capacitance) with the trapezoidal rule keeps
+// nonlinear parasitics charge-conserving. qPrev and iPrev are the charge and
+// current at the last accepted time point.
 type chargeElem struct {
 	a, b         int
 	qfn          func(v float64) (q, cap float64)
@@ -103,14 +97,8 @@ func (e *chargeElem) stamp(c *ctx) {
 		return
 	}
 	q, cp := e.qfn(c.v(e.a) - c.v(e.b))
-	var i, geq float64
-	if c.trap {
-		i = 2*(q-e.qPrev)/c.h - e.iPrev
-		geq = 2 * cp / c.h
-	} else {
-		i = (q - e.qPrev) / c.h
-		geq = cp / c.h
-	}
+	i := 2*(q-e.qPrev)/c.h - e.iPrev
+	geq := 2 * cp / c.h
 	c.addF(e.a, i)
 	c.addF(e.b, -i)
 	c.addJ(e.a, e.a, geq)
@@ -127,14 +115,8 @@ func (e *chargeElem) initState(c *ctx) {
 
 func (e *chargeElem) accept(c *ctx) {
 	q, _ := e.qfn(c.v(e.a) - c.v(e.b))
-	var i float64
-	if c.trap {
-		i = 2*(q-e.qPrev)/c.h - e.iPrev
-	} else {
-		i = (q - e.qPrev) / c.h
-	}
+	e.iPrev = 2*(q-e.qPrev)/c.h - e.iPrev
 	e.qPrev = q
-	e.iPrev = i
 }
 
 // linearQ returns a charge function for a constant capacitance.

@@ -93,7 +93,7 @@ func TestFixedStepReferencesMatchPins(t *testing.T) {
 		if w.Name != pin.name {
 			t.Fatalf("circuit %d is %q, pinned %q", i, w.Name, pin.name)
 		}
-		sim, err := spice.New(w.Netlist, tech, false)
+		sim, err := spice.New(w.Netlist, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestAdaptiveReferencesMatchPins(t *testing.T) {
 		if w.Name != pin.name {
 			t.Fatalf("stack %d is %q, pinned %q", i, w.Name, pin.name)
 		}
-		sim, err := spice.New(w.Netlist, tech, false)
+		sim, err := spice.New(w.Netlist, tech)
 		if err != nil {
 			t.Fatal(err)
 		}

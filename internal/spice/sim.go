@@ -1,9 +1,10 @@
 // Package spice is the baseline transient simulator this reproduction
 // measures QWM against — the stand-in for Hspice. It assembles a
 // modified-nodal-analysis system over the golden mos device model and
-// integrates it with fixed-step trapezoidal or backward-Euler companion
-// models, running damped Newton–Raphson at every time point (the expensive
-// inner loop the paper's method eliminates).
+// integrates it with trapezoidal companion models, at a fixed step or under
+// local-truncation-error step control, running damped Newton–Raphson at
+// every time point (the expensive inner loop the paper's method
+// eliminates).
 package spice
 
 import (
@@ -16,26 +17,16 @@ import (
 	"qwm/internal/wave"
 )
 
-// Method selects the integration rule.
-type Method int
-
+// Newton settings of every transient time point.
 const (
-	// Trapezoidal is second-order accurate; Hspice's default class of rule.
-	Trapezoidal Method = iota
-	// BackwardEuler is first-order, heavily damped.
-	BackwardEuler
+	maxNR = 60    // iterations per time point
+	gmin  = 1e-12 // convergence-aid conductance from every node to ground (S)
 )
 
-// Options configures a transient analysis.
+// Options configures a fixed-step transient analysis.
 type Options struct {
-	TStop  float64
-	Step   float64
-	Method Method
-	// MaxNR bounds Newton iterations per time point (default 60).
-	MaxNR int
-	// Gmin is the convergence-aid conductance from every node to ground
-	// (default 1e-12 S).
-	Gmin float64
+	TStop float64
+	Step  float64
 	// IC, when non-nil, supplies initial node voltages ("use initial
 	// conditions" mode). Nodes driven by sources take the source value at
 	// t = 0; remaining unspecified nodes start at 0. When nil, a DC
@@ -54,39 +45,9 @@ type Stats struct {
 
 // Result holds the sampled node waveforms of a transient analysis.
 type Result struct {
-	T []float64
-	V map[string][]float64
-	// ISrc holds the branch current of every voltage source (positive
-	// current flows from the source's positive terminal into the circuit).
-	ISrc  map[string][]float64
+	T     []float64
+	V     map[string][]float64
 	Stats Stats
-}
-
-// SourceCurrent returns the PWL branch-current waveform of a source.
-func (r *Result) SourceCurrent(name string) (*wave.PWL, error) {
-	i, ok := r.ISrc[name]
-	if !ok {
-		return nil, fmt.Errorf("spice: source %q not recorded", name)
-	}
-	return wave.NewPWL(r.T, i)
-}
-
-// SupplyEnergy integrates v·i over the run for a DC supply of voltage vdd:
-// the energy the source delivered (joules). Trapezoidal quadrature over the
-// recorded samples.
-func (r *Result) SupplyEnergy(name string, vdd float64) (float64, error) {
-	i, ok := r.ISrc[name]
-	if !ok {
-		return 0, fmt.Errorf("spice: source %q not recorded", name)
-	}
-	e := 0.0
-	for k := 1; k < len(r.T); k++ {
-		dt := r.T[k] - r.T[k-1]
-		// The stamp convention has branch current flowing from the circuit
-		// into the source's positive terminal; negate for delivered power.
-		e += -vdd * 0.5 * (i[k] + i[k-1]) * dt
-	}
-	return e, nil
 }
 
 // Waveform returns the PWL waveform of a node (which must have been
@@ -102,24 +63,23 @@ func (r *Result) Waveform(node string) (*wave.PWL, error) {
 
 // Simulator is a compiled netlist ready for analysis.
 type Simulator struct {
-	tech      *mos.Tech
 	nodeNames []string
 	idx       map[string]int
-	srcIdx    map[string]int // source name -> branch-current unknown index
-	n         int            // total unknowns: nodes + source branches
+	n         int // total unknowns: nodes + source branches
 	elems     []element
+	charges   []*chargeElem // the elements carrying integration history
 	vdd       float64
 }
 
-// New compiles a netlist against a technology. Unless disableParasitics,
-// every transistor contributes its junction charges (drain/source to body),
-// gate overlap capacitances, and a split intrinsic channel capacitance —
-// the voltage-dependent parasitics of the paper's Definition 2.
-func New(n *circuit.Netlist, tech *mos.Tech, disableParasitics bool) (*Simulator, error) {
+// New compiles a netlist against a technology. Every transistor contributes
+// its junction charges (drain/source to body), gate overlap capacitances,
+// and a split intrinsic channel capacitance — the voltage-dependent
+// parasitics of the paper's Definition 2.
+func New(n *circuit.Netlist, tech *mos.Tech) (*Simulator, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{tech: tech, idx: map[string]int{circuit.GroundNode: -1}, vdd: tech.VDD}
+	s := &Simulator{idx: map[string]int{circuit.GroundNode: -1}, vdd: tech.VDD}
 	for _, name := range n.Nodes() {
 		if name == circuit.GroundNode {
 			continue
@@ -127,12 +87,9 @@ func New(n *circuit.Netlist, tech *mos.Tech, disableParasitics bool) (*Simulator
 		s.idx[name] = len(s.nodeNames)
 		s.nodeNames = append(s.nodeNames, name)
 	}
-	nv := len(s.nodeNames)
-	br := nv
-	s.srcIdx = map[string]int{}
+	br := len(s.nodeNames)
 	for _, v := range n.VSources {
 		s.elems = append(s.elems, &vsrcElem{a: s.idx[v.A], b: s.idx[v.B], br: br, wave: v.Wave})
-		s.srcIdx[v.Name] = br
 		br++
 	}
 	s.n = br
@@ -141,7 +98,7 @@ func New(n *circuit.Netlist, tech *mos.Tech, disableParasitics bool) (*Simulator
 		s.elems = append(s.elems, &resistorElem{a: s.idx[r.A], b: s.idx[r.B], g: 1 / r.R})
 	}
 	for _, c := range n.Capacitors {
-		s.elems = append(s.elems, &chargeElem{a: s.idx[c.A], b: s.idx[c.B], qfn: linearQ(c.C)})
+		s.addCharge(s.idx[c.A], s.idx[c.B], linearQ(c.C))
 	}
 	for _, t := range n.Transistors {
 		p := &tech.N
@@ -150,9 +107,6 @@ func New(n *circuit.Netlist, tech *mos.Tech, disableParasitics bool) (*Simulator
 		}
 		d, g, src, b := s.idx[t.Drain], s.idx[t.Gate], s.idx[t.Source], s.idx[t.Body]
 		s.elems = append(s.elems, &mosElem{d: d, g: g, s: src, b: b, p: p, w: t.W, l: t.L})
-		if disableParasitics {
-			continue
-		}
 		dj := t.DrainJunc
 		if dj == (mos.Junction{}) {
 			dj = p.DefaultJunction(t.W)
@@ -161,23 +115,28 @@ func New(n *circuit.Netlist, tech *mos.Tech, disableParasitics bool) (*Simulator
 		if sj == (mos.Junction{}) {
 			sj = p.DefaultJunction(t.W)
 		}
-		s.elems = append(s.elems,
-			&chargeElem{a: d, b: b, qfn: junctionQ(p, dj)},
-			&chargeElem{a: src, b: b, qfn: junctionQ(p, sj)},
-			&chargeElem{a: g, b: d, qfn: linearQ(p.OverlapCap(t.W))},
-			&chargeElem{a: g, b: src, qfn: linearQ(p.CGSO * t.W)},
-		)
+		s.addCharge(d, b, junctionQ(p, dj))
+		s.addCharge(src, b, junctionQ(p, sj))
+		s.addCharge(g, d, linearQ(p.OverlapCap(t.W)))
+		s.addCharge(g, src, linearQ(p.CGSO*t.W))
 		cs, cd := p.ChannelCapSplit(t.W, t.L)
-		s.elems = append(s.elems,
-			&chargeElem{a: g, b: src, qfn: linearQ(cs)},
-			&chargeElem{a: g, b: d, qfn: linearQ(cd)},
-		)
+		s.addCharge(g, src, linearQ(cs))
+		s.addCharge(g, d, linearQ(cd))
 	}
 	return s, nil
 }
 
-// Nodes returns the simulator's non-ground node names.
-func (s *Simulator) Nodes() []string { return append([]string(nil), s.nodeNames...) }
+// addCharge appends a charge element between nodes a and b.
+func (s *Simulator) addCharge(a, b int, qfn func(float64) (float64, float64)) {
+	e := &chargeElem{a: a, b: b, qfn: qfn}
+	s.elems = append(s.elems, e)
+	s.charges = append(s.charges, e)
+}
+
+// newCtx returns a Newton context sized for the simulator's unknowns.
+func (s *Simulator) newCtx() *ctx {
+	return &ctx{x: make([]float64, s.n), f: make([]float64, s.n), jac: la.NewMatrix(s.n, s.n)}
+}
 
 // assemble zeroes and fills the residual and Jacobian at iterate x.
 func (s *Simulator) assemble(c *ctx, gmin float64) {
@@ -231,13 +190,8 @@ func (s *Simulator) solvePoint(c *ctx, gmin float64, maxNR int) (int, bool) {
 
 // DCOp computes the DC operating point with sources evaluated at time t.
 func (s *Simulator) DCOp(t float64) (map[string]float64, error) {
-	c := &ctx{
-		x:   make([]float64, s.n),
-		f:   make([]float64, s.n),
-		jac: la.NewMatrix(s.n, s.n),
-		t:   t,
-		dc:  true,
-	}
+	c := s.newCtx()
+	c.t, c.dc = t, true
 	s.seedFromSources(c.x, t)
 	// Gmin stepping: start with a heavy convergence aid and relax it.
 	for _, gmin := range []float64{1e-3, 1e-6, 1e-9, 1e-12} {
@@ -262,30 +216,24 @@ func (s *Simulator) seedFromSources(x []float64, t float64) {
 	}
 }
 
-// Transient runs a fixed-step transient analysis.
-func (s *Simulator) Transient(o Options) (*Result, error) {
-	if o.Step <= 0 || o.TStop <= 0 {
-		return nil, fmt.Errorf("spice: Step and TStop must be positive")
-	}
-	maxNR := o.MaxNR
-	if maxNR == 0 {
-		maxNR = 60
-	}
-	gmin := o.Gmin
-	if gmin == 0 {
-		gmin = 1e-12
-	}
-	c := &ctx{
-		x:    make([]float64, s.n),
-		f:    make([]float64, s.n),
-		jac:  la.NewMatrix(s.n, s.n),
-		trap: o.Method == Trapezoidal,
-	}
+// transient is one transient analysis in progress: the Newton context at
+// the newest accepted time point and the result recorded so far.
+type transient struct {
+	s   *Simulator
+	c   *ctx
+	res *Result
+	rec []int // indices of the recorded nodes
+}
 
-	// Initial state.
-	if o.IC != nil {
+// start is the set-up both steppers share. It builds the Newton context at
+// the initial state (the IC over the source-driven values when ic is
+// non-nil, else the DC operating point at t = 0) with step h, initialises
+// every charge history there, and records the t = 0 sample.
+func (s *Simulator) start(ic map[string]float64, record []string, h float64) (*transient, error) {
+	c := s.newCtx()
+	if ic != nil {
 		s.seedFromSources(c.x, 0)
-		for name, v := range o.IC {
+		for name, v := range ic {
 			if i, ok := s.idx[circuit.CanonName(name)]; ok && i >= 0 {
 				c.x[i] = v
 			}
@@ -299,37 +247,60 @@ func (s *Simulator) Transient(o Options) (*Result, error) {
 			c.x[i] = op[name]
 		}
 	}
-	c.t, c.h, c.dc = 0, o.Step, false
-	for _, e := range s.elems {
-		if st, ok := e.(stateful); ok {
-			st.initState(c)
+	c.h = h
+	for _, e := range s.charges {
+		e.initState(c)
+	}
+	tr := &transient{s: s, c: c, res: &Result{V: map[string][]float64{}}}
+	want := map[string]bool{}
+	for _, n := range record {
+		want[circuit.CanonName(n)] = true
+	}
+	for i, name := range s.nodeNames {
+		if record == nil || want[name] {
+			tr.rec = append(tr.rec, i)
 		}
 	}
+	tr.push()
+	return tr, nil
+}
 
-	record := map[string]bool{}
-	if o.RecordNodes == nil {
-		for _, n := range s.nodeNames {
-			record[n] = true
-		}
-	} else {
-		for _, n := range o.RecordNodes {
-			record[circuit.CanonName(n)] = true
-		}
+// push records the current state as the sample at c.t.
+func (tr *transient) push() {
+	tr.res.T = append(tr.res.T, tr.c.t)
+	for _, i := range tr.rec {
+		name := tr.s.nodeNames[i]
+		tr.res.V[name] = append(tr.res.V[name], tr.c.x[i])
 	}
-	res := &Result{V: map[string][]float64{}, ISrc: map[string][]float64{}}
-	push := func(t float64) {
-		res.T = append(res.T, t)
-		for i, name := range s.nodeNames {
-			if record[name] {
-				res.V[name] = append(res.V[name], c.x[i])
-			}
-		}
-		for name, br := range s.srcIdx {
-			res.ISrc[name] = append(res.ISrc[name], c.x[br])
-		}
-	}
-	push(0)
+}
 
+// solve runs Newton at the time point c.t from the values in c.x, counting
+// its iterations, and reports whether it converged.
+func (tr *transient) solve() bool {
+	iters, ok := tr.s.solvePoint(tr.c, gmin, maxNR)
+	tr.res.Stats.NRIterations += iters
+	return ok
+}
+
+// accept takes the solved point as the next time point: every charge
+// history advances to it and it is recorded.
+func (tr *transient) accept() {
+	for _, e := range tr.s.charges {
+		e.accept(tr.c)
+	}
+	tr.res.Stats.Steps++
+	tr.push()
+}
+
+// Transient runs a fixed-step transient analysis.
+func (s *Simulator) Transient(o Options) (*Result, error) {
+	if o.Step <= 0 || o.TStop <= 0 {
+		return nil, fmt.Errorf("spice: Step and TStop must be positive")
+	}
+	tr, err := s.start(o.IC, o.RecordNodes, o.Step)
+	if err != nil {
+		return nil, err
+	}
 	// The grid is uniform; TStop is rounded to the nearest whole step so the
 	// companion models always see a constant h.
 	steps := int(math.Round(o.TStop / o.Step))
@@ -337,19 +308,11 @@ func (s *Simulator) Transient(o Options) (*Result, error) {
 		steps = 1
 	}
 	for k := 1; k <= steps; k++ {
-		c.t = float64(k) * o.Step
-		iters, ok := s.solvePoint(c, gmin, maxNR)
-		res.Stats.NRIterations += iters
-		if !ok {
-			res.Stats.NonConverged++
+		tr.c.t = float64(k) * o.Step
+		if !tr.solve() {
+			tr.res.Stats.NonConverged++
 		}
-		for _, e := range s.elems {
-			if st, okSt := e.(stateful); okSt {
-				st.accept(c)
-			}
-		}
-		res.Stats.Steps++
-		push(c.t)
+		tr.accept()
 	}
-	return res, nil
+	return tr.res, nil
 }

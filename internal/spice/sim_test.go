@@ -29,31 +29,28 @@ func TestRCChargeMatchesAnalytic(t *testing.T) {
 		tau = R * C
 	)
 	n := rcNet(R, C, wave.Step{At: 0, Low: 0, High: 1})
-	s, err := New(n, tech, false)
+	s, err := New(n, tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{Trapezoidal, BackwardEuler} {
-		res, err := s.Transient(Options{TStop: 5 * tau, Step: tau / 200, Method: m, IC: map[string]float64{"out": 0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := res.Waveform("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tt := range []float64{0.5 * tau, tau, 2 * tau, 4 * tau} {
-			want := 1 - math.Exp(-tt/tau)
-			got := w.Eval(tt)
-			if !feq(got, want, 5e-3) {
-				t.Errorf("method %v: v(%g·tau) = %g, want %g", m, tt/tau, got, want)
-			}
+	res, err := s.Transient(Options{TStop: 5 * tau, Step: tau / 200, IC: map[string]float64{"out": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := res.Waveform("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []float64{0.5 * tau, tau, 2 * tau, 4 * tau} {
+		want := 1 - math.Exp(-tt/tau)
+		if got := w.Eval(tt); !feq(got, want, 5e-3) {
+			t.Errorf("v(%g·tau) = %g, want %g", tt/tau, got, want)
 		}
 	}
 }
 
-// Integration-order check on a smooth input: halving the step shrinks
-// trapezoidal error ~4× (second order) but backward Euler only ~2×.
+// Integration-order check on a smooth input: halving the step shrinks the
+// trapezoidal error ~4× (second order).
 func TestIntegrationOrders(t *testing.T) {
 	const (
 		R   = 1e3
@@ -67,22 +64,17 @@ func TestIntegrationOrders(t *testing.T) {
 		return k * (tt - tau + tau*math.Exp(-tt/tau))
 	}
 	n := rcNet(R, C, ramp)
-	s, _ := New(n, tech, false)
-	errAt := func(m Method, h float64) float64 {
-		res, err := s.Transient(Options{TStop: 5 * tau, Step: h, Method: m, IC: map[string]float64{"out": 0}})
+	s, _ := New(n, tech)
+	errAt := func(h float64) float64 {
+		res, err := s.Transient(Options{TStop: 5 * tau, Step: h, IC: map[string]float64{"out": 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w, _ := res.Waveform("out")
 		return math.Abs(w.Eval(5*tau) - analytic(5*tau))
 	}
-	trapRatio := errAt(Trapezoidal, tau/10) / errAt(Trapezoidal, tau/20)
-	beRatio := errAt(BackwardEuler, tau/10) / errAt(BackwardEuler, tau/20)
-	if trapRatio < 3.2 {
-		t.Errorf("trapezoidal error ratio %g, want ≈4 (second order)", trapRatio)
-	}
-	if beRatio < 1.6 || beRatio > 3 {
-		t.Errorf("backward-Euler error ratio %g, want ≈2 (first order)", beRatio)
+	if ratio := errAt(tau/10) / errAt(tau/20); ratio < 3.2 {
+		t.Errorf("trapezoidal error ratio %g, want ≈4 (second order)", ratio)
 	}
 }
 
@@ -91,7 +83,7 @@ func TestDCOpVoltageDivider(t *testing.T) {
 	n.AddVSource("v1", "a", "0", wave.DC(2))
 	n.AddResistor("r1", "a", "mid", 1e3)
 	n.AddResistor("r2", "mid", "0", 3e3)
-	s, err := New(n, tech, false)
+	s, err := New(n, tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +110,7 @@ func inverterNet(in wave.Waveform, cl float64) *circuit.Netlist {
 }
 
 func TestInverterDCTransferEndpoints(t *testing.T) {
-	s, err := New(inverterNet(wave.DC(0), 0), tech, false)
+	s, err := New(inverterNet(wave.DC(0), 0), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +121,7 @@ func TestInverterDCTransferEndpoints(t *testing.T) {
 	if op["out"] < tech.VDD-0.01 {
 		t.Errorf("input low: out = %g, want ≈ %g", op["out"], tech.VDD)
 	}
-	s2, _ := New(inverterNet(wave.DC(tech.VDD), 0), tech, false)
+	s2, _ := New(inverterNet(wave.DC(tech.VDD), 0), tech)
 	op2, err := s2.DCOp(0)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +135,7 @@ func TestInverterDCOpMidpointMonotone(t *testing.T) {
 	// Sweep the DC transfer curve: output must fall monotonically.
 	prev := math.Inf(1)
 	for vin := 0.0; vin <= 3.3001; vin += 0.3 {
-		s, _ := New(inverterNet(wave.DC(vin), 0), tech, false)
+		s, _ := New(inverterNet(wave.DC(vin), 0), tech)
 		op, err := s.DCOp(0)
 		if err != nil {
 			t.Fatalf("vin=%g: %v", vin, err)
@@ -157,11 +149,11 @@ func TestInverterDCOpMidpointMonotone(t *testing.T) {
 
 func TestInverterTransientFallingEdge(t *testing.T) {
 	in := wave.Step{At: 50e-12, Low: 0, High: tech.VDD}
-	s, err := New(inverterNet(in, 20e-15), tech, false)
+	s, err := New(inverterNet(in, 20e-15), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Transient(Options{TStop: 2e-9, Step: 1e-12, Method: Trapezoidal})
+	res, err := s.Transient(Options{TStop: 2e-9, Step: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +180,8 @@ func TestInverterTransientFallingEdge(t *testing.T) {
 func TestInverterDelayGrowsWithLoad(t *testing.T) {
 	delay := func(cl float64) float64 {
 		in := wave.Step{At: 10e-12, Low: 0, High: tech.VDD}
-		s, _ := New(inverterNet(in, cl), tech, false)
-		res, err := s.Transient(Options{TStop: 4e-9, Step: 2e-12, Method: Trapezoidal})
+		s, _ := New(inverterNet(in, cl), tech)
+		res, err := s.Transient(Options{TStop: 4e-9, Step: 2e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +203,7 @@ func TestTransientICMode(t *testing.T) {
 	n := &circuit.Netlist{}
 	n.AddResistor("r1", "x", "0", 1e3)
 	n.AddCapacitor("c1", "x", "0", 1e-12)
-	s, err := New(n, tech, false)
+	s, err := New(n, tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +219,7 @@ func TestTransientICMode(t *testing.T) {
 }
 
 func TestTransientValidation(t *testing.T) {
-	s, _ := New(rcNet(1e3, 1e-12, wave.DC(1)), tech, false)
+	s, _ := New(rcNet(1e3, 1e-12, wave.DC(1)), tech)
 	if _, err := s.Transient(Options{TStop: 0, Step: 1e-12}); err == nil {
 		t.Error("TStop=0 accepted")
 	}
@@ -241,7 +233,7 @@ func TestTransientValidation(t *testing.T) {
 
 func TestRecordNodesSubset(t *testing.T) {
 	n := rcNet(1e3, 1e-12, wave.Step{At: 0, Low: 0, High: 1})
-	s, _ := New(n, tech, false)
+	s, _ := New(n, tech)
 	res, err := s.Transient(Options{TStop: 1e-10, Step: 1e-12, RecordNodes: []string{"out"}, IC: map[string]float64{"out": 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -257,22 +249,22 @@ func TestRecordNodesSubset(t *testing.T) {
 func TestNewRejectsInvalidNetlist(t *testing.T) {
 	n := &circuit.Netlist{}
 	n.AddResistor("r", "a", "b", -1)
-	if _, err := New(n, tech, false); err == nil {
+	if _, err := New(n, tech); err == nil {
 		t.Error("invalid netlist accepted")
 	}
 }
 
 func TestAdaptiveTransientMatchesFixed(t *testing.T) {
 	in := wave.Step{At: 20e-12, Low: 0, High: tech.VDD}
-	s, err := New(inverterNet(in, 20e-15), tech, false)
+	s, err := New(inverterNet(in, 20e-15), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := s.Transient(Options{TStop: 2e-9, Step: 1e-12, Method: Trapezoidal})
+	fixed, err := s.Transient(Options{TStop: 2e-9, Step: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := New(inverterNet(in, 20e-15), tech, false)
+	s2, _ := New(inverterNet(in, 20e-15), tech)
 	adaptive, err := s2.TransientAdaptive(AdaptiveOptions{TStop: 2e-9, LTETol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +295,7 @@ func TestAdaptiveRCAnalytic(t *testing.T) {
 		tau = R * C
 	)
 	n := rcNet(R, C, wave.Step{At: 0, Low: 0, High: 1})
-	s, _ := New(n, tech, false)
+	s, _ := New(n, tech)
 	res, err := s.TransientAdaptive(AdaptiveOptions{
 		TStop: 5 * tau, LTETol: 2e-4, IC: map[string]float64{"out": 0},
 	})
@@ -319,66 +311,5 @@ func TestAdaptiveRCAnalytic(t *testing.T) {
 	}
 	if _, err := s.TransientAdaptive(AdaptiveOptions{TStop: 0}); err == nil {
 		t.Error("TStop=0 accepted")
-	}
-}
-
-// Physics check on the full simulator: charging the output of an inverter
-// draws ≈ C_total·VDD² from the supply (half dissipated in the PMOS, half
-// stored), and the stored half is C_total·VDD²/2.
-func TestSupplyEnergyOfRisingTransition(t *testing.T) {
-	const cl = 30e-15
-	in := wave.Step{At: 10e-12, Low: tech.VDD, High: 0} // input falls -> output rises
-	n := inverterNet(in, cl)
-	s, err := New(n, tech, true) // no parasitics: C_total is exactly cl
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Transient(Options{
-		TStop: 3e-9, Step: 1e-12, Method: Trapezoidal,
-		IC: map[string]float64{"out": 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := res.SupplyEnergy("vdd", tech.VDD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cl * tech.VDD * tech.VDD
-	if math.Abs(e-want) > 0.08*want {
-		t.Errorf("supply energy %g J, want ≈ C·VDD² = %g J", e, want)
-	}
-	// The output indeed rose to VDD.
-	w, _ := res.Waveform("out")
-	if w.Eval(3e-9) < 0.95*tech.VDD {
-		t.Fatalf("output did not charge: %g", w.Eval(3e-9))
-	}
-	if _, err := res.SourceCurrent("vdd"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.SupplyEnergy("nope", 1); err == nil {
-		t.Error("unknown source accepted")
-	}
-}
-
-// A falling output transition draws (almost) nothing from the supply — the
-// load discharges to ground.
-func TestSupplyEnergyOfFallingTransition(t *testing.T) {
-	const cl = 30e-15
-	in := wave.Step{At: 10e-12, Low: 0, High: tech.VDD}
-	s, err := New(inverterNet(in, cl), tech, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Transient(Options{TStop: 3e-9, Step: 1e-12, Method: Trapezoidal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := res.SupplyEnergy("vdd", tech.VDD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref := cl * tech.VDD * tech.VDD; math.Abs(e) > 0.1*ref {
-		t.Errorf("falling transition drew %g J from the supply (C·VDD² = %g)", e, ref)
 	}
 }

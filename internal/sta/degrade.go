@@ -410,20 +410,26 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		}
 	}
 
-	sim, err := spice.New(n, a.tech, false)
+	sim, err := spice.New(n, a.tech)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: spice tier: %w", err)
 	}
-	// Span: generous for the ps–ns stage delays this engine targets, plus
-	// the full input ramp; HMax keeps coarse late-tail steps from blurring
-	// the measured edge. HMax grows with the span past 5 ns, so the step
-	// count stays near 1000 whatever the input slew: a microsecond ramp
-	// from a pathologically slow upstream stage otherwise took a million
-	// 5 ps steps (the LTE control still shortens steps around the edge).
-	// The Newton budget bounds what is left — absurd device geometry whose
-	// steps keep failing — and escalates it to the bound tier; healthy
-	// stages use under a thousand iterations.
-	tstop := 1.25*inSlew + 2e-9
+	// Span: the full input ramp plus the stage's RC bound, at least 2 ns, so
+	// the 50 % crossing of a slow stage (a heavy load on a weak driver)
+	// falls inside it; the bound is iteration-free and never optimistic.
+	// HMax keeps coarse late-tail steps from blurring the measured edge. It
+	// grows with the span past 5 ns, so the step count stays near 1000
+	// whatever the span: a microsecond ramp from a pathologically slow
+	// upstream stage otherwise took a million 5 ps steps (the LTE control
+	// still shortens steps around the edge). The Newton budget bounds what
+	// is left — absurd device geometry whose steps keep failing — and
+	// escalates it to the bound tier; healthy stages use under a thousand
+	// iterations. A path the bound cannot size keeps the 2 ns span.
+	span := 2e-9
+	if b, err := a.pathBound(st, path, out, loads); err == nil {
+		span = max(span, b)
+	}
+	tstop := 1.25*inSlew + span
 	res, err := sim.TransientAdaptive(spice.AdaptiveOptions{
 		TStop:       tstop,
 		HMax:        max(5e-12, tstop/1000),
@@ -457,10 +463,14 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 // guard-banded, at least 1 ps) delay — a transition cannot meaningfully
 // outlast the RC bound that produced it.
 func (a *Analyzer) evalBoundPath(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, inSlew float64) (dirResult, error) {
-	w := &stages.Workload{Stage: st, Path: path, Output: out, Loads: loads}
-	d, err := switchlevel.PathBound(w, a.tech)
+	d, err := a.pathBound(st, path, out, loads)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: bound tier: %w", err)
 	}
 	return dirResult{delay: d, slew: conservativeSlew(inSlew, d), slewFellBack: true}, nil
+}
+
+// pathBound is the switch-level RC bound on the path's 50 % delay.
+func (a *Analyzer) pathBound(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64) (float64, error) {
+	return switchlevel.PathBound(&stages.Workload{Stage: st, Path: path, Output: out, Loads: loads}, a.tech)
 }

@@ -215,6 +215,52 @@ func TestSpiceGuardNeverEarlier(t *testing.T) {
 	}
 }
 
+// TestSpiceTierAnswersSlowStage: a small inverter driving 5 pF switches in
+// about 10 ns, long after a fixed 2 ns window past the input ramp closes.
+// With QWM forced to fail, the spice tier must still see the 50 % crossings
+// (its window follows the RC bound) and answer both directions, at or above
+// the clean QWM arrivals and below the rc-bound ones.
+func TestSpiceTierAnswersSlowStage(t *testing.T) {
+	const load, inSlew = 5e-12, 100e-12
+	nl := &circuit.Netlist{}
+	nl.AddTransistor(&circuit.Transistor{Name: "mn", Kind: circuit.KindNMOS, Drain: "out", Gate: "in", Source: "0", Body: "0", W: 1e-6, L: 0.35e-6})
+	nl.AddTransistor(&circuit.Transistor{Name: "mp", Kind: circuit.KindPMOS, Drain: "out", Gate: "in", Source: "vdd", Body: "vdd", W: 2e-6, L: 0.35e-6})
+	nl.AddCapacitor("cl", "out", "0", load)
+	primary := map[string]Arrival{"in": {RiseSlew: inSlew, FallSlew: inSlew}}
+	outs := []string{"out"}
+	clean := analyzeOnce(t, New(tech, lib), nl, primary, outs)
+	inj := faultinject.New(1).Enable(faultinject.NRDivergence, 1)
+	got := analyzeOnce(t, New(tech, lib, Config{Workers: 1, FaultPlan: inj}), nl, primary, outs)
+	if got.TierCounts[TierSpice] != 2 {
+		t.Fatalf("tiers %v, want both directions at spice", got.TierCounts)
+	}
+	requireConservative(t, clean, got, "slow stage")
+
+	// The rc-bound answers, as the ladder's last tier would give them.
+	a := New(tech, lib)
+	st := circuit.ExtractStages(nl, outs)[0]
+	bound := map[string]float64{}
+	for _, rail := range []string{circuit.GroundNode, circuit.SupplyNode} {
+		path, err := circuit.LongestPath(st, "out", rail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dt dirTiming
+		r, err := a.runTier(TierBound, st, "out", rail, path, map[string]float64{"out": load}, inSlew, "", &dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound[rail] = r.delay
+	}
+	o := got.Arrivals["out"]
+	t.Logf("rise %.4g s (clean %.4g, bound %.4g), fall %.4g s (clean %.4g, bound %.4g)",
+		o.Rise, clean.Arrivals["out"].Rise, bound[circuit.SupplyNode], o.Fall, clean.Arrivals["out"].Fall, bound[circuit.GroundNode])
+	if o.Rise >= bound[circuit.SupplyNode] || o.Fall >= bound[circuit.GroundNode] {
+		t.Errorf("spice-tier arrivals (r %g, f %g) not below the rc bound (r %g, f %g)",
+			o.Rise, o.Fall, bound[circuit.SupplyNode], bound[circuit.GroundNode])
+	}
+}
+
 // TestLadderBudgetDegradesNeverFails: a starvation-level NR budget aborts
 // the QWM tiers but must degrade, not fail — every direction resolves below
 // TierQWM and stays conservative.

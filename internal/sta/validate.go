@@ -9,10 +9,11 @@ import (
 )
 
 // MaxInputSlew is the largest primary-input transition time (10–90 %, in
-// seconds) an analysis accepts. The spice rescue tier simulates for
-// 1.25·slew + 2 ns at a 5 ps step, so its cost grows linearly with the slew;
-// a microsecond-scale edge already takes tens of seconds, and an unbounded
-// one pins a worker indefinitely. 100 ns is far slower than any on-chip edge.
+// seconds) an analysis accepts. 100 ns is far slower than any on-chip edge,
+// so a slower one is a malformed request rather than a transition to time.
+// It does not bound the spice rescue tier's cost: that tier's window grows
+// with the slew, but its step bound grows with the window, so it takes
+// about a thousand steps at any slew.
 const MaxInputSlew = 100e-9
 
 // Device geometry bounds. Channels outside them are far from any process the

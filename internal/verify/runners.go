@@ -58,7 +58,7 @@ func RunStageDiff(h *bench.Harness, c *StageCase, tolPct float64) StageDiff {
 // points (see DESIGN.md), which keeps a 200-case sweep tractable; HMax is
 // clamped so coarse late-tail steps cannot blur the measured edge.
 func runSpiceRef(h *bench.Harness, w *stages.Workload) (*bench.EngineRun, error) {
-	s, err := spice.New(w.Netlist, h.Tech, false)
+	s, err := spice.New(w.Netlist, h.Tech)
 	if err != nil {
 		return nil, err
 	}
