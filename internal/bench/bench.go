@@ -95,11 +95,7 @@ func (h *Harness) RunSpice(w *stages.Workload, step float64) (*EngineRun, error)
 	if err != nil {
 		return nil, err
 	}
-	opts := spice.Options{
-		TStop: w.TStop, Step: step,
-		IC:          w.IC,
-		RecordNodes: []string{w.Output},
-	}
+	opts := spice.Options{TStop: w.TStop, Step: step, IC: w.IC, RecordNodes: []string{w.Output}}
 	start := time.Now()
 	res, err := s.Transient(opts)
 	elapsed := time.Since(start)
