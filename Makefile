@@ -28,7 +28,6 @@
 # `perfbench/steady.py --compare`).
 
 GO ?= go
-GOFMT ?= gofmt
 
 .PHONY: ci fmt-check vet build bench-build test race race-obs trace-smoke trace-smoke-distributed leak-check fuzz-smoke service-smoke bench bench-full verify verify-full remote-smoke check-run-names loc
 
@@ -37,7 +36,7 @@ ci: fmt-check vet build check-run-names bench-build race-obs race trace-smoke tr
 # vet accepts unformatted code; this gate does not. It only reads: gofmt -l
 # lists the tracked Go files (perfbench's included) whose formatting differs.
 fmt-check:
-	@files="$$($(GOFMT) -l $$(git ls-files '*.go'))"; \
+	@files="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	test -z "$$files" || { echo "fmt-check: gofmt would reformat:"; echo "$$files"; exit 1; }
 
 vet:

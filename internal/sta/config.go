@@ -72,7 +72,7 @@ type Config struct {
 // (chaos runs use dedicated analyzers that are never pooled), and Tiers
 // (a cache tier stores results, it does not define them).
 func (c Config) Signature() string {
-	return fmt.Sprintf("qwm8|red:%s|nr:%d|wallns:%d",
+	return fmt.Sprintf("qwm9|red:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
 

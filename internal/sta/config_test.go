@@ -41,13 +41,15 @@ func TestConfigSignature(t *testing.T) {
 // keys, qwm6 adds each device's junction geometry to the digest, qwm7 keys
 // load caps by their exact bits instead of 6-digit text, and qwm8 gives the
 // spice and rc-bound tiers each device's own junctions and drops the
-// qwm-bisect tier (renumbering the persisted tiers).
+// qwm-bisect tier (renumbering the persisted tiers), and qwm9 widens the
+// spice tier's window to the rc bound, so a stage slower than 2 ns answers
+// at spice instead of rc-bound.
 func TestConfigSignatureEngineTag(t *testing.T) {
-	if got, want := (Config{}).Signature(), "qwm8|red:|nr:0|wallns:0"; got != want {
+	if got, want := (Config{}).Signature(), "qwm9|red:|nr:0|wallns:0"; got != want {
 		t.Errorf("Config{}.Signature() = %q, want %q", got, want)
 	}
-	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm8|") {
-		t.Errorf("signature %q lacks the qwm8 engine tag", sig)
+	if sig := (Config{Budget: EvalBudget{NRIters: 100}}).Signature(); !strings.HasPrefix(sig, "qwm9|") {
+		t.Errorf("signature %q lacks the qwm9 engine tag", sig)
 	}
 }
 
