@@ -106,8 +106,10 @@ leak-check:
 # record codecs,
 # the remote tier endpoint (any method, path and batch body), the v1 front
 # door (any body of at most 4 KiB through POST /analyze: no panic, no 5xx,
-# always a v1 envelope) and the delay-cache
-# key derivation (equal keys exactly when the stage content is equal) —
+# always a v1 envelope), the delay-cache
+# key derivation (equal keys exactly when the stage content is equal) and the
+# worst-path search over client node names (against the path enumeration it
+# replaced) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
 # target.
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTierServe$$' -fuzztime 10s ./internal/sta/remotecache/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeBody$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/sta/
+	$(GO) test -run '^$$' -fuzz '^FuzzLongestPath$$' -fuzztime 10s ./internal/circuit/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope bit-identical to an in-process run of the same

@@ -156,7 +156,7 @@ func TestEnumerateAndLongestPath(t *testing.T) {
 	stages := ExtractStages(nand2(), []string{"out"})
 	s := stages[0]
 
-	down := EnumeratePaths(s, "out", GroundNode)
+	down := EnumeratePathsRef(s, "out", GroundNode)
 	if len(down) != 1 {
 		t.Fatalf("pull-down paths = %d, want 1", len(down))
 	}
@@ -169,7 +169,7 @@ func TestEnumerateAndLongestPath(t *testing.T) {
 		t.Errorf("path orientation wrong: %+v", p.Elems)
 	}
 
-	up := EnumeratePaths(s, "out", SupplyNode)
+	up := EnumeratePathsRef(s, "out", SupplyNode)
 	if len(up) != 2 {
 		t.Fatalf("pull-up paths = %d, want 2 (parallel PMOS)", len(up))
 	}
@@ -181,10 +181,16 @@ func TestEnumerateAndLongestPath(t *testing.T) {
 	if lp.Transistors() != 2 {
 		t.Errorf("longest path K = %d", lp.Transistors())
 	}
-	if _, err := LongestPath(s, "n1", "vdd"); err == nil {
-		// n1 connects to vdd only through out; that path exists, so no error
-		// expected — sanity only.
-		_ = err
+	// n1 reaches vdd only through out, over either parallel PMOS; the two
+	// paths tie on every count and key, so the first in edge order wins.
+	lp, err = LongestPath(s, "n1", "vdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lp.Elems) != 2 ||
+		lp.Elems[0].Edge.Ref.Name != "mp1" || lp.Elems[0].Lower != "vdd" || lp.Elems[0].Upper != "out" ||
+		lp.Elems[1].Edge.Ref.Name != "mn2" || lp.Elems[1].Lower != "out" || lp.Elems[1].Upper != "n1" {
+		t.Errorf("n1 to vdd: %+v, want mp1 (vdd to out) then mn2 (out to n1)", lp.Elems)
 	}
 	if _, err := LongestPath(s, "nonexistent", GroundNode); err == nil {
 		t.Error("expected error for unknown output node")

@@ -1,6 +1,9 @@
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PathElem is one element of a series charge/discharge path, oriented so
 // Lower is the terminal closer to the rail.
@@ -42,93 +45,163 @@ func (p *Path) InternalNodes() []string {
 	return out
 }
 
-// EnumeratePaths returns every simple path through the stage from the given
-// output node to the given rail ("0" or "vdd"). Stages are small, so plain
-// DFS enumeration is fine.
-func EnumeratePaths(st *Stage, output, rail string) []*Path {
-	output = CanonName(output)
-	rail = CanonName(rail)
-	adj := map[string][]*StageEdge{}
-	for _, e := range st.Edges {
-		adj[e.Src] = append(adj[e.Src], e)
-		adj[e.Snk] = append(adj[e.Snk], e)
-	}
-	var paths []*Path
-	visited := map[string]bool{output: true}
-	var stack []PathElem
-	var dfs func(node string)
-	dfs = func(node string) {
-		if node == rail {
-			// stack runs output→rail; reverse into rail→output order.
-			elems := make([]PathElem, len(stack))
-			for i, pe := range stack {
-				elems[len(stack)-1-i] = pe
-			}
-			paths = append(paths, &Path{Rail: rail, Output: output, Elems: elems})
-			return
-		}
-		for _, e := range adj[node] {
-			next := e.Src
-			if next == node {
-				next = e.Snk
-			}
-			if next == node { // self loop, should not happen
-				continue
-			}
-			// Do not pass through the other rail.
-			if other := otherRail(rail); next == other {
-				continue
-			}
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			// Upper is the side away from the rail: while descending from the
-			// output, the current node is Upper.
-			stack = append(stack, PathElem{Edge: e, Lower: next, Upper: node})
-			dfs(next)
-			stack = stack[:len(stack)-1]
-			visited[next] = false
-		}
-	}
-	dfs(output)
-	return paths
-}
-
-func otherRail(rail string) string {
-	if rail == GroundNode {
-		return SupplyNode
-	}
-	return GroundNode
-}
-
 // LongestPath returns the path with the most series transistors — the static
 // timing analysis worst case the paper analyzes. Ties break toward more
-// total elements, then lexicographically by the first differing lower node
-// for determinism.
+// total elements, then toward the smaller key — the lower node names from
+// the rail up, each followed by "/", compared as bytes — and then toward the
+// path the search meets first. Paths never pass through the other rail.
+//
+// One depth-first search from the output meets every simple path to the
+// rail, taking each node's edges in stage-edge order, and keeps the best it
+// has seen as edge indices in pooled buffers; only the returned Path is
+// allocated.
 func LongestPath(st *Stage, output, rail string) (*Path, error) {
-	paths := EnumeratePaths(st, output, rail)
-	if len(paths) == 0 {
+	output = CanonName(output)
+	rail = CanonName(rail)
+	if output == rail {
+		return &Path{Rail: rail, Output: output, Elems: []PathElem{}}, nil
+	}
+	bufs := stepPool.Get().(*stepBufs)
+	defer stepPool.Put(bufs)
+	s := pathSearch{st: st, output: output, rail: rail, other: GroundNode, stepBufs: bufs}
+	if rail == GroundNode {
+		s.other = SupplyNode
+	}
+	s.stack, s.best = s.stack[:0], s.best[:0]
+	s.visit(output, 0)
+	if !s.found {
 		return nil, fmt.Errorf("circuit: no path from %q to rail %q in stage %s", output, rail, st.Name)
 	}
-	best := paths[0]
-	for _, p := range paths[1:] {
-		switch {
-		case p.Transistors() > best.Transistors():
-			best = p
-		case p.Transistors() == best.Transistors() && len(p.Elems) > len(best.Elems):
-			best = p
-		case p.Transistors() == best.Transistors() && len(p.Elems) == len(best.Elems) && pathKey(p) < pathKey(best):
-			best = p
+	elems := make([]PathElem, len(s.best))
+	for d, p := range s.best {
+		e := st.Edges[p.edge]
+		pe := PathElem{Edge: e, Lower: e.Src, Upper: e.Snk}
+		if p.snkLower {
+			pe.Lower, pe.Upper = e.Snk, e.Src
 		}
+		elems[len(elems)-1-d] = pe
 	}
-	return best, nil
+	return &Path{Rail: rail, Output: output, Elems: elems}, nil
 }
 
-func pathKey(p *Path) string {
-	s := ""
-	for _, e := range p.Elems {
-		s += e.Lower + "/"
+// step is one path element: a stage edge and which of its ends is nearer
+// the rail.
+type step struct {
+	edge     int32
+	snkLower bool
+}
+
+// stepBufs holds the current and the best path, output end first. Pooled
+// idle, it holds only integers and flags, so it pins no stage or name.
+type stepBufs struct{ stack, best []step }
+
+var stepPool = sync.Pool{New: func() any { return new(stepBufs) }}
+
+// pathSearch is one LongestPath search.
+type pathSearch struct {
+	st                  *Stage
+	output, rail, other string
+	*stepBufs
+	bestK int // the best path's transistor count
+	found bool
+}
+
+// lower returns p's end nearer the rail.
+func (s *pathSearch) lower(p step) string {
+	e := s.st.Edges[p.edge]
+	if p.snkLower {
+		return e.Snk
 	}
-	return s
+	return e.Src
+}
+
+// visit extends the current path, which ends at node after k transistors,
+// by every edge of node in stage-edge order, and offers each path that
+// reaches the rail.
+func (s *pathSearch) visit(node string, k int) {
+	if node == s.rail {
+		s.offer(k)
+		return
+	}
+	for i, e := range s.st.Edges {
+		next, snkLower := e.Snk, true
+		switch {
+		case e.Src == node:
+		case e.Snk == node:
+			next, snkLower = e.Src, false
+		default:
+			continue
+		}
+		if next == node || next == s.other || s.onPath(next) {
+			continue
+		}
+		dk := 0
+		if e.Kind == KindNMOS || e.Kind == KindPMOS {
+			dk = 1
+		}
+		s.stack = append(s.stack, step{edge: int32(i), snkLower: snkLower})
+		s.visit(next, k+dk)
+		s.stack = s.stack[:len(s.stack)-1]
+	}
+}
+
+// onPath reports whether node is on the current path.
+func (s *pathSearch) onPath(node string) bool {
+	if node == s.output {
+		return true
+	}
+	for _, p := range s.stack {
+		if s.lower(p) == node {
+			return true
+		}
+	}
+	return false
+}
+
+// offer keeps the current path, which has k transistors, if it beats the
+// best so far.
+func (s *pathSearch) offer(k int) {
+	if s.found && (k < s.bestK || k == s.bestK &&
+		(len(s.stack) < len(s.best) || len(s.stack) == len(s.best) && !s.keyLess())) {
+		return
+	}
+	s.found, s.bestK = true, k
+	s.best = append(s.best[:0], s.stack...)
+}
+
+// keyLess reports whether the current path's key sorts before the best
+// path's. The keys are read byte by byte, element by element from the rail
+// end, with each name's "/" as its last byte: a name may hold bytes below
+// "/" or "/" itself, so two keys can order differently from their first
+// differing names.
+func (s *pathSearch) keyLess() bool {
+	a, b := s.stack, s.best
+	i, j := len(a)-1, len(b)-1 // the elements being read
+	p, q := 0, 0               // byte offsets into them
+	for i >= 0 && j >= 0 {
+		x, y := s.lower(a[i]), s.lower(b[j])
+		if p == 0 && q == 0 && x == y {
+			i, j = i-1, j-1
+			continue
+		}
+		cx, cy := keyByte(x, p), keyByte(y, q)
+		if cx != cy {
+			return cx < cy
+		}
+		if p++; p > len(x) {
+			i, p = i-1, 0
+		}
+		if q++; q > len(y) {
+			j, q = j-1, 0
+		}
+	}
+	return i < 0 && j >= 0
+}
+
+// keyByte returns byte p of name followed by "/".
+func keyByte(name string, p int) byte {
+	if p == len(name) {
+		return '/'
+	}
+	return name[p]
 }

@@ -48,7 +48,16 @@ func Build(bi BuildInput) (*Chain, error) {
 		return nil, err
 	}
 	vdd := bi.Tech.VDD
-	ch := &Chain{Pol: pol, VDD: vdd}
+	// One slab each for the elements, node capacitances, initial voltages
+	// and folded gates; a node's junctions share a slab of two slots, one per
+	// polarity's parameters, the most addJunction ever folds them into.
+	m := len(bi.Path.Elems)
+	elems := make([]Elem, m)
+	ch := &Chain{Pol: pol, VDD: vdd, Elems: make([]*Elem, m), Caps: make([]NodeCap, m), V0: make([]float64, m)}
+	var folds []FoldWave
+	if pol == mos.PMOS {
+		folds = make([]FoldWave, m)
+	}
 
 	model := func(l float64) (devmodel.IVModel, error) {
 		p := &bi.Tech.N
@@ -61,13 +70,14 @@ func Build(bi BuildInput) (*Chain, error) {
 		return bi.Lib.Table(pol, l)
 	}
 
-	for _, pe := range bi.Path.Elems {
+	for i, pe := range bi.Path.Elems {
+		ch.Elems[i] = &elems[i]
 		edge := pe.Edge
 		if edge.Kind == circuit.KindWire {
-			ch.Elems = append(ch.Elems, &Elem{R: edge.R, Name: "wire"})
+			elems[i] = Elem{R: edge.R}
 			continue
 		}
-		m, err := model(edge.L)
+		mdl, err := model(edge.L)
 		if err != nil {
 			return nil, err
 		}
@@ -76,12 +86,10 @@ func Build(bi BuildInput) (*Chain, error) {
 			return nil, fmt.Errorf("qwm: no input waveform for gate net %q", edge.Gate)
 		}
 		if pol == mos.PMOS {
-			g = FoldWave{W: g, VDD: vdd}
+			folds[i] = FoldWave{W: g, VDD: vdd}
+			g = &folds[i]
 		}
-		ch.Elems = append(ch.Elems, &Elem{
-			Model: m, W: edge.W, Gate: g,
-			Name: fmt.Sprintf("%s[%s]", edge.Kind, edge.Gate),
-		})
+		elems[i] = Elem{Model: mdl, W: edge.W, Gate: g}
 	}
 
 	// In table mode junction C and Q come from the library as well, when it
@@ -98,16 +106,19 @@ func Build(bi BuildInput) (*Chain, error) {
 	// Per-node capacitance: every device terminal on the node, on-path and
 	// off-path alike, contributes its junction (voltage dependent) and its
 	// fixed overlap and channel share. Explicit loads are added as fixed.
+	// Node k (1-based) is Elems[k-1].Upper.
+	junctions := make([]JunctionAt, 2*m)
 	var buf [8]circuit.Terminal // a node rarely has more; they spill to the heap
 	terms := buf[:0]
-	for _, name := range bi.Path.InternalNodes() {
-		nc := NodeCap{Fixed: bi.Loads[name]}
+	for i, pe := range bi.Path.Elems {
+		name := pe.Upper
+		nc := &ch.Caps[i]
+		*nc = NodeCap{Fixed: bi.Loads[name], Junctions: junctions[2*i : 2*i : 2*i+2]}
 		terms = bi.Stage.AppendTerminals(terms[:0], bi.Tech, name)
 		for _, t := range terms {
 			nc.addJunction(t.P, t.Junc, jtab[t.P.Pol])
 			nc.Fixed += t.Fixed
 		}
-		ch.Caps = append(ch.Caps, nc)
 
 		v0 := vdd // folded precharge default
 		if uv, ok := bi.V0[name]; ok {
@@ -117,7 +128,7 @@ func Build(bi BuildInput) (*Chain, error) {
 				v0 = uv
 			}
 		}
-		ch.V0 = append(ch.V0, v0)
+		ch.V0[i] = v0
 	}
 	return ch, ch.Validate()
 }

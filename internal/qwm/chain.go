@@ -31,7 +31,6 @@ type Elem struct {
 	W     float64          // transistor width (m)
 	R     float64          // wire resistance (Ω) when Model == nil
 	Gate  wave.Waveform    // folded gate waveform (transistors only)
-	Name  string           // diagnostic label
 }
 
 // IsWire reports whether the element is a resistive wire segment.

@@ -280,7 +280,7 @@ func TestEvaluateChainWithWire(t *testing.T) {
 
 	wired := &Chain{
 		Pol: mos.NMOS, VDD: tech.VDD,
-		Elems: []*Elem{mk(step), {R: 2e3, Name: "w"}, mk(hi)},
+		Elems: []*Elem{mk(step), {R: 2e3}, mk(hi)},
 		Caps:  []NodeCap{{Fixed: 5e-15}, {Fixed: 2e-15}, {Fixed: 10e-15}},
 		V0:    []float64{tech.VDD, tech.VDD, tech.VDD},
 	}

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"slices"
+	"sync"
 
 	"qwm/internal/circuit"
 	"qwm/internal/slab"
@@ -12,10 +13,12 @@ import (
 // apply machinery needs, so a warm Analyze (all cache hits) allocates almost
 // nothing. The arena is strictly request-scoped — acquired at the top of
 // AnalyzeContext, released (cleared of per-request pointers) when it returns
-// — and pooled on the Analyzer, so concurrent Analyzes each get their own and
-// steady-state reuse is allocation-free. Nothing reachable from a Result may
-// point into the arena: Result.Arrivals, CriticalPath and the diagnostics
-// maps are always freshly allocated.
+// — and pooled once per process, so concurrent Analyzes each get their own,
+// steady-state reuse is allocation-free, and a fresh Analyzer starts from an
+// arena an earlier one grew. The arena therefore holds no analyzer state:
+// its technology, library, Config and cache are passed in, never kept.
+// Nothing reachable from a Result may point into the arena: Result.Arrivals,
+// CriticalPath and the diagnostics maps are always freshly allocated.
 //
 // The arena also holds the request's node table and its stages (ex: the
 // extraction's slabs). Those stages are valid only until AnalyzeContext
@@ -84,8 +87,11 @@ type analyzeScratch struct {
 	nodeBuf []string
 }
 
-func (a *Analyzer) getScratch() *analyzeScratch {
-	if s, ok := a.scratch.Get().(*analyzeScratch); ok && s != nil {
+// scratchPool holds the idle arenas of every Analyzer in the process.
+var scratchPool sync.Pool
+
+func getScratch() *analyzeScratch {
+	if s, ok := scratchPool.Get().(*analyzeScratch); ok && s != nil {
 		return s
 	}
 	return newScratch()
@@ -104,8 +110,8 @@ func newScratch() *analyzeScratch {
 }
 
 // putScratch clears every per-request pointer before pooling, so an idle
-// Analyzer never pins a finished request's netlist, stages or results.
-func (a *Analyzer) putScratch(s *analyzeScratch) {
+// arena never pins a finished request's netlist, stages or results.
+func putScratch(s *analyzeScratch) {
 	s.ex.Reset()
 	clear(s.devNames)
 	clear(s.producer)
@@ -132,7 +138,7 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	s.ins = s.ins[:0]
 	clear(s.nodeBuf)
 	s.nodeBuf = s.nodeBuf[:0]
-	a.scratch.Put(s)
+	scratchPool.Put(s)
 }
 
 // loadMap hands out a cleared pooled load map. resetLoadMaps begins reuse

@@ -40,7 +40,7 @@ func TestIdleArenaPinsNothing(t *testing.T) {
 		if _, err := a.AnalyzeContext(nil, Request{Netlist: deck.Netlist, Primary: primary, Outputs: outs}); err != nil {
 			t.Fatal(err)
 		}
-		s := a.getScratch()
+		s := getScratch()
 		if cap(s.ex.Nodes.Names) == 0 {
 			continue // the pool dropped the arena (the race detector does so at random)
 		}

@@ -54,6 +54,9 @@ const cacheShards = 32
 // as the serial one. Publishing moves the value into the shard's slab of
 // packed timings and drops the flight, so a finished entry holds no pointer
 // and no wait group: its whole cost is one index slot and one slab slot.
+//
+// The zero value is ready to use: a shard makes its maps on its first write
+// (a read of a nil map misses), so a fresh Analyzer builds none up front.
 type delayCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -150,15 +153,6 @@ func (sh *cacheShard) unpack(i int32) dirTiming {
 	return t
 }
 
-func newDelayCache() *delayCache {
-	c := &delayCache{}
-	for i := range c.shards {
-		c.shards[i].index = map[Key]int32{}
-		c.shards[i].flight = map[Key]*flight{}
-	}
-	return c
-}
-
 func (c *delayCache) shard(key *Key) *cacheShard { return &c.shards[key[0]%cacheShards] }
 
 // lookupLocked reads key's state under sh.mu (held in either mode).
@@ -194,6 +188,9 @@ func (c *delayCache) acquire(key *Key) (t dirTiming, f *flight, leader bool) {
 	if leader = !done && f == nil; leader {
 		f = &flight{}
 		f.ready.Add(1)
+		if sh.flight == nil {
+			sh.flight = map[Key]*flight{}
+		}
 		sh.flight[*key] = f
 	}
 	sh.mu.Unlock()
@@ -206,6 +203,9 @@ func (c *delayCache) publish(key *Key, f *flight, t dirTiming) {
 	f.val = t
 	sh := c.shard(key)
 	sh.mu.Lock()
+	if sh.index == nil {
+		sh.index = map[Key]int32{}
+	}
 	sh.index[*key] = int32(len(sh.done))
 	sh.done = append(sh.done, sh.pack(&t))
 	delete(sh.flight, *key)

@@ -48,7 +48,7 @@ func TestPackedTimingRoundTrip(t *testing.T) {
 		}
 	}
 
-	c := newDelayCache()
+	c := &delayCache{}
 	for i, want := range []dirTiming{
 		{delay: 1.25e-10, slew: 3.5e-11, ok: true, stats: qwm.Stats{Regions: 9, NRIters: 41, DenseFallbacks: 1, CapResolves: 3}, reduced: 2},
 		{delay: math.Nextafter(2e-10, 1), slew: 5e-12, ok: true, slewFellBack: true, tier: TierSpice, panics: 2},
@@ -83,7 +83,7 @@ func TestPackedTimingRoundTrip(t *testing.T) {
 // leaves the in-flight table.
 func TestSingleFlightConcurrent(t *testing.T) {
 	const n = 16
-	c := newDelayCache()
+	c := &delayCache{}
 	var k Key
 	want := dirTiming{delay: 7e-11, slew: 2e-11, ok: true, errMsg: "x"}
 	var (

@@ -150,3 +150,42 @@ func warmAnalyzeAllocs(t *testing.T, bits int, cl float64) float64 {
 	}
 	return least
 }
+
+// TestColdAnalyzeAllocBudget is the cold-path gate: a fresh analyzer's
+// Analyze of the 3-bit decoder (38 evaluations, Workers = 1) must stay
+// within 1050 allocations. With an arena pool per analyzer, a worst-path
+// search that enumerated every path over string-keyed maps and a chain
+// build that formatted a label per element, it made 1910; with one arena
+// pool per process, one DFS over edge indices and slab-built chains it
+// makes about 1000. The count is the least of several runs, the one with
+// the arena, path-search and solver pools warmest.
+//
+// Under the race detector sync.Pool drops a quarter of its puts, and a cold
+// Analyze makes about 150 of them, so no run sees the pools warm: the least
+// of five runs is about 1400 there, where the old engine made about 2350.
+// The race build holds the looser budget of 1800.
+func TestColdAnalyzeAllocBudget(t *testing.T) {
+	nl, primary, outs := decoderFixture(t)
+	req := Request{Netlist: nl, Primary: primary, Outputs: outs}
+	run := func() {
+		res, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StagesEvaluated == 0 {
+			t.Fatal("a fresh analyzer evaluated nothing")
+		}
+	}
+	run() // characterizes the library's tables for the decoder's lengths
+	least := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		least = math.Min(least, testing.AllocsPerRun(1, run))
+	}
+	budget := 1050.0
+	if race.Enabled {
+		budget = 1800
+	}
+	if least > budget {
+		t.Fatalf("cold Analyze allocates %.0f/op, budget %.0f", least, budget)
+	}
+}

@@ -383,7 +383,7 @@ func TestCacheKeyMatchesTextOracle(t *testing.T) {
 		_, name, _ := strings.Cut(cfg.Signature(), "|")
 		t.Run(name, func(t *testing.T) {
 			a := New(tech, lib, cfg)
-			s := a.getScratch()
+			s := getScratch()
 			byText := map[string]Key{}
 			byKey := map[Key]string{}
 			n := 0
@@ -530,7 +530,7 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add(invAD, invAD, int8(2))
 	f.Fuzz(func(t *testing.T, x, y []byte, bucket int8) {
 		a := New(tech, lib)
-		s := a.getScratch()
+		s := getScratch()
 		stX, outX, lx := fuzzStage(x)
 		stY, outY, ly := fuzzStage(y)
 		for _, rail := range []string{circuit.GroundNode, circuit.SupplyNode} {

@@ -179,3 +179,57 @@ func TestStagesEvaluatedPerRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshAnalyzersShareArenas runs fresh analyzers on four goroutines at
+// once, alternating a 3-bit and a 4-bit decoder, so the process-wide arena
+// pool hands arenas grown by one analyzer and deck to another analyzer and
+// the other deck. Every result must equal its deck's result alone.
+func TestFreshAnalyzersShareArenas(t *testing.T) {
+	reqs := make([]Request, 2)
+	alone := make([]*Result, 2)
+	for i, bits := range []int{3, 4} {
+		nl, ins, outs, err := stages.DecoderNetlist(tech, bits, 1e-6, 10e-15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := map[string]Arrival{}
+		for _, in := range ins {
+			primary[in] = Arrival{}
+		}
+		reqs[i] = Request{Netlist: nl, Primary: primary, Outputs: outs}
+		if alone[i], err = New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines, runs = 4, 3
+	got := make([][]*Result, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*Result, runs)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range got[g] {
+				res, err := New(tech, lib, Config{Workers: 1}).AnalyzeContext(nil, reqs[(g+r)%2])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][r] = res
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for r, res := range got[g] {
+			if res == nil {
+				continue // its error is reported
+			}
+			ref := alone[(g+r)%2]
+			requireSameTiming(t, fmt.Sprintf("goroutine %d run %d", g, r), ref, res)
+			if res.StagesEvaluated != ref.StagesEvaluated {
+				t.Errorf("goroutine %d run %d: %d evaluations, alone %d", g, r, res.StagesEvaluated, ref.StagesEvaluated)
+			}
+		}
+	}
+}

@@ -65,8 +65,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, req Request) (res *Result
 	// pooled scratch, so a warm Analyze allocates almost nothing. Nothing
 	// reachable from the returned Result aliases it (see arena.go); the
 	// stages carved from it are valid only until this call returns.
-	s := a.getScratch()
-	defer a.putScratch(s)
+	s := getScratch()
+	defer putScratch(s)
 
 	// Pre-flight validation: reject malformed netlists (ErrInvalidNetlist)
 	// and out-of-range primary inputs (ErrInvalidInput) before any solver

@@ -72,9 +72,6 @@ type Analyzer struct {
 	// ms holds the Config.Metrics registry's instrument handles so the
 	// evaluation hot path never performs a name lookup; nil without Metrics.
 	ms *metricSet
-
-	// scratch pools the per-Analyze arena (see arena.go).
-	scratch sync.Pool
 }
 
 // New creates an analyzer with a fresh delay cache. An optional Config fixes
@@ -82,7 +79,7 @@ type Analyzer struct {
 // programming error and panic); the two-argument form yields the zero
 // (baseline) Config.
 func New(tech *mos.Tech, lib *devmodel.Library, cfg ...Config) *Analyzer {
-	a := &Analyzer{tech: tech, lib: lib, cache: newDelayCache()}
+	a := &Analyzer{tech: tech, lib: lib, cache: &delayCache{}}
 	switch len(cfg) {
 	case 0:
 	case 1:
