@@ -32,7 +32,7 @@ func main() {
 		out      = flag.String("out", "out", "output node to analyze")
 		rail     = flag.String("rail", "0", "rail the path discharges to (0) or charges from (vdd)")
 		engine   = flag.String("engine", "qwm", "engine: qwm | spice | sc | elmore")
-		stepStr  = flag.String("step", "1p", "integration step for spice/sc")
+		stepStr  = flag.String("step", "1p", "integration step for spice/sc (0: spice steps adaptively)")
 		printW   = flag.Bool("waveform", false, "print the output waveform samples")
 		points   = flag.Int("points", 101, "waveform sample count with -waveform (>= 2)")
 		trace    = flag.Bool("trace", false, "print one structured line per QWM region to stderr")
@@ -136,7 +136,7 @@ func run(deckPath, out, rail, engine, stepStr string, printW bool, points int, t
 		fmt.Printf("delay(50%%): %.4g s\n", d)
 		output = r.Output
 	case "elmore":
-		d, err := switchlevel.Delay(w, tech)
+		d, err := switchlevel.Delay(w.Stage, w.Path, w.Output, w.Loads, tech)
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	el, err := switchlevel.Delay(w, tech)
+	el, err := switchlevel.Delay(w.Stage, w.Path, w.Output, w.Loads, tech)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"qwm/internal/mos"
+	"qwm/internal/wave"
 )
 
 // Ground and the conventional supply node names. Node names are
@@ -90,7 +91,7 @@ type VSource struct {
 	Name string
 	A, B string
 	// Wave gives v(t); nil means DC 0.
-	Wave interface{ Eval(t float64) float64 }
+	Wave wave.Waveform
 }
 
 // Netlist is a flat transistor-level circuit.
@@ -126,7 +127,7 @@ func (n *Netlist) AddCapacitor(name, a, b string, c float64) *Capacitor {
 }
 
 // AddVSource appends a voltage source with canonical node names.
-func (n *Netlist) AddVSource(name, a, b string, w interface{ Eval(t float64) float64 }) *VSource {
+func (n *Netlist) AddVSource(name, a, b string, w wave.Waveform) *VSource {
 	v := &VSource{Name: name, A: CanonName(a), B: CanonName(b), Wave: w}
 	n.VSources = append(n.VSources, v)
 	return v

@@ -3,6 +3,8 @@ package circuit
 import (
 	"fmt"
 	"sync"
+
+	"qwm/internal/wave"
 )
 
 // PathElem is one element of a series charge/discharge path, oriented so
@@ -43,6 +45,26 @@ func (p *Path) InternalNodes() []string {
 		out[i] = e.Upper
 	}
 	return out
+}
+
+// SwitchingInput is the worst-case stimulus of a series path to rail, the
+// one every reference and every engine tier measures: the rail-side gate
+// turns on at `at` — as an ideal step when slew is zero, otherwise as a
+// ramp spanning 1.25 × the 10–90 % slew — while every other path gate is
+// held on. It returns the switching waveform, the on-level (NMOS gates
+// high, PMOS gates low), which is also the level every path node is
+// precharged (discharge) or pre-discharged (charge) to, and the reference
+// time delays are measured from: the step, or the ramp's midpoint.
+func SwitchingInput(vdd float64, rail string, at, slew float64) (sw wave.Waveform, on, ref float64) {
+	on, off := vdd, 0.0
+	if rail == SupplyNode {
+		on, off = 0, vdd // PMOS conducts with a low gate
+	}
+	if slew > 0 {
+		full := 1.25 * slew
+		return wave.Ramp{T0: at, T1: at + full, Low: off, High: on}, on, at + full/2
+	}
+	return wave.Step{At: at, Low: off, High: on}, on, at
 }
 
 // LongestPath returns the path with the most series transistors — the static

@@ -96,7 +96,7 @@ func appendParam(b []byte, prefix string, v float64) []byte {
 }
 
 // appendSource appends a source's DC or PWL specification.
-func appendSource(b []byte, w interface{ Eval(t float64) float64 }) []byte {
+func appendSource(b []byte, w wave.Waveform) []byte {
 	switch s := w.(type) {
 	case nil:
 		return append(b, "DC 0"...)

@@ -94,7 +94,8 @@ func TestFormatSourceKinds(t *testing.T) {
 // dcAt is a waveform type Format does not know: it renders as DC at t = 0.
 type dcAt struct{}
 
-func (dcAt) Eval(float64) float64 { return 1.25 }
+func (dcAt) Eval(float64) float64     { return 1.25 }
+func (dcAt) Span() (float64, float64) { return 0, 0 }
 
 // Format writes with strconv into one buffer; the bytes must stay those of
 // the fmt.Fprintf writer it replaced, pinned here for every card and source

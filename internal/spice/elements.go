@@ -3,6 +3,7 @@ package spice
 import (
 	"qwm/internal/la"
 	"qwm/internal/mos"
+	"qwm/internal/wave"
 )
 
 // ctx carries one Newton evaluation: the current iterate x, the residual f
@@ -60,7 +61,7 @@ func (r *resistorElem) stamp(c *ctx) {
 // vsrcElem is an independent voltage source with branch-current unknown br.
 type vsrcElem struct {
 	a, b, br int
-	wave     interface{ Eval(t float64) float64 }
+	wave     wave.Waveform
 }
 
 func (v *vsrcElem) value(t float64) float64 {

@@ -13,7 +13,6 @@ import (
 	"qwm/internal/qwm"
 	"qwm/internal/reduce"
 	"qwm/internal/spice"
-	"qwm/internal/stages"
 	"qwm/internal/switchlevel"
 	"qwm/internal/wave"
 )
@@ -199,25 +198,6 @@ func addStats(dst *qwm.Stats, s qwm.Stats) {
 	dst.CapResolves += s.CapResolves
 }
 
-// stimulus builds the canonical worst-case switching waveform for one
-// direction: the rail-side input switches at t = 0 — an ideal step when
-// inSlew is zero, otherwise a ramp spanning the full swing (the 10-90 %
-// slew covers 80 % of it) — and returns the waveform, the on-level for the
-// held inputs, and the input reference time delays are measured from.
-func stimulus(vdd float64, rail string, inSlew float64) (sw wave.Waveform, onLevel float64, tIn float64) {
-	onLevel, offLevel := vdd, 0.0
-	if rail == circuit.SupplyNode {
-		onLevel, offLevel = 0, vdd // PMOS conducts with a low gate
-	}
-	sw = wave.Step{At: 0, Low: offLevel, High: onLevel}
-	if inSlew > 0 {
-		full := 1.25 * inSlew
-		sw = wave.Ramp{T0: 0, T1: full, Low: offLevel, High: onLevel}
-		tIn = full / 2
-	}
-	return sw, onLevel, tIn
-}
-
 // pathInputs assigns a waveform to every gate along the path: the first
 // transistor's gate gets the switching stimulus, every other gate is held
 // at the conducting level.
@@ -312,14 +292,8 @@ func spiceRename(path *circuit.Path, loads map[string]float64) (ren map[string]s
 // in their net names evaluate bit-identically.
 func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64) (dirResult, error) {
 	vdd := a.tech.VDD
-	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)
+	sw, onLevel, tIn := circuit.SwitchingInput(vdd, rail, 0, inSlew)
 	rising := rail == circuit.SupplyNode
-	// Initial condition: the path nodes start at the opposite rail
-	// (precharged for a discharge, pre-discharged for a charge).
-	icLevel := vdd
-	if rising {
-		icLevel = 0
-	}
 
 	ren, pathNodes, offNodes := spiceRename(path, loads)
 	rout, ok := ren[out]
@@ -369,7 +343,7 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 		default:
 			return dirResult{}, fmt.Errorf("sta: spice tier: unsupported element kind %v", e.Kind)
 		}
-		ic[ren[pe.Upper]] = icLevel
+		ic[ren[pe.Upper]] = onLevel // precharged (discharge) or pre-discharged (charge)
 	}
 	// Load caps in canonical order: path nodes in path order, then off-path
 	// nodes in their value-sorted order.
@@ -426,7 +400,7 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 	// escalates it to the bound tier; healthy stages use under a thousand
 	// iterations. A path the bound cannot size keeps the 2 ns span.
 	span := 2e-9
-	if b, err := a.pathBound(st, path, out, loads); err == nil {
+	if b, err := switchlevel.PathBound(st, path, out, loads, a.tech); err == nil {
 		span = max(span, b)
 	}
 	tstop := 1.25*inSlew + span
@@ -463,14 +437,9 @@ func (a *Analyzer) evalSpicePath(st *circuit.Stage, path *circuit.Path, out, rai
 // guard-banded, at least 1 ps) delay — a transition cannot meaningfully
 // outlast the RC bound that produced it.
 func (a *Analyzer) evalBoundPath(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, inSlew float64) (dirResult, error) {
-	d, err := a.pathBound(st, path, out, loads)
+	d, err := switchlevel.PathBound(st, path, out, loads, a.tech)
 	if err != nil {
 		return dirResult{}, fmt.Errorf("sta: bound tier: %w", err)
 	}
 	return dirResult{delay: d, slew: conservativeSlew(inSlew, d), slewFellBack: true}, nil
-}
-
-// pathBound is the switch-level RC bound on the path's 50 % delay.
-func (a *Analyzer) pathBound(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64) (float64, error) {
-	return switchlevel.PathBound(&stages.Workload{Stage: st, Path: path, Output: out, Loads: loads}, a.tech)
 }

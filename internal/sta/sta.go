@@ -502,7 +502,7 @@ type dirResult struct {
 // plumbing.
 func (a *Analyzer) evalQWMPath(st *circuit.Stage, path *circuit.Path, out, rail string, loads map[string]float64, inSlew float64, opts qwm.Options) (dirResult, error) {
 	vdd := a.tech.VDD
-	sw, onLevel, tIn := stimulus(vdd, rail, inSlew)
+	sw, onLevel, tIn := circuit.SwitchingInput(vdd, rail, 0, inSlew)
 	inputs := pathInputs(path, sw, onLevel)
 	ch, err := qwm.Build(qwm.BuildInput{
 		Tech: a.tech, Lib: a.lib, Stage: st, Path: path,

@@ -3,17 +3,14 @@ package stages
 import (
 	"fmt"
 
-	"qwm/internal/circuit"
 	"qwm/internal/mos"
-	"qwm/internal/wave"
 )
 
-// StackSpec describes a generalized series charge/discharge path for the
-// differential-verification generator: per-device widths AND lengths, either
-// polarity, explicit capacitance on every internal node, and an optional
-// input ramp. The plain Stack/NOR builders cover the paper's fixed-length
-// NMOS/PMOS shapes; this one spans the whole randomized space the verify
-// harness samples (stack depths 1–10, mixed geometry, node caps).
+// StackSpec describes a generalized series charge/discharge path: per-device
+// widths AND lengths, either polarity, explicit capacitance on every
+// internal node, and an optional input ramp. Every gate and stack generator
+// builds from one; CustomStack exposes all of it, the randomized space the
+// verify harness samples (stack depths 1–10, mixed geometry, node caps).
 type StackSpec struct {
 	// PMOS selects a charging PMOS path from VDD (output rises); the
 	// default is a discharging NMOS path from ground (output falls).
@@ -34,7 +31,7 @@ type StackSpec struct {
 	At float64
 	// InSlew, when positive, drives the switching gate with a ramp whose
 	// 10–90 % transition time is InSlew instead of an ideal step (the full
-	// ramp spans 1.25 × InSlew, matching the STA layer's convention).
+	// ramp spans 1.25 × InSlew; see circuit.SwitchingInput).
 	InSlew float64
 }
 
@@ -43,88 +40,10 @@ type StackSpec struct {
 // engines share, and the worst-case initial condition (internal nodes
 // precharged for NMOS, pre-discharged for PMOS).
 func CustomStack(tech *mos.Tech, sp StackSpec) (*Workload, error) {
-	k := len(sp.Widths)
-	if k < 1 {
-		return nil, fmt.Errorf("stages: custom stack needs at least one transistor")
-	}
-	if sp.Lengths != nil && len(sp.Lengths) != k {
-		return nil, fmt.Errorf("stages: %d lengths for %d widths", len(sp.Lengths), k)
-	}
-	if sp.NodeCaps != nil && len(sp.NodeCaps) != k {
-		return nil, fmt.Errorf("stages: %d node caps for %d devices", len(sp.NodeCaps), k)
-	}
-
-	n := &circuit.Netlist{}
-	n.AddVSource("vvdd", "vdd", "0", wave.DC(tech.VDD))
-
-	// Switching stimulus: NMOS gates rise to turn on, PMOS gates fall.
-	onLevel, offLevel := tech.VDD, 0.0
-	rail, body, icLevel := circuit.GroundNode, "0", tech.VDD
-	kind := circuit.KindNMOS
 	name := "nstack"
 	if sp.PMOS {
-		onLevel, offLevel = 0, tech.VDD
-		rail, body, icLevel = circuit.SupplyNode, "vdd", 0
-		kind = circuit.KindPMOS
 		name = "pstack"
 	}
-	var sw wave.Waveform = wave.Step{At: sp.At, Low: offLevel, High: onLevel}
-	if sp.InSlew > 0 {
-		full := 1.25 * sp.InSlew
-		sw = wave.Ramp{T0: sp.At, T1: sp.At + full, Low: offLevel, High: onLevel}
-	}
-	n.AddVSource("vin0", "in0", "0", sw)
-	inputs := map[string]wave.Waveform{"in0": sw}
-	ic := map[string]float64{}
-	loads := map[string]float64{}
-
-	prev := rail
-	for i, wd := range sp.Widths {
-		upper := fmt.Sprintf("x%d", i+1)
-		if i == k-1 {
-			upper = "out"
-		}
-		gate := fmt.Sprintf("in%d", i)
-		if i > 0 {
-			n.AddVSource("v"+gate, gate, "0", wave.DC(onLevel))
-			inputs[gate] = wave.DC(onLevel)
-		}
-		l := tech.LMin
-		if sp.Lengths != nil {
-			l = sp.Lengths[i]
-		}
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("m%d", i), Kind: kind,
-			Drain: upper, Gate: gate, Source: prev, Body: body,
-			W: wd, L: l,
-		})
-		ic[upper] = icLevel
-		if sp.NodeCaps != nil && sp.NodeCaps[i] > 0 {
-			n.AddCapacitor(fmt.Sprintf("cn%d", i), upper, "0", sp.NodeCaps[i])
-			loads[upper] += sp.NodeCaps[i]
-		}
-		prev = upper
-	}
-	if sp.CL > 0 {
-		n.AddCapacitor("cl", "out", "0", sp.CL)
-		loads["out"] += sp.CL
-	}
-
-	w := &Workload{
-		Name:     fmt.Sprintf("%s%d", name, k),
-		Netlist:  n,
-		Output:   "out",
-		Rail:     rail,
-		Inputs:   inputs,
-		SwitchAt: sp.At,
-		Loads:    loads,
-		IC:       ic,
-		TStop:    float64(k)*2.5e-9 + 2.5*sp.InSlew,
-		Rising:   sp.PMOS,
-	}
-	if sp.InSlew > 0 {
-		// Delays are measured from the ramp midpoint, as in sta.evalDirection.
-		w.SwitchAt = sp.At + 1.25*sp.InSlew/2
-	}
-	return w, w.finish()
+	k := len(sp.Widths)
+	return buildSeries(tech, sp, 0, fmt.Sprintf("%s%d", name, k), float64(k)*2.5e-9+2.5*sp.InSlew)
 }

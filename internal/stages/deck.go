@@ -27,7 +27,7 @@ func FromDeck(d *netlist.Deck, output, rail string, vdd, tstop float64) (*Worklo
 			inputs[v.A] = wave.DC(0)
 			continue
 		}
-		inputs[v.A] = asWaveform(v.Wave)
+		inputs[v.A] = v.Wave
 	}
 
 	loads := map[string]float64{}
@@ -77,21 +77,4 @@ func FromDeck(d *netlist.Deck, output, rail string, vdd, tstop float64) (*Worklo
 		Rising:   rail == circuit.SupplyNode,
 	}
 	return wkl, wkl.finish()
-}
-
-type evalOnly interface{ Eval(t float64) float64 }
-
-// asWaveform adapts a source's Eval-only interface to wave.Waveform.
-func asWaveform(w evalOnly) wave.Waveform {
-	if wf, ok := w.(wave.Waveform); ok {
-		return wf
-	}
-	return evalAdapter{w}
-}
-
-type evalAdapter struct{ e evalOnly }
-
-func (a evalAdapter) Eval(t float64) float64 { return a.e.Eval(t) }
-func (a evalAdapter) Span() (float64, float64) {
-	return 0, 0
 }

@@ -63,28 +63,116 @@ func (w *Workload) finish(observe ...string) error {
 	return nil
 }
 
-// Inverter builds a minimum-ish CMOS inverter with load cl, switching at
-// at seconds (falling output).
-func Inverter(tech *mos.Tech, wn, wp, cl, at float64) (*Workload, error) {
+// buildSeries builds the workload shape every reference gate and stack
+// shares: the series path of sp from its rail to "out", devices rail side
+// first over internal nodes x1, x2, …, driven by circuit.SwitchingInput —
+// gate in0 switches, in1, in2, … are held on, every path node starts at the
+// on-level — with sp's node caps and output load. A positive pull adds the
+// complementary network: one device of width pull per path gate, in
+// parallel from the other rail to "out". Devices are named mn0, mn1, … or
+// mp0, mp1, … by polarity. Each element kind is added in a fixed order —
+// vvdd, vin0, the held inputs; path devices rail side first, then the
+// pull devices; node caps in path order, then cl — which fixes the
+// simulator's element order.
+func buildSeries(tech *mos.Tech, sp StackSpec, pull float64, name string, tstop float64) (*Workload, error) {
+	k := len(sp.Widths)
+	if k < 1 {
+		return nil, fmt.Errorf("stages: %s has no transistors", name)
+	}
+	if sp.Lengths != nil && len(sp.Lengths) != k {
+		return nil, fmt.Errorf("stages: %d lengths for %d widths", len(sp.Lengths), k)
+	}
+	if sp.NodeCaps != nil && len(sp.NodeCaps) != k {
+		return nil, fmt.Errorf("stages: %d node caps for %d devices", len(sp.NodeCaps), k)
+	}
+	kind, pullKind := circuit.KindNMOS, circuit.KindPMOS
+	rail, other := circuit.GroundNode, circuit.SupplyNode
+	prefix, pullPrefix := "mn", "mp"
+	if sp.PMOS {
+		kind, pullKind = pullKind, kind
+		rail, other = other, rail
+		prefix, pullPrefix = pullPrefix, prefix
+	}
+	sw, on, ref := circuit.SwitchingInput(tech.VDD, rail, sp.At, sp.InSlew)
+
 	n := &circuit.Netlist{}
-	in := wave.Step{At: at, Low: 0, High: tech.VDD}
 	n.AddVSource("vvdd", "vdd", "0", wave.DC(tech.VDD))
-	n.AddVSource("vin", "in", "0", in)
-	n.AddTransistor(&circuit.Transistor{Name: "mn", Kind: circuit.KindNMOS, Drain: "out", Gate: "in", Source: "0", Body: "0", W: wn, L: tech.LMin})
-	n.AddTransistor(&circuit.Transistor{Name: "mp", Kind: circuit.KindPMOS, Drain: "out", Gate: "in", Source: "vdd", Body: "vdd", W: wp, L: tech.LMin})
-	n.AddCapacitor("cl", "out", "0", cl)
+	inputs := make(map[string]wave.Waveform, k)
+	gates := make([]string, k)
+	for i := range gates {
+		gates[i] = fmt.Sprintf("in%d", i)
+		in := wave.Waveform(wave.DC(on))
+		if i == 0 {
+			in = sw
+		}
+		n.AddVSource("v"+gates[i], gates[i], "0", in)
+		inputs[gates[i]] = in
+	}
+	ic := map[string]float64{}
+	loads := map[string]float64{}
+	prev := rail
+	for i, wd := range sp.Widths {
+		upper := fmt.Sprintf("x%d", i+1)
+		if i == k-1 {
+			upper = "out"
+		}
+		l := tech.LMin
+		if sp.Lengths != nil {
+			l = sp.Lengths[i]
+		}
+		n.AddTransistor(&circuit.Transistor{
+			Name: fmt.Sprintf("%s%d", prefix, i), Kind: kind,
+			Drain: upper, Gate: gates[i], Source: prev, Body: rail,
+			W: wd, L: l,
+		})
+		ic[upper] = on
+		if sp.NodeCaps != nil && sp.NodeCaps[i] > 0 {
+			n.AddCapacitor(fmt.Sprintf("cn%d", i), upper, "0", sp.NodeCaps[i])
+			loads[upper] += sp.NodeCaps[i]
+		}
+		prev = upper
+	}
+	if pull > 0 {
+		for i, g := range gates {
+			n.AddTransistor(&circuit.Transistor{
+				Name: fmt.Sprintf("%s%d", pullPrefix, i), Kind: pullKind,
+				Drain: "out", Gate: g, Source: other, Body: other,
+				W: pull, L: tech.LMin,
+			})
+		}
+	}
+	if sp.CL > 0 {
+		n.AddCapacitor("cl", "out", "0", sp.CL)
+		loads["out"] += sp.CL
+	}
 	w := &Workload{
-		Name:     "inv",
+		Name:     name,
 		Netlist:  n,
 		Output:   "out",
-		Rail:     circuit.GroundNode,
-		Inputs:   map[string]wave.Waveform{"in": in},
-		SwitchAt: at,
-		Loads:    map[string]float64{"out": cl},
-		IC:       map[string]float64{"out": tech.VDD},
-		TStop:    2e-9,
+		Rail:     rail,
+		Inputs:   inputs,
+		SwitchAt: ref,
+		Loads:    loads,
+		IC:       ic,
+		TStop:    tstop,
+		Rising:   sp.PMOS,
 	}
 	return w, w.finish()
+}
+
+// uniform returns n copies of w.
+func uniform(w float64, n int) []float64 {
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = w
+	}
+	return ws
+}
+
+// Inverter builds a CMOS inverter with load cl whose input rises at at
+// seconds (falling output).
+func Inverter(tech *mos.Tech, wn, wp, cl, at float64) (*Workload, error) {
+	return buildSeries(tech, StackSpec{Widths: []float64{wn}, CL: cl, At: at}, wp, "inv", 2e-9)
 }
 
 // NAND builds an n-input NAND gate: n series NMOS, n parallel PMOS. The
@@ -94,52 +182,7 @@ func NAND(tech *mos.Tech, nIn int, wn, wp, cl, at float64) (*Workload, error) {
 	if nIn < 2 {
 		return nil, fmt.Errorf("stages: NAND needs at least 2 inputs")
 	}
-	n := &circuit.Netlist{}
-	sw := wave.Step{At: at, Low: 0, High: tech.VDD}
-	n.AddVSource("vvdd", "vdd", "0", wave.DC(tech.VDD))
-	n.AddVSource("vin0", "in0", "0", sw)
-	inputs := map[string]wave.Waveform{"in0": sw}
-	ic := map[string]float64{}
-	for i := 1; i < nIn; i++ {
-		name := fmt.Sprintf("in%d", i)
-		n.AddVSource("v"+name, name, "0", wave.DC(tech.VDD))
-		inputs[name] = wave.DC(tech.VDD)
-	}
-	// NMOS stack from ground: in0 at the bottom.
-	prev := "0"
-	for i := 0; i < nIn; i++ {
-		upper := fmt.Sprintf("x%d", i+1)
-		if i == nIn-1 {
-			upper = "out"
-		}
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("mn%d", i), Kind: circuit.KindNMOS,
-			Drain: upper, Gate: fmt.Sprintf("in%d", i), Source: prev, Body: "0",
-			W: wn, L: tech.LMin,
-		})
-		ic[upper] = tech.VDD // precharged worst case
-		prev = upper
-	}
-	for i := 0; i < nIn; i++ {
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("mp%d", i), Kind: circuit.KindPMOS,
-			Drain: "out", Gate: fmt.Sprintf("in%d", i), Source: "vdd", Body: "vdd",
-			W: wp, L: tech.LMin,
-		})
-	}
-	n.AddCapacitor("cl", "out", "0", cl)
-	w := &Workload{
-		Name:     fmt.Sprintf("nand%d", nIn),
-		Netlist:  n,
-		Output:   "out",
-		Rail:     circuit.GroundNode,
-		Inputs:   inputs,
-		SwitchAt: at,
-		Loads:    map[string]float64{"out": cl},
-		IC:       ic,
-		TStop:    3e-9,
-	}
-	return w, w.finish()
+	return buildSeries(tech, StackSpec{Widths: uniform(wn, nIn), CL: cl, At: at}, wp, fmt.Sprintf("nand%d", nIn), 3e-9)
 }
 
 // NOR builds an n-input NOR gate: n series PMOS from VDD, n parallel NMOS
@@ -149,101 +192,14 @@ func NOR(tech *mos.Tech, nIn int, wn, wp, cl, at float64) (*Workload, error) {
 	if nIn < 2 {
 		return nil, fmt.Errorf("stages: NOR needs at least 2 inputs")
 	}
-	n := &circuit.Netlist{}
-	sw := wave.Step{At: at, Low: tech.VDD, High: 0} // falling input
-	n.AddVSource("vvdd", "vdd", "0", wave.DC(tech.VDD))
-	n.AddVSource("vin0", "in0", "0", sw)
-	inputs := map[string]wave.Waveform{"in0": sw}
-	ic := map[string]float64{}
-	for i := 1; i < nIn; i++ {
-		name := fmt.Sprintf("in%d", i)
-		n.AddVSource("v"+name, name, "0", wave.DC(0))
-		inputs[name] = wave.DC(0)
-	}
-	// PMOS stack from VDD: in0 at the top (supply side).
-	prev := "vdd"
-	for i := 0; i < nIn; i++ {
-		lower := fmt.Sprintf("y%d", i+1)
-		if i == nIn-1 {
-			lower = "out"
-		}
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("mp%d", i), Kind: circuit.KindPMOS,
-			Drain: lower, Gate: fmt.Sprintf("in%d", i), Source: prev, Body: "vdd",
-			W: wp, L: tech.LMin,
-		})
-		ic[lower] = 0 // pre-discharged worst case
-		prev = lower
-	}
-	for i := 0; i < nIn; i++ {
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("mn%d", i), Kind: circuit.KindNMOS,
-			Drain: "out", Gate: fmt.Sprintf("in%d", i), Source: "0", Body: "0",
-			W: wn, L: tech.LMin,
-		})
-	}
-	n.AddCapacitor("cl", "out", "0", cl)
-	w := &Workload{
-		Name:     fmt.Sprintf("nor%d", nIn),
-		Netlist:  n,
-		Output:   "out",
-		Rail:     circuit.SupplyNode,
-		Inputs:   inputs,
-		SwitchAt: at,
-		Loads:    map[string]float64{"out": cl},
-		IC:       ic,
-		TStop:    float64(nIn) * 2.5e-9,
-		Rising:   true,
-	}
-	return w, w.finish()
+	return buildSeries(tech, StackSpec{PMOS: true, Widths: uniform(wp, nIn), CL: cl, At: at}, wn, fmt.Sprintf("nor%d", nIn), float64(nIn)*2.5e-9)
 }
 
 // Stack builds a pure NMOS discharge stack with the given widths (bottom
 // first) and an output load — the paper's Table II workload shape. All
 // internal nodes start precharged to VDD; the bottom gate switches at `at`.
 func Stack(tech *mos.Tech, widths []float64, cl, at float64) (*Workload, error) {
-	k := len(widths)
-	if k < 1 {
-		return nil, fmt.Errorf("stages: stack needs at least one transistor")
-	}
-	n := &circuit.Netlist{}
-	sw := wave.Step{At: at, Low: 0, High: tech.VDD}
-	n.AddVSource("vvdd", "vdd", "0", wave.DC(tech.VDD))
-	n.AddVSource("vin0", "in0", "0", sw)
-	inputs := map[string]wave.Waveform{"in0": sw}
-	ic := map[string]float64{}
-	prev := "0"
-	for i, wd := range widths {
-		upper := fmt.Sprintf("x%d", i+1)
-		if i == k-1 {
-			upper = "out"
-		}
-		gate := fmt.Sprintf("in%d", i)
-		if i > 0 {
-			n.AddVSource("v"+gate, gate, "0", wave.DC(tech.VDD))
-			inputs[gate] = wave.DC(tech.VDD)
-		}
-		n.AddTransistor(&circuit.Transistor{
-			Name: fmt.Sprintf("mn%d", i), Kind: circuit.KindNMOS,
-			Drain: upper, Gate: gate, Source: prev, Body: "0",
-			W: wd, L: tech.LMin,
-		})
-		ic[upper] = tech.VDD
-		prev = upper
-	}
-	n.AddCapacitor("cl", "out", "0", cl)
-	w := &Workload{
-		Name:     fmt.Sprintf("stack%d", k),
-		Netlist:  n,
-		Output:   "out",
-		Rail:     circuit.GroundNode,
-		Inputs:   inputs,
-		SwitchAt: at,
-		Loads:    map[string]float64{"out": cl},
-		IC:       ic,
-		TStop:    float64(k) * 1.5e-9,
-	}
-	return w, w.finish()
+	return buildSeries(tech, StackSpec{Widths: widths, CL: cl, At: at}, 0, fmt.Sprintf("stack%d", len(widths)), float64(len(widths))*1.5e-9)
 }
 
 // RandomStack builds a K-transistor stack with deterministic pseudo-random

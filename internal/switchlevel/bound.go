@@ -3,8 +3,8 @@ package switchlevel
 import (
 	"fmt"
 
+	"qwm/internal/circuit"
 	"qwm/internal/mos"
-	"qwm/internal/stages"
 )
 
 // BoundFactor is the guard-band the conservative tier applies on top of the
@@ -20,13 +20,13 @@ const BoundFactor = 3.0
 // never divides by or compares against a zero delay.
 const boundFloor = 1e-12
 
-// PathBound returns a conservative upper bound on the workload's 50 %
-// propagation delay: the switch-level Elmore estimate inflated by
+// PathBound returns a conservative upper bound on the 50 % propagation delay
+// Delay estimates: the switch-level Elmore estimate inflated by
 // BoundFactor. This is the last rung of the sta degradation ladder — it must
-// never fail on a structurally valid workload and must never be optimistic,
+// never fail on a structurally valid path and must never be optimistic,
 // but it is allowed to be several times pessimistic.
-func PathBound(w *stages.Workload, tech *mos.Tech) (float64, error) {
-	d, err := Delay(w, tech)
+func PathBound(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, tech *mos.Tech) (float64, error) {
+	d, err := Delay(st, path, out, loads, tech)
 	if err != nil {
 		return 0, fmt.Errorf("switchlevel: path bound: %w", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"qwm/internal/awe"
 	"qwm/internal/circuit"
 	"qwm/internal/mos"
-	"qwm/internal/stages"
 )
 
 // EffectiveResistance returns the switch-level resistance of a device of
@@ -36,13 +35,14 @@ func EffectiveResistance(p *mos.Params, tech *mos.Tech, w, l float64) float64 {
 	return 0.75 * tech.VDD / i
 }
 
-// Delay estimates a workload's 50 % propagation delay by reducing its worst
-// path to an RC tree and evaluating the Elmore metric scaled by ln 2 (the
-// single-pole 50 % point).
-func Delay(w *stages.Workload, tech *mos.Tech) (float64, error) {
+// Delay estimates the 50 % propagation delay to out along path, a series
+// path of stage st with the explicit node loads, by reducing the path to an
+// RC tree and evaluating the Elmore metric scaled by ln 2 (the single-pole
+// 50 % point).
+func Delay(st *circuit.Stage, path *circuit.Path, out string, loads map[string]float64, tech *mos.Tech) (float64, error) {
 	tree := awe.NewRCTree("rail")
 	prev := "rail"
-	for i, pe := range w.Path.Elems {
+	for _, pe := range path.Elems {
 		var r float64
 		switch pe.Edge.Kind {
 		case circuit.KindWire:
@@ -55,13 +55,12 @@ func Delay(w *stages.Workload, tech *mos.Tech) (float64, error) {
 			return 0, fmt.Errorf("switchlevel: unsupported element kind %v", pe.Edge.Kind)
 		}
 		name := pe.Upper
-		if err := tree.AddNode(name, prev, r, nodeCap(w, tech, name)); err != nil {
+		if err := tree.AddNode(name, prev, r, nodeCap(st, loads, tech, name)); err != nil {
 			return 0, err
 		}
 		prev = name
-		_ = i
 	}
-	d, err := tree.Elmore(circuit.CanonName(w.Output))
+	d, err := tree.Elmore(circuit.CanonName(out))
 	if err != nil {
 		return 0, err
 	}
@@ -73,9 +72,9 @@ func Delay(w *stages.Workload, tech *mos.Tech) (float64, error) {
 // nodeCap sums the explicit loads plus the parasitics of every device
 // terminal on the node — the QWM builder's inventory, linearized with each
 // junction at mid-swing bias (switch-level models are linear).
-func nodeCap(w *stages.Workload, tech *mos.Tech, node string) float64 {
-	c := w.Loads[node]
-	for _, t := range w.Stage.AppendTerminals(nil, tech, node) {
+func nodeCap(st *circuit.Stage, loads map[string]float64, tech *mos.Tech, node string) float64 {
+	c := loads[node]
+	for _, t := range st.AppendTerminals(nil, tech, node) {
 		c += t.P.JunctionCap(t.Junc, tech.VDD/2)
 		c += t.Fixed
 	}

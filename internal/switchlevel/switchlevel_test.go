@@ -39,7 +39,7 @@ func TestElmoreDelayOrderOfMagnitude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Delay(w, tech)
+	d, err := Delay(w.Stage, w.Path, w.Output, w.Loads, tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestElmoreMonotoneInStackDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Delay(w, tech)
+		d, err := Delay(w.Stage, w.Path, w.Output, w.Loads, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDelayHandlesWires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Delay(w, tech)
+	d, err := Delay(w.Stage, w.Path, w.Output, w.Loads, tech)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package verify
 import (
 	"qwm/internal/bench"
 	"qwm/internal/qwm"
-	"qwm/internal/spice"
-	"qwm/internal/stages"
 	"qwm/internal/wave"
 )
 
@@ -36,7 +34,7 @@ func RunStageDiff(h *bench.Harness, c *StageCase, tolPct float64) StageDiff {
 		d.Err = "qwm: " + err.Error()
 		return d
 	}
-	s, err := runSpiceRef(h, c.W)
+	s, err := h.RunSpice(c.W, 0)
 	if err != nil {
 		d.Err = "spice: " + err.Error()
 		return d
@@ -50,35 +48,4 @@ func RunStageDiff(h *bench.Harness, c *StageCase, tolPct float64) StageDiff {
 	}
 	d.Pass = d.DelayErrPct <= tolPct
 	return d
-}
-
-// runSpiceRef runs the adaptive (LTE-controlled) trapezoidal baseline on a
-// workload and measures the output delay and slew. The adaptive stepper
-// reproduces the fixed-1 ps reference within ~2 % at a fraction of the time
-// points (see DESIGN.md), which keeps a 200-case sweep tractable; HMax is
-// clamped so coarse late-tail steps cannot blur the measured edge.
-func runSpiceRef(h *bench.Harness, w *stages.Workload) (*bench.EngineRun, error) {
-	s, err := spice.New(w.Netlist, h.Tech)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.TransientAdaptive(spice.AdaptiveOptions{
-		TStop:       w.TStop,
-		HMax:        20e-12,
-		IC:          w.IC,
-		RecordNodes: []string{w.Output},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := res.Waveform(w.Output)
-	if err != nil {
-		return nil, err
-	}
-	d, err := wave.Delay50(out, w.SwitchAt, h.Tech.VDD, w.Rising)
-	if err != nil {
-		return nil, err
-	}
-	slew, _ := wave.Slew(out, h.Tech.VDD, w.Rising)
-	return &bench.EngineRun{Delay: d, Slew: slew, Output: out, Steps: res.Stats.Steps}, nil
 }
