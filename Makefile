@@ -109,7 +109,7 @@ leak-check:
 # always a v1 envelope), the delay-cache
 # key derivation (equal keys exactly when the stage content is equal) and the
 # worst-path search over client node names (against the path enumeration it
-# replaced) —
+# replaced) and the golden model's drain sweep (bit for bit against Ids) —
 # starting from the checked-in corpora under
 # each package's testdata/fuzz/. A crasher is written there and fails the
 # target.
@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeBody$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime 10s ./internal/sta/
 	$(GO) test -run '^$$' -fuzz '^FuzzLongestPath$$' -fuzztime 10s ./internal/circuit/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesIds$$' -fuzztime 10s ./internal/mos/
 
 # HTTP service smoke: POST /analyze of a decoder deck returns 200 with a
 # schema-valid v1 envelope bit-identical to an in-process run of the same
@@ -155,11 +156,12 @@ service-smoke:
 # service path, the warm service path untraced and traced (flight recorder
 # + metrics), the two-replica request served warm from the peer (with its
 # read and write round trips per op), the junction-table lookup against
-# the exact junction model and the parse of the 4-bit decoder deck (the
-# netlist.parse rung). It checks that they run; performance is measured by perfbench
+# the exact junction model, one device table's characterization per
+# polarity and the parse of the 4-bit decoder deck (the netlist.parse
+# rung). It checks that they run; performance is measured by perfbench
 # (BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels|AblationTridiagVsLU|AblationFreezeCaps|Characterize' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|ReanalyzeAfterEdit' -benchtime 1x -benchmem ./internal/sta/
 	$(GO) test -run '^$$' -bench 'ServiceWarmDisk|ServiceWarmTraced|ServiceWarmOffPeer' -benchtime 1x -benchmem ./internal/service/
 	$(GO) test -run '^$$' -bench 'JunctionCQ' -benchtime 1x -benchmem ./internal/devmodel/

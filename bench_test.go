@@ -361,14 +361,19 @@ func BenchmarkSTAParallel(b *testing.B) {
 	}
 }
 
-// One-time characterization cost (excluded from the runtime comparisons, as
-// in the paper's §V-B fairness note).
+// One-time characterization cost of one table per polarity (excluded from
+// the runtime comparisons, as in the paper's §V-B fairness note).
 func BenchmarkCharacterize(b *testing.B) {
 	tech := mos.CMOSP35()
-	for i := 0; i < b.N; i++ {
-		if _, err := devmodel.Characterize(&tech.N, tech, tech.LMin, 0.1); err != nil {
-			b.Fatal(err)
-		}
+	for _, p := range []*mos.Params{&tech.N, &tech.P} {
+		b.Run(p.Pol.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := devmodel.Characterize(p, tech, tech.LMin, 0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package devmodel
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"qwm/internal/mos"
 )
@@ -78,14 +79,19 @@ func (a *Analytic) Params() *mos.Params { return a.P }
 // Library caches characterized tables per (polarity, channel length), and
 // junction tables per polarity, so repeated analyses share the one-time
 // characterization cost, mirroring how a production flow characterizes a
-// technology once.
+// technology once. A lookup of a built table takes no lock. Each table is
+// built once, by its first caller, and only callers of that same key wait
+// for it.
 type Library struct {
 	Tech  *mos.Tech
 	StepV float64 // grid pitch; 0.1 V default
 
-	mu        sync.Mutex
-	tables    map[libKey]*Table
-	junctions [2]*JunctionTable // indexed by mos.Polarity
+	// characterize builds a table: Characterize, or a test's stand-in.
+	characterize func(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error)
+
+	mu        sync.Mutex                           // serializes adding a key to tables
+	tables    atomic.Pointer[map[libKey]*libTable] // replaced, never modified, once published
+	junctions [2]libJunction                       // indexed by mos.Polarity
 }
 
 type libKey struct {
@@ -93,45 +99,67 @@ type libKey struct {
 	l   float64
 }
 
+// libTable is one key's table. A characterization error is kept like a
+// table: the same inputs fail the same way.
+type libTable struct {
+	once sync.Once
+	t    *Table
+	err  error
+}
+
+type libJunction struct {
+	once sync.Once
+	t    *JunctionTable
+}
+
 // NewLibrary creates an empty table cache with the paper's 0.1 V pitch.
 func NewLibrary(tech *mos.Tech) *Library {
-	return &Library{Tech: tech, StepV: 0.1, tables: map[libKey]*Table{}}
+	lib := &Library{Tech: tech, StepV: 0.1, characterize: Characterize}
+	lib.tables.Store(&map[libKey]*libTable{})
+	return lib
 }
 
 // Table returns the characterized table for a polarity and channel length,
 // building it on first use.
 func (lib *Library) Table(pol mos.Polarity, l float64) (*Table, error) {
+	k := libKey{pol, l}
+	e := (*lib.tables.Load())[k]
+	if e == nil {
+		e = lib.addTable(k)
+	}
+	e.once.Do(func() { e.t, e.err = lib.characterize(lib.params(pol), lib.Tech, l, lib.StepV) })
+	return e.t, e.err
+}
+
+// addTable returns k's entry, publishing an unbuilt one if there is none.
+func (lib *Library) addTable(k libKey) *libTable {
 	lib.mu.Lock()
 	defer lib.mu.Unlock()
-	k := libKey{pol, l}
-	if t, ok := lib.tables[k]; ok {
-		return t, nil
+	old := *lib.tables.Load()
+	if e := old[k]; e != nil {
+		return e
 	}
-	p := &lib.Tech.N
-	if pol == mos.PMOS {
-		p = &lib.Tech.P
+	m := make(map[libKey]*libTable, len(old)+1)
+	for kk, e := range old {
+		m[kk] = e
 	}
-	t, err := Characterize(p, lib.Tech, l, lib.StepV)
-	if err != nil {
-		return nil, err
-	}
-	lib.tables[k] = t
-	return t, nil
+	e := &libTable{}
+	m[k] = e
+	lib.tables.Store(&m)
+	return e
 }
 
 // Junction returns the characterized junction table for a polarity,
 // building it on first use.
 func (lib *Library) Junction(pol mos.Polarity) *JunctionTable {
-	lib.mu.Lock()
-	defer lib.mu.Unlock()
-	if t := lib.junctions[pol]; t != nil {
-		return t
-	}
-	p := &lib.Tech.N
+	j := &lib.junctions[pol]
+	j.once.Do(func() { j.t = CharacterizeJunction(lib.params(pol), lib.Tech.VDD) })
+	return j.t
+}
+
+func (lib *Library) params(pol mos.Polarity) *mos.Params {
 	if pol == mos.PMOS {
-		p = &lib.Tech.P
+		return &lib.Tech.P
 	}
-	t := CharacterizeJunction(p, lib.Tech.VDD)
-	lib.junctions[pol] = t
-	return t
+	return &lib.Tech.N
 }

@@ -58,16 +58,6 @@ type Table struct {
 	body   float64 // body voltage in unfolded space
 }
 
-// sample returns the folded channel current of the underlying golden model:
-// positive current from the folded-drain (upper) to folded-source (lower)
-// terminal.
-func (t *Table) sample(w, vg, vd, vs float64) float64 {
-	if t.Pol == mos.PMOS {
-		return -t.params.Ids(w, t.L, t.VDD-vg, t.VDD-vd, t.VDD-vs, t.body).I
-	}
-	return t.params.Ids(w, t.L, vg, vd, vs, t.body).I
-}
-
 // Characterize sweeps the golden model and fits the table, mirroring the
 // paper's Hspice characterization run. step is the grid pitch (0.1 V in the
 // paper); finer pitches trade memory for accuracy.
@@ -91,7 +81,6 @@ func Characterize(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error
 	for ig := range t.Grid {
 		t.Grid[ig] = t.flat[ig*n : (ig+1)*n : (ig+1)*n]
 	}
-	const nFit = 24 // samples per region for the least-squares fits
 	// Grid rows are independent; characterize them in parallel.
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -99,7 +88,7 @@ func Characterize(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error
 		wg.Add(1)
 		go func(ig int) {
 			defer wg.Done()
-			errs[ig] = t.characterizeRow(ig, step, nFit)
+			errs[ig] = t.characterizeRow(ig, step)
 		}(ig)
 	}
 	wg.Wait()
@@ -111,8 +100,21 @@ func Characterize(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error
 	return t, nil
 }
 
+// nFit is the number of intervals each least-squares fit samples: a fit
+// region gets nFit+1 samples.
+const nFit = 24
+
+// rowBuffers are the sample and fit buffers one grid row reuses for every
+// entry.
+type rowBuffers struct {
+	xs, ys [nFit + 1]float64 // one region's Vds samples and currents
+	zx, zs [nFit + 1]float64 // originQuad's conductance-space samples
+}
+
 // characterizeRow fits every (vg, vs) entry of one gate-voltage grid row.
-func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
+func (t *Table) characterizeRow(ig int, step float64) error {
+	var b rowBuffers
+	xs, ys := b.xs[:], b.ys[:]
 	n := t.N
 	vdd := t.VDD
 	vg := float64(ig) * step
@@ -121,12 +123,14 @@ func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 		e := &t.Grid[ig][is]
 		e.Vth = t.foldedVth(vs)
 		e.Vdsat = t.foldedVdsat(vg, vs)
+		sw := t.sweep(vg, vs)
 
 		vdsMax := vdd - vs
 		if vdsMax < 1e-6 {
 			// Source at the rail: no headroom; keep an all-zero fit with
 			// the conductance of the model at Vds→0 for continuity.
-			g := t.conductanceAtZero(vg, vs)
+			const h = 1e-4
+			g := t.sample(&sw, vs+h) / h
 			e.T1, e.S1 = g, g
 			e.Vdsat = 0
 			continue
@@ -139,9 +143,9 @@ func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 			// Triode region [0, split]: a quadratic through the origin
 			// (I = 0 at Vds = 0 exactly) fits the golden model's triode
 			// curve almost perfectly below the physical Vdsat.
-			xs, ys := t.sweepVds(vg, vs, 0, split, nFit)
+			t.sweepVds(&sw, vs, 0, split, xs, ys)
 			e.T0 = 0
-			e.T1, e.T2 = originQuad(xs, ys)
+			e.T1, e.T2 = originQuad(xs, ys, b.zx[:0], b.zs[:0])
 			iSplit := e.T1*split + e.T2*split*split
 			if vdsMax-split > 1e-4 {
 				// Saturation region [split, vdd−vs]: a line pinned to the
@@ -149,7 +153,7 @@ func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 				// chosen by least squares. The rounded knee of the golden
 				// model tilts the line slightly; beyond the knee the
 				// curve is genuinely linear (channel-length modulation).
-				xs, ys = t.sweepVds(vg, vs, split, vdsMax, nFit)
+				t.sweepVds(&sw, vs, split, vdsMax, xs, ys)
 				e.S1 = pinnedLine(xs, ys, split, iSplit)
 				e.S2 = iSplit - e.S1*split
 			} else {
@@ -161,9 +165,9 @@ func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 		} else {
 			// The device saturates immediately: a free linear fit over
 			// the whole range, mirrored into the triode branch.
-			xs, ys := t.sweepVds(vg, vs, 0, vdsMax, nFit)
-			fit, err := la.PolyFit(xs, ys, 1)
-			if err != nil {
+			t.sweepVds(&sw, vs, 0, vdsMax, xs, ys)
+			var fit [2]float64
+			if err := la.PolyFitInto(fit[:], xs, ys); err != nil {
 				return fmt.Errorf("devmodel: fit at vg=%g vs=%g: %w", vg, vs, err)
 			}
 			e.S2, e.S1 = fit[0], fit[1]
@@ -178,8 +182,8 @@ func (t *Table) characterizeRow(ig int, step float64, nFit int) error {
 // ordinary linear fit y/x ≈ t1 + t2·x. The implicit 1/x² weighting keeps the
 // *relative* current error small in the deep triode region, where series
 // stack devices spend most of their time.
-func originQuad(xs, ys []float64) (t1, t2 float64) {
-	var zs, zx []float64
+// zx and zs are empty buffers with room for every sample.
+func originQuad(xs, ys, zx, zs []float64) (t1, t2 float64) {
 	for i, x := range xs {
 		if x <= 0 {
 			continue
@@ -187,8 +191,8 @@ func originQuad(xs, ys []float64) (t1, t2 float64) {
 		zx = append(zx, x)
 		zs = append(zs, ys[i]/x)
 	}
-	fit, err := la.PolyFit(zx, zs, 1)
-	if err != nil {
+	var fit [2]float64
+	if err := la.PolyFitInto(fit[:], zx, zs); err != nil {
 		return 0, 0
 	}
 	return fit[0], fit[1]
@@ -210,18 +214,33 @@ func pinnedLine(xs, ys []float64, x0, y0 float64) float64 {
 	return sxy / sxx
 }
 
-func (t *Table) sweepVds(vg, vs, lo, hi float64, n int) (xs, ys []float64) {
-	for i := 0; i <= n; i++ {
-		vds := lo + (hi-lo)*float64(i)/float64(n)
-		xs = append(xs, vds)
-		ys = append(ys, t.sample(t.WRef, vg, vs+vds, vs))
+// sweep returns the golden model's drain sweep at folded (vg, vs).
+func (t *Table) sweep(vg, vs float64) mos.DrainSweep {
+	if t.Pol == mos.PMOS {
+		return t.params.Sweep(t.WRef, t.L, t.VDD-vg, t.VDD-vs, t.body)
 	}
-	return xs, ys
+	return t.params.Sweep(t.WRef, t.L, vg, vs, t.body)
 }
 
-func (t *Table) conductanceAtZero(vg, vs float64) float64 {
-	const h = 1e-4
-	return t.sample(t.WRef, vg, vs+h, vs) / h
+// sample returns the folded channel current of the golden model at folded
+// drain voltage vd: positive current from the folded-drain (upper) to
+// folded-source (lower) terminal.
+func (t *Table) sample(sw *mos.DrainSweep, vd float64) float64 {
+	if t.Pol == mos.PMOS {
+		return -sw.I(t.VDD - vd)
+	}
+	return sw.I(vd)
+}
+
+// sweepVds samples the folded current at len(xs) evenly spaced Vds over
+// [lo, hi] above the source vs into xs and ys.
+func (t *Table) sweepVds(sw *mos.DrainSweep, vs, lo, hi float64, xs, ys []float64) {
+	n := len(xs) - 1
+	for i := range xs {
+		vds := lo + (hi-lo)*float64(i)/float64(n)
+		xs[i] = vds
+		ys[i] = t.sample(sw, vs+vds)
+	}
 }
 
 func (t *Table) foldedVth(vs float64) float64 {

@@ -3,8 +3,11 @@ package devmodel
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"qwm/internal/mos"
 )
@@ -241,6 +244,102 @@ func TestLibraryCaches(t *testing.T) {
 	}
 	if t1.Entries() != t1.N*t1.N {
 		t.Error("Entries accounting wrong")
+	}
+}
+
+// A characterization runs outside every lock other lookups take: while one
+// blocks, a lookup of a built table and the junction tables answer, and
+// eight concurrent first callers of the new key share one build.
+func TestLibraryBuildsOutsideLock(t *testing.T) {
+	lib := NewLibrary(tech)
+	built, err := lib.Table(mos.NMOS, tech.LMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	lib.characterize = func(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return Characterize(p, tech, l, step)
+	}
+	const callers = 8
+	got := make([]*Table, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tb, err := lib.Table(mos.NMOS, 1e-6)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = tb
+		}(i)
+	}
+	<-started
+
+	answered := make(chan *Table, 1)
+	go func() {
+		tb, _ := lib.Table(mos.NMOS, tech.LMin)
+		lib.Junction(mos.PMOS)
+		answered <- tb
+	}()
+	select {
+	case tb := <-answered:
+		if tb != built {
+			t.Error("lookup of a built key returned a different table")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("lookup of a built key waited behind a characterization")
+	}
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d characterizations of one key, want 1", n)
+	}
+	for i, tb := range got {
+		if tb == nil || tb != got[0] {
+			t.Fatalf("caller %d got table %p, caller 0 got %p", i, tb, got[0])
+		}
+	}
+}
+
+// A lookup of a built table allocates nothing; qwm.Build makes one per path
+// transistor.
+func TestLibraryLookupZeroAllocs(t *testing.T) {
+	lib := NewLibrary(tech)
+	if _, err := lib.Table(mos.PMOS, tech.LMin); err != nil {
+		t.Fatal(err)
+	}
+	lib.Junction(mos.PMOS)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := lib.Table(mos.PMOS, tech.LMin); err != nil {
+			t.Fatal(err)
+		}
+		lib.Junction(mos.PMOS)
+	})
+	if allocs != 0 {
+		t.Errorf("built-table lookup allocated %.1f times, want 0", allocs)
+	}
+}
+
+// Characterizing one table reuses its sample and fit buffers per grid row.
+// Before the drain sweep and the row buffers it made 58,252 allocations.
+func TestCharacterizeAllocBudget(t *testing.T) {
+	const budget = 1000
+	for _, p := range []*mos.Params{&tech.N, &tech.P} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Characterize(p, tech, tech.LMin, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.0f allocations per table", p.Pol, allocs)
+		if allocs > budget {
+			t.Errorf("%v: %.0f allocations per table, budget %d", p.Pol, allocs, budget)
+		}
 	}
 }
 

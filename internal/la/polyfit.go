@@ -20,24 +20,53 @@ func (p Poly) Eval(x float64) float64 {
 // dense LU. This is the curve-fitting engine behind the tabular device model
 // (paper Fig. 8: linear fit in saturation, quadratic fit in triode).
 func PolyFit(xs, ys []float64, degree int) (Poly, error) {
-	if len(xs) != len(ys) {
-		panic("la: PolyFit length mismatch")
-	}
 	if degree < 0 {
 		panic("la: PolyFit negative degree")
 	}
-	n := degree + 1
+	c := make(Poly, degree+1)
+	if err := PolyFitInto(c, xs, ys); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// maxStackDegree is the highest degree PolyFitInto fits without allocating.
+const maxStackDegree = 3
+
+// PolyFitInto is PolyFit into caller-owned coefficients: it fits the
+// polynomial of degree len(c)−1 and writes it to c. Up to degree 3 it
+// allocates nothing. On an error c is unspecified.
+func PolyFitInto(c Poly, xs, ys []float64) error {
+	if len(xs) != len(ys) {
+		panic("la: PolyFit length mismatch")
+	}
+	n := len(c)
+	if n == 0 {
+		panic("la: PolyFitInto needs at least one coefficient")
+	}
 	if len(xs) < n {
-		return nil, ErrSingular
+		return ErrSingular
+	}
+	var ataBuf, luBuf [(maxStackDegree + 1) * (maxStackDegree + 1)]float64
+	var atbBuf, powBuf [maxStackDegree + 1]float64
+	var pivBuf [maxStackDegree + 1]int
+	var ata, lu Matrix
+	var atb, pows []float64
+	var piv []int
+	if n <= maxStackDegree+1 {
+		ata = Matrix{Rows: n, Cols: n, Data: ataBuf[:n*n]}
+		lu = Matrix{Rows: n, Cols: n, Data: luBuf[:n*n]}
+		atb, pows, piv = atbBuf[:n], powBuf[:n], pivBuf[:n]
+	} else {
+		ata = Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
+		lu = Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
+		atb, pows, piv = make([]float64, n), make([]float64, n), make([]int, n)
 	}
 	// Normal equations: (VᵀV)·c = Vᵀy with Vandermonde V.
 	// Accumulate power sums directly; degree ≤ 3 here so conditioning is fine
 	// on the volt-scale inputs we fit.
-	ata := NewMatrix(n, n)
-	atb := make([]float64, n)
 	for k, x := range xs {
 		pow := 1.0
-		pows := make([]float64, n)
 		for i := 0; i < n; i++ {
 			pows[i] = pow
 			pow *= x
@@ -49,11 +78,7 @@ func PolyFit(xs, ys []float64, degree int) (Poly, error) {
 			atb[i] += pows[i] * ys[k]
 		}
 	}
-	c, err := SolveDense(ata, atb)
-	if err != nil {
-		return nil, err
-	}
-	return Poly(c), nil
+	return SolveDenseInto(&ata, atb, c, &lu, piv)
 }
 
 // FitRMS returns the root-mean-square residual of a fit over the samples.

@@ -66,6 +66,20 @@ func (p *Params) vth(s, b Dual) Dual {
 
 // idsCore evaluates the NMOS-form smooth model with vd ≥ vs guaranteed.
 func (p *Params) idsCore(w, l float64, g, d, s, b Dual) Dual {
+	bt := p.bias(w, l, g, s, b)
+	return p.drain(&bt, d.Sub(s))
+}
+
+// biasTerms are the terms of the NMOS-form model that do not depend on the
+// drain: they are fixed by the gate, source and body voltages.
+type biasTerms struct {
+	veff  Dual // effective gate drive
+	kw    Dual // mobility-degraded transconductance times W/Leff
+	vdsat Dual // velocity-saturation voltage
+}
+
+// bias evaluates the drain-independent stage of idsCore.
+func (p *Params) bias(w, l float64, g, s, b Dual) biasTerms {
 	leff := l - 2*p.LD
 	if leff <= 0 {
 		leff = l * 0.5
@@ -85,25 +99,85 @@ func (p *Params) idsCore(w, l float64, g, d, s, b Dual) Dual {
 	// Velocity saturation: Vdsat = Veff·EsatL / (Veff + EsatL).
 	esatL := p.ESat * leff
 	vdsat := veff.Scale(esatL).Div(veff.AddConst(esatL))
+	return biasTerms{veff: veff, kw: kpe.Scale(w / leff), vdsat: vdsat}
+}
 
+// vdsPow is the exponent of the smooth drain-saturation blend.
+const vdsPow = 8.0
+
+// drain evaluates the drain stage of idsCore at vds = vd − vs ≥ 0.
+func (p *Params) drain(bt *biasTerms, vds Dual) Dual {
 	// Smooth drain saturation: Vdseff = Vds·(1 + (Vds/Vdsat)^a)^(−1/a).
 	// Evaluated in the algebraically identical form with the sub-unity base
 	// on whichever side is smaller, so the a-th power can never overflow
 	// even when an off device makes Vdsat vanishingly small.
-	vds := d.Sub(s)
-	const a = 8.0
-	ratio := vds.Div(vdsat)
+	ratio := vds.Div(bt.vdsat)
 	var vdseff Dual
 	if ratio.V <= 1 {
-		vdseff = vds.Mul(ratio.PowConst(a).AddConst(1).PowConst(-1 / a))
+		vdseff = vds.Mul(ratio.PowConst(vdsPow).AddConst(1).PowConst(-1 / vdsPow))
 	} else {
 		inv := Const(1).Div(ratio)
-		vdseff = vdsat.Mul(inv.PowConst(a).AddConst(1).PowConst(-1 / a))
+		vdseff = bt.vdsat.Mul(inv.PowConst(vdsPow).AddConst(1).PowConst(-1 / vdsPow))
 	}
 
 	// Channel current with channel-length modulation.
 	clm := vds.Scale(p.Lambda).AddConst(1)
-	i := kpe.Scale(w / leff).Mul(veff.Sub(vdseff.Scale(0.5))).Mul(vdseff).Mul(clm)
+	return bt.kw.Mul(bt.veff.Sub(vdseff.Scale(0.5))).Mul(vdseff).Mul(clm)
+}
+
+// drainValue is drain on values alone: each operation is the .V part of
+// the Dual operation drain makes, in the same order (Div is a·(1/b), Scale
+// is k·a), so the two agree bit for bit.
+func (p *Params) drainValue(bt *biasTerms, vds float64) float64 {
+	vdsat := bt.vdsat.V
+	ratio := vds * (1 / vdsat)
+	var vdseff float64
+	if ratio <= 1 {
+		vdseff = vds * math.Pow(math.Pow(ratio, vdsPow)+1, -1/vdsPow)
+	} else {
+		inv := 1 / ratio // Const(1).Div(ratio) is 1·(1/ratio), the same bits
+		vdseff = vdsat * math.Pow(math.Pow(inv, vdsPow)+1, -1/vdsPow)
+	}
+	clm := p.Lambda*vds + 1
+	return bt.kw.V * (bt.veff.V - 0.5*vdseff) * vdseff * clm
+}
+
+// DrainSweep evaluates the channel current of one device at fixed gate,
+// source and body voltages for any number of drain voltages, computing the
+// drain-independent terms once. A device characterization samples
+// thousands of such sweeps.
+type DrainSweep struct {
+	p                *Params
+	w, l, vg, vs, vb float64
+	s                float64 // source voltage in NMOS form
+	bt               biasTerms
+}
+
+// Sweep returns the drain sweep of a device of width w and length l at
+// absolute gate, source and body voltages vg, vs and vb.
+func (p *Params) Sweep(w, l, vg, vs, vb float64) DrainSweep {
+	g, s, b := Const(vg), Const(vs), Const(vb)
+	if p.Pol == PMOS {
+		g, s, b = g.Neg(), s.Neg(), b.Neg()
+	}
+	return DrainSweep{p: p, w: w, l: l, vg: vg, vs: vs, vb: vb, s: s.V, bt: p.bias(w, l, g, s, b)}
+}
+
+// I returns Ids(w, l, vg, vd, vs, vb).I bit for bit.
+func (sw *DrainSweep) I(vd float64) float64 {
+	d := vd
+	if sw.p.Pol == PMOS {
+		d = -vd
+	}
+	if !(d >= sw.s) {
+		// Reverse conduction: drain and source swap roles, so the bias
+		// terms of this source do not apply.
+		return sw.p.Ids(sw.w, sw.l, sw.vg, vd, sw.vs, sw.vb).I
+	}
+	i := sw.p.drainValue(&sw.bt, d-sw.s)
+	if sw.p.Pol == PMOS {
+		return -i
+	}
 	return i
 }
 
