@@ -167,7 +167,7 @@ func (t *Table) characterizeRow(ig int, step float64) error {
 			// the whole range, mirrored into the triode branch.
 			t.sweepVds(&sw, vs, 0, vdsMax, xs, ys)
 			var fit [2]float64
-			if err := la.PolyFitInto(fit[:], xs, ys); err != nil {
+			if err := la.PolyFit(fit[:], xs, ys); err != nil {
 				return fmt.Errorf("devmodel: fit at vg=%g vs=%g: %w", vg, vs, err)
 			}
 			e.S2, e.S1 = fit[0], fit[1]
@@ -192,7 +192,7 @@ func originQuad(xs, ys, zx, zs []float64) (t1, t2 float64) {
 		zs = append(zs, ys[i]/x)
 	}
 	var fit [2]float64
-	if err := la.PolyFitInto(fit[:], zx, zs); err != nil {
+	if err := la.PolyFit(fit[:], zx, zs); err != nil {
 		return 0, 0
 	}
 	return fit[0], fit[1]

@@ -15,56 +15,34 @@ func (p Poly) Eval(x float64) float64 {
 	return s
 }
 
-// PolyFit computes the least-squares polynomial of the given degree through
-// the sample points (xs[i], ys[i]) by solving the normal equations with the
-// dense LU. This is the curve-fitting engine behind the tabular device model
-// (paper Fig. 8: linear fit in saturation, quadratic fit in triode).
-func PolyFit(xs, ys []float64, degree int) (Poly, error) {
-	if degree < 0 {
-		panic("la: PolyFit negative degree")
-	}
-	c := make(Poly, degree+1)
-	if err := PolyFitInto(c, xs, ys); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
+// maxCoeffs bounds len(c) in PolyFit: the normal equations of a degree-3
+// fit still sit on the stack, and they are well conditioned on the
+// volt-scale inputs fitted here.
+const maxCoeffs = 4
 
-// maxStackDegree is the highest degree PolyFitInto fits without allocating.
-const maxStackDegree = 3
-
-// PolyFitInto is PolyFit into caller-owned coefficients: it fits the
-// polynomial of degree len(c)−1 and writes it to c. Up to degree 3 it
+// PolyFit computes the least-squares polynomial of degree len(c)−1 ≤ 3
+// through the sample points (xs[i], ys[i]) into c, by solving the normal
+// equations with the dense LU. This is the curve-fitting engine behind the
+// tabular device model (paper Fig. 8: linear fit in saturation, quadratic
+// fit in triode), which fits thousands of points per table, so it
 // allocates nothing. On an error c is unspecified.
-func PolyFitInto(c Poly, xs, ys []float64) error {
+func PolyFit(c Poly, xs, ys []float64) error {
 	if len(xs) != len(ys) {
 		panic("la: PolyFit length mismatch")
 	}
 	n := len(c)
-	if n == 0 {
-		panic("la: PolyFitInto needs at least one coefficient")
+	if n == 0 || n > maxCoeffs {
+		panic("la: PolyFit degree outside 0..3")
 	}
 	if len(xs) < n {
 		return ErrSingular
 	}
-	var ataBuf, luBuf [(maxStackDegree + 1) * (maxStackDegree + 1)]float64
-	var atbBuf, powBuf [maxStackDegree + 1]float64
-	var pivBuf [maxStackDegree + 1]int
-	var ata, lu Matrix
-	var atb, pows []float64
-	var piv []int
-	if n <= maxStackDegree+1 {
-		ata = Matrix{Rows: n, Cols: n, Data: ataBuf[:n*n]}
-		lu = Matrix{Rows: n, Cols: n, Data: luBuf[:n*n]}
-		atb, pows, piv = atbBuf[:n], powBuf[:n], pivBuf[:n]
-	} else {
-		ata = Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
-		lu = Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
-		atb, pows, piv = make([]float64, n), make([]float64, n), make([]int, n)
-	}
-	// Normal equations: (VᵀV)·c = Vᵀy with Vandermonde V.
-	// Accumulate power sums directly; degree ≤ 3 here so conditioning is fine
-	// on the volt-scale inputs we fit.
+	// Normal equations: (VᵀV)·c = Vᵀy with Vandermonde V, from the power
+	// sums accumulated directly.
+	var ataBuf, luBuf [maxCoeffs * maxCoeffs]float64
+	var atb, pows [maxCoeffs]float64
+	var piv [maxCoeffs]int
+	ata := Matrix{Rows: n, Cols: n, Data: ataBuf[:n*n]}
 	for k, x := range xs {
 		pow := 1.0
 		for i := 0; i < n; i++ {
@@ -78,7 +56,8 @@ func PolyFitInto(c Poly, xs, ys []float64) error {
 			atb[i] += pows[i] * ys[k]
 		}
 	}
-	return SolveDenseInto(&ata, atb, c, &lu, piv)
+	lu := Matrix{Rows: n, Cols: n, Data: luBuf[:n*n]}
+	return SolveDenseInto(&ata, atb[:n], c, &lu, piv[:n])
 }
 
 // FitRMS returns the root-mean-square residual of a fit over the samples.

@@ -24,8 +24,8 @@ func TestPolyFitExactQuadratic(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, want.Eval(x))
 	}
-	got, err := PolyFit(xs, ys, 2)
-	if err != nil {
+	got := make(Poly, 3)
+	if err := PolyFit(got, xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -42,8 +42,8 @@ func TestPolyFitLinearOverdetermined(t *testing.T) {
 	// y = 3x + 1 with symmetric noise that a least-squares line averages out.
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1.1, 3.9, 7.1, 9.9}
-	p, err := PolyFit(xs, ys, 1)
-	if err != nil {
+	p := make(Poly, 2)
+	if err := PolyFit(p, xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(p[1], 3, 0.05) || !almostEq(p[0], 1, 0.1) {
@@ -52,8 +52,26 @@ func TestPolyFitLinearOverdetermined(t *testing.T) {
 }
 
 func TestPolyFitUnderdetermined(t *testing.T) {
-	if _, err := PolyFit([]float64{1}, []float64{2}, 2); err == nil {
+	if err := PolyFit(make(Poly, 3), []float64{1}, []float64{2}); err == nil {
 		t.Fatal("expected error with fewer samples than coefficients")
+	}
+}
+
+// The device characterization fits thousands of points per table, so a fit
+// of any supported degree allocates nothing.
+func TestPolyFitZeroAllocs(t *testing.T) {
+	xs := []float64{0, 0.5, 1, 1.5, 2, 2.5}
+	ys := []float64{1, 0.2, -0.7, 0.4, 2.2, 3.1}
+	for n := 1; n <= 4; n++ {
+		c := make(Poly, n)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := PolyFit(c, xs, ys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("degree %d: %.1f allocations per fit, want 0", n-1, allocs)
+		}
 	}
 }
 
@@ -74,8 +92,8 @@ func TestPolyFitRecoveryProperty(t *testing.T) {
 			xs = append(xs, x)
 			ys = append(ys, truth.Eval(x))
 		}
-		fit, err := PolyFit(xs, ys, deg)
-		if err != nil {
+		fit := make(Poly, deg+1)
+		if err := PolyFit(fit, xs, ys); err != nil {
 			return false
 		}
 		for i := 0; i < 5; i++ {
@@ -103,8 +121,8 @@ func TestPolyFitOptimalityProperty(t *testing.T) {
 			xs[i] = -2 + 4*r.Float64()
 			ys[i] = r.NormFloat64()
 		}
-		fit, err := PolyFit(xs, ys, 2)
-		if err != nil {
+		fit := make(Poly, 3)
+		if err := PolyFit(fit, xs, ys); err != nil {
 			return false
 		}
 		zero := Poly{0}
