@@ -2,7 +2,6 @@ package devmodel
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qwm/internal/mos"
 )
@@ -79,9 +78,9 @@ func (a *Analytic) Params() *mos.Params { return a.P }
 // Library caches characterized tables per (polarity, channel length), and
 // junction tables per polarity, so repeated analyses share the one-time
 // characterization cost, mirroring how a production flow characterizes a
-// technology once. A lookup of a built table takes no lock. Each table is
-// built once, by its first caller, and only callers of that same key wait
-// for it.
+// technology once. Each table is built once, by its first caller and
+// outside any lock; only other callers of that key wait for it, so a
+// lookup of a built table never waits behind a characterization.
 type Library struct {
 	Tech  *mos.Tech
 	StepV float64 // grid pitch; 0.1 V default
@@ -89,9 +88,8 @@ type Library struct {
 	// characterize builds a table: Characterize, or a test's stand-in.
 	characterize func(p *mos.Params, tech *mos.Tech, l, step float64) (*Table, error)
 
-	mu        sync.Mutex                           // serializes adding a key to tables
-	tables    atomic.Pointer[map[libKey]*libTable] // replaced, never modified, once published
-	junctions [2]libJunction                       // indexed by mos.Polarity
+	tables    sync.Map       // libKey → *libTable
+	junctions [2]libJunction // indexed by mos.Polarity
 }
 
 type libKey struct {
@@ -114,39 +112,20 @@ type libJunction struct {
 
 // NewLibrary creates an empty table cache with the paper's 0.1 V pitch.
 func NewLibrary(tech *mos.Tech) *Library {
-	lib := &Library{Tech: tech, StepV: 0.1, characterize: Characterize}
-	lib.tables.Store(&map[libKey]*libTable{})
-	return lib
+	return &Library{Tech: tech, StepV: 0.1, characterize: Characterize}
 }
 
 // Table returns the characterized table for a polarity and channel length,
 // building it on first use.
 func (lib *Library) Table(pol mos.Polarity, l float64) (*Table, error) {
 	k := libKey{pol, l}
-	e := (*lib.tables.Load())[k]
-	if e == nil {
-		e = lib.addTable(k)
+	v, ok := lib.tables.Load(k)
+	if !ok {
+		v, _ = lib.tables.LoadOrStore(k, new(libTable))
 	}
+	e := v.(*libTable)
 	e.once.Do(func() { e.t, e.err = lib.characterize(lib.params(pol), lib.Tech, l, lib.StepV) })
 	return e.t, e.err
-}
-
-// addTable returns k's entry, publishing an unbuilt one if there is none.
-func (lib *Library) addTable(k libKey) *libTable {
-	lib.mu.Lock()
-	defer lib.mu.Unlock()
-	old := *lib.tables.Load()
-	if e := old[k]; e != nil {
-		return e
-	}
-	m := make(map[libKey]*libTable, len(old)+1)
-	for kk, e := range old {
-		m[kk] = e
-	}
-	e := &libTable{}
-	m[k] = e
-	lib.tables.Store(&m)
-	return e
 }
 
 // Junction returns the characterized junction table for a polarity,
