@@ -181,8 +181,8 @@ func (t *Table) characterizeRow(ig int, step float64) error {
 // conductance space: dividing through by x turns the problem into the
 // ordinary linear fit y/x ≈ t1 + t2·x. The implicit 1/x² weighting keeps the
 // *relative* current error small in the deep triode region, where series
-// stack devices spend most of their time.
-// zx and zs are empty buffers with room for every sample.
+// stack devices spend most of their time. zx and zs are empty buffers with
+// room for every sample.
 func originQuad(xs, ys, zx, zs []float64) (t1, t2 float64) {
 	for i, x := range xs {
 		if x <= 0 {
